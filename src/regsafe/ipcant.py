@@ -169,6 +169,7 @@ class CounterMachine:
         if check_transfers != "off":
             self._check_transfers(check_transfers)
         self._out = None
+        self._resting = frozenset(t.src for t in self.transitions if t.label is not EPS)
 
     def _check_eps_acyclic(self):
         adj = {}
@@ -211,6 +212,11 @@ class CounterMachine:
     @property
     def counters(self):
         return self.structure.counters
+
+    def is_resting(self, state):
+        """True when the state has a lettered transition: a run that has
+        consumed a letter sequence can stop only at such a state."""
+        return state in self._resting
 
     def outgoing(self, state):
         if self._out is None:
@@ -309,6 +315,11 @@ def _sampled_distributive(f, counters, trials=200, seed=0):
         if not any(img <= u for img in f.get(c, ())):
             return False
     return True
+
+
+# the most ways one transfer may split its tokens before exploration gives up
+# on it and reports truncation instead of enumerating them
+BRANCH_BUDGET = 100000
 
 
 def compositions(n, k):

@@ -32,20 +32,26 @@ that no class anywhere holds a co-state and visits a checkpoint control
 state; reachability of a checkpoint with an infinite continuation decides
 language inclusion.
 
-Exploration uses config_successors, which never fabricates tokens (the
-error-free relation); witness certify/release pairs collapse there to a
-single successor, so branching stays polynomial in the live counters rather
-than in the counter family.  materialize() spells the same cycle out as an
-explicit instruction list for small automata.
+materialize() spells the cycle out as an explicit instruction list for small
+automata.  Exploration instead uses config_successors, which takes the whole
+cycle as one step under the error-free relation (it never fabricates
+tokens).  Only the read split, the here-set and the pick are choices; the
+merge is the here-set joined with the refrozen marks of the in-flight
+counters, and the shift maps each in-flight counter to the away counter of
+its kept set.  So every control is a resting one, ("read", mask,
+via_checkpoint), where the flag records that the step into it passed the
+checkpoint, which it does whenever the certificate holds.  Each step reports
+the instructions it stands for (n + 5, one more with co-states, one more
+through the checkpoint), so exploration bounds keep their instruction unit.
 """
 
-from itertools import product
+from math import comb
 
 from ..ara.automaton import AlternatingAutomaton, FLAGS
 from ..errors import ValidationError
 from ..ipcant import (
-    CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition, EPS,
-    compositions, ifz_cap,
+    BRANCH_BUDGET, CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition,
+    EPS, compositions, ifz_cap,
 )
 
 ANCHOR_AWAY = "^b"
@@ -82,7 +88,10 @@ class CompiledMachine:
                 raise ValidationError("co-state %r is not a state" % (q,))
             self.co_mask |= 1 << self._sidx[q]
         self._structure = None
-        self.initial_control = ("read", 1 << self._sidx[aut.initial])
+        self.initial_control = ("read", 1 << self._sidx[aut.initial], False)
+        # instructions of one letter cycle: read, models, n merges, the
+        # current class's deposit, shift, [next,] pick; the checkpoint adds one
+        self._cycle_steps = self.n + 5 + (1 if self.co_states else 0)
         self._mm = {}
         self._im3 = {}
         self._fam4 = {}
@@ -191,100 +200,104 @@ class CompiledMachine:
                 self._fam4[key] = tuple(sorted(outs))
         return self._fam4[key]
 
-    def _decode(self, ci):
-        """(kind, payload): ("away", mask) or ("flight", kept, marked)."""
-        if ci < (1 << self.n):
-            return ("away", ci)
-        rest = ci - (1 << self.n)
-        return ("flight", rest >> self.n, rest & ((1 << self.n) - 1))
-
     def is_checkpoint(self, control):
-        return control[0] == "checkpoint"
+        """True when the step into this control passed the checkpoint."""
+        return control[2]
 
     def is_resting(self, control):
-        """True at the top of the per-letter cycle: the previous position has
-        been fully processed."""
+        """True at the top of the per-letter cycle, which is every control
+        the macro step produces."""
         return control[0] == "read"
 
-    def config_successors(self, control, sv):
-        """Yield (label, control', sparse valuation') under the error-free
-        relation.  sv maps counter index to a positive count."""
-        kind = control[0]
-        if kind == "read":
-            mask = control[1]
-            for li, letter in enumerate(self.alphabet):
-                yield from self._fire_read(letter, mask, sv)
-        elif kind == "models":
-            mask, letter = control[1], control[2]
-            for s in self.here_sets(letter, mask):
-                yield (EPS, ("merge", s, 0), sv)
-        elif kind == "merge":
-            s, k = control[1], control[2]
-            if k == self.n:
-                target = self.away_index(s)
-                sv2 = dict(sv)
-                sv2[target] = sv2.get(target, 0) + 1
-                yield (EPS, ("shift",), sv2)
-                return
-            hit = False
-            for ci in sv:
-                ckind = self._decode(ci)
-                if ckind[0] == "flight" and ckind[2] >> k & 1:
-                    hit = True
-                    break
-            if hit:
-                yield (EPS, ("merge", s | 1 << k, k + 1), sv)
-            else:
-                yield (EPS, ("merge", s, k + 1), sv)
-        elif kind == "shift":
-            sv2 = {}
-            for ci, cnt in sv.items():
-                ckind = self._decode(ci)
-                ti = ci if ckind[0] == "away" else self.away_index(ckind[1])
-                sv2[ti] = sv2.get(ti, 0) + cnt
-            yield (EPS, ("next",) if self.co_states else ("pick",), sv2)
-        elif kind == "next":
-            yield (EPS, ("pick",), sv)
-            if not any(self._decode(ci)[0] == "away" and self._decode(ci)[1] & self.co_mask
-                       for ci in sv):
-                yield (EPS, ("checkpoint",), sv)
-        elif kind == "checkpoint":
-            yield (EPS, ("pick",), sv)
-        elif kind == "pick":
-            yield (EPS, ("read", 0), sv)  # fresh class becomes current
-            for ci in sorted(sv):
-                ckind = self._decode(ci)
-                if ckind[0] != "away":
-                    continue
-                sv2 = dict(sv)
-                if sv2[ci] == 1:
-                    del sv2[ci]
-                else:
-                    sv2[ci] -= 1
-                yield (EPS, ("read", ckind[1]), sv2)
-        else:
-            raise ValidationError("unknown control state %r" % (control,))
+    def config_successors(self, control, sv, letter=None, vcap=None):
+        """One macro step from a resting configuration: every way to process
+        the next data-word position on `letter` (every letter when None)
+        under the error-free relation.  sv maps away-counter index to a
+        positive count.  Returns (successors, truncated): successors are
+        (letter, control', sv', steps) with `steps` the number of instructions
+        of the cycle the step stands for, one per distinct (letter, read
+        split, here-set, pick); truncated says whether a successor was cut
+        by `vcap` (checked on the post-shift valuation, the largest one of
+        the cycle) or a read split by BRANCH_BUDGET."""
+        mask = control[1]
+        out = []
+        truncated = False
+        for a in (self.alphabet if letter is None else (letter,)):
+            here = self.here_sets(a, mask)
+            if not here:
+                continue
+            splits, cut = self._read_splits(a, sv)
+            truncated |= cut
+            seen = set()
+            for marks, post in splits:
+                for s in here:
+                    current = s | marks
+                    sv2 = dict(post)
+                    sv2[current] = sv2.get(current, 0) + 1
+                    key = tuple(sorted(sv2.items()))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if vcap is not None and max(sv2.values()) > vcap:
+                        truncated = True
+                        continue
+                    checkpoint = bool(self.co_states) and not any(
+                        ci & self.co_mask for ci in sv2)
+                    steps = self._cycle_steps + checkpoint
+                    out.append((a, ("read", 0, checkpoint), sv2, steps))  # fresh class
+                    for ci, cnt in key:
+                        sv3 = dict(sv2)
+                        if cnt == 1:
+                            del sv3[ci]
+                        else:
+                            sv3[ci] = cnt - 1
+                        out.append((a, ("read", ci, checkpoint), sv3, steps))
+        return out, truncated
 
-    def _fire_read(self, letter, mask, sv):
+    def _read_splits(self, letter, sv):
+        """Distinct (marks, post-shift valuation) outcomes of reading the
+        letter away from the register: every away token moves to one of its
+        read images, marks collects the refrozen states of the images used,
+        and the shift drops each image to the away counter of its kept set.
+        Folded counter by counter with duplicates dropped, in the order of
+        the full product of compositions.  Returns (outcomes, truncated);
+        a blocked letter has no outcome, and a product larger than
+        BRANCH_BUDGET is not built and reports truncation."""
+        n = self.n
+        flight_base = 1 << n
+        low = flight_base - 1
         moving = []
+        branches = 1
         for ci in sorted(sv):
-            ckind = self._decode(ci)
-            if ckind[0] == "away":
-                images = self.read_images(letter, ckind[1])
-                if images is None:
-                    return  # some class has a model-less thread: letter blocked
-            else:
-                images = (ci,)  # in-flight counters are empty here in honest
-                # runs; map them identically for robustness
-            moving.append((sv[ci], images))
-        target = ("models", mask, letter)
-        for split in product(*(compositions(n, len(images)) for n, images in moving)):
-            sv2 = {}
-            for (n, images), parts in zip(moving, split):
-                for ci, part in zip(images, parts):
+            images = self.read_images(letter, ci)
+            if images is None:
+                return (), False  # some class has a model-less thread
+            count = sv[ci]
+            branches *= comb(count + len(images) - 1, count)
+            pairs = tuple(((i - flight_base) >> n, (i - flight_base) & low) for i in images)
+            moving.append((count, pairs))
+        if branches > BRANCH_BUDGET:
+            return (), True
+        partial = {(0, ()): None}  # insertion-ordered set
+        for count, pairs in moving:
+            parts_of = {}
+            for parts in compositions(count, len(pairs)):
+                marks = 0
+                post = {}
+                for (kept, marked), part in zip(pairs, parts):
                     if part:
-                        sv2[ci] = sv2.get(ci, 0) + part
-            yield (letter, target, sv2)
+                        marks |= marked
+                        post[kept] = post.get(kept, 0) + part
+                parts_of[(marks, tuple(sorted(post.items())))] = None
+            folded = {}
+            for marks0, post0 in partial:
+                for marks1, post1 in parts_of:
+                    post = dict(post0)
+                    for ci, cnt in post1:
+                        post[ci] = post.get(ci, 0) + cnt
+                    folded[(marks0 | marks1, tuple(sorted(post.items())))] = None
+            partial = folded
+        return [(marks, dict(post)) for marks, post in partial], False
 
     # explicit machine for small automata
     def materialize(self) -> CounterMachine:

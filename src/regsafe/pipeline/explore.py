@@ -1,10 +1,15 @@
 """Exploration of counter machine configuration graphs.
 
 Configurations pair a control state with a sparse valuation (counter index to
-positive count).  Compiled machines supply their own successor relation and
-are explored error-free; machines built from instruction lists are explored
-under the lazy relation by default (decrementing a zero counter may leave the
+positive count).  Compiled machines supply their own successor relation, one
+letter cycle per step, and are explored error-free; machines built from
+instruction lists step one instruction at a time and are explored under the
+lazy relation by default (decrementing a zero counter may leave the
 valuation unchanged) unless the transition opts out.
+
+Every bound counts instruction steps: the step cap, NODE_BUDGET and the
+saturation's explored count charge a compiled letter step the instructions
+of the cycle it replaces, so a bound means the same on both machine kinds.
 
 bounded_nonemptiness searches for an infinite run: any configuration cycle
 is one (control cycles must consume letters, so a lasso reads infinitely many
@@ -23,14 +28,14 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from math import comb
 
 from ..ara.automaton import AlternatingAutomaton, inclusion_product
 from ..errors import ValidationError
-from ..ipcant import Dec, Inc, EPS, compositions
+from ..ipcant import BRANCH_BUDGET, Dec, Inc, EPS, compositions
 from .compile import CompiledMachine, ara_to_ipcant
 
 NODE_BUDGET = 200000
-BRANCH_BUDGET = 100000
 
 
 class Nonemptiness(Enum):
@@ -68,22 +73,22 @@ def _is_lazy_default(machine):
     return not isinstance(machine, CompiledMachine)
 
 
-def successors(machine, control, sv, lazy, vcap):
-    """All one-instruction successors as (label, control', sv'), plus a flag
-    saying whether anything was cut off by the value cap or branch budget."""
+def successors(machine, control, sv, lazy, vcap, letter=None):
+    """Successors as (label, control', sv', steps), plus a flag saying
+    whether anything was cut off by the value cap or branch budget.  Given a
+    letter, only letter-free steps and steps reading that letter are made.
+    An explicit machine steps one instruction at a time (steps 1); a compiled
+    machine steps one letter cycle at a time, charged its instruction count."""
     if isinstance(machine, CompiledMachine):
-        out = []
-        truncated = False
-        for label, dst, sv2 in machine.config_successors(control, sv):
-            if sv2 and max(sv2.values()) > vcap:
-                truncated = True
-                continue
-            out.append((label, dst, sv2))
-        return out, truncated
+        # unpacked, as bench/spans.py hands the pair back as an iterator
+        succ, truncated = machine.config_successors(control, sv, letter, vcap)
+        return succ, truncated
     structure = machine.structure
     out = []
     truncated = False
     for t in machine.outgoing(control):
+        if letter is not None and t.label is not EPS and t.label != letter:
+            continue
         instr = t.instr
         if isinstance(instr, Inc):
             ci = structure.index[instr.counter]
@@ -93,7 +98,7 @@ def successors(machine, control, sv, lazy, vcap):
                 continue
             sv2 = dict(sv)
             sv2[ci] = n
-            out.append((t.label, t.dst, sv2))
+            out.append((t.label, t.dst, sv2, 1))
         elif isinstance(instr, Dec):
             ci = structure.index[instr.counter]
             if sv.get(ci, 0) > 0:
@@ -102,14 +107,14 @@ def successors(machine, control, sv, lazy, vcap):
                     del sv2[ci]
                 else:
                     sv2[ci] -= 1
-                out.append((t.label, t.dst, sv2))
+                out.append((t.label, t.dst, sv2, 1))
             elif lazy and not t.elide_zero_dec:
-                out.append((t.label, t.dst, dict(sv)))
+                out.append((t.label, t.dst, dict(sv), 1))
         else:  # transfer-like
             fired, cut = _fire_transfer_sparse(structure, sv, instr, vcap)
             truncated = truncated or cut
             for sv2 in fired:
-                out.append((t.label, t.dst, sv2))
+                out.append((t.label, t.dst, sv2, 1))
     return out, truncated
 
 
@@ -122,7 +127,7 @@ def _fire_transfer_sparse(structure, sv, instr, vcap):
             return [], False  # counter with empty image must be zero
         idxs = tuple(structure.index[d] for d in dsts)
         n = sv[ci]
-        branches *= _ncompositions(n, len(idxs))
+        branches *= comb(n + len(idxs) - 1, n)
         moving.append((n, idxs))
     if branches > BRANCH_BUDGET:
         return [], True
@@ -145,23 +150,15 @@ def _fire_transfer_sparse(structure, sv, instr, vcap):
     return results, truncated
 
 
-def _ncompositions(n, k):
-    num = 1
-    den = 1
-    for i in range(1, n + 1):
-        num *= k - 1 + i
-        den *= i
-    return num // den
-
-
 def _freeze(control, sv):
     return (control, tuple(sorted(sv.items())))
 
 
 def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None, lazy=None) -> Nonemptiness:
     """Search for an infinite run: a configuration lasso or a simple path of
-    length cap counts as one.  A fully exhausted graph without cutoffs is a
-    definite emptiness verdict."""
+    cap instruction steps counts as one.  A fully exhausted graph without
+    cutoffs is a definite emptiness verdict.  Path lengths and the node
+    count charge each step its instruction count."""
     if lazy is None:
         lazy = _is_lazy_default(machine)
     if start is None:
@@ -179,24 +176,25 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None, lazy=None) -> 
         return iter(succ)
 
     key0 = _freeze(control0, sv0)
-    stack = [[key0, expand(control0, sv0), 0]]
+    # frame: [config, successor iterator, longest path from it, steps into it]
+    stack = [[key0, expand(control0, sv0), 0, 0]]
     onstack.add(key0)
     while stack:
         frame = stack[-1]
         advanced = False
-        for label, control2, sv2 in frame[1]:
+        for label, control2, sv2, steps in frame[1]:
             k2 = _freeze(control2, sv2)
             if k2 in onstack:
                 return Nonemptiness.NONEMPTY  # lasso: a cycle repeats forever
             if k2 in longest:
-                frame[2] = max(frame[2], longest[k2] + 1)
+                frame[2] = max(frame[2], longest[k2] + steps)
                 if frame[2] >= cap:
                     return Nonemptiness.NONEMPTY
                 continue
-            visited += 1
+            visited += steps
             if visited > NODE_BUDGET:
                 return Nonemptiness.UNKNOWN
-            stack.append([k2, expand(control2, sv2), 0])
+            stack.append([k2, expand(control2, sv2), 0, steps])
             onstack.add(k2)
             advanced = True
             break
@@ -208,57 +206,42 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None, lazy=None) -> 
                 return Nonemptiness.NONEMPTY
             if stack:
                 parent = stack[-1]
-                parent[2] = max(parent[2], frame[2] + 1)
+                parent[2] = max(parent[2], frame[2] + frame[3])
                 if parent[2] >= cap:
                     return Nonemptiness.NONEMPTY
     return Nonemptiness.UNKNOWN if truncated else Nonemptiness.EMPTY
 
 
-def _eps_closure(machine, frontier, lazy, vcap):
-    """All configurations reachable by letter-free instructions, including the
-    inputs.  Returns (set of frozen configs, truncated flag)."""
-    seen = dict(frontier)
-    todo = list(frontier.items())
-    truncated = False
-    while todo:
-        key, (control, sv) = todo.pop()
-        succ, cut = successors(machine, control, sv, lazy, vcap)
-        truncated |= cut
-        for label, control2, sv2 in succ:
-            if label is not EPS:
-                continue
-            k2 = _freeze(control2, sv2)
-            if k2 not in seen:
-                seen[k2] = (control2, sv2)
-                todo.append((k2, (control2, sv2)))
-                if len(seen) > NODE_BUDGET:
-                    return seen, True
-    return seen, truncated
-
-
 def prefix_reachable(machine, letters, lazy=None, vcap=64) -> bool:
-    """Can the machine consume the letter sequence?  For compiled machines
-    this matches the existence of a partial automaton run on some data word
-    with those letters."""
+    """Can the machine consume the letter sequence and come to rest?  For
+    compiled machines this matches the existence of a partial automaton run
+    on some data word with those letters.  Each stage closes the frontier
+    under letter-free steps and collects the steps on the next letter; the
+    last stage, after the final letter, looks for a resting configuration
+    (a state that is not resting has letter-free steps only)."""
     if lazy is None:
         lazy = _is_lazy_default(machine)
     control0, sv0 = initial_config(machine)
     frontier = {_freeze(control0, sv0): (control0, sv0)}
-    frontier, _ = _eps_closure(machine, frontier, lazy, vcap)
-    for letter in letters:
-        nxt = {}
-        for control, sv in frontier.values():
-            succ, _ = successors(machine, control, sv, lazy, vcap)
-            for label, control2, sv2 in succ:
-                if label == letter:
-                    nxt[_freeze(control2, sv2)] = (control2, sv2)
-        if not nxt:
+    for letter in tuple(letters) + (None,):
+        seen = dict(frontier)
+        todo = list(frontier.values())
+        frontier = {}
+        while todo:
+            control, sv = todo.pop()
+            if letter is None and machine.is_resting(control):
+                return True
+            succ, _ = successors(machine, control, sv, lazy, vcap, letter)
+            for label, control2, sv2, _ in succ:
+                key = _freeze(control2, sv2)
+                if label is not EPS:
+                    frontier[key] = (control2, sv2)
+                elif key not in seen and len(seen) < NODE_BUDGET:
+                    seen[key] = (control2, sv2)
+                    todo.append((control2, sv2))
+        if not frontier:
             return False
-        frontier, _ = _eps_closure(machine, nxt, lazy, vcap)
-    resting = getattr(machine, "is_resting", None)
-    if resting is None:
-        return bool(frontier)
-    return any(resting(control) for control, sv in frontier.values())
+    return False
 
 
 def _dominated(chain, sv):
@@ -281,7 +264,8 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
     machine = ara_to_ipcant(aut, co_states=co_states)
     control0, sv0 = initial_config(machine)
     chains = {control0: [sv0]}
-    queue = deque([(control0, sv0)])
+    # a queued configuration carries the steps of the cycle that reached it
+    queue = deque([(control0, sv0, 1)])
     explored = 0
     truncated = False
     converged = True
@@ -289,26 +273,25 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
         if explored >= cap:
             converged = False
             break
-        control, sv = queue.popleft()
+        control, sv, steps = queue.popleft()
         if sv not in chains.get(control, ()):
             continue  # pruned by a smaller configuration meanwhile
-        explored += 1
+        explored += steps
         succ, cut = successors(machine, control, sv, lazy=False, vcap=vcap)
         truncated |= cut
-        for label, control2, sv2 in succ:
+        for label, control2, sv2, steps2 in succ:
             chain = chains.setdefault(control2, [])
             if _dominated(chain, sv2):
                 continue
             chains[control2] = _prune(chain, sv2) + [sv2]
-            queue.append((control2, sv2))
+            queue.append((control2, sv2, steps2))
     s_last = tuple((control, dict(sv)) for control, chain in chains.items()
                    for sv in chain)
-    checkpoints = [sv for control, chain in chains.items()
+    checkpoints = [(control, sv) for control, chain in chains.items()
                    if machine.is_checkpoint(control) for sv in chain]
     unknown = truncated or not converged
-    for sv in checkpoints:
-        r = bounded_nonemptiness(machine, cap=cap, vcap=vcap,
-                                 start=(("checkpoint",), sv), lazy=False)
+    for start in checkpoints:
+        r = bounded_nonemptiness(machine, cap=cap, vcap=vcap, start=start, lazy=False)
         if r is Nonemptiness.NONEMPTY:
             return SaturationResult(Inclusion.NOT_INCLUDED, s_last, explored,
                                     converged, len(checkpoints))

@@ -82,7 +82,7 @@ def test_include_json_record(data_path, capsys):
                     "--lhs", fig, "--rhs", fig]) == 0
     record = json.loads(_out(capsys)[0])
     assert record["verdict"] == "INCLUDED"
-    assert record["explored"] == 923
+    assert record["explored"] == 1275
     assert record["converged"] is True
     assert "checkpoints" in record
 

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
+from regsafe import randgen
 from regsafe.errors import ValidationError
 from regsafe.words import Alphabet
 from regsafe.ara import ltl_to_ara
 from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import AlternatingAutomaton
-from regsafe.ipcant import (EPS, Transfer, Valuation, check_distributive,
+from regsafe.ipcant import (BRANCH_BUDGET, EPS, Transfer, Valuation, check_distributive,
                             fire, format_machine, parse_machine)
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import ara_to_ipcant
@@ -73,11 +76,34 @@ def test_read_images_and_here_sets():
 
 def test_resting_and_checkpoint_predicates():
     cm = ara_to_ipcant(_two_state(), co_states=("r",))
-    assert cm.is_resting(("read", 0))
-    assert not cm.is_resting(("pick",))
-    assert cm.is_checkpoint(("checkpoint",))
-    assert not cm.is_checkpoint(("read", 0)) and not cm.is_checkpoint(("next",))
-    assert cm.initial_control == ("read", 1)
+    assert cm.initial_control == ("read", 1, False)
+    assert cm.is_resting(("read", 0, False)) and cm.is_resting(("read", 3, True))
+    assert cm.is_checkpoint(("read", 0, True))
+    assert not cm.is_checkpoint(("read", 0, False))
+    succ, truncated = cm.config_successors(cm.initial_control, {})
+    assert not truncated
+    # on a the current class keeps the co-state r: no checkpoint; on b every
+    # thread closes, so the cycle passes the checkpoint and costs one more
+    assert sorted((a, c, tuple(sorted(sv.items())), steps) for a, c, sv, steps in succ) == [
+        ("a", ("read", 0, False), ((3, 1),), 8),
+        ("a", ("read", 3, False), (), 8),
+        ("b", ("read", 0, True), (), 9),
+        ("b", ("read", 0, True), ((0, 1),), 9),
+    ]
+
+
+def test_read_step_branch_budget():
+    # q | d(q) gives each token two read images, so n tokens split n + 1
+    # ways; past BRANCH_BUDGET the step reports truncation unexpanded
+    aut = AlternatingAutomaton(AB, ("q",), "q", {
+        ("q", "a", "nup"): pb.Or(pb.Ref("q"), pb.DownRef("q")),
+        ("q", "a", "up"): pb.Ref("q"),
+    })
+    cm = ara_to_ipcant(aut)
+    assert len(cm.read_images("a", 1)) == 2
+    assert cm.config_successors(("read", 0, False), {1: BRANCH_BUDGET}, "a") == ([], True)
+    succ, truncated = cm.config_successors(("read", 0, False), {1: 2}, "a")
+    assert not truncated and succ
 
 
 def test_materialize_state_counts(abc):
@@ -129,67 +155,79 @@ def test_materialize_rejects_large_automata():
         ara_to_ipcant(big).materialize()
 
 
-def _lazy_resting(cm, depth):
-    """Resting configurations after exactly `depth` letters, under the
-    on-demand transition relation."""
-    out = set()
-    seen = set()
-    stack = [((), cm.initial_control, ())]
-    while stack:
-        letters, control, sv = stack.pop()
-        key = (letters, control, sv)
-        if key in seen:
-            continue
-        seen.add(key)
-        if cm.is_resting(control) and len(letters) == depth:
-            out.add(("".join(letters), "read_%d" % control[1], sv))
-            continue
-        for label, c2, sv2 in cm.config_successors(control, dict(sv)):
-            l2 = letters if label == EPS else letters + (label,)
-            if len(l2) > depth:
-                continue
-            stack.append((l2, c2, tuple(sorted(sv2.items()))))
-    return out
+def _macro_resting(cm, depth):
+    """Resting configurations after exactly `depth` letters under the macro
+    step, named as in the materialized machine, with the checkpoint flag of
+    the last cycle."""
+    frontier = {("", cm.initial_control, ())}
+    for _ in range(depth):
+        nxt = set()
+        for letters, control, sv in frontier:
+            succ, truncated = cm.config_successors(control, dict(sv))
+            assert not truncated
+            for label, c2, sv2, _ in succ:
+                nxt.add((letters + label, c2, tuple(sorted(sv2.items()))))
+        frontier = nxt
+    return {(letters, "read_%d" % control[1], sv, cm.is_checkpoint(control))
+            for letters, control, sv in frontier}
 
 
 def _explicit_resting(machine, depth):
-    """The same relation read off the materialized machine."""
+    """The same relation read off the materialized machine; the flag says
+    whether the last cycle passed the checkpoint state."""
     by_src = {}
     for t in machine.transitions:
         by_src.setdefault(t.src, []).append(t)
     v0 = Valuation(machine.structure, (0,) * len(machine.structure.counters))
     out = set()
     seen = set()
-    stack = [((), machine.initial, v0)]
+    stack = [((), machine.initial, v0, False)]
     while stack:
-        letters, state, v = stack.pop()
-        key = (letters, state, v.values)
+        letters, state, v, via = stack.pop()
+        key = (letters, state, v.values, via)
         if key in seen:
             continue
         seen.add(key)
         if state.startswith("read_") and len(letters) == depth:
             sv = tuple((i, n) for i, n in enumerate(v.values) if n)
-            out.add(("".join(letters), state, sv))
+            out.add(("".join(letters), state, sv, via))
             continue
         for t in by_src.get(state, ()):
             l2 = letters if t.label == EPS else letters + (t.label,)
             if len(l2) > depth:
                 continue
+            via2 = (via and t.label == EPS) or t.dst == "checkpoint"
             for v2 in fire(v, t.instr):
-                stack.append((l2, t.dst, v2))
+                stack.append((l2, t.dst, v2, via2))
     return out
+
+
+def _assert_macro_matches(cm, depths):
+    machine = cm.materialize()
+    for depth in depths:
+        macro = _macro_resting(cm, depth)
+        explicit = _explicit_resting(machine, depth)
+        assert {c[:3] for c in macro} == {c[:3] for c in explicit}
+        # the macro step passes the checkpoint whenever the explicit
+        # machine can
+        assert {c[:3] for c in macro if c[3]} == {c[:3] for c in explicit if c[3]}
 
 
 @pytest.mark.parametrize("co", [None, ("r",)])
 def test_config_successors_match_materialized(co):
-    cm = ara_to_ipcant(_two_state(), co_states=co)
-    machine = cm.materialize()
-    for depth in (1, 2):
-        assert _lazy_resting(cm, depth) == _explicit_resting(machine, depth)
+    _assert_macro_matches(ara_to_ipcant(_two_state(), co_states=co), (1, 2))
 
 
 def test_config_successors_match_materialized_one_state(abc):
-    cm = ara_to_ipcant(_one_state(abc))
-    machine = cm.materialize()
-    for depth in (1, 2, 3):
-        assert _lazy_resting(cm, depth) == _explicit_resting(machine, depth)
+    _assert_macro_matches(ara_to_ipcant(_one_state(abc)), (1, 2, 3))
+
+
+@pytest.mark.parametrize("with_co", [False, True])
+def test_config_successors_match_materialized_random(with_co):
+    rng = random.Random(7)
+    for _ in range(20):
+        aut = randgen.random_automaton(rng, AB, max_states=3)
+        co = None
+        if with_co:
+            co = tuple(q for q in aut.states if rng.random() < 0.5) or aut.states[-1:]
+        _assert_macro_matches(ara_to_ipcant(aut, co_states=co), (1, 2, 3))
