@@ -2,8 +2,9 @@
 
 One subcommand per pipeline stage; verdict-producing commands exit 0 on the
 positive verdict, 1 on the negative one and 2 on unknown.  Usage problems
-exit 64; unparsable input files exit 65.  With --format json every result is
-emitted as one JSON record per line instead of plain text.
+exit 64; input files that fail to parse or validate exit 65.  With --format
+json every result is emitted as one JSON record per line instead of plain
+text.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .errors import ParseError, RegsafeError
+from .errors import ParseError, RegsafeError, ValidationError
 from .words import Alphabet, parse_word, print_word
 from . import ltl
 from .ara import format_automaton, ltl_to_ara, parse_automaton, run_exists
@@ -49,11 +50,23 @@ class Invocation:
             raise _UsageError("cap and vcap must be positive")
 
 
-def _read(path):
+class _InvalidInput(Exception):
+    pass
+
+
+def _load(parse, path):
+    """Parse an input file, "-" being standard input.  A file that parses
+    but breaks an invariant of its format is as unusable as one that does
+    not parse, so both exit 65."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r") as fh:
+            text = fh.read()
+    try:
+        return parse(text)
+    except ValidationError as e:
+        raise _InvalidInput("%s: %s" % (path, e)) from e
 
 
 def _emit(inv, text_lines, record):
@@ -80,7 +93,7 @@ def _verdict_exit(verdict):
 
 
 def _cmd_parse(inv, ns):
-    ab, f = ltl.parse_formula_file(_read(ns.formula))
+    ab, f = _load(ltl.parse_formula_file, ns.formula)
     canonical = ltl.print_formula(f)
     _emit(inv, [canonical],
           {"command": "parse", "alphabet": list(ab.letters), "formula": canonical})
@@ -88,7 +101,7 @@ def _cmd_parse(inv, ns):
 
 
 def _cmd_ltl2ara(inv, ns):
-    ab, f = ltl.parse_formula_file(_read(ns.formula))
+    ab, f = _load(ltl.parse_formula_file, ns.formula)
     aut = ltl_to_ara(f, ab)
     text = format_automaton(aut)
     _emit(inv, [text.rstrip("\n")], {"command": "ltl2ara", "artifact": text})
@@ -96,7 +109,7 @@ def _cmd_ltl2ara(inv, ns):
 
 
 def _cmd_ara2cm(inv, ns):
-    aut = parse_automaton(_read(ns.automaton))
+    aut = _load(parse_automaton, ns.automaton)
     machine = ara_to_ipcant(aut).materialize()
     text = format_machine(machine)
     _emit(inv, [text.rstrip("\n")], {"command": "ara2cm", "artifact": text})
@@ -104,7 +117,7 @@ def _cmd_ara2cm(inv, ns):
 
 
 def _cmd_run(inv, ns):
-    aut = parse_automaton(_read(ns.automaton))
+    aut = _load(parse_automaton, ns.automaton)
     w = parse_word(ns.word, aut.alphabet)
     verdict = "YES" if run_exists(aut, w) else "NO"
     _emit(inv, [verdict], {"command": "run", "verdict": verdict})
@@ -113,9 +126,9 @@ def _cmd_run(inv, ns):
 
 def _machine_from(ns):
     if getattr(ns, "machine", None):
-        return parse_machine(_read(ns.machine))
+        return _load(parse_machine, ns.machine)
     if getattr(ns, "automaton", None):
-        return ara_to_ipcant(parse_automaton(_read(ns.automaton)))
+        return ara_to_ipcant(_load(parse_automaton, ns.automaton))
     raise _UsageError("need --machine or --automaton")
 
 
@@ -138,14 +151,14 @@ def _include_verdict(inv, command, a1, a2):
 
 
 def _cmd_include(inv, ns):
-    a1 = parse_automaton(_read(ns.lhs))
-    a2 = parse_automaton(_read(ns.rhs))
+    a1 = _load(parse_automaton, ns.lhs)
+    a2 = _load(parse_automaton, ns.rhs)
     return _include_verdict(inv, "include", a1, a2)
 
 
 def _cmd_refine(inv, ns):
-    ab1, f1 = ltl.parse_formula_file(_read(ns.lhs))
-    ab2, f2 = ltl.parse_formula_file(_read(ns.rhs))
+    ab1, f1 = _load(ltl.parse_formula_file, ns.lhs)
+    ab2, f2 = _load(ltl.parse_formula_file, ns.rhs)
     return _include_verdict(inv, "refine", ltl_to_ara(f1, ab1), ltl_to_ara(f2, ab2))
 
 
@@ -172,7 +185,7 @@ def _cmd_bound(inv, ns):
 
 
 def _cmd_tmgen(inv, ns):
-    machine = parse_tm(_read(ns.tm))
+    machine = _load(parse_tm, ns.tm)
     f = tm_to_formula(machine)
     artifact = ltl.print_formula_file(tm_alphabet(machine), f)
     lines = [artifact.rstrip("\n")]
@@ -288,6 +301,9 @@ def run_cli(argv) -> int:
         return 0 if e.code in (0, None) else int(e.code)
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
+        return 65
+    except _InvalidInput as e:
+        print("invalid input: %s" % e, file=sys.stderr)
         return 65
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -152,23 +152,20 @@ class CounterMachine:
         self.initial = initial
         self.structure = structure
         self.transitions = tuple(transitions)
-        if len(set(self.states)) != len(self.states):
+        known = set(self.states)
+        if len(known) != len(self.states):
             raise ValidationError("duplicate state name")
-        if initial not in self.states:
+        if initial not in known:
             raise ValidationError("initial state %r not declared" % (initial,))
-        known = set(structure.counters)
         for t in self.transitions:
-            if t.src not in self.states or t.dst not in self.states:
+            if t.src not in known or t.dst not in known:
                 raise ValidationError("transition uses unknown state")
             if t.label is not EPS and t.label not in alphabet:
                 raise ValidationError("transition on unknown letter %r" % (t.label,))
-            for c in _instr_counters(t.instr):
-                if frozenset(c) not in known:
-                    raise ValidationError("instruction uses unknown counter %r" % (sorted(c),))
+        self._ops, transfers = self._compile_ops()
         self._check_eps_acyclic()
         if check_transfers != "off":
-            self._check_transfers(check_transfers)
-        self._out = None
+            self._check_transfers(check_transfers, transfers)
         self._resting = frozenset(t.src for t in self.transitions if t.label is not EPS)
 
     def _check_eps_acyclic(self):
@@ -176,31 +173,69 @@ class CounterMachine:
         for t in self.transitions:
             if t.label is EPS:
                 adj.setdefault(t.src, []).append(t.dst)
-        color = {}
+        color = {}  # 1 while on the search path, 2 once finished
+        for root in self.states:
+            if root in color:
+                continue
+            color[root] = 1
+            stack = [(root, iter(adj.get(root, ())))]
+            while stack:
+                q, succ = stack[-1]
+                for r in succ:
+                    if color.get(r) == 1:
+                        raise ValidationError("letter-free transition cycle through %r" % (q,))
+                    if r not in color:
+                        color[r] = 1
+                        stack.append((r, iter(adj.get(r, ()))))
+                        break
+                else:
+                    color[q] = 2
+                    stack.pop()
 
-        def dfs(q):
-            color[q] = 1
-            for r in adj.get(q, ()):
-                if color.get(r) == 1:
-                    raise ValidationError("letter-free transition cycle through %r" % (q,))
-                if r not in color:
-                    dfs(r)
-            color[q] = 2
+    def _compile_ops(self):
+        """Per source state, (label, target, kind, argument, lazy zero
+        decrement allowed) for each outgoing transition in order.  An
+        increment or decrement carries its counter index; a transfer carries
+        the image indices of every counter, one tuple per counter index,
+        shared by equal transfers.  Returns the ops and the distinct
+        transfers' image tuples.  Raises ValidationError on an instruction
+        of unknown kind or naming a counter outside the structure."""
+        index = self.structure.index
+        identity = tuple((i,) for i in range(len(self.structure.counters)))
+        images = {}
+        ops = {}
+        for t in self.transitions:
+            instr = t.instr
+            try:
+                if isinstance(instr, (Inc, Dec)):
+                    kind, arg = type(instr), index[instr.counter]
+                elif isinstance(instr, Transfer):
+                    kind, arg = Transfer, images.get(instr)
+                    if arg is None:
+                        # unlisted counters keep their tokens; the first
+                        # entry for a counter wins, as in Transfer.image
+                        arg = list(identity)
+                        for src, dsts in reversed(instr.entries):
+                            arg[index[src]] = tuple(index[d] for d in dsts)
+                        arg = images[instr] = tuple(arg)
+                else:
+                    raise ValidationError("unknown instruction %r" % (instr,))
+            except KeyError as e:
+                raise ValidationError("instruction uses unknown counter %r"
+                                      % (sorted(e.args[0]),)) from None
+            ops.setdefault(t.src, []).append(
+                (t.label, t.dst, kind, arg, not t.elide_zero_dec))
+        return ops, tuple(images.values())
 
-        for q in self.states:
-            if q not in color:
-                dfs(q)
-
-    def _check_transfers(self, mode):
+    def _check_transfers(self, mode, transfers):
+        if not transfers:
+            return
         counters = self.structure.counters
         exhaustive = len(counters) <= 12 or mode == "full"
-        seen = set()
-        for t in self.transitions:
-            if not isinstance(t.instr, Transfer) or t.instr in seen:
-                continue
-            seen.add(t.instr)
-            f = t.instr.as_map(counters)
-            ok = (check_distributive(f, counters) if exhaustive
+        table = CoverTable(counters) if exhaustive else None
+        for images in transfers:
+            f = {c: tuple(counters[j] for j in img) for c, img in zip(counters, images)}
+            ok = (check_distributive(f, counters, table) if exhaustive
                   else _sampled_distributive(f, counters))
             if not ok:
                 raise ValidationError("transfer map is not distributive")
@@ -218,68 +253,140 @@ class CounterMachine:
         consumed a letter sequence can stop only at such a state."""
         return state in self._resting
 
-    def outgoing(self, state):
-        if self._out is None:
-            self._out = {}
-            for t in self.transitions:
-                self._out.setdefault(t.src, []).append(t)
-        return self._out.get(state, [])
+    def config_successors(self, control, sv, letter=None, vcap=None, lazy=True):
+        """One instruction step from a configuration: sv maps counter index
+        to a positive count.  Given a letter, only letter-free transitions and
+        those reading that letter fire.  Under the lazy relation a decrement
+        of a zero counter may leave the valuation unchanged, unless the
+        transition opts out.  Returns (successors, truncated): successors are
+        (label, state', sv', 1) in transition order, and truncated says
+        whether a result was cut by `vcap` or a transfer by BRANCH_BUDGET."""
+        out = []
+        truncated = False
+        for label, dst, kind, arg, zero_ok in self._ops.get(control, ()):
+            if letter is not None and label is not EPS and label != letter:
+                continue
+            if kind is Inc:
+                n = sv.get(arg, 0) + 1
+                if vcap is not None and n > vcap:
+                    truncated = True
+                    continue
+                sv2 = dict(sv)
+                sv2[arg] = n
+                out.append((label, dst, sv2, 1))
+            elif kind is Dec:
+                n = sv.get(arg, 0)
+                if n:
+                    sv2 = dict(sv)
+                    if n == 1:
+                        del sv2[arg]
+                    else:
+                        sv2[arg] = n - 1
+                    out.append((label, dst, sv2, 1))
+                elif lazy and zero_ok:
+                    out.append((label, dst, dict(sv), 1))
+            else:
+                fired, cut = _fire_transfer(sv, arg, vcap)
+                truncated |= cut
+                for sv2 in fired:
+                    out.append((label, dst, sv2, 1))
+        return out, truncated
 
 
-def _instr_counters(instr):
-    if isinstance(instr, (Inc, Dec)):
-        yield instr.counter
-    elif isinstance(instr, Transfer):
-        for src, dsts in instr.entries:
-            yield src
-            yield from dsts
-    else:
-        raise ValidationError("unknown instruction %r" % (instr,))
+class CoverTable:
+    """A counter family on basis bitmasks: each basis element of a counter
+    gets a bit, and each counter its irredundant covers, index-increasing
+    tuples of counter indices whose union contains it and none of which can
+    be dropped.  The distributivity condition sees the family only through
+    these covers, so one table serves every transfer map over it."""
+
+    def __init__(self, counters):
+        self.bits = {}
+        for c in counters:
+            for e in c:
+                self.bits.setdefault(e, 1 << len(self.bits))
+        masks = tuple(self.mask(c) for c in counters)
+        self.masks = dict(zip(counters, masks))
+        self.covers = tuple(_irredundant_covers_of(m, masks) for m in masks)
+
+    def mask(self, elements, extra=None):
+        """Bitmask of a set of basis elements.  An element that no counter
+        holds takes a bit past the counters' ones, recorded in `extra`, so
+        distinct such elements stay apart."""
+        m = 0
+        for e in elements:
+            bit = self.bits.get(e)
+            if bit is None:
+                bit = extra.setdefault(e, 1 << (len(self.bits) + len(extra)))
+            m |= bit
+        return m
 
 
-def _irredundant_covers(c, members):
-    """Yield index-increasing selections from members whose union covers c and
-    where no member can be dropped."""
-    def covered_union(sel):
-        u = set()
-        for m in sel:
-            u |= m
-        return u
+def _irredundant_covers_of(target, masks):
+    """Index-increasing selections of masks whose union contains target and
+    where every member keeps a private element of target, so none can be
+    dropped.  A member's private part only shrinks as members are added, so
+    a selection that loses one is not extended."""
+    members = [(j, m & target) for j, m in enumerate(masks) if m & target]
+    if len(members) == 1:  # the target alone
+        return ((members[0][0],),)
+    out = []
 
-    def rec(start, sel, covered):
-        if c <= covered:
-            if all(not c <= covered_union([m for m in sel if m is not x]) for x in sel):
-                yield list(sel)
-            return
-        for i in range(start, len(members)):
-            m = members[i]
-            gain = (m & c) - covered
+    def extend(start, sel, private, covered):
+        for k in range(start, len(members)):
+            j, m = members[k]
+            gain = m & ~covered
             if not gain:
                 continue
-            sel.append(m)
-            yield from rec(i + 1, sel, covered | m)
-            sel.pop()
+            for p in private:
+                if not p & ~m:
+                    break  # m would leave that member nothing of its own
+            else:
+                if covered | m == target:
+                    out.append(sel + (j,))
+                else:
+                    extend(k + 1, sel + (j,), [p & ~m for p in private] + [gain],
+                           covered | m)
 
-    yield from rec(0, [], frozenset())
+    extend(0, (), [], 0)
+    return tuple(out)
 
 
-def check_distributive(f, counters) -> bool:
+def check_distributive(f, counters, table=None) -> bool:
     """Exhaustive check of the distributivity condition over all irredundant
     covers (sufficient: a redundant cover's condition follows from any
-    irredundant subcover).  Feasible for |counters| up to a dozen or two; the
-    cost is driven by the cover count, not directly by |counters|."""
-    counters = list(counters)
+    irredundant subcover).  The condition on a cover depends only on the
+    union of the chosen images, so the unions are folded cover member by
+    member into a set.  `table` is the CoverTable of the counters, built
+    here when not given; feasible for families up to a dozen or two
+    counters, the cost being driven by the cover count."""
+    counters = tuple(counters)
     for c in counters:
         if c not in f:
             raise ValidationError("transfer map not total: missing %r" % (sorted(c),))
+    if table is None:
+        table = CoverTable(counters)
+    known = table.masks
+    extra = {}
+    images = []
     for c in counters:
-        images_c = list(f[c])
-        members = [d for d in counters if d & c]
-        for cover in _irredundant_covers(c, members):
-            for choice in product(*(f[d] for d in cover)):
-                u = frozenset().union(*choice) if choice else frozenset()
-                if not any(img <= u for img in images_c):
+        imgs = set()
+        for d in f[c]:
+            m = known.get(d)
+            imgs.add(table.mask(d, extra) if m is None else m)
+        images.append(tuple(imgs))
+    for imgs, covers in zip(images, table.covers):
+        fine = set()  # unions already known to hold an image
+        for cover in covers:
+            unions = {0}
+            for j in cover:
+                unions = {u | m for u in unions for m in images[j]}
+            for u in unions:
+                if u in fine:
+                    continue
+                if not any(not img & ~u for img in imgs):
                     return False
+                fine.add(u)
     return True
 
 
@@ -334,6 +441,53 @@ def compositions(n, k):
     for head in range(n + 1):
         for rest in compositions(n - head, k - 1):
             yield (head,) + rest
+
+
+def _fire_transfer(sv, images, vcap=None):
+    """Every result of a transfer on a sparse valuation (counter index to
+    positive count), with images[ci] the image indices of counter ci.
+    Counters with one image add their tokens to it; the splits of the others
+    are folded counter by counter in index order with duplicates dropped,
+    which keeps the order of the full product of compositions.  Returns (results, truncated): a
+    counter with tokens and no image leaves no result, a product larger than
+    BRANCH_BUDGET is not built and reports truncation, and so does a result
+    with a count past `vcap`, which is left out."""
+    base = {}
+    splitting = []
+    branches = 1
+    for ci, n in sv.items():
+        idxs = images[ci]
+        if len(idxs) == 1:
+            j = idxs[0]
+            base[j] = base.get(j, 0) + n
+        elif not idxs:
+            return [], False
+        else:
+            branches *= math.comb(n + len(idxs) - 1, n)
+            splitting.append((ci, n, idxs))
+    if branches > BRANCH_BUDGET:
+        return [], True
+    results = [base]
+    for _, n, idxs in sorted(splitting):
+        shares = {}  # distinct ways to spread this counter, in order
+        for parts in compositions(n, len(idxs)):
+            share = {}
+            for j, part in zip(idxs, parts):
+                if part:
+                    share[j] = share.get(j, 0) + part
+            shares.setdefault(tuple(sorted(share.items())), share)
+        folded = {}
+        for partial in results:
+            for share in shares.values():
+                sv2 = dict(partial)
+                for j, part in share.items():
+                    sv2[j] = sv2.get(j, 0) + part
+                folded.setdefault(tuple(sorted(sv2.items())), sv2)
+        results = list(folded.values())
+    if vcap is None:
+        return results, False
+    kept = [sv2 for sv2 in results if not sv2 or max(sv2.values()) <= vcap]
+    return kept, len(kept) < len(results)
 
 
 def transfer_witnesses(v: "Valuation", transfer):

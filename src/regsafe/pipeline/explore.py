@@ -1,11 +1,12 @@
 """Exploration of counter machine configuration graphs.
 
 Configurations pair a control state with a sparse valuation (counter index to
-positive count).  Compiled machines supply their own successor relation, one
-letter cycle per step, and are explored error-free; machines built from
-instruction lists step one instruction at a time and are explored under the
-lazy relation by default (decrementing a zero counter may leave the
-valuation unchanged) unless the transition opts out.
+positive count).  Both machine kinds supply the successor relation through
+config_successors.  Compiled machines step one letter cycle at a time and
+are explored error-free; machines built from instruction lists step one
+instruction at a time on their transitions compiled to counter indices, and
+are explored under the lazy relation by default (decrementing a zero
+counter may leave the valuation unchanged) unless the transition opts out.
 
 Every bound counts instruction steps: the step cap, NODE_BUDGET and the
 saturation's explored count charge a compiled letter step the instructions
@@ -27,12 +28,9 @@ that still has an infinite continuation.
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from math import comb
 
 from ..ara.automaton import AlternatingAutomaton, inclusion_product
-from ..errors import ValidationError
-from ..ipcant import BRANCH_BUDGET, Dec, Inc, EPS, compositions
+from ..ipcant import EPS
 from .compile import CompiledMachine, ara_to_ipcant
 
 NODE_BUDGET = 200000
@@ -77,77 +75,15 @@ def successors(machine, control, sv, lazy, vcap, letter=None):
     """Successors as (label, control', sv', steps), plus a flag saying
     whether anything was cut off by the value cap or branch budget.  Given a
     letter, only letter-free steps and steps reading that letter are made.
-    An explicit machine steps one instruction at a time (steps 1); a compiled
-    machine steps one letter cycle at a time, charged its instruction count."""
+    An explicit machine steps one instruction at a time (steps 1), under the
+    lazy relation when asked; a compiled machine steps one letter cycle at a
+    time, error-free, charged its instruction count."""
     if isinstance(machine, CompiledMachine):
-        # unpacked, as bench/spans.py hands the pair back as an iterator
         succ, truncated = machine.config_successors(control, sv, letter, vcap)
-        return succ, truncated
-    structure = machine.structure
-    out = []
-    truncated = False
-    for t in machine.outgoing(control):
-        if letter is not None and t.label is not EPS and t.label != letter:
-            continue
-        instr = t.instr
-        if isinstance(instr, Inc):
-            ci = structure.index[instr.counter]
-            n = sv.get(ci, 0) + 1
-            if n > vcap:
-                truncated = True
-                continue
-            sv2 = dict(sv)
-            sv2[ci] = n
-            out.append((t.label, t.dst, sv2, 1))
-        elif isinstance(instr, Dec):
-            ci = structure.index[instr.counter]
-            if sv.get(ci, 0) > 0:
-                sv2 = dict(sv)
-                if sv2[ci] == 1:
-                    del sv2[ci]
-                else:
-                    sv2[ci] -= 1
-                out.append((t.label, t.dst, sv2, 1))
-            elif lazy and not t.elide_zero_dec:
-                out.append((t.label, t.dst, dict(sv), 1))
-        else:  # transfer-like
-            fired, cut = _fire_transfer_sparse(structure, sv, instr, vcap)
-            truncated = truncated or cut
-            for sv2 in fired:
-                out.append((t.label, t.dst, sv2, 1))
-    return out, truncated
-
-
-def _fire_transfer_sparse(structure, sv, instr, vcap):
-    moving = []
-    branches = 1
-    for ci in sorted(sv):
-        dsts = instr.image(structure.counters[ci])
-        if not dsts:
-            return [], False  # counter with empty image must be zero
-        idxs = tuple(structure.index[d] for d in dsts)
-        n = sv[ci]
-        branches *= comb(n + len(idxs) - 1, n)
-        moving.append((n, idxs))
-    if branches > BRANCH_BUDGET:
-        return [], True
-    results = []
-    seen = set()
-    truncated = False
-    for split in product(*(compositions(n, len(idxs)) for n, idxs in moving)):
-        sv2 = {}
-        for (n, idxs), parts in zip(moving, split):
-            for ci, part in zip(idxs, parts):
-                if part:
-                    sv2[ci] = sv2.get(ci, 0) + part
-        if sv2 and max(sv2.values()) > vcap:
-            truncated = True
-            continue
-        key = tuple(sorted(sv2.items()))
-        if key not in seen:
-            seen.add(key)
-            results.append(sv2)
-    return results, truncated
+    else:
+        succ, truncated = machine.config_successors(control, sv, letter, vcap, lazy)
+    # unpacked, as bench/spans.py hands the compiled pair back as an iterator
+    return succ, truncated
 
 
 def _freeze(control, sv):

@@ -156,6 +156,24 @@ def test_parse_errors_exit_65(tmp_path, data_path, capsys):
     _out(capsys)
 
 
+def test_invalid_input_files_exit_65(tmp_path, capsys):
+    """Files that parse but break an invariant of their format."""
+    header = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p q\ninitial: p\n"
+    nondistributive = tmp_path / "nondistributive.cm"
+    nondistributive.write_text(header + "p -a, transf {x}->[{x}]; {y}->[{y}]; {x,y}->[]-> p\n")
+    assert run_cli(["sat", "--machine", str(nondistributive)]) == 65
+    eps_cycle = tmp_path / "cycle.cm"
+    eps_cycle.write_text(header + "p -eps, inc {x}-> q\nq -eps, nop-> p\n")
+    assert run_cli(["sat", "--machine", str(eps_cycle)]) == 65
+    assert run_cli(["bound", "--machine", str(eps_cycle)]) == 65
+    partial = tmp_path / "partial.tm"
+    partial.write_text("tape: B M\nblank: B\nstates: h0\ninitial: h0\nsize: 2\n"
+                       "h0, B -> h0, B, -1\n")
+    assert run_cli(["tmgen", "--tm", str(partial)]) == 65
+    _, err = _out(capsys)
+    assert err.count("invalid input: ") == 4
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert run_cli([]) == 64  # a subcommand is required

@@ -1,4 +1,5 @@
 from itertools import product
+import random
 
 import pytest
 
@@ -6,11 +7,15 @@ from regsafe.words import Alphabet, canonicalize
 from regsafe.ara import ltl_to_ara, run_exists
 from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import AlternatingAutomaton
-from regsafe.ipcant import parse_machine
+from regsafe import ipcant, randgen
+from regsafe.ipcant import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure, Inc,
+                            Transfer, Transition, compositions, fire, fire_lazy,
+                            parse_machine)
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                               bounded_nonemptiness, inclusion_check,
                               initial_config, prefix_reachable)
+from regsafe.pipeline.explore import successors
 
 AB = Alphabet(("a", "b"))
 
@@ -149,3 +154,109 @@ def test_saturation_result_is_minimal(fig1, top_automaton):
                 if i == j:
                     continue
                 assert not all(big.get(ci, 0) >= n for ci, n in small.items())
+
+
+def _random_explicit_machine(rng):
+    """Up to four states over a random structure; letter-free edges only go
+    forward, so there is no letter-free cycle.  Some machines carry arbitrary
+    (possibly non-distributive) transfers, with the check off."""
+    st = randgen.random_structure(rng)
+    states = ("s0", "s1", "s2", "s3")
+    arbitrary = rng.random() < 0.5
+    transitions = []
+    for _ in range(rng.randint(1, 10)):
+        i, j = rng.randrange(4), rng.randrange(4)
+        label = rng.choice(("a", "b", EPS))
+        if label is EPS and i >= j:
+            label = "a"
+        instr = (randgen.random_transfer(rng, st) if arbitrary and rng.random() < 0.5
+                 else randgen.random_instruction(rng, st))
+        transitions.append(Transition(states[i], label, instr, states[j]))
+    return CounterMachine(AB, states, "s0", st, transitions,
+                          check_transfers="off" if arbitrary else "auto")
+
+
+def test_explicit_successors_match_dense_fire():
+    """The indexed kernel against the dense reference: per transition the
+    same distinct results, sparse and positive, for both relations."""
+    rng = random.Random(71)
+    for _ in range(300):
+        machine = _random_explicit_machine(rng)
+        st = machine.structure
+        for _ in range(4):
+            v = randgen.random_valuation(rng, st, max_value=rng.choice((1, 3, 5)))
+            sv = {i: n for i, n in enumerate(v.values) if n}
+            for state in machine.states:
+                outgoing = [t for t in machine.transitions if t.src == state]
+                for lazy in (False, True):
+                    for letter in (None, "a"):
+                        succ, truncated = successors(machine, state, dict(sv), lazy,
+                                                     vcap=64, letter=letter)
+                        assert not truncated
+                        got = []
+                        for label, dst, sv2, steps in succ:
+                            assert steps == 1 and all(n > 0 for n in sv2.values())
+                            values = tuple(sv2.get(i, 0) for i in range(len(st.counters)))
+                            got.append((label, dst, values))
+                        want = []
+                        for t in outgoing:
+                            if letter is not None and t.label not in (EPS, letter):
+                                continue
+                            results = fire_lazy(v, t.instr) if lazy else fire(v, t.instr)
+                            want += [(t.label, t.dst, v2.values) for v2 in results]
+                        assert sorted(got, key=repr) == sorted(want, key=repr)
+
+
+def _product_order(sv, images):
+    """Distinct transfer results in the order of the full product of
+    compositions, counter by counter in index order."""
+    moving = [(sv[ci], images[ci]) for ci in sorted(sv)]
+    out = {}
+    for split in product(*(compositions(n, len(idxs)) for n, idxs in moving)):
+        sv2 = {}
+        for (n, idxs), parts in zip(moving, split):
+            for j, part in zip(idxs, parts):
+                if part:
+                    sv2[j] = sv2.get(j, 0) + part
+        out.setdefault(tuple(sorted(sv2.items())), None)
+    return list(out)
+
+
+def test_explicit_transfer_keeps_product_order():
+    rng = random.Random(72)
+    for _ in range(300):
+        st = randgen.random_structure(rng)
+        t = randgen.random_transfer(rng, st, empty_prob=0.0)
+        machine = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", t, "p")],
+                                 check_transfers="off")
+        v = randgen.random_valuation(rng, st)
+        sv = {i: n for i, n in enumerate(v.values) if n}
+        succ, _ = successors(machine, "p", sv, True, vcap=64)
+        images = [tuple(st.index[d] for d in t.image(c)) for c in st.counters]
+        assert [tuple(sorted(sv2.items())) for _, _, sv2, _ in succ] == \
+            _product_order(sv, images)
+
+
+def test_explicit_step_truncation(monkeypatch):
+    x, y = frozenset("x"), frozenset("y")
+    st = CounterStructure(("x", "y"), (x, y))
+    spread = Transfer(((x, (x, y)), (y, (y,))))
+    merge = Transfer(((x, (x,)), (y, (x,))))
+    machine = CounterMachine(AB, ("p", "q", "r"), "p", st, [
+        Transition("p", "a", Inc(x), "p"),
+        Transition("q", "a", spread, "q"),
+        Transition("r", "a", merge, "r"),
+    ], check_transfers="off")
+    # an increment past vcap is cut
+    assert successors(machine, "p", {0: 4}, False, vcap=4) == ([], True)
+    assert successors(machine, "p", {0: 3}, False, vcap=4)[0][0][2] == {0: 4}
+    # tokens merged past vcap are cut, and only the results past it
+    assert successors(machine, "r", {0: 3, 1: 3}, False, vcap=5) == ([], True)
+    succ, cut = successors(machine, "q", {0: 6}, False, vcap=4)
+    assert cut and [sv2 for _, _, sv2, _ in succ] == [{0: 2, 1: 4}, {0: 3, 1: 3}, {0: 4, 1: 2}]
+    # more splits than BRANCH_BUDGET are not enumerated
+    assert successors(machine, "q", {0: BRANCH_BUDGET}, False, vcap=10 ** 9) == ([], True)
+    monkeypatch.setattr(ipcant, "BRANCH_BUDGET", 6)
+    succ, cut = successors(machine, "q", {0: 5}, False, vcap=64)
+    assert not cut and len(succ) == 6
+    assert successors(machine, "q", {0: 6}, False, vcap=64) == ([], True)

@@ -5,8 +5,10 @@ import pytest
 
 from regsafe.errors import ParseError, ValidationError
 from regsafe.words import Alphabet
-from regsafe.ipcant import (CounterMachine, CounterStructure, Dec, EPS, Inc,
-                            Transfer, Transition, Valuation, bound_ceiling,
+from itertools import product
+
+from regsafe.ipcant import (CounterMachine, CounterStructure, CoverTable, Dec, EPS,
+                            Inc, Transfer, Transition, Valuation, bound_ceiling,
                             bound_params, check_distributive, compute_bound,
                             fire, fire_lazy, format_machine, ifz_cap,
                             parse_machine, sqsse, transfer_witnesses)
@@ -151,6 +153,85 @@ def test_check_distributive_requires_total():
         check_distributive({x: (x,)}, (x, y))
 
 
+def _reference_covers(c, members):
+    """Reference enumerator on frozensets: index-increasing selections from
+    members whose union covers c and where no member can be dropped."""
+    def rec(start, sel, covered):
+        if c <= covered:
+            if all(not c <= frozenset().union(*(m for m in sel if m is not x)) for x in sel):
+                yield list(sel)
+            return
+        for i in range(start, len(members)):
+            if (members[i] & c) - covered:
+                sel.append(members[i])
+                yield from rec(i + 1, sel, covered | members[i])
+                sel.pop()
+
+    yield from rec(0, [], frozenset())
+
+
+def _reference_distributive(f, counters):
+    """Reference check: every image choice over every irredundant cover."""
+    for c in counters:
+        members = [d for d in counters if d & c]
+        for cover in _reference_covers(c, members):
+            for choice in product(*(f[d] for d in cover)):
+                u = frozenset().union(*choice)
+                if not any(img <= u for img in f[c]):
+                    return False
+    return True
+
+
+def test_cover_table_matches_reference():
+    rng = random.Random(40)
+    for _ in range(200):
+        st = randgen.random_structure(rng, max_basis=4, max_counters=7)
+        counters = st.counters
+        table = CoverTable(counters)
+        for c, covers in zip(counters, table.covers):
+            members = [d for d in counters if d & c]
+            assert [[counters[j] for j in cover] for cover in covers] == \
+                list(_reference_covers(c, members))
+
+
+def test_check_distributive_matches_reference():
+    rng = random.Random(41)
+    verdicts = []
+    for _ in range(400):
+        st = randgen.random_structure(rng, max_basis=4, max_counters=6)
+        f = randgen.random_transfer(rng, st).as_map(st.counters)
+        want = _reference_distributive(f, st.counters)
+        assert check_distributive(f, st.counters) == want
+        assert check_distributive(f, st.counters, CoverTable(st.counters)) == want
+        verdicts.append(want)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+def test_check_distributive_images_outside_the_counters():
+    """Images may name basis elements no counter holds, and elements beyond
+    the basis; each keeps a bit of its own."""
+    x, y, xy_ = frozenset("x"), frozenset("y"), frozenset("xy")
+    counters = (x, y, xy_)
+    v, w = frozenset("v"), frozenset("w")
+    # the cover {x}, {y} of {x,y} unions to {v}, which misses w
+    assert not check_distributive({x: (v,), y: (v,), xy_: (v | w,)}, counters)
+    assert check_distributive({x: (v,), y: (w,), xy_: (v | w,)}, counters)
+    assert not check_distributive({x: (x,), y: (y,), xy_: (xy_ | w,)}, counters)
+    rng = random.Random(42)
+    verdicts = []
+    for _ in range(400):
+        st = randgen.random_structure(rng, max_basis=4, max_counters=5)
+        pool = st.basis + ("z",)
+        f = {}
+        for c in st.counters:
+            f[c] = tuple(frozenset(rng.sample(pool, rng.randint(1, 2)))
+                         for _ in range(rng.randint(0, 2)))
+        want = _reference_distributive(f, st.counters)
+        assert check_distributive(f, st.counters) == want
+        verdicts.append(want)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
 def test_bound_recurrence():
     p = bound_params(1, 1, 1)
     assert (p.alphas, p.us, p.m) == ((1, 2), (1, 3), 12)
@@ -199,6 +280,27 @@ def test_machine_rejects_eps_cycle():
              Transition("q", EPS, Inc(frozenset("x")), "p")]
     with pytest.raises(ValidationError):
         CounterMachine(Alphabet(("a",)), ("p", "q"), "p", st, trans)
+
+
+def test_machine_rejects_unknown_counters(xy):
+    x, z = frozenset("x"), frozenset("z")
+    ab = Alphabet(("a",))
+    for instr in (Inc(z), Dec(z), Transfer(((x, (z,)),)), Transfer(((z, (x,)),))):
+        with pytest.raises(ValidationError, match="unknown counter"):
+            CounterMachine(ab, ("p",), "p", xy, [Transition("p", "a", instr, "p")])
+
+
+def test_machine_long_eps_chain():
+    """A letter-free chain far deeper than the interpreter's recursion limit
+    loads, and a cycle at its end is still found."""
+    n = 3000
+    lines = ["alphabet: a", "basis: x", "counters: {x}",
+             "states: " + " ".join("s%d" % i for i in range(n + 1)), "initial: s0"]
+    lines += ["s%d -eps, inc {x}-> s%d" % (i, i + 1) for i in range(n)]
+    machine = parse_machine("\n".join(lines + ["s%d -a, nop-> s%d" % (n, n)]) + "\n")
+    assert machine.is_resting("s%d" % n) and not machine.is_resting("s0")
+    with pytest.raises(ValidationError):
+        parse_machine("\n".join(lines + ["s%d -eps, nop-> s1" % n]) + "\n")
 
 
 def test_machine_rejects_nondistributive_transfer():
