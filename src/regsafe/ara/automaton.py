@@ -30,20 +30,31 @@ class AlternatingAutomaton:
         self.initial = initial
         self.delta = dict(delta)
         self._models = {}
-        if len(set(self.states)) != len(self.states):
+        known = set(self.states)
+        if len(known) != len(self.states):
             raise ValidationError("duplicate state name")
-        if initial not in self.states:
+        if initial not in known:
             raise ValidationError("initial state %r not declared" % (initial,))
+        And, Or, Ref, DownRef = pb.And, pb.Or, pb.Ref, pb.DownRef
         for (q, a, flag), phi in self.delta.items():
-            if q not in self.states:
+            if q not in known:
                 raise ValidationError("transition from unknown state %r" % (q,))
             if a not in alphabet:
                 raise ValidationError("transition on unknown letter %r" % (a,))
             if flag not in FLAGS:
                 raise ValidationError("bad register flag %r" % (flag,))
-            for ref in _refs(phi):
-                if ref not in self.states:
-                    raise ValidationError("transition references unknown state %r" % (ref,))
+            # references left to right, on an explicit stack: formulas built
+            # outside the parser may nest deeper than the call stack
+            todo = [phi]
+            while todo:
+                phi = todo.pop()
+                kind = type(phi)
+                if kind is And or kind is Or:
+                    todo.append(phi.rhs)
+                    todo.append(phi.lhs)
+                elif (kind is Ref or kind is DownRef) and phi.state not in known:
+                    raise ValidationError("transition references unknown state %r"
+                                          % (phi.state,))
 
     def delta_at(self, q, a, flag) -> pb.PosBool:
         return self.delta.get((q, a, flag), pb.Bot())
@@ -54,14 +65,6 @@ class AlternatingAutomaton:
         if key not in self._models:
             self._models[key] = pb.minimal_models(self.delta_at(q, a, flag))
         return self._models[key]
-
-
-def _refs(phi):
-    if isinstance(phi, (pb.Ref, pb.DownRef)):
-        yield phi.state
-    elif isinstance(phi, (pb.And, pb.Or)):
-        yield from _refs(phi.lhs)
-        yield from _refs(phi.rhs)
 
 
 def initial_configs(aut, w):

@@ -145,6 +145,9 @@ class Transition:
 
 
 class CounterMachine:
+    # explored under the lazy relation unless the caller says otherwise
+    lazy_default = True
+
     def __init__(self, alphabet: Alphabet, states, initial, structure: CounterStructure,
                  transitions, check_transfers="auto"):
         self.alphabet = alphabet
@@ -247,6 +250,10 @@ class CounterMachine:
     @property
     def counters(self):
         return self.structure.counters
+
+    def initial_config(self):
+        """The initial state with every counter empty."""
+        return (self.initial, {})
 
     def is_resting(self, state):
         """True when the state has a lettered transition: a run that has

@@ -75,6 +75,9 @@ class CompiledMachine:
     on demand.  Counters are indexed by bitmask: away counters first (one per
     state set), then in-flight pair counters (kept mask, refrozen mask)."""
 
+    # the macro step is error-free, so there is no lazy relation to choose
+    lazy_default = False
+
     def __init__(self, aut: AlternatingAutomaton, co_states=None):
         self.aut = aut
         self.alphabet = aut.alphabet
@@ -200,6 +203,10 @@ class CompiledMachine:
                 self._fam4[key] = tuple(sorted(outs))
         return self._fam4[key]
 
+    def initial_config(self):
+        """The initial state's class as the current class, no other class."""
+        return (self.initial_control, {})
+
     def is_checkpoint(self, control):
         """True when the step into this control passed the checkpoint."""
         return control[2]
@@ -209,16 +216,18 @@ class CompiledMachine:
         the macro step produces."""
         return control[0] == "read"
 
-    def config_successors(self, control, sv, letter=None, vcap=None):
+    def config_successors(self, control, sv, letter=None, vcap=None, lazy=False):
         """One macro step from a resting configuration: every way to process
         the next data-word position on `letter` (every letter when None)
-        under the error-free relation.  sv maps away-counter index to a
-        positive count.  Returns (successors, truncated): successors are
-        (letter, control', sv', steps) with `steps` the number of instructions
-        of the cycle the step stands for, one per distinct (letter, read
-        split, here-set, pick); truncated says whether a successor was cut
-        by `vcap` (checked on the post-shift valuation, the largest one of
-        the cycle) or a read split by BRANCH_BUDGET."""
+        under the error-free relation; `lazy` is accepted and ignored, so
+        that both machine kinds take the same arguments.  sv maps
+        away-counter index to a positive count.  Returns (successors,
+        truncated): successors are (letter, control', sv', steps) with
+        `steps` the number of instructions of the cycle the step stands for,
+        one per distinct (letter, read split, here-set, pick); truncated says
+        whether a successor was cut by `vcap` (checked on the post-shift
+        valuation, the largest one of the cycle) or a read split by
+        BRANCH_BUDGET."""
         mask = control[1]
         out = []
         truncated = False

@@ -1,11 +1,12 @@
 """Exploration of counter machine configuration graphs.
 
 Configurations pair a control state with a sparse valuation (counter index to
-positive count).  Both machine kinds supply the successor relation through
-config_successors.  Compiled machines step one letter cycle at a time and
-are explored error-free; machines built from instruction lists step one
-instruction at a time on their transitions compiled to counter indices, and
-are explored under the lazy relation by default (decrementing a zero
+positive count).  Both machine kinds supply their initial configuration, the
+relation they are explored under by default (lazy_default) and the successor
+relation (config_successors).  Compiled machines step one letter cycle at a
+time and are explored error-free; machines built from instruction lists step
+one instruction at a time on their transitions compiled to counter indices,
+and are explored under the lazy relation by default (decrementing a zero
 counter may leave the valuation unchanged) unless the transition opts out.
 
 Every bound counts instruction steps: the step cap, NODE_BUDGET and the
@@ -22,16 +23,22 @@ dual of another, keeping only valuation-minimal configurations per control
 state: smaller configurations carry fewer obligations and simulate larger
 ones, so pruning preserves both witnesses and their absence.  Non-inclusion
 is witnessed by a checkpoint configuration (dual threads all discharged)
-that still has an infinite continuation.
+that still has an infinite continuation.  The minimal valuations of a
+control form an Antichain indexed by support, the set of counters a
+valuation holds: a valuation can lie below another only if its support is a
+subset of the other's, so the test for a smaller kept valuation looks only at
+supports inside the new one's, and the pruning of larger ones only at
+supports that hold all of its counters.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 from ..ara.automaton import AlternatingAutomaton, inclusion_product
 from ..ipcant import EPS
-from .compile import CompiledMachine, ara_to_ipcant
+from .compile import ara_to_ipcant
 
 NODE_BUDGET = 200000
 
@@ -50,25 +57,27 @@ class Inclusion(Enum):
 
 @dataclass
 class SaturationResult:
-    """Outcome of the inclusion saturation: the verdict, the kept minimal
-    configurations (control state paired with a sparse valuation), and how the
-    exploration went."""
+    """Outcome of the inclusion saturation: the verdict, how the exploration
+    went, and the kept minimal configurations, one Antichain per control
+    state in the order the controls were first reached."""
 
     verdict: Inclusion
-    s_last: tuple
     explored: int
     converged: bool
     checkpoints: int
+    chains: dict = field(repr=False)
+
+    @property
+    def s_last(self):
+        """The kept configurations as (control, valuation) pairs, control by
+        control and, within one, in insertion order; built on each request."""
+        return tuple((control, dict(sv)) for control, chain in self.chains.items()
+                     for sv in chain)
 
 
 def initial_config(machine):
-    if isinstance(machine, CompiledMachine):
-        return (machine.initial_control, {})
-    return (machine.initial, {})
-
-
-def _is_lazy_default(machine):
-    return not isinstance(machine, CompiledMachine)
+    """The machine's initial configuration, a fresh (control, valuation)."""
+    return machine.initial_config()
 
 
 def successors(machine, control, sv, lazy, vcap, letter=None):
@@ -78,10 +87,7 @@ def successors(machine, control, sv, lazy, vcap, letter=None):
     An explicit machine steps one instruction at a time (steps 1), under the
     lazy relation when asked; a compiled machine steps one letter cycle at a
     time, error-free, charged its instruction count."""
-    if isinstance(machine, CompiledMachine):
-        succ, truncated = machine.config_successors(control, sv, letter, vcap)
-    else:
-        succ, truncated = machine.config_successors(control, sv, letter, vcap, lazy)
+    succ, truncated = machine.config_successors(control, sv, letter, vcap, lazy)
     # unpacked, as bench/spans.py hands the compiled pair back as an iterator
     return succ, truncated
 
@@ -96,9 +102,9 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None, lazy=None) -> 
     cutoffs is a definite emptiness verdict.  Path lengths and the node
     count charge each step its instruction count."""
     if lazy is None:
-        lazy = _is_lazy_default(machine)
+        lazy = machine.lazy_default
     if start is None:
-        start = initial_config(machine)
+        start = machine.initial_config()
     control0, sv0 = start
     truncated = False
     longest = {}  # frozen config -> longest path length (in steps) from it
@@ -156,8 +162,8 @@ def prefix_reachable(machine, letters, lazy=None, vcap=64) -> bool:
     last stage, after the final letter, looks for a resting configuration
     (a state that is not resting has letter-free steps only)."""
     if lazy is None:
-        lazy = _is_lazy_default(machine)
-    control0, sv0 = initial_config(machine)
+        lazy = machine.lazy_default
+    control0, sv0 = machine.initial_config()
     frontier = {_freeze(control0, sv0): (control0, sv0)}
     for letter in tuple(letters) + (None,):
         seen = dict(frontier)
@@ -180,26 +186,109 @@ def prefix_reachable(machine, letters, lazy=None, vcap=64) -> bool:
     return False
 
 
-def _dominated(chain, sv):
-    for kept in chain:
-        if all(sv.get(ci, 0) >= n for ci, n in kept.items()):
+class Antichain:
+    """Pointwise-minimal sparse valuations, kept in insertion order and
+    grouped by support (the set of counters a valuation holds), with the
+    supports that hold each counter listed per counter.  A valuation can be
+    below another only if its support is a subset of the other's, so neither
+    dominated nor add looks at a group whose support rules it out."""
+
+    __slots__ = ("_kept", "_groups", "_holding")
+
+    def __init__(self):
+        self._kept = {}  # id(valuation) -> valuation, in insertion order
+        self._groups = {}  # support -> kept valuations with that support
+        self._holding = {}  # counter -> supports that hold it
+
+    def __iter__(self):
+        return iter(self._kept.values())
+
+    def __contains__(self, sv):
+        """Is this very valuation object kept?  Under dominated-then-add,
+        identity is as exact as equality: a valuation is pruned only by a
+        smaller one, after which some kept valuation stays below it, so an
+        equal one is dominated and never enters again."""
+        return id(sv) in self._kept
+
+    def dominated(self, sv):
+        """Is some kept valuation pointwise <= sv?  Looks up the subsets of
+        sv's support when there are no more of them than groups, and
+        otherwise tests each group's support for inclusion."""
+        groups = self._groups
+        if 1 << len(sv) <= len(groups):
+            for r in range(len(sv) + 1):
+                for sub in combinations(sv, r):
+                    group = groups.get(frozenset(sub))
+                    if group and _any_below(group, sv):
+                        return True
+            return False
+        support = sv.keys()
+        for s, group in groups.items():
+            if support >= s and _any_below(group, sv):
+                return True
+        return False
+
+    def add(self, sv):
+        """Keep sv, which no kept valuation may be <=, and drop every kept
+        valuation >= sv: those among the groups whose support holds all of
+        sv's counters."""
+        groups, holding = self._groups, self._holding
+        support = frozenset(sv)
+        if groups:
+            if sv:
+                fewest = min([holding.get(ci, ()) for ci in sv], key=len)
+                above = [s for s in fewest if s >= support]
+            else:
+                above = list(groups)
+            for s in above:
+                rest = []
+                for kept in groups[s]:
+                    if _any_below((sv,), kept):
+                        del self._kept[id(kept)]
+                    else:
+                        rest.append(kept)
+                if rest:
+                    groups[s] = rest
+                else:
+                    del groups[s]
+                    for ci in s:
+                        holding[ci].discard(s)
+        group = groups.get(support)
+        if group is None:
+            groups[support] = [sv]
+            for ci in support:
+                holding.setdefault(ci, set()).add(support)
+        else:
+            group.append(sv)
+        self._kept[id(sv)] = sv
+
+
+def _any_below(group, sv):
+    """Is some valuation of the group pointwise <= sv?  Every counter the
+    group's valuations hold must be one that sv holds."""
+    for kept in group:
+        for ci, n in kept.items():
+            if sv[ci] < n:
+                break
+        else:
             return True
     return False
-
-
-def _prune(chain, sv):
-    return [kept for kept in chain
-            if not all(kept.get(ci, 0) >= n for ci, n in sv.items())]
 
 
 def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
                     cap=10000, vcap=64) -> SaturationResult:
     """Decide whether every data word accepted by a1 is accepted by a2, by
-    saturating the compiled product of a1 with the dual of a2."""
+    saturating the compiled product of a1 with the dual of a2.  Each control
+    state keeps an Antichain of the minimal valuations reached with it; a
+    successor below or equal to a kept valuation is dropped, and one that is
+    kept prunes every kept valuation above it.  A configuration whose
+    valuation was pruned while it waited in the queue is not expanded."""
     aut, co_states = inclusion_product(a1, a2)
     machine = ara_to_ipcant(aut, co_states=co_states)
-    control0, sv0 = initial_config(machine)
-    chains = {control0: [sv0]}
+    control0, sv0 = machine.initial_config()
+    chain = Antichain()
+    chain.add(sv0)
+    chains = {control0: chain}
     # a queued configuration carries the steps of the cycle that reached it
     queue = deque([(control0, sv0, 1)])
     explored = 0
@@ -210,31 +299,27 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
             converged = False
             break
         control, sv, steps = queue.popleft()
-        if sv not in chains.get(control, ()):
+        if sv not in chains[control]:
             continue  # pruned by a smaller configuration meanwhile
         explored += steps
         succ, cut = successors(machine, control, sv, lazy=False, vcap=vcap)
         truncated |= cut
         for label, control2, sv2, steps2 in succ:
-            chain = chains.setdefault(control2, [])
-            if _dominated(chain, sv2):
+            chain = chains.get(control2)
+            if chain is None:
+                chain = chains[control2] = Antichain()
+            elif chain.dominated(sv2):
                 continue
-            chains[control2] = _prune(chain, sv2) + [sv2]
+            chain.add(sv2)
             queue.append((control2, sv2, steps2))
-    s_last = tuple((control, dict(sv)) for control, chain in chains.items()
-                   for sv in chain)
     checkpoints = [(control, sv) for control, chain in chains.items()
                    if machine.is_checkpoint(control) for sv in chain]
-    unknown = truncated or not converged
+    verdict = Inclusion.UNKNOWN if truncated or not converged else Inclusion.INCLUDED
     for start in checkpoints:
         r = bounded_nonemptiness(machine, cap=cap, vcap=vcap, start=start, lazy=False)
         if r is Nonemptiness.NONEMPTY:
-            return SaturationResult(Inclusion.NOT_INCLUDED, s_last, explored,
-                                    converged, len(checkpoints))
+            verdict = Inclusion.NOT_INCLUDED
+            break
         if r is Nonemptiness.UNKNOWN:
-            unknown = True
-    if unknown:
-        return SaturationResult(Inclusion.UNKNOWN, s_last, explored, converged,
-                                len(checkpoints))
-    return SaturationResult(Inclusion.INCLUDED, s_last, explored, converged,
-                            len(checkpoints))
+            verdict = Inclusion.UNKNOWN
+    return SaturationResult(verdict, explored, converged, len(checkpoints), chains)

@@ -90,6 +90,21 @@ def test_automaton_validation(abc):
         AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): pb.Ref("z")})
 
 
+def test_automaton_validation_deep_formula(abc):
+    # built directly, not parsed, and deeper than the call stack
+    phi = pb.Ref("p")
+    for _ in range(3000):
+        phi = pb.And(pb.DownRef("p"), phi)
+    aut = AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): phi})
+    assert aut.delta_at("p", "a", "up") is phi
+    with pytest.raises(ValidationError, match="references unknown state 'z'"):
+        AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): pb.Or(phi, pb.Ref("z"))})
+    # the leftmost unknown reference is the one reported
+    with pytest.raises(ValidationError, match="unknown state 'x'"):
+        AlternatingAutomaton(abc, ("p",), "p",
+                             {("p", "a", "up"): pb.And(pb.Ref("x"), pb.Ref("y"))})
+
+
 def test_automaton_file_round_trip(fig1):
     text = format_automaton(fig1)
     again = parse_automaton(text)

@@ -1,3 +1,4 @@
+from collections import deque
 from itertools import product
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from regsafe.words import Alphabet, canonicalize
 from regsafe.ara import ltl_to_ara, run_exists
 from regsafe.ara import posbool as pb
-from regsafe.ara.automaton import AlternatingAutomaton
+from regsafe.ara.automaton import (AlternatingAutomaton, inclusion_product, intersect,
+                                   union)
 from regsafe import ipcant, randgen
 from regsafe.ipcant import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure, Inc,
                             Transfer, Transition, compositions, fire, fire_lazy,
@@ -15,7 +17,7 @@ from regsafe.ltl import parse_formula
 from regsafe.pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                               bounded_nonemptiness, inclusion_check,
                               initial_config, prefix_reachable)
-from regsafe.pipeline.explore import successors
+from regsafe.pipeline.explore import Antichain, successors
 
 AB = Alphabet(("a", "b"))
 
@@ -154,6 +156,97 @@ def test_saturation_result_is_minimal(fig1, top_automaton):
                 if i == j:
                     continue
                 assert not all(big.get(ci, 0) >= n for ci, n in small.items())
+
+
+# the list-based antichain the saturation used before Antichain, kept as
+# the reference that Antichain must agree with step by step
+def _reference_dominated(chain, sv):
+    for kept in chain:
+        if all(sv.get(ci, 0) >= n for ci, n in kept.items()):
+            return True
+    return False
+
+
+def _reference_prune(chain, sv):
+    return [kept for kept in chain
+            if not all(kept.get(ci, 0) >= n for ci, n in sv.items())]
+
+
+def test_antichain_matches_linear_reference():
+    rng = random.Random(81)
+    paths = {"subsets": 0, "groups": 0}
+    for _ in range(150):
+        chain, reference, offered = Antichain(), [], []
+        counters = range(rng.randint(1, 8))
+        for _ in range(rng.randint(1, 60)):
+            support = rng.sample(counters, rng.randint(0, min(6, len(counters))))
+            sv = {ci: rng.randint(1, 3) for ci in support}
+            groups = len({frozenset(kept) for kept in reference})
+            paths["subsets" if 1 << len(sv) <= groups else "groups"] += 1
+            dominated = _reference_dominated(reference, sv)
+            assert chain.dominated(sv) == dominated
+            offered.append(sv)
+            if not dominated:
+                reference = _reference_prune(reference, sv) + [sv]
+                chain.add(sv)
+            assert [id(kept) for kept in chain] == [id(kept) for kept in reference]
+            assert [sv2 in chain for sv2 in offered] == \
+                [any(sv2 is kept for kept in reference) for sv2 in offered]
+    assert min(paths.values()) > 500, paths
+
+
+def _reference_inclusion(a1, a2, cap, vcap=64):
+    """The saturation on per-control lists with the linear scans."""
+    aut, co_states = inclusion_product(a1, a2)
+    machine = ara_to_ipcant(aut, co_states=co_states)
+    control0, sv0 = initial_config(machine)
+    chains = {control0: [sv0]}
+    queue = deque([(control0, sv0, 1)])
+    explored, truncated, converged = 0, False, True
+    while queue:
+        if explored >= cap:
+            converged = False
+            break
+        control, sv, steps = queue.popleft()
+        if sv not in chains.get(control, ()):
+            continue
+        explored += steps
+        succ, cut = machine.config_successors(control, sv, None, vcap)
+        truncated |= cut
+        for _, control2, sv2, steps2 in succ:
+            chain = chains.setdefault(control2, [])
+            if not _reference_dominated(chain, sv2):
+                chains[control2] = _reference_prune(chain, sv2) + [sv2]
+                queue.append((control2, sv2, steps2))
+    s_last = tuple((control, dict(sv)) for control, chain in chains.items() for sv in chain)
+    checkpoints = [(control, sv) for control, sv in s_last if machine.is_checkpoint(control)]
+    verdict = "UNKNOWN" if truncated or not converged else "INCLUDED"
+    for start in checkpoints:
+        r = bounded_nonemptiness(machine, cap=cap, vcap=vcap, start=start, lazy=False)
+        if r is Nonemptiness.NONEMPTY:
+            verdict = "NOT_INCLUDED"
+            break
+        if r is Nonemptiness.UNKNOWN:
+            verdict = "UNKNOWN"
+    return verdict, explored, converged, len(checkpoints), s_last
+
+
+def test_inclusion_matches_list_reference(fig1, example_formula):
+    ab, formula = example_formula
+    queries = [(fig1, union(fig1, ltl_to_ara(formula, ab)))]
+    rng = random.Random(82)
+    for i in range(30):
+        a = randgen.random_automaton(rng, AB, max_states=2)
+        b = randgen.random_automaton(rng, AB, max_states=2)
+        queries.append([(a, a), (intersect(a, b), a), (a, union(a, b)),
+                        (union(a, b), a)][i % 4])
+    verdicts = set()
+    for a1, a2 in queries:
+        res = inclusion_check(a1, a2, cap=2000)
+        got = (res.verdict.name, res.explored, res.converged, res.checkpoints, res.s_last)
+        assert got == _reference_inclusion(a1, a2, cap=2000)
+        verdicts.add(res.verdict)
+    assert len(verdicts) == 3
 
 
 def _random_explicit_machine(rng):
