@@ -138,15 +138,12 @@ def _disjoint(a1, a2):
 
 
 def _rename_phi(phi, ren):
-    if isinstance(phi, pb.Ref):
-        return pb.Ref(ren[phi.state])
-    if isinstance(phi, pb.DownRef):
-        return pb.DownRef(ren[phi.state])
-    if isinstance(phi, pb.And):
-        return pb.And(_rename_phi(phi.lhs, ren), _rename_phi(phi.rhs, ren))
-    if isinstance(phi, pb.Or):
-        return pb.Or(_rename_phi(phi.lhs, ren), _rename_phi(phi.rhs, ren))
-    return phi
+    def leaf(g):
+        if isinstance(g, (pb.Ref, pb.DownRef)):
+            return type(g)(ren[g.state])
+        return g
+
+    return pb.rebuild(phi, leaf)
 
 
 def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction):

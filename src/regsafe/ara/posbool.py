@@ -223,16 +223,37 @@ def format_posbool(phi: PosBool) -> str:
     return fmt(phi, 0)
 
 
+def rebuild(phi: PosBool, leaf, swap=False) -> PosBool:
+    """A copy of phi with every leaf g (Top, Bot, Ref, DownRef) replaced by
+    leaf(g), and with And and Or exchanged when swap is set.  Runs on an
+    explicit stack: formulas built outside the parser may nest deeper than
+    the call stack."""
+    joins = {And: Or, Or: And} if swap else {And: And, Or: Or}
+    done = []
+    todo = [phi]
+    while todo:
+        g = todo.pop()
+        join = joins.get(type(g))
+        if join is not None:  # rebuild g from its sides once both are done
+            todo += (join, g.rhs, g.lhs)
+        elif g is And or g is Or:
+            rhs = done.pop()
+            done[-1] = g(done[-1], rhs)
+        else:
+            done.append(leaf(g))
+    return done[0]
+
+
+def _dual_leaf(g):
+    if isinstance(g, Top):
+        return Bot()
+    if isinstance(g, Bot):
+        return Top()
+    if isinstance(g, (Ref, DownRef)):
+        return g
+    raise TypeError("not a positive boolean formula: %r" % (g,))
+
+
 def dual(phi: PosBool) -> PosBool:
     """Swap conjunction with disjunction and true with false."""
-    if isinstance(phi, Top):
-        return Bot()
-    if isinstance(phi, Bot):
-        return Top()
-    if isinstance(phi, (Ref, DownRef)):
-        return phi
-    if isinstance(phi, And):
-        return Or(dual(phi.lhs), dual(phi.rhs))
-    if isinstance(phi, Or):
-        return And(dual(phi.lhs), dual(phi.rhs))
-    raise TypeError("not a positive boolean formula: %r" % (phi,))
+    return rebuild(phi, _dual_leaf, swap=True)

@@ -47,15 +47,9 @@ def _tracked(f):
     return order
 
 
-def _down_marked(phi):
-    """Down-mark every plain state reference (already-marked ones stay)."""
-    if isinstance(phi, pb.Ref):
-        return pb.DownRef(phi.state)
-    if isinstance(phi, pb.And):
-        return pb.And(_down_marked(phi.lhs), _down_marked(phi.rhs))
-    if isinstance(phi, pb.Or):
-        return pb.Or(_down_marked(phi.lhs), _down_marked(phi.rhs))
-    return phi
+def _down_mark(g):
+    """Down-mark a plain state reference; other leaves stay."""
+    return pb.DownRef(g.state) if isinstance(g, pb.Ref) else g
 
 
 @lru_cache(maxsize=256)
@@ -91,7 +85,7 @@ def ltl_to_ara(f: ltl.Formula, alphabet: Alphabet) -> AlternatingAutomaton:
         elif isinstance(g, ltl.Freeze):
             # the binder re-freezes: evaluate the body as if at its own
             # position (flag up) and down-mark every produced reference
-            phi = _down_marked(row(g.body, a, "up"))
+            phi = pb.rebuild(row(g.body, a, "up"), _down_mark)
         else:
             raise TypeError("not a formula: %r" % (g,))
         memo[key] = phi

@@ -17,8 +17,7 @@ from .errors import ParseError, RegsafeError, ValidationError
 from .words import Alphabet, parse_word, print_word
 from . import ltl
 from .ara import format_automaton, ltl_to_ara, parse_automaton, run_exists
-from .ipcant import (bound_log2, bound_params, format_machine,
-                     machine_counts, parse_machine)
+from .ipcant import bound_log2, bound_params, format_machine, parse_machine
 from .pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                        bounded_nonemptiness, encode_tm_run, inclusion_check,
                        oracle_run_exists, parse_tm, tm_alphabet, tm_to_formula)
@@ -164,7 +163,7 @@ def _cmd_refine(inv, ns):
 
 def _cmd_bound(inv, ns):
     machine = _machine_from(ns)
-    q_count, basis_size, counter_count = machine_counts(machine)
+    q_count, basis_size, counter_count = machine.bound_counts()
     bits = bound_log2(q_count, basis_size, counter_count)
     if bits > _BOUND_PRINT_BITS:
         _emit(inv, ["m is about 2^%.3e, too large to materialize" % bits],

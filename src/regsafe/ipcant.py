@@ -12,8 +12,17 @@ Incrementing errors: a run may spontaneously gain tokens but never lose them.
 The lazy restriction allows only one kind of error, decrementing a zero
 counter and leaving the valuation unchanged.
 
-A Valuation pairs a counter structure with an int tuple aligned with the
-structure's counter order, so firing operations need no extra context.
+Machines step on sparse valuations (counter index to positive count).
+Every transfer, the explicit ones of a CounterMachine and the compiled read
+step of pipeline.compile alike, moves tokens through split_tokens, the one
+splitting fold: images are (target index, mark bits) pairs, the marks being
+zero on explicit transfers.
+
+Valuation, fire, fire_lazy, transfer_witnesses and sqsse are a dense
+reference view: a Valuation pairs a counter structure with an int tuple
+aligned with the structure's counter order, so firing operations need no
+extra context.  Tests and the acceptance criteria check the machines against
+this view; exploration never uses it.
 """
 
 from dataclasses import dataclass, field
@@ -199,12 +208,13 @@ class CounterMachine:
         """Per source state, (label, target, kind, argument, lazy zero
         decrement allowed) for each outgoing transition in order.  An
         increment or decrement carries its counter index; a transfer carries
-        the image indices of every counter, one tuple per counter index,
-        shared by equal transfers.  Returns the ops and the distinct
-        transfers' image tuples.  Raises ValidationError on an instruction
-        of unknown kind or naming a counter outside the structure."""
+        the images of every counter as split_tokens takes them, one tuple of
+        (image index, 0) pairs per counter index, shared by equal transfers.
+        Returns the ops and the distinct transfers' image tuples.  Raises
+        ValidationError on an instruction of unknown kind or naming a counter
+        outside the structure."""
         index = self.structure.index
-        identity = tuple((i,) for i in range(len(self.structure.counters)))
+        identity = tuple(((i, 0),) for i in range(len(self.structure.counters)))
         images = {}
         ops = {}
         for t in self.transitions:
@@ -219,7 +229,7 @@ class CounterMachine:
                         # entry for a counter wins, as in Transfer.image
                         arg = list(identity)
                         for src, dsts in reversed(instr.entries):
-                            arg[index[src]] = tuple(index[d] for d in dsts)
+                            arg[index[src]] = tuple((index[d], 0) for d in dsts)
                         arg = images[instr] = tuple(arg)
                 else:
                     raise ValidationError("unknown instruction %r" % (instr,))
@@ -237,7 +247,7 @@ class CounterMachine:
         exhaustive = len(counters) <= 12 or mode == "full"
         table = CoverTable(counters) if exhaustive else None
         for images in transfers:
-            f = {c: tuple(counters[j] for j in img) for c, img in zip(counters, images)}
+            f = {c: tuple(counters[j] for j, _ in img) for c, img in zip(counters, images)}
             ok = (check_distributive(f, counters, table) if exhaustive
                   else _sampled_distributive(f, counters))
             if not ok:
@@ -254,6 +264,10 @@ class CounterMachine:
     def initial_config(self):
         """The initial state with every counter empty."""
         return (self.initial, {})
+
+    def bound_counts(self):
+        """(state, basis, counter) counts, the inputs of the bound."""
+        return (len(self.states), len(self.structure.basis), len(self.structure.counters))
 
     def is_resting(self, state):
         """True when the state has a lettered transition: a run that has
@@ -293,10 +307,13 @@ class CounterMachine:
                 elif lazy and zero_ok:
                     out.append((label, dst, dict(sv), 1))
             else:
-                fired, cut = _fire_transfer(sv, arg, vcap)
+                fired, cut = split_tokens(sv, arg.__getitem__)
                 truncated |= cut
-                for sv2 in fired:
-                    out.append((label, dst, sv2, 1))
+                for _, sv2 in fired:
+                    if vcap is not None and sv2 and max(sv2.values()) > vcap:
+                        truncated = True
+                    else:
+                        out.append((label, dst, sv2, 1))
         return out, truncated
 
 
@@ -450,51 +467,57 @@ def compositions(n, k):
             yield (head,) + rest
 
 
-def _fire_transfer(sv, images, vcap=None):
-    """Every result of a transfer on a sparse valuation (counter index to
-    positive count), with images[ci] the image indices of counter ci.
-    Counters with one image add their tokens to it; the splits of the others
-    are folded counter by counter in index order with duplicates dropped,
-    which keeps the order of the full product of compositions.  Returns (results, truncated): a
-    counter with tokens and no image leaves no result, a product larger than
-    BRANCH_BUDGET is not built and reports truncation, and so does a result
-    with a count past `vcap`, which is left out."""
+def split_tokens(sv, image_of):
+    """Every way to move the tokens of a sparse valuation (counter index to
+    positive count) along a transfer: each token of counter ci moves to one
+    of image_of(ci), a tuple of (target index, mark bits) pairs.  Returns
+    (outcomes, truncated): outcomes are the distinct (marks, post) pairs,
+    with marks the union of the mark bits of the images used and post the
+    sparse valuation the tokens land in.  Counters with one image add their
+    tokens to it; the splits of the others are folded counter by counter in
+    index order with duplicates dropped, which keeps the order of the full
+    product of compositions.  A counter with tokens and no image leaves no
+    outcome, and a product larger than BRANCH_BUDGET is not built and
+    reports truncation."""
+    marks = 0
     base = {}
     splitting = []
     branches = 1
-    for ci, n in sv.items():
-        idxs = images[ci]
-        if len(idxs) == 1:
-            j = idxs[0]
+    for ci in sorted(sv):
+        n = sv[ci]
+        pairs = image_of(ci)
+        if len(pairs) == 1:
+            (j, m), = pairs
+            marks |= m
             base[j] = base.get(j, 0) + n
-        elif not idxs:
+        elif not pairs:
             return [], False
         else:
-            branches *= math.comb(n + len(idxs) - 1, n)
-            splitting.append((ci, n, idxs))
+            branches *= math.comb(n + len(pairs) - 1, n)
+            splitting.append((n, pairs))
     if branches > BRANCH_BUDGET:
         return [], True
-    results = [base]
-    for _, n, idxs in sorted(splitting):
+    outcomes = [(marks, base)]
+    for n, pairs in splitting:
         shares = {}  # distinct ways to spread this counter, in order
-        for parts in compositions(n, len(idxs)):
+        for parts in compositions(n, len(pairs)):
+            m = 0
             share = {}
-            for j, part in zip(idxs, parts):
+            for (j, mj), part in zip(pairs, parts):
                 if part:
+                    m |= mj
                     share[j] = share.get(j, 0) + part
-            shares.setdefault(tuple(sorted(share.items())), share)
+            shares.setdefault((m, tuple(sorted(share.items()))), share)
         folded = {}
-        for partial in results:
-            for share in shares.values():
-                sv2 = dict(partial)
+        for m0, partial in outcomes:
+            for (m1, _), share in shares.items():
+                post = dict(partial)
                 for j, part in share.items():
-                    sv2[j] = sv2.get(j, 0) + part
-                folded.setdefault(tuple(sorted(sv2.items())), sv2)
-        results = list(folded.values())
-    if vcap is None:
-        return results, False
-    kept = [sv2 for sv2 in results if not sv2 or max(sv2.values()) <= vcap]
-    return kept, len(kept) < len(results)
+                    post[j] = post.get(j, 0) + part
+                m = m0 | m1
+                folded.setdefault((m, tuple(sorted(post.items()))), (m, post))
+        outcomes = list(folded.values())
+    return outcomes, False
 
 
 def transfer_witnesses(v: "Valuation", transfer):
@@ -524,31 +547,15 @@ def transfer_witnesses(v: "Valuation", transfer):
         yield witness, Valuation(structure, tuple(out))
 
 
-def fire_iter(v: "Valuation", instr):
-    """Yield every error-free result of firing instr on v (possibly none)."""
-    structure = v.structure
-    if isinstance(instr, Inc):
-        i = structure.index[instr.counter]
-        yield v._with(i, v.values[i] + 1)
-        return
-    if isinstance(instr, Dec):
-        i = structure.index[instr.counter]
-        if v.values[i] > 0:
-            yield v._with(i, v.values[i] - 1)
-        return
-    if hasattr(instr, "image"):  # Transfer or any transfer-like map
-        seen = set()
-        for _, v2 in transfer_witnesses(v, instr):
-            if v2.values not in seen:
-                seen.add(v2.values)
-                yield v2
-        return
-    raise ValidationError("unknown instruction %r" % (instr,))
-
-
 def fire(v: "Valuation", instr):
     """Error-free firing: the set of all possible successor valuations."""
-    return set(fire_iter(v, instr))
+    if isinstance(instr, (Inc, Dec)):
+        i = v.structure.index[instr.counter]
+        n = v.values[i] + (1 if isinstance(instr, Inc) else -1)
+        return {v._with(i, n)} if n >= 0 else set()
+    if hasattr(instr, "image"):  # Transfer or any transfer-like map
+        return {v2 for _, v2 in transfer_witnesses(v, instr)}
+    raise ValidationError("unknown instruction %r" % (instr,))
 
 
 def fire_lazy(v: "Valuation", instr):
@@ -570,61 +577,38 @@ def sqsse(v_surd: "Valuation", v: "Valuation") -> bool:
 
 
 def _token_embedding(counters, small, big) -> bool:
-    """Max-flow feasibility over the counter-inclusion bipartite graph."""
-    sources = [(i, n) for i, n in enumerate(small) if n > 0]
-    sinks = {i: n for i, n in enumerate(big) if n > 0}
-    need = sum(n for _, n in sources)
-    if need == 0:
-        return True
-    if need > sum(sinks.values()):
+    """Place small's tokens one at a time on big's tokens of superset
+    counters; when every fitting big token is taken, an augmenting path moves
+    earlier placements on to free one.  The embedding exists iff every token
+    finds a place."""
+    if sum(small) > sum(big):
         return False
-    # capacity[si][ti]: remaining sink capacity per source-side assignment
-    flow = {}
-    residual_sink = dict(sinks)
-    assigned = {i: 0 for i, _ in sources}
+    fits = {i: [j for j, m in enumerate(big) if m and counters[i] <= counters[j]]
+            for i, n in enumerate(small) if n}
+    free = list(big)
+    holders = [{} for _ in big]  # big counter -> {small counter: tokens placed}
 
-    def augment(si):
-        # BFS over alternating paths: source counter -> sink counter (subset
-        # relation) -> any source currently using that sink -> ...
-        parent = {}
-        queue = [("s", si)]
-        seen_s = {si}
-        seen_t = set()
-        while queue:
-            kind, x = queue.pop(0)
-            if kind == "s":
-                for ti in sinks:
-                    if ti in seen_t or not counters[x] <= counters[ti]:
-                        continue
-                    parent[("t", ti)] = ("s", x)
-                    if residual_sink[ti] > 0:
-                        # found augmenting path
-                        cur = ("t", ti)
-                        residual_sink[ti] -= 1
-                        while cur in parent:
-                            prev = parent[cur]
-                            if cur[0] == "t" and prev[0] == "s":
-                                flow[(prev[1], cur[1])] = flow.get((prev[1], cur[1]), 0) + 1
-                            elif cur[0] == "s" and prev[0] == "t":
-                                flow[(cur[1], prev[1])] -= 1
-                            cur = prev
-                        return True
-                    seen_t.add(ti)
-                    queue.append(("t", ti))
+    def place(i, seen):
+        for j in fits[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if free[j]:
+                free[j] -= 1
             else:
-                for (sj, tj), used in flow.items():
-                    if tj == x and used > 0 and sj not in seen_s:
-                        parent[("s", sj)] = ("t", x)
-                        seen_s.add(sj)
-                        queue.append(("s", sj))
+                for k in holders[j]:
+                    if place(k, seen):
+                        break
+                else:
+                    continue
+                holders[j][k] -= 1
+                if not holders[j][k]:
+                    del holders[j][k]
+            holders[j][i] = holders[j].get(i, 0) + 1
+            return True
         return False
 
-    for si, n in sources:
-        for _ in range(n):
-            if not augment(si):
-                return False
-            assigned[si] += 1
-    return True
+    return all(place(i, set()) for i, n in enumerate(small) for _ in range(n))
 
 
 @dataclass(frozen=True)
@@ -634,20 +618,10 @@ class BoundParams:
     m: int
 
 
-def machine_counts(machine):
-    """(state, basis, counter) counts of a machine.  Machines that know
-    their counts without enumerating anything expose bound_counts()."""
-    counts = getattr(machine, "bound_counts", None)
-    if counts is not None:
-        return counts()
-    return (len(machine.states), len(machine.structure.basis),
-            len(machine.structure.counters))
-
-
 def compute_bound(machine) -> BoundParams:
     """Bound parameters of a machine, from its state, basis and counter
     counts."""
-    return bound_params(*machine_counts(machine))
+    return bound_params(*machine.bound_counts())
 
 
 def bound_params(q_count, basis_size, counter_count) -> BoundParams:

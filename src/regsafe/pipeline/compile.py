@@ -38,20 +38,24 @@ cycle as one step under the error-free relation (it never fabricates
 tokens).  Only the read split, the here-set and the pick are choices; the
 merge is the here-set joined with the refrozen marks of the in-flight
 counters, and the shift maps each in-flight counter to the away counter of
-its kept set.  So every control is a resting one, ("read", mask,
-via_checkpoint), where the flag records that the step into it passed the
-checkpoint, which it does whenever the certificate holds.  Each step reports
-the instructions it stands for (n + 5, one more with co-states, one more
-through the checkpoint), so exploration bounds keep their instruction unit.
+its kept set.  The read and the shift therefore fire as one transfer from
+away counters to away counters whose images carry the refrozen marks, through
+the splitting fold explicit transfers use too (ipcant.split_tokens); the
+in-flight counters appear only in materialize().  So every control is a
+resting one, ("read", mask, via_checkpoint), where the flag records that the
+step into it passed the checkpoint, which it does whenever the certificate
+holds.  Each step reports the instructions it stands for (n + 5, one more
+with co-states, one more through the checkpoint), so exploration bounds keep
+their instruction unit.
 """
 
-from math import comb
+from functools import partial
 
 from ..ara.automaton import AlternatingAutomaton, FLAGS
 from ..errors import ValidationError
 from ..ipcant import (
-    BRANCH_BUDGET, CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition,
-    EPS, compositions, ifz_cap,
+    CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition, EPS, ifz_cap,
+    split_tokens,
 )
 
 ANCHOR_AWAY = "^b"
@@ -157,8 +161,12 @@ class CompiledMachine:
         return self._mm[key]
 
     def read_images(self, letter, mask):
-        """Counter indices a class token with thread set `mask` may move to
-        when the letter is read away from the register; None when blocked."""
+        """The in-flight counters a class token with thread set `mask` may
+        move to when the letter is read away from the register, as sorted
+        (kept mask, refrozen mask) pairs; () when some thread has no model.
+        Since the shift sends each in-flight counter to the away counter of
+        its kept set, the pairs are also the (target index, mark bits) images
+        of the whole read-and-shift, as split_tokens takes them."""
         key = (letter, mask)
         if key not in self._im3:
             per_state = []
@@ -171,13 +179,13 @@ class CompiledMachine:
                         break
                     per_state.append(models)
             if blocked:
-                self._im3[key] = None
+                self._im3[key] = ()
             else:
                 pairs = {(0, 0)}
                 for models in per_state:
                     pairs = {(k | pm, m | fm)
                              for k, m in pairs for pm, fm in models}
-                self._im3[key] = tuple(self.flight_index(k, m) for k, m in sorted(pairs))
+                self._im3[key] = tuple(sorted(pairs))
         return self._im3[key]
 
     def here_sets(self, letter, mask):
@@ -227,7 +235,10 @@ class CompiledMachine:
         one per distinct (letter, read split, here-set, pick); truncated says
         whether a successor was cut by `vcap` (checked on the post-shift
         valuation, the largest one of the cycle) or a read split by
-        BRANCH_BUDGET."""
+        BRANCH_BUDGET.  The read and the shift are one transfer through
+        split_tokens on the read_images pairs: each outcome is the refrozen
+        marks and the post-shift away valuation, to which the current
+        class's deposit is added."""
         mask = control[1]
         out = []
         truncated = False
@@ -235,7 +246,7 @@ class CompiledMachine:
             here = self.here_sets(a, mask)
             if not here:
                 continue
-            splits, cut = self._read_splits(a, sv)
+            splits, cut = split_tokens(sv, partial(self.read_images, a))
             truncated |= cut
             seen = set()
             for marks, post in splits:
@@ -263,51 +274,6 @@ class CompiledMachine:
                         out.append((a, ("read", ci, checkpoint), sv3, steps))
         return out, truncated
 
-    def _read_splits(self, letter, sv):
-        """Distinct (marks, post-shift valuation) outcomes of reading the
-        letter away from the register: every away token moves to one of its
-        read images, marks collects the refrozen states of the images used,
-        and the shift drops each image to the away counter of its kept set.
-        Folded counter by counter with duplicates dropped, in the order of
-        the full product of compositions.  Returns (outcomes, truncated);
-        a blocked letter has no outcome, and a product larger than
-        BRANCH_BUDGET is not built and reports truncation."""
-        n = self.n
-        flight_base = 1 << n
-        low = flight_base - 1
-        moving = []
-        branches = 1
-        for ci in sorted(sv):
-            images = self.read_images(letter, ci)
-            if images is None:
-                return (), False  # some class has a model-less thread
-            count = sv[ci]
-            branches *= comb(count + len(images) - 1, count)
-            pairs = tuple(((i - flight_base) >> n, (i - flight_base) & low) for i in images)
-            moving.append((count, pairs))
-        if branches > BRANCH_BUDGET:
-            return (), True
-        partial = {(0, ()): None}  # insertion-ordered set
-        for count, pairs in moving:
-            parts_of = {}
-            for parts in compositions(count, len(pairs)):
-                marks = 0
-                post = {}
-                for (kept, marked), part in zip(pairs, parts):
-                    if part:
-                        marks |= marked
-                        post[kept] = post.get(kept, 0) + part
-                parts_of[(marks, tuple(sorted(post.items())))] = None
-            folded = {}
-            for marks0, post0 in partial:
-                for marks1, post1 in parts_of:
-                    post = dict(post0)
-                    for ci, cnt in post1:
-                        post[ci] = post.get(ci, 0) + cnt
-                    folded[(marks0 | marks1, tuple(sorted(post.items())))] = None
-            partial = folded
-        return [(marks, dict(post)) for marks, post in partial], False
-
     # explicit machine for small automata
     def materialize(self) -> CounterMachine:
         if self.n > 3:
@@ -332,8 +298,8 @@ class CompiledMachine:
         def read_transfer(letter):
             entries = []
             for mask in full:
-                images = self.read_images(letter, mask)
-                dsts = () if images is None else tuple(counters[i] for i in images)
+                dsts = tuple(counters[self.flight_index(kept, marked)]
+                             for kept, marked in self.read_images(letter, mask))
                 entries.append((counters[self.away_index(mask)], dsts))
             return Transfer(tuple(entries))
 

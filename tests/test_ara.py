@@ -97,6 +97,29 @@ def test_automaton_validation_deep_formula(abc):
         phi = pb.And(pb.DownRef("p"), phi)
     aut = AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): phi})
     assert aut.delta_at("p", "a", "up") is phi
+
+    def spine(g):
+        # (node class, left leaf) down the right spine, then the last leaf
+        out = []
+        while isinstance(g, (pb.And, pb.Or)):
+            out.append((type(g), type(g.lhs), g.lhs.state))
+            g = g.rhs
+        return out, (type(g), g.state)
+
+    chain = [(pb.And, pb.DownRef, "p")] * 3000
+    dual_chain = [(pb.Or, pb.DownRef, "p")] * 3000
+    assert spine(dualize(aut).delta_at("p", "a", "up")) == (dual_chain, (pb.Ref, "p"))
+    both = intersect(aut, aut)
+    assert spine(both.delta_at("p", "a", "up")) == (chain, (pb.Ref, "p"))
+    renamed = [(pb.And, pb.DownRef, "p_2")] * 3000
+    assert spine(both.delta_at("p_2", "a", "up")) == (renamed, (pb.Ref, "p_2"))
+    either = union(aut, aut)
+    assert spine(either.delta_at("p_2", "a", "up")) == (renamed, (pb.Ref, "p_2"))
+    assert isinstance(either.delta_at(either.initial, "a", "up"), pb.Or)
+    product, co_states = inclusion_product(aut, aut)
+    assert co_states == ("p_2",)
+    assert spine(product.delta_at("p_2", "a", "up")) == (
+        [(pb.Or, pb.DownRef, "p_2")] * 3000, (pb.Ref, "p_2"))
     with pytest.raises(ValidationError, match="references unknown state 'z'"):
         AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): pb.Or(phi, pb.Ref("z"))})
     # the leftmost unknown reference is the one reported

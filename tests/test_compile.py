@@ -1,15 +1,18 @@
+from functools import partial
+from math import comb
 import random
 
 import pytest
 
-from regsafe import randgen
+from regsafe import ipcant, randgen
 from regsafe.errors import ValidationError
 from regsafe.words import Alphabet
 from regsafe.ara import ltl_to_ara
 from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe.ipcant import (BRANCH_BUDGET, EPS, Transfer, Valuation, check_distributive,
-                            fire, format_machine, parse_machine)
+                            compositions, fire, format_machine, parse_machine,
+                            split_tokens)
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import ara_to_ipcant
 
@@ -64,10 +67,11 @@ def test_co_state_must_exist():
 def test_read_images_and_here_sets():
     cm = ara_to_ipcant(_two_state())
     p_mask, r_mask = 1, 2
-    assert cm.read_images("a", p_mask) == (cm.flight_index(p_mask, 0),)
-    assert cm.read_images("b", r_mask) == (cm.flight_index(0, 0),)
-    assert cm.read_images("b", p_mask) is None
-    assert cm.read_images("a", 0) == (cm.flight_index(0, 0),)
+    # (kept, refrozen) pairs; () when a thread has no model
+    assert cm.read_images("a", p_mask) == ((p_mask, 0),)
+    assert cm.read_images("b", r_mask) == ((0, 0),)
+    assert cm.read_images("b", p_mask) == ()
+    assert cm.read_images("a", 0) == ((0, 0),)
     assert cm.here_sets("a", p_mask) == (p_mask | r_mask,)
     assert cm.here_sets("b", p_mask) == (0,)
     assert cm.here_sets("a", p_mask | r_mask) == ()
@@ -92,7 +96,7 @@ def test_resting_and_checkpoint_predicates():
     ]
 
 
-def test_read_step_branch_budget():
+def test_read_step_branch_budget(monkeypatch):
     # q | d(q) gives each token two read images, so n tokens split n + 1
     # ways; past BRANCH_BUDGET the step reports truncation unexpanded
     aut = AlternatingAutomaton(AB, ("q",), "q", {
@@ -104,6 +108,65 @@ def test_read_step_branch_budget():
     assert cm.config_successors(("read", 0, False), {1: BRANCH_BUDGET}, "a") == ([], True)
     succ, truncated = cm.config_successors(("read", 0, False), {1: 2}, "a")
     assert not truncated and succ
+    # the compiled step reads the budget when it fires, as explicit ones do
+    monkeypatch.setattr(ipcant, "BRANCH_BUDGET", 6)
+    succ, truncated = cm.config_successors(("read", 0, False), {1: 5}, "a")
+    assert not truncated and succ
+    assert cm.config_successors(("read", 0, False), {1: 6}, "a") == ([], True)
+
+
+def _reference_read_splits(cm, letter, sv):
+    """The compiled read fold as it stood on its own: every counter, those
+    with one image too, folded in index order with duplicate (marks, post)
+    outcomes dropped."""
+    moving = []
+    branches = 1
+    for ci in sorted(sv):
+        pairs = cm.read_images(letter, ci)
+        if not pairs:
+            return [], False  # some class has a model-less thread
+        count = sv[ci]
+        branches *= comb(count + len(pairs) - 1, count)
+        moving.append((count, pairs))
+    if branches > ipcant.BRANCH_BUDGET:
+        return [], True
+    partial_outcomes = {(0, ()): None}  # insertion-ordered set
+    for count, pairs in moving:
+        parts_of = {}
+        for parts in compositions(count, len(pairs)):
+            marks = 0
+            post = {}
+            for (kept, marked), part in zip(pairs, parts):
+                if part:
+                    marks |= marked
+                    post[kept] = post.get(kept, 0) + part
+            parts_of[(marks, tuple(sorted(post.items())))] = None
+        folded = {}
+        for marks0, post0 in partial_outcomes:
+            for marks1, post1 in parts_of:
+                post = dict(post0)
+                for ci, cnt in post1:
+                    post[ci] = post.get(ci, 0) + cnt
+                folded[(marks0 | marks1, tuple(sorted(post.items())))] = None
+        partial_outcomes = folded
+    return list(partial_outcomes), False
+
+
+def test_read_split_keeps_reference_order(abc):
+    rng = random.Random(23)
+    blocked = split = 0
+    for _ in range(60):
+        cm = ara_to_ipcant(randgen.random_automaton(rng, abc, max_states=3))
+        for _ in range(5):
+            masks = rng.sample(range(1 << cm.n), rng.randint(1, min(3, 1 << cm.n)))
+            sv = {mask: rng.randint(1, 4) for mask in masks}
+            for a in abc:
+                got, truncated = split_tokens(sv, partial(cm.read_images, a))
+                got = [(marks, tuple(sorted(post.items()))) for marks, post in got]
+                assert (got, truncated) == _reference_read_splits(cm, a, sv)
+                blocked += not got
+                split += len(got) > 1
+    assert blocked and split
 
 
 def test_materialize_state_counts(abc):

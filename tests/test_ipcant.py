@@ -5,7 +5,7 @@ import pytest
 
 from regsafe.errors import ParseError, ValidationError
 from regsafe.words import Alphabet
-from itertools import product
+from itertools import combinations, product
 
 from regsafe.ipcant import (CounterMachine, CounterStructure, CoverTable, Dec, EPS,
                             Inc, Transfer, Transition, Valuation, bound_ceiling,
@@ -125,6 +125,49 @@ def test_sqsse_pointwise_and_structure_mismatch(xy):
     other = CounterStructure(("x",), (frozenset("x"),))
     with pytest.raises(ValidationError):
         sqsse(other.valuation({}), xy.valuation({}))
+
+
+def _hall(counters, small, big):
+    """Hall's condition for the token embedding: every set S of small's
+    non-empty counters holds no more tokens than big has on the counters
+    containing some member of S."""
+    held = [i for i, n in enumerate(small) if n]
+    for r in range(1, len(held) + 1):
+        for subset in combinations(held, r):
+            room = sum(m for j, m in enumerate(big)
+                       if any(counters[i] <= counters[j] for i in subset))
+            if sum(small[i] for i in subset) > room:
+                return False
+    return True
+
+
+def test_sqsse_matches_hall_condition():
+    """Against Hall's condition on seeded pairs: half drawn independently,
+    half made by lifting small's tokens onto random superset counters and
+    then moving one token anywhere, where placing tokens greedily is not
+    enough."""
+    rng = random.Random(17)
+    seen = set()
+    for trial in range(600):
+        st = randgen.random_structure(rng, max_basis=4, max_counters=8)
+        small = randgen.random_valuation(rng, st, max_value=rng.choice((1, 2, 3)))
+        if trial % 2:
+            big = randgen.random_valuation(rng, st, max_value=rng.choice((1, 2, 3)))
+        else:
+            values = [0] * len(st.counters)
+            for c, n in small.items():
+                ups = [j for j, d in enumerate(st.counters) if c <= d]
+                for _ in range(n):
+                    values[rng.choice(ups)] += 1
+            held = [j for j, n in enumerate(values) if n]
+            if held and rng.random() < 0.5:
+                values[rng.choice(held)] -= 1
+                values[rng.randrange(len(values))] += 1
+            big = Valuation(st, tuple(values))
+        want = _hall(st.counters, small.values, big.values)
+        assert sqsse(small, big) == want, (st.counters, small.values, big.values)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_check_distributive_fy_and_singletons():
