@@ -1,13 +1,22 @@
 """One-way alternating automata over data words with one freeze register.
 
-A configuration is a pair (state, class); a configuration set steps by
-choosing, for every configuration, a satisfying pair of the transition formula
-for the current letter and the register flag (up when the configuration's
-class is the current position's class).  Plainly referenced states keep their
-class, down-marked states are re-frozen to the current class.  Safety
-acceptance: a data omega-word is accepted iff an infinite sequence of steps
-from the initial configuration exists; over a finite word we ask for a partial
-run covering every position.
+A thread is a pair (state, class).  At position i it picks a satisfying pair
+(plain, fresh) of its transition formula for the current letter and register
+flag (up exactly when its class is the class of position i).  Plainly
+referenced states go on in the thread's class, down-marked states in the
+class of position i.  Safety acceptance: a data omega-word is accepted iff an
+infinite sequence of steps from the initial thread exists; over a finite word
+we ask for a partial run covering every position.
+
+Threads of an alternating run never interact, so a set of threads covers the
+rest of a word exactly when each of its threads does.  run_exists therefore
+decides one thread (position, state, class) at a time and memoizes it.  The
+models of a formula are upward closed and a larger model only spawns more
+threads, each of which must live, so only minimal models need trying.  A word
+of length n then costs O(n * |Q| * classes * models) model trials, where the
+definition's frontier of configuration sets takes at every position the
+product of the models of every live thread.  step is that definition's
+one-position step, kept as a reference.
 """
 
 from itertools import product
@@ -74,7 +83,10 @@ def initial_configs(aut, w):
 def step(aut: AlternatingAutomaton, w: DataWord, i, configs):
     """All successor configuration sets of `configs` at position i, built from
     minimal satisfying pairs.  Empty set of successors means every choice is
-    blocked; the empty configuration set steps to itself."""
+    blocked; the empty configuration set steps to itself.
+
+    Reference only: the definition's one-position step, exponential in the
+    number of configurations.  run_exists does not call it."""
     letter = w.letters[i]
     here = w.classes[i]
     per_config = []
@@ -98,29 +110,70 @@ def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
     """Is there a partial run over the whole of w from the initial
     configuration?
 
-    Frontiers are pruned to inclusion-minimal configuration sets: a smaller
-    set has a continuation whenever a larger one does.
+    Threads never interact, so a run exists exactly when the initial thread
+    (0, initial, class of position 0) is alive, where a thread (i, q, cls)
+    is alive when i = len(w), or when one of q's minimal models for letter i
+    and the flag (up iff cls is the class of position i) sends every thread
+    it spawns to an alive thread at i + 1: plain states in cls, down-marked
+    states in the class of position i.  This is monotone: a model below a
+    working one spawns a subset of its threads, so it works too, and the
+    minimal models are the only ones worth trying.
+
+    A depth-first search on an explicit stack settles each thread once: it
+    drops a model at its first dead thread and stops at the first model whose
+    threads all live.  There are at most n * |Q| * (classes of w) threads,
+    each trying each of its models at most once, so a word of length n costs
+    O(n * |Q| * classes * models) model trials of at most 2 |Q| lookups.
     """
-    if len(w) == 0:
+    n = len(w)
+    if n == 0:
         raise ValidationError("word must be non-empty")
-    frontier = [initial_configs(aut, w)]
-    for i in range(len(w)):
-        nxt = set()
-        for configs in frontier:
-            nxt |= step(aut, w, i, configs)
-        if not nxt:
-            return False
-        frontier = _minimal_sets(nxt)
-    return True
+    letters, classes = w.letters, w.classes
+    models_at = aut.models_at
+    alive = {}  # settled threads (i, q, cls) -> bool
 
+    def frame(thread):
+        # [thread, its models, index of the model on trial, that model's
+        # threads at i + 1 not yet known to live (None before it is opened)]
+        i, q, cls = thread
+        flag = "up" if cls == classes[i] else "nup"
+        return [thread, models_at(q, letters[i], flag), 0, None]
 
-def _minimal_sets(sets):
-    ordered = sorted(sets, key=len)
-    kept = []
-    for s in ordered:
-        if not any(k <= s for k in kept):
-            kept.append(s)
-    return kept
+    root = (0, aut.initial, classes[0])
+    stack = [frame(root)]
+    while stack:
+        top = stack[-1]
+        thread, models, k, pending = top
+        while True:
+            if pending is None:
+                if k == len(models):
+                    verdict = False
+                    break
+                i, _, cls = thread
+                if i + 1 == n:
+                    verdict = True
+                    break
+                plain, fresh = models[k]
+                here = classes[i]
+                pending = ([(i + 1, q2, cls) for q2 in plain]
+                           + [(i + 1, q2, here) for q2 in fresh])
+            while pending and alive.get(pending[-1]):
+                pending.pop()
+            if not pending:
+                verdict = True
+                break
+            if pending[-1] in alive:  # settled dead: try the next model
+                k += 1
+                pending = None
+                continue
+            top[2], top[3] = k, pending
+            stack.append(frame(pending[-1]))
+            verdict = None
+            break
+        if verdict is not None:
+            alive[thread] = verdict
+            stack.pop()
+    return alive[root]
 
 
 def _disjoint(a1, a2):

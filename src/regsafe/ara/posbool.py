@@ -74,19 +74,18 @@ def por(lhs, rhs):
 def eval_posbool(phi: PosBool, chosen) -> bool:
     """Does the pair of state sets (plain, fresh) satisfy phi?"""
     plain, fresh = chosen
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Bot):
-        return False
-    if isinstance(phi, Ref):
-        return phi.state in plain
-    if isinstance(phi, DownRef):
-        return phi.state in fresh
-    if isinstance(phi, And):
-        return eval_posbool(phi.lhs, chosen) and eval_posbool(phi.rhs, chosen)
-    if isinstance(phi, Or):
-        return eval_posbool(phi.lhs, chosen) or eval_posbool(phi.rhs, chosen)
-    raise TypeError("not a positive boolean formula: %r" % (phi,))
+
+    def leaf(g):
+        kind = type(g)
+        if kind is Top or kind is Bot:
+            return kind is Top
+        return g.state in (plain if kind is Ref else fresh)
+
+    return fold(phi, leaf, _eval_join)
+
+
+def _eval_join(g, lhs, rhs):
+    return (lhs and rhs) if type(g) is And else (lhs or rhs)
 
 
 def minimal_models(phi: PosBool):
@@ -94,29 +93,33 @@ def minimal_models(phi: PosBool):
 
     Empty tuple means unsatisfiable (phi is equivalent to false).
     """
-    pairs = _models(phi)
+    pairs = fold(phi, _models_leaf, _models_join)
     return tuple(sorted(pairs, key=lambda p: (sorted(p[0]), sorted(p[1]))))
 
 
-def _models(phi):
-    if isinstance(phi, Top):
-        return {(frozenset(), frozenset())}
-    if isinstance(phi, Bot):
+_EMPTY = frozenset()
+
+
+def _models_leaf(g):
+    kind = type(g)
+    if kind is Top:
+        return {(_EMPTY, _EMPTY)}
+    if kind is Bot:
         return set()
-    if isinstance(phi, Ref):
-        return {(frozenset([phi.state]), frozenset())}
-    if isinstance(phi, DownRef):
-        return {(frozenset(), frozenset([phi.state]))}
-    if isinstance(phi, Or):
-        return _minimize(_models(phi.lhs) | _models(phi.rhs))
-    if isinstance(phi, And):
-        left = _models(phi.lhs)
-        right = _models(phi.rhs)
-        return _minimize({(a | c, b | d) for (a, b) in left for (c, d) in right})
-    raise TypeError("not a positive boolean formula: %r" % (phi,))
+    if kind is Ref:
+        return {(frozenset([g.state]), _EMPTY)}
+    return {(_EMPTY, frozenset([g.state]))}
+
+
+def _models_join(g, left, right):
+    if type(g) is Or:
+        return _minimize(left | right)
+    return _minimize({(a | c, b | d) for (a, b) in left for (c, d) in right})
 
 
 def _minimize(pairs):
+    if len(pairs) < 2:
+        return pairs
     out = set()
     for a, b in pairs:
         if not any((c, d) != (a, b) and c <= a and d <= b for (c, d) in pairs):
@@ -202,56 +205,81 @@ def parse_posbool(text, states) -> PosBool:
 
 
 def format_posbool(phi: PosBool) -> str:
-    # precedence: | = 0, & = 1, atomic = 2
-    def fmt(g, level):
-        if isinstance(g, Top):
-            return "true"
-        if isinstance(g, Bot):
-            return "false"
-        if isinstance(g, Ref):
-            return g.state
-        if isinstance(g, DownRef):
-            return "d(%s)" % g.state
-        if isinstance(g, And):
-            s = fmt(g.lhs, 1) + " & " + fmt(g.rhs, 2)
-            return "(" + s + ")" if level > 1 else s
-        if isinstance(g, Or):
-            s = fmt(g.lhs, 0) + " | " + fmt(g.rhs, 1)
-            return "(" + s + ")" if level > 0 else s
-        raise TypeError("not a positive boolean formula: %r" % (g,))
-
-    return fmt(phi, 0)
+    return fold(phi, _format_leaf, _format_join)[0]
 
 
-def rebuild(phi: PosBool, leaf, swap=False) -> PosBool:
-    """A copy of phi with every leaf g (Top, Bot, Ref, DownRef) replaced by
-    leaf(g), and with And and Or exchanged when swap is set.  Runs on an
+# each side comes with its precedence (| = 0, & = 1, atomic = 2) and is
+# parenthesized where the operator wants a higher one
+def _format_leaf(g):
+    kind = type(g)
+    if kind is Top:
+        return "true", 2
+    if kind is Bot:
+        return "false", 2
+    if kind is Ref:
+        return g.state, 2
+    return "d(%s)" % g.state, 2
+
+
+def _format_join(g, lhs, rhs):
+    if type(g) is And:
+        return _side(lhs, 1) + " & " + _side(rhs, 2), 1
+    return _side(lhs, 0) + " | " + _side(rhs, 1), 0
+
+
+def _side(part, level):
+    text, prec = part
+    return "(" + text + ")" if prec < level else text
+
+
+_JOIN = object()  # marks, on the fold's stack, a node whose sides are done
+
+
+def fold(phi: PosBool, leaf, join):
+    """The value of phi computed bottom-up: leaf(g) at every leaf g (Top,
+    Bot, Ref, DownRef), join(g, lhs, rhs) at every And or Or node g from the
+    values of its sides.  Sides are folded left before right.  Runs on an
     explicit stack: formulas built outside the parser may nest deeper than
     the call stack."""
-    joins = {And: Or, Or: And} if swap else {And: And, Or: Or}
     done = []
     todo = [phi]
     while todo:
         g = todo.pop()
-        join = joins.get(type(g))
-        if join is not None:  # rebuild g from its sides once both are done
-            todo += (join, g.rhs, g.lhs)
-        elif g is And or g is Or:
+        kind = type(g)
+        if kind is And or kind is Or:
+            todo += (g, _JOIN, g.rhs, g.lhs)
+        elif g is _JOIN:
+            g = todo.pop()
             rhs = done.pop()
-            done[-1] = g(done[-1], rhs)
-        else:
+            done[-1] = join(g, done[-1], rhs)
+        elif kind is Ref or kind is DownRef or kind is Top or kind is Bot:
             done.append(leaf(g))
+        else:
+            raise TypeError("not a positive boolean formula: %r" % (g,))
     return done[0]
 
 
+def rebuild(phi: PosBool, leaf, swap=False) -> PosBool:
+    """A copy of phi with every leaf g (Top, Bot, Ref, DownRef) replaced by
+    leaf(g), and with And and Or exchanged when swap is set."""
+    return fold(phi, leaf, _swapped_join if swap else _same_join)
+
+
+def _same_join(g, lhs, rhs):
+    return type(g)(lhs, rhs)
+
+
+def _swapped_join(g, lhs, rhs):
+    return (Or if type(g) is And else And)(lhs, rhs)
+
+
 def _dual_leaf(g):
-    if isinstance(g, Top):
+    kind = type(g)
+    if kind is Top:
         return Bot()
-    if isinstance(g, Bot):
+    if kind is Bot:
         return Top()
-    if isinstance(g, (Ref, DownRef)):
-        return g
-    raise TypeError("not a positive boolean formula: %r" % (g,))
+    return g
 
 
 def dual(phi: PosBool) -> PosBool:

@@ -1,15 +1,18 @@
 """Brute-force reference procedures used to cross-check the optimized ones.
 
-oracle_run_exists answers the same question as ara.run_exists but enumerates
-every satisfying pair of every transition formula, not only the minimal ones,
-and never prunes a frontier to minimal sets.  It exploits that threads of an
-alternating run never interact: a configuration set can cover the rest of the
-word exactly when each of its configurations can on its own, so the search
-memoizes single configurations per position.  _frontier_run_exists is the
-unoptimized definition itself (sets of configuration sets, full choice
-products); it is exponentially heavier and only meant for very small inputs,
-as a third route to the same answer.  pattern_occurs decides the three-letter
-freeze pattern directly on a word, independent of any automaton.
+oracle_run_exists answers the same question as ara.run_exists.  Both rest on
+threads of an alternating run never interacting: a configuration set can
+cover the rest of the word exactly when each of its configurations can on
+its own, so both decide single configurations per position, memoized.  The
+oracle enumerates every satisfying pair of every transition formula by
+evaluating the formula on all pairs of state sets, so it depends neither on
+minimal_models nor on the monotonicity that lets run_exists try minimal
+models only.  _frontier_run_exists is the unoptimized definition itself
+(sets of configuration sets, full choice products over all satisfying
+pairs); it shares no thread argument with the other two, is exponentially
+heavier and only meant for very small inputs, as a third route to the same
+answer.  pattern_occurs decides the three-letter freeze pattern directly on
+a word, independent of any automaton.
 """
 
 from itertools import combinations, product

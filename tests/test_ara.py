@@ -3,7 +3,7 @@ import random
 import pytest
 
 from regsafe.errors import ParseError, ValidationError
-from regsafe.words import Alphabet, parse_word
+from regsafe.words import Alphabet, DataWord, enumerate_words, parse_word
 from regsafe.ara import posbool as pb
 from regsafe.ara import (dualize, format_automaton, inclusion_product,
                          intersect, ltl_to_ara, parse_automaton, run_exists,
@@ -158,7 +158,6 @@ def test_initial_configs(fig1, abc):
 
 
 def test_run_exists_rejects_empty_word(fig1, abc):
-    from regsafe.words import DataWord
     with pytest.raises(ValidationError):
         run_exists(fig1, DataWord((), ()))
 
@@ -213,3 +212,94 @@ def test_translated_example_matches_fig1(example_formula, fig1, abc):
     for _ in range(200):
         w = randgen.random_word(rng, abc, max_len=5, max_classes=3)
         assert run_exists(aut, w) == run_exists(fig1, w)
+
+
+def _deep_chain(depth):
+    # d(p) & (d(p) & ... & p), built directly, not parsed
+    phi = pb.Ref("p")
+    for _ in range(depth):
+        phi = pb.And(pb.DownRef("p"), phi)
+    return phi
+
+
+def test_deep_formula_models_eval_format_run(abc):
+    """Every posbool traversal on a formula deeper than the call stack."""
+    phi = _deep_chain(3000)
+    aut = AlternatingAutomaton(abc, ("p",), "p",
+                               {("p", "a", flag): phi for flag in ("up", "nup")})
+    both = (frozenset(["p"]), frozenset(["p"]))
+    assert aut.models_at("p", "a", "up") == (both,)
+    assert pb.minimal_models(pb.Or(pb.Ref("p"), phi)) == (
+        (frozenset(["p"]), frozenset()),)
+    assert pb.eval_posbool(phi, both) is True
+    assert pb.eval_posbool(phi, (frozenset(["p"]), frozenset())) is False
+    assert format_automaton(aut).splitlines()[3:] == [
+        "p, a, * -> " + "d(p) & (" * 2999 + "d(p) & p" + ")" * 2999]
+    assert run_exists(aut, parse_word("a@0 a@1 a@0 a@2", abc))
+    assert not run_exists(aut, parse_word("a@0 a@1 b@0", abc))
+
+
+def test_format_posbool_parenthesizes_by_precedence():
+    p, q, r = pb.Ref("p"), pb.Ref("q"), pb.DownRef("r")
+    assert pb.format_posbool(pb.And(pb.Or(p, q), r)) == "(p | q) & d(r)"
+    assert pb.format_posbool(pb.And(p, pb.And(q, r))) == "p & (q & d(r))"
+    assert pb.format_posbool(pb.And(pb.And(p, q), r)) == "p & q & d(r)"
+    assert pb.format_posbool(pb.Or(p, pb.Or(q, r))) == "p | (q | d(r))"
+    assert pb.format_posbool(pb.Or(pb.And(p, q), pb.Or(q, r))) == "p & q | (q | d(r))"
+    assert pb.format_posbool(pb.Or(pb.Top(), pb.Bot())) == "true | false"
+    with pytest.raises(TypeError):
+        pb.format_posbool(pb.And(p, "q"))
+
+
+def _frontier_reference(aut, w):
+    """Test-only reference: the frontier of configuration sets that
+    run_exists kept before it decided threads one at a time.  Each position
+    steps every set of the frontier by `step` and keeps the
+    inclusion-minimal successors."""
+    frontier = [initial_configs(aut, w)]
+    for i in range(len(w)):
+        nxt = set()
+        for configs in frontier:
+            nxt |= step(aut, w, i, configs)
+        if not nxt:
+            return False
+        kept = []
+        for s in sorted(nxt, key=len):
+            if not any(k <= s for k in kept):
+                kept.append(s)
+        frontier = kept
+    return True
+
+
+def test_run_exists_matches_frontier_reference_random():
+    rng = random.Random(9)
+    seen = set()
+    for trial in range(2000):
+        aut = randgen.random_automaton(rng, AB, max_states=4,
+                                       bot_prob=(0.25, 0.05)[trial % 2])
+        for _ in range(3):
+            w = randgen.random_word(rng, AB, max_len=8)
+            want = _frontier_reference(aut, w)
+            assert run_exists(aut, w) == want, (trial, w)
+            seen.add((want, len(w) >= 7))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_run_exists_matches_frontier_reference_all_short_words(example_formula, fig1, abc):
+    _, f = example_formula
+    words = list(enumerate_words(abc, 4, 4))
+    for aut in (fig1, ltl_to_ara(f, abc)):
+        answers = [run_exists(aut, w) for w in words]
+        assert answers == [_frontier_reference(aut, w) for w in words]
+        assert 0 < answers.count(False) < len(words)
+
+
+def test_run_exists_long_word(top_automaton, abc):
+    """Threads go 5000 positions deep; the search keeps its own stack."""
+    w = DataWord(("a",) * 5000, (0,) * 5000)
+    assert run_exists(top_automaton, w)
+    keep = parse_automaton("alphabet: a b c\nstates: s\ninitial: s\n"
+                           "s, a, * -> s & d(s)\n")
+    assert run_exists(keep, w)
+    assert run_exists(keep, DataWord(("a",) * 5000, tuple(i % 2 for i in range(5000))))
+    assert not run_exists(keep, DataWord(("a",) * 4999 + ("b",), (0,) * 5000))

@@ -138,6 +138,42 @@ def test_oracle_json(capsys):
                       "trials": 5, "seed": 0}
 
 
+def test_oracle_checks_the_frontier_route(monkeypatch, capsys):
+    """The frontier route is asked on every sample within its guards, and
+    a wrong answer from it is reported."""
+    import regsafe.cli as cli
+    asked = []
+
+    real = cli._frontier_run_exists
+
+    def frontier(aut, w):
+        asked.append((len(aut.states), len(w)))
+        return real(aut, w)
+
+    monkeypatch.setattr(cli, "_frontier_run_exists", frontier)
+    assert run_cli(["oracle", "--trials", "60", "--seed", "2"]) == 0
+    assert _out(capsys)[0] == "AGREE trials=60 seed=2\n"
+    # asked up to its guards, never past them, and not on every sample
+    assert max(states for states, _ in asked) == 2
+    assert max(letters for _, letters in asked) == 3
+    assert len(asked) < 60
+
+    monkeypatch.setattr(cli, "_frontier_run_exists",
+                        lambda aut, w: not cli.run_exists(aut, w))
+    assert run_cli(["oracle", "--trials", "60", "--seed", "2"]) == 1
+    out, err = _out(capsys)
+    assert out.startswith("MISMATCH trial=")
+    assert "word: " in err
+
+
+def test_run_long_word(data_path, capsys):
+    word = " ".join(["a@0"] * 5000)
+    for name in ("top.ara", "fig1.ara"):
+        assert run_cli(["run", "--automaton", data_path(name), "--word", word]) == 0
+        out, err = _out(capsys)
+        assert (out, err) == ("YES\n", "")
+
+
 def test_usage_errors(data_path, tmp_path, capsys):
     assert run_cli(["nonsense"]) == 64
     assert run_cli(["run", "--automaton", data_path("fig1.ara")]) == 64
