@@ -37,14 +37,59 @@ class DownRef(PosBool):
     state: str
 
 
-@dataclass(frozen=True)
-class And(PosBool):
+class _Binary(PosBool):
+    """Equality and hashing of And and Or on an explicit stack: formulas
+    built outside the parser may nest deeper than the call stack.  Both
+    agree with the generated ones of a frozen dataclass: nodes are equal
+    when of one class with equal sides, and hash as (lhs, rhs)."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            kind = a.__class__
+            if kind is not b.__class__:
+                return False
+            if kind is And or kind is Or:
+                todo.append((a.rhs, b.rhs))
+                todo.append((a.lhs, b.lhs))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        return fold(self, hash, _hash_join)
+
+
+class _Hashed:
+    """A stand-in whose hash is a given one, so that a node's hash is that
+    of the tuple of its sides without hashing them again."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def _hash_join(g, lhs, rhs):
+    return hash((_Hashed(lhs), _Hashed(rhs)))
+
+
+@dataclass(frozen=True, eq=False)
+class And(_Binary):
     lhs: PosBool
     rhs: PosBool
 
 
-@dataclass(frozen=True)
-class Or(PosBool):
+@dataclass(frozen=True, eq=False)
+class Or(_Binary):
     lhs: PosBool
     rhs: PosBool
 
@@ -131,6 +176,10 @@ _PB_TOKEN_RE = re.compile(r"\s*([A-Za-z0-9_^-]+|[&|()])")
 
 
 def parse_posbool(text, states) -> PosBool:
+    """Parse a formula: `|` binds weaker than `&`, both associate left,
+    atoms are true, false, a state, d(state) and a parenthesized formula.
+    Runs on an explicit stack, so nesting is not bounded by the call
+    stack."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -141,67 +190,68 @@ def parse_posbool(text, states) -> PosBool:
             raise ParseError("unexpected character %r in formula" % text[pos], pos)
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
-
-    i = [0]
-
-    def peek():
-        return tokens[i[0]][0] if i[0] < len(tokens) else None
+    tokens.append((None, None))  # end marker
+    i = 0
 
     def take():
-        if i[0] >= len(tokens):
+        nonlocal i
+        tok = tokens[i]
+        if tok[0] is None:
             raise ParseError("unexpected end of formula")
-        tok = tokens[i[0]]
-        i[0] += 1
+        i += 1
         return tok
 
-    def disj():
-        f = conj()
-        while peek() == "|":
-            take()
-            f = Or(f, conj())
-        return f
-
-    def conj():
-        f = atom()
-        while peek() == "&":
-            take()
-            f = And(f, atom())
-        return f
-
-    def atom():
+    # the open parentheses' pending disjunction and conjunction, innermost
+    # last; disj and conj are those of the innermost group, None when empty
+    groups = []
+    disj = conj = None
+    while True:
         tok, p = take()
         if tok == "(":
-            f = disj()
-            closing, cp = take()
-            if closing != ")":
-                raise ParseError("expected ')'", cp)
-            return f
+            groups.append((disj, conj))
+            disj = conj = None
+            continue
         if tok == "true":
-            return Top()
-        if tok == "false":
-            return Bot()
-        if tok == "d":
-            if peek() != "(":
+            f = Top()
+        elif tok == "false":
+            f = Bot()
+        elif tok == "d":
+            if tokens[i][0] != "(":
                 raise ParseError("expected '(' after 'd'", p)
-            take()
+            i += 1
             name, np = take()
             if name not in states:
                 raise ParseError("unknown state %r" % name, np)
             closing, cp = take()
             if closing != ")":
                 raise ParseError("expected ')'", cp)
-            return DownRef(name)
-        if tok in ("&", "|", ")"):
+            f = DownRef(name)
+        elif tok in ("&", "|", ")"):
             raise ParseError("unexpected %r" % tok, p)
-        if tok not in states:
+        elif tok not in states:
             raise ParseError("unknown state %r" % tok, p)
-        return Ref(tok)
-
-    f = disj()
-    if i[0] < len(tokens):
-        tok, p = tokens[i[0]]
-        raise ParseError("trailing input %r" % tok, p)
-    return f
+        else:
+            f = Ref(tok)
+        # f completes an atom; closing parentheses complete further ones
+        while True:
+            conj = f if conj is None else And(conj, f)
+            nxt = tokens[i][0]
+            if nxt == "&":
+                break
+            disj = conj if disj is None else Or(disj, conj)
+            conj = None
+            if nxt == "|":
+                break
+            if not groups:
+                if nxt is not None:
+                    raise ParseError("trailing input %r" % nxt, tokens[i][1])
+                return disj
+            closing, cp = take()
+            if closing != ")":
+                raise ParseError("expected ')'", cp)
+            f = disj
+            disj, conj = groups.pop()
+        i += 1  # the & or |
 
 
 def format_posbool(phi: PosBool) -> str:

@@ -16,7 +16,8 @@ Machines step on sparse valuations (counter index to positive count).
 Every transfer, the explicit ones of a CounterMachine and the compiled read
 step of pipeline.compile alike, moves tokens through split_tokens, the one
 splitting fold: images are (target index, mark bits) pairs, the marks being
-zero on explicit transfers.
+zero on explicit transfers.  Only an identity transfer (nop) skips it: its
+step copies the valuation.
 
 Valuation, fire, fire_lazy, transfer_witnesses and sqsse are a dense
 reference view: a Valuation pairs a counter structure with an int tuple
@@ -169,28 +170,75 @@ class CounterMachine:
             raise ValidationError("duplicate state name")
         if initial not in known:
             raise ValidationError("initial state %r not declared" % (initial,))
+        self._outgoing = {}  # source state -> its transitions, in order
+        resting = set()
         for t in self.transitions:
             if t.src not in known or t.dst not in known:
                 raise ValidationError("transition uses unknown state")
-            if t.label is not EPS and t.label not in alphabet:
-                raise ValidationError("transition on unknown letter %r" % (t.label,))
-        self._ops, transfers = self._compile_ops()
+            if t.label is not EPS:
+                if t.label not in alphabet:
+                    raise ValidationError("transition on unknown letter %r" % (t.label,))
+                resting.add(t.src)
+            self._outgoing.setdefault(t.src, []).append(t)
+        self._resting = frozenset(resting)
+        self._op_of = {}  # id(instruction) -> (kind, argument)
+        transfers = self._validate_instructions()
         self._check_eps_acyclic()
         if check_transfers != "off":
             self._check_transfers(check_transfers, transfers)
-        self._resting = frozenset(t.src for t in self.transitions if t.label is not EPS)
+
+    def _validate_instructions(self):
+        """Check each instruction object once: a known kind, naming only
+        counters of the structure.  Checking maps the counters to their
+        indices, which gives the op (kind, argument) a step fires, kept in
+        _op_of.  An increment or decrement carries its counter index; a
+        transfer carries the images of every counter as split_tokens takes
+        them, one tuple of (image index, 0) pairs per counter index.  An
+        identity transfer (nop, or one mapping each listed counter to
+        itself) has kind None: its step copies the valuation.  Returns the
+        distinct transfers, equal ones once, in order of first use.  Raises
+        ValidationError otherwise."""
+        op_of = self._op_of
+        index = self.structure.index
+        pair = {c: (i, 0) for c, i in index.items()}
+        identity = tuple([(p,) for p in pair.values()])
+        transfers = {}
+        try:
+            for t in self.transitions:
+                instr = t.instr
+                if id(instr) in op_of:
+                    continue
+                if isinstance(instr, Transfer):
+                    # unlisted counters keep their tokens; the first entry
+                    # for a counter wins, as in Transfer.image
+                    arg = list(identity)
+                    for src, dsts in reversed(instr.entries):
+                        arg[pair[src][0]] = tuple(map(pair.__getitem__, dsts))
+                    arg = tuple(arg)
+                    op = (None, None) if arg == identity else (Transfer, arg)
+                    transfers[instr] = None
+                elif isinstance(instr, (Inc, Dec)):
+                    op = (Inc if isinstance(instr, Inc) else Dec, index[instr.counter])
+                else:
+                    raise ValidationError("unknown instruction %r" % (instr,))
+                op_of[id(instr)] = op
+        except KeyError as e:
+            raise ValidationError("instruction uses unknown counter %r"
+                                  % (sorted(e.args[0]),)) from None
+        return tuple(transfers)
 
     def _check_eps_acyclic(self):
-        adj = {}
-        for t in self.transitions:
-            if t.label is EPS:
-                adj.setdefault(t.src, []).append(t.dst)
+        outgoing = self._outgoing
+
+        def eps_targets(q):
+            return iter([t.dst for t in outgoing.get(q, ()) if t.label is EPS])
+
         color = {}  # 1 while on the search path, 2 once finished
         for root in self.states:
             if root in color:
                 continue
             color[root] = 1
-            stack = [(root, iter(adj.get(root, ())))]
+            stack = [(root, eps_targets(root))]
             while stack:
                 q, succ = stack[-1]
                 for r in succ:
@@ -198,47 +246,11 @@ class CounterMachine:
                         raise ValidationError("letter-free transition cycle through %r" % (q,))
                     if r not in color:
                         color[r] = 1
-                        stack.append((r, iter(adj.get(r, ()))))
+                        stack.append((r, eps_targets(r)))
                         break
                 else:
                     color[q] = 2
                     stack.pop()
-
-    def _compile_ops(self):
-        """Per source state, (label, target, kind, argument, lazy zero
-        decrement allowed) for each outgoing transition in order.  An
-        increment or decrement carries its counter index; a transfer carries
-        the images of every counter as split_tokens takes them, one tuple of
-        (image index, 0) pairs per counter index, shared by equal transfers.
-        Returns the ops and the distinct transfers' image tuples.  Raises
-        ValidationError on an instruction of unknown kind or naming a counter
-        outside the structure."""
-        index = self.structure.index
-        identity = tuple(((i, 0),) for i in range(len(self.structure.counters)))
-        images = {}
-        ops = {}
-        for t in self.transitions:
-            instr = t.instr
-            try:
-                if isinstance(instr, (Inc, Dec)):
-                    kind, arg = type(instr), index[instr.counter]
-                elif isinstance(instr, Transfer):
-                    kind, arg = Transfer, images.get(instr)
-                    if arg is None:
-                        # unlisted counters keep their tokens; the first
-                        # entry for a counter wins, as in Transfer.image
-                        arg = list(identity)
-                        for src, dsts in reversed(instr.entries):
-                            arg[index[src]] = tuple((index[d], 0) for d in dsts)
-                        arg = images[instr] = tuple(arg)
-                else:
-                    raise ValidationError("unknown instruction %r" % (instr,))
-            except KeyError as e:
-                raise ValidationError("instruction uses unknown counter %r"
-                                      % (sorted(e.args[0]),)) from None
-            ops.setdefault(t.src, []).append(
-                (t.label, t.dst, kind, arg, not t.elide_zero_dec))
-        return ops, tuple(images.values())
 
     def _check_transfers(self, mode, transfers):
         if not transfers:
@@ -246,8 +258,10 @@ class CounterMachine:
         counters = self.structure.counters
         exhaustive = len(counters) <= 12 or mode == "full"
         table = CoverTable(counters) if exhaustive else None
-        for images in transfers:
-            f = {c: tuple(counters[j] for j, _ in img) for c, img in zip(counters, images)}
+        for instr in transfers:
+            f = {c: (c,) for c in counters}
+            for src, dsts in reversed(instr.entries):
+                f[src] = dsts
             ok = (check_distributive(f, counters, table) if exhaustive
                   else _sampled_distributive(f, counters))
             if not ok:
@@ -282,12 +296,21 @@ class CounterMachine:
         transition opts out.  Returns (successors, truncated): successors are
         (label, state', sv', 1) in transition order, and truncated says
         whether a result was cut by `vcap` or a transfer by BRANCH_BUDGET."""
+        op_of = self._op_of
         out = []
         truncated = False
-        for label, dst, kind, arg, zero_ok in self._ops.get(control, ()):
+        for t in self._outgoing.get(control, ()):
+            label = t.label
             if letter is not None and label is not EPS and label != letter:
                 continue
-            if kind is Inc:
+            kind, arg = op_of[id(t.instr)]
+            dst = t.dst
+            if kind is None:
+                if vcap is not None and sv and max(sv.values()) > vcap:
+                    truncated = True
+                else:
+                    out.append((label, dst, dict(sv), 1))
+            elif kind is Inc:
                 n = sv.get(arg, 0) + 1
                 if vcap is not None and n > vcap:
                     truncated = True
@@ -304,7 +327,7 @@ class CounterMachine:
                     else:
                         sv2[arg] = n - 1
                     out.append((label, dst, sv2, 1))
-                elif lazy and zero_ok:
+                elif lazy and not t.elide_zero_dec:
                     out.append((label, dst, dict(sv), 1))
             else:
                 fired, cut = split_tokens(sv, arg.__getitem__)
@@ -399,9 +422,14 @@ def check_distributive(f, counters, table=None) -> bool:
             m = known.get(d)
             imgs.add(table.mask(d, extra) if m is None else m)
         images.append(tuple(imgs))
-    for imgs, covers in zip(images, table.covers):
-        fine = set()  # unions already known to hold an image
+    for i, (imgs, covers) in enumerate(zip(images, table.covers)):
+        # unions known to hold an image: each image holds itself, which
+        # settles the counter's cover by itself
+        fine = set(imgs)
+        own = (i,)
         for cover in covers:
+            if cover == own:
+                continue
             unions = {0}
             for j in cover:
                 unions = {u | m for u in unions for m in images[j]}
@@ -478,7 +506,8 @@ def split_tokens(sv, image_of):
     index order with duplicates dropped, which keeps the order of the full
     product of compositions.  A counter with tokens and no image leaves no
     outcome, and a product larger than BRANCH_BUDGET is not built and
-    reports truncation."""
+    reports truncation.  Counters are asked in index order: on compiled
+    machines that order meets a blocked class early."""
     marks = 0
     base = {}
     splitting = []
@@ -660,9 +689,10 @@ def bound_log2(q_count, basis_size, counter_count) -> float:
 
 
 _COUNTER_RE = re.compile(r"\{[^{}]*\}")
+_HEADERS = frozenset(("alphabet", "basis", "counters", "states", "initial"))
 
 
-def _parse_counter(text, structure=None):
+def _parse_counter(text):
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError("expected a counter like {x,y}, got %r" % text)
@@ -670,14 +700,28 @@ def _parse_counter(text, structure=None):
     return frozenset(names)
 
 
-def _parse_instr(text, counters):
+def _once(fn):
+    """fn as a dict-backed lookup: each distinct argument is handled once
+    while the returned function lives (one parse or print call)."""
+    done = {}
+
+    def lookup(arg):
+        out = done.get(arg)
+        if out is None:
+            out = done[arg] = fn(arg)
+        return out
+
+    return lookup
+
+
+def _parse_instr(text, counters, counter):
     text = text.strip()
     if text.startswith("inc "):
-        return Inc(_parse_counter(text[4:]))
+        return Inc(counter(text[4:]))
     if text.startswith("dec "):
-        return Dec(_parse_counter(text[4:]))
+        return Dec(counter(text[4:]))
     if text.startswith("ifz^cap "):
-        y = _parse_counter(text[len("ifz^cap "):])
+        y = counter(text[len("ifz^cap "):])
         return ifz_cap(y, counters)
     if text.startswith("nop"):
         return Transfer(())
@@ -690,12 +734,12 @@ def _parse_instr(text, counters):
             left, sep, right = part.partition("->")
             if not sep:
                 raise ParseError("transfer entry %r lacks '->'" % part)
-            src = _parse_counter(left)
+            src = counter(left)
             right = right.strip()
             if not (right.startswith("[") and right.endswith("]")):
                 raise ParseError("transfer image %r must be a [...] list" % right)
             inner = right[1:-1].strip()
-            dsts = tuple(_parse_counter(m.group(0)) for m in _COUNTER_RE.finditer(inner))
+            dsts = tuple(counter(m.group(0)) for m in _COUNTER_RE.finditer(inner))
             if inner and not dsts:
                 raise ParseError("bad transfer image %r" % right)
             entries.append((src, dsts))
@@ -704,34 +748,38 @@ def _parse_instr(text, counters):
 
 
 def parse_machine(text, check_transfers="auto") -> CounterMachine:
+    """Read a machine file.  Each distinct instruction text is parsed once
+    and its instruction shared by the transitions that use it."""
     alphabet = None
     basis = None
     counters = None
     states = None
     initial = None
     body = []
+    counter = _once(_parse_counter)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("alphabet:"):
-            alphabet = Alphabet(tuple(line[len("alphabet:"):].split()))
-        elif line.startswith("basis:"):
-            basis = tuple(line[len("basis:"):].split())
-        elif line.startswith("counters:"):
-            counters = tuple(_parse_counter(m.group(0))
-                             for m in _COUNTER_RE.finditer(line[len("counters:"):]))
-        elif line.startswith("states:"):
-            states = tuple(line[len("states:"):].split())
-        elif line.startswith("initial:"):
-            initial = line[len("initial:"):].strip()
-        else:
+        head, colon, value = line.partition(":")
+        if not colon or head not in _HEADERS:
             body.append((lineno, line))
+        elif head == "alphabet":
+            alphabet = Alphabet(tuple(value.split()))
+        elif head == "basis":
+            basis = tuple(value.split())
+        elif head == "counters":
+            counters = tuple(counter(m.group(0)) for m in _COUNTER_RE.finditer(value))
+        elif head == "states":
+            states = tuple(value.split())
+        else:
+            initial = value.strip()
     if None in (alphabet, basis, counters, states, initial):
         raise ParseError("machine file needs alphabet:, basis:, counters:, states: and initial: lines")
     structure = CounterStructure(basis, counters)
     if "eps" in alphabet:
         raise ParseError("letter name 'eps' is reserved")
+    instr = _once(lambda t: _parse_instr(t, structure.counters, counter))
     transitions = []
     for lineno, line in body:
         src, _, rest = line.partition(" ")
@@ -745,8 +793,7 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
         instr_text, sep, dst = rest2.rpartition("->")
         if not sep:
             raise ParseError("line %d: missing '->' before target state" % lineno)
-        instr = _parse_instr(instr_text.strip(), structure.counters)
-        transitions.append(Transition(src, label, instr, dst.strip()))
+        transitions.append(Transition(src, label, instr(instr_text.strip()), dst.strip()))
     return CounterMachine(alphabet, states, initial, structure, transitions,
                           check_transfers=check_transfers)
 
@@ -755,31 +802,33 @@ def _format_counter(c):
     return "{%s}" % ",".join(sorted(c))
 
 
-def _format_instr(instr):
+def _format_instr(instr, counter):
     if isinstance(instr, Inc):
-        return "inc %s" % _format_counter(instr.counter)
+        return "inc %s" % counter(instr.counter)
     if isinstance(instr, Dec):
-        return "dec %s" % _format_counter(instr.counter)
+        return "dec %s" % counter(instr.counter)
     if isinstance(instr, Transfer):
         if not instr.entries:
             return "nop"
         parts = []
         for src, dsts in sorted(instr.entries, key=lambda e: sorted(e[0])):
-            parts.append("%s->[%s]" % (_format_counter(src),
-                                       ",".join(_format_counter(d) for d in dsts)))
+            parts.append("%s->[%s]" % (counter(src), ",".join(counter(d) for d in dsts)))
         return "transf " + "; ".join(parts)
     raise ValidationError("unknown instruction %r" % (instr,))
 
 
 def format_machine(m: CounterMachine) -> str:
+    """The machine file text.  Each distinct instruction is printed once."""
+    counter = _once(_format_counter)
+    instr = _once(lambda i: _format_instr(i, counter))
     lines = [
         "alphabet: " + " ".join(m.alphabet.letters),
         "basis: " + " ".join(m.structure.basis),
-        "counters: " + " ".join(_format_counter(c) for c in m.structure.counters),
+        "counters: " + " ".join(counter(c) for c in m.structure.counters),
         "states: " + " ".join(m.states),
         "initial: " + m.initial,
     ]
     for t in m.transitions:
         label = "eps" if t.label is EPS else t.label
-        lines.append("%s -%s, %s-> %s" % (t.src, label, _format_instr(t.instr), t.dst))
+        lines.append("%s -%s, %s-> %s" % (t.src, label, instr(t.instr), t.dst))
     return "\n".join(lines) + "\n"

@@ -276,84 +276,76 @@ class CompiledMachine:
 
     # explicit machine for small automata
     def materialize(self) -> CounterMachine:
+        """The letter cycle spelled out as an explicit instruction list.
+        Each control is named once and each distinct instruction built once
+        and shared by the transitions that use it: one read transfer per
+        letter, one ifz^cap per merged state, one decrement and increment per
+        in-flight counter."""
         if self.n > 3:
             raise ValidationError("explicit compilation is for small automata")
         n = self.n
         full = range(1 << n)
         counters = self.structure.counters
+        away = [counters[self.away_index(mask)] for mask in full]
         transitions = []
-
-        def name(control):
-            kind = control[0]
-            if kind == "read":
-                return "read_%d" % control[1]
-            if kind == "models":
-                return "models_%d_%d" % (control[1], self.alphabet.index(control[2]))
-            if kind == "merge":
-                return "merge_%d_%d" % (control[1], control[2])
-            if kind == "hold":
-                return "hold_%d_%d_%d" % (control[1], control[2], control[3])
-            return kind
-
-        def read_transfer(letter):
-            entries = []
-            for mask in full:
-                dsts = tuple(counters[self.flight_index(kept, marked)]
-                             for kept, marked in self.read_images(letter, mask))
-                entries.append((counters[self.away_index(mask)], dsts))
-            return Transfer(tuple(entries))
-
-        shift_entries = []
-        for kept in full:
-            for marked in full:
-                src = counters[self.flight_index(kept, marked)]
-                shift_entries.append((src, (counters[self.away_index(kept)],)))
-        shift_transfer = Transfer(tuple(shift_entries))
-        nop = Transfer(())
-
         states = set()
 
         def add(src, label, instr, dst, elide=False):
-            states.add(name(src))
-            states.add(name(dst))
-            transitions.append(Transition(name(src), label, instr, name(dst),
-                                          elide_zero_dec=elide))
+            states.add(src)
+            states.add(dst)
+            transitions.append(Transition(src, label, instr, dst, elide_zero_dec=elide))
+
+        read = ["read_%d" % mask for mask in full]
+        merge = [["merge_%d_%d" % (s, k) for k in range(n + 1)] for s in full]
+        reads = [Transfer(tuple(
+            (away[mask], tuple(counters[self.flight_index(kept, marked)]
+                               for kept, marked in self.read_images(letter, mask)))
+            for mask in full)) for letter in self.alphabet]
+        shift = Transfer(tuple((counters[self.flight_index(kept, marked)], (away[kept],))
+                               for kept in full for marked in full))
+        nop = Transfer(())
 
         for mask in full:
-            for letter in self.alphabet:
-                add(("read", mask), letter, read_transfer(letter), ("models", mask, letter))
+            for li, letter in enumerate(self.alphabet):
+                models = "models_%d_%d" % (mask, li)
+                add(read[mask], letter, reads[li], models)
                 for s in self.here_sets(letter, mask):
-                    add(("models", mask, letter), EPS, nop, ("merge", s, 0))
-        for s in full:
-            for k in range(n):
-                add(("merge", s, k), EPS, ifz_cap({_mark_name(self.states_order[k])}, counters),
-                    ("merge", s, k + 1))
-                for kept in full:
-                    for marked in full:
-                        if not marked >> k & 1:
-                            continue
+                    add(models, EPS, nop, merge[s][0])
+        # per merged state k: its ifz^cap and the in-flight counters whose
+        # refrozen mask holds it, each with its decrement and increment
+        witness = {}
+        merges = []
+        for k in range(n):
+            marked_k = []
+            for kept in full:
+                for marked in full:
+                    if marked >> k & 1:
                         ci = self.flight_index(kept, marked)
-                        add(("merge", s, k), EPS, Dec(counters[ci]), ("hold", s, k, ci),
-                            elide=True)
-                        add(("hold", s, k, ci), EPS, Inc(counters[ci]),
-                            ("merge", s | 1 << k, k + 1))
-            add(("merge", s, n), EPS, Inc(counters[self.away_index(s)]), ("shift",))
-        after_shift = ("next",) if self.co_states else ("pick",)
-        add(("shift",), EPS, shift_transfer, after_shift)
+                        if ci not in witness:
+                            witness[ci] = (ci, Dec(counters[ci]), Inc(counters[ci]))
+                        marked_k.append(witness[ci])
+            merges.append((ifz_cap({_mark_name(self.states_order[k])}, counters), marked_k))
+        for s in full:
+            for k, (ifz, witnesses) in enumerate(merges):
+                add(merge[s][k], EPS, ifz, merge[s][k + 1])
+                for ci, dec, inc in witnesses:
+                    hold = "hold_%d_%d_%d" % (s, k, ci)
+                    add(merge[s][k], EPS, dec, hold, elide=True)
+                    add(hold, EPS, inc, merge[s | 1 << k][k + 1])
+            add(merge[s][n], EPS, Inc(away[s]), "shift")
+        after_shift = "next" if self.co_states else "pick"
+        add("shift", EPS, shift, after_shift)
         if self.co_states:
-            add(("next",), EPS, nop, ("pick",))
-            add(("next",), EPS,
-                ifz_cap({_away_name(q) for q in self.co_states}, counters), ("checkpoint",))
-            add(("checkpoint",), EPS, nop, ("pick",))
+            add("next", EPS, nop, "pick")
+            add("next", EPS,
+                ifz_cap({_away_name(q) for q in self.co_states}, counters), "checkpoint")
+            add("checkpoint", EPS, nop, "pick")
         for mask in full:
-            add(("pick",), EPS, Dec(counters[self.away_index(mask)]), ("read", mask),
-                elide=True)
-        add(("pick",), EPS, nop, ("read", 0))
+            add("pick", EPS, Dec(away[mask]), read[mask], elide=True)
+        add("pick", EPS, nop, read[0])
 
-        order = sorted(states)
-        initial = name(self.initial_control)
-        return CounterMachine(self.alphabet, order, initial, self.structure, transitions,
-                              check_transfers="off")
+        return CounterMachine(self.alphabet, sorted(states), read[self.initial_control[1]],
+                              self.structure, transitions, check_transfers="off")
 
 
 def ara_to_ipcant(aut: AlternatingAutomaton, co_states=None) -> CompiledMachine:

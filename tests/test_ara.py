@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -237,6 +238,59 @@ def test_deep_formula_models_eval_format_run(abc):
         "p, a, * -> " + "d(p) & (" * 2999 + "d(p) & p" + ")" * 2999]
     assert run_exists(aut, parse_word("a@0 a@1 a@0 a@2", abc))
     assert not run_exists(aut, parse_word("a@0 a@1 b@0", abc))
+
+
+def test_deep_formula_parse(abc):
+    """The parser keeps its own stack: a formula nested deeper than the
+    call stack parses back to the chain it was printed from, alone and in
+    an automaton file."""
+    phi = _deep_chain(3000)
+    text = pb.format_posbool(phi)
+    assert pb.parse_posbool(text, ("p",)) == phi
+    aut = AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): phi})
+    assert parse_automaton(format_automaton(aut)).delta_at("p", "a", "up") == phi
+    with pytest.raises(ParseError, match="unexpected end of formula"):
+        pb.parse_posbool(text[:-1], ("p",))
+    with pytest.raises(ParseError, match=re.escape("expected ')'")):
+        pb.parse_posbool(text[:-1] + " p", ("p",))
+
+
+def test_deep_formula_equality_and_hash():
+    """== and hash of And and Or keep their own stack, and give what the
+    generated dataclass methods give: equal when of one class with equal
+    sides, hashed as the tuple of the sides."""
+    phi = _deep_chain(3000)
+    copy = pb.rebuild(phi, lambda g: g)
+    assert copy is not phi
+    assert copy == phi and not copy != phi
+    assert hash(copy) == hash(phi)
+    # the innermost leaf p becomes q
+    changed = pb.rebuild(phi, lambda g: pb.Ref("q") if isinstance(g, pb.Ref) else g)
+    assert changed != phi and not changed == phi
+    assert pb.rebuild(phi, lambda g: g, swap=True) != phi
+    p, q = pb.Ref("p"), pb.DownRef("q")
+    assert hash(pb.And(p, q)) == hash((p, q)) == hash(pb.Or(p, q))
+    assert hash(pb.Or(pb.And(p, q), p)) == hash((pb.And(p, q), p))
+    assert pb.And(p, q) != pb.Or(p, q) and pb.And(p, q) != (p, q)
+    assert {pb.And(p, q): 1}[pb.And(pb.Ref("p"), pb.DownRef("q"))] == 1
+
+
+def test_posbool_parse_errors():
+    states = ("p", "q")
+    cases = [("", "unexpected end of formula", None), ("p &", "unexpected end of formula", None),
+             ("p q", "trailing input 'q'", 2), ("(p q", "expected ')'", 3),
+             ("p & | q", "unexpected '|'", 4), ("d p", "expected '(' after 'd'", 0),
+             ("d(r)", "unknown state 'r'", 2), ("d(p q", "expected ')'", 4),
+             ("(p | q) & r", "unknown state 'r'", 10), ("p$", "unexpected character '$'", 1),
+             (")", "unexpected ')'", 0)]
+    for text, message, position in cases:
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            pb.parse_posbool(text, states)
+        assert err.value.position == position, text
+    assert pb.parse_posbool("p | q & d(p) | true", states) == pb.Or(
+        pb.Or(pb.Ref("p"), pb.And(pb.Ref("q"), pb.DownRef("p"))), pb.Top())
+    assert pb.parse_posbool("((p)) & (q | false) & p", states) == pb.And(
+        pb.And(pb.Ref("p"), pb.Or(pb.Ref("q"), pb.Bot())), pb.Ref("p"))
 
 
 def test_format_posbool_parenthesizes_by_precedence():

@@ -1,4 +1,6 @@
 import json
+import os
+import shlex
 
 import pytest
 
@@ -174,6 +176,17 @@ def test_run_long_word(data_path, capsys):
         assert (out, err) == ("YES\n", "")
 
 
+def test_run_deep_formula_file(tmp_path, capsys):
+    """A transition nested deeper than the call stack, as format_automaton
+    prints it, gives a verdict and no traceback."""
+    formula = "d(p) & (" * 2999 + "d(p) & p" + ")" * 2999
+    deep = tmp_path / "deep.ara"
+    deep.write_text("alphabet: a\nstates: p\ninitial: p\np, a, * -> %s\n" % formula)
+    assert run_cli(["run", "--automaton", str(deep), "--word", "a@0"]) in (0, 1)
+    out, err = _out(capsys)
+    assert out in ("YES\n", "NO\n") and err == ""
+
+
 def test_usage_errors(data_path, tmp_path, capsys):
     assert run_cli(["nonsense"]) == 64
     assert run_cli(["run", "--automaton", data_path("fig1.ara")]) == 64
@@ -222,3 +235,38 @@ def test_deterministic_output(data_path, capsys):
     assert run_cli(["ltl2ara", "--formula", data_path("example.ltl")]) == 0
     second, _ = _out(capsys)
     assert first == second
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_examples():
+    """(command line, expected output) for each `$ regsafe ...` line in a
+    text block of the README; the output is the block's lines up to the
+    next command or the block's end."""
+    examples = []
+    block = False
+    lines = None  # the output lines of the example being read
+    with open(README) as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("```"):
+                block = line == "```text"
+                lines = None
+            elif block and line.startswith("$ regsafe "):
+                lines = []
+                examples.append((line[len("$ regsafe "):], lines))
+            elif lines is not None:
+                lines.append(line)
+    return examples
+
+
+def test_readme_examples(monkeypatch, capsys):
+    """The README's command examples, run from the repository root, print
+    what the README shows."""
+    monkeypatch.chdir(os.path.dirname(README))
+    examples = _readme_examples()
+    assert len(examples) >= 6
+    for command, lines in examples:
+        assert run_cli(shlex.split(command)) in (0, 1), command
+        out, err = _out(capsys)
+        assert (out, err) == ("".join(line + "\n" for line in lines), ""), command

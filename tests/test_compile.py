@@ -191,6 +191,70 @@ def test_materialize_round_trip(abc):
     assert again.states == m.states and again.initial == m.initial
 
 
+def _meaning(machine):
+    """The transitions with each transfer as its map: a machine file lists
+    a transfer's entries sorted."""
+    counters = machine.structure.counters
+    return [(t.src, t.label, t.dst,
+             t.instr.as_map(counters) if isinstance(t.instr, Transfer) else t.instr)
+            for t in machine.transitions]
+
+
+def _reached_configs(machine, limit=150):
+    """Configurations of the explicit machine in breadth-first order, lazy
+    relation, values capped at 3."""
+    seen = {}
+    todo = [machine.initial_config()]
+    while todo and len(seen) < limit:
+        control, sv = todo.pop(0)
+        key = (control, tuple(sorted(sv.items())))
+        if key in seen:
+            continue
+        seen[key] = (control, sv)
+        succ, _ = machine.config_successors(control, sv, None, 3, True)
+        todo += [(dst, sv2) for _, dst, sv2, _ in succ]
+    return list(seen.values())
+
+
+def test_materialized_machine_file_round_trip_random():
+    """Printing is stable through a parse, the parsed machine has the same
+    transitions and shares one instruction object per distinct instruction
+    as the materialized one does, and both step alike: the same successor
+    lists in the same order under the error-free relation, and under the
+    lazy relation the parsed machine adds only the zero decrements the
+    compiler elides (the file does not record that flag)."""
+    rng = random.Random(29)
+    for k in range(24):
+        aut = randgen.random_automaton(rng, AB, max_states=3)
+        co = None
+        if k % 2:
+            co = tuple(q for q in aut.states if rng.random() < 0.5) or aut.states[-1:]
+        m = ara_to_ipcant(aut, co_states=co).materialize()
+        text = format_machine(m)
+        parsed = parse_machine(text)
+        assert format_machine(parsed) == text
+        assert _meaning(parsed) == _meaning(m)
+        assert (parsed.states, parsed.initial) == (m.states, m.initial)
+        instrs = [t.instr for t in parsed.transitions]
+        assert len({id(i) for i in instrs}) == len(set(instrs))
+        # materialize builds each distinct instruction once, except that
+        # two letters may have equal read transfers
+        instrs = [t.instr for t in m.transitions]
+        incdec = [i for i in instrs if not isinstance(i, Transfer)]
+        assert len({id(i) for i in incdec}) == len(set(incdec))
+        assert len({id(i) for i in instrs}) <= len(set(instrs)) + len(AB) - 1
+        for control, sv in _reached_configs(m):
+            for letter in (None,) + AB.letters:
+                for vcap in (None, 2):
+                    want = m.config_successors(control, dict(sv), letter, vcap, False)
+                    assert parsed.config_successors(control, dict(sv), letter, vcap, False) == want
+                lazy_m, _ = m.config_successors(control, dict(sv), letter, None, True)
+                lazy_p, _ = parsed.config_successors(control, dict(sv), letter, None, True)
+                assert all(s in lazy_p for s in lazy_m)
+                assert all(s in lazy_m or (s[2] == sv and s[1].startswith(("hold_", "read_")))
+                           for s in lazy_p)
+
+
 def test_materialize_transfers_distributive():
     m = ara_to_ipcant(_one_state(AB)).materialize()
     counters = m.structure.counters

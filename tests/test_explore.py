@@ -249,55 +249,90 @@ def test_inclusion_matches_list_reference(fig1, example_formula):
     assert len(verdicts) == 3
 
 
-def _random_explicit_machine(rng):
+def _random_explicit_machine(rng, shared=False):
     """Up to four states over a random structure; letter-free edges only go
     forward, so there is no letter-free cycle.  Some machines carry arbitrary
-    (possibly non-distributive) transfers, with the check off."""
+    (possibly non-distributive) transfers, with the check off.  With
+    `shared`, the instructions are drawn from a small pool, so transitions
+    share instruction objects, and the pool holds identity transfers: nop
+    and a transfer mapping some counters to themselves."""
     st = randgen.random_structure(rng)
     states = ("s0", "s1", "s2", "s3")
     arbitrary = rng.random() < 0.5
+
+    def draw():
+        return (randgen.random_transfer(rng, st) if arbitrary and rng.random() < 0.5
+                else randgen.random_instruction(rng, st))
+
+    pool = None
+    if shared:
+        listed = rng.sample(st.counters, rng.randint(1, len(st.counters)))
+        pool = [Transfer(()), Transfer(tuple((c, (c,)) for c in listed))]
+        pool += [draw() for _ in range(rng.randint(1, 3))]
     transitions = []
     for _ in range(rng.randint(1, 10)):
         i, j = rng.randrange(4), rng.randrange(4)
         label = rng.choice(("a", "b", EPS))
         if label is EPS and i >= j:
             label = "a"
-        instr = (randgen.random_transfer(rng, st) if arbitrary and rng.random() < 0.5
-                 else randgen.random_instruction(rng, st))
+        instr = rng.choice(pool) if pool else draw()
         transitions.append(Transition(states[i], label, instr, states[j]))
     return CounterMachine(AB, states, "s0", st, transitions,
                           check_transfers="off" if arbitrary else "auto")
 
 
+def _assert_successors_match_dense_fire(rng, machine):
+    """Per transition the same distinct results as the dense reference,
+    sparse and positive, for both relations, with and without a letter."""
+    st = machine.structure
+    for _ in range(4):
+        v = randgen.random_valuation(rng, st, max_value=rng.choice((1, 3, 5)))
+        sv = {i: n for i, n in enumerate(v.values) if n}
+        for state in machine.states:
+            outgoing = [t for t in machine.transitions if t.src == state]
+            for lazy in (False, True):
+                for letter in (None, "a"):
+                    succ, truncated = successors(machine, state, dict(sv), lazy,
+                                                 vcap=64, letter=letter)
+                    assert not truncated
+                    got = []
+                    for label, dst, sv2, steps in succ:
+                        assert steps == 1 and all(n > 0 for n in sv2.values())
+                        values = tuple(sv2.get(i, 0) for i in range(len(st.counters)))
+                        got.append((label, dst, values))
+                    want = []
+                    for t in outgoing:
+                        if letter is not None and t.label not in (EPS, letter):
+                            continue
+                        results = fire_lazy(v, t.instr) if lazy else fire(v, t.instr)
+                        want += [(t.label, t.dst, v2.values) for v2 in results]
+                    assert sorted(got, key=repr) == sorted(want, key=repr)
+
+
 def test_explicit_successors_match_dense_fire():
-    """The indexed kernel against the dense reference: per transition the
-    same distinct results, sparse and positive, for both relations."""
+    """The indexed kernel against the dense reference."""
     rng = random.Random(71)
     for _ in range(300):
-        machine = _random_explicit_machine(rng)
-        st = machine.structure
-        for _ in range(4):
-            v = randgen.random_valuation(rng, st, max_value=rng.choice((1, 3, 5)))
-            sv = {i: n for i, n in enumerate(v.values) if n}
-            for state in machine.states:
-                outgoing = [t for t in machine.transitions if t.src == state]
-                for lazy in (False, True):
-                    for letter in (None, "a"):
-                        succ, truncated = successors(machine, state, dict(sv), lazy,
-                                                     vcap=64, letter=letter)
-                        assert not truncated
-                        got = []
-                        for label, dst, sv2, steps in succ:
-                            assert steps == 1 and all(n > 0 for n in sv2.values())
-                            values = tuple(sv2.get(i, 0) for i in range(len(st.counters)))
-                            got.append((label, dst, values))
-                        want = []
-                        for t in outgoing:
-                            if letter is not None and t.label not in (EPS, letter):
-                                continue
-                            results = fire_lazy(v, t.instr) if lazy else fire(v, t.instr)
-                            want += [(t.label, t.dst, v2.values) for v2 in results]
-                        assert sorted(got, key=repr) == sorted(want, key=repr)
+        _assert_successors_match_dense_fire(rng, _random_explicit_machine(rng))
+
+
+def test_explicit_successors_match_dense_fire_shared_identity():
+    """As above, on machines whose transitions share instruction objects,
+    identity transfers among them; an identity transfer copies the
+    valuation, in transition order among the other steps."""
+    rng = random.Random(73)
+    identities = 0
+    for _ in range(300):
+        machine = _random_explicit_machine(rng, shared=True)
+        _assert_successors_match_dense_fire(rng, machine)
+        for t in machine.transitions:
+            if isinstance(t.instr, Transfer) and all(d == (c,) for c, d in t.instr.entries):
+                identities += 1
+                sv = {0: 2}
+                succ, _ = successors(machine, t.src, sv, False, vcap=64)
+                assert (t.label, t.dst, sv, 1) in succ
+                assert all(s[2] is not sv for s in succ)
+    assert identities > 100
 
 
 def _product_order(sv, images):
@@ -330,16 +365,34 @@ def test_explicit_transfer_keeps_product_order():
             _product_order(sv, images)
 
 
+def test_explicit_transfer_first_entry_wins():
+    """A counter listed twice in a transfer moves by its first entry, as
+    Transfer.image and the dense reference read it."""
+    x, y = frozenset("x"), frozenset("y")
+    st = CounterStructure(("x", "y"), (x, y))
+    twice = Transfer(((x, (y,)), (x, (x,)), (y, (y,))))
+    machine = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", twice, "p")],
+                             check_transfers="off")
+    assert successors(machine, "p", {0: 2}, False, vcap=64)[0] == [("a", "p", {1: 2}, 1)]
+    assert [v.values for v in fire(st.valuation({"x": 2}), twice)] == [(0, 2)]
+
+
 def test_explicit_step_truncation(monkeypatch):
     x, y = frozenset("x"), frozenset("y")
     st = CounterStructure(("x", "y"), (x, y))
     spread = Transfer(((x, (x, y)), (y, (y,))))
     merge = Transfer(((x, (x,)), (y, (x,))))
-    machine = CounterMachine(AB, ("p", "q", "r"), "p", st, [
+    machine = CounterMachine(AB, ("p", "q", "r", "s"), "p", st, [
         Transition("p", "a", Inc(x), "p"),
         Transition("q", "a", spread, "q"),
         Transition("r", "a", merge, "r"),
+        Transition("s", "a", Transfer(()), "s"),
+        Transition("s", "b", Transfer(((x, (x,)),)), "s"),
     ], check_transfers="off")
+    # an identity transfer copies a valuation within vcap and cuts one past it
+    assert successors(machine, "s", {0: 4}, False, vcap=4) == (
+        [("a", "s", {0: 4}, 1), ("b", "s", {0: 4}, 1)], False)
+    assert successors(machine, "s", {0: 5, 1: 1}, False, vcap=4) == ([], True)
     # an increment past vcap is cut
     assert successors(machine, "p", {0: 4}, False, vcap=4) == ([], True)
     assert successors(machine, "p", {0: 3}, False, vcap=4)[0][0][2] == {0: 4}

@@ -326,11 +326,18 @@ def test_machine_rejects_eps_cycle():
 
 
 def test_machine_rejects_unknown_counters(xy):
+    """Whatever the distributivity check mode: validation is not part of
+    the check."""
     x, z = frozenset("x"), frozenset("z")
     ab = Alphabet(("a",))
-    for instr in (Inc(z), Dec(z), Transfer(((x, (z,)),)), Transfer(((z, (x,)),))):
-        with pytest.raises(ValidationError, match="unknown counter"):
-            CounterMachine(ab, ("p",), "p", xy, [Transition("p", "a", instr, "p")])
+    for mode in ("auto", "full", "off"):
+        for instr in (Inc(z), Dec(z), Transfer(((x, (z,)),)), Transfer(((z, (x,)),))):
+            with pytest.raises(ValidationError, match="unknown counter"):
+                CounterMachine(ab, ("p",), "p", xy, [Transition("p", "a", instr, "p")],
+                               check_transfers=mode)
+        with pytest.raises(ValidationError, match="unknown instruction"):
+            CounterMachine(ab, ("p",), "p", xy, [Transition("p", "a", "inc {x}", "p")],
+                           check_transfers=mode)
 
 
 def test_machine_long_eps_chain():
