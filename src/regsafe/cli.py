@@ -2,9 +2,9 @@
 
 One subcommand per pipeline stage; verdict-producing commands exit 0 on the
 positive verdict, 1 on the negative one and 2 on unknown.  Usage problems
-exit 64; input files that fail to parse or validate exit 65.  With --format
-json every result is emitted as one JSON record per line instead of plain
-text.
+exit 64; input files that fail to parse or validate, or nest deeper than
+the recursive formula code can follow, exit 65.  With --format json every
+result is emitted as one JSON record per line instead of plain text.
 """
 
 import argparse
@@ -36,11 +36,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class Invocation:
-    """One parsed CLI job: the subcommand, its input paths, the exploration
-    bounds and the output format."""
+    """One parsed CLI job: the exploration bounds and the output format."""
 
-    subcommand: str
-    paths: tuple
     cap: int
     vcap: int
     fmt: str
@@ -237,53 +234,53 @@ def _build_parser():
 
     p = sub.add_parser("parse", parents=[shared], help="echo a formula file canonically")
     p.add_argument("--formula", required=True)
-    p.set_defaults(handler=_cmd_parse, inputs=("formula",))
+    p.set_defaults(handler=_cmd_parse)
 
     p = sub.add_parser("ltl2ara", parents=[shared], help="translate a formula file to an automaton file")
     p.add_argument("--formula", required=True)
-    p.set_defaults(handler=_cmd_ltl2ara, inputs=("formula",))
+    p.set_defaults(handler=_cmd_ltl2ara)
 
     p = sub.add_parser("ara2cm", parents=[shared], help="compile an automaton file to a counter machine file")
     p.add_argument("--automaton", required=True)
-    p.set_defaults(handler=_cmd_ara2cm, inputs=("automaton",))
+    p.set_defaults(handler=_cmd_ara2cm)
 
     p = sub.add_parser("run", parents=[shared], help="does the automaton have a partial run on the word")
     p.add_argument("--automaton", required=True)
     p.add_argument("--word", required=True)
-    p.set_defaults(handler=_cmd_run, inputs=("automaton",))
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sat", parents=[shared], help="bounded nonemptiness of a counter machine")
     p.add_argument("--machine")
     p.add_argument("--automaton")
-    p.set_defaults(handler=_cmd_sat, inputs=("machine", "automaton"))
+    p.set_defaults(handler=_cmd_sat)
 
     p = sub.add_parser("include", parents=[shared], help="language inclusion of two automaton files")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.set_defaults(handler=_cmd_include, inputs=("lhs", "rhs"))
+    p.set_defaults(handler=_cmd_include)
 
     p = sub.add_parser("refine", parents=[shared], help="implication of two formula files via inclusion")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.set_defaults(handler=_cmd_refine, inputs=("lhs", "rhs"))
+    p.set_defaults(handler=_cmd_refine)
 
     p = sub.add_parser("bound", parents=[shared], help="print the theoretical exploration bound parameters")
     p.add_argument("--machine")
     p.add_argument("--automaton")
-    p.set_defaults(handler=_cmd_bound, inputs=("machine", "automaton"))
+    p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("tmgen", parents=[shared], help="emit the run-encoding formula of a machine file")
     p.add_argument("--tm", required=True)
     p.add_argument("--steps", type=int, default=None,
                    help="also emit the encoded run over this many transitions")
-    p.set_defaults(handler=_cmd_tmgen, inputs=("tm",))
+    p.set_defaults(handler=_cmd_tmgen)
 
     p = sub.add_parser("oracle", parents=[shared], help="seeded cross-check of the run-existence procedures")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-len", type=int, default=6)
     p.add_argument("--max-states", type=int, default=4)
-    p.set_defaults(handler=_cmd_oracle, inputs=())
+    p.set_defaults(handler=_cmd_oracle)
 
     return top
 
@@ -292,10 +289,7 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        paths = tuple(getattr(ns, name) for name in ns.inputs
-                      if getattr(ns, name, None))
-        inv = Invocation(ns.subcommand, paths, ns.cap, ns.vcap, ns.format)
-        return ns.handler(inv, ns)
+        return ns.handler(Invocation(ns.cap, ns.vcap, ns.format), ns)
     except _UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 64
@@ -306,6 +300,9 @@ def run_cli(argv) -> int:
         return 65
     except _InvalidInput as e:
         print("invalid input: %s" % e, file=sys.stderr)
+        return 65
+    except RecursionError as e:
+        print("invalid input: nested too deeply (%s)" % e, file=sys.stderr)
         return 65
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)

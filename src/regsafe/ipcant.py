@@ -26,7 +26,7 @@ extra context.  Tests and the acceptance criteria check the machines against
 this view; exploration never uses it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 import math
 import random
@@ -149,18 +149,17 @@ class Transition:
     label: object  # letter name or EPS
     instr: Instruction
     dst: str
-    # set by the compiler on decrements whose lazy zero-branch is redundant
-    # (a sibling choice dominates); file-loaded machines never set it
-    elide_zero_dec: bool = field(default=False, compare=False)
 
 
 class CounterMachine:
-    # explored under the lazy relation unless the caller says otherwise
-    lazy_default = True
+    """An explicit machine over its transition list.  `lazy` fixes its
+    successor relation: whether a decrement of a zero counter may leave the
+    valuation unchanged (the lazy error) or does not fire (error-free)."""
 
     def __init__(self, alphabet: Alphabet, states, initial, structure: CounterStructure,
-                 transitions, check_transfers="auto"):
+                 transitions, check_transfers="auto", lazy=True):
         self.alphabet = alphabet
+        self._lazy = lazy
         self.states = tuple(states)
         self.initial = initial
         self.structure = structure
@@ -288,15 +287,16 @@ class CounterMachine:
         consumed a letter sequence can stop only at such a state."""
         return state in self._resting
 
-    def config_successors(self, control, sv, letter=None, vcap=None, lazy=True):
+    def config_successors(self, control, sv, letter=None, vcap=None):
         """One instruction step from a configuration: sv maps counter index
         to a positive count.  Given a letter, only letter-free transitions and
-        those reading that letter fire.  Under the lazy relation a decrement
-        of a zero counter may leave the valuation unchanged, unless the
-        transition opts out.  Returns (successors, truncated): successors are
-        (label, state', sv', 1) in transition order, and truncated says
-        whether a result was cut by `vcap` or a transfer by BRANCH_BUDGET."""
+        those reading that letter fire.  On a lazy machine a decrement of a
+        zero counter leaves the valuation unchanged.  Returns (successors,
+        truncated): successors are (label, state', sv', 1) in transition
+        order, and truncated says whether a result was cut by `vcap` or a
+        transfer by BRANCH_BUDGET."""
         op_of = self._op_of
+        lazy = self._lazy
         out = []
         truncated = False
         for t in self._outgoing.get(control, ()):
@@ -327,7 +327,7 @@ class CounterMachine:
                     else:
                         sv2[arg] = n - 1
                     out.append((label, dst, sv2, 1))
-                elif lazy and not t.elide_zero_dec:
+                elif lazy:
                     out.append((label, dst, dict(sv), 1))
             else:
                 fired, cut = split_tokens(sv, arg.__getitem__)

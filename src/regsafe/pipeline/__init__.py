@@ -7,8 +7,7 @@ from .abstraction import (AbstractionTriple, abstract_configs, achievable_pairs,
                           h_abstraction, triple_step)
 from .compile import CompiledMachine, ara_to_ipcant
 from .explore import (Inclusion, Nonemptiness, SaturationResult,
-                      bounded_nonemptiness, inclusion_check, initial_config,
-                      prefix_reachable)
+                      bounded_nonemptiness, inclusion_check, prefix_reachable)
 from .oracle import oracle_run_exists, pattern_occurs
 from .tm import (HaltReached, TuringMachine, config_length, encode_tm_run,
                  format_tm, parse_tm, tm_alphabet, tm_to_formula)
@@ -18,8 +17,7 @@ __all__ = [
     "h_abstraction", "triple_step",
     "CompiledMachine", "ara_to_ipcant",
     "Inclusion", "Nonemptiness", "SaturationResult",
-    "bounded_nonemptiness", "inclusion_check", "initial_config",
-    "prefix_reachable",
+    "bounded_nonemptiness", "inclusion_check", "prefix_reachable",
     "oracle_run_exists", "pattern_occurs",
     "HaltReached", "TuringMachine", "config_length", "encode_tm_run",
     "format_tm", "parse_tm", "tm_alphabet", "tm_to_formula",

@@ -33,15 +33,16 @@ state; reachability of a checkpoint with an infinite continuation decides
 language inclusion.
 
 materialize() spells the cycle out as an explicit instruction list for small
-automata.  Exploration instead uses config_successors, which takes the whole
-cycle as one step under the error-free relation (it never fabricates
-tokens).  Only the read split, the here-set and the pick are choices; the
-merge is the here-set joined with the refrozen marks of the in-flight
-counters, and the shift maps each in-flight counter to the away counter of
-its kept set.  The read and the shift therefore fire as one transfer from
-away counters to away counters whose images carry the refrozen marks, through
-the splitting fold explicit transfers use too (ipcant.split_tokens); the
-in-flight counters appear only in materialize().  So every control is a
+automata, a CounterMachine built error-free.  Exploration instead uses
+config_successors, which takes the whole cycle as one step under the
+error-free relation too (it never fabricates tokens).  Only the read split,
+the here-set and the pick are choices; the merge is the here-set joined with
+the refrozen marks of the in-flight counters, and the shift maps each
+in-flight counter to the away counter of its kept set.  The read and the
+shift therefore fire as one transfer from away counters to away counters
+whose images carry the refrozen marks, through the splitting fold explicit
+transfers use too (ipcant.split_tokens); the in-flight counters appear only
+in materialize().  So every control is a
 resting one, ("read", mask, via_checkpoint), where the flag records that the
 step into it passed the checkpoint, which it does whenever the certificate
 holds.  Each step reports the instructions it stands for (n + 5, one more
@@ -78,9 +79,6 @@ class CompiledMachine:
     """Counter machine compiled from an automaton; transitions are generated
     on demand.  Counters are indexed by bitmask: away counters first (one per
     state set), then in-flight pair counters (kept mask, refrozen mask)."""
-
-    # the macro step is error-free, so there is no lazy relation to choose
-    lazy_default = False
 
     def __init__(self, aut: AlternatingAutomaton, co_states=None):
         self.aut = aut
@@ -224,21 +222,20 @@ class CompiledMachine:
         the macro step produces."""
         return control[0] == "read"
 
-    def config_successors(self, control, sv, letter=None, vcap=None, lazy=False):
+    def config_successors(self, control, sv, letter=None, vcap=None):
         """One macro step from a resting configuration: every way to process
         the next data-word position on `letter` (every letter when None)
-        under the error-free relation; `lazy` is accepted and ignored, so
-        that both machine kinds take the same arguments.  sv maps
-        away-counter index to a positive count.  Returns (successors,
-        truncated): successors are (letter, control', sv', steps) with
-        `steps` the number of instructions of the cycle the step stands for,
-        one per distinct (letter, read split, here-set, pick); truncated says
-        whether a successor was cut by `vcap` (checked on the post-shift
-        valuation, the largest one of the cycle) or a read split by
-        BRANCH_BUDGET.  The read and the shift are one transfer through
-        split_tokens on the read_images pairs: each outcome is the refrozen
-        marks and the post-shift away valuation, to which the current
-        class's deposit is added."""
+        under the error-free relation.  sv maps away-counter index to a
+        positive count.  Returns (successors, truncated): successors are
+        (letter, control', sv', steps) with `steps` the number of
+        instructions of the cycle the step stands for, one per distinct
+        (letter, read split, here-set, pick); truncated says whether a
+        successor was cut by `vcap` (checked on the post-shift valuation,
+        the largest one of the cycle) or a read split by BRANCH_BUDGET.  The
+        read and the shift are one transfer through split_tokens on the
+        read_images pairs: each outcome is the refrozen marks and the
+        post-shift away valuation, to which the current class's deposit is
+        added."""
         mask = control[1]
         out = []
         truncated = False
@@ -290,10 +287,10 @@ class CompiledMachine:
         transitions = []
         states = set()
 
-        def add(src, label, instr, dst, elide=False):
+        def add(src, label, instr, dst):
             states.add(src)
             states.add(dst)
-            transitions.append(Transition(src, label, instr, dst, elide_zero_dec=elide))
+            transitions.append(Transition(src, label, instr, dst))
 
         read = ["read_%d" % mask for mask in full]
         merge = [["merge_%d_%d" % (s, k) for k in range(n + 1)] for s in full]
@@ -330,7 +327,7 @@ class CompiledMachine:
                 add(merge[s][k], EPS, ifz, merge[s][k + 1])
                 for ci, dec, inc in witnesses:
                     hold = "hold_%d_%d_%d" % (s, k, ci)
-                    add(merge[s][k], EPS, dec, hold, elide=True)
+                    add(merge[s][k], EPS, dec, hold)
                     add(hold, EPS, inc, merge[s | 1 << k][k + 1])
             add(merge[s][n], EPS, Inc(away[s]), "shift")
         after_shift = "next" if self.co_states else "pick"
@@ -341,11 +338,11 @@ class CompiledMachine:
                 ifz_cap({_away_name(q) for q in self.co_states}, counters), "checkpoint")
             add("checkpoint", EPS, nop, "pick")
         for mask in full:
-            add("pick", EPS, Dec(away[mask]), read[mask], elide=True)
+            add("pick", EPS, Dec(away[mask]), read[mask])
         add("pick", EPS, nop, read[0])
 
         return CounterMachine(self.alphabet, sorted(states), read[self.initial_control[1]],
-                              self.structure, transitions, check_transfers="off")
+                              self.structure, transitions, check_transfers="off", lazy=False)
 
 
 def ara_to_ipcant(aut: AlternatingAutomaton, co_states=None) -> CompiledMachine:

@@ -1,13 +1,13 @@
 """Exploration of counter machine configuration graphs.
 
 Configurations pair a control state with a sparse valuation (counter index to
-positive count).  Both machine kinds supply their initial configuration, the
-relation they are explored under by default (lazy_default) and the successor
-relation (config_successors).  Compiled machines step one letter cycle at a
-time and are explored error-free; machines built from instruction lists step
-one instruction at a time on their transitions compiled to counter indices,
-and are explored under the lazy relation by default (decrementing a zero
-counter may leave the valuation unchanged) unless the transition opts out.
+positive count).  Both machine kinds supply their initial configuration and
+their successor relation (config_successors), which each machine fixes.
+Compiled machines step one letter cycle at a time, error-free; machines
+built from instruction lists step one instruction at a time on their
+transitions compiled to counter indices, under the lazy relation
+(decrementing a zero counter may leave the valuation unchanged) unless built
+error-free, as materialized ones are.
 
 Every bound counts instruction steps: the step cap, NODE_BUDGET and the
 saturation's explored count charge a compiled letter step the instructions
@@ -75,19 +75,14 @@ class SaturationResult:
                      for sv in chain)
 
 
-def initial_config(machine):
-    """The machine's initial configuration, a fresh (control, valuation)."""
-    return machine.initial_config()
-
-
-def successors(machine, control, sv, lazy, vcap, letter=None):
+def successors(machine, control, sv, vcap, letter=None):
     """Successors as (label, control', sv', steps), plus a flag saying
     whether anything was cut off by the value cap or branch budget.  Given a
     letter, only letter-free steps and steps reading that letter are made.
-    An explicit machine steps one instruction at a time (steps 1), under the
-    lazy relation when asked; a compiled machine steps one letter cycle at a
-    time, error-free, charged its instruction count."""
-    succ, truncated = machine.config_successors(control, sv, letter, vcap, lazy)
+    An explicit machine steps one instruction at a time (steps 1); a
+    compiled machine steps one letter cycle at a time, charged its
+    instruction count."""
+    succ, truncated = machine.config_successors(control, sv, letter, vcap)
     # unpacked, as bench/spans.py hands the compiled pair back as an iterator
     return succ, truncated
 
@@ -96,13 +91,11 @@ def _freeze(control, sv):
     return (control, tuple(sorted(sv.items())))
 
 
-def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None, lazy=None) -> Nonemptiness:
+def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptiness:
     """Search for an infinite run: a configuration lasso or a simple path of
     cap instruction steps counts as one.  A fully exhausted graph without
     cutoffs is a definite emptiness verdict.  Path lengths and the node
     count charge each step its instruction count."""
-    if lazy is None:
-        lazy = machine.lazy_default
     if start is None:
         start = machine.initial_config()
     control0, sv0 = start
@@ -113,7 +106,7 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None, lazy=None) -> 
 
     def expand(control, sv):
         nonlocal truncated
-        succ, cut = successors(machine, control, sv, lazy, vcap)
+        succ, cut = successors(machine, control, sv, vcap)
         truncated |= cut
         return iter(succ)
 
@@ -154,15 +147,13 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None, lazy=None) -> 
     return Nonemptiness.UNKNOWN if truncated else Nonemptiness.EMPTY
 
 
-def prefix_reachable(machine, letters, lazy=None, vcap=64) -> bool:
+def prefix_reachable(machine, letters, vcap=64) -> bool:
     """Can the machine consume the letter sequence and come to rest?  For
     compiled machines this matches the existence of a partial automaton run
     on some data word with those letters.  Each stage closes the frontier
     under letter-free steps and collects the steps on the next letter; the
     last stage, after the final letter, looks for a resting configuration
     (a state that is not resting has letter-free steps only)."""
-    if lazy is None:
-        lazy = machine.lazy_default
     control0, sv0 = machine.initial_config()
     frontier = {_freeze(control0, sv0): (control0, sv0)}
     for letter in tuple(letters) + (None,):
@@ -173,7 +164,7 @@ def prefix_reachable(machine, letters, lazy=None, vcap=64) -> bool:
             control, sv = todo.pop()
             if letter is None and machine.is_resting(control):
                 return True
-            succ, _ = successors(machine, control, sv, lazy, vcap, letter)
+            succ, _ = successors(machine, control, sv, vcap, letter)
             for label, control2, sv2, _ in succ:
                 key = _freeze(control2, sv2)
                 if label is not EPS:
@@ -302,7 +293,7 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
         if sv not in chains[control]:
             continue  # pruned by a smaller configuration meanwhile
         explored += steps
-        succ, cut = successors(machine, control, sv, lazy=False, vcap=vcap)
+        succ, cut = successors(machine, control, sv, vcap)
         truncated |= cut
         for label, control2, sv2, steps2 in succ:
             chain = chains.get(control2)
@@ -316,7 +307,7 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
                    if machine.is_checkpoint(control) for sv in chain]
     verdict = Inclusion.UNKNOWN if truncated or not converged else Inclusion.INCLUDED
     for start in checkpoints:
-        r = bounded_nonemptiness(machine, cap=cap, vcap=vcap, start=start, lazy=False)
+        r = bounded_nonemptiness(machine, cap=cap, vcap=vcap, start=start)
         if r is Nonemptiness.NONEMPTY:
             verdict = Inclusion.NOT_INCLUDED
             break

@@ -187,6 +187,19 @@ def test_run_deep_formula_file(tmp_path, capsys):
     assert out in ("YES\n", "NO\n") and err == ""
 
 
+@pytest.mark.parametrize("command", ["parse", "ltl2ara"])
+@pytest.mark.parametrize("body", ["X " * 3000 + "a", "(" * 3000 + "a" + ")" * 3000,
+                                  " & ".join(["a"] * 3000)], ids=["next", "parens", "and"])
+def test_deep_formula_file_exits_65(tmp_path, capsys, command, body):
+    """A formula nested deeper than the recursive formula code follows is
+    invalid input: exit 65 with a one-line message, no traceback."""
+    deep = tmp_path / "deep.ltl"
+    deep.write_text("alphabet: a\n%s\n" % body)
+    assert run_cli([command, "--formula", str(deep)]) == 65
+    out, err = _out(capsys)
+    assert out == "" and err.startswith("invalid input: ") and err.count("\n") == 1
+
+
 def test_usage_errors(data_path, tmp_path, capsys):
     assert run_cli(["nonsense"]) == 64
     assert run_cli(["run", "--automaton", data_path("fig1.ara")]) == 64

@@ -15,8 +15,7 @@ from regsafe.ipcant import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure
                             parse_machine)
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
-                              bounded_nonemptiness, inclusion_check,
-                              initial_config, prefix_reachable)
+                              bounded_nonemptiness, inclusion_check, prefix_reachable)
 from regsafe.pipeline.explore import Antichain, successors
 
 AB = Alphabet(("a", "b"))
@@ -53,6 +52,12 @@ def test_nonemptiness_compiled_verdicts(fig1, top_automaton):
     assert bounded_nonemptiness(ara_to_ipcant(_bot_automaton())) is Nonemptiness.EMPTY
 
 
+def test_nonemptiness_materialized_fig1(fig1):
+    """The materialized machine steps error-free, as the compiled one does,
+    and reaches the same verdict."""
+    assert bounded_nonemptiness(ara_to_ipcant(fig1).materialize()) is Nonemptiness.NONEMPTY
+
+
 def test_nonemptiness_file_machine(data_text):
     machine = parse_machine(data_text("tiny.cm"))
     # the counter climbs forever: a short cap concludes, a tight value cap
@@ -63,7 +68,7 @@ def test_nonemptiness_file_machine(data_text):
 
 def test_nonemptiness_start_override(data_text):
     machine = parse_machine(data_text("tiny.cm"))
-    control, sv = initial_config(machine)
+    control, sv = machine.initial_config()
     assert control == "p" and sv == {}
     assert bounded_nonemptiness(machine, cap=50,
                                 start=("p", {0: 3})) is Nonemptiness.NONEMPTY
@@ -199,7 +204,7 @@ def _reference_inclusion(a1, a2, cap, vcap=64):
     """The saturation on per-control lists with the linear scans."""
     aut, co_states = inclusion_product(a1, a2)
     machine = ara_to_ipcant(aut, co_states=co_states)
-    control0, sv0 = initial_config(machine)
+    control0, sv0 = machine.initial_config()
     chains = {control0: [sv0]}
     queue = deque([(control0, sv0, 1)])
     explored, truncated, converged = 0, False, True
@@ -222,7 +227,7 @@ def _reference_inclusion(a1, a2, cap, vcap=64):
     checkpoints = [(control, sv) for control, sv in s_last if machine.is_checkpoint(control)]
     verdict = "UNKNOWN" if truncated or not converged else "INCLUDED"
     for start in checkpoints:
-        r = bounded_nonemptiness(machine, cap=cap, vcap=vcap, start=start, lazy=False)
+        r = bounded_nonemptiness(machine, cap=cap, vcap=vcap, start=start)
         if r is Nonemptiness.NONEMPTY:
             verdict = "NOT_INCLUDED"
             break
@@ -281,19 +286,27 @@ def _random_explicit_machine(rng, shared=False):
                           check_transfers="off" if arbitrary else "auto")
 
 
+def _under(machine, lazy):
+    """The machine's transitions, stepped under the given relation."""
+    return CounterMachine(machine.alphabet, machine.states, machine.initial,
+                          machine.structure, machine.transitions,
+                          check_transfers="off", lazy=lazy)
+
+
 def _assert_successors_match_dense_fire(rng, machine):
     """Per transition the same distinct results as the dense reference,
     sparse and positive, for both relations, with and without a letter."""
     st = machine.structure
+    relations = {lazy: _under(machine, lazy) for lazy in (False, True)}
     for _ in range(4):
         v = randgen.random_valuation(rng, st, max_value=rng.choice((1, 3, 5)))
         sv = {i: n for i, n in enumerate(v.values) if n}
         for state in machine.states:
             outgoing = [t for t in machine.transitions if t.src == state]
-            for lazy in (False, True):
+            for lazy, stepped in relations.items():
                 for letter in (None, "a"):
-                    succ, truncated = successors(machine, state, dict(sv), lazy,
-                                                 vcap=64, letter=letter)
+                    succ, truncated = successors(stepped, state, dict(sv), vcap=64,
+                                                 letter=letter)
                     assert not truncated
                     got = []
                     for label, dst, sv2, steps in succ:
@@ -329,7 +342,7 @@ def test_explicit_successors_match_dense_fire_shared_identity():
             if isinstance(t.instr, Transfer) and all(d == (c,) for c, d in t.instr.entries):
                 identities += 1
                 sv = {0: 2}
-                succ, _ = successors(machine, t.src, sv, False, vcap=64)
+                succ, _ = successors(_under(machine, False), t.src, sv, vcap=64)
                 assert (t.label, t.dst, sv, 1) in succ
                 assert all(s[2] is not sv for s in succ)
     assert identities > 100
@@ -359,7 +372,7 @@ def test_explicit_transfer_keeps_product_order():
                                  check_transfers="off")
         v = randgen.random_valuation(rng, st)
         sv = {i: n for i, n in enumerate(v.values) if n}
-        succ, _ = successors(machine, "p", sv, True, vcap=64)
+        succ, _ = successors(machine, "p", sv, vcap=64)
         images = [tuple(st.index[d] for d in t.image(c)) for c in st.counters]
         assert [tuple(sorted(sv2.items())) for _, _, sv2, _ in succ] == \
             _product_order(sv, images)
@@ -373,7 +386,7 @@ def test_explicit_transfer_first_entry_wins():
     twice = Transfer(((x, (y,)), (x, (x,)), (y, (y,))))
     machine = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", twice, "p")],
                              check_transfers="off")
-    assert successors(machine, "p", {0: 2}, False, vcap=64)[0] == [("a", "p", {1: 2}, 1)]
+    assert successors(machine, "p", {0: 2}, vcap=64)[0] == [("a", "p", {1: 2}, 1)]
     assert [v.values for v in fire(st.valuation({"x": 2}), twice)] == [(0, 2)]
 
 
@@ -390,19 +403,19 @@ def test_explicit_step_truncation(monkeypatch):
         Transition("s", "b", Transfer(((x, (x,)),)), "s"),
     ], check_transfers="off")
     # an identity transfer copies a valuation within vcap and cuts one past it
-    assert successors(machine, "s", {0: 4}, False, vcap=4) == (
+    assert successors(machine, "s", {0: 4}, vcap=4) == (
         [("a", "s", {0: 4}, 1), ("b", "s", {0: 4}, 1)], False)
-    assert successors(machine, "s", {0: 5, 1: 1}, False, vcap=4) == ([], True)
+    assert successors(machine, "s", {0: 5, 1: 1}, vcap=4) == ([], True)
     # an increment past vcap is cut
-    assert successors(machine, "p", {0: 4}, False, vcap=4) == ([], True)
-    assert successors(machine, "p", {0: 3}, False, vcap=4)[0][0][2] == {0: 4}
+    assert successors(machine, "p", {0: 4}, vcap=4) == ([], True)
+    assert successors(machine, "p", {0: 3}, vcap=4)[0][0][2] == {0: 4}
     # tokens merged past vcap are cut, and only the results past it
-    assert successors(machine, "r", {0: 3, 1: 3}, False, vcap=5) == ([], True)
-    succ, cut = successors(machine, "q", {0: 6}, False, vcap=4)
+    assert successors(machine, "r", {0: 3, 1: 3}, vcap=5) == ([], True)
+    succ, cut = successors(machine, "q", {0: 6}, vcap=4)
     assert cut and [sv2 for _, _, sv2, _ in succ] == [{0: 2, 1: 4}, {0: 3, 1: 3}, {0: 4, 1: 2}]
     # more splits than BRANCH_BUDGET are not enumerated
-    assert successors(machine, "q", {0: BRANCH_BUDGET}, False, vcap=10 ** 9) == ([], True)
+    assert successors(machine, "q", {0: BRANCH_BUDGET}, vcap=10 ** 9) == ([], True)
     monkeypatch.setattr(ipcant, "BRANCH_BUDGET", 6)
-    succ, cut = successors(machine, "q", {0: 5}, False, vcap=64)
+    succ, cut = successors(machine, "q", {0: 5}, vcap=64)
     assert not cut and len(succ) == 6
-    assert successors(machine, "q", {0: 6}, False, vcap=64) == ([], True)
+    assert successors(machine, "q", {0: 6}, vcap=64) == ([], True)
