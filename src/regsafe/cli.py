@@ -314,3 +314,7 @@ def run_cli(argv) -> int:
 
 def main():
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -154,7 +154,8 @@ class Transition:
 class CounterMachine:
     """An explicit machine over its transition list.  `lazy` fixes its
     successor relation: whether a decrement of a zero counter may leave the
-    valuation unchanged (the lazy error) or does not fire (error-free)."""
+    valuation unchanged (the lazy error) or does not fire (error-free).  A
+    parsed machine is lazy unless its file says `relation: error-free`."""
 
     def __init__(self, alphabet: Alphabet, states, initial, structure: CounterStructure,
                  transitions, check_transfers="auto", lazy=True):
@@ -185,6 +186,12 @@ class CounterMachine:
         self._check_eps_acyclic()
         if check_transfers != "off":
             self._check_transfers(check_transfers, transfers)
+
+    @property
+    def lazy(self):
+        """Whether a decrement of a zero counter may leave the valuation
+        unchanged (True) or does not fire (False)."""
+        return self._lazy
 
     def _validate_instructions(self):
         """Check each instruction object once: a known kind, naming only
@@ -689,7 +696,8 @@ def bound_log2(q_count, basis_size, counter_count) -> float:
 
 
 _COUNTER_RE = re.compile(r"\{[^{}]*\}")
-_HEADERS = frozenset(("alphabet", "basis", "counters", "states", "initial"))
+_HEADERS = frozenset(("alphabet", "basis", "counters", "states", "initial", "relation"))
+_RELATIONS = {"lazy": True, "error-free": False}
 
 
 def _parse_counter(text):
@@ -755,6 +763,7 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
     counters = None
     states = None
     initial = None
+    lazy = True
     body = []
     counter = _once(_parse_counter)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -772,6 +781,11 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
             counters = tuple(counter(m.group(0)) for m in _COUNTER_RE.finditer(value))
         elif head == "states":
             states = tuple(value.split())
+        elif head == "relation":
+            lazy = _RELATIONS.get(value.strip())
+            if lazy is None:
+                raise ParseError("line %d: relation must be lazy or error-free, not %r"
+                                 % (lineno, value.strip()))
         else:
             initial = value.strip()
     if None in (alphabet, basis, counters, states, initial):
@@ -795,7 +809,7 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
             raise ParseError("line %d: missing '->' before target state" % lineno)
         transitions.append(Transition(src, label, instr(instr_text.strip()), dst.strip()))
     return CounterMachine(alphabet, states, initial, structure, transitions,
-                          check_transfers=check_transfers)
+                          check_transfers=check_transfers, lazy=lazy)
 
 
 def _format_counter(c):
@@ -818,7 +832,9 @@ def _format_instr(instr, counter):
 
 
 def format_machine(m: CounterMachine) -> str:
-    """The machine file text.  Each distinct instruction is printed once."""
+    """The machine file text.  Each distinct instruction is printed once.
+    An error-free machine says so in a `relation:` line; a lazy one, the
+    default, prints none."""
     counter = _once(_format_counter)
     instr = _once(lambda i: _format_instr(i, counter))
     lines = [
@@ -828,6 +844,8 @@ def format_machine(m: CounterMachine) -> str:
         "states: " + " ".join(m.states),
         "initial: " + m.initial,
     ]
+    if not m.lazy:
+        lines.append("relation: error-free")
     for t in m.transitions:
         label = "eps" if t.label is EPS else t.label
         lines.append("%s -%s, %s-> %s" % (t.src, label, instr(t.instr), t.dst))

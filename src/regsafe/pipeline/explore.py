@@ -7,7 +7,9 @@ Compiled machines step one letter cycle at a time, error-free; machines
 built from instruction lists step one instruction at a time on their
 transitions compiled to counter indices, under the lazy relation
 (decrementing a zero counter may leave the valuation unchanged) unless built
-error-free, as materialized ones are.
+error-free, as materialized ones are.  A parsed machine is lazy unless its
+file says `relation: error-free`, which format_machine writes for an
+error-free machine.
 
 Every bound counts instruction steps: the step cap, NODE_BUDGET and the
 saturation's explored count charge a compiled letter step the instructions

@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +70,44 @@ def test_sat_verdicts(data_path, capsys):
     assert run_cli(["sat", "--automaton", data_path("fig1.ara")]) == 0
     assert _out(capsys)[0] == "NONEMPTY\n"
     assert run_cli(["sat"]) == 64
+
+
+def test_sat_machine_relation_header(tmp_path, capsys):
+    """A decrement of an empty counter loops on a lazy machine only."""
+    header = "alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
+    lazy = tmp_path / "lazy.cm"
+    lazy.write_text(header + "p -a, dec {x}-> p\n")
+    assert run_cli(["sat", "--machine", str(lazy)]) == 0
+    assert _out(capsys)[0] == "NONEMPTY\n"
+    free = tmp_path / "free.cm"
+    free.write_text(header + "relation: error-free\np -a, dec {x}-> p\n")
+    assert run_cli(["sat", "--machine", str(free)]) == 1
+    assert _out(capsys)[0] == "EMPTY\n"
+    bogus = tmp_path / "bogus.cm"
+    bogus.write_text(header + "relation: bogus\np -a, dec {x}-> p\n")
+    assert run_cli(["sat", "--machine", str(bogus)]) == 65
+    out, err = _out(capsys)
+    assert out == "" and err.startswith("parse error: ")
+
+
+def test_ara2cm_then_sat_machine_matches_automaton(data_path, tmp_path, capsys):
+    """The printed machine is the error-free one materialize() built, so it
+    gets the automaton's verdict."""
+    assert run_cli(["ara2cm", "--automaton", data_path("fig1.ara")]) == 0
+    machine = tmp_path / "fig1.cm"
+    machine.write_text(_out(capsys)[0])
+    assert run_cli(["sat", "--machine", str(machine)]) == 0
+    assert _out(capsys)[0] == "NONEMPTY\n"
+
+
+@pytest.mark.parametrize("module", ["regsafe", "regsafe.cli"])
+def test_python_m_runs_the_cli(data_path, module):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", module, "sat", "--machine",
+                           data_path("tiny.cm"), "--cap", "50"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "NONEMPTY\n")
 
 
 def test_include_verdicts(data_path, capsys):

@@ -226,11 +226,10 @@ def _reached_configs(machine, limit=150):
 def test_materialized_machine_file_round_trip_random():
     """Printing is stable through a parse, the parsed machine has the same
     transitions and shares one instruction object per distinct instruction
-    as the materialized one does, and both step alike: the same successor
-    lists in the same order under the error-free relation, and under the
-    lazy relation, which the parsed machine steps under (the file does not
-    record the relation), it adds only zero decrements to the materialized
-    machine's error-free steps."""
+    as the materialized one does, and both step alike: the file records the
+    error-free relation, so the parsed machine's own successor lists are the
+    materialized machine's, in the same order; stepped under the lazy
+    relation, its transitions add only zero decrements to those."""
     rng = random.Random(29)
     for k in range(24):
         aut = randgen.random_automaton(rng, AB, max_states=3)
@@ -251,14 +250,15 @@ def test_materialized_machine_file_round_trip_random():
         incdec = [i for i in instrs if not isinstance(i, Transfer)]
         assert len({id(i) for i in incdec}) == len(set(incdec))
         assert len({id(i) for i in instrs}) <= len(set(instrs)) + len(AB) - 1
-        exact_p = _under(parsed, False)
+        assert not parsed.lazy
+        lazy = _under(parsed, True)
         for control, sv in _reached_configs(m):
             for letter in (None,) + AB.letters:
                 for vcap in (None, 2):
                     want = m.config_successors(control, dict(sv), letter, vcap)
-                    assert exact_p.config_successors(control, dict(sv), letter, vcap) == want
+                    assert parsed.config_successors(control, dict(sv), letter, vcap) == want
                 exact_m, _ = m.config_successors(control, dict(sv), letter)
-                lazy_p, _ = parsed.config_successors(control, dict(sv), letter)
+                lazy_p, _ = lazy.config_successors(control, dict(sv), letter)
                 assert all(s in lazy_p for s in exact_m)
                 assert all(s in exact_m or (s[2] == sv and s[1].startswith(("hold_", "read_")))
                            for s in lazy_p)

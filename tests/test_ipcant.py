@@ -317,6 +317,25 @@ def test_machine_file_round_trip():
     assert format_machine(parse_machine(format_machine(m))) == format_machine(m)
 
 
+def test_machine_file_relation_header(data_text):
+    """A file without `relation:` is lazy and prints none; an error-free
+    machine prints the line and reads back error-free."""
+    tiny = data_text("tiny.cm")
+    m = parse_machine(tiny)
+    assert m.lazy
+    text = format_machine(m)
+    assert "relation:" not in text
+    assert format_machine(parse_machine(text)) == text
+    free = parse_machine(tiny.replace("initial: p\n", "initial: p\nrelation: error-free\n"))
+    assert not free.lazy
+    text = format_machine(free)
+    assert text.splitlines()[5] == "relation: error-free"
+    assert not parse_machine(text).lazy and format_machine(parse_machine(text)) == text
+    assert parse_machine(tiny + "relation: lazy\n").lazy
+    with pytest.raises(ParseError):
+        parse_machine(tiny + "relation: bogus\n")
+
+
 def test_machine_rejects_eps_cycle():
     st = CounterStructure(("x",), (frozenset("x"),))
     trans = [Transition("p", EPS, Inc(frozenset("x")), "q"),
