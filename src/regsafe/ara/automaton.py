@@ -177,17 +177,17 @@ def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
 
 
 def _disjoint(a1, a2):
-    """Rename states apart; returns (states1, states2, rename1, rename2)."""
-    r1 = {q: q for q in a1.states}
+    """Names for a2's states apart from a1's, which keep theirs; returns
+    (rename, every name used)."""
     used = set(a1.states)
-    r2 = {}
+    ren = {}
     for q in a2.states:
         name = q
         while name in used:
             name += "_2"
-        r2[q] = name
+        ren[q] = name
         used.add(name)
-    return r1, r2, used
+    return ren, used
 
 
 def _rename_phi(phi, ren):
@@ -202,21 +202,21 @@ def _rename_phi(phi, ren):
 def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction):
     if a1.alphabet != a2.alphabet:
         raise ValidationError("automata must share an alphabet")
-    r1, r2, used = _disjoint(a1, a2)
+    r2, used = _disjoint(a1, a2)
     init = "init"
     while init in used:
         init += "0"
-    delta = {}
-    for (q, a, flag), phi in a1.delta.items():
-        delta[(r1[q], a, flag)] = _rename_phi(phi, r1)
+    # formulas are immutable, so those not renamed are shared, not copied
+    delta = dict(a1.delta)
+    renamed = any(r2[q] != q for q in a2.states)
     for (q, a, flag), phi in a2.delta.items():
-        delta[(r2[q], a, flag)] = _rename_phi(phi, r2)
+        delta[(r2[q], a, flag)] = _rename_phi(phi, r2) if renamed else phi
     for a in a1.alphabet:
         for flag in FLAGS:
-            lhs = delta.get((r1[a1.initial], a, flag), pb.Bot())
+            lhs = delta.get((a1.initial, a, flag), pb.Bot())
             rhs = delta.get((r2[a2.initial], a, flag), pb.Bot())
             delta[(init, a, flag)] = junction(lhs, rhs)
-    states = (init,) + tuple(r1[q] for q in a1.states) + tuple(r2[q] for q in a2.states)
+    states = (init,) + a1.states + tuple(r2[q] for q in a2.states)
     aut = AlternatingAutomaton(a1.alphabet, states, init, delta)
     return aut, tuple(r2[q] for q in a2.states)
 

@@ -18,33 +18,13 @@ from .automaton import FLAGS, AlternatingAutomaton
 
 def _tracked(f):
     """Formulas needing a state, in first-discovery order (sentence first)."""
-    order = [f]
-    seen = {f}
-    visited = set()
-
-    def walk(g):
-        if g in visited:
-            return
-        visited.add(g)
-        if isinstance(g, ltl.Release):
-            if g not in seen:
-                seen.add(g)
-                order.append(g)
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, ltl.Next):
-            if g.body not in seen:
-                seen.add(g.body)
-                order.append(g.body)
-            walk(g.body)
-        elif isinstance(g, (ltl.And, ltl.Or)):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, ltl.Freeze):
-            walk(g.body)
-
-    walk(f)
-    return order
+    order = {f: None}  # an ordered set
+    for g in ltl.subformulas(f):
+        if type(g) is ltl.Release:
+            order.setdefault(g)
+        elif type(g) is ltl.Next:
+            order.setdefault(g.body)
+    return list(order)
 
 
 def _down_mark(g):
@@ -61,35 +41,28 @@ def ltl_to_ara(f: ltl.Formula, alphabet: Alphabet) -> AlternatingAutomaton:
     memo = {}
 
     def row(g, a, flag):
-        key = (g, a, flag)
-        if key in memo:
-            return memo[key]
-        if isinstance(g, ltl.Atom):
-            phi = pb.Top() if g.letter == a else pb.Bot()
-        elif isinstance(g, ltl.Top):
-            phi = pb.Top()
-        elif isinstance(g, ltl.Bot):
-            phi = pb.Bot()
-        elif isinstance(g, ltl.Up):
-            phi = pb.Top() if flag == "up" else pb.Bot()
-        elif isinstance(g, ltl.NotUp):
-            phi = pb.Top() if flag == "nup" else pb.Bot()
-        elif isinstance(g, ltl.And):
-            phi = pb.pand(row(g.lhs, a, flag), row(g.rhs, a, flag))
-        elif isinstance(g, ltl.Or):
-            phi = pb.por(row(g.lhs, a, flag), row(g.rhs, a, flag))
-        elif isinstance(g, ltl.Next):
-            phi = pb.Ref(name[g.body])
-        elif isinstance(g, ltl.Release):
-            phi = pb.pand(row(g.rhs, a, flag), pb.por(row(g.lhs, a, flag), pb.Ref(name[g])))
-        elif isinstance(g, ltl.Freeze):
-            # the binder re-freezes: evaluate the body as if at its own
-            # position (flag up) and down-mark every produced reference
-            phi = pb.rebuild(row(g.body, a, "up"), _down_mark)
-        else:
-            raise TypeError("not a formula: %r" % (g,))
-        memo[key] = phi
-        return phi
+        # on an explicit stack, the rows a row is built from first; the
+        # memo builds the row of each structurally distinct formula once
+        todo = [(g, flag)]
+        while todo:
+            h, fl = todo[-1]
+            if (h, a, fl) in memo:
+                todo.pop()
+                continue
+            kind = type(h)
+            if kind is ltl.Freeze:  # the body is read as at its own position
+                parts = ((h.body, "up"),)
+            elif kind is ltl.And or kind is ltl.Or or kind is ltl.Release:
+                parts = ((h.rhs, fl), (h.lhs, fl))
+            else:
+                parts = ()
+            missing = [(k, kf) for k, kf in parts if (k, a, kf) not in memo]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            memo[(h, a, fl)] = _row(h, a, fl, name, memo)
+        return memo[(g, a, flag)]
 
     delta = {}
     bot = pb.Bot()
@@ -101,3 +74,31 @@ def ltl_to_ara(f: ltl.Formula, alphabet: Alphabet) -> AlternatingAutomaton:
                     delta[(name[g], a, flag)] = phi
     states = tuple(name[g] for g in tracked)
     return AlternatingAutomaton(alphabet, states, name[f], delta)
+
+
+def _row(g, a, flag, name, memo):
+    """g's transition formula on (a, flag), from its subformulas' rows."""
+    kind = type(g)
+    if kind is ltl.Atom:
+        return pb.Top() if g.letter == a else pb.Bot()
+    if kind is ltl.Top:
+        return pb.Top()
+    if kind is ltl.Bot:
+        return pb.Bot()
+    if kind is ltl.Up:
+        return pb.Top() if flag == "up" else pb.Bot()
+    if kind is ltl.NotUp:
+        return pb.Top() if flag == "nup" else pb.Bot()
+    if kind is ltl.Next:
+        return pb.Ref(name[g.body])
+    if kind is ltl.Freeze:
+        # down-mark every reference the body's row produces
+        return pb.rebuild(memo[(g.body, a, "up")], _down_mark)
+    lhs, rhs = memo[(g.lhs, a, flag)], memo[(g.rhs, a, flag)]
+    if kind is ltl.And:
+        return pb.pand(lhs, rhs)
+    if kind is ltl.Or:
+        return pb.por(lhs, rhs)
+    if kind is ltl.Release:
+        return pb.pand(rhs, pb.por(lhs, pb.Ref(name[g])))
+    raise TypeError("not a formula: %r" % (g,))

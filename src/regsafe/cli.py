@@ -2,9 +2,9 @@
 
 One subcommand per pipeline stage; verdict-producing commands exit 0 on the
 positive verdict, 1 on the negative one and 2 on unknown.  Usage problems
-exit 64; input files that fail to parse or validate, or nest deeper than
-the recursive formula code can follow, exit 65.  With --format json every
-result is emitted as one JSON record per line instead of plain text.
+exit 64; input files that fail to parse or validate exit 65.  Formula files
+of any nesting depth get an answer.  With --format json every result is
+emitted as one JSON record per line instead of plain text.
 """
 
 import argparse

@@ -27,7 +27,7 @@ this view; exploration never uses it.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 import math
 import random
 import re
@@ -64,9 +64,6 @@ class CounterStructure:
 
     def __hash__(self):
         return hash((self.basis, self.counters))
-
-    def zero(self) -> "Valuation":
-        return Valuation(self, (0,) * len(self.counters))
 
     def valuation(self, assignment) -> "Valuation":
         v = [0] * len(self.counters)
@@ -489,17 +486,20 @@ BRANCH_BUDGET = 100000
 
 
 def compositions(n, k):
-    """All k-tuples of non-negative ints summing to n."""
+    """All k-tuples of non-negative ints summing to n, in lexicographic
+    order: each is cut from 0..n at k - 1 non-decreasing points."""
     if k == 0:
         if n == 0:
             yield ()
         return
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in compositions(n - head, k - 1):
-            yield (head,) + rest
+    for cuts in combinations_with_replacement(range(n + 1), k - 1):
+        parts = []
+        prev = 0
+        for cut in cuts:
+            parts.append(cut - prev)
+            prev = cut
+        parts.append(n - prev)
+        yield tuple(parts)
 
 
 def split_tokens(sv, image_of):

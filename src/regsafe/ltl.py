@@ -16,174 +16,97 @@ Formula files start with a header line ``alphabet: a b c`` followed by the
 formula text (which may span lines).
 """
 
-from dataclasses import dataclass
 import enum
-import re
 
 from .errors import ParseError, ValidationError
+from .tree import Node, fold, infix_printer, node, parenthesize, parse_infix, tokenize
 from .words import Alphabet, DataWord
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class Atom(Formula):
     letter: str
 
 
-@dataclass(frozen=True)
+@node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class And(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Or(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Next(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Release(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Freeze(Formula):
     """Binds the register to the class of the current position."""
 
     body: Formula
 
 
-@dataclass(frozen=True)
+@node
 class Up(Formula):
     """Current position is in the register's class."""
 
 
-@dataclass(frozen=True)
+@node
 class NotUp(Formula):
     """Current position is not in the register's class."""
 
 
 KEYWORDS = {"true", "false", "up", "nup", "down", "X", "G", "R", "U"}
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z0-9_^-]+|[&|()])")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, alphabet):
-        self.tokens = tokens
-        self.alphabet = alphabet
-        self.i = 0
-        for a in alphabet:
-            if a in KEYWORDS:
-                raise ParseError("alphabet letter %r collides with a keyword" % a)
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self):
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of formula")
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self):
-        f = self.release()
-        if self.i < len(self.tokens):
-            tok, pos = self.tokens[self.i]
-            raise ParseError("trailing input %r" % tok, pos)
-        return f
-
-    def release(self):
-        lhs = self.disj()
-        if self.peek() == "R":
-            self.next()
-            rhs = self.release()
-            return Release(lhs, rhs)
-        return lhs
-
-    def disj(self):
-        f = self.conj()
-        while self.peek() == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self):
-        f = self.unary()
-        while self.peek() == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self):
-        tok, pos = self.next()
-        if tok == "(":
-            f = self.release()
-            closing, cpos = self.next()
-            if closing != ")":
-                raise ParseError("expected ')'", cpos)
-            return f
-        if tok == "true":
-            return Top()
-        if tok == "false":
-            return Bot()
-        if tok == "up":
-            return Up()
-        if tok == "nup":
-            return NotUp()
-        if tok == "down":
-            return Freeze(self.unary())
-        if tok == "X":
-            return Next(self.unary())
-        if tok == "G":
-            return Release(Bot(), self.unary())
-        if tok == "U":
-            raise ParseError("until is not part of the safety fragment", pos)
-        if tok in ("&", "|", ")", "R"):
-            raise ParseError("unexpected %r" % tok, pos)
-        if tok not in self.alphabet:
-            raise ParseError("letter %r not declared in alphabet" % tok, pos)
-        return Atom(tok)
+# infix operators by precedence, R associating right; prefix operators with
+# the node each wraps its operand in
+_BINARY = {"R": (0, Release, True), "|": (1, Or, False), "&": (2, And, False)}
+_PREFIX = {"down": Freeze, "X": Next, "G": lambda f: Release(Bot(), f)}
+_LEAVES = {"true": Top, "false": Bot, "up": Up, "nup": NotUp}
 
 
 def parse_formula(text, alphabet: Alphabet) -> Formula:
-    return _Parser(_tokenize(text), alphabet).parse()
+    tokens = tokenize(text)
+    for a in alphabet:
+        if a in KEYWORDS:
+            raise ParseError("alphabet letter %r collides with a keyword" % a)
+
+    def operand(tok, pos, peek, take):
+        if tok in _LEAVES:
+            return _LEAVES[tok]()
+        if tok == "U":
+            raise ParseError("until is not part of the safety fragment", pos)
+        if tok not in alphabet:
+            raise ParseError("letter %r not declared in alphabet" % tok, pos)
+        return Atom(tok)
+
+    return parse_infix(tokens, _BINARY, _PREFIX, operand)
 
 
 def parse_formula_file(text):
@@ -204,39 +127,28 @@ def parse_formula_file(text):
     return ab, parse_formula(body, ab)
 
 
-# precedence levels for printing: R=0, |=1, &=2, unary=3, atomic=4
-def _format(f, level):
-    if isinstance(f, Atom):
-        return f.letter
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Up):
-        return "up"
-    if isinstance(f, NotUp):
-        return "nup"
-    if isinstance(f, Freeze):
-        return _wrap("down " + _format(f.body, 3), 3, level)
-    if isinstance(f, Next):
-        return _wrap("X " + _format(f.body, 3), 3, level)
-    if isinstance(f, Release):
-        if isinstance(f.lhs, Bot):
-            return _wrap("G " + _format(f.rhs, 3), 3, level)
-        return _wrap(_format(f.lhs, 1) + " R " + _format(f.rhs, 0), 0, level)
-    if isinstance(f, And):
-        return _wrap(_format(f.lhs, 2) + " & " + _format(f.rhs, 3), 2, level)
-    if isinstance(f, Or):
-        return _wrap(_format(f.lhs, 1) + " | " + _format(f.rhs, 2), 1, level)
-    raise TypeError("not a formula: %r" % (f,))
-
-
-def _wrap(text, prec, level):
-    return "(" + text + ")" if prec < level else text
-
-
 def print_formula(f: Formula) -> str:
-    return _format(f, 0)
+    return fold(f, _format_leaf, _format_join)[0]
+
+
+# each part comes with its precedence (R = 0, | = 1, & = 2, unary = 3,
+# atomic = 4)
+_LEAF_TEXT = {kind: text for text, kind in _LEAVES.items()}
+_PREFIX_TEXT = {Freeze: "down ", Next: "X "}
+_format_infix = infix_printer(_BINARY)
+
+
+def _format_leaf(g):
+    return (g.letter if type(g) is Atom else _LEAF_TEXT[type(g)]), 4
+
+
+def _format_join(g, *parts):
+    kind = type(g)
+    if kind in _PREFIX_TEXT:
+        return _PREFIX_TEXT[kind] + parenthesize(parts[0], 3), 3
+    if kind is Release and type(g.lhs) is Bot:
+        return "G " + parenthesize(parts[1], 3), 3
+    return _format_infix(g, *parts)
 
 
 def print_formula_file(alphabet: Alphabet, f: Formula) -> str:
@@ -245,21 +157,9 @@ def print_formula_file(alphabet: Alphabet, f: Formula) -> str:
 
 def is_sentence(f: Formula) -> bool:
     """True iff every register test (up/nup) sits under a down binder."""
-
-    def rec(g, bound):
-        if isinstance(g, (Up, NotUp)):
-            return bound
-        if isinstance(g, (Atom, Top, Bot)):
-            return True
-        if isinstance(g, Freeze):
-            return rec(g.body, True)
-        if isinstance(g, Next):
-            return rec(g.body, bound)
-        if isinstance(g, (And, Or, Release)):
-            return rec(g.lhs, bound) and rec(g.rhs, bound)
-        raise TypeError("not a formula: %r" % (g,))
-
-    return rec(f, False)
+    # folded: whether a subformula has a register test that no binder in it binds
+    return not fold(f, lambda g: type(g) in (Up, NotUp),
+                    lambda g, *free: type(g) is not Freeze and any(free))
 
 
 class PrefixVerdict(enum.Enum):
@@ -353,8 +253,5 @@ def subformulas(f: Formula):
             continue
         seen.add(g)
         yield g
-        if isinstance(g, (And, Or, Release)):
-            stack.append(g.rhs)
-            stack.append(g.lhs)
-        elif isinstance(g, (Next, Freeze)):
-            stack.append(g.body)
+        if g.arity:
+            stack += g.fields[::-1]

@@ -158,6 +158,22 @@ class CompiledMachine:
             self._mm[key] = tuple(out)
         return self._mm[key]
 
+    def _model_unions(self, letter, mask, flag):
+        """The (kept mask, refrozen mask) unions of one minimal model per
+        thread of `mask` on the letter under the register flag; empty when
+        some thread has no model."""
+        per_state = []
+        for i in range(self.n):
+            if mask >> i & 1:
+                models = self._models(i, letter, flag)
+                if not models:
+                    return set()
+                per_state.append(models)
+        pairs = {(0, 0)}
+        for models in per_state:
+            pairs = {(k | pm, m | fm) for k, m in pairs for pm, fm in models}
+        return pairs
+
     def read_images(self, letter, mask):
         """The in-flight counters a class token with thread set `mask` may
         move to when the letter is read away from the register, as sorted
@@ -167,23 +183,7 @@ class CompiledMachine:
         of the whole read-and-shift, as split_tokens takes them."""
         key = (letter, mask)
         if key not in self._im3:
-            per_state = []
-            blocked = False
-            for i in range(self.n):
-                if mask >> i & 1:
-                    models = self._models(i, letter, "nup")
-                    if not models:
-                        blocked = True
-                        break
-                    per_state.append(models)
-            if blocked:
-                self._im3[key] = ()
-            else:
-                pairs = {(0, 0)}
-                for models in per_state:
-                    pairs = {(k | pm, m | fm)
-                             for k, m in pairs for pm, fm in models}
-                self._im3[key] = tuple(sorted(pairs))
+            self._im3[key] = tuple(sorted(self._model_unions(letter, mask, "nup")))
         return self._im3[key]
 
     def here_sets(self, letter, mask):
@@ -191,22 +191,8 @@ class CompiledMachine:
         class's own threads on the letter (register match)."""
         key = (letter, mask)
         if key not in self._fam4:
-            per_state = []
-            blocked = False
-            for i in range(self.n):
-                if mask >> i & 1:
-                    models = self._models(i, letter, "up")
-                    if not models:
-                        blocked = True
-                        break
-                    per_state.append(models)
-            if blocked:
-                self._fam4[key] = ()
-            else:
-                outs = {0}
-                for models in per_state:
-                    outs = {s | pm | fm for s in outs for pm, fm in models}
-                self._fam4[key] = tuple(sorted(outs))
+            pairs = self._model_unions(letter, mask, "up")
+            self._fam4[key] = tuple(sorted({k | m for k, m in pairs}))
         return self._fam4[key]
 
     def initial_config(self):

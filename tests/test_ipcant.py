@@ -9,9 +9,9 @@ from itertools import combinations, product
 
 from regsafe.ipcant import (CounterMachine, CounterStructure, CoverTable, Dec, EPS,
                             Inc, Transfer, Transition, Valuation, bound_ceiling,
-                            bound_params, check_distributive, compute_bound,
-                            fire, fire_lazy, format_machine, ifz_cap,
-                            parse_machine, sqsse, transfer_witnesses)
+                            bound_params, check_distributive, compositions,
+                            compute_bound, fire, fire_lazy, format_machine, ifz_cap,
+                            parse_machine, split_tokens, sqsse, transfer_witnesses)
 from regsafe import randgen
 
 
@@ -64,6 +64,35 @@ def test_fire_transfer_unfirable_on_empty_image(xy):
     f = Transfer(((frozenset("x"), ()),))
     assert fire(xy.valuation({"x": 1}), f) == set()
     assert _vals(fire(xy.valuation({"y": 2}), f)) == {(0, 2)}
+
+
+def _compositions_reference(n, k):
+    """compositions as it stood, recursing once per part."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    if k == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for rest in _compositions_reference(n - head, k - 1):
+            yield (head,) + rest
+
+
+def test_compositions_match_recursive_reference():
+    for n in range(7):
+        for k in range(7):
+            assert list(compositions(n, k)) == list(_compositions_reference(n, k)), (n, k)
+
+
+def test_split_tokens_many_images():
+    """One token over more images than the call stack is deep: every image
+    is an outcome, in the order of compositions, which puts the last image
+    first."""
+    outcomes, truncated = split_tokens({0: 1}, lambda ci: tuple((j, 0) for j in range(1500)))
+    assert not truncated
+    assert outcomes == [(0, {j: 1}) for j in reversed(range(1500))]
 
 
 def test_ifz_cap_semantics():

@@ -4,10 +4,11 @@ import pytest
 
 from regsafe.errors import ParseError, ValidationError
 from regsafe import ltl
-from regsafe.ltl import (And, Atom, Bot, Freeze, Next, NotUp, Or, PrefixVerdict,
-                         Release, Top, Up, evaluate_prefix, is_sentence,
-                         monitor_prefix, parse_formula, print_formula,
+from regsafe.ltl import (KEYWORDS, And, Atom, Bot, Freeze, Next, NotUp, Or,
+                         PrefixVerdict, Release, Top, Up, evaluate_prefix,
+                         is_sentence, monitor_prefix, parse_formula, print_formula,
                          subformulas)
+from regsafe.tree import tokenize
 from regsafe.words import Alphabet, parse_word
 from regsafe import randgen
 
@@ -41,6 +42,143 @@ def test_parse_errors():
     for bad in ("", "a &", "(a", "a b", "down", "zzz"):
         with pytest.raises(ParseError):
             parse_formula(bad, AB)
+
+
+class _ReferenceParser:
+    """The recursive-descent formula parser as it stood, one method per
+    precedence level; parse_formula must give its trees and its errors."""
+
+    def __init__(self, tokens, alphabet):
+        self.tokens = tokens
+        self.alphabet = alphabet
+        self.i = 0
+        for a in alphabet:
+            if a in KEYWORDS:
+                raise ParseError("alphabet letter %r collides with a keyword" % a)
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def next(self):
+        if self.i >= len(self.tokens):
+            raise ParseError("unexpected end of formula")
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self):
+        f = self.release()
+        if self.i < len(self.tokens):
+            tok, pos = self.tokens[self.i]
+            raise ParseError("trailing input %r" % tok, pos)
+        return f
+
+    def release(self):
+        lhs = self.disj()
+        if self.peek() == "R":
+            self.next()
+            rhs = self.release()
+            return Release(lhs, rhs)
+        return lhs
+
+    def disj(self):
+        f = self.conj()
+        while self.peek() == "|":
+            self.next()
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self):
+        f = self.unary()
+        while self.peek() == "&":
+            self.next()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self):
+        tok, pos = self.next()
+        if tok == "(":
+            f = self.release()
+            closing, cpos = self.next()
+            if closing != ")":
+                raise ParseError("expected ')'", cpos)
+            return f
+        if tok == "true":
+            return Top()
+        if tok == "false":
+            return Bot()
+        if tok == "up":
+            return Up()
+        if tok == "nup":
+            return NotUp()
+        if tok == "down":
+            return Freeze(self.unary())
+        if tok == "X":
+            return Next(self.unary())
+        if tok == "G":
+            return Release(Bot(), self.unary())
+        if tok == "U":
+            raise ParseError("until is not part of the safety fragment", pos)
+        if tok in ("&", "|", ")", "R"):
+            raise ParseError("unexpected %r" % tok, pos)
+        if tok not in self.alphabet:
+            raise ParseError("letter %r not declared in alphabet" % tok, pos)
+        return Atom(tok)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.position
+
+
+_VOCABULARY = ["a", "b", "c", "&", "|", "R", "X", "G", "U", "down", "(", ")",
+               "true", "false", "up", "nup"]
+
+
+def _mutations(rng, tokens):
+    """Malformed neighbours of a token list: a token deleted, inserted or
+    swapped with its neighbour, and parentheses unbalanced."""
+    n = len(tokens)
+    i = rng.randrange(n)
+    yield tokens[:i] + tokens[i + 1:]
+    j = rng.randrange(n + 1)
+    yield tokens[:j] + [rng.choice(_VOCABULARY)] + tokens[j:]
+    if n > 1:
+        k = rng.randrange(n - 1)
+        yield tokens[:k] + [tokens[k + 1], tokens[k]] + tokens[k + 2:]
+    parens = [m for m, t in enumerate(tokens) if t in "()"]
+    if parens:
+        m = rng.choice(parens)
+        yield tokens[:m] + tokens[m + 1:]
+    yield ["("] + tokens
+    yield tokens + [")"]
+
+
+def test_parser_matches_recursive_reference():
+    """Printed random sentences and malformed mutations of them parse to
+    the reference parser's trees, or fail with its message and position."""
+    rng = random.Random(10)
+    reference = lambda text: _ReferenceParser(tokenize(text), AB).parse()
+    iterative = lambda text: parse_formula(text, AB)
+    texts = ["", "a b", "(a", "a)", "a U b", "U", "X", "down &", "G )", "((a) | (b R",
+             "a $ b", "c & a", "a R b R c"]
+    for k in range(600):
+        text = print_formula(randgen.random_sentence(rng, AB, depth=1 + k % 6))
+        texts.append(text)
+        tokens = [tok for tok, _ in tokenize(text)]
+        for mutated in _mutations(rng, tokens):
+            texts.append(" ".join(mutated))
+            texts.append("".join(t if t in "()&|" else " %s " % t for t in mutated))
+    failed = 0
+    for text in texts:
+        want = _parsed(reference, text)
+        assert _parsed(iterative, text) == want, text
+        failed += isinstance(want, tuple)
+    assert 0.3 * len(texts) < failed < 0.9 * len(texts)
+    with pytest.raises(ParseError, match="collides with a keyword"):
+        parse_formula("a", Alphabet(("a", "up")))
 
 
 def test_print_parse_round_trip_random():
