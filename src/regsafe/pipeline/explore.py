@@ -15,6 +15,15 @@ Every bound counts instruction steps: the step cap, NODE_BUDGET and the
 saturation's explored count charge a compiled letter step the instructions
 of the cycle it replaces, so a bound means the same on both machine kinds.
 
+prefix_reachable searches depth-first over (position, configuration) pairs,
+expanding each at most once, and stops at the first resting configuration
+after the last letter, so a True answer costs one path rather than every
+configuration reachable at each position.  It needs no node cap: within a
+position only letter-free steps are taken, and that graph is finite
+(compiled machines have none, explicit machines reject letter-free cycles
+at construction).  A successor cut by the value cap is dropped without
+notice, so a False answer is exact only up to the value cap.
+
 bounded_nonemptiness searches for an infinite run: any configuration cycle
 is one (control cycles must consume letters, so a lasso reads infinitely many
 letters), and so is any path reaching the step bound.  Exhausting the graph
@@ -152,30 +161,42 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptines
 def prefix_reachable(machine, letters, vcap=64) -> bool:
     """Can the machine consume the letter sequence and come to rest?  For
     compiled machines this matches the existence of a partial automaton run
-    on some data word with those letters.  Each stage closes the frontier
-    under letter-free steps and collects the steps on the next letter; the
-    last stage, after the final letter, looks for a resting configuration
-    (a state that is not resting has letter-free steps only)."""
+    on some data word with those letters.  A depth-first search over
+    (position, configuration) pairs, each expanded at most once: a lettered
+    step reading the letter at the position moves to the next one, a
+    letter-free step stays, and past the last letter only letter-free steps
+    are taken.  The search answers True at the first resting configuration
+    it pops at the last position (a state that is not resting has
+    letter-free steps only), so a True answer stops at the first path.
+    Every position's letter-free graph is finite, as compiled machines have
+    no letter-free steps and explicit ones no letter-free cycles, so the
+    search needs no node cap and its False is exact up to `vcap`: a
+    successor cut by the value cap is dropped without notice."""
+    letters = tuple(letters)
+    last = len(letters)
     control0, sv0 = machine.initial_config()
-    frontier = {_freeze(control0, sv0): (control0, sv0)}
-    for letter in tuple(letters) + (None,):
-        seen = dict(frontier)
-        todo = list(frontier.values())
-        frontier = {}
-        while todo:
-            control, sv = todo.pop()
-            if letter is None and machine.is_resting(control):
+    seen = {(0,) + _freeze(control0, sv0)}
+    stack = [(0, control0, sv0)]
+    while stack:
+        pos, control, sv = stack.pop()
+        if pos == last:
+            if machine.is_resting(control):
                 return True
-            succ, _ = successors(machine, control, sv, vcap, letter)
-            for label, control2, sv2, _ in succ:
-                key = _freeze(control2, sv2)
-                if label is not EPS:
-                    frontier[key] = (control2, sv2)
-                elif key not in seen and len(seen) < NODE_BUDGET:
-                    seen[key] = (control2, sv2)
-                    todo.append((control2, sv2))
-        if not frontier:
-            return False
+            letter = None
+        else:
+            letter = letters[pos]
+        succ, _ = successors(machine, control, sv, vcap, letter)
+        for label, control2, sv2, _ in succ:
+            if label is EPS:
+                pos2 = pos
+            elif pos < last:
+                pos2 = pos + 1
+            else:
+                continue
+            key = (pos2,) + _freeze(control2, sv2)
+            if key not in seen:
+                seen.add(key)
+                stack.append((pos2, control2, sv2))
     return False
 
 

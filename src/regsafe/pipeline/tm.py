@@ -159,13 +159,17 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
     states = list(m.states)
     contents = list(m.tape) + [hatted(b) for b in m.tape]
     hats = [hatted(b) for b in m.tape]
+    shared = {}  # name tuple -> its disjunction, built once
 
     def disj(names):
-        out = None
-        for name in names:
-            atom = ltl.Atom(name)
-            out = atom if out is None else ltl.Or(out, atom)
-        return out if out is not None else ltl.Bot()
+        names = tuple(names)
+        out = shared.get(names)
+        if out is None:
+            for name in names:
+                atom = ltl.Atom(name)
+                out = atom if out is None else ltl.Or(out, atom)
+            out = shared[names] = out if out is not None else ltl.Bot()
+        return out
 
     def bar(excluded):
         banned = set(excluded)

@@ -117,6 +117,21 @@ def test_prefix_reachable_matches_runs_forker():
             assert got == want, letters
 
 
+def test_prefix_reachable_explicit_matches_compiled():
+    """The materialized machine reaches rest after a letter string exactly
+    when the compiled one does: its letter-free steps replay each letter
+    cycle, and a string is read only once the search comes to rest."""
+    rng = random.Random(13)
+    strings = [s for n in range(1, 4) for s in product(AB.letters, repeat=n)]
+    for trial in range(25):
+        aut = randgen.random_automaton(rng, AB, max_states=2)
+        compiled = ara_to_ipcant(aut)
+        explicit = compiled.materialize()
+        for letters in strings:
+            assert (prefix_reachable(explicit, letters)
+                    == prefix_reachable(compiled, letters)), (trial, letters)
+
+
 def test_inclusion_self(fig1):
     res = inclusion_check(fig1, fig1)
     assert res.verdict is Inclusion.INCLUDED

@@ -238,6 +238,16 @@ def test_monitor_matches_examples(example_formula, abc):
     assert monitor_prefix(f, parse_word("a@0 c@1 b@1", abc)) is PrefixVerdict.UNDETERMINED
 
 
+def test_monitor_long_word():
+    """The monitor walks word positions without recursing: G a holds on
+    3000 letters a so far, and a late b falsifies it."""
+    f = parse_formula("G a", AB)
+    w = parse_word(" ".join(["a@0"] * 3000), AB)
+    assert monitor_prefix(f, w) is PrefixVerdict.UNDETERMINED
+    w = parse_word(" ".join(["a@0"] * 2999 + ["b@0"]), AB)
+    assert monitor_prefix(f, w) is PrefixVerdict.FALSIFIED
+
+
 def test_monitor_sound_random():
     """The syntactic monitor never falsifies a prefix the automaton route
     keeps; seeded sweep."""

@@ -2,11 +2,12 @@ import pytest
 
 from regsafe.errors import ParseError, ValidationError
 from regsafe.words import canonicalize, prefix
-from regsafe.ara import ltl_to_ara, run_exists
-from regsafe.ltl import is_sentence, parse_formula_file, print_formula_file
-from regsafe.pipeline import (HaltReached, TuringMachine, config_length,
-                              encode_tm_run, format_tm, parse_tm, tm_alphabet,
-                              tm_to_formula)
+from regsafe.ara import format_automaton, ltl_to_ara, run_exists
+from regsafe.ltl import (is_sentence, parse_formula, parse_formula_file, print_formula,
+                         print_formula_file)
+from regsafe.pipeline import (HaltReached, TuringMachine, ara_to_ipcant, config_length,
+                              encode_tm_run, format_tm, parse_tm, prefix_reachable,
+                              tm_alphabet, tm_to_formula)
 from regsafe.pipeline.tm import run_configs
 
 
@@ -89,6 +90,30 @@ def test_formula_is_sentence_and_round_trips(bouncer):
     ab, again = parse_formula_file(text)
     assert ab.letters == tm_alphabet(bouncer).letters
     assert again == f
+
+
+def test_shared_subformulas_translate_like_unshared(bouncer):
+    """tm_to_formula builds each letter disjunction once and reuses it; a
+    reparsed copy, whose equal subtrees are distinct objects, translates to
+    the same automaton."""
+    ab = tm_alphabet(bouncer)
+    f = tm_to_formula(bouncer)
+    copy = parse_formula(print_formula(f), ab)
+    assert copy == f
+    shared = ltl_to_ara.__wrapped__(f, ab)
+    unshared = ltl_to_ara.__wrapped__(copy, ab)
+    assert (shared.states, shared.initial) == (unshared.states, unshared.initial)
+    assert shared.delta == unshared.delta
+    assert format_automaton(shared) == format_automaton(unshared)
+
+
+def test_long_run_prefix_reachable(bouncer):
+    """The letters of an 8-transition run encoding (117 letters) can be read
+    to rest by the compiled machine of bouncer.tm's formula."""
+    aut = ltl_to_ara(tm_to_formula(bouncer), tm_alphabet(bouncer))
+    letters = encode_tm_run(bouncer, 8).letters
+    assert len(letters) == 9 * config_length(bouncer) == 117
+    assert prefix_reachable(ara_to_ipcant(aut), letters)
 
 
 def test_formula_accepts_encoded_run(bouncer):
