@@ -27,6 +27,7 @@ this view; exploration never uses it.
 """
 
 from dataclasses import dataclass
+import functools
 from itertools import combinations_with_replacement, product
 import math
 import random
@@ -260,7 +261,7 @@ class CounterMachine:
             return
         counters = self.structure.counters
         exhaustive = len(counters) <= 12 or mode == "full"
-        table = CoverTable(counters) if exhaustive else None
+        table = cover_table(counters) if exhaustive else None
         for instr in transfers:
             f = {c: (c,) for c in counters}
             for src, dsts in reversed(instr.entries):
@@ -349,7 +350,13 @@ class CoverTable:
     gets a bit, and each counter its irredundant covers, index-increasing
     tuples of counter indices whose union contains it and none of which can
     be dropped.  The distributivity condition sees the family only through
-    these covers, so one table serves every transfer map over it."""
+    these covers, so one table serves every transfer map over it.
+
+    `verdicts` memoises check_distributive on the table, keyed by a map's
+    images in counter order.  It holds at most VERDICTS entries, the oldest
+    dropped first."""
+
+    VERDICTS = 4096
 
     def __init__(self, counters):
         self.bits = {}
@@ -359,6 +366,7 @@ class CoverTable:
         masks = tuple(self.mask(c) for c in counters)
         self.masks = dict(zip(counters, masks))
         self.covers = tuple(_irredundant_covers_of(m, masks) for m in masks)
+        self.verdicts = {}
 
     def mask(self, elements, extra=None):
         """Bitmask of a set of basis elements.  An element that no counter
@@ -371,6 +379,15 @@ class CoverTable:
                 bit = extra.setdefault(e, 1 << (len(self.bits) + len(extra)))
             m |= bit
         return m
+
+
+@functools.lru_cache(maxsize=64)
+def cover_table(counters):
+    """The shared CoverTable of a counter tuple, built once per process: every
+    machine and every check over the same family uses it and its memoised
+    verdicts.  At most 64 tables are kept, the least recently used dropped
+    first."""
+    return CoverTable(counters)
 
 
 def _irredundant_covers_of(target, masks):
@@ -406,23 +423,41 @@ def _irredundant_covers_of(target, masks):
 def check_distributive(f, counters, table=None) -> bool:
     """Exhaustive check of the distributivity condition over all irredundant
     covers (sufficient: a redundant cover's condition follows from any
-    irredundant subcover).  The condition on a cover depends only on the
-    union of the chosen images, so the unions are folded cover member by
-    member into a set.  `table` is the CoverTable of the counters, built
-    here when not given; feasible for families up to a dozen or two
-    counters, the cost being driven by the cover count."""
+    irredundant subcover).  `table` is the CoverTable of the counters, the
+    shared cover_table when not given; feasible for families up to a dozen
+    or two counters, the cost being driven by the cover count.  The verdict
+    is memoised on the table, keyed by the images of every counter in
+    order."""
     counters = tuple(counters)
+    key = []
     for c in counters:
         if c not in f:
             raise ValidationError("transfer map not total: missing %r" % (sorted(c),))
+        key.append(tuple(f[c]))
+    key = tuple(key)
     if table is None:
-        table = CoverTable(counters)
+        table = cover_table(counters)
+    verdicts = table.verdicts
+    ok = verdicts.get(key)
+    if ok is None:
+        ok = _covers_distributive(key, table)
+        if len(verdicts) >= CoverTable.VERDICTS:
+            del verdicts[next(iter(verdicts))]
+        verdicts[key] = ok
+    return ok
+
+
+def _covers_distributive(key, table):
+    """The cover loop of check_distributive on its key, the images of each
+    counter.  The condition on a cover depends only on the union of the
+    chosen images, so the unions are folded cover member by member into a
+    set."""
     known = table.masks
     extra = {}
     images = []
-    for c in counters:
+    for dsts in key:
         imgs = set()
-        for d in f[c]:
+        for d in dsts:
             m = known.get(d)
             imgs.add(table.mask(d, extra) if m is None else m)
         images.append(tuple(imgs))

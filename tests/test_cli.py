@@ -283,6 +283,21 @@ def test_invalid_input_files_exit_65(tmp_path, capsys):
     assert err.count("invalid input: ") == 4
 
 
+def test_non_distributive_machine_exits_65(tmp_path, capsys):
+    """Loading checks every transfer, also after a good file over the same
+    counters has been loaded."""
+    header = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\ninitial: p\n"
+    good = tmp_path / "good.cm"
+    good.write_text(header + "p -a, transf {x,y}->[{x,y}]-> p\n")
+    assert run_cli(["bound", "--machine", str(good)]) == 0
+    bad = tmp_path / "bad.cm"
+    bad.write_text(header + "p -a, transf {x,y}->[]-> p\n")
+    for command in ("sat", "bound"):
+        assert run_cli([command, "--machine", str(bad)]) == 65
+        _, err = _out(capsys)
+        assert err.startswith("invalid input: ") and "not distributive" in err
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert run_cli([]) == 64  # a subcommand is required

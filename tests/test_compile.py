@@ -78,6 +78,31 @@ def test_read_images_and_here_sets():
     assert cm.here_sets("b", 0) == (0,)
 
 
+def test_read_images_and_here_sets_monotone_in_the_mask():
+    """For thread sets X within Y: X is never blocked where Y is free, each
+    (kept, refrozen) pair of X lies below some pair of Y, and each here-set
+    of X inside some here-set of Y.  Y's threads include X's, so a model
+    choice for Y restricts to one for X."""
+    rng = random.Random(45)
+    cases = 0
+    for _ in range(300):
+        cm = ara_to_ipcant(randgen.random_automaton(rng, AB, max_states=3))
+        masks = range(1 << cm.n)
+        for y in masks:
+            for x in (m for m in masks if not m & ~y):
+                for letter in AB.letters:
+                    cases += 1
+                    small, big = cm.read_images(letter, x), cm.read_images(letter, y)
+                    assert small or not big
+                    for k, m in small if big else ():
+                        assert any(not k & ~k2 and not m & ~m2 for k2, m2 in big)
+                    small, big = cm.here_sets(letter, x), cm.here_sets(letter, y)
+                    assert small or not big
+                    for s in small if big else ():
+                        assert any(not s & ~s2 for s2 in big)
+    assert cases > 6000
+
+
 def test_resting_and_checkpoint_predicates():
     cm = ara_to_ipcant(_two_state(), co_states=("r",))
     assert cm.initial_control == ("read", 1, False)

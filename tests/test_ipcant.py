@@ -1,6 +1,7 @@
 import math
 import random
 
+from hypothesis import given, settings, strategies as hst
 import pytest
 
 from regsafe.errors import ParseError, ValidationError
@@ -10,7 +11,7 @@ from itertools import combinations, product
 from regsafe.ipcant import (CounterMachine, CounterStructure, CoverTable, Dec, EPS,
                             Inc, Transfer, Transition, Valuation, bound_ceiling,
                             bound_params, check_distributive, compositions,
-                            compute_bound, fire, fire_lazy, format_machine, ifz_cap,
+                            compute_bound, cover_table, fire, fire_lazy, format_machine, ifz_cap,
                             parse_machine, split_tokens, sqsse, transfer_witnesses)
 from regsafe import randgen
 
@@ -302,6 +303,126 @@ def test_check_distributive_images_outside_the_counters():
         assert check_distributive(f, st.counters) == want
         verdicts.append(want)
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+_X, _Y, _XY = frozenset("x"), frozenset("y"), frozenset("xy")
+_WITNESS = {_X: (_X,), _Y: (_Y,), _XY: ()}  # the cover {x}, {y} of {x,y} has no image
+_CM_HEADER = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\ninitial: p\n"
+
+
+def test_shared_table_keeps_refusing_non_distributive_maps():
+    counters = (_X, _Y, _XY)
+    assert check_distributive({c: (c,) for c in counters}, counters)
+    assert not check_distributive(_WITNESS, counters)
+    assert check_distributive({c: (c,) for c in counters}, counters)
+    assert not check_distributive(dict(_WITNESS), list(counters))
+    assert len(cover_table(counters).verdicts) >= 2
+    good = parse_machine(_CM_HEADER + "p -a, transf {x,y}->[{x,y}]-> p\n", "full")
+    assert good.counters == counters
+    with pytest.raises(ValidationError, match="not distributive"):
+        parse_machine(_CM_HEADER + "p -a, transf {x,y}->[]-> p\n", "full")
+    with pytest.raises(ValidationError, match="not distributive"):
+        parse_machine(_CM_HEADER + "p -a, transf {x,y}->[]-> p\n")
+
+
+def test_non_total_map_raises_with_cached_table():
+    counters = (_X, _Y, _XY)
+    check_distributive({c: (c,) for c in counters}, counters)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not total"):
+            check_distributive({_X: (_X,), _Y: (_Y,)}, counters)
+        with pytest.raises(ValidationError, match="not total"):
+            check_distributive({_X: (_X,), _Y: (_Y,)}, counters, cover_table(counters))
+
+
+def test_families_keep_their_own_verdicts():
+    """Maps of one shape, counter i to the counters at the same indices, over
+    families of the same size, one of them a reordering of another: each
+    verdict is its own family's."""
+    # {x,y} is covered by {x} and {y} in the first family only
+    assert not check_distributive(_WITNESS, (_X, _Y, _XY))
+    z = frozenset("z")
+    assert check_distributive({_X: (_X,), _Y: (_Y,), z: ()}, (_X, _Y, z))
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(300):
+        a = randgen.random_structure(rng, max_basis=3, max_counters=5)
+        b = randgen.random_structure(rng, max_basis=3, max_counters=5)
+        n = min(len(a.counters), len(b.counters))
+        shape = [rng.sample(range(n), rng.randint(0, min(2, n))) for _ in range(n)]
+        mixed = tuple(rng.sample(a.counters[:n], n))
+        for counters in (a.counters[:n], b.counters[:n], mixed, a.counters[:n]):
+            f = {c: tuple(counters[j] for j in js) for c, js in zip(counters, shape)}
+            want = _reference_distributive(f, counters)
+            assert check_distributive(f, counters) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_cover_table_is_shared_and_matches_a_fresh_one():
+    rng = random.Random(44)
+    for _ in range(50):
+        counters = randgen.random_structure(rng, max_basis=4, max_counters=7).counters
+        table = cover_table(counters)
+        assert table is cover_table(counters)
+        assert table.covers == CoverTable(counters).covers
+        assert table.masks == CoverTable(counters).masks
+
+
+def test_caches_stay_within_their_bounds():
+    limit = cover_table.cache_info().maxsize
+    for k in range(limit + 10):
+        counters = (frozenset(["b%d" % k]),)
+        assert check_distributive({counters[0]: counters}, counters)
+    assert cover_table.cache_info().currsize == limit
+    # more distinct maps over one family than its table keeps verdicts for
+    counters = tuple(frozenset([e]) for e in "stuv")
+    table = cover_table(counters)
+    images = [()] + [(c,) for c in counters] + [(c, d) for c in counters for d in counters]
+    maps = product(images, repeat=len(counters))
+    for _ in range(CoverTable.VERDICTS + 100):
+        assert check_distributive(dict(zip(counters, next(maps))), counters)
+        assert len(table.verdicts) <= CoverTable.VERDICTS
+    assert len(table.verdicts) == CoverTable.VERDICTS
+
+
+def _random_machine(rng, structure, lazy):
+    """A machine over the structure with random increments, decrements and
+    transfers, distributive or not; letter-free moves only go forward, so
+    they form no cycle."""
+    states = tuple("q%d" % i for i in range(rng.randint(1, 3)))
+    transitions = []
+    for _ in range(rng.randint(1, 6)):
+        i, j = rng.randrange(len(states)), rng.randrange(len(states))
+        label = rng.choice(("a", "b", EPS)) if i < j else rng.choice("ab")
+        instr = (randgen.random_transfer(rng, structure) if rng.random() < 0.5
+                 else randgen.random_instruction(rng, structure))
+        transitions.append(Transition(states[i], label, instr, states[j]))
+    return CounterMachine(Alphabet(("a", "b")), states, states[0], structure,
+                          transitions, check_transfers="off", lazy=lazy)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(hst.integers(0, 2 ** 32 - 1), hst.booleans())
+def test_machine_file_round_trip_property(seed, lazy):
+    """Printing is stable through a parse, and a checked load succeeds
+    exactly when every transfer passes check_distributive."""
+    rng = random.Random(seed)
+    structure = randgen.random_structure(rng, max_basis=3, max_counters=4)
+    text = format_machine(_random_machine(rng, structure, lazy))
+    parsed = parse_machine(text, "off")
+    assert format_machine(parsed) == text
+    counters = structure.counters
+    maps = [t.instr.as_map(counters) for t in parsed.transitions
+            if isinstance(t.instr, Transfer)]
+    ok = all(check_distributive(f, counters) for f in maps)
+    assert ok == all(_reference_distributive(f, counters) for f in maps)
+    try:
+        parse_machine(text, "full")
+    except ValidationError as e:
+        assert not ok and "not distributive" in str(e)
+    else:
+        assert ok
 
 
 def test_bound_recurrence():
