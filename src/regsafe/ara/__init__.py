@@ -5,21 +5,18 @@ continue)."""
 from . import posbool
 from .automaton import (
     AlternatingAutomaton,
-    initial_configs,
     dualize,
     format_automaton,
     inclusion_product,
     intersect,
     parse_automaton,
     run_exists,
-    step,
     union,
 )
 from .translate import ltl_to_ara
 
 __all__ = [
     "AlternatingAutomaton",
-    "initial_configs",
     "posbool",
     "dualize",
     "format_automaton",
@@ -27,7 +24,6 @@ __all__ = [
     "intersect",
     "parse_automaton",
     "run_exists",
-    "step",
     "union",
     "ltl_to_ara",
 ]

@@ -15,11 +15,9 @@ models of a formula are upward closed and a larger model only spawns more
 threads, each of which must live, so only minimal models need trying.  A word
 of length n then costs O(n * |Q| * classes * models) model trials, where the
 definition's frontier of configuration sets takes at every position the
-product of the models of every live thread.  step is that definition's
-one-position step, kept as a reference.
+product of the models of every live thread.  That one-position step is
+pipeline.oracle.frontier_step, kept there as a reference.
 """
-
-from itertools import product
 
 from ..errors import ParseError, ValidationError
 from ..words import Alphabet, DataWord, NAME_RE
@@ -74,36 +72,6 @@ class AlternatingAutomaton:
         if key not in self._models:
             self._models[key] = pb.minimal_models(self.delta_at(q, a, flag))
         return self._models[key]
-
-
-def initial_configs(aut, w):
-    return frozenset([(aut.initial, w.classes[0])])
-
-
-def step(aut: AlternatingAutomaton, w: DataWord, i, configs):
-    """All successor configuration sets of `configs` at position i, built from
-    minimal satisfying pairs.  Empty set of successors means every choice is
-    blocked; the empty configuration set steps to itself.
-
-    Reference only: the definition's one-position step, exponential in the
-    number of configurations.  run_exists does not call it."""
-    letter = w.letters[i]
-    here = w.classes[i]
-    per_config = []
-    for (q, cls) in sorted(configs):
-        flag = "up" if cls == here else "nup"
-        models = aut.models_at(q, letter, flag)
-        if not models:
-            return set()
-        per_config.append((cls, models))
-    out = set()
-    for choice in product(*(models for (_, models) in per_config)):
-        nxt = set()
-        for (cls, _), (plain, fresh) in zip(per_config, choice):
-            nxt.update((q2, cls) for q2 in plain)
-            nxt.update((q2, here) for q2 in fresh)
-        out.add(frozenset(nxt))
-    return out
 
 
 def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:

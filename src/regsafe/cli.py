@@ -34,6 +34,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(least, **counts):
+    """Refuse a count flag below `least`, named by its keyword."""
+    for name, value in counts.items():
+        if value < least:
+            raise _UsageError("--%s must be at least %d" % (name.replace("_", "-"), least))
+
+
 @dataclass(frozen=True)
 class Invocation:
     """One parsed CLI job: the exploration bounds and the output format."""
@@ -43,8 +50,7 @@ class Invocation:
     fmt: str
 
     def __post_init__(self):
-        if self.cap < 1 or self.vcap < 1:
-            raise _UsageError("cap and vcap must be positive")
+        _at_least(1, cap=self.cap, vcap=self.vcap)
 
 
 class _InvalidInput(Exception):
@@ -122,11 +128,9 @@ def _cmd_run(inv, ns):
 
 
 def _machine_from(ns):
-    if getattr(ns, "machine", None):
+    if ns.machine is not None:
         return _load(parse_machine, ns.machine)
-    if getattr(ns, "automaton", None):
-        return ara_to_ipcant(_load(parse_automaton, ns.automaton))
-    raise _UsageError("need --machine or --automaton")
+    return ara_to_ipcant(_load(parse_automaton, ns.automaton))
 
 
 def _cmd_sat(inv, ns):
@@ -182,6 +186,8 @@ def _cmd_bound(inv, ns):
 
 
 def _cmd_tmgen(inv, ns):
+    if ns.steps is not None:
+        _at_least(0, steps=ns.steps)
     machine = _load(parse_tm, ns.tm)
     f = tm_to_formula(machine)
     artifact = ltl.print_formula_file(tm_alphabet(machine), f)
@@ -196,6 +202,8 @@ def _cmd_tmgen(inv, ns):
 
 
 def _cmd_oracle(inv, ns):
+    _at_least(0, trials=ns.trials)
+    _at_least(1, max_len=ns.max_len, max_states=ns.max_states)
     rng = random.Random(ns.seed)
     alphabet = Alphabet(("a", "b"))
     for trial in range(ns.trials):
@@ -250,8 +258,9 @@ def _build_parser():
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sat", parents=[shared], help="bounded nonemptiness of a counter machine")
-    p.add_argument("--machine")
-    p.add_argument("--automaton")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--machine")
+    source.add_argument("--automaton")
     p.set_defaults(handler=_cmd_sat)
 
     p = sub.add_parser("include", parents=[shared], help="language inclusion of two automaton files")
@@ -265,8 +274,9 @@ def _build_parser():
     p.set_defaults(handler=_cmd_refine)
 
     p = sub.add_parser("bound", parents=[shared], help="print the theoretical exploration bound parameters")
-    p.add_argument("--machine")
-    p.add_argument("--automaton")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--machine")
+    source.add_argument("--automaton")
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("tmgen", parents=[shared], help="emit the run-encoding formula of a machine file")

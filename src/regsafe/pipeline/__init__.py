@@ -1,10 +1,10 @@
-"""Translations and decision procedures tying the layers together: counting
-abstraction of alternating configurations, compilation of alternating
-automata to counter machines, bounded nonemptiness and inclusion saturation,
-the Turing-machine formula generator, and brute-force cross-check oracles."""
+"""Translations and decision procedures tying the layers together:
+compilation of alternating automata to counter machines, bounded
+nonemptiness and inclusion saturation, the Turing-machine formula generator,
+and brute-force cross-check oracles.  The counting abstraction
+(pipeline.abstraction) is the test-only reference for the compiled letter
+step and is not imported here."""
 
-from .abstraction import (AbstractionTriple, abstract_configs, achievable_pairs,
-                          h_abstraction, triple_step)
 from .compile import CompiledMachine, ara_to_ipcant
 from .explore import (Inclusion, Nonemptiness, SaturationResult,
                       bounded_nonemptiness, inclusion_check, prefix_reachable)
@@ -13,8 +13,6 @@ from .tm import (HaltReached, TuringMachine, config_length, encode_tm_run,
                  format_tm, parse_tm, tm_alphabet, tm_to_formula)
 
 __all__ = [
-    "AbstractionTriple", "abstract_configs", "achievable_pairs",
-    "h_abstraction", "triple_step",
     "CompiledMachine", "ara_to_ipcant",
     "Inclusion", "Nonemptiness", "SaturationResult",
     "bounded_nonemptiness", "inclusion_check", "prefix_reachable",

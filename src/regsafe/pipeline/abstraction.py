@@ -6,6 +6,9 @@ every non-empty state set, how many other classes carry exactly that set.
 Class identities are forgotten; only multiplicities survive.  A step exists
 between two abstract configurations exactly when some concrete configurations
 abstracting to them make a step, which is what the counter machines explore.
+
+Reference only: nothing in the library imports this module.  triple_step is
+the specification that tests hold CompiledMachine.config_successors to.
 """
 
 from collections import Counter

@@ -7,12 +7,13 @@ its own, so both decide single configurations per position, memoized.  The
 oracle enumerates every satisfying pair of every transition formula by
 evaluating the formula on all pairs of state sets, so it depends neither on
 minimal_models nor on the monotonicity that lets run_exists try minimal
-models only.  _frontier_run_exists is the unoptimized definition itself
-(sets of configuration sets, full choice products over all satisfying
-pairs); it shares no thread argument with the other two, is exponentially
-heavier and only meant for very small inputs, as a third route to the same
-answer.  pattern_occurs decides the three-letter freeze pattern directly on
-a word, independent of any automaton.
+models only.  frontier_step is the definition's one-position step on a
+configuration set, the only copy of it; _frontier_run_exists runs the
+definition itself with it (sets of configuration sets, full choice products
+over all satisfying pairs).  That route shares no thread argument with the
+other two, is exponentially heavier and only meant for very small inputs, as
+a third route to the same answer.  pattern_occurs decides the three-letter
+freeze pattern directly on a word, independent of any automaton.
 """
 
 from itertools import combinations, product
@@ -20,7 +21,7 @@ from itertools import combinations, product
 from ..errors import ValidationError
 from ..words import DataWord
 from ..ara import posbool as pb
-from ..ara.automaton import AlternatingAutomaton, initial_configs
+from ..ara.automaton import AlternatingAutomaton
 
 
 def _all_pairs(phi, states):
@@ -81,6 +82,39 @@ def oracle_run_exists(aut: AlternatingAutomaton, w: DataWord,
     return thread(0, aut.initial, w.classes[0])
 
 
+def initial_configs(aut, w):
+    """The configuration set a run over w starts from: the initial state in
+    the class of position 0."""
+    return frozenset([(aut.initial, w.classes[0])])
+
+
+def frontier_step(w: DataWord, i, configs, pairs):
+    """All successor configuration sets of `configs` at position i of w.
+    Each configuration (q, cls) picks one pair (plain, fresh) of
+    pairs(q, letter, flag), the flag being up iff cls is the class of
+    position i; plain states go on in cls, fresh ones in the class of
+    position i.  No successors means some configuration has no pair; the
+    empty configuration set steps to itself.  Exponential in the number of
+    configurations."""
+    letter = w.letters[i]
+    here = w.classes[i]
+    per_config = []
+    for (q, cls) in sorted(configs):
+        flag = "up" if cls == here else "nup"
+        options = pairs(q, letter, flag)
+        if not options:
+            return set()
+        per_config.append((cls, options))
+    out = set()
+    for choice in product(*(opts for (_, opts) in per_config)):
+        succ = set()
+        for (cls, _), (plain, fresh) in zip(per_config, choice):
+            succ.update((q2, cls) for q2 in plain)
+            succ.update((q2, here) for q2 in fresh)
+        out.add(frozenset(succ))
+    return out
+
+
 def _frontier_run_exists(aut: AlternatingAutomaton, w: DataWord,
                          max_len=3, max_states=2) -> bool:
     """The definition, executed literally: keep the family of all reachable
@@ -92,30 +126,12 @@ def _frontier_run_exists(aut: AlternatingAutomaton, w: DataWord,
         raise ValidationError("frontier guard: word length %d > %d" % (len(w), max_len))
     if len(aut.states) > max_states:
         raise ValidationError("frontier guard: %d states > %d" % (len(aut.states), max_states))
-    pairs = _pair_table(aut)
+    table = _pair_table(aut)
     frontiers = {initial_configs(aut, w)}
     for i in range(len(w)):
-        letter = w.letters[i]
-        here = w.classes[i]
         nxt = set()
         for configs in frontiers:
-            per_config = []
-            blocked = False
-            for (q, cls) in sorted(configs):
-                flag = "up" if cls == here else "nup"
-                options = pairs[(q, letter, flag)]
-                if not options:
-                    blocked = True
-                    break
-                per_config.append((cls, options))
-            if blocked:
-                continue
-            for choice in product(*(opts for (_, opts) in per_config)):
-                succ = set()
-                for (cls, _), (plain, fresh) in zip(per_config, choice):
-                    succ.update((q2, cls) for q2 in plain)
-                    succ.update((q2, here) for q2 in fresh)
-                nxt.add(frozenset(succ))
+            nxt |= frontier_step(w, i, configs, lambda *key: table[key])
         if not nxt:
             return False
         frontiers = nxt

@@ -49,10 +49,6 @@ class Alphabet:
             raise ValidationError("letter %r not in alphabet" % (letter,)) from None
 
 
-def alphabet(*letters) -> Alphabet:
-    return Alphabet(tuple(letters))
-
-
 @dataclass(frozen=True)
 class DataWord:
     """A finite data word in canonical form.

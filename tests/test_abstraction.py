@@ -1,12 +1,17 @@
+from collections import Counter
+from itertools import combinations_with_replacement, permutations
 import random
 
 import pytest
 
 from regsafe.errors import ValidationError
 from regsafe.words import Alphabet, parse_word
-from regsafe.ara.automaton import initial_configs, step
-from regsafe.pipeline import (AbstractionTriple, abstract_configs,
-                              achievable_pairs, h_abstraction, triple_step)
+from regsafe.ara import format_automaton
+from regsafe.pipeline import ara_to_ipcant
+from regsafe.pipeline.abstraction import (AbstractionTriple, abstract_configs,
+                                          achievable_pairs, h_abstraction,
+                                          triple_step)
+from regsafe.pipeline.oracle import frontier_step, initial_configs
 from regsafe import randgen
 
 AB = Alphabet(("a", "b"))
@@ -120,7 +125,7 @@ def test_simulation_coherence_random_runs():
         frontier = [initial_configs(aut, w)]
         for i in range(len(w) - 1):
             configs = frontier[rng.randrange(len(frontier))]
-            succs = step(aut, w, i, configs)
+            succs = frontier_step(w, i, configs, aut.models_at)
             if not succs:
                 break
             t = h_abstraction(w, i, configs)
@@ -128,3 +133,70 @@ def test_simulation_coherence_random_runs():
                 t2 = h_abstraction(w, i + 1, nxt)
                 assert triple_step(aut, t, t2), (trial, i, t, t2)
             frontier = sorted(succs, key=sorted)
+
+
+def _states(cm, mask):
+    return frozenset(q for i, q in enumerate(cm.states_order) if mask >> i & 1)
+
+
+def _triple(cm, letter, mask, sv):
+    """A compiled configuration as an abstraction triple: the control's
+    states are the current class's, each token's counter names its class's
+    states.  A counter-0 token is a class with no thread left, which the
+    abstraction does not count."""
+    counts = Counter()
+    for ci, cnt in sv.items():
+        if ci:
+            counts[_states(cm, ci)] += cnt
+    return AbstractionTriple.make(letter, _states(cm, mask), counts)
+
+
+def _above(big, small):
+    """big is above small: its here-set holds small's, and small's classes
+    map one to one onto classes of big holding at least their states."""
+    if not small.here <= big.here:
+        return False
+    mine = [r for r, n in small.counts for _ in range(n)]
+    theirs = [r for r, n in big.counts for _ in range(n)]
+    return any(all(r <= r2 for r, r2 in zip(mine, perm))
+               for perm in permutations(theirs, len(mine)))
+
+
+def test_compiled_step_matches_triple_step():
+    """The compiled letter step against the counting abstraction it stands
+    for.  Forward: triple_step accepts every successor of
+    CompiledMachine.config_successors.  Converse: every triple it accepts
+    with at most one class more than the source lies above some successor.
+    Equality would be too strong, since triple_step also steps by
+    non-minimal models, which the compiled step leaves out."""
+    rng = random.Random(5)
+    successors = accepted = 0
+    for _ in range(100):
+        aut = randgen.random_automaton(rng, AB, max_states=2)
+        cm = ara_to_ipcant(aut)
+        full = range(1 << cm.n)
+        heres = [_states(cm, m) for m in full]
+        for _ in range(5):
+            mask = rng.choice(full)
+            sv = Counter(rng.choice(full) for _ in range(rng.randint(0, 2)))
+            tokens = sum(sv.values())
+            for letter in AB.letters:
+                src = _triple(cm, letter, mask, sv)
+                succ, truncated = cm.config_successors(("read", mask, False), dict(sv),
+                                                       letter)
+                assert not truncated
+                got = []
+                for a, control, sv2, _ in succ:
+                    dst = _triple(cm, a, control[1], sv2)
+                    assert triple_step(aut, src, dst), (format_automaton(aut), src, dst)
+                    got.append(dst)
+                successors += len(got)
+                for here in heres:
+                    for size in range(tokens + 2):
+                        for sets in combinations_with_replacement(heres[1:], size):
+                            dst = AbstractionTriple.make(letter, here, Counter(sets))
+                            if triple_step(aut, src, dst):
+                                accepted += 1
+                                assert any(_above(dst, s) for s in got), (
+                                    format_automaton(aut), src, dst)
+    assert successors >= 2000 and accepted > 0

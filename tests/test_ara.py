@@ -8,10 +8,10 @@ from regsafe.words import Alphabet, DataWord, enumerate_words, parse_word
 from regsafe.ara import posbool as pb
 from regsafe.ara import (dualize, format_automaton, inclusion_product,
                          intersect, ltl_to_ara, parse_automaton, run_exists,
-                         step, union)
-from regsafe.ara.automaton import AlternatingAutomaton, initial_configs
+                         union)
+from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe.ltl import parse_formula
-from regsafe.pipeline.oracle import _all_pairs
+from regsafe.pipeline.oracle import _all_pairs, frontier_step, initial_configs
 from regsafe import randgen
 
 AB = Alphabet(("a", "b"))
@@ -146,10 +146,11 @@ def test_fig1_examples(fig1, abc):
 
 def test_step_examples(fig1, abc):
     w = parse_word("a@0", abc)
-    succ = step(fig1, w, 0, frozenset({("q", 0)}))
+    succ = frontier_step(w, 0, frozenset({("q", 0)}), fig1.models_at)
     assert succ == {frozenset({("q", 0), ("q1", 0)})}
-    assert step(fig1, w, 0, frozenset()) == {frozenset()}
-    blocked = step(fig1, parse_word("b@0", abc), 0, frozenset({("q2", 0)}))
+    assert frontier_step(w, 0, frozenset(), fig1.models_at) == {frozenset()}
+    blocked = frontier_step(parse_word("b@0", abc), 0, frozenset({("q2", 0)}),
+                            fig1.models_at)
     assert blocked == set()
 
 
@@ -308,13 +309,13 @@ def test_format_posbool_parenthesizes_by_precedence():
 def _frontier_reference(aut, w):
     """Test-only reference: the frontier of configuration sets that
     run_exists kept before it decided threads one at a time.  Each position
-    steps every set of the frontier by `step` and keeps the
-    inclusion-minimal successors."""
+    steps every set of the frontier by `frontier_step` on minimal models and
+    keeps the inclusion-minimal successors."""
     frontier = [initial_configs(aut, w)]
     for i in range(len(w)):
         nxt = set()
         for configs in frontier:
-            nxt |= step(aut, w, i, configs)
+            nxt |= frontier_step(w, i, configs, aut.models_at)
         if not nxt:
             return False
         kept = []

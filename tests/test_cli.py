@@ -152,7 +152,7 @@ def test_bound_automaton(data_path, capsys):
     assert "m=" in out
 
 
-def test_tmgen_round_trip(data_path, capsys):
+def test_tmgen_round_trip(data_path, data_text, capsys):
     assert run_cli(["tmgen", "--tm", data_path("bouncer.tm")]) == 0
     out, _ = _out(capsys)
     ab, f = parse_formula_file(out)
@@ -162,7 +162,7 @@ def test_tmgen_round_trip(data_path, capsys):
     out, _ = _out(capsys)
     word_lines = [l for l in out.splitlines() if l.startswith("word: ")]
     assert len(word_lines) == 1
-    machine = parse_tm(open(data_path("bouncer.tm")).read())
+    machine = parse_tm(data_text("bouncer.tm"))
     expected = print_word(encode_tm_run(machine, 2))
     assert word_lines[0] == "word: " + expected
     parse_word(word_lines[0][len("word: "):], tm_alphabet(machine))
@@ -254,6 +254,20 @@ def test_usage_errors(data_path, tmp_path, capsys):
                     "--cap", "0"]) == 64
     assert run_cli(["parse", "--formula", str(tmp_path / "absent.ltl")]) == 64
     _out(capsys)
+    # counts that make no sense: one error line each, nothing run
+    for argv in (["oracle", "--max-len", "0"], ["oracle", "--max-states", "0"],
+                 ["oracle", "--trials", "-1"],
+                 ["tmgen", "--tm", data_path("bouncer.tm"), "--steps", "-1"]):
+        assert run_cli(argv) == 64, argv
+        out, err = _out(capsys)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    # sat and bound take exactly one of --machine and --automaton
+    both = ["--machine", data_path("tiny.cm"), "--automaton", data_path("fig1.ara")]
+    for command in ("sat", "bound"):
+        assert run_cli([command] + both) == 64
+        assert run_cli([command]) == 64
+        out, err = _out(capsys)
+        assert out == "" and err.count("error: ") == 2
 
 
 def test_parse_errors_exit_65(tmp_path, data_path, capsys):

@@ -448,9 +448,8 @@ def test_bound_ceiling():
         assert math.log2(m) < exponent
 
 
-def test_compute_bound_from_machine():
-    text = open("tests/data/tiny.cm").read()
-    machine = parse_machine(text)
+def test_compute_bound_from_machine(data_text):
+    machine = parse_machine(data_text("tiny.cm"))
     assert compute_bound(machine).m == 12
 
 
