@@ -20,7 +20,7 @@ pipeline.oracle.frontier_step, kept there as a reference.
 """
 
 from ..errors import ParseError, ValidationError
-from ..words import Alphabet, DataWord, NAME_RE
+from ..words import Alphabet, DataWord, read_names, read_sections
 from . import posbool as pb
 
 FLAGS = ("up", "nup")
@@ -219,30 +219,12 @@ def dualize(aut: AlternatingAutomaton) -> AlternatingAutomaton:
 
 
 def parse_automaton(text) -> AlternatingAutomaton:
-    alphabet = None
-    states = None
-    initial = None
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("alphabet:"):
-            alphabet = Alphabet(tuple(line[len("alphabet:"):].split()))
-        elif line.startswith("states:"):
-            states = tuple(line[len("states:"):].split())
-        elif line.startswith("initial:"):
-            parts = line[len("initial:"):].split()
-            if len(parts) != 1:
-                raise ParseError("line %d: expected one initial state" % lineno)
-            initial = parts[0]
-        else:
-            entries.append((lineno, line))
-    if alphabet is None or states is None or initial is None:
-        raise ParseError("automaton file needs alphabet:, states: and initial: lines")
-    for q in states:
-        if not NAME_RE.match(q):
-            raise ParseError("bad state name %r" % (q,))
+    headers, entries = read_sections(text, ("alphabet", "states", "initial"))
+    alphabet = Alphabet(tuple(headers["alphabet"].split()))
+    states = read_names(headers["states"], "state")
+    initial = headers["initial"].split()
+    if len(initial) != 1:
+        raise ParseError("expected one initial state")
     delta = {}
     for lineno, line in entries:
         if "->" not in line:
@@ -263,7 +245,7 @@ def parse_automaton(text) -> AlternatingAutomaton:
             if (q, a, fl) in delta:
                 raise ParseError("line %d: duplicate entry for %s, %s, %s" % (lineno, q, a, fl))
             delta[(q, a, fl)] = phi
-    return AlternatingAutomaton(alphabet, states, initial, delta)
+    return AlternatingAutomaton(alphabet, states, initial[0], delta)
 
 
 def format_automaton(aut: AlternatingAutomaton) -> str:

@@ -34,11 +34,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _at_least(least, **counts):
-    """Refuse a count flag below `least`, named by its keyword."""
+def _at_least(least, most=None, **counts):
+    """Refuse a count flag below `least`, or above `most` when given, named
+    by its keyword."""
     for name, value in counts.items():
-        if value < least:
-            raise _UsageError("--%s must be at least %d" % (name.replace("_", "-"), least))
+        if value < least or most is not None and value > most:
+            bound = "at least %d" % least if value < least else "at most %d" % most
+            raise _UsageError("--%s must be %s" % (name.replace("_", "-"), bound))
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,10 @@ def _cmd_tmgen(inv, ns):
 
 def _cmd_oracle(inv, ns):
     _at_least(0, trials=ns.trials)
-    _at_least(1, max_len=ns.max_len, max_states=ns.max_states)
+    # ceilings of the brute-force search: a transition formula has 4^states
+    # pairs to try, and the thread search recurses once per word position
+    _at_least(1, 50, max_len=ns.max_len)
+    _at_least(1, 6, max_states=ns.max_states)
     rng = random.Random(ns.seed)
     alphabet = Alphabet(("a", "b"))
     for trial in range(ns.trials):

@@ -34,7 +34,7 @@ import random
 import re
 
 from .errors import ParseError, ValidationError
-from .words import Alphabet, NAME_RE
+from .words import Alphabet, read_names, read_sections
 
 EPS = None  # transition label for letter-free moves
 
@@ -731,7 +731,7 @@ def bound_log2(q_count, basis_size, counter_count) -> float:
 
 
 _COUNTER_RE = re.compile(r"\{[^{}]*\}")
-_HEADERS = frozenset(("alphabet", "basis", "counters", "states", "initial", "relation"))
+_HEADERS = ("alphabet", "basis", "counters", "states", "initial")
 _RELATIONS = {"lazy": True, "error-free": False}
 
 
@@ -793,38 +793,16 @@ def _parse_instr(text, counters, counter):
 def parse_machine(text, check_transfers="auto") -> CounterMachine:
     """Read a machine file.  Each distinct instruction text is parsed once
     and its instruction shared by the transitions that use it."""
-    alphabet = None
-    basis = None
-    counters = None
-    states = None
-    initial = None
-    lazy = True
-    body = []
+    headers, body = read_sections(text, _HEADERS, ("relation",))
+    lazy = _RELATIONS.get(headers.get("relation", "lazy"))
+    if lazy is None:
+        raise ParseError("relation must be lazy or error-free, not %r" % headers["relation"])
+    alphabet = Alphabet(tuple(headers["alphabet"].split()))
+    basis = read_names(headers["basis"], "basis")
     counter = _once(_parse_counter)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, colon, value = line.partition(":")
-        if not colon or head not in _HEADERS:
-            body.append((lineno, line))
-        elif head == "alphabet":
-            alphabet = Alphabet(tuple(value.split()))
-        elif head == "basis":
-            basis = tuple(value.split())
-        elif head == "counters":
-            counters = tuple(counter(m.group(0)) for m in _COUNTER_RE.finditer(value))
-        elif head == "states":
-            states = tuple(value.split())
-        elif head == "relation":
-            lazy = _RELATIONS.get(value.strip())
-            if lazy is None:
-                raise ParseError("line %d: relation must be lazy or error-free, not %r"
-                                 % (lineno, value.strip()))
-        else:
-            initial = value.strip()
-    if None in (alphabet, basis, counters, states, initial):
-        raise ParseError("machine file needs alphabet:, basis:, counters:, states: and initial: lines")
+    counters = tuple(counter(m.group(0)) for m in _COUNTER_RE.finditer(headers["counters"]))
+    states = read_names(headers["states"], "state")
+    initial = headers["initial"]
     structure = CounterStructure(basis, counters)
     if "eps" in alphabet:
         raise ParseError("letter name 'eps' is reserved")

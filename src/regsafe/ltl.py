@@ -12,15 +12,15 @@ Grammar (precedence: unary > & > | > R, R associates right):
          | "down" phi | "X" phi | "G" phi | "(" phi ")"
          | phi "&" phi | phi "|" phi | phi "R" phi
 
-Formula files start with a header line ``alphabet: a b c`` followed by the
-formula text (which may span lines).
+Formula files hold a header line ``alphabet: a b c`` followed by the
+formula text (which may span lines); words.read_sections reads them.
 """
 
 import enum
 
 from .errors import ParseError, ValidationError
 from .tree import Node, fold, infix_printer, node, parenthesize, parse_infix, tokenize
-from .words import Alphabet, DataWord
+from .words import Alphabet, DataWord, read_sections
 
 
 class Formula(Node):
@@ -111,20 +111,14 @@ def parse_formula(text, alphabet: Alphabet) -> Formula:
 
 def parse_formula_file(text):
     """Parse ``alphabet: ...`` header plus formula body; returns (Alphabet, Formula)."""
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx == len(lines) or not lines[idx].strip().startswith("alphabet:"):
-        raise ParseError("formula file must start with an 'alphabet:' line")
-    letters = lines[idx].strip()[len("alphabet:"):].split()
+    headers, body = read_sections(text, ("alphabet",))
+    letters = headers["alphabet"].split()
     if not letters:
         raise ParseError("empty alphabet declaration")
     ab = Alphabet(tuple(letters))
-    body = "\n".join(lines[idx + 1:])
-    if not body.strip():
+    if not body:
         raise ParseError("formula file has no formula")
-    return ab, parse_formula(body, ab)
+    return ab, parse_formula("\n".join(line for _, line in body), ab)
 
 
 def print_formula(f: Formula) -> str:

@@ -4,18 +4,19 @@ oracle_run_exists answers the same question as ara.run_exists.  Both rest on
 threads of an alternating run never interacting: a configuration set can
 cover the rest of the word exactly when each of its configurations can on
 its own, so both decide single configurations per position, memoized.  The
-oracle enumerates every satisfying pair of every transition formula by
-evaluating the formula on all pairs of state sets, so it depends neither on
-minimal_models nor on the monotonicity that lets run_exists try minimal
-models only.  frontier_step is the definition's one-position step on a
-configuration set, the only copy of it; _frontier_run_exists runs the
-definition itself with it (sets of configuration sets, full choice products
-over all satisfying pairs).  That route shares no thread argument with the
-other two, is exponentially heavier and only meant for very small inputs, as
-a third route to the same answer.  pattern_occurs decides the three-letter
+oracle enumerates every satisfying pair of each transition formula a search
+reaches by evaluating the formula on all pairs of state sets (_pairs, shared
+with the frontier route), so it depends neither on minimal_models nor on the
+monotonicity that lets run_exists try minimal models only.  frontier_step is
+the definition's one-position step on a configuration set, the only copy of
+it; _frontier_run_exists runs the definition itself with it (sets of
+configuration sets, full choice products over all satisfying pairs).  That
+route shares no thread argument with the other two, is exponentially heavier
+and only meant for very small inputs, as a third route to the same answer.  pattern_occurs decides the three-letter
 freeze pattern directly on a word, independent of any automaton.
 """
 
+import functools
 from itertools import combinations, product
 
 from ..errors import ValidationError
@@ -36,13 +37,11 @@ def _all_pairs(phi, states):
     return out
 
 
-def _pair_table(aut):
-    pairs = {}
-    for q in aut.states:
-        for a in aut.alphabet.letters:
-            for flag in ("up", "nup"):
-                pairs[(q, a, flag)] = _all_pairs(aut.delta_at(q, a, flag), aut.states)
-    return pairs
+def _pairs(aut):
+    """pairs(q, letter, flag): every satisfying pair of that transition
+    formula, computed when a search first asks for it."""
+    return functools.lru_cache(maxsize=None)(
+        lambda q, letter, flag: _all_pairs(aut.delta_at(q, letter, flag), aut.states))
 
 
 def oracle_run_exists(aut: AlternatingAutomaton, w: DataWord,
@@ -56,7 +55,7 @@ def oracle_run_exists(aut: AlternatingAutomaton, w: DataWord,
         raise ValidationError("oracle guard: word length %d > %d" % (len(w), max_len))
     if len(aut.states) > max_states:
         raise ValidationError("oracle guard: %d states > %d" % (len(aut.states), max_states))
-    pairs = _pair_table(aut)
+    pairs = _pairs(aut)
     n = len(w)
     memo = {}
 
@@ -71,7 +70,7 @@ def oracle_run_exists(aut: AlternatingAutomaton, w: DataWord,
         here = w.classes[i]
         flag = "up" if cls == here else "nup"
         ok = False
-        for plain, fresh in pairs[(q, letter, flag)]:
+        for plain, fresh in pairs(q, letter, flag):
             if (all(thread(i + 1, q2, cls) for q2 in plain)
                     and all(thread(i + 1, q2, here) for q2 in fresh)):
                 ok = True
@@ -126,12 +125,12 @@ def _frontier_run_exists(aut: AlternatingAutomaton, w: DataWord,
         raise ValidationError("frontier guard: word length %d > %d" % (len(w), max_len))
     if len(aut.states) > max_states:
         raise ValidationError("frontier guard: %d states > %d" % (len(aut.states), max_states))
-    table = _pair_table(aut)
+    pairs = _pairs(aut)
     frontiers = {initial_configs(aut, w)}
     for i in range(len(w)):
         nxt = set()
         for configs in frontiers:
-            nxt |= frontier_step(w, i, configs, lambda *key: table[key])
+            nxt |= frontier_step(w, i, configs, pairs)
         if not nxt:
             return False
         frontiers = nxt

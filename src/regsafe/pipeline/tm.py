@@ -27,7 +27,7 @@ The generated formula conjoins, in negation normal form:
 """
 
 from ..errors import RegsafeError, ParseError, ValidationError
-from ..words import Alphabet, DataWord, NAME_RE, canonicalize
+from ..words import Alphabet, DataWord, NAME_RE, canonicalize, read_sections
 from .. import ltl
 
 
@@ -315,42 +315,28 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
 def parse_tm(text) -> TuringMachine:
     """Headers tape:, blank:, states:, initial:, size:; rule lines like
     ``q, a -> q', a', +1``."""
-    tape = blank = states = initial = size = None
+    headers, body = read_sections(text, ("tape", "blank", "states", "initial", "size"))
+    try:
+        size = int(headers["size"])
+    except ValueError:
+        raise ParseError("size must be an integer") from None
     rules = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("tape:"):
-            tape = tuple(line[len("tape:"):].split())
-        elif line.startswith("blank:"):
-            blank = line[len("blank:"):].strip()
-        elif line.startswith("states:"):
-            states = tuple(line[len("states:"):].split())
-        elif line.startswith("initial:"):
-            initial = line[len("initial:"):].strip()
-        elif line.startswith("size:"):
-            try:
-                size = int(line[len("size:"):].strip())
-            except ValueError:
-                raise ParseError("line %d: size must be an integer" % lineno) from None
-        else:
-            left, sep, right = line.partition("->")
-            if not sep:
-                raise ParseError("line %d: expected 'q, a -> q2, a2, move'" % lineno)
-            src = [p.strip() for p in left.split(",")]
-            dst = [p.strip() for p in right.split(",")]
-            if len(src) != 2 or len(dst) != 3:
-                raise ParseError("line %d: expected 'q, a -> q2, a2, move'" % lineno)
-            if dst[2] not in ("+1", "-1", "1"):
-                raise ParseError("line %d: move must be +1 or -1" % lineno)
-            key = (src[0], src[1])
-            if key in rules:
-                raise ParseError("line %d: duplicate rule for (%s, %s)" % ((lineno,) + key))
-            rules[key] = (dst[0], dst[1], 1 if dst[2] in ("+1", "1") else -1)
-    if None in (tape, blank, states, initial, size):
-        raise ParseError("machine file needs tape:, blank:, states:, initial: and size: lines")
-    return TuringMachine(tape, blank, states, initial, rules, size)
+    for lineno, line in body:
+        left, sep, right = line.partition("->")
+        if not sep:
+            raise ParseError("line %d: expected 'q, a -> q2, a2, move'" % lineno)
+        src = [p.strip() for p in left.split(",")]
+        dst = [p.strip() for p in right.split(",")]
+        if len(src) != 2 or len(dst) != 3:
+            raise ParseError("line %d: expected 'q, a -> q2, a2, move'" % lineno)
+        if dst[2] not in ("+1", "-1", "1"):
+            raise ParseError("line %d: move must be +1 or -1" % lineno)
+        key = (src[0], src[1])
+        if key in rules:
+            raise ParseError("line %d: duplicate rule for (%s, %s)" % ((lineno,) + key))
+        rules[key] = (dst[0], dst[1], 1 if dst[2] in ("+1", "1") else -1)
+    return TuringMachine(headers["tape"].split(), headers["blank"], headers["states"].split(),
+                         headers["initial"], rules, size)
 
 
 def format_tm(m: TuringMachine) -> str:

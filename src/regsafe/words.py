@@ -8,6 +8,8 @@ equal as values.
 
 Text format: whitespace-separated tokens ``letter@label``; labels are
 arbitrary and get renumbered on parse, e.g. ``a@0 c@1 b@0``.
+
+read_sections reads the lines of all four file formats (.ltl, .ara, .cm, .tm).
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,45 @@ import re
 from .errors import ParseError, ValidationError
 
 NAME_RE = re.compile(r"[A-Za-z0-9_^-]+\Z")
+
+
+def read_sections(text, required, optional=()):
+    """Split a file into its headers and body lines.  Blank lines and lines
+    starting with '#' are skipped.  A line ``name: value`` is a header when
+    `name` is one of `required` or `optional`; any other line is a body line.
+    A header comes at most once and before the first body line.  Returns
+    (headers, body): headers maps each header given to its stripped value,
+    body lists the (line number, stripped line) pairs in file order."""
+    names = frozenset(required).union(optional)
+    headers = {}
+    body = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        name, colon, value = line.partition(":")
+        if not colon or name not in names:
+            body.append((lineno, line))
+        elif name in headers:
+            raise ParseError("line %d: repeated %s: header" % (lineno, name))
+        elif body:
+            raise ParseError("line %d: %s: header after the first body line" % (lineno, name))
+        else:
+            headers[name] = value.strip()
+    missing = ["%s:" % name for name in required if name not in headers]
+    if missing:
+        raise ParseError("missing header line(s): %s" % " ".join(missing))
+    return headers, body
+
+
+def read_names(value, what):
+    """The whitespace-separated names of a header value, each matching
+    NAME_RE; `what` names them in the error."""
+    names = tuple(value.split())
+    for name in names:
+        if not NAME_RE.match(name):
+            raise ParseError("bad %s name %r" % (what, name))
+    return names
 
 
 @dataclass(frozen=True)

@@ -254,13 +254,17 @@ def test_usage_errors(data_path, tmp_path, capsys):
                     "--cap", "0"]) == 64
     assert run_cli(["parse", "--formula", str(tmp_path / "absent.ltl")]) == 64
     _out(capsys)
-    # counts that make no sense: one error line each, nothing run
+    # counts out of range, the oracle's ceilings among them: one error line
+    # each, nothing run
     for argv in (["oracle", "--max-len", "0"], ["oracle", "--max-states", "0"],
-                 ["oracle", "--trials", "-1"],
+                 ["oracle", "--trials", "-1"], ["oracle", "--max-states", "7"],
+                 ["oracle", "--max-len", "51"], ["oracle", "--max-len", "900"],
                  ["tmgen", "--tm", data_path("bouncer.tm"), "--steps", "-1"]):
         assert run_cli(argv) == 64, argv
         out, err = _out(capsys)
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    assert run_cli(["oracle", "--max-states", "6", "--max-len", "50", "--trials", "2"]) == 0
+    assert _out(capsys)[0].startswith("AGREE")
     # sat and bound take exactly one of --machine and --automaton
     both = ["--machine", data_path("tiny.cm"), "--automaton", data_path("fig1.ara")]
     for command in ("sat", "bound"):

@@ -1,0 +1,173 @@
+"""The four file formats (.ltl, .ara, .cm, .tm) and the reader they share,
+words.read_sections: print-parse round trips, comment and blank lines
+anywhere, and the header placements every format refuses."""
+
+import os
+import random
+
+from hypothesis import assume, given, settings, strategies as hst
+import pytest
+
+from regsafe import ltl, randgen
+from regsafe.ara import format_automaton, parse_automaton
+from regsafe.cli import run_cli
+from regsafe.errors import ParseError
+from regsafe.ipcant import CounterMachine, Transition, format_machine, parse_machine
+from regsafe.pipeline.tm import TuringMachine, format_tm, parse_tm
+from regsafe.words import Alphabet
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+AB = Alphabet(("a", "b"))
+
+# the printout of a parse, and the header names, per format
+REPRINT = {
+    ".ltl": lambda text: ltl.print_formula_file(*ltl.parse_formula_file(text)),
+    ".ara": lambda text: format_automaton(parse_automaton(text)),
+    ".cm": lambda text: format_machine(parse_machine(text, "off")),
+    ".tm": lambda text: format_tm(parse_tm(text)),
+}
+HEADERS = {
+    ".ltl": {"alphabet"},
+    ".ara": {"alphabet", "states", "initial"},
+    ".cm": {"alphabet", "basis", "counters", "states", "initial", "relation"},
+    ".tm": {"tape", "blank", "states", "initial", "size"},
+}
+
+
+def _random_cm(seed):
+    rng = random.Random(seed)
+    structure = randgen.random_structure(rng, max_basis=2, max_counters=3)
+    states = tuple("p%d" % i for i in range(rng.randint(1, 3)))
+    transitions = [Transition(rng.choice(states), rng.choice(AB.letters),
+                              randgen.random_transfer(rng, structure), rng.choice(states))
+                   for _ in range(rng.randint(1, 4))]
+    return format_machine(CounterMachine(AB, states, states[0], structure, transitions,
+                                         check_transfers="off", lazy=rng.random() < 0.5))
+
+
+@hst.composite
+def turing_machines(draw):
+    tape = draw(hst.lists(hst.sampled_from(("B", "M", "a")), min_size=1, max_size=3, unique=True))
+    states = draw(hst.lists(hst.sampled_from(("q0", "q1", "h")), min_size=1, max_size=3,
+                            unique=True))
+    rules = {}
+    for q in states:
+        for a in tape:
+            rules[(q, a)] = (draw(hst.sampled_from(states)), draw(hst.sampled_from(tape)),
+                             draw(hst.sampled_from((1, -1))))
+    return TuringMachine(tape, draw(hst.sampled_from(tape)), states,
+                         draw(hst.sampled_from(states)), rules, draw(hst.integers(1, 3)))
+
+
+SEEDS = hst.integers(0, 2 ** 32 - 1)
+TEXTS = {
+    ".ltl": SEEDS.map(lambda seed: ltl.print_formula_file(
+        AB, randgen.random_sentence(random.Random(seed), AB, depth=4))),
+    ".ara": SEEDS.map(lambda seed: format_automaton(
+        randgen.random_automaton(random.Random(seed), AB, max_states=3))),
+    ".cm": SEEDS.map(_random_cm),
+    ".tm": turing_machines().map(format_tm),
+}
+PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+@pytest.mark.parametrize("ext", [".ltl", ".ara", ".tm"])
+@PROPERTY
+@given(data=hst.data())
+def test_round_trip_property(ext, data):
+    """A printed file parses back to an object with the same printout
+    (.cm has its own, test_ipcant::test_machine_file_round_trip_property)."""
+    text = data.draw(TEXTS[ext])
+    assert REPRINT[ext](text) == text
+
+
+NOISE = ("", "   ", "#", "# a comment", "  # indented: comment", "#alphabet: z",
+         "# states: q9 -> q9")
+
+
+@pytest.mark.parametrize("ext", sorted(REPRINT))
+@PROPERTY
+@given(data=hst.data())
+def test_comments_and_blank_lines_anywhere(ext, data):
+    text = data.draw(TEXTS[ext])
+    lines = text.splitlines()
+    for _ in range(data.draw(hst.integers(1, 6))):
+        lines.insert(data.draw(hst.integers(0, len(lines))), data.draw(hst.sampled_from(NOISE)))
+    assert REPRINT[ext]("\n".join(lines) + "\n") == text
+
+
+@pytest.mark.parametrize("ext", sorted(REPRINT))
+@PROPERTY
+@given(data=hst.data())
+def test_repeated_or_late_header_refused(ext, data):
+    text = data.draw(TEXTS[ext])
+    lines = text.splitlines()
+    # printers put every header before the body
+    n = sum(1 for line in lines if line.partition(":")[0] in HEADERS[ext])
+    assert n and all(line.partition(":")[0] in HEADERS[ext] for line in lines[:n])
+    header = lines[data.draw(hst.integers(0, n - 1))]
+    again = list(lines)
+    again.insert(data.draw(hst.integers(0, len(lines))), header)
+    with pytest.raises(ParseError, match="repeated"):
+        REPRINT[ext]("\n".join(again) + "\n")
+    assume(n < len(lines))
+    late = [line for line in lines if line != header]
+    late.insert(data.draw(hst.integers(n, len(late))), header)
+    with pytest.raises(ParseError, match="after the first body line"):
+        REPRINT[ext]("\n".join(late) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(DATA)))
+def test_data_files_reprint(name, data_text):
+    """Every shipped file prints the same after a second parse."""
+    reprint = REPRINT[os.path.splitext(name)[1]]
+    once = reprint(data_text(name))
+    assert reprint(once) == once
+
+
+def test_ltl_file_takes_comments():
+    ab, f = ltl.parse_formula_file("# note\nalphabet: a b\n\n# the property\nG a\n")
+    assert ltl.print_formula_file(ab, f) == "alphabet: a b\nG a\n"
+
+
+def test_header_value_errors_name_the_header():
+    with pytest.raises(ParseError, match="size must be an integer"):
+        parse_tm("tape: B\nblank: B\nstates: q\ninitial: q\nsize: two\nq, B -> q, B, +1\n")
+    with pytest.raises(ParseError, match="one initial state"):
+        parse_automaton("alphabet: a\nstates: p q\ninitial: p q\n")
+    with pytest.raises(ParseError, match="empty alphabet"):
+        ltl.parse_formula_file("alphabet:\ntrue\n")
+    with pytest.raises(ParseError, match="no formula"):
+        ltl.parse_formula_file("alphabet: a\n# only a comment\n")
+
+
+def _cli(tmp_path, name, text, command, flag, *rest):
+    """The exit code of `command` given `text`, written to a file, as `flag`."""
+    path = tmp_path / name
+    path.write_text(text)
+    return run_cli([command, flag, str(path)] + list(rest))
+
+
+def test_repeated_header_no_longer_wins(tmp_path, capsys):
+    """The last copy of a repeated header used to win silently."""
+    ara = "alphabet: a\nstates: q\ninitial: q\nalphabet: b\nq, b, * -> q\n"
+    assert _cli(tmp_path, "rep.ara", ara, "run", "--automaton", "--word", "b@1") == 65
+    tm = "tape: B\nblank: B\nstates: q\ninitial: q\nsize: 1\nsize: 2\nq, B -> q, B, +1\n"
+    assert _cli(tmp_path, "rep.tm", tm, "tmgen", "--tm") == 65
+    assert capsys.readouterr().err.count("repeated") == 2
+
+
+CM_NAMES = ("alphabet: a\nbasis: {x}\ncounters: {{{x}}}\nstates: p {q}\ninitial: p\n"
+            "p -a, inc {{{x}}}-> {q}\n{q} -a, nop-> p\n")
+
+
+def test_machine_names_follow_name_re(tmp_path, capsys):
+    """A state `#q` made its transition line a comment, and `x;y` is no
+    name; both are refused, and the machine with plain names decides."""
+    for name, basis, state, error in (("hash.cm", "x", "#q", "bad state name '#q'"),
+                                      ("semi.cm", "x;y", "q", "bad basis name 'x;y'")):
+        assert _cli(tmp_path, name, CM_NAMES.format(x=basis, q=state), "sat", "--machine") == 65
+        assert error in capsys.readouterr().err
+    plain = CM_NAMES.format(x="x", q="q")
+    assert len(parse_machine(plain).transitions) == 2
+    assert _cli(tmp_path, "plain.cm", plain, "sat", "--machine") == 2

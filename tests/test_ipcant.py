@@ -480,9 +480,13 @@ def test_machine_file_relation_header(data_text):
     text = format_machine(free)
     assert text.splitlines()[5] == "relation: error-free"
     assert not parse_machine(text).lazy and format_machine(parse_machine(text)) == text
-    assert parse_machine(tiny + "relation: lazy\n").lazy
-    with pytest.raises(ParseError):
-        parse_machine(tiny + "relation: bogus\n")
+    before_body = "initial: p\nrelation: %s\n"
+    assert parse_machine(tiny.replace("initial: p\n", before_body % "lazy")).lazy
+    with pytest.raises(ParseError, match="relation must be"):
+        parse_machine(tiny.replace("initial: p\n", before_body % "bogus"))
+    # a header after the first transition line is refused, as in every format
+    with pytest.raises(ParseError, match="after the first body line"):
+        parse_machine(tiny + "relation: lazy\n")
 
 
 def test_machine_rejects_eps_cycle():

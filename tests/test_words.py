@@ -5,7 +5,7 @@ import pytest
 from regsafe.errors import ParseError, ValidationError
 from regsafe.words import (Alphabet, DataWord, canonical_class_sequences,
                            canonicalize, enumerate_words, parse_word, prefix,
-                           print_word)
+                           print_word, read_names, read_sections)
 
 
 def test_alphabet_validation():
@@ -107,3 +107,24 @@ def test_random_round_trips(abc):
         assert parse_word(print_word(w), abc) == w
         for i in range(1, n + 1):
             assert prefix(w, i).letters == w.letters[:i]
+
+
+def test_read_sections():
+    text = "# c\n\nsize: 3 \n  size : 2\n  body: one\nq -> p\n#size: 9\n"
+    headers, body = read_sections(text, ("size",), ("tag",))
+    # only declared names are headers, and only when the name ends at the colon
+    assert headers == {"size": "3"}
+    assert body == [(4, "size : 2"), (5, "body: one"), (6, "q -> p")]
+    with pytest.raises(ParseError, match="missing header line.*: a: c:"):
+        read_sections("b: 1\n", ("a", "b", "c"))
+    with pytest.raises(ParseError, match="line 2: repeated tag: header"):
+        read_sections("tag: x\ntag: x\n", (), ("tag",))
+    with pytest.raises(ParseError, match="line 3: tag: header after"):
+        read_sections("\nbody\ntag: x\n", (), ("tag",))
+
+
+def test_read_names():
+    assert read_names(" p  q-1 r^a ", "state") == ("p", "q-1", "r^a")
+    for bad in ("#q", "x;y", "{x}", "a@b"):
+        with pytest.raises(ParseError, match="bad state name"):
+            read_names("p " + bad, "state")
