@@ -9,10 +9,11 @@ class ParseError(RegsafeError):
     """Malformed textual input (formula, word, automaton or machine file).
 
     Carries an optional position so CLI callers can point at the offending
-    token.
+    token, and the message without it as `detail`.
     """
 
     def __init__(self, message, position=None):
+        self.detail = message
         if position is not None:
             message = "%s (at position %d)" % (message, position)
         super().__init__(message)

@@ -168,20 +168,28 @@ class CounterMachine:
             raise ValidationError("duplicate state name")
         if initial not in known:
             raise ValidationError("initial state %r not declared" % (initial,))
-        self._outgoing = {}  # source state -> its transitions, in order
+        # one pass over the transitions; the instructions and the letter-free
+        # moves it collects are checked after it
+        self._outgoing = outgoing = {}  # source state -> its transitions, in order
+        eps = {}  # source state -> the targets of its letter-free transitions
+        instrs = {}  # id(instruction) -> instruction, in order of first use
         resting = set()
         for t in self.transitions:
-            if t.src not in known or t.dst not in known:
+            src = t.src
+            if src not in known or t.dst not in known:
                 raise ValidationError("transition uses unknown state")
-            if t.label is not EPS:
+            if t.label is EPS:
+                eps.setdefault(src, []).append(t.dst)
+            else:
                 if t.label not in alphabet:
                     raise ValidationError("transition on unknown letter %r" % (t.label,))
-                resting.add(t.src)
-            self._outgoing.setdefault(t.src, []).append(t)
+                resting.add(src)
+            outgoing.setdefault(src, []).append(t)
+            instrs.setdefault(id(t.instr), t.instr)
         self._resting = frozenset(resting)
         self._op_of = {}  # id(instruction) -> (kind, argument)
-        transfers = self._validate_instructions()
-        self._check_eps_acyclic()
+        transfers = self._validate_instructions(instrs.values())
+        self._check_eps_acyclic(eps)
         if check_transfers != "off":
             self._check_transfers(check_transfers, transfers)
 
@@ -191,8 +199,8 @@ class CounterMachine:
         unchanged (True) or does not fire (False)."""
         return self._lazy
 
-    def _validate_instructions(self):
-        """Check each instruction object once: a known kind, naming only
+    def _validate_instructions(self, instrs):
+        """Check each distinct instruction object: a known kind, naming only
         counters of the structure.  Checking maps the counters to their
         indices, which gives the op (kind, argument) a step fires, kept in
         _op_of.  An increment or decrement carries its counter index; a
@@ -208,10 +216,7 @@ class CounterMachine:
         identity = tuple([(p,) for p in pair.values()])
         transfers = {}
         try:
-            for t in self.transitions:
-                instr = t.instr
-                if id(instr) in op_of:
-                    continue
+            for instr in instrs:
                 if isinstance(instr, Transfer):
                     # unlisted counters keep their tokens; the first entry
                     # for a counter wins, as in Transfer.image
@@ -231,18 +236,15 @@ class CounterMachine:
                                   % (sorted(e.args[0]),)) from None
         return tuple(transfers)
 
-    def _check_eps_acyclic(self):
-        outgoing = self._outgoing
-
-        def eps_targets(q):
-            return iter([t.dst for t in outgoing.get(q, ()) if t.label is EPS])
-
+    def _check_eps_acyclic(self, eps):
+        """Raise ValidationError when the letter-free moves, eps mapping a
+        state to its targets, form a cycle."""
         color = {}  # 1 while on the search path, 2 once finished
         for root in self.states:
-            if root in color:
+            if root in color or root not in eps:
                 continue
             color[root] = 1
-            stack = [(root, eps_targets(root))]
+            stack = [(root, iter(eps[root]))]
             while stack:
                 q, succ = stack[-1]
                 for r in succ:
@@ -250,7 +252,7 @@ class CounterMachine:
                         raise ValidationError("letter-free transition cycle through %r" % (q,))
                     if r not in color:
                         color[r] = 1
-                        stack.append((r, eps_targets(r)))
+                        stack.append((r, iter(eps.get(r, ()))))
                         break
                 else:
                     color[q] = 2
@@ -790,9 +792,25 @@ def _parse_instr(text, counters, counter):
     raise ParseError("unknown instruction %r" % text)
 
 
+# the most instruction texts one counter family's memo keeps, the oldest
+# dropped first
+INSTRUCTIONS = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def instruction_memo(counters):
+    """The parsed instructions of a counter tuple by instruction text, shared
+    by every parse_machine over the same family; the tuple is part of the
+    key because an ifz^cap expands over it.  At most 64 memos are kept, the
+    least recently used dropped first, each holding at most INSTRUCTIONS
+    texts."""
+    return {}
+
+
 def parse_machine(text, check_transfers="auto") -> CounterMachine:
     """Read a machine file.  Each distinct instruction text is parsed once
-    and its instruction shared by the transitions that use it."""
+    per counter family (instruction_memo) and its instruction shared by the
+    transitions that use it."""
     headers, body = read_sections(text, _HEADERS, ("relation",))
     lazy = _RELATIONS.get(headers.get("relation", "lazy"))
     if lazy is None:
@@ -806,7 +824,20 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
     structure = CounterStructure(basis, counters)
     if "eps" in alphabet:
         raise ParseError("letter name 'eps' is reserved")
-    instr = _once(lambda t: _parse_instr(t, structure.counters, counter))
+    memo = instruction_memo(structure.counters)
+
+    def parse(t):
+        out = memo.get(t)
+        if out is None:
+            out = _parse_instr(t, structure.counters, counter)
+            if len(memo) >= INSTRUCTIONS:
+                del memo[next(iter(memo))]
+            memo[t] = out
+        return out
+
+    # a text met twice in one file gets one object, even when the memo
+    # dropped it in between
+    instr = _once(parse)
     transitions = []
     for lineno, line in body:
         src, _, rest = line.partition(" ")

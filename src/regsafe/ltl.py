@@ -110,7 +110,9 @@ def parse_formula(text, alphabet: Alphabet) -> Formula:
 
 
 def parse_formula_file(text):
-    """Parse ``alphabet: ...`` header plus formula body; returns (Alphabet, Formula)."""
+    """Parse ``alphabet: ...`` header plus formula body; returns (Alphabet,
+    Formula).  A syntax error at a token names the token's line and column
+    in the file."""
     headers, body = read_sections(text, ("alphabet",))
     letters = headers["alphabet"].split()
     if not letters:
@@ -118,7 +120,20 @@ def parse_formula_file(text):
     ab = Alphabet(tuple(letters))
     if not body:
         raise ParseError("formula file has no formula")
-    return ab, parse_formula("\n".join(line for _, line in body), ab)
+    try:
+        return ab, parse_formula("\n".join(line for _, line in body), ab)
+    except ParseError as e:
+        if e.position is None:
+            raise
+        # the offset is into the stripped body lines joined by newlines
+        start = 0
+        for lineno, line in body:
+            if e.position <= start + len(line):
+                break
+            start += len(line) + 1
+        raw = text.splitlines()[lineno - 1]
+        column = len(raw) - len(raw.lstrip()) + e.position - start + 1
+        raise ParseError("line %d, column %d: %s" % (lineno, column, e.detail)) from None
 
 
 def print_formula(f: Formula) -> str:

@@ -33,7 +33,10 @@ state; reachability of a checkpoint with an infinite continuation decides
 language inclusion.
 
 materialize() spells the cycle out as an explicit instruction list for small
-automata, a CounterMachine built error-free.  Exploration instead uses
+automata, a CounterMachine built error-free.  The counter structure and the
+part of the cycle no transition of the automaton changes are built once per
+state-name tuple (and co-states) and shared by the machines that use them
+(family_structure, letter_free_cycle).  Exploration instead uses
 config_successors, which takes the whole cycle as one step under the
 error-free relation too (it never fabricates tokens).  Only the read split,
 the here-set and the pick are choices; the merge is the here-set joined with
@@ -50,7 +53,8 @@ with co-states, one more through the checkpoint), so exploration bounds keep
 their instruction unit.
 """
 
-from functools import partial
+from collections import namedtuple
+from functools import lru_cache, partial
 
 from ..ara.automaton import AlternatingAutomaton, FLAGS
 from ..errors import ValidationError
@@ -75,6 +79,10 @@ def _mark_name(q):
     return q + "^bbd"
 
 
+def _flight_index(n, kept, marked):
+    return (1 << n) + (kept << n | marked)
+
+
 class CompiledMachine:
     """Counter machine compiled from an automaton; transitions are generated
     on demand.  Counters are indexed by bitmask: away counters first (one per
@@ -92,7 +100,6 @@ class CompiledMachine:
             if q not in self._sidx:
                 raise ValidationError("co-state %r is not a state" % (q,))
             self.co_mask |= 1 << self._sidx[q]
-        self._structure = None
         self.initial_control = ("read", 1 << self._sidx[aut.initial], False)
         # instructions of one letter cycle: read, models, n merges, the
         # current class's deposit, shift, [next,] pick; the checkpoint adds one
@@ -106,15 +113,14 @@ class CompiledMachine:
         return mask
 
     def flight_index(self, kept, marked):
-        return (1 << self.n) + (kept << self.n | marked)
+        return _flight_index(self.n, kept, marked)
 
     @property
     def structure(self):
-        """Built on first use: the counter list is exponential in the state
-        count and the on-demand transition relation never needs it."""
-        if self._structure is None:
-            self._structure = self._build_structure()
-        return self._structure
+        """The counter family's structure, shared by every machine over the
+        same state names (family_structure).  The on-demand transition
+        relation never needs it."""
+        return family_structure(self.states_order)
 
     def bound_counts(self):
         """(control state, basis, counter) counts without enumerating
@@ -125,23 +131,6 @@ class CompiledMachine:
         if self.co_states:
             states += 2
         return (states, 3 * n + 2, (1 << n) + (1 << (2 * n)))
-
-    def _build_structure(self):
-        n = self.n
-        names = self.states_order
-        basis = [ANCHOR_AWAY] + [_away_name(q) for q in names]
-        basis += [ANCHOR_FLIGHT] + [_kept_name(q) for q in names] + [_mark_name(q) for q in names]
-        counters = []
-        for mask in range(1 << n):
-            counters.append(frozenset([ANCHOR_AWAY] +
-                                      [_away_name(names[i]) for i in range(n) if mask >> i & 1]))
-        for kept in range(1 << n):
-            for marked in range(1 << n):
-                c = [ANCHOR_FLIGHT]
-                c += [_kept_name(names[i]) for i in range(n) if kept >> i & 1]
-                c += [_mark_name(names[i]) for i in range(n) if marked >> i & 1]
-                counters.append(frozenset(c))
-        return CounterStructure(basis, counters)
 
     # minimal models as (kept mask, refrozen mask) pairs
     def _models(self, qi, letter, flag):
@@ -263,72 +252,123 @@ class CompiledMachine:
         Each control is named once and each distinct instruction built once
         and shared by the transitions that use it: one read transfer per
         letter, one ifz^cap per merged state, one decrement and increment per
-        in-flight counter."""
+        in-flight counter.  Only the read transfers and the models_* edges
+        depend on the automaton's transitions; they are built here.  The
+        rest of the cycle, from the merges to the pick, depends on the state
+        names and co-states alone and comes from letter_free_cycle, shared
+        by every machine of the family together with its nop, which the
+        models_* edges use too."""
         if self.n > 3:
             raise ValidationError("explicit compilation is for small automata")
-        n = self.n
-        full = range(1 << n)
+        full = range(1 << self.n)
         counters = self.structure.counters
-        away = [counters[self.away_index(mask)] for mask in full]
-        transitions = []
-        states = set()
-
-        def add(src, label, instr, dst):
-            states.add(src)
-            states.add(dst)
-            transitions.append(Transition(src, label, instr, dst))
-
-        read = ["read_%d" % mask for mask in full]
-        merge = [["merge_%d_%d" % (s, k) for k in range(n + 1)] for s in full]
+        cycle = letter_free_cycle(self.states_order, self.co_states)
         reads = [Transfer(tuple(
-            (away[mask], tuple(counters[self.flight_index(kept, marked)]
-                               for kept, marked in self.read_images(letter, mask)))
+            (counters[self.away_index(mask)],
+             tuple(counters[self.flight_index(kept, marked)]
+                   for kept, marked in self.read_images(letter, mask)))
             for mask in full)) for letter in self.alphabet]
-        shift = Transfer(tuple((counters[self.flight_index(kept, marked)], (away[kept],))
-                               for kept in full for marked in full))
-        nop = Transfer(())
-
+        edges = []
+        states = list(cycle.states)
         for mask in full:
             for li, letter in enumerate(self.alphabet):
                 models = "models_%d_%d" % (mask, li)
-                add(read[mask], letter, reads[li], models)
+                states.append(models)
+                edges.append(Transition(cycle.read[mask], letter, reads[li], models))
                 for s in self.here_sets(letter, mask):
-                    add(models, EPS, nop, merge[s][0])
-        # per merged state k: its ifz^cap and the in-flight counters whose
-        # refrozen mask holds it, each with its decrement and increment
-        witness = {}
-        merges = []
-        for k in range(n):
-            marked_k = []
-            for kept in full:
-                for marked in full:
-                    if marked >> k & 1:
-                        ci = self.flight_index(kept, marked)
-                        if ci not in witness:
-                            witness[ci] = (ci, Dec(counters[ci]), Inc(counters[ci]))
-                        marked_k.append(witness[ci])
-            merges.append((ifz_cap({_mark_name(self.states_order[k])}, counters), marked_k))
-        for s in full:
-            for k, (ifz, witnesses) in enumerate(merges):
-                add(merge[s][k], EPS, ifz, merge[s][k + 1])
-                for ci, dec, inc in witnesses:
-                    hold = "hold_%d_%d_%d" % (s, k, ci)
-                    add(merge[s][k], EPS, dec, hold)
-                    add(hold, EPS, inc, merge[s | 1 << k][k + 1])
-            add(merge[s][n], EPS, Inc(away[s]), "shift")
-        after_shift = "next" if self.co_states else "pick"
-        add("shift", EPS, shift, after_shift)
-        if self.co_states:
-            add("next", EPS, nop, "pick")
-            add("next", EPS,
-                ifz_cap({_away_name(q) for q in self.co_states}, counters), "checkpoint")
-            add("checkpoint", EPS, nop, "pick")
-        for mask in full:
-            add("pick", EPS, Dec(away[mask]), read[mask])
-        add("pick", EPS, nop, read[0])
+                    edges.append(Transition(models, EPS, cycle.nop, cycle.merge[s]))
+        edges += cycle.transitions
+        states.sort()
+        return CounterMachine(self.alphabet, states, cycle.read[self.initial_control[1]],
+                              self.structure, edges, check_transfers="off", lazy=False)
 
-        return CounterMachine(self.alphabet, sorted(states), read[self.initial_control[1]],
-                              self.structure, transitions, check_transfers="off", lazy=False)
+
+@lru_cache(maxsize=64)
+def family_structure(names):
+    """The CounterStructure of the machines compiled over the state-name
+    tuple: the basis and counters of the module docstring, indexed as
+    CompiledMachine.away_index and flight_index say.  Built once per
+    process; at most 64 are kept, the least recently used dropped first."""
+    n = len(names)
+    basis = [ANCHOR_AWAY] + [_away_name(q) for q in names]
+    basis += [ANCHOR_FLIGHT] + [_kept_name(q) for q in names] + [_mark_name(q) for q in names]
+    counters = []
+    for mask in range(1 << n):
+        counters.append(frozenset([ANCHOR_AWAY] +
+                                  [_away_name(names[i]) for i in range(n) if mask >> i & 1]))
+    for kept in range(1 << n):
+        for marked in range(1 << n):
+            c = [ANCHOR_FLIGHT]
+            c += [_kept_name(names[i]) for i in range(n) if kept >> i & 1]
+            c += [_mark_name(names[i]) for i in range(n) if marked >> i & 1]
+            counters.append(frozenset(c))
+    return CounterStructure(basis, counters)
+
+
+# The part of materialize()'s letter cycle that no transition of the
+# automaton changes: `transitions` from the merges to the pick, in the order
+# they are listed, and the states they use; `read` and `merge` name each
+# mask's read control and first merge control; `nop` is the identity
+# transfer they share
+LetterFreeCycle = namedtuple("LetterFreeCycle", "nop transitions states read merge")
+
+
+@lru_cache(maxsize=16)
+def letter_free_cycle(names, co_states):
+    """The LetterFreeCycle of the machines compiled over the state-name tuple
+    with the given co-states, each distinct instruction built once: one
+    ifz^cap per merged state, one decrement and increment per in-flight
+    counter, each witness through its hold_* state.  Built once per process;
+    at most 16 are kept, the least recently used dropped first."""
+    n = len(names)
+    full = range(1 << n)
+    counters = family_structure(names).counters
+    away = counters[:1 << n]
+    transitions = []
+    states = set()
+
+    def add(src, instr, dst):
+        states.add(src)
+        states.add(dst)
+        transitions.append(Transition(src, EPS, instr, dst))
+
+    read = tuple("read_%d" % mask for mask in full)
+    merge = [["merge_%d_%d" % (s, k) for k in range(n + 1)] for s in full]
+    nop = Transfer(())
+    # per merged state k: its ifz^cap and the in-flight counters whose
+    # refrozen mask holds it, each with its decrement and increment
+    witness = {}
+    merges = []
+    for k in range(n):
+        marked_k = []
+        for kept in full:
+            for marked in full:
+                if marked >> k & 1:
+                    ci = _flight_index(n, kept, marked)
+                    if ci not in witness:
+                        witness[ci] = (ci, Dec(counters[ci]), Inc(counters[ci]))
+                    marked_k.append(witness[ci])
+        merges.append((ifz_cap({_mark_name(names[k])}, counters), marked_k))
+    for s in full:
+        for k, (ifz, witnesses) in enumerate(merges):
+            add(merge[s][k], ifz, merge[s][k + 1])
+            for ci, dec, inc in witnesses:
+                hold = "hold_%d_%d_%d" % (s, k, ci)
+                add(merge[s][k], dec, hold)
+                add(hold, inc, merge[s | 1 << k][k + 1])
+        add(merge[s][n], Inc(away[s]), "shift")
+    shift = Transfer(tuple((counters[_flight_index(n, kept, marked)], (away[kept],))
+                           for kept in full for marked in full))
+    add("shift", shift, "next" if co_states else "pick")
+    if co_states:
+        add("next", nop, "pick")
+        add("next", ifz_cap({_away_name(q) for q in co_states}, counters), "checkpoint")
+        add("checkpoint", nop, "pick")
+    for mask in full:
+        add("pick", Dec(away[mask]), read[mask])
+    add("pick", nop, read[0])
+    return LetterFreeCycle(nop, tuple(transitions), tuple(states), read,
+                           tuple(m[0] for m in merge))
 
 
 def ara_to_ipcant(aut: AlternatingAutomaton, co_states=None) -> CompiledMachine:

@@ -157,9 +157,10 @@ def tokenize(text, unexpected="unexpected character %r"):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(unexpected % text[pos], pos)
+            raise ParseError(unexpected % rest[0], len(text) - len(rest))
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
     return tokens

@@ -283,6 +283,21 @@ def test_parse_errors_exit_65(tmp_path, data_path, capsys):
     _out(capsys)
 
 
+def test_formula_file_error_names_line_and_column(tmp_path, capsys):
+    """A syntax error in a formula file is reported at its line and column
+    in the file, not as an offset into the joined body."""
+    bad = tmp_path / "bad.ltl"
+    bad.write_text("alphabet: a b\n# comment\nG (a |\n  b) & X b)\n")
+    assert run_cli(["parse", "--formula", str(bad)]) == 65
+    _, err = _out(capsys)
+    assert err == "parse error: line 4, column 11: trailing input ')'\n"
+    # a bad character is named, not the whitespace before it
+    bad.write_text("alphabet: a\nG a\n\t  %\n")
+    assert run_cli(["parse", "--formula", str(bad)]) == 65
+    _, err = _out(capsys)
+    assert err == "parse error: line 3, column 4: unexpected character '%'\n"
+
+
 def test_invalid_input_files_exit_65(tmp_path, capsys):
     """Files that parse but break an invariant of their format."""
     header = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p q\ninitial: p\n"

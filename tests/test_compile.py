@@ -15,6 +15,7 @@ from regsafe.ipcant import (BRANCH_BUDGET, EPS, Transfer, Valuation, check_distr
                             split_tokens)
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import ara_to_ipcant
+from regsafe.pipeline.compile import family_structure, letter_free_cycle
 
 AB = Alphabet(("a", "b"))
 
@@ -287,6 +288,59 @@ def test_materialized_machine_file_round_trip_random():
                 assert all(s in lazy_p for s in exact_m)
                 assert all(s in exact_m or (s[2] == sv and s[1].startswith(("hold_", "read_")))
                            for s in lazy_p)
+
+
+def _printed(aut, co):
+    """The materialized machine's text and that text parsed and printed."""
+    text = format_machine(ara_to_ipcant(aut, co_states=co).materialize())
+    return text, format_machine(parse_machine(text, "off"))
+
+
+def test_warm_machines_print_as_cold_ones():
+    """Materialized and parsed machines of 1-3-state automata, built one
+    after another in one process, whose family caches fill up with the
+    machines before them, print as each machine built alone with every
+    family cache of compile and ipcant emptied first."""
+    rng = random.Random(61)
+    cases = []
+    for k in range(40):
+        aut = randgen.random_automaton(rng, AB if k % 3 else Alphabet(("a",)), max_states=3)
+        co = None
+        if k % 2:
+            co = tuple(q for q in aut.states if rng.random() < 0.5) or aut.states[:1]
+        cases.append((aut, co))
+    warm = [_printed(aut, co) for aut, co in cases]
+    for k, ((aut, co), (text, again)) in enumerate(zip(cases, warm)):
+        assert text == again
+        for cache in (family_structure, letter_free_cycle, ipcant.instruction_memo):
+            cache.cache_clear()
+        assert _printed(aut, co) == (text, again), k
+
+
+def test_machines_of_one_family_share_the_letter_free_cycle():
+    """Two automata over the same state names: everything from the merges
+    to the pick is the same transition objects, the models_* edges use the
+    cycle's nop, and the read transfers are each machine's own.  Other
+    co-states or other state names make another cycle."""
+    rng = random.Random(62)
+    auts = []
+    while len(auts) < 2:
+        aut = randgen.random_automaton(rng, AB, max_states=2)
+        if len(aut.states) == 2:
+            auts.append(aut)
+    one, two = (ara_to_ipcant(aut).materialize() for aut in auts)
+    assert one.transitions != two.transitions
+    cycle = letter_free_cycle(("q0", "q1"), ())
+    for m in (one, two):
+        assert m.structure is family_structure(("q0", "q1"))
+        tail = m.transitions[-len(cycle.transitions):]
+        assert all(t is u for t, u in zip(tail, cycle.transitions))
+        models = [t for t in m.transitions if t.src.startswith("models_")]
+        assert models and all(t.instr is cycle.nop for t in models)
+    reads = [{id(t.instr) for t in m.transitions if t.label is not EPS} for m in (one, two)]
+    assert not reads[0] & reads[1]
+    assert letter_free_cycle(("q0", "q1"), ("q1",)) is not cycle
+    assert letter_free_cycle(("q1", "q0"), ()).nop is not cycle.nop
 
 
 def test_materialize_transfers_distributive():

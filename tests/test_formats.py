@@ -130,6 +130,24 @@ def test_ltl_file_takes_comments():
     assert ltl.print_formula_file(ab, f) == "alphabet: a b\nG a\n"
 
 
+def test_ltl_file_errors_point_into_the_file():
+    """Every positioned formula error of a file names the line and column of
+    its token; an error at the end of the formula has no position."""
+    cases = [
+        ("alphabet: a b\n# comment\nG (a |\n  b) & X b)\n", 4, 11, "trailing input ')'", ")"),
+        ("alphabet: a\n\n   a &\n\n  c\n", 5, 3, "letter 'c' not declared", "c"),
+        ("alphabet: a\n a & U a\n", 2, 6, "until is not part", "U"),
+        ("alphabet: a\n  a\n# x\n   &   $\n", 4, 8, "unexpected character '$'", "$"),
+    ]
+    for text, line, column, message, token in cases:
+        with pytest.raises(ParseError) as err:
+            ltl.parse_formula_file(text)
+        assert str(err.value).startswith("line %d, column %d: %s" % (line, column, message))
+        assert text.splitlines()[line - 1][column - 1] == token
+    with pytest.raises(ParseError, match="^unexpected end of formula$"):
+        ltl.parse_formula_file("alphabet: a\nG (a &\n")
+
+
 def test_header_value_errors_name_the_header():
     with pytest.raises(ParseError, match="size must be an integer"):
         parse_tm("tape: B\nblank: B\nstates: q\ninitial: q\nsize: two\nq, B -> q, B, +1\n")

@@ -12,8 +12,9 @@ from regsafe.ipcant import (CounterMachine, CounterStructure, CoverTable, Dec, E
                             Inc, Transfer, Transition, Valuation, bound_ceiling,
                             bound_params, check_distributive, compositions,
                             compute_bound, cover_table, fire, fire_lazy, format_machine, ifz_cap,
-                            parse_machine, split_tokens, sqsse, transfer_witnesses)
-from regsafe import randgen
+                            instruction_memo, parse_machine, split_tokens, sqsse,
+                            transfer_witnesses)
+from regsafe import ipcant, randgen
 
 
 def _vals(results):
@@ -384,6 +385,51 @@ def test_caches_stay_within_their_bounds():
         assert check_distributive(dict(zip(counters, next(maps))), counters)
         assert len(table.verdicts) <= CoverTable.VERDICTS
     assert len(table.verdicts) == CoverTable.VERDICTS
+
+
+def test_instruction_memo_is_per_family():
+    """One ifz^cap text parsed over two counter families, in either order,
+    expands over each family's own counters; within a family the memo hands
+    every machine the same instruction object."""
+    line = "p -a, ifz^cap {x}-> p\n"
+    first = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\ninitial: p\n" + line
+    second = "alphabet: a\nbasis: x y\ncounters: {y} {x,y}\nstates: p\ninitial: p\n" + line
+    for texts in ((first, second), (second, first)):
+        instruction_memo.cache_clear()
+        for text in texts + texts:
+            m = parse_machine(text)
+            assert m.transitions[0].instr == ifz_cap({"x"}, m.structure.counters)
+        assert instruction_memo.cache_info().currsize == 2
+    ifz = [parse_machine(text).transitions[0].instr for text in (first, first, second)]
+    assert ifz[0] is ifz[1] and ifz[0] != ifz[2]
+
+
+def test_instruction_memo_at_its_bound(monkeypatch):
+    """A memo that keeps fewer texts than a file holds still parses the file
+    to the machine a roomy memo gives, one object per distinct instruction,
+    and stays within its bound."""
+    header = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p q\ninitial: p\n"
+    body = ["p -a, inc {x}-> q", "q -a, dec {y}-> p", "p -a, ifz^cap {y}-> p",
+            "q -eps, transf {x}->[{x},{x,y}]-> p", "p -a, inc {x}-> p", "q -a, nop-> q",
+            "q -a, dec {y}-> q", "p -a, inc {x,y}-> q"]
+    text = header + "\n".join(body) + "\n"
+    want = parse_machine(text, "full")
+    monkeypatch.setattr(ipcant, "INSTRUCTIONS", 2)
+    instruction_memo.cache_clear()
+    for _ in range(3):
+        m = parse_machine(text, "full")
+        assert format_machine(m) == format_machine(want)
+        instrs = [t.instr for t in m.transitions]
+        assert instrs == [t.instr for t in want.transitions]
+        assert len({id(i) for i in instrs}) == len(set(instrs))
+        assert len(instruction_memo(m.structure.counters)) == 2
+
+
+def test_unchecked_parse_builds_no_cover_table():
+    cover_table.cache_clear()
+    parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
+                  "p -a, transf {x}->[{x}]-> p\n", "off")
+    assert cover_table.cache_info().currsize == 0
 
 
 def _random_machine(rng, structure, lazy):

@@ -1,9 +1,10 @@
 import random
 
+from hypothesis import given, settings, strategies as hst
 import pytest
 
 from regsafe.errors import ValidationError
-from regsafe.words import Alphabet, parse_word
+from regsafe.words import Alphabet, DataWord, parse_word
 from regsafe.ara import run_exists
 from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe.pipeline import oracle_run_exists, pattern_occurs
@@ -44,6 +45,27 @@ def test_oracle_matches_run_exists_seeded():
         aut = randgen.random_automaton(rng, AB, max_states=3)
         w = randgen.random_word(rng, AB, 5)
         assert oracle_run_exists(aut, w) == run_exists(aut, w), trial
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), data=hst.data())
+def test_three_routes_agree_property(seed, data):
+    """run_exists, oracle_run_exists and _frontier_run_exists agree on a
+    random 1-3-state automaton and a canonical word of length <= 6.  The
+    frontier route is asked only inside its default guards (2 states,
+    length 3): it keeps every reachable family of configuration sets, and
+    past them one pair can take seconds."""
+    aut = randgen.random_automaton(random.Random(seed), AB, max_states=3)
+    n = data.draw(hst.integers(1, 6))
+    letters = data.draw(hst.lists(hst.sampled_from(AB.letters), min_size=n, max_size=n))
+    classes = []
+    for _ in range(n):
+        classes.append(data.draw(hst.integers(0, max(classes, default=-1) + 1)))
+    w = DataWord(tuple(letters), tuple(classes))
+    got = run_exists(aut, w)
+    assert oracle_run_exists(aut, w) == got
+    if len(aut.states) <= 2 and n <= 3:
+        assert _frontier_run_exists(aut, w) == got
 
 
 def test_frontier_route_agrees():
