@@ -24,6 +24,14 @@ reference view: a Valuation pairs a counter structure with an int tuple
 aligned with the structure's counter order, so firing operations need no
 extra context.  Tests and the acceptance criteria check the machines against
 this view; exploration never uses it.
+
+Every result kept past one call is an lru_cache on the pure function that
+computes it, keyed by counter tuples, texts and instructions, never by a
+machine: parsing and printing a counter or an instruction, an instruction's
+op (_instruction_op), a counter family's cover table and a transfer map's
+distributivity verdict.  So the machines of one counter family, which
+share most of their instructions, parse, check and print each distinct
+instruction once per process.  Errors are raised afresh on every call.
 """
 
 from dataclasses import dataclass
@@ -201,39 +209,19 @@ class CounterMachine:
 
     def _validate_instructions(self, instrs):
         """Check each distinct instruction object: a known kind, naming only
-        counters of the structure.  Checking maps the counters to their
-        indices, which gives the op (kind, argument) a step fires, kept in
-        _op_of.  An increment or decrement carries its counter index; a
-        transfer carries the images of every counter as split_tokens takes
-        them, one tuple of (image index, 0) pairs per counter index.  An
-        identity transfer (nop, or one mapping each listed counter to
-        itself) has kind None: its step copies the valuation.  Returns the
-        distinct transfers, equal ones once, in order of first use.  Raises
-        ValidationError otherwise."""
+        counters of the structure, and keep the op a step of it fires
+        (_instruction_op) in _op_of.  Returns the distinct transfers, equal
+        ones once, in order of first use.  Raises ValidationError
+        otherwise."""
         op_of = self._op_of
-        index = self.structure.index
-        pair = {c: (i, 0) for c, i in index.items()}
-        identity = tuple([(p,) for p in pair.values()])
+        counters = self.structure.counters
         transfers = {}
-        try:
-            for instr in instrs:
-                if isinstance(instr, Transfer):
-                    # unlisted counters keep their tokens; the first entry
-                    # for a counter wins, as in Transfer.image
-                    arg = list(identity)
-                    for src, dsts in reversed(instr.entries):
-                        arg[pair[src][0]] = tuple(map(pair.__getitem__, dsts))
-                    arg = tuple(arg)
-                    op = (None, None) if arg == identity else (Transfer, arg)
-                    transfers[instr] = None
-                elif isinstance(instr, (Inc, Dec)):
-                    op = (Inc if isinstance(instr, Inc) else Dec, index[instr.counter])
-                else:
-                    raise ValidationError("unknown instruction %r" % (instr,))
-                op_of[id(instr)] = op
-        except KeyError as e:
-            raise ValidationError("instruction uses unknown counter %r"
-                                  % (sorted(e.args[0]),)) from None
+        for instr in instrs:
+            if not isinstance(instr, (Inc, Dec, Transfer)):
+                raise ValidationError("unknown instruction %r" % (instr,))
+            op_of[id(instr)] = _instruction_op(instr, counters)
+            if isinstance(instr, Transfer):
+                transfers[instr] = None
         return tuple(transfers)
 
     def _check_eps_acyclic(self, eps):
@@ -259,16 +247,13 @@ class CounterMachine:
                     stack.pop()
 
     def _check_transfers(self, mode, transfers):
-        if not transfers:
-            return
         counters = self.structure.counters
         exhaustive = len(counters) <= 12 or mode == "full"
-        table = cover_table(counters) if exhaustive else None
         for instr in transfers:
             f = {c: (c,) for c in counters}
             for src, dsts in reversed(instr.entries):
                 f[src] = dsts
-            ok = (check_distributive(f, counters, table) if exhaustive
+            ok = (check_distributive(f, counters) if exhaustive
                   else _sampled_distributive(f, counters))
             if not ok:
                 raise ValidationError("transfer map is not distributive")
@@ -347,18 +332,38 @@ class CounterMachine:
         return out, truncated
 
 
+@functools.lru_cache(maxsize=4096)
+def _instruction_op(instr, counters):
+    """The op (kind, argument) a step of an Inc, Dec or Transfer over the
+    counter tuple fires.  An increment or decrement carries its counter
+    index; a transfer carries the images of every counter as split_tokens
+    takes them, one tuple of (image index, 0) pairs per counter index.  An
+    identity transfer (nop, or one mapping each listed counter to itself)
+    has kind None: its step copies the valuation.  Raises ValidationError
+    on a counter outside the tuple."""
+    pair = {c: (i, 0) for i, c in enumerate(counters)}
+    try:
+        if isinstance(instr, Transfer):
+            # unlisted counters keep their tokens; the first entry for a
+            # counter wins, as in Transfer.image
+            identity = tuple([(p,) for p in pair.values()])
+            arg = list(identity)
+            for src, dsts in reversed(instr.entries):
+                arg[pair[src][0]] = tuple(map(pair.__getitem__, dsts))
+            arg = tuple(arg)
+            return (None, None) if arg == identity else (Transfer, arg)
+        return (Inc if isinstance(instr, Inc) else Dec, pair[instr.counter][0])
+    except KeyError as e:
+        raise ValidationError("instruction uses unknown counter %r"
+                              % (sorted(e.args[0]),)) from None
+
+
 class CoverTable:
     """A counter family on basis bitmasks: each basis element of a counter
     gets a bit, and each counter its irredundant covers, index-increasing
     tuples of counter indices whose union contains it and none of which can
     be dropped.  The distributivity condition sees the family only through
-    these covers, so one table serves every transfer map over it.
-
-    `verdicts` memoises check_distributive on the table, keyed by a map's
-    images in counter order.  It holds at most VERDICTS entries, the oldest
-    dropped first."""
-
-    VERDICTS = 4096
+    these covers, so one table serves every transfer map over it."""
 
     def __init__(self, counters):
         self.bits = {}
@@ -368,7 +373,6 @@ class CoverTable:
         masks = tuple(self.mask(c) for c in counters)
         self.masks = dict(zip(counters, masks))
         self.covers = tuple(_irredundant_covers_of(m, masks) for m in masks)
-        self.verdicts = {}
 
     def mask(self, elements, extra=None):
         """Bitmask of a set of basis elements.  An element that no counter
@@ -386,9 +390,8 @@ class CoverTable:
 @functools.lru_cache(maxsize=64)
 def cover_table(counters):
     """The shared CoverTable of a counter tuple, built once per process: every
-    machine and every check over the same family uses it and its memoised
-    verdicts.  At most 64 tables are kept, the least recently used dropped
-    first."""
+    machine and every check over the same family uses it.  At most 64 tables
+    are kept, the least recently used dropped first."""
     return CoverTable(counters)
 
 
@@ -425,11 +428,10 @@ def _irredundant_covers_of(target, masks):
 def check_distributive(f, counters, table=None) -> bool:
     """Exhaustive check of the distributivity condition over all irredundant
     covers (sufficient: a redundant cover's condition follows from any
-    irredundant subcover).  `table` is the CoverTable of the counters, the
-    shared cover_table when not given; feasible for families up to a dozen
-    or two counters, the cost being driven by the cover count.  The verdict
-    is memoised on the table, keyed by the images of every counter in
-    order."""
+    irredundant subcover); feasible for families up to a dozen or two
+    counters, the cost being driven by the cover count.  `table` is the
+    CoverTable of the counters; without it the verdict is the memoised one
+    of _covers_distributive, on the shared cover_table."""
     counters = tuple(counters)
     key = []
     for c in counters:
@@ -438,22 +440,21 @@ def check_distributive(f, counters, table=None) -> bool:
         key.append(tuple(f[c]))
     key = tuple(key)
     if table is None:
-        table = cover_table(counters)
-    verdicts = table.verdicts
-    ok = verdicts.get(key)
-    if ok is None:
-        ok = _covers_distributive(key, table)
-        if len(verdicts) >= CoverTable.VERDICTS:
-            del verdicts[next(iter(verdicts))]
-        verdicts[key] = ok
-    return ok
+        return _covers_distributive(key, counters)
+    return _cover_loop(key, table)
 
 
-def _covers_distributive(key, table):
-    """The cover loop of check_distributive on its key, the images of each
-    counter.  The condition on a cover depends only on the union of the
-    chosen images, so the unions are folded cover member by member into a
-    set."""
+@functools.lru_cache(maxsize=4096)
+def _covers_distributive(key, counters):
+    """check_distributive's verdict on the images of each counter, key, over
+    the counter tuple's shared cover_table."""
+    return _cover_loop(key, cover_table(counters))
+
+
+def _cover_loop(key, table):
+    """The cover loop of check_distributive on the images of each counter,
+    key.  The condition on a cover depends only on the union of the chosen
+    images, so the unions are folded cover member by member into a set."""
     known = table.masks
     extra = {}
     images = []
@@ -733,42 +734,41 @@ def bound_log2(q_count, basis_size, counter_count) -> float:
 
 
 _COUNTER_RE = re.compile(r"\{[^{}]*\}")
+# the counters: header, {...} groups apart by whitespace, and a transfer
+# image, {...} groups apart by commas, or nothing
+_COUNTERS_RE = re.compile(r"\s*(?:\{[^{}]*\}\s*)*")
+_IMAGE_RE = re.compile(r"\s*(?:\{[^{}]*\}\s*(?:,\s*\{[^{}]*\}\s*)*)?")
 _HEADERS = ("alphabet", "basis", "counters", "states", "initial")
 _RELATIONS = {"lazy": True, "error-free": False}
 
 
+@functools.lru_cache(maxsize=4096)
 def _parse_counter(text):
     text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
+    if not _COUNTER_RE.fullmatch(text):
         raise ParseError("expected a counter like {x,y}, got %r" % text)
-    names = [part.strip() for part in text[1:-1].split(",") if part.strip()]
-    return frozenset(names)
+    return frozenset(part.strip() for part in text[1:-1].split(",") if part.strip())
 
 
-def _once(fn):
-    """fn as a dict-backed lookup: each distinct argument is handled once
-    while the returned function lives (one parse or print call)."""
-    done = {}
-
-    def lookup(arg):
-        out = done.get(arg)
-        if out is None:
-            out = done[arg] = fn(arg)
-        return out
-
-    return lookup
+def _parse_counters(text, pattern, what):
+    """The counters of a list that must match pattern; `what` names it in
+    the error."""
+    if not pattern.fullmatch(text):
+        raise ParseError("bad %s %r" % (what, text))
+    return tuple(_parse_counter(m.group(0)) for m in _COUNTER_RE.finditer(text))
 
 
-def _parse_instr(text, counters, counter):
-    text = text.strip()
+@functools.lru_cache(maxsize=4096)
+def _parse_instr(text, counters):
+    """The instruction of a stripped instruction text over the family's
+    counter tuple, which an ifz^cap expands over."""
     if text.startswith("inc "):
-        return Inc(counter(text[4:]))
+        return Inc(_parse_counter(text[4:]))
     if text.startswith("dec "):
-        return Dec(counter(text[4:]))
+        return Dec(_parse_counter(text[4:]))
     if text.startswith("ifz^cap "):
-        y = counter(text[len("ifz^cap "):])
-        return ifz_cap(y, counters)
-    if text.startswith("nop"):
+        return ifz_cap(_parse_counter(text[len("ifz^cap "):]), counters)
+    if text == "nop":
         return Transfer(())
     if text.startswith("transf "):
         entries = []
@@ -779,65 +779,37 @@ def _parse_instr(text, counters, counter):
             left, sep, right = part.partition("->")
             if not sep:
                 raise ParseError("transfer entry %r lacks '->'" % part)
-            src = counter(left)
             right = right.strip()
             if not (right.startswith("[") and right.endswith("]")):
                 raise ParseError("transfer image %r must be a [...] list" % right)
-            inner = right[1:-1].strip()
-            dsts = tuple(counter(m.group(0)) for m in _COUNTER_RE.finditer(inner))
-            if inner and not dsts:
-                raise ParseError("bad transfer image %r" % right)
-            entries.append((src, dsts))
+            entries.append((_parse_counter(left),
+                            _parse_counters(right[1:-1], _IMAGE_RE, "transfer image")))
         return Transfer(tuple(entries))
     raise ParseError("unknown instruction %r" % text)
 
 
-# the most instruction texts one counter family's memo keeps, the oldest
-# dropped first
-INSTRUCTIONS = 4096
-
-
-@functools.lru_cache(maxsize=64)
-def instruction_memo(counters):
-    """The parsed instructions of a counter tuple by instruction text, shared
-    by every parse_machine over the same family; the tuple is part of the
-    key because an ifz^cap expands over it.  At most 64 memos are kept, the
-    least recently used dropped first, each holding at most INSTRUCTIONS
-    texts."""
-    return {}
-
-
 def parse_machine(text, check_transfers="auto") -> CounterMachine:
-    """Read a machine file.  Each distinct instruction text is parsed once
-    per counter family (instruction_memo) and its instruction shared by the
-    transitions that use it."""
+    """Read a machine file.  Each distinct instruction text gives one
+    instruction object, shared by the transitions that use it; _parse_instr
+    parses the texts of a counter family once per process."""
     headers, body = read_sections(text, _HEADERS, ("relation",))
     lazy = _RELATIONS.get(headers.get("relation", "lazy"))
     if lazy is None:
         raise ParseError("relation must be lazy or error-free, not %r" % headers["relation"])
     alphabet = Alphabet(tuple(headers["alphabet"].split()))
     basis = read_names(headers["basis"], "basis")
-    counter = _once(_parse_counter)
-    counters = tuple(counter(m.group(0)) for m in _COUNTER_RE.finditer(headers["counters"]))
+    counters = _parse_counters(headers["counters"], _COUNTERS_RE, "counters: header")
     states = read_names(headers["states"], "state")
-    initial = headers["initial"]
+    initial = read_names(headers["initial"], "state")
+    if len(initial) != 1:
+        raise ParseError("expected one initial state")
     structure = CounterStructure(basis, counters)
     if "eps" in alphabet:
         raise ParseError("letter name 'eps' is reserved")
-    memo = instruction_memo(structure.counters)
-
-    def parse(t):
-        out = memo.get(t)
-        if out is None:
-            out = _parse_instr(t, structure.counters, counter)
-            if len(memo) >= INSTRUCTIONS:
-                del memo[next(iter(memo))]
-            memo[t] = out
-        return out
-
-    # a text met twice in one file gets one object, even when the memo
+    counters = structure.counters
+    # a text met twice in one file gets one object, even when _parse_instr
     # dropped it in between
-    instr = _once(parse)
+    instrs = {}
     transitions = []
     for lineno, line in body:
         src, _, rest = line.partition(" ")
@@ -851,40 +823,45 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
         instr_text, sep, dst = rest2.rpartition("->")
         if not sep:
             raise ParseError("line %d: missing '->' before target state" % lineno)
-        transitions.append(Transition(src, label, instr(instr_text.strip()), dst.strip()))
-    return CounterMachine(alphabet, states, initial, structure, transitions,
+        instr_text = instr_text.strip()
+        instr = instrs.get(instr_text)
+        if instr is None:
+            instr = instrs[instr_text] = _parse_instr(instr_text, counters)
+        transitions.append(Transition(src, label, instr, dst.strip()))
+    return CounterMachine(alphabet, states, initial[0], structure, transitions,
                           check_transfers=check_transfers, lazy=lazy)
 
 
+@functools.lru_cache(maxsize=4096)
 def _format_counter(c):
     return "{%s}" % ",".join(sorted(c))
 
 
-def _format_instr(instr, counter):
+@functools.lru_cache(maxsize=4096)
+def _format_instr(instr):
     if isinstance(instr, Inc):
-        return "inc %s" % counter(instr.counter)
+        return "inc " + _format_counter(instr.counter)
     if isinstance(instr, Dec):
-        return "dec %s" % counter(instr.counter)
+        return "dec " + _format_counter(instr.counter)
     if isinstance(instr, Transfer):
         if not instr.entries:
             return "nop"
         parts = []
         for src, dsts in sorted(instr.entries, key=lambda e: sorted(e[0])):
-            parts.append("%s->[%s]" % (counter(src), ",".join(counter(d) for d in dsts)))
+            parts.append("%s->[%s]" % (_format_counter(src),
+                                       ",".join(map(_format_counter, dsts))))
         return "transf " + "; ".join(parts)
     raise ValidationError("unknown instruction %r" % (instr,))
 
 
 def format_machine(m: CounterMachine) -> str:
-    """The machine file text.  Each distinct instruction is printed once.
-    An error-free machine says so in a `relation:` line; a lazy one, the
-    default, prints none."""
-    counter = _once(_format_counter)
-    instr = _once(lambda i: _format_instr(i, counter))
+    """The machine file text.  An error-free machine says so in a
+    `relation:` line; a lazy one, the default, prints none.  _format_instr
+    prints each distinct instruction once per process."""
     lines = [
         "alphabet: " + " ".join(m.alphabet.letters),
         "basis: " + " ".join(m.structure.basis),
-        "counters: " + " ".join(counter(c) for c in m.structure.counters),
+        "counters: " + " ".join(map(_format_counter, m.structure.counters)),
         "states: " + " ".join(m.states),
         "initial: " + m.initial,
     ]
@@ -892,5 +869,5 @@ def format_machine(m: CounterMachine) -> str:
         lines.append("relation: error-free")
     for t in m.transitions:
         label = "eps" if t.label is EPS else t.label
-        lines.append("%s -%s, %s-> %s" % (t.src, label, instr(t.instr), t.dst))
+        lines.append("%s -%s, %s-> %s" % (t.src, label, _format_instr(t.instr), t.dst))
     return "\n".join(lines) + "\n"

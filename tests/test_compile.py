@@ -312,7 +312,9 @@ def test_warm_machines_print_as_cold_ones():
     warm = [_printed(aut, co) for aut, co in cases]
     for k, ((aut, co), (text, again)) in enumerate(zip(cases, warm)):
         assert text == again
-        for cache in (family_structure, letter_free_cycle, ipcant.instruction_memo):
+        for cache in (family_structure, letter_free_cycle, ipcant._parse_counter,
+                      ipcant._parse_instr, ipcant._instruction_op, ipcant._format_counter,
+                      ipcant._format_instr, ipcant._covers_distributive):
             cache.cache_clear()
         assert _printed(aut, co) == (text, again), k
 

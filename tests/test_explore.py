@@ -2,6 +2,7 @@ from collections import deque
 from itertools import product
 import random
 
+from hypothesis import given, settings, strategies as hst
 import pytest
 
 from regsafe.words import Alphabet, canonicalize
@@ -130,6 +131,20 @@ def test_prefix_reachable_explicit_matches_compiled():
         for letters in strings:
             assert (prefix_reachable(explicit, letters)
                     == prefix_reachable(compiled, letters)), (trial, letters)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hst.integers(0, 2 ** 32 - 1), hst.booleans())
+def test_prefix_reachable_explicit_matches_compiled_property(seed, with_co):
+    """The seeded comparison above as a property, on 1-2-state automata with
+    and without a co-state and every string of length at most 3."""
+    rng = random.Random(seed)
+    aut = randgen.random_automaton(rng, AB, max_states=2)
+    co = (rng.choice(aut.states),) if with_co else None
+    compiled = ara_to_ipcant(aut, co_states=co)
+    explicit = compiled.materialize()
+    for letters in (s for n in range(4) for s in product(AB.letters, repeat=n)):
+        assert prefix_reachable(explicit, letters) == prefix_reachable(compiled, letters), letters
 
 
 def test_inclusion_self(fig1):

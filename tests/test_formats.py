@@ -3,6 +3,7 @@ words.read_sections: print-parse round trips, comment and blank lines
 anywhere, and the header placements every format refuses."""
 
 import os
+import re
 import random
 
 from hypothesis import assume, given, settings, strategies as hst
@@ -189,3 +190,40 @@ def test_machine_names_follow_name_re(tmp_path, capsys):
     plain = CM_NAMES.format(x="x", q="q")
     assert len(parse_machine(plain).transitions) == 2
     assert _cli(tmp_path, "plain.cm", plain, "sat", "--machine") == 2
+
+
+CM_STRICT = ("alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p q\ninitial: p\n"
+             "p -a, transf {x,y}->[{x,y}]-> q\nq -a, nop-> q\n")
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("nop-> q", "nopinc {x}-> q", "unknown instruction 'nopinc {x}'"),
+    ("{x} {y} {x,y}", "{x} junk {y} {x,y}", "bad counters: header"),
+    ("[{x,y}]", "[{x,y} garbage]", "bad transfer image"),
+    ("[{x,y}]", "[{x,y}{x}]", "bad transfer image"),
+    ("[{x,y}]", "[,{x,y}]", "bad transfer image"),
+    ("initial: p", "initial: p q", "expected one initial state"),
+    ("initial: p", "initial:", "expected one initial state"),
+])
+def test_machine_syntax_is_strict(tmp_path, capsys, old, new, error):
+    """Text the parser used to skip or cut short is refused, on the command
+    line with exit 65."""
+    text = CM_STRICT.replace(old, new)
+    assert text != CM_STRICT
+    with pytest.raises(ParseError, match=re.escape(error)):
+        parse_machine(text)
+    assert _cli(tmp_path, "bad.cm", text, "sat", "--machine") == 65
+    assert error in capsys.readouterr().err
+
+
+def test_machine_syntax_spacing():
+    """Whitespace around counters, commas and a nop is still read."""
+    want = format_machine(parse_machine(CM_STRICT))
+    for old, new, printed in (("{x} {y} {x,y}", "  {x}\t{y}{x,y} ", "[{x,y}]"),
+                              ("[{x,y}]", "[ {x, y} , {x,y} ]", "[{x,y},{x,y}]"),
+                              ("[{x,y}]", "[ ]", "[]"),
+                              ("nop-> q", "  nop  -> q", "[{x,y}]")):
+        text = CM_STRICT.replace(old, new)
+        assert text != CM_STRICT
+        got = format_machine(parse_machine(text, "off"))
+        assert got == want.replace("[{x,y}]", printed), (old, new)

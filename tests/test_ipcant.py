@@ -9,11 +9,10 @@ from regsafe.words import Alphabet
 from itertools import combinations, product
 
 from regsafe.ipcant import (CounterMachine, CounterStructure, CoverTable, Dec, EPS,
-                            Inc, Transfer, Transition, Valuation, bound_ceiling,
+                            Inc, Instruction, Transfer, Transition, Valuation, bound_ceiling,
                             bound_params, check_distributive, compositions,
                             compute_bound, cover_table, fire, fire_lazy, format_machine, ifz_cap,
-                            instruction_memo, parse_machine, split_tokens, sqsse,
-                            transfer_witnesses)
+                            parse_machine, split_tokens, sqsse, transfer_witnesses)
 from regsafe import ipcant, randgen
 
 
@@ -313,11 +312,12 @@ _CM_HEADER = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\niniti
 
 def test_shared_table_keeps_refusing_non_distributive_maps():
     counters = (_X, _Y, _XY)
+    ipcant._covers_distributive.cache_clear()
     assert check_distributive({c: (c,) for c in counters}, counters)
     assert not check_distributive(_WITNESS, counters)
     assert check_distributive({c: (c,) for c in counters}, counters)
     assert not check_distributive(dict(_WITNESS), list(counters))
-    assert len(cover_table(counters).verdicts) >= 2
+    assert ipcant._covers_distributive.cache_info().currsize == 2
     good = parse_machine(_CM_HEADER + "p -a, transf {x,y}->[{x,y}]-> p\n", "full")
     assert good.counters == counters
     with pytest.raises(ValidationError, match="not distributive"):
@@ -376,53 +376,76 @@ def test_caches_stay_within_their_bounds():
         counters = (frozenset(["b%d" % k]),)
         assert check_distributive({counters[0]: counters}, counters)
     assert cover_table.cache_info().currsize == limit
-    # more distinct maps over one family than its table keeps verdicts for
+    # more distinct maps over one family than the verdicts kept
+    verdicts = ipcant._covers_distributive
+    limit = verdicts.cache_info().maxsize
     counters = tuple(frozenset([e]) for e in "stuv")
-    table = cover_table(counters)
     images = [()] + [(c,) for c in counters] + [(c, d) for c in counters for d in counters]
     maps = product(images, repeat=len(counters))
-    for _ in range(CoverTable.VERDICTS + 100):
+    for _ in range(limit + 100):
         assert check_distributive(dict(zip(counters, next(maps))), counters)
-        assert len(table.verdicts) <= CoverTable.VERDICTS
-    assert len(table.verdicts) == CoverTable.VERDICTS
+        assert verdicts.cache_info().currsize <= limit
+    assert verdicts.cache_info().currsize == limit
+    caches = {name for name, f in vars(ipcant).items() if hasattr(f, "cache_info")}
+    assert caches == {"cover_table", "_covers_distributive", "_instruction_op", "_parse_counter",
+                      "_parse_instr", "_format_counter", "_format_instr"}
+    assert all(getattr(ipcant, name).cache_info().maxsize for name in caches)
 
 
 def test_instruction_memo_is_per_family():
     """One ifz^cap text parsed over two counter families, in either order,
-    expands over each family's own counters; within a family the memo hands
-    every machine the same instruction object."""
+    expands over each family's own counters; within a family every machine
+    gets the same instruction object."""
     line = "p -a, ifz^cap {x}-> p\n"
     first = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\ninitial: p\n" + line
     second = "alphabet: a\nbasis: x y\ncounters: {y} {x,y}\nstates: p\ninitial: p\n" + line
     for texts in ((first, second), (second, first)):
-        instruction_memo.cache_clear()
+        ipcant._parse_instr.cache_clear()
         for text in texts + texts:
             m = parse_machine(text)
             assert m.transitions[0].instr == ifz_cap({"x"}, m.structure.counters)
-        assert instruction_memo.cache_info().currsize == 2
+        assert ipcant._parse_instr.cache_info().currsize == 2
     ifz = [parse_machine(text).transitions[0].instr for text in (first, first, second)]
     assert ifz[0] is ifz[1] and ifz[0] != ifz[2]
 
 
-def test_instruction_memo_at_its_bound(monkeypatch):
-    """A memo that keeps fewer texts than a file holds still parses the file
-    to the machine a roomy memo gives, one object per distinct instruction,
-    and stays within its bound."""
-    header = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p q\ninitial: p\n"
-    body = ["p -a, inc {x}-> q", "q -a, dec {y}-> p", "p -a, ifz^cap {y}-> p",
-            "q -eps, transf {x}->[{x},{x,y}]-> p", "p -a, inc {x}-> p", "q -a, nop-> q",
-            "q -a, dec {y}-> q", "p -a, inc {x,y}-> q"]
-    text = header + "\n".join(body) + "\n"
-    want = parse_machine(text, "full")
-    monkeypatch.setattr(ipcant, "INSTRUCTIONS", 2)
-    instruction_memo.cache_clear()
+def test_instruction_memo_at_its_bound():
+    """A file with more distinct instruction texts than _parse_instr keeps,
+    its first text repeated at the end: the text is dropped in mid-file,
+    yet the file still gets one object per distinct text, and prints as
+    the texts say."""
+    limit = ipcant._parse_instr.cache_info().maxsize
+    texts = ["inc" + " " * k + "{x}" for k in range(1, limit + 10)]
+    body = "".join("p -a, %s-> p\n" % t for t in texts + texts[:1])
+    ipcant._parse_instr.cache_clear()
+    m = parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n" + body)
+    info = ipcant._parse_instr.cache_info()
+    assert info.misses == len(texts) and info.currsize == limit
+    instrs = [t.instr for t in m.transitions]
+    assert instrs[0] is instrs[-1]
+    assert len({id(i) for i in instrs}) == len(texts)
+    assert set(instrs) == {Inc(frozenset("x"))}
+    assert format_machine(m).count("inc {x}-> p") == len(texts) + 1
+
+
+def test_invalid_instructions_refused_every_time(xy):
+    """Errors are not cached: an instruction naming an unknown counter, one
+    of an unknown kind and an unparsable text are refused on every
+    construction, before and after a valid one."""
+    header = "alphabet: a\nbasis: x y\ncounters: {x} {y}\nstates: p\ninitial: p\n"
+    good = Inc(frozenset("x"))
     for _ in range(3):
-        m = parse_machine(text, "full")
-        assert format_machine(m) == format_machine(want)
-        instrs = [t.instr for t in m.transitions]
-        assert instrs == [t.instr for t in want.transitions]
-        assert len({id(i) for i in instrs}) == len(set(instrs))
-        assert len(instruction_memo(m.structure.counters)) == 2
+        for bad in (Inc(frozenset("z")), Transfer(((frozenset("x"), (frozenset("z"),)),))):
+            with pytest.raises(ValidationError, match="unknown counter"):
+                CounterMachine(Alphabet(("a",)), ("p",), "p", xy, [Transition("p", "a", bad, "p")])
+        with pytest.raises(ValidationError, match="unknown instruction"):
+            CounterMachine(Alphabet(("a",)), ("p",), "p", xy,
+                           [Transition("p", "a", Instruction(), "p")])
+        with pytest.raises(ValidationError, match="unknown counter"):
+            parse_machine(header + "p -a, dec {z}-> p\n")
+        with pytest.raises(ParseError, match="unknown instruction"):
+            parse_machine(header + "p -a, inc{x}-> p\n")
+        CounterMachine(Alphabet(("a",)), ("p",), "p", xy, [Transition("p", "a", good, "p")])
 
 
 def test_unchecked_parse_builds_no_cover_table():
