@@ -158,31 +158,42 @@ def _disjoint(a1, a2):
     return ren, used
 
 
-def _rename_phi(phi, ren):
-    def leaf(g):
-        if isinstance(g, (pb.Ref, pb.DownRef)):
-            return type(g)(ren[g.state])
-        return g
-
-    return pb.rebuild(phi, leaf)
-
-
-def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction):
+def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction, dual=False):
+    """a1 and a2, a2's states renamed apart from a1's, side by side under a
+    fresh initial state whose rows are junction(a1's initial row, a2's).
+    With dual, a2's formulas are dualized as they are renamed, in one
+    rebuild each, and a2's absent entries become true, as in dualize."""
     if a1.alphabet != a2.alphabet:
         raise ValidationError("automata must share an alphabet")
     r2, used = _disjoint(a1, a2)
     init = "init"
     while init in used:
         init += "0"
-    # formulas are immutable, so those not renamed are shared, not copied
-    delta = dict(a1.delta)
     renamed = any(r2[q] != q for q in a2.states)
-    for (q, a, flag), phi in a2.delta.items():
-        delta[(r2[q], a, flag)] = _rename_phi(phi, r2) if renamed else phi
+    Top, Bot, Ref, DownRef = pb.Top, pb.Bot, pb.Ref, pb.DownRef
+
+    def leaf(g):
+        kind = type(g)
+        if kind is Ref or kind is DownRef:
+            return kind(r2[g.state]) if renamed else g
+        if dual:
+            return Bot() if kind is Top else Top()
+        return g
+
+    rows = a2.delta
+    if dual:  # an absent entry is false, so its dual must be listed
+        rows = {(q, a, flag): a2.delta_at(q, a, flag)
+                for q in a2.states for a in a2.alphabet for flag in FLAGS}
+    # formulas are immutable, so those not rebuilt are shared, not copied
+    delta = dict(a1.delta)
+    for (q, a, flag), phi in rows.items():
+        delta[(r2[q], a, flag)] = (pb.rebuild(phi, leaf, swap=dual)
+                                   if renamed or dual else phi)
+    bot = Bot()
     for a in a1.alphabet:
         for flag in FLAGS:
-            lhs = delta.get((a1.initial, a, flag), pb.Bot())
-            rhs = delta.get((r2[a2.initial], a, flag), pb.Bot())
+            lhs = delta.get((a1.initial, a, flag), bot)
+            rhs = delta.get((r2[a2.initial], a, flag), bot)
             delta[(init, a, flag)] = junction(lhs, rhs)
     states = (init,) + a1.states + tuple(r2[q] for q in a2.states)
     aut = AlternatingAutomaton(a1.alphabet, states, init, delta)
@@ -198,13 +209,12 @@ def union(a1, a2) -> AlternatingAutomaton:
 
 
 def inclusion_product(a1, a2):
-    """Combine a1 with the dual of a2 conjunctively.  Returns the combined
-    automaton together with the names of the dual component's states; a word
-    witnesses non-inclusion exactly when the combined automaton has a run that
-    at some point drops every thread in those states and still continues
-    forever."""
-    aut, co_states = _combine(a1, dualize(a2), pb.And)
-    return aut, co_states
+    """Combine a1 with the dual of a2 conjunctively, dualizing and renaming
+    a2's formulas in one pass.  Returns the combined automaton together with
+    the names of the dual component's states; a word witnesses non-inclusion
+    exactly when the combined automaton has a run that at some point drops
+    every thread in those states and still continues forever."""
+    return _combine(a1, a2, pb.And, dual=True)
 
 
 def dualize(aut: AlternatingAutomaton) -> AlternatingAutomaton:

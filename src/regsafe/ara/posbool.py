@@ -4,7 +4,12 @@ the register to the current position's class).
 
 A model is a pair of state sets (plain, fresh); there is no negation, so the
 set of models is upward closed and is represented by its minimal elements.
+minimal_models folds a formula to them either as pairs of frozensets of
+state names (run_exists and the reference procedures) or, given each state's
+bit, as pairs of int masks (the compiled machine), with one join for both.
 """
+
+from functools import partial
 
 from ..errors import ParseError
 from ..tree import Node, fold, infix_printer, node, parse_infix, tokenize
@@ -85,19 +90,26 @@ def _eval_join(g, lhs, rhs):
     return (lhs and rhs) if type(g) is And else (lhs or rhs)
 
 
-def minimal_models(phi: PosBool):
-    """The antichain of minimal satisfying pairs, canonically ordered.
+def minimal_models(phi: PosBool, bit=None):
+    """The antichain of minimal satisfying pairs (plain, fresh); the empty
+    tuple means unsatisfiable (phi is equivalent to false).
 
-    Empty tuple means unsatisfiable (phi is equivalent to false).
-    """
-    pairs = fold(phi, _models_leaf, _models_join)
-    return tuple(sorted(pairs, key=lambda p: (sorted(p[0]), sorted(p[1]))))
+    With no bit, each side is a frozenset of state names and the pairs are
+    canonically ordered by their sorted names.  With bit, a mapping from
+    each state to its own bit (1 << i), each side is the int mask of its
+    states, the pairs (kept mask, refrozen mask) in ascending order.  One
+    fold computes both: its join and minimisation use only | and ==, which
+    act alike on sets and on masks (c is below a iff c | a == a)."""
+    if bit is None:
+        pairs = fold(phi, _name_leaf, _models_join)
+        return tuple(sorted(pairs, key=lambda p: (sorted(p[0]), sorted(p[1]))))
+    return tuple(sorted(fold(phi, partial(_mask_leaf, bit), _models_join)))
 
 
 _EMPTY = frozenset()
 
 
-def _models_leaf(g):
+def _name_leaf(g):
     kind = type(g)
     if kind is Top:
         return {(_EMPTY, _EMPTY)}
@@ -106,6 +118,17 @@ def _models_leaf(g):
     if kind is Ref:
         return {(frozenset([g.state]), _EMPTY)}
     return {(_EMPTY, frozenset([g.state]))}
+
+
+def _mask_leaf(bit, g):
+    kind = type(g)
+    if kind is Top:
+        return {(0, 0)}
+    if kind is Bot:
+        return set()
+    if kind is Ref:
+        return {(bit[g.state], 0)}
+    return {(0, bit[g.state])}
 
 
 def _models_join(g, left, right):
@@ -117,11 +140,9 @@ def _models_join(g, left, right):
 def _minimize(pairs):
     if len(pairs) < 2:
         return pairs
-    out = set()
-    for a, b in pairs:
-        if not any((c, d) != (a, b) and c <= a and d <= b for (c, d) in pairs):
-            out.add((a, b))
-    return out
+    return {p for p in pairs
+            if not any(q is not p and q[0] | p[0] == p[0] and q[1] | p[1] == p[1]
+                       for q in pairs)}
 
 
 _BINARY = {"|": (0, Or, False), "&": (1, And, False)}

@@ -826,7 +826,10 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
         instr_text = instr_text.strip()
         instr = instrs.get(instr_text)
         if instr is None:
-            instr = instrs[instr_text] = _parse_instr(instr_text, counters)
+            try:
+                instr = instrs[instr_text] = _parse_instr(instr_text, counters)
+            except ParseError as err:
+                raise ParseError("line %d: %s" % (lineno, err)) from None
         transitions.append(Transition(src, label, instr, dst.strip()))
     return CounterMachine(alphabet, states, initial[0], structure, transitions,
                           check_transfers=check_transfers, lazy=lazy)

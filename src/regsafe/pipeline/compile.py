@@ -32,6 +32,11 @@ that no class anywhere holds a co-state and visits a checkpoint control
 state; reachability of a checkpoint with an infinite continuation decides
 language inclusion.
 
+The minimal models of each state's transition formulas are folded straight
+to (kept mask, refrozen mask) pairs, a state's bit being 1 << its index
+(posbool.minimal_models with the machine's bit map), and read_images and
+here_sets join them per thread set.
+
 materialize() spells the cycle out as an explicit instruction list for small
 automata, a CounterMachine built error-free.  The counter structure and the
 part of the cycle no transition of the automaton changes are built once per
@@ -56,6 +61,7 @@ their instruction unit.
 from collections import namedtuple
 from functools import lru_cache, partial
 
+from ..ara import posbool as pb
 from ..ara.automaton import AlternatingAutomaton, FLAGS
 from ..errors import ValidationError
 from ..ipcant import (
@@ -93,14 +99,14 @@ class CompiledMachine:
         self.alphabet = aut.alphabet
         self.states_order = tuple(aut.states)
         self.n = len(self.states_order)
-        self._sidx = {q: i for i, q in enumerate(self.states_order)}
+        self._bit = {q: 1 << i for i, q in enumerate(self.states_order)}
         self.co_states = tuple(co_states) if co_states else ()
         self.co_mask = 0
         for q in self.co_states:
-            if q not in self._sidx:
+            if q not in self._bit:
                 raise ValidationError("co-state %r is not a state" % (q,))
-            self.co_mask |= 1 << self._sidx[q]
-        self.initial_control = ("read", 1 << self._sidx[aut.initial], False)
+            self.co_mask |= self._bit[q]
+        self.initial_control = ("read", self._bit[aut.initial], False)
         # instructions of one letter cycle: read, models, n merges, the
         # current class's deposit, shift, [next,] pick; the checkpoint adds one
         self._cycle_steps = self.n + 5 + (1 if self.co_states else 0)
@@ -132,19 +138,13 @@ class CompiledMachine:
             states += 2
         return (states, 3 * n + 2, (1 << n) + (1 << (2 * n)))
 
-    # minimal models as (kept mask, refrozen mask) pairs
+    # minimal models as (kept mask, refrozen mask) pairs, folded straight
+    # to masks
     def _models(self, qi, letter, flag):
         key = (qi, letter, flag)
         if key not in self._mm:
-            out = []
-            for plain, fresh in self.aut.models_at(self.states_order[qi], letter, flag):
-                pm = fm = 0
-                for q in plain:
-                    pm |= 1 << self._sidx[q]
-                for q in fresh:
-                    fm |= 1 << self._sidx[q]
-                out.append((pm, fm))
-            self._mm[key] = tuple(out)
+            phi = self.aut.delta_at(self.states_order[qi], letter, flag)
+            self._mm[key] = pb.minimal_models(phi, self._bit)
         return self._mm[key]
 
     def _model_unions(self, letter, mask, flag):

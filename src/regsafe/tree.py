@@ -15,16 +15,16 @@ from .errors import ParseError
 class Node:
     """Base of the node classes, which keep their fields in slots (a class
     that only groups node classes declares empty __slots__).  A node hashes
-    as the tuple of its fields, as a frozen dataclass does; the subtrees'
-    hashes are fixed by then, so making a node hashes no subtree again.
-    Nodes are equal when of one class with equal fields."""
+    as the tuple of its class's tag and its fields; the tag, the class's
+    qualified name, keeps And(x, y) apart from Or(x, y), a formula from its
+    dual and one fieldless node from another.  The subtrees' hashes are
+    fixed by then, so making a node hashes no subtree again.  Nodes are
+    equal when of one class with equal fields."""
 
     __slots__ = ("_hash",)
     arity = 0  # the number of subtrees; 0 at a leaf
     fields = ()  # the field values in declaration order; node sets a getter
-
-    def __init__(self):  # without fields; node gives the others their own
-        _set_hash(self, _EMPTY_HASH)
+    tag = ""  # "module.qualname" of the node class; node sets it
 
     def __hash__(self):
         return self._hash
@@ -58,11 +58,12 @@ def node(cls):
     """Make a Node subclass a frozen dataclass with slots.  Its fields are
     all subtrees, annotated with a Node class, or all data."""
     cls = dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)(cls)
+    cls.tag = "%s.%s" % (cls.__module__, cls.__qualname__)
     fields = dataclass_fields(cls)
-    if not fields:
-        return cls  # Node's __init__, fields and arity serve
     names = [f.name for f in fields]
     cls.__init__ = _initializer(cls, [cls.__dict__[name].__set__ for name in names])
+    if not fields:
+        return cls  # Node's fields and arity serve
     get = attrgetter(*names)
     cls.fields = property(get if len(names) > 1 else lambda self: (get(self),))
     if isinstance(fields[0].type, type) and issubclass(fields[0].type, Node):
@@ -70,27 +71,33 @@ def node(cls):
     return cls
 
 
-_EMPTY_HASH = hash(())
 _set_hash = Node._hash.__set__
 
 
 def _initializer(cls, setters):
     """An __init__ that fills the slots through their descriptors, which the
-    frozen __setattr__ does not guard, and fixes the hash; one and two
-    fields, the common shapes, get one of their own."""
-    if len(setters) == 1:
+    frozen __setattr__ does not guard, and fixes the hash; no field, one
+    and two fields, the common shapes, get one of their own.  The nodes of
+    a fieldless class share one hash object."""
+    tag = cls.tag
+    if not setters:
+        shared = hash((tag,))
+
+        def __init__(self):
+            _set_hash(self, shared)
+    elif len(setters) == 1:
         set_only, = setters
 
         def __init__(self, value):
             set_only(self, value)
-            _set_hash(self, hash((value,)))
+            _set_hash(self, hash((tag, value)))
     elif len(setters) == 2:
         set_lhs, set_rhs = setters
 
         def __init__(self, lhs, rhs):
             set_lhs(self, lhs)
             set_rhs(self, rhs)
-            _set_hash(self, hash((lhs, rhs)))
+            _set_hash(self, hash((tag, lhs, rhs)))
     else:
         def __init__(self, *values):
             if len(values) != len(setters):
@@ -98,7 +105,7 @@ def _initializer(cls, setters):
                                 % (cls.__name__, len(setters), len(values)))
             for set_field, value in zip(setters, values):
                 set_field(self, value)
-            _set_hash(self, hash(values))
+            _set_hash(self, hash((tag,) + values))
     return __init__
 
 

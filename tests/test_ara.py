@@ -9,7 +9,7 @@ from regsafe.ara import posbool as pb
 from regsafe.ara import (dualize, format_automaton, inclusion_product,
                          intersect, ltl_to_ara, parse_automaton, run_exists,
                          union)
-from regsafe.ara.automaton import AlternatingAutomaton
+from regsafe.ara.automaton import AlternatingAutomaton, _combine
 from regsafe.ltl import parse_formula
 from regsafe.pipeline.oracle import _all_pairs, frontier_step, initial_configs
 from regsafe import randgen
@@ -39,6 +39,12 @@ def test_minimal_models_examples():
     assert pb.minimal_models(pb.Top()) == ((frozenset(), frozenset()),)
 
 
+def _as_masks(models, bit):
+    """Name-form models as ascending (kept mask, refrozen mask) pairs."""
+    return tuple(sorted((sum(bit[q] for q in plain), sum(bit[q] for q in fresh))
+                        for plain, fresh in models))
+
+
 def test_minimal_models_is_minimal_antichain_of_all_models():
     """Every minimal model satisfies, no model is below another, and every
     satisfying pair dominates some minimal one; seeded sweep."""
@@ -47,6 +53,10 @@ def test_minimal_models_is_minimal_antichain_of_all_models():
     for _ in range(300):
         phi = randgen._random_posbool(rng, states, 3, 0.4)
         mins = pb.minimal_models(phi)
+        # the mask form is the name form under the bit map, any bit order
+        order = rng.sample(states, len(states))
+        bit = {q: 1 << i for i, q in enumerate(order)}
+        assert pb.minimal_models(phi, bit) == _as_masks(mins, bit)
         alls = set(_all_pairs(phi, states))
         for m in mins:
             assert m in alls
@@ -58,6 +68,16 @@ def test_minimal_models_is_minimal_antichain_of_all_models():
             assert any(m[0] <= pair[0] and m[1] <= pair[1] for m in mins)
         if not alls:
             assert mins == ()
+
+
+def test_minimal_models_mask_form_examples():
+    bit = {"p": 1, "q": 2}
+    phi = pb.Or(pb.And(pb.Ref("q"), pb.DownRef("p")), pb.Ref("p"))
+    assert pb.minimal_models(phi, bit) == ((1, 0), (2, 1))
+    assert pb.minimal_models(pb.Top(), bit) == ((0, 0),)
+    assert pb.minimal_models(pb.Bot(), bit) == ()
+    assert pb.minimal_models(pb.Or(pb.Ref("p"), pb.And(pb.Ref("p"), pb.Ref("q"))), bit) == (
+        (1, 0),)
 
 
 def test_posbool_parse_format_round_trip():
@@ -191,6 +211,49 @@ def test_inclusion_product_shape(fig1, top_automaton):
     assert len(aut.states) == len(fig1.states) + len(top_automaton.states) + 1
 
 
+def _assert_one_pass_product(a1, a2):
+    """inclusion_product(a1, a2) is the two-pass product of a1 with dualize(a2):
+    the same states, initial state, co-states and transition table, entry
+    for entry and in the same order."""
+    aut, co_states = inclusion_product(a1, a2)
+    ref, ref_co = _combine(a1, dualize(a2), pb.And)
+    assert (aut.states, aut.initial, co_states) == (ref.states, ref.initial, ref_co)
+    assert list(aut.delta.items()) == list(ref.delta.items())
+    return co_states
+
+
+def test_one_pass_product_matches_two_pass(fig1, top_automaton, example_formula, abc):
+    _, f = example_formula
+    fixtures = (fig1, top_automaton, ltl_to_ara(f, abc), _bot_automaton(abc))
+    for a1 in fixtures:
+        for a2 in fixtures:
+            _assert_one_pass_product(a1, a2)
+    # a deep chain, renamed and dualized in one rebuild
+    deep = AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): _deep_chain(3000)})
+    _assert_one_pass_product(deep, deep)
+    _assert_one_pass_product(fig1, deep)
+
+
+def test_one_pass_product_matches_two_pass_random():
+    """Random pairs whose state names clash (q0, q0_2, init) and whose
+    tables miss entries."""
+    rng = random.Random(23)
+
+    def draw():
+        a = randgen.random_automaton(rng, AB, max_states=2, bot_prob=0.4)
+        kind = rng.randrange(3)
+        if kind:
+            b = randgen.random_automaton(rng, AB, max_states=2, bot_prob=0.4)
+            a = intersect(a, b) if kind == 1 else union(a, b)
+        return a
+
+    renamed = 0
+    for _ in range(200):
+        a1, a2 = draw(), draw()
+        renamed += _assert_one_pass_product(a1, a2) != a2.states
+    assert renamed == 200
+
+
 def test_translation_state_counts(example_formula, abc):
     _, f = example_formula
     aut = ltl_to_ara(f, abc)
@@ -233,6 +296,11 @@ def test_deep_formula_models_eval_format_run(abc):
     assert aut.models_at("p", "a", "up") == (both,)
     assert pb.minimal_models(pb.Or(pb.Ref("p"), phi)) == (
         (frozenset(["p"]), frozenset()),)
+    bit = {"p": 2, "q": 1}
+    assert pb.minimal_models(phi, bit) == _as_masks((both,), bit) == ((2, 2),)
+    wide = pb.Or(pb.DownRef("q"), pb.And(pb.Ref("q"), phi))
+    assert pb.minimal_models(wide, bit) == _as_masks(pb.minimal_models(wide), bit) == (
+        (0, 1), (3, 2))
     assert pb.eval_posbool(phi, both) is True
     assert pb.eval_posbool(phi, (frozenset(["p"]), frozenset())) is False
     assert format_automaton(aut).splitlines()[3:] == [
@@ -259,7 +327,7 @@ def test_deep_formula_parse(abc):
 def test_deep_formula_equality_and_hash():
     """== and hash of And and Or keep their own stack, and give what the
     generated dataclass methods give: equal when of one class with equal
-    sides, hashed as the tuple of the sides."""
+    sides, hashed as the tuple of the class tag and the sides."""
     phi = _deep_chain(3000)
     copy = pb.rebuild(phi, lambda g: g)
     assert copy is not phi
@@ -270,8 +338,8 @@ def test_deep_formula_equality_and_hash():
     assert changed != phi and not changed == phi
     assert pb.rebuild(phi, lambda g: g, swap=True) != phi
     p, q = pb.Ref("p"), pb.DownRef("q")
-    assert hash(pb.And(p, q)) == hash((p, q)) == hash(pb.Or(p, q))
-    assert hash(pb.Or(pb.And(p, q), p)) == hash((pb.And(p, q), p))
+    assert hash(pb.And(p, q)) == hash((pb.And.tag, p, q)) != hash(pb.Or(p, q))
+    assert hash(pb.Or(pb.And(p, q), p)) == hash((pb.Or.tag, pb.And(p, q), p))
     assert pb.And(p, q) != pb.Or(p, q) and pb.And(p, q) != (p, q)
     assert {pb.And(p, q): 1}[pb.And(pb.Ref("p"), pb.DownRef("q"))] == 1
 

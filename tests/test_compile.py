@@ -79,6 +79,42 @@ def test_read_images_and_here_sets():
     assert cm.here_sets("b", 0) == (0,)
 
 
+def _reference_unions(aut, letter, mask, flag):
+    """The (kept, refrozen) unions of one minimal model per thread of mask,
+    from the automaton's name-form models; empty when a thread has none."""
+    bit = {q: 1 << i for i, q in enumerate(aut.states)}
+    pairs = {(0, 0)}
+    for q in aut.states:
+        if mask & bit[q]:
+            models = [(sum(bit[p] for p in plain), sum(bit[p] for p in fresh))
+                      for plain, fresh in aut.models_at(q, letter, flag)]
+            pairs = {(k | pk, m | pm) for k, m in pairs for pk, pm in models}
+    return pairs
+
+
+@pytest.mark.parametrize("with_co", [False, True])
+def test_mask_models_match_name_models(with_co):
+    """read_images and here_sets, whose models are folded straight to masks,
+    equal a reference built from the name-form models, for every thread set
+    and letter of 1-3-state automata."""
+    rng = random.Random(19)
+    sizes = set()
+    for _ in range(120):
+        aut = randgen.random_automaton(rng, AB, max_states=3)
+        co = None
+        if with_co:
+            co = tuple(q for q in aut.states if rng.random() < 0.5) or aut.states[-1:]
+        cm = ara_to_ipcant(aut, co_states=co)
+        sizes.add(cm.n)
+        for mask in range(1 << cm.n):
+            for letter in AB.letters:
+                read = _reference_unions(aut, letter, mask, "nup")
+                here = _reference_unions(aut, letter, mask, "up")
+                assert cm.read_images(letter, mask) == tuple(sorted(read))
+                assert cm.here_sets(letter, mask) == tuple(sorted({k | m for k, m in here}))
+    assert sizes == {1, 2, 3}
+
+
 def test_read_images_and_here_sets_monotone_in_the_mask():
     """For thread sets X within Y: X is never blocked where Y is free, each
     (kept, refrozen) pair of X lies below some pair of Y, and each here-set

@@ -202,14 +202,20 @@ CM_STRICT = ("alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p q\nini
     ("[{x,y}]", "[{x,y} garbage]", "bad transfer image"),
     ("[{x,y}]", "[{x,y}{x}]", "bad transfer image"),
     ("[{x,y}]", "[,{x,y}]", "bad transfer image"),
+    ("transf {x,y}->[", "transf {x,y}[", "transfer entry '{x,y}[{x,y}]' lacks '->'"),
+    ("nop-> q", "inc x-> q", "expected a counter like {x,y}, got 'x'"),
     ("initial: p", "initial: p q", "expected one initial state"),
     ("initial: p", "initial:", "expected one initial state"),
 ])
 def test_machine_syntax_is_strict(tmp_path, capsys, old, new, error):
     """Text the parser used to skip or cut short is refused, on the command
-    line with exit 65."""
+    line with exit 65; an error in a transition line names the line."""
     text = CM_STRICT.replace(old, new)
     assert text != CM_STRICT
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if new in line)
+    if not lines[lineno - 1].split()[0].endswith(":"):  # not a header
+        error = "line %d: %s" % (lineno, error)
     with pytest.raises(ParseError, match=re.escape(error)):
         parse_machine(text)
     assert _cli(tmp_path, "bad.cm", text, "sat", "--machine") == 65

@@ -4,6 +4,7 @@ reference kept here."""
 
 import copy
 from dataclasses import make_dataclass
+from itertools import combinations
 import pickle
 
 from hypothesis import given, settings, strategies as st
@@ -54,14 +55,15 @@ _MIRRORS = {}
 
 
 def _mirror(g):
-    """The tree rebuilt from plain frozen dataclasses of the same names and
-    fields, whose generated == and hash are the references."""
+    """The tree rebuilt from plain frozen dataclasses of the same names, with
+    the node class's tag as a field before the node's own, whose generated
+    == and hash are the references."""
     kind = type(g)
     if kind not in _MIRRORS:
-        names = [f for f in kind.__dataclass_fields__]
+        names = ["tag"] + [f for f in kind.__dataclass_fields__]
         _MIRRORS[kind] = make_dataclass(kind.__name__, names, frozen=True)
     values = map(_mirror, _children(g)) if g.arity else g.fields
-    return _MIRRORS[kind](*values)
+    return _MIRRORS[kind](kind.tag, *values)
 
 
 def _fold_reference(g, leaf, join):
@@ -169,6 +171,20 @@ def test_fold_matches_recursive_fold(t):
     want = _fold_reference(t, *folder(calls["reference"]))
     assert got == want
     assert calls["fold"] == calls["reference"]
+
+
+def test_node_classes_hash_apart():
+    """The class tag keeps apart what has the same fields: a connective and
+    its dual, a reference and its down-marked twin, and fieldless nodes."""
+    x, y = pb.Ref("p"), pb.DownRef("q")
+    pairs = [(pb.And(x, y), pb.Or(x, y)), (pb.Ref("p"), pb.DownRef("p")),
+             (ltl.And(ltl.Top(), ltl.Up()), ltl.Or(ltl.Top(), ltl.Up())),
+             (ltl.Next(ltl.Top()), ltl.Freeze(ltl.Top()))]
+    pairs += combinations((pb.Top(), pb.Bot(), ltl.Top(), ltl.Bot(), ltl.Up(), ltl.NotUp()), 2)
+    for f, g in pairs:
+        assert hash(f) != hash(g), (f, g)
+    phi = pb.And(pb.Or(x, pb.Top()), pb.And(y, pb.Bot()))
+    assert hash(pb.dual(phi)) != hash(phi)
 
 
 def test_equal_hashes_are_not_trusted():
