@@ -158,17 +158,26 @@ def _disjoint(a1, a2):
     return ren, used
 
 
-def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction, dual=False):
-    """a1 and a2, a2's states renamed apart from a1's, side by side under a
-    fresh initial state whose rows are junction(a1's initial row, a2's).
-    With dual, a2's formulas are dualized as they are renamed, in one
-    rebuild each, and a2's absent entries become true, as in dualize."""
+def combined_names(a1: AlternatingAutomaton, a2: AlternatingAutomaton):
+    """The state names of a1 and a2 side by side: (fresh initial state,
+    a2's renaming), the combined states being the initial one, a1's under
+    their own names, then a2's renamed apart from both.  Raises
+    ValidationError unless the two share an alphabet."""
     if a1.alphabet != a2.alphabet:
         raise ValidationError("automata must share an alphabet")
     r2, used = _disjoint(a1, a2)
     init = "init"
     while init in used:
         init += "0"
+    return init, r2
+
+
+def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction, dual=False):
+    """a1 and a2 named apart (combined_names) under a fresh initial state
+    whose rows are junction(a1's initial row, a2's).  With dual, a2's
+    formulas are dualized as they are renamed, in one rebuild each, and
+    a2's absent entries become true, as in dualize."""
+    init, r2 = combined_names(a1, a2)
     renamed = any(r2[q] != q for q in a2.states)
     Top, Bot, Ref, DownRef = pb.Top, pb.Bot, pb.Ref, pb.DownRef
 
@@ -213,13 +222,20 @@ def inclusion_product(a1, a2):
     a2's formulas in one pass.  Returns the combined automaton together with
     the names of the dual component's states; a word witnesses non-inclusion
     exactly when the combined automaton has a run that at some point drops
-    every thread in those states and still continues forever."""
+    every thread in those states and still continues forever.
+
+    Reference route: inclusion_check compiles this product straight from a1
+    and a2 (pipeline.compile.product_machine) without building it; the
+    tests compare that machine with ara_to_ipcant of this automaton."""
     return _combine(a1, a2, pb.And, dual=True)
 
 
 def dualize(aut: AlternatingAutomaton) -> AlternatingAutomaton:
     """Swap and/or and true/false in every entry.  Entries absent from the
-    table are false, so the dual table must list their duals explicitly."""
+    table are false, so the dual table must list their duals explicitly.
+    Reference route, as for inclusion_product: the compiled product folds
+    a2's dual models from a2's own formulas (posbool.minimal_models with
+    dual)."""
     delta = {}
     for q in aut.states:
         for a in aut.alphabet:

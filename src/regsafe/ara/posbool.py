@@ -7,6 +7,8 @@ set of models is upward closed and is represented by its minimal elements.
 minimal_models folds a formula to them either as pairs of frozensets of
 state names (run_exists and the reference procedures) or, given each state's
 bit, as pairs of int masks (the compiled machine), with one join for both.
+The same fold gives the minimal models of a formula's dual (Top and Bot,
+And and Or exchanged) without building the dual formula.
 """
 
 from functools import partial
@@ -90,7 +92,7 @@ def _eval_join(g, lhs, rhs):
     return (lhs and rhs) if type(g) is And else (lhs or rhs)
 
 
-def minimal_models(phi: PosBool, bit=None):
+def minimal_models(phi: PosBool, bit=None, dual=False):
     """The antichain of minimal satisfying pairs (plain, fresh); the empty
     tuple means unsatisfiable (phi is equivalent to false).
 
@@ -99,41 +101,56 @@ def minimal_models(phi: PosBool, bit=None):
     each state to its own bit (1 << i), each side is the int mask of its
     states, the pairs (kept mask, refrozen mask) in ascending order.  One
     fold computes both: its join and minimisation use only | and ==, which
-    act alike on sets and on masks (c is below a iff c | a == a)."""
+    act alike on sets and on masks (c is below a iff c | a == a).
+
+    With dual, the result is minimal_models(dual(phi), bit), folded from phi
+    itself without building its dual: Top gets the models of Bot and Bot
+    those of Top, And joins as Or and Or as And."""
+    true, join = _DUAL_FOLD if dual else _FOLD
     if bit is None:
-        pairs = fold(phi, _name_leaf, _models_join)
+        pairs = fold(phi, partial(_name_leaf, true), join)
         return tuple(sorted(pairs, key=lambda p: (sorted(p[0]), sorted(p[1]))))
-    return tuple(sorted(fold(phi, partial(_mask_leaf, bit), _models_join)))
+    return tuple(sorted(fold(phi, partial(_mask_leaf, bit, true), join)))
+
+
+def conjoin_models(left, right):
+    """The minimal models of And(l, r) from minimal_models(l, bit) and
+    minimal_models(r, bit), as ascending mask pairs."""
+    return tuple(sorted(_conjoin(left, right)))
 
 
 _EMPTY = frozenset()
 
 
-def _name_leaf(g):
+# leaves: `true` is the constant whose models are {(empty, empty)}, Top or,
+# for the dual fold, Bot; the other constant has none
+def _name_leaf(true, g):
     kind = type(g)
-    if kind is Top:
-        return {(_EMPTY, _EMPTY)}
-    if kind is Bot:
-        return set()
     if kind is Ref:
         return {(frozenset([g.state]), _EMPTY)}
-    return {(_EMPTY, frozenset([g.state]))}
+    if kind is DownRef:
+        return {(_EMPTY, frozenset([g.state]))}
+    return {(_EMPTY, _EMPTY)} if kind is true else set()
 
 
-def _mask_leaf(bit, g):
+def _mask_leaf(bit, true, g):
     kind = type(g)
-    if kind is Top:
-        return {(0, 0)}
-    if kind is Bot:
-        return set()
     if kind is Ref:
         return {(bit[g.state], 0)}
-    return {(0, bit[g.state])}
+    if kind is DownRef:
+        return {(0, bit[g.state])}
+    return {(0, 0)} if kind is true else set()
 
 
-def _models_join(g, left, right):
-    if type(g) is Or:
+# joins: `union` is the node whose models are the union of its sides', Or
+# or, for the dual fold, And; the other node conjoins them
+def _models_join(union, g, left, right):
+    if type(g) is union:
         return _minimize(left | right)
+    return _conjoin(left, right)
+
+
+def _conjoin(left, right):
     return _minimize({(a | c, b | d) for (a, b) in left for (c, d) in right})
 
 
@@ -143,6 +160,10 @@ def _minimize(pairs):
     return {p for p in pairs
             if not any(q is not p and q[0] | p[0] == p[0] and q[1] | p[1] == p[1]
                        for q in pairs)}
+
+
+_FOLD = (Top, partial(_models_join, Or))
+_DUAL_FOLD = (Bot, partial(_models_join, And))
 
 
 _BINARY = {"|": (0, Or, False), "&": (1, And, False)}

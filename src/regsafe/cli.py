@@ -2,7 +2,8 @@
 
 One subcommand per pipeline stage; verdict-producing commands exit 0 on the
 positive verdict, 1 on the negative one and 2 on unknown.  Usage problems
-exit 64; input files that fail to parse or validate exit 65.  Formula files
+exit 64; input files that fail to parse or validate exit 65, and so do the
+two inputs of include or refine when their alphabets differ.  Formula files
 of any nesting depth get an answer.  With --format json every result is
 emitted as one JSON record per line instead of plain text.
 """
@@ -143,6 +144,15 @@ def _cmd_sat(inv, ns):
     return _verdict_exit(verdict)
 
 
+def _same_alphabet(ns, ab1, ab2):
+    """Refuse --lhs and --rhs inputs over different alphabets ab1 and ab2:
+    each is valid, but the two cannot be compared, so they exit 65 like an
+    input that fails to validate."""
+    if ab1 != ab2:
+        raise _InvalidInput("%s and %s must share an alphabet, not %s and %s" % (
+            ns.lhs, ns.rhs, " ".join(ab1), " ".join(ab2)))
+
+
 def _include_verdict(inv, command, a1, a2):
     result = inclusion_check(a1, a2, cap=inv.cap, vcap=inv.vcap)
     verdict = result.verdict.name
@@ -156,12 +166,14 @@ def _include_verdict(inv, command, a1, a2):
 def _cmd_include(inv, ns):
     a1 = _load(parse_automaton, ns.lhs)
     a2 = _load(parse_automaton, ns.rhs)
+    _same_alphabet(ns, a1.alphabet, a2.alphabet)
     return _include_verdict(inv, "include", a1, a2)
 
 
 def _cmd_refine(inv, ns):
     ab1, f1 = _load(ltl.parse_formula_file, ns.lhs)
     ab2, f2 = _load(ltl.parse_formula_file, ns.rhs)
+    _same_alphabet(ns, ab1, ab2)
     return _include_verdict(inv, "refine", ltl_to_ara(f1, ab1), ltl_to_ara(f2, ab2))
 
 

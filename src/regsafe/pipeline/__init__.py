@@ -5,7 +5,7 @@ and brute-force cross-check oracles.  The counting abstraction
 (pipeline.abstraction) is the test-only reference for the compiled letter
 step and is not imported here."""
 
-from .compile import CompiledMachine, ara_to_ipcant
+from .compile import CompiledMachine, ara_to_ipcant, product_machine
 from .explore import (Inclusion, Nonemptiness, SaturationResult,
                       bounded_nonemptiness, inclusion_check, prefix_reachable)
 from .oracle import oracle_run_exists, pattern_occurs
@@ -13,7 +13,7 @@ from .tm import (HaltReached, TuringMachine, config_length, encode_tm_run,
                  format_tm, parse_tm, tm_alphabet, tm_to_formula)
 
 __all__ = [
-    "CompiledMachine", "ara_to_ipcant",
+    "CompiledMachine", "ara_to_ipcant", "product_machine",
     "Inclusion", "Nonemptiness", "SaturationResult",
     "bounded_nonemptiness", "inclusion_check", "prefix_reachable",
     "oracle_run_exists", "pattern_occurs",

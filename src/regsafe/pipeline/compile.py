@@ -35,7 +35,20 @@ language inclusion.
 The minimal models of each state's transition formulas are folded straight
 to (kept mask, refrozen mask) pairs, a state's bit being 1 << its index
 (posbool.minimal_models with the machine's bit map), and read_images and
-here_sets join them per thread set.
+here_sets join them per thread set.  Each state's row says where its
+formulas come from (Row): a transition table, the state's name in it and
+the bit map of that table's names, and whether the row is dualized.
+
+The inclusion product of a1 with the dual of a2 is compiled straight from
+the two automata (product_machine), with no product formula built.  Its
+states are those of automaton.inclusion_product: a fresh initial state,
+a1's states, then a2's renamed apart (automaton.combined_names), a2's
+being the co-states.  a1's rows fold from a1's table under the machine's
+bits; a2's rows fold from a2's table as their duals (minimal_models with
+dual), under a bit map from a2's own names to the bits of their renamings,
+an absent a2 entry being Bot, whose dual has the one model (0, 0).  The
+fresh initial state's row conjoins the two initial states' rows
+(posbool.conjoin_models), so it is the product's And of the two.
 
 materialize() spells the cycle out as an explicit instruction list for small
 automata, a CounterMachine built error-free.  The counter structure and the
@@ -62,7 +75,7 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 from ..ara import posbool as pb
-from ..ara.automaton import AlternatingAutomaton, FLAGS
+from ..ara.automaton import AlternatingAutomaton, combined_names
 from ..errors import ValidationError
 from ..ipcant import (
     CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition, EPS, ifz_cap,
@@ -89,24 +102,37 @@ def _flight_index(n, kept, marked):
     return (1 << n) + (kept << n | marked)
 
 
+# Where a state's row of minimal models comes from: the formula
+# delta.get((name, letter, flag), Bot) of a transition table, folded under
+# `bit`, the map from the table's state names to the machine's bits (None:
+# the machine's own), and dualized when `dual` is set
+Row = namedtuple("Row", "delta name bit dual")
+
+_BOT = pb.Bot()
+
+
 class CompiledMachine:
     """Counter machine compiled from an automaton; transitions are generated
     on demand.  Counters are indexed by bitmask: away counters first (one per
-    state set), then in-flight pair counters (kept mask, refrozen mask)."""
+    state set), then in-flight pair counters (kept mask, refrozen mask).
 
-    def __init__(self, aut: AlternatingAutomaton, co_states=None):
-        self.aut = aut
-        self.alphabet = aut.alphabet
-        self.states_order = tuple(aut.states)
+    `states` gives the bit order (state i is 1 << i).  Each entry of `rows`
+    is the Row of the state at that index, or a pair of state indices for a
+    state whose rows are the And of theirs."""
+
+    def __init__(self, alphabet, states, initial, rows, co_states=None):
+        self.alphabet = alphabet
+        self.states_order = tuple(states)
         self.n = len(self.states_order)
         self._bit = {q: 1 << i for i, q in enumerate(self.states_order)}
+        self._rows = tuple(rows)
         self.co_states = tuple(co_states) if co_states else ()
         self.co_mask = 0
         for q in self.co_states:
             if q not in self._bit:
                 raise ValidationError("co-state %r is not a state" % (q,))
             self.co_mask |= self._bit[q]
-        self.initial_control = ("read", self._bit[aut.initial], False)
+        self.initial_control = ("read", self._bit[initial], False)
         # instructions of one letter cycle: read, models, n merges, the
         # current class's deposit, shift, [next,] pick; the checkpoint adds one
         self._cycle_steps = self.n + 5 + (1 if self.co_states else 0)
@@ -139,13 +165,21 @@ class CompiledMachine:
         return (states, 3 * n + 2, (1 << n) + (1 << (2 * n)))
 
     # minimal models as (kept mask, refrozen mask) pairs, folded straight
-    # to masks
+    # to masks from the state's row
     def _models(self, qi, letter, flag):
         key = (qi, letter, flag)
-        if key not in self._mm:
-            phi = self.aut.delta_at(self.states_order[qi], letter, flag)
-            self._mm[key] = pb.minimal_models(phi, self._bit)
-        return self._mm[key]
+        models = self._mm.get(key)
+        if models is None:
+            row = self._rows[qi]
+            if type(row) is Row:
+                phi = row.delta.get((row.name, letter, flag), _BOT)
+                models = pb.minimal_models(phi, row.bit or self._bit, row.dual)
+            else:
+                i, j = row
+                models = pb.conjoin_models(self._models(i, letter, flag),
+                                           self._models(j, letter, flag))
+            self._mm[key] = models
+        return models
 
     def _model_unions(self, letter, mask, flag):
         """The (kept mask, refrozen mask) unions of one minimal model per
@@ -372,4 +406,22 @@ def letter_free_cycle(names, co_states):
 
 
 def ara_to_ipcant(aut: AlternatingAutomaton, co_states=None) -> CompiledMachine:
-    return CompiledMachine(aut, co_states=co_states)
+    """The machine of one automaton, its states in the automaton's order."""
+    rows = [Row(aut.delta, q, None, False) for q in aut.states]
+    return CompiledMachine(aut.alphabet, aut.states, aut.initial, rows, co_states)
+
+
+def product_machine(a1: AlternatingAutomaton, a2: AlternatingAutomaton) -> CompiledMachine:
+    """The machine of a1 conjoined with the dual of a2, with a2's states as
+    co-states: ara_to_ipcant(*automaton.inclusion_product(a1, a2)), compiled
+    from a1's and a2's own tables (see the module docstring).  Raises
+    ValidationError unless the two share an alphabet."""
+    init, r2 = combined_names(a1, a2)
+    co_states = tuple(r2[q] for q in a2.states)
+    states = (init,) + a1.states + co_states
+    offset = 1 + len(a1.states)
+    bit2 = {q: 1 << (offset + i) for i, q in enumerate(a2.states)}
+    rows = [(1 + a1.states.index(a1.initial), offset + a2.states.index(a2.initial))]
+    rows += [Row(a1.delta, q, None, False) for q in a1.states]
+    rows += [Row(a2.delta, q, bit2, True) for q in a2.states]
+    return CompiledMachine(a1.alphabet, states, init, rows, co_states)

@@ -29,10 +29,12 @@ is one (control cycles must consume letters, so a lasso reads infinitely many
 letters), and so is any path reaching the step bound.  Exhausting the graph
 without hitting a value or node cap is a definite emptiness answer.
 
-inclusion_check saturates the compiled product of one automaton with the
-dual of another, keeping only valuation-minimal configurations per control
-state: smaller configurations carry fewer obligations and simulate larger
-ones, so pruning preserves both witnesses and their absence.  Non-inclusion
+inclusion_check saturates the product of one automaton with the dual of
+another, compiled straight from the two (compile.product_machine: the
+machine of automaton.inclusion_product, which is never built), keeping
+only valuation-minimal configurations per control state: smaller
+configurations carry fewer obligations and simulate larger ones, so
+pruning preserves both witnesses and their absence.  Non-inclusion
 is witnessed by a checkpoint configuration (dual threads all discharged)
 that still has an infinite continuation.  The minimal valuations of a
 control form an Antichain indexed by support, the set of counters a
@@ -47,9 +49,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
-from ..ara.automaton import AlternatingAutomaton, inclusion_product
+from ..ara.automaton import AlternatingAutomaton
 from ..ipcant import EPS
-from .compile import ara_to_ipcant
+from .compile import product_machine
 
 NODE_BUDGET = 200000
 
@@ -292,13 +294,14 @@ def _any_below(group, sv):
 def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
                     cap=10000, vcap=64) -> SaturationResult:
     """Decide whether every data word accepted by a1 is accepted by a2, by
-    saturating the compiled product of a1 with the dual of a2.  Each control
+    saturating the product of a1 with the dual of a2, compiled from the two
+    automata (product_machine) with a2's states as co-states.  Each control
     state keeps an Antichain of the minimal valuations reached with it; a
     successor below or equal to a kept valuation is dropped, and one that is
     kept prunes every kept valuation above it.  A configuration whose
-    valuation was pruned while it waited in the queue is not expanded."""
-    aut, co_states = inclusion_product(a1, a2)
-    machine = ara_to_ipcant(aut, co_states=co_states)
+    valuation was pruned while it waited in the queue is not expanded.
+    Raises ValidationError unless a1 and a2 share an alphabet."""
+    machine = product_machine(a1, a2)
     control0, sv0 = machine.initial_config()
     chain = Antichain()
     chain.add(sv0)

@@ -57,6 +57,9 @@ def test_minimal_models_is_minimal_antichain_of_all_models():
         order = rng.sample(states, len(states))
         bit = {q: 1 << i for i, q in enumerate(order)}
         assert pb.minimal_models(phi, bit) == _as_masks(mins, bit)
+        # the dual fold gives the dual formula's models in either form
+        assert pb.minimal_models(phi, dual=True) == pb.minimal_models(pb.dual(phi))
+        assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(pb.dual(phi), bit)
         alls = set(_all_pairs(phi, states))
         for m in mins:
             assert m in alls
@@ -78,6 +81,27 @@ def test_minimal_models_mask_form_examples():
     assert pb.minimal_models(pb.Bot(), bit) == ()
     assert pb.minimal_models(pb.Or(pb.Ref("p"), pb.And(pb.Ref("p"), pb.Ref("q"))), bit) == (
         (1, 0),)
+
+
+def test_dual_fold_of_constants_and_absent_rows():
+    """Top and Bot trade models under the dual fold; an absent row is Bot,
+    so its dual has the one empty model."""
+    bit = {"p": 1, "q": 2}
+    for form in (None, bit):
+        empty = pb.minimal_models(pb.Top(), form)
+        assert pb.minimal_models(pb.Top(), form, dual=True) == ()
+        assert pb.minimal_models(pb.Bot(), form, dual=True) == empty
+    aut = AlternatingAutomaton(AB, ("p",), "p", {("p", "a", "up"): pb.Top()})
+    for a in AB:
+        for flag in ("up", "nup"):
+            phi = aut.delta_at("p", a, flag)
+            assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(pb.dual(phi), bit)
+    assert pb.minimal_models(aut.delta_at("p", "b", "nup"), bit, dual=True) == ((0, 0),)
+    phi = pb.Or(pb.And(pb.Ref("q"), pb.DownRef("p")), pb.Ref("p"))
+    # dual: (q | d(p)) & p
+    assert pb.minimal_models(phi, bit, dual=True) == ((1, 1), (3, 0))
+    assert pb.conjoin_models(((1, 0), (2, 0)), ((0, 1), (1, 0))) == ((1, 0), (2, 1))
+    assert pb.conjoin_models((), ((0, 0),)) == ()
 
 
 def test_posbool_parse_format_round_trip():
@@ -298,6 +322,10 @@ def test_deep_formula_models_eval_format_run(abc):
         (frozenset(["p"]), frozenset()),)
     bit = {"p": 2, "q": 1}
     assert pb.minimal_models(phi, bit) == _as_masks((both,), bit) == ((2, 2),)
+    # its dual is an Or chain of 3000 d(p) ending in p, folded without
+    # building it
+    assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(pb.dual(phi), bit) == (
+        (0, 2), (2, 0))
     wide = pb.Or(pb.DownRef("q"), pb.And(pb.Ref("q"), phi))
     assert pb.minimal_models(wide, bit) == _as_masks(pb.minimal_models(wide), bit) == (
         (0, 1), (3, 2))

@@ -140,6 +140,27 @@ def test_refine(tmp_path, capsys):
     assert _out(capsys)[0] == "NOT_INCLUDED\n"
 
 
+def test_mismatched_alphabets_exit_65(tmp_path, data_path, capsys):
+    """Two inputs that each validate but share no alphabet cannot be
+    compared: invalid input (65), naming both files and both alphabets."""
+    fig = data_path("fig1.ara")
+    ac = tmp_path / "ac.ara"
+    ac.write_text("alphabet: a c\nstates: p\ninitial: p\np, a, * -> p\n")
+    assert run_cli(["include", "--lhs", fig, "--rhs", str(ac)]) == 65
+    out, err = _out(capsys)
+    assert out == ""
+    assert err == "invalid input: %s and %s must share an alphabet, not a b c and a c\n" % (
+        fig, ac)
+    lhs, rhs = tmp_path / "a.ltl", tmp_path / "ab.ltl"
+    lhs.write_text("alphabet: a\nG a\n")
+    rhs.write_text("alphabet: a b\nG a\n")
+    assert run_cli(["refine", "--lhs", str(lhs), "--rhs", str(rhs)]) == 65
+    out, err = _out(capsys)
+    assert out == ""
+    assert err == "invalid input: %s and %s must share an alphabet, not a and a b\n" % (
+        lhs, rhs)
+
+
 def test_bound_file_machine(data_path, capsys):
     assert run_cli(["bound", "--machine", data_path("tiny.cm")]) == 0
     assert _out(capsys)[0] == "alpha: 1 2\nU: 1 3\nm=12\n"

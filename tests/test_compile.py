@@ -7,14 +7,14 @@ import pytest
 from regsafe import ipcant, randgen
 from regsafe.errors import ValidationError
 from regsafe.words import Alphabet
-from regsafe.ara import ltl_to_ara
+from regsafe.ara import inclusion_product, ltl_to_ara
 from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe.ipcant import (BRANCH_BUDGET, EPS, Transfer, Valuation, check_distributive,
                             compositions, fire, format_machine, parse_machine,
                             split_tokens)
 from regsafe.ltl import parse_formula
-from regsafe.pipeline import ara_to_ipcant
+from regsafe.pipeline import ara_to_ipcant, product_machine
 from regsafe.pipeline.compile import family_structure, letter_free_cycle
 
 AB = Alphabet(("a", "b"))
@@ -113,6 +113,75 @@ def test_mask_models_match_name_models(with_co):
                 assert cm.read_images(letter, mask) == tuple(sorted(read))
                 assert cm.here_sets(letter, mask) == tuple(sorted({k | m for k, m in here}))
     assert sizes == {1, 2, 3}
+
+
+def _assert_product_matches_reference(a1, a2):
+    """product_machine(a1, a2) is the machine of the built product,
+    ara_to_ipcant(*inclusion_product(a1, a2)): the same states, initial
+    control and co-states, and the same read_images and here_sets for every
+    letter and thread set."""
+    ref = ara_to_ipcant(*inclusion_product(a1, a2))
+    cm = product_machine(a1, a2)
+    assert cm.states_order == ref.states_order
+    assert (cm.initial_control, cm.co_states, cm.co_mask) == (
+        ref.initial_control, ref.co_states, ref.co_mask)
+    for mask in range(1 << cm.n):
+        for letter in a1.alphabet:
+            assert cm.read_images(letter, mask) == ref.read_images(letter, mask)
+            assert cm.here_sets(letter, mask) == ref.here_sets(letter, mask)
+    return cm
+
+
+def _with_names(aut, names):
+    """aut with its states renamed to `names`, in order."""
+    ren = dict(zip(aut.states, names))
+
+    def leaf(g):
+        return type(g)(ren[g.state]) if isinstance(g, (pb.Ref, pb.DownRef)) else g
+
+    delta = {(ren[q], a, flag): pb.rebuild(phi, leaf)
+             for (q, a, flag), phi in aut.delta.items()}
+    return AlternatingAutomaton(aut.alphabet, names, ren[aut.initial], delta)
+
+
+def test_product_machine_matches_built_product_fixtures(fig1, top_automaton, abc,
+                                                        example_formula):
+    _, f = example_formula
+    bot = AlternatingAutomaton(abc, ("z",), "z", {})
+    chain = pb.Ref("p")
+    for _ in range(3000):
+        chain = pb.And(pb.DownRef("p"), chain)
+    deep = AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): chain})
+    fixtures = (fig1, top_automaton, ltl_to_ara(f, abc), bot, deep)
+    for a1 in fixtures:
+        for a2 in fixtures:
+            _assert_product_matches_reference(a1, a2)
+
+
+def test_product_machine_matches_built_product_random():
+    """200 seeded pairs of 1-3-state automata with absent entries, whose
+    state names clash with each other's and with the fresh initial state."""
+    rng = random.Random(29)
+    pool = ("init", "q0", "q0_2", "init0", "q1")
+    sizes, clashes = set(), 0
+    for _ in range(200):
+        a1, a2 = (randgen.random_automaton(rng, AB, max_states=3, bot_prob=0.4)
+                  for _ in range(2))
+        if rng.random() < 0.5:
+            a1 = _with_names(a1, rng.sample(pool, len(a1.states)))
+        if rng.random() < 0.5:
+            a2 = _with_names(a2, rng.sample(pool, len(a2.states)))
+        cm = _assert_product_matches_reference(a1, a2)
+        sizes.add(cm.n)
+        clashes += cm.states_order[0] != "init"
+    assert sizes == {3, 4, 5, 6, 7}
+    assert clashes > 20
+
+
+def test_product_machine_needs_a_shared_alphabet(fig1):
+    other = AlternatingAutomaton(AB, ("p",), "p", {})
+    with pytest.raises(ValidationError, match="automata must share an alphabet"):
+        product_machine(fig1, other)
 
 
 def test_read_images_and_here_sets_monotone_in_the_mask():

@@ -17,6 +17,7 @@ from regsafe.ipcant import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                               bounded_nonemptiness, inclusion_check, prefix_reachable)
+from regsafe.pipeline import explore
 from regsafe.pipeline.explore import Antichain, successors
 
 AB = Alphabet(("a", "b"))
@@ -282,6 +283,56 @@ def test_inclusion_matches_list_reference(fig1, example_formula):
         assert got == _reference_inclusion(a1, a2, cap=2000)
         verdicts.add(res.verdict)
     assert len(verdicts) == 3
+
+
+def _inclusion_queries(fig1, example_formula):
+    ab, formula = example_formula
+    queries = [(fig1, fig1), (fig1, union(fig1, ltl_to_ara(formula, ab)))]
+    rng = random.Random(83)
+    for i in range(40):
+        a = randgen.random_automaton(rng, AB, max_states=2)
+        b = randgen.random_automaton(rng, AB, max_states=2)
+        queries.append([(a, a), (intersect(a, b), a), (a, union(a, b)),
+                        (union(a, b), a), (a, b)][i % 5])
+    return queries
+
+
+def test_inclusion_on_built_product_gives_the_same_saturation(
+        fig1, example_formula, monkeypatch):
+    """The saturation on the machine of the built product (the reference
+    route) answers alike, with the same counts and kept configurations."""
+    queries = _inclusion_queries(fig1, example_formula)
+    got = [inclusion_check(a1, a2, cap=2000) for a1, a2 in queries]
+    monkeypatch.setattr(explore, "product_machine",
+                        lambda a1, a2: ara_to_ipcant(*inclusion_product(a1, a2)))
+    for (a1, a2), res in zip(queries, got):
+        ref = inclusion_check(a1, a2, cap=2000)
+        assert (res.verdict, res.explored, res.converged, res.checkpoints, res.s_last) == (
+            ref.verdict, ref.explored, ref.converged, ref.checkpoints, ref.s_last)
+    assert {res.verdict for res in got} == set(Inclusion)
+
+
+def test_inclusion_builds_no_product_automaton(fig1, example_formula, monkeypatch):
+    """inclusion_check compiles the product from its two automata: no
+    AlternatingAutomaton is built and no formula rebuilt on the way."""
+    queries = _inclusion_queries(fig1, example_formula)
+    calls = {"automaton": 0, "rebuild": 0}
+    init, rebuild = AlternatingAutomaton.__init__, pb.rebuild
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(AlternatingAutomaton, "__init__", counted("automaton", init))
+    monkeypatch.setattr(pb, "rebuild", counted("rebuild", rebuild))
+    inclusion_product(fig1, fig1)
+    assert calls["automaton"] == 1 and calls["rebuild"] > 0  # the guard counts
+    calls.update(automaton=0, rebuild=0)
+    for a1, a2 in queries:
+        inclusion_check(a1, a2, cap=2000)
+    assert calls == {"automaton": 0, "rebuild": 0}
 
 
 def _random_explicit_machine(rng, shared=False):
