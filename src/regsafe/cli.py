@@ -63,12 +63,15 @@ class _InvalidInput(Exception):
 def _load(parse, path):
     """Parse an input file, "-" being standard input.  A file that parses
     but breaks an invariant of its format is as unusable as one that does
-    not parse, so both exit 65."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r") as fh:
-            text = fh.read()
+    not parse, and so is one that is not text: each exits 65."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as e:
+        raise _InvalidInput("%s: %s" % (path, e)) from e
     try:
         return parse(text)
     except ValidationError as e:

@@ -26,12 +26,17 @@ extra context.  Tests and the acceptance criteria check the machines against
 this view; exploration never uses it.
 
 Every result kept past one call is an lru_cache on the pure function that
-computes it, keyed by counter tuples, texts and instructions, never by a
-machine: parsing and printing a counter or an instruction, an instruction's
-op (_instruction_op), a counter family's cover table and a transfer map's
-distributivity verdict.  So the machines of one counter family, which
-share most of their instructions, parse, check and print each distinct
-instruction once per process.  Errors are raised afresh on every call.
+computes it, keyed by counter tuples, texts, instructions and transitions,
+never by a machine: parsing and printing a counter, an instruction or a
+whole body line (_parse_line, _format_transition), the counter structure
+of a file's basis: and counters: headers (_parse_structure), an
+instruction's op (_instruction_op), a counter family's cover table and a
+transfer map's distributivity verdict.  So the machines of one counter
+family, which share their header and most of their lines, parse, check and
+print each distinct line and instruction once per process, and share one
+structure and the Transition objects of the lines they have in common.
+Every machine is still validated in full on construction.  Errors are
+raised afresh on every call.
 """
 
 from dataclasses import dataclass
@@ -48,7 +53,10 @@ EPS = None  # transition label for letter-free moves
 
 
 class CounterStructure:
-    """A basis and an ordered family of counters (non-empty basis subsets)."""
+    """A basis and an ordered family of counters (non-empty basis subsets).
+    Nothing changes a structure once it is built, so the machines of one
+    family share one: family_structure's for compiled machines and
+    _parse_structure's for parsed ones."""
 
     def __init__(self, basis, counters):
         self.basis = tuple(basis)
@@ -185,7 +193,9 @@ class CounterMachine:
         for t in self.transitions:
             src = t.src
             if src not in known or t.dst not in known:
-                raise ValidationError("transition uses unknown state")
+                raise ValidationError("transition %r -%s-> %r uses unknown state %r" % (
+                    src, "eps" if t.label is EPS else t.label, t.dst,
+                    src if src not in known else t.dst))
             if t.label is EPS:
                 eps.setdefault(src, []).append(t.dst)
             else:
@@ -788,49 +798,75 @@ def _parse_instr(text, counters):
     raise ParseError("unknown instruction %r" % text)
 
 
+@functools.lru_cache(maxsize=64)
+def _parse_structure(basis_text, counters_text):
+    """The CounterStructure of a file's basis: and counters: header values;
+    files whose headers read alike share it, and its counter tuple."""
+    basis = read_names(basis_text, "basis")
+    return CounterStructure(basis, _parse_counters(counters_text, _COUNTERS_RE,
+                                                   "counters: header"))
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse_line(line, counters):
+    """The instruction text and the Transition of a stripped body line over
+    the family's counter tuple.  Its ParseError carries no line number;
+    parse_machine adds it."""
+    src, _, rest = line.partition(" ")
+    rest = rest.strip()
+    if not rest.startswith("-"):
+        raise ParseError("expected '-label, instruction-> dst'")
+    labeltext, sep, rest = rest[1:].partition(",")
+    if not sep:
+        raise ParseError("missing ',' after label")
+    label = labeltext.strip()
+    instr_text, sep, dst = rest.rpartition("->")
+    if not sep:
+        raise ParseError("missing '->' before target state")
+    dst = dst.strip()
+    if not dst:
+        raise ParseError("missing target state")
+    instr_text = instr_text.strip()
+    return instr_text, Transition(src, EPS if label == "eps" else label,
+                                  _parse_instr(instr_text, counters), dst)
+
+
 def parse_machine(text, check_transfers="auto") -> CounterMachine:
     """Read a machine file.  Each distinct instruction text gives one
-    instruction object, shared by the transitions that use it; _parse_instr
-    parses the texts of a counter family once per process."""
+    instruction object, shared by the transitions that use it.  The header
+    and each distinct body line of a counter family are parsed once per
+    process (_parse_structure, _parse_line), so machines of one family share
+    their structure and the Transitions of their common lines."""
     headers, body = read_sections(text, _HEADERS, ("relation",))
     lazy = _RELATIONS.get(headers.get("relation", "lazy"))
     if lazy is None:
         raise ParseError("relation must be lazy or error-free, not %r" % headers["relation"])
     alphabet = Alphabet(tuple(headers["alphabet"].split()))
-    basis = read_names(headers["basis"], "basis")
-    counters = _parse_counters(headers["counters"], _COUNTERS_RE, "counters: header")
+    structure = _parse_structure(headers["basis"], headers["counters"])
     states = read_names(headers["states"], "state")
     initial = read_names(headers["initial"], "state")
     if len(initial) != 1:
         raise ParseError("expected one initial state")
-    structure = CounterStructure(basis, counters)
     if "eps" in alphabet:
         raise ParseError("letter name 'eps' is reserved")
     counters = structure.counters
-    # a text met twice in one file gets one object, even when _parse_instr
-    # dropped it in between
+    # a line or an instruction text met twice in one file gets one object,
+    # even when _parse_line or _parse_instr dropped it in between
+    lines = {}
     instrs = {}
     transitions = []
     for lineno, line in body:
-        src, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if not rest.startswith("-"):
-            raise ParseError("line %d: expected '-label, instruction-> dst'" % lineno)
-        labeltext, sep, rest2 = rest[1:].partition(",")
-        if not sep:
-            raise ParseError("line %d: missing ',' after label" % lineno)
-        label = EPS if labeltext.strip() == "eps" else labeltext.strip()
-        instr_text, sep, dst = rest2.rpartition("->")
-        if not sep:
-            raise ParseError("line %d: missing '->' before target state" % lineno)
-        instr_text = instr_text.strip()
-        instr = instrs.get(instr_text)
-        if instr is None:
+        t = lines.get(line)
+        if t is None:
             try:
-                instr = instrs[instr_text] = _parse_instr(instr_text, counters)
+                instr_text, t = _parse_line(line, counters)
             except ParseError as err:
                 raise ParseError("line %d: %s" % (lineno, err)) from None
-        transitions.append(Transition(src, label, instr, dst.strip()))
+            instr = instrs.setdefault(instr_text, t.instr)
+            if instr is not t.instr:
+                t = Transition(t.src, t.label, instr, t.dst)
+            lines[line] = t
+        transitions.append(t)
     return CounterMachine(alphabet, states, initial[0], structure, transitions,
                           check_transfers=check_transfers, lazy=lazy)
 
@@ -857,10 +893,17 @@ def _format_instr(instr):
     raise ValidationError("unknown instruction %r" % (instr,))
 
 
+@functools.lru_cache(maxsize=4096)
+def _format_transition(t):
+    label = "eps" if t.label is EPS else t.label
+    return "%s -%s, %s-> %s" % (t.src, label, _format_instr(t.instr), t.dst)
+
+
 def format_machine(m: CounterMachine) -> str:
     """The machine file text.  An error-free machine says so in a
-    `relation:` line; a lazy one, the default, prints none.  _format_instr
-    prints each distinct instruction once per process."""
+    `relation:` line; a lazy one, the default, prints none.
+    _format_transition prints each distinct transition, and _format_instr
+    each distinct instruction, once per process."""
     lines = [
         "alphabet: " + " ".join(m.alphabet.letters),
         "basis: " + " ".join(m.structure.basis),
@@ -870,7 +913,5 @@ def format_machine(m: CounterMachine) -> str:
     ]
     if not m.lazy:
         lines.append("relation: error-free")
-    for t in m.transitions:
-        label = "eps" if t.label is EPS else t.label
-        lines.append("%s -%s, %s-> %s" % (t.src, label, _format_instr(t.instr), t.dst))
+    lines += map(_format_transition, m.transitions)
     return "\n".join(lines) + "\n"

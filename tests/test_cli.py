@@ -337,6 +337,24 @@ def test_invalid_input_files_exit_65(tmp_path, capsys):
     assert err.count("invalid input: ") == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["sat", "--machine", "{bad}"],
+    ["run", "--automaton", "{bad}", "--word", "a@D"],
+    ["include", "--lhs", "{bad}", "--rhs", "{fig1}"],
+    ["parse", "--formula", "{bad}"],
+    ["tmgen", "--tm", "{bad}"],
+])
+def test_non_utf8_input_exits_65(tmp_path, data_path, capsys, argv):
+    """A file that is not text is invalid input, not a crash."""
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    argv = [a.format(bad=bad, fig1=data_path("fig1.ara")) for a in argv]
+    assert run_cli(argv) == 65
+    out, err = _out(capsys)
+    assert out == "" and err.startswith("invalid input: %s: " % bad)
+    assert "decode" in err
+
+
 def test_non_distributive_machine_exits_65(tmp_path, capsys):
     """Loading checks every transfer, also after a good file over the same
     counters has been loaded."""

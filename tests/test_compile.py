@@ -419,7 +419,8 @@ def test_warm_machines_print_as_cold_ones():
         assert text == again
         for cache in (family_structure, letter_free_cycle, ipcant._parse_counter,
                       ipcant._parse_instr, ipcant._instruction_op, ipcant._format_counter,
-                      ipcant._format_instr, ipcant._covers_distributive):
+                      ipcant._format_instr, ipcant._covers_distributive, ipcant._parse_line,
+                      ipcant._format_transition, ipcant._parse_structure):
             cache.cache_clear()
         assert _printed(aut, co) == (text, again), k
 

@@ -206,6 +206,7 @@ CM_STRICT = ("alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p q\nini
     ("nop-> q", "inc x-> q", "expected a counter like {x,y}, got 'x'"),
     ("initial: p", "initial: p q", "expected one initial state"),
     ("initial: p", "initial:", "expected one initial state"),
+    ("nop-> q", "nop->", "missing target state"),
 ])
 def test_machine_syntax_is_strict(tmp_path, capsys, old, new, error):
     """Text the parser used to skip or cut short is refused, on the command

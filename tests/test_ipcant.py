@@ -14,6 +14,7 @@ from regsafe.ipcant import (CounterMachine, CounterStructure, CoverTable, Dec, E
                             compute_bound, cover_table, fire, fire_lazy, format_machine, ifz_cap,
                             parse_machine, split_tokens, sqsse, transfer_witnesses)
 from regsafe import ipcant, randgen
+from regsafe.pipeline import ara_to_ipcant
 
 
 def _vals(results):
@@ -388,8 +389,12 @@ def test_caches_stay_within_their_bounds():
     assert verdicts.cache_info().currsize == limit
     caches = {name for name, f in vars(ipcant).items() if hasattr(f, "cache_info")}
     assert caches == {"cover_table", "_covers_distributive", "_instruction_op", "_parse_counter",
-                      "_parse_instr", "_format_counter", "_format_instr"}
+                      "_parse_instr", "_format_counter", "_format_instr", "_parse_line",
+                      "_format_transition", "_parse_structure"}
     assert all(getattr(ipcant, name).cache_info().maxsize for name in caches)
+    assert ipcant._parse_line.cache_info().maxsize == 4096
+    assert ipcant._format_transition.cache_info().maxsize == 4096
+    assert ipcant._parse_structure.cache_info().maxsize == 64
 
 
 def test_instruction_memo_is_per_family():
@@ -401,6 +406,7 @@ def test_instruction_memo_is_per_family():
     second = "alphabet: a\nbasis: x y\ncounters: {y} {x,y}\nstates: p\ninitial: p\n" + line
     for texts in ((first, second), (second, first)):
         ipcant._parse_instr.cache_clear()
+        ipcant._parse_line.cache_clear()
         for text in texts + texts:
             m = parse_machine(text)
             assert m.transitions[0].instr == ifz_cap({"x"}, m.structure.counters)
@@ -418,6 +424,7 @@ def test_instruction_memo_at_its_bound():
     texts = ["inc" + " " * k + "{x}" for k in range(1, limit + 10)]
     body = "".join("p -a, %s-> p\n" % t for t in texts + texts[:1])
     ipcant._parse_instr.cache_clear()
+    ipcant._parse_line.cache_clear()
     m = parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n" + body)
     info = ipcant._parse_instr.cache_info()
     assert info.misses == len(texts) and info.currsize == limit
@@ -426,6 +433,65 @@ def test_instruction_memo_at_its_bound():
     assert len({id(i) for i in instrs}) == len(texts)
     assert set(instrs) == {Inc(frozenset("x"))}
     assert format_machine(m).count("inc {x}-> p") == len(texts) + 1
+
+
+def test_instruction_memo_across_kept_lines():
+    """Two lines kept with instruction objects parsed apart, the text
+    dropped from _parse_instr in between, still get one object when a
+    file holds both."""
+    header = "alphabet: a b\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
+    ipcant._parse_line.cache_clear()
+    one = parse_machine(header + "p -a, inc {x}-> p\n").transitions[0]
+    ipcant._parse_instr.cache_clear()
+    two = parse_machine(header + "p -b, inc {x}-> p\n").transitions[0]
+    assert one.instr is not two.instr
+    both = parse_machine(header + "p -a, inc {x}-> p\np -b, inc {x}-> p\n").transitions
+    assert both[0] is one and both[1].instr is one.instr and both[1] == two
+
+
+def test_machines_of_one_family_share_lines_and_structure():
+    """Two machines of one family, parsed one after the other, share the
+    Transition of every line they have in common, their CounterStructure
+    and its counter tuple; each prints as its text."""
+    rng = random.Random(63)
+    texts = []
+    while len(texts) < 2:
+        aut = randgen.random_automaton(rng, Alphabet(("a", "b")), max_states=1)
+        text = format_machine(ara_to_ipcant(aut).materialize())
+        if text not in texts:
+            texts.append(text)
+    machines = [parse_machine(text, "full") for text in texts]
+    assert machines[0].structure is machines[1].structure
+    assert machines[0].counters is machines[1].counters
+    # each body line with its transition
+    one, two = (dict(zip(text.splitlines()[-len(m.transitions):], m.transitions))
+                for text, m in zip(texts, machines))
+    common = one.keys() & two.keys()
+    assert len(common) > len(one) // 2
+    assert all(one[line] is two[line] for line in common)
+    assert [format_machine(m) for m in machines] == texts
+
+
+def test_bad_lines_and_headers_refused_around_good_files():
+    """A bad line is refused, with its line number, before and after a good
+    file of its family is loaded; so is a bad counters: header, on every
+    load, and a line whose target state is not declared."""
+    good = _CM_HEADER + "p -a, transf {x,y}->[{x,y}]-> p\np -a, inc {x}-> p\n"
+    bad_line = good.replace("p -a, inc {x}-> p", "p -a, inc {x} p")
+    bad_header = good.replace("{x} {y} {x,y}", "{x} {y} {x,y} x")
+    two_targets = good.replace("inc {x}-> p", "inc {x}-> p q")
+    for _ in range(3):
+        with pytest.raises(ParseError, match="^line 7: missing '->' before target state$"):
+            parse_machine(bad_line, "full")
+        with pytest.raises(ParseError, match="bad counters: header"):
+            parse_machine(bad_header, "full")
+        with pytest.raises(ValidationError,
+                           match="^transition 'p' -a-> 'p q' uses unknown state 'p q'$"):
+            parse_machine(two_targets, "full")
+        parse_machine(good, "full")
+    with pytest.raises(ValidationError, match="^transition 'r' -eps-> 'p' uses unknown state 'r'$"):
+        CounterMachine(Alphabet(("a",)), ("p",), "p", CounterStructure(("x",), ()),
+                       [Transition("r", EPS, Transfer(()), "p")])
 
 
 def test_invalid_instructions_refused_every_time(xy):
