@@ -20,8 +20,9 @@ from . import ltl
 from .ara import format_automaton, ltl_to_ara, parse_automaton, run_exists
 from .ipcant import bound_log2, bound_params, format_machine, parse_machine
 from .pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
-                       bounded_nonemptiness, encode_tm_run, inclusion_check,
-                       oracle_run_exists, parse_tm, tm_alphabet, tm_to_formula)
+                       bounded_nonemptiness, config_length, encode_tm_run,
+                       inclusion_check, oracle_run_exists, parse_tm, tm_alphabet,
+                       tm_to_formula)
 from .pipeline.oracle import _frontier_run_exists
 from . import randgen
 
@@ -202,10 +203,20 @@ def _cmd_bound(inv, ns):
     return 0
 
 
+# the most letters tmgen --steps encodes: the run is built in memory, about
+# 180 bytes a letter
+TMGEN_MAX_LETTERS = 10 ** 6
+
+
 def _cmd_tmgen(inv, ns):
     if ns.steps is not None:
         _at_least(0, steps=ns.steps)
     machine = _load(parse_tm, ns.tm)
+    if ns.steps is not None:
+        letters = (ns.steps + 1) * config_length(machine)
+        if letters > TMGEN_MAX_LETTERS:
+            raise _UsageError("--steps %d encodes %d letters, more than the %d allowed"
+                              % (ns.steps, letters, TMGEN_MAX_LETTERS))
     f = tm_to_formula(machine)
     artifact = ltl.print_formula_file(tm_alphabet(machine), f)
     lines = [artifact.rstrip("\n")]

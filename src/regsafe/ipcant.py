@@ -34,9 +34,10 @@ instruction's op (_instruction_op), a counter family's cover table and a
 transfer map's distributivity verdict.  So the machines of one counter
 family, which share their header and most of their lines, parse, check and
 print each distinct line and instruction once per process, and share one
-structure and the Transition objects of the lines they have in common.
-Every machine is still validated in full on construction.  Errors are
-raised afresh on every call.
+structure and, while the caches keep them, the Transition objects of the
+lines they have in common.  The caches only save work: equal instructions
+or transitions need not be one object.  Every machine is still validated
+in full on construction.  Errors are raised afresh on every call.
 """
 
 from dataclasses import dataclass
@@ -146,7 +147,14 @@ class Transfer(Instruction):
         return (c,)
 
     def as_map(self, counters):
-        return {c: tuple(self.image(c)) for c in counters}
+        """Each counter's image tuple, as image reads it.  Raises
+        ValidationError on an entry whose source is not among the counters."""
+        f = {c: (c,) for c in counters}
+        for src, dsts in reversed(self.entries):  # so the first entry wins
+            if src not in f:
+                raise ValidationError("instruction uses unknown counter %r" % (sorted(src),))
+            f[src] = tuple(dsts)
+        return f
 
 
 def ifz_cap(basis_subset, counters) -> Transfer:
@@ -173,6 +181,9 @@ class CounterMachine:
 
     def __init__(self, alphabet: Alphabet, states, initial, structure: CounterStructure,
                  transitions, check_transfers="auto", lazy=True):
+        if check_transfers not in ("auto", "full", "off"):
+            raise ValueError("check_transfers must be 'auto', 'full' or 'off', not %r"
+                             % (check_transfers,))
         self.alphabet = alphabet
         self._lazy = lazy
         self.states = tuple(states)
@@ -184,29 +195,35 @@ class CounterMachine:
             raise ValidationError("duplicate state name")
         if initial not in known:
             raise ValidationError("initial state %r not declared" % (initial,))
-        # one pass over the transitions; the instructions and the letter-free
-        # moves it collects are checked after it
-        self._outgoing = outgoing = {}  # source state -> its transitions, in order
+        # one pass over the transitions builds the op table; the letter-free
+        # moves and the transfers it collects are checked after it
+        self._ops = ops = {}  # source state -> (label, kind, arg, dst) per transition
         eps = {}  # source state -> the targets of its letter-free transitions
-        instrs = {}  # id(instruction) -> instruction, in order of first use
+        op_of = {}  # id(instruction) -> its (kind, arg), for each object met
+        transfers = {}  # the distinct transfers, equal ones once, in order
         resting = set()
+        counters = structure.counters
         for t in self.transitions:
-            src = t.src
-            if src not in known or t.dst not in known:
+            src, label, instr, dst = t.src, t.label, t.instr, t.dst
+            if src not in known or dst not in known:
                 raise ValidationError("transition %r -%s-> %r uses unknown state %r" % (
-                    src, "eps" if t.label is EPS else t.label, t.dst,
-                    src if src not in known else t.dst))
-            if t.label is EPS:
-                eps.setdefault(src, []).append(t.dst)
+                    src, "eps" if label is EPS else label, dst,
+                    src if src not in known else dst))
+            if label is EPS:
+                eps.setdefault(src, []).append(dst)
             else:
-                if t.label not in alphabet:
-                    raise ValidationError("transition on unknown letter %r" % (t.label,))
+                if label not in alphabet:
+                    raise ValidationError("transition on unknown letter %r" % (label,))
                 resting.add(src)
-            outgoing.setdefault(src, []).append(t)
-            instrs.setdefault(id(t.instr), t.instr)
+            op = op_of.get(id(instr))
+            if op is None:
+                if not isinstance(instr, (Inc, Dec, Transfer)):
+                    raise ValidationError("unknown instruction %r" % (instr,))
+                op = op_of[id(instr)] = _instruction_op(instr, counters)
+                if isinstance(instr, Transfer):
+                    transfers[instr] = None
+            ops.setdefault(src, []).append((label, op[0], op[1], dst))
         self._resting = frozenset(resting)
-        self._op_of = {}  # id(instruction) -> (kind, argument)
-        transfers = self._validate_instructions(instrs.values())
         self._check_eps_acyclic(eps)
         if check_transfers != "off":
             self._check_transfers(check_transfers, transfers)
@@ -216,23 +233,6 @@ class CounterMachine:
         """Whether a decrement of a zero counter may leave the valuation
         unchanged (True) or does not fire (False)."""
         return self._lazy
-
-    def _validate_instructions(self, instrs):
-        """Check each distinct instruction object: a known kind, naming only
-        counters of the structure, and keep the op a step of it fires
-        (_instruction_op) in _op_of.  Returns the distinct transfers, equal
-        ones once, in order of first use.  Raises ValidationError
-        otherwise."""
-        op_of = self._op_of
-        counters = self.structure.counters
-        transfers = {}
-        for instr in instrs:
-            if not isinstance(instr, (Inc, Dec, Transfer)):
-                raise ValidationError("unknown instruction %r" % (instr,))
-            op_of[id(instr)] = _instruction_op(instr, counters)
-            if isinstance(instr, Transfer):
-                transfers[instr] = None
-        return tuple(transfers)
 
     def _check_eps_acyclic(self, eps):
         """Raise ValidationError when the letter-free moves, eps mapping a
@@ -260,9 +260,7 @@ class CounterMachine:
         counters = self.structure.counters
         exhaustive = len(counters) <= 12 or mode == "full"
         for instr in transfers:
-            f = {c: (c,) for c in counters}
-            for src, dsts in reversed(instr.entries):
-                f[src] = dsts
+            f = instr.as_map(counters)
             ok = (check_distributive(f, counters) if exhaustive
                   else _sampled_distributive(f, counters))
             if not ok:
@@ -297,16 +295,12 @@ class CounterMachine:
         truncated): successors are (label, state', sv', 1) in transition
         order, and truncated says whether a result was cut by `vcap` or a
         transfer by BRANCH_BUDGET."""
-        op_of = self._op_of
         lazy = self._lazy
         out = []
         truncated = False
-        for t in self._outgoing.get(control, ()):
-            label = t.label
+        for label, kind, arg, dst in self._ops.get(control, ()):
             if letter is not None and label is not EPS and label != letter:
                 continue
-            kind, arg = op_of[id(t.instr)]
-            dst = t.dst
             if kind is None:
                 if vcap is not None and sv and max(sv.values()) > vcap:
                     truncated = True
@@ -354,13 +348,9 @@ def _instruction_op(instr, counters):
     pair = {c: (i, 0) for i, c in enumerate(counters)}
     try:
         if isinstance(instr, Transfer):
-            # unlisted counters keep their tokens; the first entry for a
-            # counter wins, as in Transfer.image
             identity = tuple([(p,) for p in pair.values()])
-            arg = list(identity)
-            for src, dsts in reversed(instr.entries):
-                arg[pair[src][0]] = tuple(map(pair.__getitem__, dsts))
-            arg = tuple(arg)
+            arg = tuple([tuple(map(pair.__getitem__, dsts))
+                         for dsts in instr.as_map(counters).values()])
             return (None, None) if arg == identity else (Transfer, arg)
         return (Inc if isinstance(instr, Inc) else Dec, pair[instr.counter][0])
     except KeyError as e:
@@ -809,9 +799,8 @@ def _parse_structure(basis_text, counters_text):
 
 @functools.lru_cache(maxsize=4096)
 def _parse_line(line, counters):
-    """The instruction text and the Transition of a stripped body line over
-    the family's counter tuple.  Its ParseError carries no line number;
-    parse_machine adds it."""
+    """The Transition of a stripped body line over the family's counter
+    tuple.  Its ParseError carries no line number; parse_machine adds it."""
     src, _, rest = line.partition(" ")
     rest = rest.strip()
     if not rest.startswith("-"):
@@ -826,17 +815,15 @@ def _parse_line(line, counters):
     dst = dst.strip()
     if not dst:
         raise ParseError("missing target state")
-    instr_text = instr_text.strip()
-    return instr_text, Transition(src, EPS if label == "eps" else label,
-                                  _parse_instr(instr_text, counters), dst)
+    return Transition(src, EPS if label == "eps" else label,
+                      _parse_instr(instr_text.strip(), counters), dst)
 
 
 def parse_machine(text, check_transfers="auto") -> CounterMachine:
-    """Read a machine file.  Each distinct instruction text gives one
-    instruction object, shared by the transitions that use it.  The header
-    and each distinct body line of a counter family are parsed once per
-    process (_parse_structure, _parse_line), so machines of one family share
-    their structure and the Transitions of their common lines."""
+    """Read a machine file.  The header and each distinct body line of a
+    counter family are parsed once per process (_parse_structure,
+    _parse_line), so machines of one family share their structure and the
+    Transitions of their common lines."""
     headers, body = read_sections(text, _HEADERS, ("relation",))
     lazy = _RELATIONS.get(headers.get("relation", "lazy"))
     if lazy is None:
@@ -850,23 +837,12 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
     if "eps" in alphabet:
         raise ParseError("letter name 'eps' is reserved")
     counters = structure.counters
-    # a line or an instruction text met twice in one file gets one object,
-    # even when _parse_line or _parse_instr dropped it in between
-    lines = {}
-    instrs = {}
     transitions = []
     for lineno, line in body:
-        t = lines.get(line)
-        if t is None:
-            try:
-                instr_text, t = _parse_line(line, counters)
-            except ParseError as err:
-                raise ParseError("line %d: %s" % (lineno, err)) from None
-            instr = instrs.setdefault(instr_text, t.instr)
-            if instr is not t.instr:
-                t = Transition(t.src, t.label, instr, t.dst)
-            lines[line] = t
-        transitions.append(t)
+        try:
+            transitions.append(_parse_line(line, counters))
+        except ParseError as err:
+            raise ParseError("line %d: %s" % (lineno, err)) from None
     return CounterMachine(alphabet, states, initial[0], structure, transitions,
                           check_transfers=check_transfers, lazy=lazy)
 

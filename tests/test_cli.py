@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from regsafe.cli import run_cli
+from regsafe.cli import TMGEN_MAX_LETTERS, run_cli
 from regsafe.words import parse_word
 from regsafe.ara import parse_automaton
 from regsafe.ipcant import parse_machine
@@ -266,6 +266,24 @@ def test_deep_formula_file_exits_65(tmp_path, capsys, command, body, states):
         assert parse_formula(out, ab) == f
     else:
         assert len(parse_automaton(out).states) == states
+
+
+def test_tmgen_steps_past_the_letter_ceiling(data_path, data_text, tmp_path, capsys):
+    """--steps whose run would encode more than TMGEN_MAX_LETTERS letters
+    is a usage error, refused before the run is built: the first count past
+    the ceiling on bouncer.tm (13 letters a configuration), a billion, and
+    one step on a copy with 2^64 tape cells."""
+    huge = tmp_path / "huge.tm"
+    huge.write_text(data_text("bouncer.tm").replace("size: 2", "size: 64"))
+    first = TMGEN_MAX_LETTERS // 13
+    assert first * 13 <= TMGEN_MAX_LETTERS < (first + 1) * 13
+    for path, steps in ((data_path("bouncer.tm"), first), (data_path("bouncer.tm"), 10 ** 9),
+                        (str(huge), 1)):
+        assert run_cli(["tmgen", "--tm", path, "--steps", str(steps)]) == 64, (path, steps)
+        out, err = _out(capsys)
+        assert out == "" and err.count("\n") == 1, (path, steps)
+        assert err.startswith("error: --steps %d encodes " % steps), err
+        assert err.endswith("more than the %d allowed\n" % TMGEN_MAX_LETTERS), err
 
 
 def test_usage_errors(data_path, tmp_path, capsys):

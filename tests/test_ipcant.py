@@ -417,9 +417,9 @@ def test_instruction_memo_is_per_family():
 
 def test_instruction_memo_at_its_bound():
     """A file with more distinct instruction texts than _parse_instr keeps,
-    its first text repeated at the end: the text is dropped in mid-file,
-    yet the file still gets one object per distinct text, and prints as
-    the texts say."""
+    its first text repeated at the end: the memo stays at its bound, so the
+    last line parses its text again, every instruction equals the one its
+    text says, and the machine prints as the texts say."""
     limit = ipcant._parse_instr.cache_info().maxsize
     texts = ["inc" + " " * k + "{x}" for k in range(1, limit + 10)]
     body = "".join("p -a, %s-> p\n" % t for t in texts + texts[:1])
@@ -427,26 +427,90 @@ def test_instruction_memo_at_its_bound():
     ipcant._parse_line.cache_clear()
     m = parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n" + body)
     info = ipcant._parse_instr.cache_info()
-    assert info.misses == len(texts) and info.currsize == limit
-    instrs = [t.instr for t in m.transitions]
-    assert instrs[0] is instrs[-1]
-    assert len({id(i) for i in instrs}) == len(texts)
-    assert set(instrs) == {Inc(frozenset("x"))}
+    assert info.misses == len(texts) + 1 and info.currsize == limit
+    assert [t.instr for t in m.transitions] == [Inc(frozenset("x"))] * (len(texts) + 1)
     assert format_machine(m).count("inc {x}-> p") == len(texts) + 1
 
 
 def test_instruction_memo_across_kept_lines():
-    """Two lines kept with instruction objects parsed apart, the text
-    dropped from _parse_instr in between, still get one object when a
-    file holds both."""
+    """Two lines kept by _parse_line with their instructions parsed apart,
+    the text dropped from _parse_instr in between: a file holding both
+    reuses the kept Transitions, parses no instruction, steps both alike
+    and prints as its text."""
     header = "alphabet: a b\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
     ipcant._parse_line.cache_clear()
     one = parse_machine(header + "p -a, inc {x}-> p\n").transitions[0]
     ipcant._parse_instr.cache_clear()
     two = parse_machine(header + "p -b, inc {x}-> p\n").transitions[0]
-    assert one.instr is not two.instr
-    both = parse_machine(header + "p -a, inc {x}-> p\np -b, inc {x}-> p\n").transitions
-    assert both[0] is one and both[1].instr is one.instr and both[1] == two
+    assert one.instr == two.instr == Inc(frozenset("x"))
+    text = header + "p -a, inc {x}-> p\np -b, inc {x}-> p\n"
+    both = parse_machine(text)
+    assert both.transitions[0] is one and both.transitions[1] is two
+    assert ipcant._parse_instr.cache_info().currsize == 1
+    assert both.config_successors("p", {}) == ([("a", "p", {0: 1}, 1), ("b", "p", {0: 1}, 1)],
+                                               False)
+    assert format_machine(both) == text
+
+
+def test_machine_verdicts_match_check_distributive():
+    """Seeded random transfers over families of at most 12 counters, every
+    other one listing a counter a second time with other images: a machine
+    refuses exactly the maps check_distributive refuses, as_map takes each
+    counter's first entry, and a step moves the tokens of a repeated
+    counter by its first entry."""
+    rng = random.Random(64)
+    ab = Alphabet(("a",))
+    verdicts = []
+    repeated = 0
+    for k in range(300):
+        st = randgen.random_structure(rng, max_basis=4, max_counters=12)
+        counters = st.counters
+        t = randgen.random_transfer(rng, st)
+        src = rng.choice(counters)
+        if k % 2:
+            entries = list(t.entries)
+            assert [c for c, _ in entries] == list(counters)
+            first = counters.index(src)
+            images = tuple(rng.sample(counters, rng.randint(0, min(2, len(counters)))))
+            entries.insert(rng.randint(first + 1, len(entries)), (src, images))
+            t = Transfer(tuple(entries))
+            repeated += t.image(src) != images
+        f = t.as_map(counters)
+        assert f == {c: tuple(t.image(c)) for c in counters}
+        want = check_distributive(f, counters)
+        transitions = [Transition("p", "a", t, "p")]
+        for mode in ("auto", "full"):
+            if want:
+                CounterMachine(ab, ("p",), "p", st, transitions, check_transfers=mode)
+            else:
+                with pytest.raises(ValidationError, match="not distributive"):
+                    CounterMachine(ab, ("p",), "p", st, transitions, check_transfers=mode)
+        verdicts.append(want)
+        # tokens on src and at most one other counter, so the reference
+        # firing enumerates few splits
+        m = CounterMachine(ab, ("p",), "p", st, transitions, check_transfers="off")
+        v = st.valuation({src: rng.randint(1, 2)})
+        other = rng.choice(counters)
+        if other != src:
+            v = v._with(st.index[other], rng.randint(0, 1))
+        sv = {i: n for i, n in enumerate(v.values) if n}
+        successors, truncated = m.config_successors("p", sv)
+        assert not truncated
+        assert sorted(sorted(post.items()) for _, _, post, _ in successors) == \
+            sorted(sorted((i, n) for i, n in enumerate(w.values) if n) for w in fire(v, t))
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+    assert repeated >= 50
+
+
+def test_machine_refuses_unknown_check_modes(xy):
+    """A check_transfers value other than auto, full and off is refused
+    before any transition is looked at, by parse_machine too."""
+    text = "alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\np -a, nop-> p\n"
+    for mode in ("ful", "Full", "", False, True, None):
+        with pytest.raises(ValueError, match="'auto', 'full' or 'off', not %r" % (mode,)):
+            CounterMachine(Alphabet(("a",)), ("p",), "p", xy, (), check_transfers=mode)
+        with pytest.raises(ValueError, match="'auto', 'full' or 'off'"):
+            parse_machine(text, mode)
 
 
 def test_machines_of_one_family_share_lines_and_structure():
