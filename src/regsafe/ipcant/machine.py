@@ -1,0 +1,372 @@
+"""Counter machines over a finite basis: counters are non-empty subsets of the
+basis, instructions are increments, decrements and nondeterministic transfers.
+
+A transfer names, for every counter, the set of counters its tokens may move
+to; it is firable iff every counter with an empty image holds zero.  Every
+transfer map must be distributive (distributive.py).
+
+Incrementing errors: a run may spontaneously gain tokens but never lose them.
+The lazy restriction allows only one kind of error, decrementing a zero
+counter and leaving the valuation unchanged.
+
+Machines step on sparse valuations (counter index to positive count).
+Every transfer, the explicit ones of a CounterMachine and the compiled read
+step of pipeline.compile alike, moves tokens through split_tokens, the one
+splitting fold: images are (target index, mark bits) pairs, the marks being
+zero on explicit transfers.  Only an identity transfer (nop) skips it: its
+step copies the valuation."""
+
+from dataclasses import dataclass
+import functools
+from itertools import combinations_with_replacement
+import math
+
+from ..errors import ValidationError
+from ..words import Alphabet
+from .distributive import _check_transfers
+
+EPS = None  # transition label for letter-free moves
+
+
+class CounterStructure:
+    """A basis and an ordered family of counters (non-empty basis subsets).
+    Nothing changes a structure once it is built, so the machines of one
+    family share one: family_structure's for compiled machines and
+    _parse_structure's for parsed ones."""
+
+    def __init__(self, basis, counters):
+        self.basis = tuple(basis)
+        self.counters = tuple(frozenset(c) for c in counters)
+        if len(set(self.basis)) != len(self.basis):
+            raise ValidationError("duplicate basis element")
+        base = set(self.basis)
+        seen = set()
+        for c in self.counters:
+            if not c:
+                raise ValidationError("counters must be non-empty")
+            if not c <= base:
+                raise ValidationError("counter %r uses unknown basis elements" % (sorted(c),))
+            if c in seen:
+                raise ValidationError("duplicate counter %r" % (sorted(c),))
+            seen.add(c)
+        self.index = {c: i for i, c in enumerate(self.counters)}
+
+    def __eq__(self, other):
+        return (isinstance(other, CounterStructure)
+                and self.basis == other.basis and self.counters == other.counters)
+
+    def __hash__(self):
+        return hash((self.basis, self.counters))
+
+    def valuation(self, assignment) -> "Valuation":
+        from .reference import Valuation
+        v = [0] * len(self.counters)
+        for c, n in assignment.items():
+            v[self.index[frozenset(c)]] = n
+        return Valuation(self, tuple(v))
+
+
+@dataclass(frozen=True)
+class Instruction:
+    pass
+
+
+@dataclass(frozen=True)
+class Inc(Instruction):
+    counter: frozenset
+
+
+@dataclass(frozen=True)
+class Dec(Instruction):
+    counter: frozenset
+
+
+@dataclass(frozen=True)
+class Transfer(Instruction):
+    """entries: tuple of (source counter, tuple of image counters); counters
+    not listed map to themselves."""
+
+    entries: tuple
+
+    def image(self, c):
+        for src, dsts in self.entries:
+            if src == c:
+                return dsts
+        return (c,)
+
+    def as_map(self, counters):
+        """Each counter's image tuple, as image reads it.  Raises
+        ValidationError on an entry whose source is not among the counters."""
+        f = {c: (c,) for c in counters}
+        for src, dsts in reversed(self.entries):  # so the first entry wins
+            if src not in f:
+                raise ValidationError("instruction uses unknown counter %r" % (sorted(src),))
+            f[src] = tuple(dsts)
+        return f
+
+
+def ifz_cap(basis_subset, counters) -> Transfer:
+    """The transfer that verifies every counter meeting the given basis subset
+    is zero and leaves everything else alone."""
+    y = frozenset(basis_subset)
+    entries = tuple((c, ()) for c in counters if c & y)
+    return Transfer(entries)
+
+
+@dataclass(frozen=True)
+class Transition:
+    src: str
+    label: object  # letter name or EPS
+    instr: Instruction
+    dst: str
+
+
+class CounterMachine:
+    """An explicit machine over its transition list.  `lazy` fixes its
+    successor relation: whether a decrement of a zero counter may leave the
+    valuation unchanged (the lazy error) or does not fire (error-free).  A
+    parsed machine is lazy unless its file says `relation: error-free`."""
+
+    def __init__(self, alphabet: Alphabet, states, initial, structure: CounterStructure,
+                 transitions, check_transfers="auto", lazy=True):
+        if check_transfers not in ("auto", "full", "off"):
+            raise ValueError("check_transfers must be 'auto', 'full' or 'off', not %r"
+                             % (check_transfers,))
+        self.alphabet = alphabet
+        self._lazy = lazy
+        self.states = tuple(states)
+        self.initial = initial
+        self.structure = structure
+        self.transitions = tuple(transitions)
+        known = set(self.states)
+        if len(known) != len(self.states):
+            raise ValidationError("duplicate state name")
+        if initial not in known:
+            raise ValidationError("initial state %r not declared" % (initial,))
+        # one pass over the transitions builds the op table; the letter-free
+        # moves and the transfers it collects are checked after it
+        self._ops = ops = {}  # source state -> (label, kind, arg, dst) per transition
+        eps = {}  # source state -> the targets of its letter-free transitions
+        op_of = {}  # id(instruction) -> its (kind, arg), for each object met
+        transfers = {}  # the distinct transfers, equal ones once, in order
+        resting = set()
+        counters = structure.counters
+        for t in self.transitions:
+            src, label, instr, dst = t.src, t.label, t.instr, t.dst
+            if src not in known or dst not in known:
+                raise ValidationError("transition %r -%s-> %r uses unknown state %r" % (
+                    src, "eps" if label is EPS else label, dst,
+                    src if src not in known else dst))
+            if label is EPS:
+                eps.setdefault(src, []).append(dst)
+            else:
+                if label not in alphabet:
+                    raise ValidationError("transition on unknown letter %r" % (label,))
+                resting.add(src)
+            op = op_of.get(id(instr))
+            if op is None:
+                if not isinstance(instr, (Inc, Dec, Transfer)):
+                    raise ValidationError("unknown instruction %r" % (instr,))
+                op = op_of[id(instr)] = _instruction_op(instr, counters)
+                if isinstance(instr, Transfer):
+                    transfers[instr] = None
+            ops.setdefault(src, []).append((label, op[0], op[1], dst))
+        self._resting = frozenset(resting)
+        self._check_eps_acyclic(eps)
+        if check_transfers != "off":
+            _check_transfers(transfers, counters, check_transfers)
+
+    @property
+    def lazy(self):
+        """Whether a decrement of a zero counter may leave the valuation
+        unchanged (True) or does not fire (False)."""
+        return self._lazy
+
+    def _check_eps_acyclic(self, eps):
+        """Raise ValidationError when the letter-free moves, eps mapping a
+        state to its targets, form a cycle."""
+        color = {}  # 1 while on the search path, 2 once finished
+        for root in self.states:
+            if root in color or root not in eps:
+                continue
+            color[root] = 1
+            stack = [(root, iter(eps[root]))]
+            while stack:
+                q, succ = stack[-1]
+                for r in succ:
+                    if color.get(r) == 1:
+                        raise ValidationError("letter-free transition cycle through %r" % (q,))
+                    if r not in color:
+                        color[r] = 1
+                        stack.append((r, iter(eps.get(r, ()))))
+                        break
+                else:
+                    color[q] = 2
+                    stack.pop()
+
+    @property
+    def basis(self):
+        return self.structure.basis
+
+    @property
+    def counters(self):
+        return self.structure.counters
+
+    def initial_config(self):
+        """The initial state with every counter empty."""
+        return (self.initial, {})
+
+    def bound_counts(self):
+        """(state, basis, counter) counts, the inputs of the bound."""
+        return (len(self.states), len(self.structure.basis), len(self.structure.counters))
+
+    def is_resting(self, state):
+        """True when the state has a lettered transition: a run that has
+        consumed a letter sequence can stop only at such a state."""
+        return state in self._resting
+
+    def config_successors(self, control, sv, letter=None, vcap=None):
+        """One instruction step from a configuration: sv maps counter index
+        to a positive count.  Given a letter, only letter-free transitions and
+        those reading that letter fire.  On a lazy machine a decrement of a
+        zero counter leaves the valuation unchanged.  Returns (successors,
+        truncated): successors are (label, state', sv', 1) in transition
+        order, and truncated says whether a result was cut by `vcap` or a
+        transfer by BRANCH_BUDGET."""
+        lazy = self._lazy
+        out = []
+        truncated = False
+        for label, kind, arg, dst in self._ops.get(control, ()):
+            if letter is not None and label is not EPS and label != letter:
+                continue
+            if kind is None:
+                if vcap is not None and sv and max(sv.values()) > vcap:
+                    truncated = True
+                else:
+                    out.append((label, dst, dict(sv), 1))
+            elif kind is Inc:
+                n = sv.get(arg, 0) + 1
+                if vcap is not None and n > vcap:
+                    truncated = True
+                    continue
+                sv2 = dict(sv)
+                sv2[arg] = n
+                out.append((label, dst, sv2, 1))
+            elif kind is Dec:
+                n = sv.get(arg, 0)
+                if n:
+                    sv2 = dict(sv)
+                    if n == 1:
+                        del sv2[arg]
+                    else:
+                        sv2[arg] = n - 1
+                    out.append((label, dst, sv2, 1))
+                elif lazy:
+                    out.append((label, dst, dict(sv), 1))
+            else:
+                fired, cut = split_tokens(sv, arg.__getitem__)
+                truncated |= cut
+                for _, sv2 in fired:
+                    if vcap is not None and sv2 and max(sv2.values()) > vcap:
+                        truncated = True
+                    else:
+                        out.append((label, dst, sv2, 1))
+        return out, truncated
+
+
+@functools.lru_cache(maxsize=4096)
+def _instruction_op(instr, counters):
+    """The op (kind, argument) a step of an Inc, Dec or Transfer over the
+    counter tuple fires.  An increment or decrement carries its counter
+    index; a transfer carries the images of every counter as split_tokens
+    takes them, one tuple of (image index, 0) pairs per counter index.  An
+    identity transfer (nop, or one mapping each listed counter to itself)
+    has kind None: its step copies the valuation.  Raises ValidationError
+    on a counter outside the tuple."""
+    pair = {c: (i, 0) for i, c in enumerate(counters)}
+    try:
+        if isinstance(instr, Transfer):
+            identity = tuple([(p,) for p in pair.values()])
+            arg = tuple([tuple(map(pair.__getitem__, dsts))
+                         for dsts in instr.as_map(counters).values()])
+            return (None, None) if arg == identity else (Transfer, arg)
+        return (Inc if isinstance(instr, Inc) else Dec, pair[instr.counter][0])
+    except KeyError as e:
+        raise ValidationError("instruction uses unknown counter %r"
+                              % (sorted(e.args[0]),)) from None
+
+
+# the most ways one transfer may split its tokens before exploration gives up
+# on it and reports truncation instead of enumerating them
+BRANCH_BUDGET = 100000
+
+
+def compositions(n, k):
+    """All k-tuples of non-negative ints summing to n, in lexicographic
+    order: each is cut from 0..n at k - 1 non-decreasing points."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    for cuts in combinations_with_replacement(range(n + 1), k - 1):
+        parts = []
+        prev = 0
+        for cut in cuts:
+            parts.append(cut - prev)
+            prev = cut
+        parts.append(n - prev)
+        yield tuple(parts)
+
+
+def split_tokens(sv, image_of):
+    """Every way to move the tokens of a sparse valuation (counter index to
+    positive count) along a transfer: each token of counter ci moves to one
+    of image_of(ci), a tuple of (target index, mark bits) pairs.  Returns
+    (outcomes, truncated): outcomes are the distinct (marks, post) pairs,
+    with marks the union of the mark bits of the images used and post the
+    sparse valuation the tokens land in.  Counters with one image add their
+    tokens to it; the splits of the others are folded counter by counter in
+    index order with duplicates dropped, which keeps the order of the full
+    product of compositions.  A counter with tokens and no image leaves no
+    outcome, and a product larger than BRANCH_BUDGET is not built and
+    reports truncation.  Counters are asked in index order: on compiled
+    machines that order meets a blocked class early."""
+    marks = 0
+    base = {}
+    splitting = []
+    branches = 1
+    for ci in sorted(sv):
+        n = sv[ci]
+        pairs = image_of(ci)
+        if len(pairs) == 1:
+            (j, m), = pairs
+            marks |= m
+            base[j] = base.get(j, 0) + n
+        elif not pairs:
+            return [], False
+        else:
+            branches *= math.comb(n + len(pairs) - 1, n)
+            splitting.append((n, pairs))
+    if branches > BRANCH_BUDGET:
+        return [], True
+    outcomes = [(marks, base)]
+    for n, pairs in splitting:
+        shares = {}  # distinct ways to spread this counter, in order
+        for parts in compositions(n, len(pairs)):
+            m = 0
+            share = {}
+            for (j, mj), part in zip(pairs, parts):
+                if part:
+                    m |= mj
+                    share[j] = share.get(j, 0) + part
+            shares.setdefault((m, tuple(sorted(share.items()))), share)
+        folded = {}
+        for m0, partial in outcomes:
+            for (m1, _), share in shares.items():
+                post = dict(partial)
+                for j, part in share.items():
+                    post[j] = post.get(j, 0) + part
+                m = m0 | m1
+                folded.setdefault((m, tuple(sorted(post.items()))), (m, post))
+        outcomes = list(folded.values())
+    return outcomes, False

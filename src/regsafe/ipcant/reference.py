@@ -1,0 +1,130 @@
+"""Valuation, fire, fire_lazy, transfer_witnesses and sqsse are a dense
+reference view: a Valuation pairs a counter structure with an int tuple
+aligned with the structure's counter order, so firing operations need no
+extra context.  Tests and the acceptance criteria check the machines against
+this view; exploration never uses it, and the runtime never imports it."""
+
+from dataclasses import dataclass
+from itertools import product
+
+from ..errors import ValidationError
+from .machine import CounterStructure, Dec, Inc, compositions
+
+
+@dataclass(frozen=True)
+class Valuation:
+    """A total assignment of naturals to the structure's counters, stored as
+    an int tuple in the structure's counter order."""
+
+    structure: CounterStructure
+    values: tuple
+
+    def __post_init__(self):
+        if len(self.values) != len(self.structure.counters):
+            raise ValidationError("valuation length does not match counter count")
+        for n in self.values:
+            if not isinstance(n, int) or n < 0:
+                raise ValidationError("counter values must be naturals")
+
+    def __getitem__(self, counter):
+        return self.values[self.structure.index[frozenset(counter)]]
+
+    def items(self):
+        return zip(self.structure.counters, self.values)
+
+    def total(self):
+        return sum(self.values)
+
+    def _with(self, i, n) -> "Valuation":
+        return Valuation(self.structure, self.values[:i] + (n,) + self.values[i + 1:])
+
+
+def transfer_witnesses(v: "Valuation", transfer):
+    """Yield (witness, result) pairs for every way of splitting each source
+    counter's tokens over its image counters.  The witness maps pairs
+    (source counter, image counter) to the amount moved; row sums give back v
+    and column sums give the result.  Yields nothing when the transfer is not
+    firable (a counter with tokens but an empty image)."""
+    structure = v.structure
+    idx = structure.index
+    moving = []
+    for c, n in v.items():
+        if n == 0:
+            continue
+        dsts = transfer.image(c)
+        if not dsts:
+            return
+        moving.append((c, n, dsts))
+    for split in product(*(compositions(n, len(dsts)) for _, n, dsts in moving)):
+        out = [0] * len(v.values)
+        witness = {}
+        for (c, n, dsts), parts in zip(moving, split):
+            for d, part in zip(dsts, parts):
+                out[idx[d]] += part
+                if part:
+                    witness[(c, d)] = part
+        yield witness, Valuation(structure, tuple(out))
+
+
+def fire(v: "Valuation", instr):
+    """Error-free firing: the set of all possible successor valuations."""
+    if isinstance(instr, (Inc, Dec)):
+        i = v.structure.index[instr.counter]
+        n = v.values[i] + (1 if isinstance(instr, Inc) else -1)
+        return {v._with(i, n)} if n >= 0 else set()
+    if hasattr(instr, "image"):  # Transfer or any transfer-like map
+        return {v2 for _, v2 in transfer_witnesses(v, instr)}
+    raise ValidationError("unknown instruction %r" % (instr,))
+
+
+def fire_lazy(v: "Valuation", instr):
+    """Error-free results plus the single lazy error: decrementing a zero
+    counter leaves the valuation unchanged."""
+    out = fire(v, instr)
+    if isinstance(instr, Dec) and v[instr.counter] == 0:
+        out.add(v)
+    return out
+
+
+def sqsse(v_surd: "Valuation", v: "Valuation") -> bool:
+    """The token-embedding preorder: true iff every token of v_surd can be
+    matched injectively to a token of v on a counter containing the token's
+    own counter (equivalently, v dominates some up-set transfer of v_surd)."""
+    if v_surd.structure != v.structure:
+        raise ValidationError("valuations over different counter structures")
+    return _token_embedding(v_surd.structure.counters, v_surd.values, v.values)
+
+
+def _token_embedding(counters, small, big) -> bool:
+    """Place small's tokens one at a time on big's tokens of superset
+    counters; when every fitting big token is taken, an augmenting path moves
+    earlier placements on to free one.  The embedding exists iff every token
+    finds a place."""
+    if sum(small) > sum(big):
+        return False
+    fits = {i: [j for j, m in enumerate(big) if m and counters[i] <= counters[j]]
+            for i, n in enumerate(small) if n}
+    free = list(big)
+    holders = [{} for _ in big]  # big counter -> {small counter: tokens placed}
+
+    def place(i, seen):
+        for j in fits[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if free[j]:
+                free[j] -= 1
+            else:
+                for k in holders[j]:
+                    if place(k, seen):
+                        break
+                else:
+                    continue
+                holders[j][k] -= 1
+                if not holders[j][k]:
+                    del holders[j][k]
+            holders[j][i] = holders[j].get(i, 0) + 1
+            return True
+        return False
+
+    return all(place(i, set()) for i, n in enumerate(small) for _ in range(n))

@@ -62,6 +62,8 @@ class TuringMachine:
         self.size = size
         if size < 1:
             raise ValidationError("size must be at least 1")
+        if size > 64:
+            raise ValidationError("size must be at most 64")
         if len(set(self.tape)) != len(self.tape) or not self.tape:
             raise ValidationError("tape alphabet must be non-empty without duplicates")
         if len(set(self.states)) != len(self.states) or not self.states:

@@ -10,8 +10,7 @@ from .words import Alphabet, DataWord, canonicalize
 from . import ltl
 from .ara import posbool as pb
 from .ara.automaton import AlternatingAutomaton
-from .ipcant import (CounterStructure, Valuation, Inc, Dec, Transfer,
-                     check_distributive)
+from .ipcant import CounterStructure, Inc, Dec, Transfer, check_distributive
 
 
 def random_word(rng, alphabet: Alphabet, max_len, max_classes=None) -> DataWord:
@@ -100,19 +99,22 @@ def random_structure(rng, max_basis=3, max_counters=4) -> CounterStructure:
     return CounterStructure(basis, sorted(pool[:take], key=sorted))
 
 
-def random_valuation(rng, structure: CounterStructure, max_value=3) -> Valuation:
+def random_valuation(rng, structure: CounterStructure, max_value=3) -> "Valuation":
+    from .ipcant.reference import Valuation
     return Valuation(structure, tuple(
         rng.randint(0, max_value) for _ in structure.counters))
 
 
-def sub_valuation(rng, v: Valuation) -> Valuation:
+def sub_valuation(rng, v: "Valuation") -> "Valuation":
     """A componentwise smaller-or-equal valuation."""
+    from .ipcant.reference import Valuation
     return Valuation(v.structure, tuple(rng.randint(0, n) for n in v.values))
 
 
-def embedded_valuation(rng, v: Valuation) -> Valuation:
+def embedded_valuation(rng, v: "Valuation") -> "Valuation":
     """A valuation below v in the token-embedding order: drop some tokens and
     slide the rest onto subset counters."""
+    from .ipcant.reference import Valuation
     structure = v.structure
     values = [0] * len(structure.counters)
     for c, n in v.items():

@@ -55,11 +55,13 @@ class Node:
 
 
 def node(cls):
-    """Make a Node subclass a frozen dataclass with slots.  Its fields are
-    all subtrees, annotated with a Node class, or all data."""
+    """Make a Node subclass a frozen dataclass with slots.  Its fields, at
+    most two, are all subtrees, annotated with a Node class, or all data."""
     cls = dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)(cls)
     cls.tag = "%s.%s" % (cls.__module__, cls.__qualname__)
     fields = dataclass_fields(cls)
+    if len(fields) > 2:
+        raise TypeError("%s has %d fields; a node has at most 2" % (cls.__name__, len(fields)))
     names = [f.name for f in fields]
     cls.__init__ = _initializer(cls, [cls.__dict__[name].__set__ for name in names])
     if not fields:
@@ -76,9 +78,8 @@ _set_hash = Node._hash.__set__
 
 def _initializer(cls, setters):
     """An __init__ that fills the slots through their descriptors, which the
-    frozen __setattr__ does not guard, and fixes the hash; no field, one
-    and two fields, the common shapes, get one of their own.  The nodes of
-    a fieldless class share one hash object."""
+    frozen __setattr__ does not guard, and fixes the hash, for no field, one
+    or two.  The nodes of a fieldless class share one hash object."""
     tag = cls.tag
     if not setters:
         shared = hash((tag,))
@@ -91,21 +92,13 @@ def _initializer(cls, setters):
         def __init__(self, value):
             set_only(self, value)
             _set_hash(self, hash((tag, value)))
-    elif len(setters) == 2:
+    else:
         set_lhs, set_rhs = setters
 
         def __init__(self, lhs, rhs):
             set_lhs(self, lhs)
             set_rhs(self, rhs)
             _set_hash(self, hash((tag, lhs, rhs)))
-    else:
-        def __init__(self, *values):
-            if len(values) != len(setters):
-                raise TypeError("%s takes %d fields, not %d"
-                                % (cls.__name__, len(setters), len(values)))
-            for set_field, value in zip(setters, values):
-                set_field(self, value)
-            _set_hash(self, hash((tag,) + values))
     return __init__
 
 

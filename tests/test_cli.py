@@ -110,6 +110,32 @@ def test_python_m_runs_the_cli(data_path, module):
     assert (done.returncode, done.stdout) == (0, "NONEMPTY\n")
 
 
+_RUNTIME_PROBE = """
+import sys
+import regsafe.cli
+assert regsafe.cli.run_cli(["oracle", "--trials", "3"]) == 0
+for name in ("regsafe.ipcant.reference", "regsafe.pipeline.abstraction"):
+    assert name not in sys.modules, name + " loaded by the command line"
+from regsafe.ipcant import Valuation, fire, fire_lazy, sqsse, transfer_witnesses
+from regsafe.ipcant import reference
+assert Valuation is reference.Valuation and fire is reference.fire
+assert fire_lazy is reference.fire_lazy and sqsse is reference.sqsse
+assert transfer_witnesses is reference.transfer_witnesses
+"""
+
+
+def test_command_line_loads_nothing_test_only():
+    """In a fresh interpreter, importing the command line and running the
+    oracle loads neither the dense reference view nor the counting
+    abstraction, and regsafe.ipcant still serves the reference names."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout == "AGREE trials=3 seed=0\n"
+
+
 def test_include_verdicts(data_path, capsys):
     fig, top = data_path("fig1.ara"), data_path("top.ara")
     assert run_cli(["include", "--lhs", fig, "--rhs", fig]) == 0
@@ -284,6 +310,18 @@ def test_tmgen_steps_past_the_letter_ceiling(data_path, data_text, tmp_path, cap
         assert out == "" and err.count("\n") == 1, (path, steps)
         assert err.startswith("error: --steps %d encodes " % steps), err
         assert err.endswith("more than the %d allowed\n" % TMGEN_MAX_LETTERS), err
+
+
+def test_tm_size_past_the_ceiling(data_text, tmp_path, capsys):
+    """A .tm file whose size: is above 64 is invalid input (65), with or
+    without --steps: no formula is built and no traceback printed."""
+    for size in (65, 1000):
+        path = tmp_path / ("size%d.tm" % size)
+        path.write_text(data_text("bouncer.tm").replace("size: 2", "size: %d" % size))
+        for steps in ([], ["--steps", "1"]):
+            assert run_cli(["tmgen", "--tm", str(path)] + steps) == 65, (size, steps)
+            out, err = _out(capsys)
+            assert (out, err) == ("", "invalid input: %s: size must be at most 64\n" % path)
 
 
 def test_usage_errors(data_path, tmp_path, capsys):

@@ -240,7 +240,7 @@ def test_read_step_branch_budget(monkeypatch):
     succ, truncated = cm.config_successors(("read", 0, False), {1: 2}, "a")
     assert not truncated and succ
     # the compiled step reads the budget when it fires, as explicit ones do
-    monkeypatch.setattr(ipcant, "BRANCH_BUDGET", 6)
+    monkeypatch.setattr(ipcant.machine, "BRANCH_BUDGET", 6)
     succ, truncated = cm.config_successors(("read", 0, False), {1: 5}, "a")
     assert not truncated and succ
     assert cm.config_successors(("read", 0, False), {1: 6}, "a") == ([], True)
@@ -417,10 +417,11 @@ def test_warm_machines_print_as_cold_ones():
     warm = [_printed(aut, co) for aut, co in cases]
     for k, ((aut, co), (text, again)) in enumerate(zip(cases, warm)):
         assert text == again
-        for cache in (family_structure, letter_free_cycle, ipcant._parse_counter,
-                      ipcant._parse_instr, ipcant._instruction_op, ipcant._format_counter,
-                      ipcant._format_instr, ipcant._covers_distributive, ipcant._parse_line,
-                      ipcant._format_transition, ipcant._parse_structure):
+        for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_counter,
+                      ipcant.fileformat._parse_instr, ipcant.machine._instruction_op,
+                      ipcant.fileformat._format_counter, ipcant.fileformat._format_instr,
+                      ipcant.distributive._covers_distributive, ipcant.fileformat._parse_line,
+                      ipcant.fileformat._format_transition, ipcant.fileformat._parse_structure):
             cache.cache_clear()
         assert _printed(aut, co) == (text, again), k
 

@@ -496,7 +496,7 @@ def test_explicit_step_truncation(monkeypatch):
     assert cut and [sv2 for _, _, sv2, _ in succ] == [{0: 2, 1: 4}, {0: 3, 1: 3}, {0: 4, 1: 2}]
     # more splits than BRANCH_BUDGET are not enumerated
     assert successors(machine, "q", {0: BRANCH_BUDGET}, vcap=10 ** 9) == ([], True)
-    monkeypatch.setattr(ipcant, "BRANCH_BUDGET", 6)
+    monkeypatch.setattr(ipcant.machine, "BRANCH_BUDGET", 6)
     succ, cut = successors(machine, "q", {0: 5}, vcap=64)
     assert not cut and len(succ) == 6
     assert successors(machine, "q", {0: 6}, vcap=64) == ([], True)

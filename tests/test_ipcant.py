@@ -276,7 +276,6 @@ def test_check_distributive_matches_reference():
         f = randgen.random_transfer(rng, st).as_map(st.counters)
         want = _reference_distributive(f, st.counters)
         assert check_distributive(f, st.counters) == want
-        assert check_distributive(f, st.counters, CoverTable(st.counters)) == want
         verdicts.append(want)
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
@@ -313,12 +312,12 @@ _CM_HEADER = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\niniti
 
 def test_shared_table_keeps_refusing_non_distributive_maps():
     counters = (_X, _Y, _XY)
-    ipcant._covers_distributive.cache_clear()
+    ipcant.distributive._covers_distributive.cache_clear()
     assert check_distributive({c: (c,) for c in counters}, counters)
     assert not check_distributive(_WITNESS, counters)
     assert check_distributive({c: (c,) for c in counters}, counters)
     assert not check_distributive(dict(_WITNESS), list(counters))
-    assert ipcant._covers_distributive.cache_info().currsize == 2
+    assert ipcant.distributive._covers_distributive.cache_info().currsize == 2
     good = parse_machine(_CM_HEADER + "p -a, transf {x,y}->[{x,y}]-> p\n", "full")
     assert good.counters == counters
     with pytest.raises(ValidationError, match="not distributive"):
@@ -333,8 +332,6 @@ def test_non_total_map_raises_with_cached_table():
     for _ in range(2):
         with pytest.raises(ValidationError, match="not total"):
             check_distributive({_X: (_X,), _Y: (_Y,)}, counters)
-        with pytest.raises(ValidationError, match="not total"):
-            check_distributive({_X: (_X,), _Y: (_Y,)}, counters, cover_table(counters))
 
 
 def test_families_keep_their_own_verdicts():
@@ -378,7 +375,7 @@ def test_caches_stay_within_their_bounds():
         assert check_distributive({counters[0]: counters}, counters)
     assert cover_table.cache_info().currsize == limit
     # more distinct maps over one family than the verdicts kept
-    verdicts = ipcant._covers_distributive
+    verdicts = ipcant.distributive._covers_distributive
     limit = verdicts.cache_info().maxsize
     counters = tuple(frozenset([e]) for e in "stuv")
     images = [()] + [(c,) for c in counters] + [(c, d) for c in counters for d in counters]
@@ -387,14 +384,21 @@ def test_caches_stay_within_their_bounds():
         assert check_distributive(dict(zip(counters, next(maps))), counters)
         assert verdicts.cache_info().currsize <= limit
     assert verdicts.cache_info().currsize == limit
-    caches = {name for name, f in vars(ipcant).items() if hasattr(f, "cache_info")}
-    assert caches == {"cover_table", "_covers_distributive", "_instruction_op", "_parse_counter",
-                      "_parse_instr", "_format_counter", "_format_instr", "_parse_line",
-                      "_format_transition", "_parse_structure"}
-    assert all(getattr(ipcant, name).cache_info().maxsize for name in caches)
-    assert ipcant._parse_line.cache_info().maxsize == 4096
-    assert ipcant._format_transition.cache_info().maxsize == 4096
-    assert ipcant._parse_structure.cache_info().maxsize == 64
+    modules = (ipcant.machine, ipcant.distributive, ipcant.bound, ipcant.fileformat,
+               ipcant.reference)
+    caches = {(module.__name__.rpartition(".")[2], name): f for module in modules
+              for name, f in vars(module).items()
+              if hasattr(f, "cache_info") and f.__module__ == module.__name__}
+    assert set(caches) == {
+        ("distributive", "cover_table"), ("distributive", "_covers_distributive"),
+        ("machine", "_instruction_op"), ("fileformat", "_parse_counter"),
+        ("fileformat", "_parse_instr"), ("fileformat", "_format_counter"),
+        ("fileformat", "_format_instr"), ("fileformat", "_parse_line"),
+        ("fileformat", "_format_transition"), ("fileformat", "_parse_structure")}
+    assert all(f.cache_info().maxsize for f in caches.values())
+    assert ipcant.fileformat._parse_line.cache_info().maxsize == 4096
+    assert ipcant.fileformat._format_transition.cache_info().maxsize == 4096
+    assert ipcant.fileformat._parse_structure.cache_info().maxsize == 64
 
 
 def test_instruction_memo_is_per_family():
@@ -405,12 +409,12 @@ def test_instruction_memo_is_per_family():
     first = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\ninitial: p\n" + line
     second = "alphabet: a\nbasis: x y\ncounters: {y} {x,y}\nstates: p\ninitial: p\n" + line
     for texts in ((first, second), (second, first)):
-        ipcant._parse_instr.cache_clear()
-        ipcant._parse_line.cache_clear()
+        ipcant.fileformat._parse_instr.cache_clear()
+        ipcant.fileformat._parse_line.cache_clear()
         for text in texts + texts:
             m = parse_machine(text)
             assert m.transitions[0].instr == ifz_cap({"x"}, m.structure.counters)
-        assert ipcant._parse_instr.cache_info().currsize == 2
+        assert ipcant.fileformat._parse_instr.cache_info().currsize == 2
     ifz = [parse_machine(text).transitions[0].instr for text in (first, first, second)]
     assert ifz[0] is ifz[1] and ifz[0] != ifz[2]
 
@@ -420,13 +424,13 @@ def test_instruction_memo_at_its_bound():
     its first text repeated at the end: the memo stays at its bound, so the
     last line parses its text again, every instruction equals the one its
     text says, and the machine prints as the texts say."""
-    limit = ipcant._parse_instr.cache_info().maxsize
+    limit = ipcant.fileformat._parse_instr.cache_info().maxsize
     texts = ["inc" + " " * k + "{x}" for k in range(1, limit + 10)]
     body = "".join("p -a, %s-> p\n" % t for t in texts + texts[:1])
-    ipcant._parse_instr.cache_clear()
-    ipcant._parse_line.cache_clear()
+    ipcant.fileformat._parse_instr.cache_clear()
+    ipcant.fileformat._parse_line.cache_clear()
     m = parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n" + body)
-    info = ipcant._parse_instr.cache_info()
+    info = ipcant.fileformat._parse_instr.cache_info()
     assert info.misses == len(texts) + 1 and info.currsize == limit
     assert [t.instr for t in m.transitions] == [Inc(frozenset("x"))] * (len(texts) + 1)
     assert format_machine(m).count("inc {x}-> p") == len(texts) + 1
@@ -438,15 +442,15 @@ def test_instruction_memo_across_kept_lines():
     reuses the kept Transitions, parses no instruction, steps both alike
     and prints as its text."""
     header = "alphabet: a b\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
-    ipcant._parse_line.cache_clear()
+    ipcant.fileformat._parse_line.cache_clear()
     one = parse_machine(header + "p -a, inc {x}-> p\n").transitions[0]
-    ipcant._parse_instr.cache_clear()
+    ipcant.fileformat._parse_instr.cache_clear()
     two = parse_machine(header + "p -b, inc {x}-> p\n").transitions[0]
     assert one.instr == two.instr == Inc(frozenset("x"))
     text = header + "p -a, inc {x}-> p\np -b, inc {x}-> p\n"
     both = parse_machine(text)
     assert both.transitions[0] is one and both.transitions[1] is two
-    assert ipcant._parse_instr.cache_info().currsize == 1
+    assert ipcant.fileformat._parse_instr.cache_info().currsize == 1
     assert both.config_successors("p", {}) == ([("a", "p", {0: 1}, 1), ("b", "p", {0: 1}, 1)],
                                                False)
     assert format_machine(both) == text

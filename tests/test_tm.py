@@ -180,3 +180,16 @@ def test_validation_errors():
         # a state named like a hatted content letter collides in the encoding
         TuringMachine(("B",), "B", ("B^",), "B^",
                       {("B^", "B"): ("B^", "B", 1)}, 1)
+
+
+def test_size_ceiling():
+    """A tape of at most 2^64 cells: a larger size is refused on
+    construction, so also when a file is parsed."""
+    rules = {("q", "B"): ("q", "B", 1)}
+    assert TuringMachine(("B",), "B", ("q",), "q", rules, 64).cells == 2 ** 64
+    for size in (65, 1000):
+        with pytest.raises(ValidationError, match="size must be at most 64"):
+            TuringMachine(("B",), "B", ("q",), "q", rules, size)
+        with pytest.raises(ValidationError, match="size must be at most 64"):
+            parse_tm("tape: B\nblank: B\nstates: q\ninitial: q\nsize: %d\n"
+                     "q, B -> q, B, +1\n" % size)

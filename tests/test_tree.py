@@ -12,7 +12,7 @@ import pytest
 
 from regsafe import ltl
 from regsafe.ara import posbool as pb
-from regsafe.tree import fold
+from regsafe.tree import Node, fold, node
 
 # seeded, and with no example database left on disk
 _settings = settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -217,3 +217,14 @@ def test_deep_ltl_equality_hash_and_repr():
     assert f is not g and f == g and hash(f) == hash(g)
     assert repr(f).startswith("Next(body=And(lhs=Top(), rhs=Next(body=")
     assert ltl.print_formula(f).count("X") == 1500
+
+
+def test_node_refuses_three_fields():
+    """No node class has more than two fields, and node keeps it so."""
+    class Triple(Node):
+        a: Node
+        b: Node
+        c: Node
+
+    with pytest.raises(TypeError, match="Triple has 3 fields; a node has at most 2"):
+        node(Triple)
