@@ -9,14 +9,13 @@ infinite sequence of steps from the initial thread exists; over a finite word
 we ask for a partial run covering every position.
 
 Threads of an alternating run never interact, so a set of threads covers the
-rest of a word exactly when each of its threads does.  run_exists therefore
-decides one thread (position, state, class) at a time and memoizes it.  The
-models of a formula are upward closed and a larger model only spawns more
-threads, each of which must live, so only minimal models need trying.  A word
-of length n then costs O(n * |Q| * classes * models) model trials, where the
-definition's frontier of configuration sets takes at every position the
-product of the models of every live thread.  That one-position step is
-pipeline.oracle.frontier_step, kept there as a reference.
+rest of a word exactly when each of its threads does, and whether one does
+depends on the rest of the word alone.  run_exists evaluates the automaton
+backwards from the end of the word, as alternation is evaluated over a
+finite input (Chandra, Kozen and Stockmeyer, 1981): no search over the
+threads' choices, one mask of alive states per data class.  The definition's
+forward step on configuration sets, the product of the models of every live
+thread, is pipeline.oracle.frontier_step, kept there as a reference.
 """
 
 from ..errors import ParseError, ValidationError
@@ -24,6 +23,8 @@ from ..words import Alphabet, DataWord, read_names, read_sections
 from . import posbool as pb
 
 FLAGS = ("up", "nup")
+
+STEP_MEMO = 1024  # the most entries one (letter, flag) step of run_exists keeps
 
 
 class AlternatingAutomaton:
@@ -37,6 +38,7 @@ class AlternatingAutomaton:
         self.initial = initial
         self.delta = dict(delta)
         self._models = {}
+        self._steps = None  # run_exists's _Steps, made on its first call
         known = set(self.states)
         if len(known) != len(self.states):
             raise ValidationError("duplicate state name")
@@ -67,81 +69,106 @@ class AlternatingAutomaton:
         return self.delta.get((q, a, flag), pb.Bot())
 
     def models_at(self, q, a, flag):
-        """Minimal satisfying pairs of delta_at, cached."""
+        """Minimal satisfying pairs of delta_at as pairs of state-name sets,
+        cached in _models.  Reference only: pipeline.abstraction and the
+        tests use it; run_exists folds its own mask models (_Steps)."""
         key = (q, a, flag)
         if key not in self._models:
             self._models[key] = pb.minimal_models(self.delta_at(q, a, flag))
         return self._models[key]
 
 
+class _Steps(dict):
+    """run_exists's steps of one automaton: steps[a, flag] is the _Step of
+    letter a under the register flag, built on first use."""
+
+    __slots__ = ("states", "delta")
+
+    def __init__(self, states, delta):
+        self.states, self.delta = states, delta
+
+    def __missing__(self, key):
+        a, flag = key
+        n = len(self.states)
+        bit = {q: 1 << i for i, q in enumerate(self.states)}
+        bot = pb.Bot()
+        step = self[key] = _Step(n, tuple(
+            (i, kept | refrozen << n) for i, q in enumerate(self.states)
+            for kept, refrozen in pb.minimal_models(self.delta.get((q, a, flag), bot), bit)))
+        return step
+
+
+class _Step(dict):
+    """step[s_c, s_here]: the mask of the states alive at position i in a
+    class c, from the masks alive at i + 1 in c and in the class of position
+    i, namely the states with a minimal model whose kept states lie in s_c
+    and refrozen ones in s_here.  rows holds each model of each state i as
+    (i, kept mask | refrozen mask << n), n states.  Memoized; a memo of
+    STEP_MEMO entries is emptied before the next goes in."""
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n, rows):
+        self.n, self.rows = n, rows
+
+    def __missing__(self, key):
+        s_c, s_here = key
+        have = s_c | s_here << self.n
+        alive = 0
+        for i, need in self.rows:
+            if need & have == need:
+                alive |= 1 << i
+        if len(self) >= STEP_MEMO:
+            self.clear()
+        self[key] = alive
+        return alive
+
+
 def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
     """Is there a partial run over the whole of w from the initial
     configuration?
 
-    Threads never interact, so a run exists exactly when the initial thread
-    (0, initial, class of position 0) is alive, where a thread (i, q, cls)
-    is alive when i = len(w), or when one of q's minimal models for letter i
-    and the flag (up iff cls is the class of position i) sends every thread
-    it spawns to an alive thread at i + 1: plain states in cls, down-marked
-    states in the class of position i.  This is monotone: a model below a
-    working one spawns a subset of its threads, so it works too, and the
-    minimal models are the only ones worth trying.
-
-    A depth-first search on an explicit stack settles each thread once: it
-    drops a model at its first dead thread and stops at the first model whose
-    threads all live.  There are at most n * |Q| * (classes of w) threads,
-    each trying each of its models at most once, so a word of length n costs
-    O(n * |Q| * classes * models) model trials of at most 2 |Q| lookups.
+    A thread (q, c) is alive at n = len(w), and at i < n when one of q's
+    minimal models for letter i and the flag (up iff c is the class of
+    position i) keeps its plain states alive at i + 1 in c and its
+    down-marked ones alive at i + 1 in the class of position i; a run exists
+    iff the initial thread is alive at 0.  A larger model only spawns more
+    threads, so minimal ones suffice.  One backward pass keeps per class the
+    mask of states alive at i + 1 and steps it to i by _Step, a memoized
+    pure function of (letter, flag, S_c, S_here).
+    - A class that does not occur at i or later sees nup and the same
+      classes of positions from i on as any other such class, so all of them
+      share one "other" mask.
+    - A thread at i is in the class of position 0 or in a class it was
+      refrozen to before i, so only classes first seen before i get a mask
+      of their own at i, and at 0 only the class of position 0 is stepped.
+    A word of length n costs at most n * (live classes + 1) memo lookups; a
+    miss costs |Q| * models mask tests.
     """
     n = len(w)
     if n == 0:
         raise ValidationError("word must be non-empty")
     letters, classes = w.letters, w.classes
-    models_at = aut.models_at
-    alive = {}  # settled threads (i, q, cls) -> bool
-
-    def frame(thread):
-        # [thread, its models, index of the model on trial, that model's
-        # threads at i + 1 not yet known to live (None before it is opened)]
-        i, q, cls = thread
-        flag = "up" if cls == classes[i] else "nup"
-        return [thread, models_at(q, letters[i], flag), 0, None]
-
-    root = (0, aut.initial, classes[0])
-    stack = [frame(root)]
-    while stack:
-        top = stack[-1]
-        thread, models, k, pending = top
-        while True:
-            if pending is None:
-                if k == len(models):
-                    verdict = False
-                    break
-                i, _, cls = thread
-                if i + 1 == n:
-                    verdict = True
-                    break
-                plain, fresh = models[k]
-                here = classes[i]
-                pending = ([(i + 1, q2, cls) for q2 in plain]
-                           + [(i + 1, q2, here) for q2 in fresh])
-            while pending and alive.get(pending[-1]):
-                pending.pop()
-            if not pending:
-                verdict = True
-                break
-            if pending[-1] in alive:  # settled dead: try the next model
-                k += 1
-                pending = None
-                continue
-            top[2], top[3] = k, pending
-            stack.append(frame(pending[-1]))
-            verdict = None
-            break
-        if verdict is not None:
-            alive[thread] = verdict
-            stack.pop()
-    return alive[root]
+    first = []  # first[c]: the first position of class c
+    for i, c in enumerate(classes):
+        if c == len(first):
+            first.append(i)
+    steps = aut._steps
+    if steps is None:
+        steps = aut._steps = _Steps(aut.states, aut.delta)
+    other = (1 << len(aut.states)) - 1
+    masks = {}  # class -> alive mask at i + 1 of the classes seen before and at or after i + 1
+    for i in range(n - 1, 0, -1):
+        here = classes[i]
+        s_here = masks.get(here, other)
+        nup = steps[letters[i], "nup"]
+        # every class ahead but here was first seen before i
+        masks = {c: nup[s_c, s_here] for c, s_c in masks.items() if c != here}
+        if first[here] < i:
+            masks[here] = steps[letters[i], "up"][s_here, s_here]
+        other = nup[other, s_here]
+    s_0 = masks.get(0, other)
+    return bool(steps[letters[0], "up"][s_0, s_0] >> aut.states.index(aut.initial) & 1)
 
 
 def _disjoint(a1, a2):

@@ -5,8 +5,8 @@ the register to the current position's class).
 A model is a pair of state sets (plain, fresh); there is no negation, so the
 set of models is upward closed and is represented by its minimal elements.
 minimal_models folds a formula to them either as pairs of frozensets of
-state names (run_exists and the reference procedures) or, given each state's
-bit, as pairs of int masks (the compiled machine), with one join for both.
+state names (the reference procedures) or, given each state's bit, as pairs
+of int masks (run_exists and the compiled machine), with one join for both.
 The same fold gives the minimal models of a formula's dual (Top and Bot,
 And and Or exchanged) without building the dual formula.
 """

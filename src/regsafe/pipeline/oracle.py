@@ -3,11 +3,13 @@
 oracle_run_exists answers the same question as ara.run_exists.  Both rest on
 threads of an alternating run never interacting: a configuration set can
 cover the rest of the word exactly when each of its configurations can on
-its own, so both decide single configurations per position, memoized.  The
-oracle enumerates every satisfying pair of each transition formula a search
-reaches by evaluating the formula on all pairs of state sets (_pairs, shared
-with the frontier route), so it depends neither on minimal_models nor on the
-monotonicity that lets run_exists try minimal models only.  frontier_step is
+its own.  run_exists settles every state of a class at once, backwards from
+the end of the word; the oracle searches single configurations per
+position, memoized.  It enumerates every satisfying pair of each transition
+formula a search reaches by evaluating the formula on all pairs of state
+sets (_pairs, shared with the frontier route), so it depends neither on
+minimal_models nor on the monotonicity that lets run_exists try minimal
+models only.  frontier_step is
 the definition's one-position step on a configuration set, the only copy of
 it; _frontier_run_exists runs the definition itself with it (sets of
 configuration sets, full choice products over all satisfying pairs).  That

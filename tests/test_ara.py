@@ -4,13 +4,16 @@ import re
 import pytest
 
 from regsafe.errors import ParseError, ValidationError
-from regsafe.words import Alphabet, DataWord, enumerate_words, parse_word
+from regsafe.words import Alphabet, DataWord, canonicalize, enumerate_words, parse_word, prefix
+from regsafe.ara import automaton
 from regsafe.ara import posbool as pb
 from regsafe.ara import (dualize, format_automaton, inclusion_product,
                          intersect, ltl_to_ara, parse_automaton, run_exists,
                          union)
 from regsafe.ara.automaton import AlternatingAutomaton, _combine
 from regsafe.ltl import parse_formula
+from regsafe.pipeline import (config_length, encode_tm_run, oracle_run_exists, parse_tm,
+                              pattern_occurs, tm_alphabet, tm_to_formula)
 from regsafe.pipeline.oracle import _all_pairs, frontier_step, initial_configs
 from regsafe import randgen
 
@@ -403,10 +406,11 @@ def test_format_posbool_parenthesizes_by_precedence():
 
 
 def _frontier_reference(aut, w):
-    """Test-only reference: the frontier of configuration sets that
-    run_exists kept before it decided threads one at a time.  Each position
-    steps every set of the frontier by `frontier_step` on minimal models and
-    keeps the inclusion-minimal successors."""
+    """Test-only reference: the definition run forwards on the frontier of
+    configuration sets, which shares nothing with run_exists's backward pass
+    of alive masks but the minimal models.  Each position steps every set of
+    the frontier by `frontier_step` on minimal models and keeps the
+    inclusion-minimal successors."""
     frontier = [initial_configs(aut, w)]
     for i in range(len(w)):
         nxt = set()
@@ -446,7 +450,7 @@ def test_run_exists_matches_frontier_reference_all_short_words(example_formula, 
 
 
 def test_run_exists_long_word(top_automaton, abc):
-    """Threads go 5000 positions deep; the search keeps its own stack."""
+    """Threads go 5000 positions deep; the pass is a loop, not a recursion."""
     w = DataWord(("a",) * 5000, (0,) * 5000)
     assert run_exists(top_automaton, w)
     keep = parse_automaton("alphabet: a b c\nstates: s\ninitial: s\n"
@@ -454,3 +458,96 @@ def test_run_exists_long_word(top_automaton, abc):
     assert run_exists(keep, w)
     assert run_exists(keep, DataWord(("a",) * 5000, tuple(i % 2 for i in range(5000))))
     assert not run_exists(keep, DataWord(("a",) * 4999 + ("b",), (0,) * 5000))
+
+
+def test_run_exists_matches_oracle_on_fresh_and_single_class_words():
+    """Seeded 1-4-state automata against the brute-force thread search on
+    the two class shapes at the ends of the range: every position opening a
+    fresh class (a halting continuation's shape, one mask per class seen),
+    and one class throughout, up to 12 letters (only the here mask)."""
+    rng = random.Random(31)
+    seen = set()
+    for trial in range(300):
+        aut = randgen.random_automaton(rng, AB, max_states=4,
+                                       bot_prob=(0.25, 0.05)[trial % 2])
+        n = rng.randint(1, 8)
+        fresh = DataWord(tuple(rng.choice(AB.letters) for _ in range(n)), tuple(range(n)))
+        n = rng.randint(1, 12)
+        single = DataWord(tuple(rng.choice(AB.letters) for _ in range(n)), (0,) * n)
+        for shape, w in (("fresh", fresh), ("single", single)):
+            want = oracle_run_exists(aut, w, max_len=12)
+            assert run_exists(aut, w) == want, (trial, shape, w)
+            seen.add((shape, want, len(w) >= 6))
+    assert seen == {(shape, want, long) for shape in ("fresh", "single")
+                    for want in (False, True) for long in (False, True)}
+
+
+def _ask(aut, words, backwards=False):
+    """run_exists on each word, in the given order or reversed, answered in
+    the given order."""
+    order = list(reversed(words)) if backwards else words
+    answers = {w: run_exists(aut, w) for w in order}
+    return [answers[w] for w in words]
+
+
+def test_run_exists_answers_do_not_depend_on_the_memo(fig1, abc, data_text):
+    """fig1's 4-letter words and the prefixes of bouncer's run and of a
+    corrupted copy get the same answers asked forwards on a cold automaton,
+    then reversed on the warm one, then reversed on a fresh parsed copy."""
+    bouncer = parse_tm(data_text("bouncer.tm"))
+    run = encode_tm_run(bouncer, 3)
+    letters = list(run.letters)
+    stride = config_length(bouncer)
+    letters[stride] = "r0" if letters[stride] == "r1" else "r1"
+    broken = canonicalize(letters, run.classes)
+    runs = [prefix(w, i) for w in (run, broken) for i in range(1, len(w) + 1)]
+    words = list(enumerate_words(abc, 4, 4))
+    bouncer_aut = ltl_to_ara(tm_to_formula(bouncer), tm_alphabet(bouncer))
+    for aut, ws in ((fig1, words), (bouncer_aut, runs)):
+        text = format_automaton(aut)
+        cold = parse_automaton(text)
+        forwards = _ask(cold, ws)
+        assert _ask(cold, ws, backwards=True) == forwards
+        assert _ask(parse_automaton(text), ws, backwards=True) == forwards
+        assert 0 < forwards.count(False) < len(ws)
+    assert _ask(fig1, words) == [not pattern_occurs(w, "a", "c", "b") for w in words]
+    assert _ask(bouncer_aut, runs)[:len(run)] == [True] * len(run)
+
+
+def test_run_exists_letter_outside_the_alphabet(fig1, top_automaton):
+    """A thread that must read a letter outside the alphabet dies; one that
+    ended before it never reads it."""
+    for aut in (fig1, top_automaton):
+        assert not run_exists(aut, DataWord(("z",), (0,)))
+        assert not run_exists(aut, DataWord(("z", "a"), (0, 0)))
+    assert not run_exists(fig1, DataWord(("a", "z"), (0, 1)))
+    assert run_exists(top_automaton, DataWord(("a", "z"), (0, 1)))
+    assert run_exists(top_automaton, DataWord(("a", "b", "z"), (0, 1, 0)))
+
+
+def test_step_memo_stays_within_its_bound(data_text, monkeypatch):
+    """A few hundred long words of the halting formula's automaton, the
+    prefixes of its run and continuations of it with classes drawn freely,
+    overflow its step memos: unbounded, some memo holds more than STEP_MEMO
+    entries.  Bounded, none does, and the answers are the same."""
+    bound = automaton.STEP_MEMO
+    halting = parse_tm(data_text("halting.tm"))
+    text = format_automaton(ltl_to_ara(tm_to_formula(halting), tm_alphabet(halting)))
+    run = encode_tm_run(halting, 0)
+    alphabet = tm_alphabet(halting).letters
+    rng = random.Random(43)
+    words = {prefix(run, i): None for i in range(1, len(run) + 1)}
+    while len(words) < 300:
+        n = rng.randint(1, 2 * len(run))
+        labels = list(run.classes) + [rng.randrange(len(run) + n) for _ in range(n)]
+        words[canonicalize(list(run.letters) + [rng.choice(alphabet) for _ in range(n)],
+                           labels)] = None
+    words = list(words)
+    bounded = parse_automaton(text)
+    answers = _ask(bounded, words)
+    assert max(len(step) for step in bounded._steps.values()) <= bound
+    assert 0 < answers.count(True) < len(words)
+    monkeypatch.setattr(automaton, "STEP_MEMO", 10 ** 9)
+    unbounded = parse_automaton(text)
+    assert _ask(unbounded, words, backwards=True) == answers
+    assert max(len(step) for step in unbounded._steps.values()) > bound
