@@ -4,20 +4,22 @@ first use (PEP 562), so that the runtime never loads it.
 
 Every result kept past one call is an lru_cache on the pure function that
 computes it, keyed by counter tuples, texts, instructions and transitions,
-never by a machine: parsing and printing a counter, an instruction or a
-whole body line (_parse_line, _format_transition), the counter structure
-of a file's basis: and counters: headers (_parse_structure), an
-instruction's op (_instruction_op), a counter family's cover table and a
-transfer map's distributivity verdict.  So the machines of one counter
-family, which share their header and most of their lines, parse, check and
-print each distinct line and instruction once per process, and share one
-structure and, while the caches keep them, the Transition objects of the
-lines they have in common.  The caches only save work: equal instructions
-or transitions need not be one object.  Every machine is still validated
-in full on construction.  Errors are raised afresh on every call."""
+never by a machine: parsing an instruction or a whole body line
+(_parse_instr, _parse_line), printing a counter or a whole body line
+(_format_counter, _format_transition), the counter structure of a file's
+basis: and counters: headers (_parse_structure), an instruction's op
+(_instruction_op), a counter family's cover table and a transfer map's
+distributivity verdict.  So the machines of one counter family, which
+share their header and most of their lines, parse and print each distinct
+line, and parse and check each distinct instruction, once per process, and
+share one structure and, while the caches keep them, the Transition objects
+of the lines they have in common.  The caches only save work: equal
+instructions or transitions need not be one object.  Every machine is still
+validated in full on construction.  Errors are raised afresh on every call."""
 
 from .machine import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure, Dec, Inc,
-                      Instruction, Transfer, Transition, compositions, ifz_cap, split_tokens)
+                      Instruction, Transfer, Transition, add_tokens, compositions, ifz_cap,
+                      split_tokens)
 from .distributive import CoverTable, check_distributive, cover_table
 from .bound import BoundParams, bound_ceiling, bound_log2, bound_params, compute_bound
 from .fileformat import format_machine, parse_machine

@@ -18,7 +18,6 @@ _HEADERS = ("alphabet", "basis", "counters", "states", "initial")
 _RELATIONS = {"lazy": True, "error-free": False}
 
 
-@functools.lru_cache(maxsize=4096)
 def _parse_counter(text):
     text = text.strip()
     if not _COUNTER_RE.fullmatch(text):
@@ -37,7 +36,10 @@ def _parse_counters(text, pattern, what):
 @functools.lru_cache(maxsize=4096)
 def _parse_instr(text, counters):
     """The instruction of a stripped instruction text over the family's
-    counter tuple, which an ifz^cap expands over."""
+    counter tuple, which an ifz^cap expands over.  Kept under _parse_line's
+    memo because the lines of one file repeat an instruction text under
+    other states: they share one instruction object, which CounterMachine
+    resolves to its op once."""
     if text.startswith("inc "):
         return Inc(_parse_counter(text[4:]))
     if text.startswith("dec "):
@@ -128,7 +130,6 @@ def _format_counter(c):
     return "{%s}" % ",".join(sorted(c))
 
 
-@functools.lru_cache(maxsize=4096)
 def _format_instr(instr):
     if isinstance(instr, Inc):
         return "inc " + _format_counter(instr.counter)
@@ -154,8 +155,7 @@ def _format_transition(t):
 def format_machine(m: CounterMachine) -> str:
     """The machine file text.  An error-free machine says so in a
     `relation:` line; a lazy one, the default, prints none.
-    _format_transition prints each distinct transition, and _format_instr
-    each distinct instruction, once per process."""
+    _format_transition prints each distinct transition once per process."""
     lines = [
         "alphabet: " + " ".join(m.alphabet.letters),
         "basis: " + " ".join(m.structure.basis),

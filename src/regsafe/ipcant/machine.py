@@ -9,13 +9,16 @@ Incrementing errors: a run may spontaneously gain tokens but never lose them.
 The lazy restriction allows only one kind of error, decrementing a zero
 counter and leaving the valuation unchanged.
 
-Machines step on sparse valuations (counter index to positive count).
-Every transfer, the explicit ones of a CounterMachine and the compiled read
-step of pipeline.compile alike, moves tokens through split_tokens, the one
+Machines step on sparse valuations in one canonical form, hashable as it
+is: a tuple of (counter index, positive count) pairs in increasing index
+order.  add_tokens edits the count of one counter.  Every transfer, the
+explicit ones of a CounterMachine and the compiled read step of
+pipeline.compile alike, moves tokens through split_tokens, the one
 splitting fold: images are (target index, mark bits) pairs, the marks being
 zero on explicit transfers.  Only an identity transfer (nop) skips it: its
-step copies the valuation."""
+step returns the valuation it was given."""
 
+from bisect import bisect_left
 from dataclasses import dataclass
 import functools
 from itertools import combinations_with_replacement
@@ -214,7 +217,7 @@ class CounterMachine:
 
     def initial_config(self):
         """The initial state with every counter empty."""
-        return (self.initial, {})
+        return (self.initial, ())
 
     def bound_counts(self):
         """(state, basis, counter) counts, the inputs of the bound."""
@@ -226,48 +229,41 @@ class CounterMachine:
         return state in self._resting
 
     def config_successors(self, control, sv, letter=None, vcap=None):
-        """One instruction step from a configuration: sv maps counter index
-        to a positive count.  Given a letter, only letter-free transitions and
-        those reading that letter fire.  On a lazy machine a decrement of a
-        zero counter leaves the valuation unchanged.  Returns (successors,
-        truncated): successors are (label, state', sv', 1) in transition
-        order, and truncated says whether a result was cut by `vcap` or a
-        transfer by BRANCH_BUDGET."""
+        """One instruction step from a configuration, sv being a valuation in
+        the canonical form (sorted (counter index, positive count) pairs).
+        Given a letter, only letter-free transitions and those reading that
+        letter fire.  On a lazy machine a decrement of a zero counter leaves
+        the valuation unchanged: that step, and a nop's, gives sv itself.
+        Returns (successors, truncated): successors are (label, state', sv',
+        1) in transition order, sv' in the same form, and truncated says
+        whether a result was cut by `vcap` or a transfer by BRANCH_BUDGET."""
         lazy = self._lazy
+        counts = None  # the counts of sv, looked up by increments and decrements
         out = []
         truncated = False
         for label, kind, arg, dst in self._ops.get(control, ()):
             if letter is not None and label is not EPS and label != letter:
                 continue
             if kind is None:
-                if vcap is not None and sv and max(sv.values()) > vcap:
+                if vcap is not None and sv and max(n for _, n in sv) > vcap:
                     truncated = True
                 else:
-                    out.append((label, dst, dict(sv), 1))
-            elif kind is Inc:
-                n = sv.get(arg, 0) + 1
-                if vcap is not None and n > vcap:
+                    out.append((label, dst, sv, 1))
+            elif kind is not Transfer:  # an increment or decrement of counter arg
+                if counts is None:
+                    counts = dict(sv)
+                n = counts.get(arg, 0)
+                if kind is Inc and vcap is not None and n >= vcap:
                     truncated = True
-                    continue
-                sv2 = dict(sv)
-                sv2[arg] = n
-                out.append((label, dst, sv2, 1))
-            elif kind is Dec:
-                n = sv.get(arg, 0)
-                if n:
-                    sv2 = dict(sv)
-                    if n == 1:
-                        del sv2[arg]
-                    else:
-                        sv2[arg] = n - 1
-                    out.append((label, dst, sv2, 1))
+                elif kind is Inc or n:  # fires: within vcap, or on a held counter
+                    out.append((label, dst, add_tokens(sv, arg, 1 if kind is Inc else -1), 1))
                 elif lazy:
-                    out.append((label, dst, dict(sv), 1))
+                    out.append((label, dst, sv, 1))
             else:
                 fired, cut = split_tokens(sv, arg.__getitem__)
                 truncated |= cut
                 for _, sv2 in fired:
-                    if vcap is not None and sv2 and max(sv2.values()) > vcap:
+                    if vcap is not None and sv2 and max(n for _, n in sv2) > vcap:
                         truncated = True
                     else:
                         out.append((label, dst, sv2, 1))
@@ -281,8 +277,8 @@ def _instruction_op(instr, counters):
     index; a transfer carries the images of every counter as split_tokens
     takes them, one tuple of (image index, 0) pairs per counter index.  An
     identity transfer (nop, or one mapping each listed counter to itself)
-    has kind None: its step copies the valuation.  Raises ValidationError
-    on a counter outside the tuple."""
+    has kind None: its step returns the valuation as it is.  Raises
+    ValidationError on a counter outside the tuple."""
     pair = {c: (i, 0) for i, c in enumerate(counters)}
     try:
         if isinstance(instr, Transfer):
@@ -318,13 +314,23 @@ def compositions(n, k):
         yield tuple(parts)
 
 
+def add_tokens(sv, ci, k):
+    """A new valuation in the canonical form: sv with k tokens added to
+    counter ci, or removed when k is negative, which ci must then hold."""
+    i = j = bisect_left(sv, (ci,))
+    if i < len(sv) and sv[i][0] == ci:
+        k += sv[i][1]
+        j += 1
+    return sv[:i] + ((ci, k),) + sv[j:] if k else sv[:i] + sv[j:]
+
+
 def split_tokens(sv, image_of):
-    """Every way to move the tokens of a sparse valuation (counter index to
-    positive count) along a transfer: each token of counter ci moves to one
-    of image_of(ci), a tuple of (target index, mark bits) pairs.  Returns
-    (outcomes, truncated): outcomes are the distinct (marks, post) pairs,
-    with marks the union of the mark bits of the images used and post the
-    sparse valuation the tokens land in.  Counters with one image add their
+    """Every way to move the tokens of a valuation along a transfer: each
+    token of counter ci moves to one of image_of(ci), a tuple of (target
+    index, mark bits) pairs.  Returns (outcomes, truncated): outcomes are the
+    distinct (marks, post) pairs, with marks the union of the mark bits of
+    the images used and post the valuation the tokens land in, in the
+    canonical form as sv is.  Counters with one image add their
     tokens to it; the splits of the others are folded counter by counter in
     index order with duplicates dropped, which keeps the order of the full
     product of compositions.  A counter with tokens and no image leaves no
@@ -335,8 +341,7 @@ def split_tokens(sv, image_of):
     base = {}
     splitting = []
     branches = 1
-    for ci in sorted(sv):
-        n = sv[ci]
+    for ci, n in sv:
         pairs = image_of(ci)
         if len(pairs) == 1:
             (j, m), = pairs
@@ -349,9 +354,9 @@ def split_tokens(sv, image_of):
             splitting.append((n, pairs))
     if branches > BRANCH_BUDGET:
         return [], True
-    outcomes = [(marks, base)]
+    outcomes = [(marks, tuple(sorted(base.items())))]
     for n, pairs in splitting:
-        shares = {}  # distinct ways to spread this counter, in order
+        shares = {}  # distinct (marks, share) ways to spread this counter, in order
         for parts in compositions(n, len(pairs)):
             m = 0
             share = {}
@@ -359,14 +364,13 @@ def split_tokens(sv, image_of):
                 if part:
                     m |= mj
                     share[j] = share.get(j, 0) + part
-            shares.setdefault((m, tuple(sorted(share.items()))), share)
-        folded = {}
+            shares[m, tuple(sorted(share.items()))] = None
+        folded = {}  # the outcomes themselves, each once, in order
         for m0, partial in outcomes:
-            for (m1, _), share in shares.items():
+            for m1, share in shares:
                 post = dict(partial)
-                for j, part in share.items():
+                for j, part in share:
                     post[j] = post.get(j, 0) + part
-                m = m0 | m1
-                folded.setdefault((m, tuple(sorted(post.items()))), (m, post))
-        outcomes = list(folded.values())
+                folded[m0 | m1, tuple(sorted(post.items()))] = None
+        outcomes = list(folded)
     return outcomes, False

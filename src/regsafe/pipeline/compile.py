@@ -63,12 +63,14 @@ in-flight counter to the away counter of its kept set.  The read and the
 shift therefore fire as one transfer from away counters to away counters
 whose images carry the refrozen marks, through the splitting fold explicit
 transfers use too (ipcant.split_tokens); the in-flight counters appear only
-in materialize().  So every control is a
-resting one, ("read", mask, via_checkpoint), where the flag records that the
-step into it passed the checkpoint, which it does whenever the certificate
-holds.  Each step reports the instructions it stands for (n + 5, one more
-with co-states, one more through the checkpoint), so exploration bounds keep
-their instruction unit.
+in materialize().  So every control is a resting one, (mask,
+via_checkpoint), where the flag records that the step into it passed the
+checkpoint, which it does whenever the certificate holds.  Valuations are
+in the one canonical form of ipcant (sorted (away-counter index, positive
+count) pairs): the deposit is added with ipcant.add_tokens, and each pick
+slices one token off the result.  Each step reports the instructions it stands
+for (n + 5, one more with co-states, one more through the checkpoint), so
+exploration bounds keep their instruction unit.
 """
 
 from collections import namedtuple
@@ -78,8 +80,8 @@ from ..ara import posbool as pb
 from ..ara.automaton import AlternatingAutomaton, combined_names
 from ..errors import ValidationError
 from ..ipcant import (
-    CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition, EPS, ifz_cap,
-    split_tokens,
+    CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition, EPS, add_tokens,
+    ifz_cap, split_tokens,
 )
 
 ANCHOR_AWAY = "^b"
@@ -132,7 +134,7 @@ class CompiledMachine:
             if q not in self._bit:
                 raise ValidationError("co-state %r is not a state" % (q,))
             self.co_mask |= self._bit[q]
-        self.initial_control = ("read", self._bit[initial], False)
+        self.initial_control = (self._bit[initial], False)
         # instructions of one letter cycle: read, models, n merges, the
         # current class's deposit, shift, [next,] pick; the checkpoint adds one
         self._cycle_steps = self.n + 5 + (1 if self.co_states else 0)
@@ -220,24 +222,24 @@ class CompiledMachine:
 
     def initial_config(self):
         """The initial state's class as the current class, no other class."""
-        return (self.initial_control, {})
+        return (self.initial_control, ())
 
     def is_checkpoint(self, control):
         """True when the step into this control passed the checkpoint."""
-        return control[2]
+        return control[1]
 
     def is_resting(self, control):
         """True at the top of the per-letter cycle, which is every control
         the macro step produces."""
-        return control[0] == "read"
+        return True
 
     def config_successors(self, control, sv, letter=None, vcap=None):
         """One macro step from a resting configuration: every way to process
         the next data-word position on `letter` (every letter when None)
-        under the error-free relation.  sv maps away-counter index to a
-        positive count.  Returns (successors, truncated): successors are
-        (letter, control', sv', steps) with `steps` the number of
-        instructions of the cycle the step stands for, one per distinct
+        under the error-free relation.  sv is a valuation of the away
+        counters in the canonical form.  Returns (successors, truncated):
+        successors are (letter, control', sv', steps) with `steps` the number
+        of instructions of the cycle the step stands for, one per distinct
         (letter, read split, here-set, pick); truncated says whether a
         successor was cut by `vcap` (checked on the post-shift valuation,
         the largest one of the cycle) or a read split by BRANCH_BUDGET.  The
@@ -245,7 +247,7 @@ class CompiledMachine:
         read_images pairs: each outcome is the refrozen marks and the
         post-shift away valuation, to which the current class's deposit is
         added."""
-        mask = control[1]
+        mask = control[0]
         out = []
         truncated = False
         for a in (self.alphabet if letter is None else (letter,)):
@@ -257,27 +259,21 @@ class CompiledMachine:
             seen = set()
             for marks, post in splits:
                 for s in here:
-                    current = s | marks
-                    sv2 = dict(post)
-                    sv2[current] = sv2.get(current, 0) + 1
-                    key = tuple(sorted(sv2.items()))
-                    if key in seen:
+                    sv2 = add_tokens(post, s | marks, 1)
+                    if sv2 in seen:
                         continue
-                    seen.add(key)
-                    if vcap is not None and max(sv2.values()) > vcap:
+                    seen.add(sv2)
+                    if vcap is not None and max(n for _, n in sv2) > vcap:
                         truncated = True
                         continue
                     checkpoint = bool(self.co_states) and not any(
-                        ci & self.co_mask for ci in sv2)
+                        ci & self.co_mask for ci, _ in sv2)
                     steps = self._cycle_steps + checkpoint
-                    out.append((a, ("read", 0, checkpoint), sv2, steps))  # fresh class
-                    for ci, cnt in key:
-                        sv3 = dict(sv2)
-                        if cnt == 1:
-                            del sv3[ci]
-                        else:
-                            sv3[ci] = cnt - 1
-                        out.append((a, ("read", ci, checkpoint), sv3, steps))
+                    out.append((a, (0, checkpoint), sv2, steps))  # fresh class
+                    for i, (ci, n) in enumerate(sv2):  # pick: one token of ci off
+                        rest = sv2[i + 1:]
+                        sv3 = sv2[:i] + ((ci, n - 1),) + rest if n > 1 else sv2[:i] + rest
+                        out.append((a, (ci, checkpoint), sv3, steps))
         return out, truncated
 
     # explicit machine for small automata
@@ -313,7 +309,7 @@ class CompiledMachine:
                     edges.append(Transition(models, EPS, cycle.nop, cycle.merge[s]))
         edges += cycle.transitions
         states.sort()
-        return CounterMachine(self.alphabet, states, cycle.read[self.initial_control[1]],
+        return CounterMachine(self.alphabet, states, cycle.read[self.initial_control[0]],
                               self.structure, edges, check_transfers="off", lazy=False)
 
 

@@ -1,7 +1,8 @@
 """Exploration of counter machine configuration graphs.
 
-Configurations pair a control state with a sparse valuation (counter index to
-positive count).  Both machine kinds supply their initial configuration and
+Configurations pair a control state with a valuation in ipcant's one form
+(sorted (counter index, positive count) pairs), and are their own keys in
+every search.  Both machine kinds supply their initial configuration and
 their successor relation (config_successors), which each machine fixes.
 Compiled machines step one letter cycle at a time, error-free; machines
 built from instruction lists step one instruction at a time on their
@@ -84,7 +85,7 @@ class SaturationResult:
     def s_last(self):
         """The kept configurations as (control, valuation) pairs, control by
         control and, within one, in insertion order; built on each request."""
-        return tuple((control, dict(sv)) for control, chain in self.chains.items()
+        return tuple((control, sv) for control, chain in self.chains.items()
                      for sv in chain)
 
 
@@ -100,20 +101,15 @@ def successors(machine, control, sv, vcap, letter=None):
     return succ, truncated
 
 
-def _freeze(control, sv):
-    return (control, tuple(sorted(sv.items())))
-
-
 def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptiness:
-    """Search for an infinite run: a configuration lasso or a simple path of
-    cap instruction steps counts as one.  A fully exhausted graph without
+    """Search for an infinite run from `start`, a (control, valuation) pair
+    with the valuation in the canonical form, or else from the initial
+    configuration: a configuration lasso or a simple path of cap
+    instruction steps counts as one.  A fully exhausted graph without
     cutoffs is a definite emptiness verdict.  Path lengths and the node
     count charge each step its instruction count."""
-    if start is None:
-        start = machine.initial_config()
-    control0, sv0 = start
     truncated = False
-    longest = {}  # frozen config -> longest path length (in steps) from it
+    longest = {}  # config -> longest path length (in steps) from it
     onstack = set()
     visited = 1
 
@@ -123,15 +119,15 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptines
         truncated |= cut
         return iter(succ)
 
-    key0 = _freeze(control0, sv0)
+    config0 = machine.initial_config() if start is None else start
     # frame: [config, successor iterator, longest path from it, steps into it]
-    stack = [[key0, expand(control0, sv0), 0, 0]]
-    onstack.add(key0)
+    stack = [[config0, expand(*config0), 0, 0]]
+    onstack.add(config0)
     while stack:
         frame = stack[-1]
         advanced = False
         for label, control2, sv2, steps in frame[1]:
-            k2 = _freeze(control2, sv2)
+            k2 = (control2, sv2)
             if k2 in onstack:
                 return Nonemptiness.NONEMPTY  # lasso: a cycle repeats forever
             if k2 in longest:
@@ -176,9 +172,8 @@ def prefix_reachable(machine, letters, vcap=64) -> bool:
     successor cut by the value cap is dropped without notice."""
     letters = tuple(letters)
     last = len(letters)
-    control0, sv0 = machine.initial_config()
-    seen = {(0,) + _freeze(control0, sv0)}
-    stack = [(0, control0, sv0)]
+    stack = [(0,) + machine.initial_config()]
+    seen = set(stack)
     while stack:
         pos, control, sv = stack.pop()
         if pos == last:
@@ -195,52 +190,49 @@ def prefix_reachable(machine, letters, vcap=64) -> bool:
                 pos2 = pos + 1
             else:
                 continue
-            key = (pos2,) + _freeze(control2, sv2)
+            key = (pos2, control2, sv2)
             if key not in seen:
                 seen.add(key)
-                stack.append((pos2, control2, sv2))
+                stack.append(key)
     return False
 
 
 class Antichain:
-    """Pointwise-minimal sparse valuations, kept in insertion order and
-    grouped by support (the set of counters a valuation holds), with the
-    supports that hold each counter listed per counter.  A valuation can be
-    below another only if its support is a subset of the other's, so neither
-    dominated nor add looks at a group whose support rules it out."""
+    """Pointwise-minimal valuations, kept in insertion order and grouped by
+    support (the set of counters a valuation holds), with the supports that
+    hold each counter listed per counter.  A valuation can be below another
+    only if its support is a subset of the other's, so neither dominated nor
+    add looks at a group whose support rules it out."""
 
     __slots__ = ("_kept", "_groups", "_holding")
 
     def __init__(self):
-        self._kept = {}  # id(valuation) -> valuation, in insertion order
+        self._kept = {}  # kept valuations, in insertion order
         self._groups = {}  # support -> kept valuations with that support
         self._holding = {}  # counter -> supports that hold it
 
     def __iter__(self):
-        return iter(self._kept.values())
+        return iter(self._kept)
 
     def __contains__(self, sv):
-        """Is this very valuation object kept?  Under dominated-then-add,
-        identity is as exact as equality: a valuation is pruned only by a
-        smaller one, after which some kept valuation stays below it, so an
-        equal one is dominated and never enters again."""
-        return id(sv) in self._kept
+        return sv in self._kept
 
     def dominated(self, sv):
         """Is some kept valuation pointwise <= sv?  Looks up the subsets of
         sv's support when there are no more of them than groups, and
         otherwise tests each group's support for inclusion."""
         groups = self._groups
-        if 1 << len(sv) <= len(groups):
-            for r in range(len(sv) + 1):
-                for sub in combinations(sv, r):
+        counts = dict(sv)
+        if 1 << len(counts) <= len(groups):
+            for r in range(len(counts) + 1):
+                for sub in combinations(counts, r):
                     group = groups.get(frozenset(sub))
-                    if group and _any_below(group, sv):
+                    if group and _any_below(group, counts):
                         return True
             return False
-        support = sv.keys()
+        support = counts.keys()
         for s, group in groups.items():
-            if support >= s and _any_below(group, sv):
+            if support >= s and _any_below(group, counts):
                 return True
         return False
 
@@ -249,18 +241,19 @@ class Antichain:
         valuation >= sv: those among the groups whose support holds all of
         sv's counters."""
         groups, holding = self._groups, self._holding
-        support = frozenset(sv)
+        counts = dict(sv)
+        support = frozenset(counts)
         if groups:
-            if sv:
-                fewest = min([holding.get(ci, ()) for ci in sv], key=len)
+            if counts:
+                fewest = min([holding.get(ci, ()) for ci in counts], key=len)
                 above = [s for s in fewest if s >= support]
             else:
                 above = list(groups)
             for s in above:
                 rest = []
                 for kept in groups[s]:
-                    if _any_below((sv,), kept):
-                        del self._kept[id(kept)]
+                    if all(counts.get(ci, 0) <= n for ci, n in kept):
+                        del self._kept[kept]
                     else:
                         rest.append(kept)
                 if rest:
@@ -276,15 +269,15 @@ class Antichain:
                 holding.setdefault(ci, set()).add(support)
         else:
             group.append(sv)
-        self._kept[id(sv)] = sv
+        self._kept[sv] = None
 
 
-def _any_below(group, sv):
-    """Is some valuation of the group pointwise <= sv?  Every counter the
-    group's valuations hold must be one that sv holds."""
+def _any_below(group, counts):
+    """Is some valuation of the group pointwise <= the counts (a dict)?
+    Every counter the group's valuations hold must be among them."""
     for kept in group:
-        for ci, n in kept.items():
-            if sv[ci] < n:
+        for ci, n in kept:
+            if counts[ci] < n:
                 break
         else:
             return True

@@ -145,7 +145,7 @@ def _triple(cm, letter, mask, sv):
     states.  A counter-0 token is a class with no thread left, which the
     abstraction does not count."""
     counts = Counter()
-    for ci, cnt in sv.items():
+    for ci, cnt in sv:
         if ci:
             counts[_states(cm, ci)] += cnt
     return AbstractionTriple.make(letter, _states(cm, mask), counts)
@@ -178,16 +178,15 @@ def test_compiled_step_matches_triple_step():
         heres = [_states(cm, m) for m in full]
         for _ in range(5):
             mask = rng.choice(full)
-            sv = Counter(rng.choice(full) for _ in range(rng.randint(0, 2)))
-            tokens = sum(sv.values())
+            sv = tuple(sorted(Counter(rng.choice(full) for _ in range(rng.randint(0, 2))).items()))
+            tokens = sum(n for _, n in sv)
             for letter in AB.letters:
                 src = _triple(cm, letter, mask, sv)
-                succ, truncated = cm.config_successors(("read", mask, False), dict(sv),
-                                                       letter)
+                succ, truncated = cm.config_successors((mask, False), sv, letter)
                 assert not truncated
                 got = []
                 for a, control, sv2, _ in succ:
-                    dst = _triple(cm, a, control[1], sv2)
+                    dst = _triple(cm, a, control[0], sv2)
                     assert triple_step(aut, src, dst), (format_automaton(aut), src, dst)
                     got.append(dst)
                 successors += len(got)

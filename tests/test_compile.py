@@ -211,19 +211,19 @@ def test_read_images_and_here_sets_monotone_in_the_mask():
 
 def test_resting_and_checkpoint_predicates():
     cm = ara_to_ipcant(_two_state(), co_states=("r",))
-    assert cm.initial_control == ("read", 1, False)
-    assert cm.is_resting(("read", 0, False)) and cm.is_resting(("read", 3, True))
-    assert cm.is_checkpoint(("read", 0, True))
-    assert not cm.is_checkpoint(("read", 0, False))
-    succ, truncated = cm.config_successors(cm.initial_control, {})
+    assert cm.initial_control == (1, False)
+    assert cm.is_resting((0, False)) and cm.is_resting((3, True))
+    assert cm.is_checkpoint((0, True))
+    assert not cm.is_checkpoint((0, False))
+    succ, truncated = cm.config_successors(cm.initial_control, ())
     assert not truncated
     # on a the current class keeps the co-state r: no checkpoint; on b every
     # thread closes, so the cycle passes the checkpoint and costs one more
-    assert sorted((a, c, tuple(sorted(sv.items())), steps) for a, c, sv, steps in succ) == [
-        ("a", ("read", 0, False), ((3, 1),), 8),
-        ("a", ("read", 3, False), (), 8),
-        ("b", ("read", 0, True), (), 9),
-        ("b", ("read", 0, True), ((0, 1),), 9),
+    assert sorted(succ) == [
+        ("a", (0, False), ((3, 1),), 8),
+        ("a", (3, False), (), 8),
+        ("b", (0, True), (), 9),
+        ("b", (0, True), ((0, 1),), 9),
     ]
 
 
@@ -236,14 +236,14 @@ def test_read_step_branch_budget(monkeypatch):
     })
     cm = ara_to_ipcant(aut)
     assert len(cm.read_images("a", 1)) == 2
-    assert cm.config_successors(("read", 0, False), {1: BRANCH_BUDGET}, "a") == ([], True)
-    succ, truncated = cm.config_successors(("read", 0, False), {1: 2}, "a")
+    assert cm.config_successors((0, False), ((1, BRANCH_BUDGET),), "a") == ([], True)
+    succ, truncated = cm.config_successors((0, False), ((1, 2),), "a")
     assert not truncated and succ
     # the compiled step reads the budget when it fires, as explicit ones do
     monkeypatch.setattr(ipcant.machine, "BRANCH_BUDGET", 6)
-    succ, truncated = cm.config_successors(("read", 0, False), {1: 5}, "a")
+    succ, truncated = cm.config_successors((0, False), ((1, 5),), "a")
     assert not truncated and succ
-    assert cm.config_successors(("read", 0, False), {1: 6}, "a") == ([], True)
+    assert cm.config_successors((0, False), ((1, 6),), "a") == ([], True)
 
 
 def _reference_read_splits(cm, letter, sv):
@@ -252,11 +252,10 @@ def _reference_read_splits(cm, letter, sv):
     outcomes dropped."""
     moving = []
     branches = 1
-    for ci in sorted(sv):
+    for ci, count in sv:
         pairs = cm.read_images(letter, ci)
         if not pairs:
             return [], False  # some class has a model-less thread
-        count = sv[ci]
         branches *= comb(count + len(pairs) - 1, count)
         moving.append((count, pairs))
     if branches > ipcant.BRANCH_BUDGET:
@@ -290,10 +289,9 @@ def test_read_split_keeps_reference_order(abc):
         cm = ara_to_ipcant(randgen.random_automaton(rng, abc, max_states=3))
         for _ in range(5):
             masks = rng.sample(range(1 << cm.n), rng.randint(1, min(3, 1 << cm.n)))
-            sv = {mask: rng.randint(1, 4) for mask in masks}
+            sv = tuple(sorted((mask, rng.randint(1, 4)) for mask in masks))
             for a in abc:
                 got, truncated = split_tokens(sv, partial(cm.read_images, a))
-                got = [(marks, tuple(sorted(post.items()))) for marks, post in got]
                 assert (got, truncated) == _reference_read_splits(cm, a, sv)
                 blocked += not got
                 split += len(got) > 1
@@ -345,7 +343,7 @@ def _reached_configs(machine, limit=150):
     todo = [machine.initial_config()]
     while todo and len(seen) < limit:
         control, sv = todo.pop(0)
-        key = (control, tuple(sorted(sv.items())))
+        key = (control, sv)
         if key in seen:
             continue
         seen[key] = (control, sv)
@@ -386,10 +384,10 @@ def test_materialized_machine_file_round_trip_random():
         for control, sv in _reached_configs(m):
             for letter in (None,) + AB.letters:
                 for vcap in (None, 2):
-                    want = m.config_successors(control, dict(sv), letter, vcap)
-                    assert parsed.config_successors(control, dict(sv), letter, vcap) == want
-                exact_m, _ = m.config_successors(control, dict(sv), letter)
-                lazy_p, _ = lazy.config_successors(control, dict(sv), letter)
+                    want = m.config_successors(control, sv, letter, vcap)
+                    assert parsed.config_successors(control, sv, letter, vcap) == want
+                exact_m, _ = m.config_successors(control, sv, letter)
+                lazy_p, _ = lazy.config_successors(control, sv, letter)
                 assert all(s in lazy_p for s in exact_m)
                 assert all(s in exact_m or (s[2] == sv and s[1].startswith(("hold_", "read_")))
                            for s in lazy_p)
@@ -417,9 +415,8 @@ def test_warm_machines_print_as_cold_ones():
     warm = [_printed(aut, co) for aut, co in cases]
     for k, ((aut, co), (text, again)) in enumerate(zip(cases, warm)):
         assert text == again
-        for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_counter,
-                      ipcant.fileformat._parse_instr, ipcant.machine._instruction_op,
-                      ipcant.fileformat._format_counter, ipcant.fileformat._format_instr,
+        for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_instr,
+                      ipcant.machine._instruction_op, ipcant.fileformat._format_counter,
                       ipcant.distributive._covers_distributive, ipcant.fileformat._parse_line,
                       ipcant.fileformat._format_transition, ipcant.fileformat._parse_structure):
             cache.cache_clear()
@@ -487,12 +484,12 @@ def _macro_resting(cm, depth):
     for _ in range(depth):
         nxt = set()
         for letters, control, sv in frontier:
-            succ, truncated = cm.config_successors(control, dict(sv))
+            succ, truncated = cm.config_successors(control, sv)
             assert not truncated
             for label, c2, sv2, _ in succ:
-                nxt.add((letters + label, c2, tuple(sorted(sv2.items()))))
+                nxt.add((letters + label, c2, sv2))
         frontier = nxt
-    return {(letters, "read_%d" % control[1], sv, cm.is_checkpoint(control))
+    return {(letters, "read_%d" % control[0], sv, cm.is_checkpoint(control))
             for letters, control, sv in frontier}
 
 

@@ -1,4 +1,5 @@
 from collections import deque
+from functools import partial
 from itertools import product
 import random
 
@@ -11,9 +12,9 @@ from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import (AlternatingAutomaton, inclusion_product, intersect,
                                    union)
 from regsafe import ipcant, randgen
-from regsafe.ipcant import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure, Inc,
+from regsafe.ipcant import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure, Dec, Inc,
                             Transfer, Transition, compositions, fire, fire_lazy,
-                            parse_machine)
+                            parse_machine, split_tokens)
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                               bounded_nonemptiness, inclusion_check, prefix_reachable)
@@ -71,9 +72,9 @@ def test_nonemptiness_file_machine(data_text):
 def test_nonemptiness_start_override(data_text):
     machine = parse_machine(data_text("tiny.cm"))
     control, sv = machine.initial_config()
-    assert control == "p" and sv == {}
+    assert control == "p" and sv == ()
     assert bounded_nonemptiness(machine, cap=50,
-                                start=("p", {0: 3})) is Nonemptiness.NONEMPTY
+                                start=("p", ((0, 3),))) is Nonemptiness.NONEMPTY
 
 
 def test_prefix_reachable_file_machine(data_text):
@@ -184,28 +185,28 @@ def test_saturation_result_is_minimal(fig1, top_automaton):
     assert res.s_last
     by_control = {}
     for control, sv in res.s_last:
-        assert all(n > 0 for n in sv.values())
+        assert all(n > 0 for _, n in sv)
         by_control.setdefault(control, []).append(sv)
     for chain in by_control.values():
         for i, small in enumerate(chain):
             for j, big in enumerate(chain):
                 if i == j:
                     continue
-                assert not all(big.get(ci, 0) >= n for ci, n in small.items())
+                assert not all(dict(big).get(ci, 0) >= n for ci, n in small)
 
 
 # the list-based antichain the saturation used before Antichain, kept as
 # the reference that Antichain must agree with step by step
 def _reference_dominated(chain, sv):
     for kept in chain:
-        if all(sv.get(ci, 0) >= n for ci, n in kept.items()):
+        if all(dict(sv).get(ci, 0) >= n for ci, n in kept):
             return True
     return False
 
 
 def _reference_prune(chain, sv):
     return [kept for kept in chain
-            if not all(kept.get(ci, 0) >= n for ci, n in sv.items())]
+            if not all(dict(kept).get(ci, 0) >= n for ci, n in sv)]
 
 
 def test_antichain_matches_linear_reference():
@@ -216,8 +217,8 @@ def test_antichain_matches_linear_reference():
         counters = range(rng.randint(1, 8))
         for _ in range(rng.randint(1, 60)):
             support = rng.sample(counters, rng.randint(0, min(6, len(counters))))
-            sv = {ci: rng.randint(1, 3) for ci in support}
-            groups = len({frozenset(kept) for kept in reference})
+            sv = tuple(sorted({ci: rng.randint(1, 3) for ci in support}.items()))
+            groups = len({frozenset(dict(kept)) for kept in reference})
             paths["subsets" if 1 << len(sv) <= groups else "groups"] += 1
             dominated = _reference_dominated(reference, sv)
             assert chain.dominated(sv) == dominated
@@ -227,7 +228,7 @@ def test_antichain_matches_linear_reference():
                 chain.add(sv)
             assert [id(kept) for kept in chain] == [id(kept) for kept in reference]
             assert [sv2 in chain for sv2 in offered] == \
-                [any(sv2 is kept for kept in reference) for sv2 in offered]
+                [any(sv2 == kept for kept in reference) for sv2 in offered]
     assert min(paths.values()) > 500, paths
 
 
@@ -254,7 +255,7 @@ def _reference_inclusion(a1, a2, cap, vcap=64):
             if not _reference_dominated(chain, sv2):
                 chains[control2] = _reference_prune(chain, sv2) + [sv2]
                 queue.append((control2, sv2, steps2))
-    s_last = tuple((control, dict(sv)) for control, chain in chains.items() for sv in chain)
+    s_last = tuple((control, sv) for control, chain in chains.items() for sv in chain)
     checkpoints = [(control, sv) for control, sv in s_last if machine.is_checkpoint(control)]
     verdict = "UNKNOWN" if truncated or not converged else "INCLUDED"
     for start in checkpoints:
@@ -381,18 +382,18 @@ def _assert_successors_match_dense_fire(rng, machine):
     relations = {lazy: _under(machine, lazy) for lazy in (False, True)}
     for _ in range(4):
         v = randgen.random_valuation(rng, st, max_value=rng.choice((1, 3, 5)))
-        sv = {i: n for i, n in enumerate(v.values) if n}
+        sv = tuple((i, n) for i, n in enumerate(v.values) if n)
         for state in machine.states:
             outgoing = [t for t in machine.transitions if t.src == state]
             for lazy, stepped in relations.items():
                 for letter in (None, "a"):
-                    succ, truncated = successors(stepped, state, dict(sv), vcap=64,
+                    succ, truncated = successors(stepped, state, sv, vcap=64,
                                                  letter=letter)
                     assert not truncated
                     got = []
                     for label, dst, sv2, steps in succ:
-                        assert steps == 1 and all(n > 0 for n in sv2.values())
-                        values = tuple(sv2.get(i, 0) for i in range(len(st.counters)))
+                        assert steps == 1 and all(n > 0 for _, n in sv2)
+                        values = tuple(dict(sv2).get(i, 0) for i in range(len(st.counters)))
                         got.append((label, dst, values))
                     want = []
                     for t in outgoing:
@@ -412,8 +413,8 @@ def test_explicit_successors_match_dense_fire():
 
 def test_explicit_successors_match_dense_fire_shared_identity():
     """As above, on machines whose transitions share instruction objects,
-    identity transfers among them; an identity transfer copies the
-    valuation, in transition order among the other steps."""
+    identity transfers among them; an identity transfer returns the
+    valuation itself, in transition order among the other steps."""
     rng = random.Random(73)
     identities = 0
     for _ in range(300):
@@ -422,17 +423,17 @@ def test_explicit_successors_match_dense_fire_shared_identity():
         for t in machine.transitions:
             if isinstance(t.instr, Transfer) and all(d == (c,) for c, d in t.instr.entries):
                 identities += 1
-                sv = {0: 2}
+                sv = ((0, 2),)
                 succ, _ = successors(_under(machine, False), t.src, sv, vcap=64)
                 assert (t.label, t.dst, sv, 1) in succ
-                assert all(s[2] is not sv for s in succ)
+                assert any(s[:2] == (t.label, t.dst) and s[2] is sv for s in succ)
     assert identities > 100
 
 
 def _product_order(sv, images):
     """Distinct transfer results in the order of the full product of
     compositions, counter by counter in index order."""
-    moving = [(sv[ci], images[ci]) for ci in sorted(sv)]
+    moving = [(n, images[ci]) for ci, n in sv]
     out = {}
     for split in product(*(compositions(n, len(idxs)) for n, idxs in moving)):
         sv2 = {}
@@ -452,10 +453,10 @@ def test_explicit_transfer_keeps_product_order():
         machine = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", t, "p")],
                                  check_transfers="off")
         v = randgen.random_valuation(rng, st)
-        sv = {i: n for i, n in enumerate(v.values) if n}
+        sv = tuple((i, n) for i, n in enumerate(v.values) if n)
         succ, _ = successors(machine, "p", sv, vcap=64)
         images = [tuple(st.index[d] for d in t.image(c)) for c in st.counters]
-        assert [tuple(sorted(sv2.items())) for _, _, sv2, _ in succ] == \
+        assert [sv2 for _, _, sv2, _ in succ] == \
             _product_order(sv, images)
 
 
@@ -467,7 +468,7 @@ def test_explicit_transfer_first_entry_wins():
     twice = Transfer(((x, (y,)), (x, (x,)), (y, (y,))))
     machine = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", twice, "p")],
                              check_transfers="off")
-    assert successors(machine, "p", {0: 2}, vcap=64)[0] == [("a", "p", {1: 2}, 1)]
+    assert successors(machine, "p", ((0, 2),), vcap=64)[0] == [("a", "p", ((1, 2),), 1)]
     assert [v.values for v in fire(st.valuation({"x": 2}), twice)] == [(0, 2)]
 
 
@@ -483,20 +484,125 @@ def test_explicit_step_truncation(monkeypatch):
         Transition("s", "a", Transfer(()), "s"),
         Transition("s", "b", Transfer(((x, (x,)),)), "s"),
     ], check_transfers="off")
-    # an identity transfer copies a valuation within vcap and cuts one past it
-    assert successors(machine, "s", {0: 4}, vcap=4) == (
-        [("a", "s", {0: 4}, 1), ("b", "s", {0: 4}, 1)], False)
-    assert successors(machine, "s", {0: 5, 1: 1}, vcap=4) == ([], True)
+    # an identity transfer returns a valuation within vcap and cuts one past it
+    assert successors(machine, "s", ((0, 4),), vcap=4) == (
+        [("a", "s", ((0, 4),), 1), ("b", "s", ((0, 4),), 1)], False)
+    assert successors(machine, "s", ((0, 5), (1, 1)), vcap=4) == ([], True)
     # an increment past vcap is cut
-    assert successors(machine, "p", {0: 4}, vcap=4) == ([], True)
-    assert successors(machine, "p", {0: 3}, vcap=4)[0][0][2] == {0: 4}
+    assert successors(machine, "p", ((0, 4),), vcap=4) == ([], True)
+    assert successors(machine, "p", ((0, 3),), vcap=4)[0][0][2] == ((0, 4),)
     # tokens merged past vcap are cut, and only the results past it
-    assert successors(machine, "r", {0: 3, 1: 3}, vcap=5) == ([], True)
-    succ, cut = successors(machine, "q", {0: 6}, vcap=4)
-    assert cut and [sv2 for _, _, sv2, _ in succ] == [{0: 2, 1: 4}, {0: 3, 1: 3}, {0: 4, 1: 2}]
+    assert successors(machine, "r", ((0, 3), (1, 3)), vcap=5) == ([], True)
+    succ, cut = successors(machine, "q", ((0, 6),), vcap=4)
+    assert cut and [sv2 for _, _, sv2, _ in succ] == [
+        ((0, 2), (1, 4)), ((0, 3), (1, 3)), ((0, 4), (1, 2))]
     # more splits than BRANCH_BUDGET are not enumerated
-    assert successors(machine, "q", {0: BRANCH_BUDGET}, vcap=10 ** 9) == ([], True)
+    assert successors(machine, "q", ((0, BRANCH_BUDGET),), vcap=10 ** 9) == ([], True)
     monkeypatch.setattr(ipcant.machine, "BRANCH_BUDGET", 6)
-    succ, cut = successors(machine, "q", {0: 5}, vcap=64)
+    succ, cut = successors(machine, "q", ((0, 5),), vcap=64)
     assert not cut and len(succ) == 6
-    assert successors(machine, "q", {0: 6}, vcap=64) == ([], True)
+    assert successors(machine, "q", ((0, 6),), vcap=64) == ([], True)
+
+
+def _canonical(sv):
+    """Is sv a valuation in the one form: a tuple of (counter index, positive
+    count) pairs in strictly increasing index order?"""
+    return (type(sv) is tuple
+            and all(type(pair) is tuple and len(pair) == 2 and pair[1] > 0 for pair in sv)
+            and all(a[0] < b[0] for a, b in zip(sv, sv[1:])))
+
+
+def _is_identity(instr, counters):
+    return isinstance(instr, Transfer) and all(tuple(instr.image(c)) == (c,) for c in counters)
+
+
+def test_explicit_steps_keep_the_canonical_form():
+    """Seeded explicit machines over randgen structures and instructions,
+    under both relations: every valuation that config_successors and
+    split_tokens return is canonical, and a nop (any identity transfer) or a
+    lazy decrement of an empty counter returns the very valuation it was
+    given."""
+    rng = random.Random(91)
+    steps = unchanged = 0
+    for k in range(200):
+        machine = _random_explicit_machine(rng, shared=k % 2 == 1)
+        st = machine.structure
+        for _ in range(3):
+            v = randgen.random_valuation(rng, st)
+            sv = tuple((i, n) for i, n in enumerate(v.values) if n)
+            for lazy in (False, True):
+                stepped = _under(machine, lazy)
+                for state in machine.states:
+                    for letter in (None, "a"):
+                        succ, _ = stepped.config_successors(state, sv, letter, 64)
+                        assert all(_canonical(sv2) for _, _, sv2, _ in succ)
+            for t in machine.transitions:
+                for lazy in (False, True):
+                    one = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", t.instr, "p")],
+                                         check_transfers="off", lazy=lazy)
+                    succ, _ = one.config_successors("p", sv)
+                    assert all(_canonical(sv2) for _, _, sv2, _ in succ)
+                    steps += len(succ)
+                    same = _is_identity(t.instr, st.counters) or (
+                        lazy and isinstance(t.instr, Dec)
+                        and st.index[t.instr.counter] not in dict(sv))
+                    if same:
+                        assert len(succ) == 1 and succ[0][2] is sv
+                        unchanged += 1
+                if isinstance(t.instr, Transfer):
+                    images = [tuple((st.index[d], 0) for d in t.instr.image(c))
+                              for c in st.counters]
+                    outcomes, _ = split_tokens(sv, images.__getitem__)
+                    assert all(_canonical(post) for _, post in outcomes)
+    assert steps > 1000 and unchanged > 100, (steps, unchanged)
+
+
+@pytest.mark.parametrize("with_co", [False, True])
+def test_compiled_steps_keep_the_canonical_form(with_co):
+    """Compiled 1-3-state randgen automata, with and without co-states:
+    every valuation that a macro step or its read split returns, from the
+    configurations reached within three letters, is canonical.  On the
+    materialized machine, stepped lazily from those valuations, each nop and
+    each decrement of an empty counter returns the very valuation it was
+    given."""
+    rng = random.Random(92)
+    unchanged = 0
+    for _ in range(20):
+        aut = randgen.random_automaton(rng, AB, max_states=3)
+        co = None
+        if with_co:
+            co = tuple(q for q in aut.states if rng.random() < 0.5) or aut.states[-1:]
+        cm = ara_to_ipcant(aut, co_states=co)
+        frontier = {cm.initial_config()}
+        reached = set(frontier)
+        for _ in range(3):
+            nxt = set()
+            for control, sv in frontier:
+                for a in AB:
+                    splits, _ = split_tokens(sv, partial(cm.read_images, a))
+                    assert all(_canonical(post) for _, post in splits)
+                succ, _ = cm.config_successors(control, sv, None, 4)
+                for _, control2, sv2, _ in succ:
+                    assert _canonical(sv2)
+                    nxt.add((control2, sv2))
+            frontier = set(sorted(nxt)[:40])
+            reached |= frontier
+        m = cm.materialize()
+        lazy = _under(m, True)
+        by_src = {}
+        for t in m.transitions:
+            by_src.setdefault(t.src, []).append(t)
+        for sv in {sv for _, sv in reached}:
+            for src, ts in by_src.items():
+                if not all(t.instr == Transfer(()) or isinstance(t.instr, Dec) for t in ts):
+                    continue
+                succ, _ = lazy.config_successors(src, sv)
+                assert len(succ) == len(ts)  # one successor each under the lazy relation
+                for t, (_, _, sv2, _) in zip(ts, succ):
+                    if t.instr == Transfer(()) or \
+                            m.structure.index[t.instr.counter] not in dict(sv):
+                        assert sv2 is sv
+                        unchanged += 1
+                    else:
+                        assert sv2 is not sv and _canonical(sv2)
+    assert unchanged > 1000, unchanged
