@@ -110,17 +110,28 @@ def _cmd_parse(inv, ns):
     return 0
 
 
+def _formula_automaton(text):
+    """The automaton of a formula file; a formula with a free register test
+    fails to validate."""
+    ab, f = ltl.parse_formula_file(text)
+    return ltl_to_ara(f, ab)
+
+
 def _cmd_ltl2ara(inv, ns):
-    ab, f = _load(ltl.parse_formula_file, ns.formula)
-    aut = ltl_to_ara(f, ab)
+    aut = _load(_formula_automaton, ns.formula)
     text = format_automaton(aut)
     _emit(inv, [text.rstrip("\n")], {"command": "ltl2ara", "artifact": text})
     return 0
 
 
+def _explicit_machine(text):
+    """The explicit counter machine of an automaton file; an automaton whose
+    machine cannot be written as a machine file fails to validate."""
+    return ara_to_ipcant(parse_automaton(text)).materialize()
+
+
 def _cmd_ara2cm(inv, ns):
-    aut = _load(parse_automaton, ns.automaton)
-    machine = ara_to_ipcant(aut).materialize()
+    machine = _load(_explicit_machine, ns.automaton)
     text = format_machine(machine)
     _emit(inv, [text.rstrip("\n")], {"command": "ara2cm", "artifact": text})
     return 0
@@ -175,10 +186,10 @@ def _cmd_include(inv, ns):
 
 
 def _cmd_refine(inv, ns):
-    ab1, f1 = _load(ltl.parse_formula_file, ns.lhs)
-    ab2, f2 = _load(ltl.parse_formula_file, ns.rhs)
-    _same_alphabet(ns, ab1, ab2)
-    return _include_verdict(inv, "refine", ltl_to_ara(f1, ab1), ltl_to_ara(f2, ab2))
+    a1 = _load(_formula_automaton, ns.lhs)
+    a2 = _load(_formula_automaton, ns.rhs)
+    _same_alphabet(ns, a1.alphabet, a2.alphabet)
+    return _include_verdict(inv, "refine", a1, a2)
 
 
 def _cmd_bound(inv, ns):

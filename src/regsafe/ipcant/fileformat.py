@@ -112,8 +112,6 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
     initial = read_names(headers["initial"], "state")
     if len(initial) != 1:
         raise ParseError("expected one initial state")
-    if "eps" in alphabet:
-        raise ParseError("letter name 'eps' is reserved")
     counters = structure.counters
     transitions = []
     for lineno, line in body:

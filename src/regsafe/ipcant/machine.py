@@ -135,6 +135,8 @@ class CounterMachine:
         if check_transfers not in ("auto", "full", "off"):
             raise ValueError("check_transfers must be 'auto', 'full' or 'off', not %r"
                              % (check_transfers,))
+        if "eps" in alphabet:  # the machine file's label of letter-free moves
+            raise ValidationError("letter name 'eps' is reserved")
         self.alphabet = alphabet
         self._lazy = lazy
         self.states = tuple(states)

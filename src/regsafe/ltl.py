@@ -275,16 +275,3 @@ def monitor_prefix(f: Formula, w: DataWord) -> PrefixVerdict:
 
     return PrefixVerdict.FALSIFIED if memo[root] == _F else PrefixVerdict.UNDETERMINED
 
-
-def subformulas(f: Formula):
-    """All subformulas, each yielded once, outer-first."""
-    seen = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        yield g
-        if g.arity:
-            stack += g.fields[::-1]

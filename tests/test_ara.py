@@ -1,5 +1,7 @@
+import hashlib
 import random
 import re
+import time
 
 import pytest
 
@@ -11,7 +13,8 @@ from regsafe.ara import (dualize, format_automaton, inclusion_product,
                          intersect, ltl_to_ara, parse_automaton, run_exists,
                          union)
 from regsafe.ara.automaton import AlternatingAutomaton, _combine
-from regsafe.ltl import parse_formula
+from regsafe import ltl
+from regsafe.ltl import parse_formula, parse_formula_file
 from regsafe.pipeline import (config_length, encode_tm_run, oracle_run_exists, parse_tm,
                               pattern_occurs, tm_alphabet, tm_to_formula)
 from regsafe.pipeline.oracle import _all_pairs, frontier_step, initial_configs
@@ -304,6 +307,57 @@ def test_translated_example_matches_fig1(example_formula, fig1, abc):
     for _ in range(200):
         w = randgen.random_word(rng, abc, max_len=5, max_classes=3)
         assert run_exists(aut, w) == run_exists(fig1, w)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_translations_print_as_pinned(data_text):
+    """The printed translations of the run-encoding formulas, the example
+    and 300 seeded random sentences, pinned byte for byte: state names and
+    order, the initial state, the order of the transitions and every
+    transition formula.  None depends on PYTHONHASHSEED."""
+    want = {"bouncer.tm": "f88861729533ce3fd932de2f5bf11b467b49ef3e68a7b4df7261fd9dc6466f70",
+            "halting.tm": "f72d041585e766a17c313a8d2d10e9bd4a827ee786c2e00a60366dc4d2b61d83"}
+    for name, digest in want.items():
+        tm = parse_tm(data_text(name))
+        aut = ltl_to_ara(tm_to_formula(tm), tm_alphabet(tm))
+        assert _digest(format_automaton(aut)) == digest, name
+    ab, f = parse_formula_file(data_text("example.ltl"))
+    assert _digest(format_automaton(ltl_to_ara(f, ab))) == (
+        "2928652bd17a21f115d2355d3c9b7f6c348522a8437426922610743e9aa1d9ab")
+    rng = random.Random(24)
+    abc = Alphabet(("a", "b", "c"))
+    texts = [format_automaton(ltl_to_ara(randgen.random_sentence(rng, abc, depth=1 + k % 6), abc))
+             for k in range(300)]
+    assert _digest("".join(texts)) == (
+        "ec993469ce2ada241b08c60fdd51cdbc536ed4539c428b787290b3146c85823b")
+
+
+def test_deep_formulas_translate():
+    """Formulas nested deeper than the call stack, built directly, translate
+    and print in well under the gate: X^3000 a, one state per X, and the
+    3000-deep chain a & down (up | b & down (up | ...)), whose every binder
+    is satisfied at once."""
+    f = ltl.Atom("a")
+    for _ in range(3000):
+        f = ltl.Next(f)
+    chain = ltl.Up()
+    for _ in range(3000):
+        chain = ltl.Freeze(ltl.Or(ltl.Up(), ltl.And(ltl.Atom("b"), chain)))
+    chain = ltl.And(ltl.Atom("a"), chain)
+    start = time.perf_counter()
+    nexts = format_automaton(ltl_to_ara.__wrapped__(f, AB))
+    chained = format_automaton(ltl_to_ara.__wrapped__(chain, AB))
+    assert time.perf_counter() - start < 5
+    lines = nexts.splitlines()
+    assert lines[:3] == ["alphabet: a b",
+                         "states: " + " ".join("s%d" % i for i in range(3001)),
+                         "initial: s0"]
+    assert lines[3:] == ["s%d, %s, * -> s%d" % (i, a, i + 1) for i in range(3000) for a in "ab"] + [
+        "s3000, a, * -> true"]
+    assert chained == "alphabet: a b\nstates: s0\ninitial: s0\ns0, a, * -> true\n"
 
 
 def _deep_chain(depth):

@@ -187,6 +187,42 @@ def test_mismatched_alphabets_exit_65(tmp_path, data_path, capsys):
         lhs, rhs)
 
 
+def test_free_register_test_exits_65(tmp_path, capsys):
+    """A formula with a free register test parses, and parse echoes it, but
+    it is no sentence: ltl2ara and refine, on either side, refuse it as
+    invalid input (65) with nothing on stdout."""
+    free, closed = tmp_path / "free.ltl", tmp_path / "closed.ltl"
+    free.write_text("alphabet: a b\nup\n")
+    closed.write_text("alphabet: a b\nG a\n")
+    assert run_cli(["parse", "--formula", str(free)]) == 0
+    assert _out(capsys) == ("up\n", "")
+    for argv in (["ltl2ara", "--formula", str(free)],
+                 ["refine", "--lhs", str(free), "--rhs", str(closed)],
+                 ["refine", "--lhs", str(closed), "--rhs", str(free)]):
+        assert run_cli(argv) == 65, argv
+        assert _out(capsys) == (
+            "", "invalid input: %s: formula has a free register test\n" % free), argv
+
+
+def test_ara2cm_refuses_the_reserved_letter_eps(tmp_path, capsys):
+    """A machine file labels letter-free moves eps, so no machine has a
+    letter of that name: ara2cm refuses an automaton over one as invalid
+    input (65), printing nothing, as sat --machine refuses a machine file
+    declaring one."""
+    formula = tmp_path / "eps.ltl"
+    formula.write_text("alphabet: eps b\nG eps\n")
+    assert run_cli(["ltl2ara", "--formula", str(formula)]) == 0
+    aut = tmp_path / "eps.ara"
+    aut.write_text(_out(capsys)[0])
+    assert run_cli(["ara2cm", "--automaton", str(aut)]) == 65
+    assert _out(capsys) == ("", "invalid input: %s: letter name 'eps' is reserved\n" % aut)
+    machine = tmp_path / "eps.cm"
+    machine.write_text("alphabet: eps b\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
+                       "p -b, inc {x}-> p\n")
+    assert run_cli(["sat", "--machine", str(machine)]) == 65
+    assert _out(capsys) == ("", "invalid input: %s: letter name 'eps' is reserved\n" % machine)
+
+
 def test_bound_file_machine(data_path, capsys):
     assert run_cli(["bound", "--machine", data_path("tiny.cm")]) == 0
     assert _out(capsys)[0] == "alpha: 1 2\nU: 1 3\nm=12\n"

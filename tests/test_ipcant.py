@@ -14,6 +14,7 @@ from regsafe.ipcant import (CounterMachine, CounterStructure, CoverTable, Dec, E
                             compute_bound, cover_table, fire, fire_lazy, format_machine, ifz_cap,
                             parse_machine, split_tokens, sqsse, transfer_witnesses)
 from regsafe import ipcant, randgen
+from regsafe.ara import parse_automaton
 from regsafe.pipeline import ara_to_ipcant
 
 
@@ -514,6 +515,20 @@ def test_machine_refuses_unknown_check_modes(xy):
             CounterMachine(Alphabet(("a",)), ("p",), "p", xy, (), check_transfers=mode)
         with pytest.raises(ValueError, match="'auto', 'full' or 'off'"):
             parse_machine(text, mode)
+
+
+def test_machine_refuses_the_reserved_letter_eps(xy):
+    """eps labels the letter-free moves of a machine file, so every machine,
+    built directly, parsed or compiled from an automaton, refuses a letter
+    of that name."""
+    with pytest.raises(ValidationError, match="^letter name 'eps' is reserved$"):
+        CounterMachine(Alphabet(("eps", "b")), ("p",), "p", xy, ())
+    with pytest.raises(ValidationError, match="^letter name 'eps' is reserved$"):
+        parse_machine("alphabet: b eps\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
+                      "p -b, nop-> p\n")
+    aut = parse_automaton("alphabet: eps b\nstates: s0\ninitial: s0\ns0, eps, * -> s0\n")
+    with pytest.raises(ValidationError, match="^letter name 'eps' is reserved$"):
+        ara_to_ipcant(aut).materialize()
 
 
 def test_machines_of_one_family_share_lines_and_structure():

@@ -6,8 +6,7 @@ from regsafe.errors import ParseError, ValidationError
 from regsafe import ltl
 from regsafe.ltl import (KEYWORDS, And, Atom, Bot, Freeze, Next, NotUp, Or,
                          PrefixVerdict, Release, Top, Up, evaluate_prefix,
-                         is_sentence, monitor_prefix, parse_formula, print_formula,
-                         subformulas)
+                         is_sentence, monitor_prefix, parse_formula, print_formula)
 from regsafe.tree import tokenize
 from regsafe.words import Alphabet, parse_word
 from regsafe import randgen
@@ -273,10 +272,3 @@ def test_prefix_antitonicity_random():
                 assert v is PrefixVerdict.FALSIFIED
             falsified = falsified or v is PrefixVerdict.FALSIFIED
 
-
-def test_subformulas():
-    f = parse_formula("G (a | down X up)", AB)
-    subs = set(subformulas(f))
-    assert f in subs
-    assert Atom("a") in subs
-    assert Up() in subs
