@@ -12,7 +12,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError, RegsafeError, ValidationError
 from .words import Alphabet, parse_word, print_word
@@ -45,16 +45,14 @@ def _at_least(least, most=None, **counts):
             raise _UsageError("--%s must be %s" % (name.replace("_", "-"), bound))
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(namedtuple("Invocation", ("cap", "vcap", "fmt"))):
     """One parsed CLI job: the exploration bounds and the output format."""
 
-    cap: int
-    vcap: int
-    fmt: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        _at_least(1, cap=self.cap, vcap=self.vcap)
+    def __new__(cls, cap, vcap, fmt):
+        _at_least(1, cap=cap, vcap=vcap)
+        return super().__new__(cls, cap, vcap, fmt)
 
 
 class _InvalidInput(Exception):

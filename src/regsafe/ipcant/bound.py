@@ -1,16 +1,12 @@
 """The bound recurrence on a machine's state, basis and counter counts."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 import math
 
 from ..errors import ValidationError
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    alphas: tuple
-    us: tuple
-    m: int
+BoundParams = namedtuple("BoundParams", ("alphas", "us", "m"))
 
 
 def compute_bound(machine) -> BoundParams:

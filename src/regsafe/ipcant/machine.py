@@ -19,12 +19,13 @@ zero on explicit transfers.  Only an identity transfer (nop) skips it: its
 step returns the valuation it was given."""
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 import functools
 from itertools import combinations_with_replacement
 import math
 
 from ..errors import ValidationError
+from ..tree import Node, node
 from ..words import Alphabet
 from .distributive import _check_transfers
 
@@ -69,22 +70,23 @@ class CounterStructure:
         return Valuation(self, tuple(v))
 
 
-@dataclass(frozen=True)
-class Instruction:
-    pass
+@node
+class Instruction(Node):
+    """The base of the instructions, each a tree leaf that hashes once when
+    it is made; Instruction() itself is a fieldless node no machine runs."""
 
 
-@dataclass(frozen=True)
+@node
 class Inc(Instruction):
     counter: frozenset
 
 
-@dataclass(frozen=True)
+@node
 class Dec(Instruction):
     counter: frozenset
 
 
-@dataclass(frozen=True)
+@node
 class Transfer(Instruction):
     """entries: tuple of (source counter, tuple of image counters); counters
     not listed map to themselves."""
@@ -116,12 +118,8 @@ def ifz_cap(basis_subset, counters) -> Transfer:
     return Transfer(entries)
 
 
-@dataclass(frozen=True)
-class Transition:
-    src: str
-    label: object  # letter name or EPS
-    instr: Instruction
-    dst: str
+# label is a letter name or EPS; instr is an Instruction
+Transition = namedtuple("Transition", ("src", "label", "instr", "dst"))
 
 
 class CounterMachine:

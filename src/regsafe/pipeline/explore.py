@@ -46,7 +46,6 @@ supports that hold all of its counters.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
@@ -69,17 +68,30 @@ class Inclusion(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
 class SaturationResult:
     """Outcome of the inclusion saturation: the verdict, how the exploration
     went, and the kept minimal configurations, one Antichain per control
-    state in the order the controls were first reached."""
+    state in the order the controls were first reached.  Results are equal
+    when all five fields are; the repr leaves out the chains."""
 
-    verdict: Inclusion
-    explored: int
-    converged: bool
-    checkpoints: int
-    chains: dict = field(repr=False)
+    def __init__(self, verdict, explored, converged, checkpoints, chains):
+        self.verdict = verdict
+        self.explored = explored
+        self.converged = converged
+        self.checkpoints = checkpoints
+        self.chains = chains
+
+    def _values(self):
+        return (self.verdict, self.explored, self.converged, self.checkpoints, self.chains)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(verdict=%r, explored=%r, converged=%r, checkpoints=%r)" % (
+            (type(self).__name__,) + self._values()[:4])
 
     @property
     def s_last(self):
@@ -218,9 +230,12 @@ class Antichain:
         return sv in self._kept
 
     def dominated(self, sv):
-        """Is some kept valuation pointwise <= sv?  Looks up the subsets of
-        sv's support when there are no more of them than groups, and
-        otherwise tests each group's support for inclusion."""
+        """Is some kept valuation pointwise <= sv?  A kept sv is, itself.
+        Otherwise looks up the subsets of sv's support when there are no
+        more of them than groups, and else tests each group's support for
+        inclusion."""
+        if sv in self._kept:
+            return True
         groups = self._groups
         counts = dict(sv)
         if 1 << len(counts) <= len(groups):

@@ -1,11 +1,11 @@
 """Immutable trees, such as ltl and ara.posbool formulas, that hash once
 when a node is made and are parsed, compared and folded on an explicit
 stack, so that no operation on a tree is bounded by the call stack.  A node
-class is a Node subclass made with the `node` decorator; its fields are all
-subtrees, left to right (an inner node), or all data such as a letter or a
-state name (a leaf)."""
+class is a Node subclass made with the `node` decorator from its field
+annotations; its fields are all subtrees, left to right (an inner node), or
+all data such as a letter or a state name (a leaf).  A node keeps its
+fields in slots and refuses assignment."""
 
-from dataclasses import dataclass, fields as dataclass_fields
 from operator import attrgetter
 import re
 
@@ -23,6 +23,7 @@ class Node:
 
     __slots__ = ("_hash",)
     arity = 0  # the number of subtrees; 0 at a leaf
+    field_names = ()  # the field names in declaration order; node sets them
     fields = ()  # the field values in declaration order; node sets a getter
     tag = ""  # "module.qualname" of the node class; node sets it
 
@@ -32,6 +33,8 @@ class Node:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if not self.arity:
+            return self._hash == other._hash and self.fields == other.fields
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
@@ -48,6 +51,12 @@ class Node:
     def __repr__(self):
         return fold(self, _repr_leaf, _repr_join)
 
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
     def __reduce__(self):
         # rebuilt through the constructor, which hashes afresh: string
         # hashes differ between processes
@@ -55,20 +64,28 @@ class Node:
 
 
 def node(cls):
-    """Make a Node subclass a frozen dataclass with slots.  Its fields, at
-    most two, are all subtrees, annotated with a Node class, or all data."""
-    cls = dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)(cls)
+    """The node class of a Node subclass: the class made again with one
+    slot per annotated field, an __init__ taking the fields in order, and
+    the class's tag, field names and field getter.  Its fields, at most
+    two, are all subtrees, annotated with a Node class, or all data."""
+    annotations = cls.__annotations__  # only the class's own, from Python 3.10
+    names = tuple(annotations)
+    if len(names) > 2:
+        raise TypeError("%s has %d fields; a node has at most 2" % (cls.__name__, len(names)))
+    body = {key: value for key, value in cls.__dict__.items()
+            if key not in ("__dict__", "__weakref__")}
+    body["__slots__"] = names
+    body["__qualname__"] = cls.__qualname__
+    body["field_names"] = names
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
     cls.tag = "%s.%s" % (cls.__module__, cls.__qualname__)
-    fields = dataclass_fields(cls)
-    if len(fields) > 2:
-        raise TypeError("%s has %d fields; a node has at most 2" % (cls.__name__, len(fields)))
-    names = [f.name for f in fields]
     cls.__init__ = _initializer(cls, [cls.__dict__[name].__set__ for name in names])
-    if not fields:
+    if not names:
         return cls  # Node's fields and arity serve
     get = attrgetter(*names)
     cls.fields = property(get if len(names) > 1 else lambda self: (get(self),))
-    if isinstance(fields[0].type, type) and issubclass(fields[0].type, Node):
+    kind = annotations[names[0]]
+    if isinstance(kind, type) and issubclass(kind, Node):
         cls.arity = len(names)
     return cls
 
@@ -77,9 +94,10 @@ _set_hash = Node._hash.__set__
 
 
 def _initializer(cls, setters):
-    """An __init__ that fills the slots through their descriptors, which the
-    frozen __setattr__ does not guard, and fixes the hash, for no field, one
-    or two.  The nodes of a fieldless class share one hash object."""
+    """An __init__ that fills the slots through their descriptors, which
+    Node's refusing __setattr__ does not guard, and fixes the hash, for no
+    field, one or two.  The nodes of a fieldless class share one hash
+    object."""
     tag = cls.tag
     if not setters:
         shared = hash((tag,))
@@ -142,9 +160,8 @@ def _repr_leaf(g):
 
 
 def _repr_join(g, *parts):
-    names = [f.name for f in dataclass_fields(g)]
     return "%s(%s)" % (type(g).__name__,
-                       ", ".join("%s=%s" % pair for pair in zip(names, parts)))
+                       ", ".join("%s=%s" % pair for pair in zip(g.field_names, parts)))
 
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z0-9_^-]+|[&|()])")

@@ -12,7 +12,6 @@ arbitrary and get renumbered on parse, e.g. ``a@0 c@1 b@0``.
 read_sections reads the lines of all four file formats (.ltl, .ara, .cm, .tm).
 """
 
-from dataclasses import dataclass
 import re
 
 from .errors import ParseError, ValidationError
@@ -59,20 +58,40 @@ def read_names(value, what):
     return names
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of letter names."""
 
-    letters: tuple
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        if not self.letters:
+    def __init__(self, letters):
+        if not letters:
             raise ValidationError("alphabet must be non-empty")
-        if len(set(self.letters)) != len(self.letters):
+        if len(set(letters)) != len(letters):
             raise ValidationError("duplicate letter in alphabet")
-        for a in self.letters:
+        for a in letters:
             if not NAME_RE.match(a):
                 raise ValidationError("bad letter name: %r" % (a,))
+        _set_alphabet_letters(self, letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.letters,))
+
+    def __repr__(self):
+        return "%s(letters=%r)" % (type(self).__name__, self.letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return type(self), (self.letters,)
 
     def __contains__(self, letter):
         return letter in self.letters
@@ -90,7 +109,9 @@ class Alphabet:
             raise ValidationError("letter %r not in alphabet" % (letter,)) from None
 
 
-@dataclass(frozen=True)
+_set_alphabet_letters = Alphabet.letters.__set__
+
+
 class DataWord:
     """A finite data word in canonical form.
 
@@ -99,19 +120,37 @@ class DataWord:
              of position i, numbered by first occurrence starting at 0
     """
 
-    letters: tuple
-    classes: tuple
+    __slots__ = ("letters", "classes")
 
-    def __post_init__(self):
-        if len(self.letters) != len(self.classes):
+    def __init__(self, letters, classes):
+        if len(letters) != len(classes):
             raise ValidationError("letters and classes must have equal length")
         seen = 0
-        for i, c in enumerate(self.classes):
+        for i, c in enumerate(classes):
             # canonical form: a class id may exceed the ones seen so far by at most 1
             if not isinstance(c, int) or c < 0 or c > seen:
                 raise ValidationError("classes not canonical at position %d" % i)
             if c == seen:
                 seen += 1
+        _set_letters(self, letters)
+        _set_classes(self, classes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters and self.classes == other.classes
+
+    def __hash__(self):
+        return hash((self.letters, self.classes))
+
+    def __repr__(self):
+        return "%s(letters=%r, classes=%r)" % (type(self).__name__, self.letters, self.classes)
+
+    __setattr__ = Alphabet.__setattr__
+    __delattr__ = Alphabet.__delattr__
+
+    def __reduce__(self):
+        return type(self), (self.letters, self.classes)
 
     def __len__(self):
         return len(self.letters)
@@ -129,6 +168,10 @@ class DataWord:
     def extend(self, letter, cls) -> "DataWord":
         """Append one position; cls may be an existing class or num_classes."""
         return DataWord(self.letters + (letter,), self.classes + (cls,))
+
+
+_set_letters = DataWord.letters.__set__
+_set_classes = DataWord.classes.__set__
 
 
 def canonicalize(letters, labels) -> DataWord:

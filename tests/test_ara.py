@@ -410,8 +410,8 @@ def test_deep_formula_parse(abc):
 
 
 def test_deep_formula_equality_and_hash():
-    """== and hash of And and Or keep their own stack, and give what the
-    generated dataclass methods give: equal when of one class with equal
+    """== and hash of And and Or keep their own stack, and give what a
+    frozen dataclass's methods would: equal when of one class with equal
     sides, hashed as the tuple of the class tag and the sides."""
     phi = _deep_chain(3000)
     copy = pb.rebuild(phi, lambda g: g)

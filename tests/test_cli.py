@@ -114,7 +114,7 @@ _RUNTIME_PROBE = """
 import sys
 import regsafe.cli
 assert regsafe.cli.run_cli(["oracle", "--trials", "3"]) == 0
-for name in ("regsafe.ipcant.reference", "regsafe.pipeline.abstraction"):
+for name in ("regsafe.ipcant.reference", "regsafe.pipeline.abstraction", "dataclasses", "inspect"):
     assert name not in sys.modules, name + " loaded by the command line"
 from regsafe.ipcant import Valuation, fire, fire_lazy, sqsse, transfer_witnesses
 from regsafe.ipcant import reference
@@ -127,7 +127,8 @@ assert transfer_witnesses is reference.transfer_witnesses
 def test_command_line_loads_nothing_test_only():
     """In a fresh interpreter, importing the command line and running the
     oracle loads neither the dense reference view nor the counting
-    abstraction, and regsafe.ipcant still serves the reference names."""
+    abstraction, nor dataclasses and inspect, and regsafe.ipcant still
+    serves the reference names."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE],

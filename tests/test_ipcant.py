@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 from hypothesis import given, settings, strategies as hst
@@ -8,8 +10,8 @@ from regsafe.errors import ParseError, ValidationError
 from regsafe.words import Alphabet
 from itertools import combinations, product
 
-from regsafe.ipcant import (CounterMachine, CounterStructure, CoverTable, Dec, EPS,
-                            Inc, Instruction, Transfer, Transition, Valuation, bound_ceiling,
+from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, CoverTable, Dec,
+                            EPS, Inc, Instruction, Transfer, Transition, Valuation, bound_ceiling,
                             bound_params, check_distributive, compositions,
                             compute_bound, cover_table, fire, fire_lazy, format_machine, ifz_cap,
                             parse_machine, split_tokens, sqsse, transfer_witnesses)
@@ -651,6 +653,34 @@ def test_bound_recurrence():
     assert all(a > 0 for a in p.alphas) and all(u > 0 for u in p.us)
     assert list(p.alphas) == sorted(p.alphas)
     assert list(p.us) == sorted(p.us)
+
+
+def _check_value(a, alike, other, field):
+    """a equals alike, made apart, with an equal hash, and not other; it
+    refuses assignment to field with AttributeError; pickle, copy and
+    deepcopy give it back equal."""
+    assert alike is not a and alike == a and not alike != a and hash(alike) == hash(a)
+    assert a != other and not a == other
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert b == a and hash(b) == hash(a) and type(b) is type(a)
+
+
+def test_instructions_transitions_and_bounds_are_values():
+    x, y = frozenset("x"), frozenset("y")
+    _check_value(Inc(x), Inc(frozenset("x")), Inc(y), "counter")
+    _check_value(Dec(x), Dec(frozenset("x")), Dec(y), "counter")
+    _check_value(Transfer(((x, (y,)),)), Transfer(((frozenset("x"), (frozenset("y"),)),)),
+                 Transfer(((x, ()),)), "entries")
+    move = Transition("p", "a", Inc(x), "q")
+    _check_value(move, Transition("p", "a", Inc(frozenset("x")), "q"),
+                 Transition("p", "a", Dec(x), "q"), "instr")
+    _check_value(bound_params(2, 1, 1), BoundParams((2, 4), (1, 6), 48), bound_params(1, 1, 1), "m")
+    assert Inc(x) != Dec(x) and hash(Inc(x)) != hash(Dec(x))
+    assert isinstance(Inc(x), Instruction) and Instruction() == Instruction()
+    assert repr(Inc(x)) == "Inc(counter=frozenset({'x'}))"
+    assert repr(move) == "Transition(src='p', label='a', instr=Inc(counter=frozenset({'x'})), dst='q')"
 
 
 def test_bound_ceiling():

@@ -60,7 +60,7 @@ def _mirror(g):
     == and hash are the references."""
     kind = type(g)
     if kind not in _MIRRORS:
-        names = ["tag"] + [f for f in kind.__dataclass_fields__]
+        names = ["tag"] + list(kind.field_names)
         _MIRRORS[kind] = make_dataclass(kind.__name__, names, frozen=True)
     values = map(_mirror, _children(g)) if g.arity else g.fields
     return _MIRRORS[kind](kind.tag, *values)

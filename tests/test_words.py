@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -20,6 +22,23 @@ def test_alphabet_validation():
     assert ab.index("b") == 1
     with pytest.raises(ValidationError):
         ab.index("z")
+
+
+def test_alphabets_and_words_are_values():
+    """Equal when of one class with equal fields, with equal hashes; frozen;
+    back equal from pickle, copy and deepcopy; the reprs the fields give."""
+    cases = [(Alphabet(("a", "b")), Alphabet(("a", "b")), Alphabet(("b", "a")), "letters"),
+             (DataWord(("a",), (0,)), DataWord(("a",), (0,)), DataWord(("b",), (0,)), "classes")]
+    for value, alike, other, field in cases:
+        assert alike is not value and alike == value and hash(alike) == hash(value)
+        assert value != other and not value == other
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(other, field))
+        for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert back == value and hash(back) == hash(value) and type(back) is type(value)
+    assert Alphabet(("a",)) != DataWord(("a",), (0,))
+    assert repr(Alphabet(("a", "b"))) == "Alphabet(letters=('a', 'b'))"
+    assert repr(DataWord(("a",), (0,))) == "DataWord(letters=('a',), classes=(0,))"
 
 
 def test_canonicalize_renumbers_by_first_occurrence():
