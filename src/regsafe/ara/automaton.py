@@ -38,7 +38,7 @@ class AlternatingAutomaton:
         self.initial = initial
         self.delta = dict(delta)
         self._models = {}
-        self._steps = None  # run_exists's _Steps, made on its first call
+        self._steps = None  # run_exists's (up _Steps, nup _Steps, initial index)
         known = set(self.states)
         if len(known) != len(self.states):
             raise ValidationError("duplicate state name")
@@ -79,48 +79,48 @@ class AlternatingAutomaton:
 
 
 class _Steps(dict):
-    """run_exists's steps of one automaton: steps[a, flag] is the _Step of
-    letter a under the register flag, built on first use."""
+    """steps[a]: the _Step of letter a under one register flag, folding the
+    minimal models of every state the first time a word reads a."""
 
-    __slots__ = ("states", "delta")
+    __slots__ = ("states", "delta", "flag")
 
-    def __init__(self, states, delta):
-        self.states, self.delta = states, delta
+    def __init__(self, states, delta, flag):
+        self.states, self.delta, self.flag = states, delta, flag
 
-    def __missing__(self, key):
-        a, flag = key
+    def __missing__(self, a):
         n = len(self.states)
         bit = {q: 1 << i for i, q in enumerate(self.states)}
         bot = pb.Bot()
-        step = self[key] = _Step(n, tuple(
+        flag = self.flag
+        step = self[a] = _Step(tuple(
             (i, kept | refrozen << n) for i, q in enumerate(self.states)
             for kept, refrozen in pb.minimal_models(self.delta.get((q, a, flag), bot), bit)))
         return step
 
 
 class _Step(dict):
-    """step[s_c, s_here]: the mask of the states alive at position i in a
-    class c, from the masks alive at i + 1 in c and in the class of position
-    i, namely the states with a minimal model whose kept states lie in s_c
-    and refrozen ones in s_here.  rows holds each model of each state i as
-    (i, kept mask | refrozen mask << n), n states.  Memoized; a memo of
-    STEP_MEMO entries is emptied before the next goes in."""
+    """step[s_c | s_here << n]: the mask of the states alive at position i
+    in a class c, from the masks s_c and s_here of the n states alive at
+    i + 1 in c and in the class of position i, namely the states with a
+    minimal model whose kept states lie in s_c and refrozen ones in s_here.
+    rows holds each model of each state i as (i, kept mask | refrozen mask
+    << n), so a model fits exactly when its row's mask lies in the key.
+    Memoized; a memo of STEP_MEMO entries is emptied before the next goes
+    in."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, n, rows):
-        self.n, self.rows = n, rows
+    def __init__(self, rows):
+        self.rows = rows
 
-    def __missing__(self, key):
-        s_c, s_here = key
-        have = s_c | s_here << self.n
+    def __missing__(self, have):
         alive = 0
         for i, need in self.rows:
             if need & have == need:
                 alive |= 1 << i
         if len(self) >= STEP_MEMO:
             self.clear()
-        self[key] = alive
+        self[have] = alive
         return alive
 
 
@@ -135,7 +135,8 @@ def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
     iff the initial thread is alive at 0.  A larger model only spawns more
     threads, so minimal ones suffice.  One backward pass keeps per class the
     mask of states alive at i + 1 and steps it to i by _Step, a memoized
-    pure function of (letter, flag, S_c, S_here).
+    pure function of (letter, flag, S_c, S_here), looked up in the flag's
+    _Steps by the letter and then by the int S_c | S_here << |Q|.
     - A class that does not occur at i or later sees nup and the same
       classes of positions from i on as any other such class, so all of them
       share one "other" mask.
@@ -153,22 +154,25 @@ def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
     for i, c in enumerate(classes):
         if c == len(first):
             first.append(i)
-    steps = aut._steps
-    if steps is None:
-        steps = aut._steps = _Steps(aut.states, aut.delta)
-    other = (1 << len(aut.states)) - 1
+    if aut._steps is None:
+        aut._steps = (_Steps(aut.states, aut.delta, "up"), _Steps(aut.states, aut.delta, "nup"),
+                      aut.states.index(aut.initial))
+    up, nup, initial = aut._steps
+    k = len(aut.states)
+    other = (1 << k) - 1
     masks = {}  # class -> alive mask at i + 1 of the classes seen before and at or after i + 1
     for i in range(n - 1, 0, -1):
         here = classes[i]
         s_here = masks.get(here, other)
-        nup = steps[letters[i], "nup"]
-        # every class ahead but here was first seen before i
-        masks = {c: nup[s_c, s_here] for c, s_c in masks.items() if c != here}
+        high = s_here << k
+        step = nup[letters[i]]
+        if masks:  # every class ahead but here was first seen before i
+            masks = {c: step[s_c | high] for c, s_c in masks.items() if c != here}
         if first[here] < i:
-            masks[here] = steps[letters[i], "up"][s_here, s_here]
-        other = nup[other, s_here]
+            masks[here] = up[letters[i]][s_here | high]
+        other = step[other | high]
     s_0 = masks.get(0, other)
-    return bool(steps[letters[0], "up"][s_0, s_0] >> aut.states.index(aut.initial) & 1)
+    return bool(up[letters[0]][s_0 | s_0 << k] >> initial & 1)
 
 
 def _disjoint(a1, a2):

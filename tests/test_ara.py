@@ -579,6 +579,37 @@ def test_run_exists_letter_outside_the_alphabet(fig1, top_automaton):
     assert run_exists(top_automaton, DataWord(("a", "b", "z"), (0, 1, 0)))
 
 
+def _step_memos(aut):
+    """The _Step memos of both register flags' tables of aut."""
+    up, nup, _ = aut._steps
+    return [step for table in (up, nup) for step in table.values()]
+
+
+def test_step_key_matches_the_models():
+    """On seeded 1-3-state random automata, the entry of a letter's _Step
+    under a flag at s_c | s_here << n is, for every pair of state sets, the
+    set of states with a minimal model whose kept states lie in s_c and
+    whose refrozen states lie in s_here."""
+    rng = random.Random(26)
+    sizes = set()
+    for _ in range(40):
+        aut = randgen.random_automaton(rng, AB, max_states=3)
+        n = len(aut.states)
+        sizes.add(n)
+        subsets = [frozenset(q for i, q in enumerate(aut.states) if s >> i & 1)
+                   for s in range(1 << n)]
+        for a in AB.letters:
+            for flag in automaton.FLAGS:
+                step = automaton._Steps(aut.states, aut.delta, flag)[a]
+                for s_c, kept_ok in enumerate(subsets):
+                    for s_here, refrozen_ok in enumerate(subsets):
+                        want = sum(1 << i for i, q in enumerate(aut.states)
+                                   if any(kept <= kept_ok and refrozen <= refrozen_ok
+                                          for kept, refrozen in aut.models_at(q, a, flag)))
+                        assert step[s_c | s_here << n] == want, (aut.states, a, flag, s_c, s_here)
+    assert sizes == {1, 2, 3}
+
+
 def test_step_memo_stays_within_its_bound(data_text, monkeypatch):
     """A few hundred long words of the halting formula's automaton, the
     prefixes of its run and continuations of it with classes drawn freely,
@@ -599,9 +630,9 @@ def test_step_memo_stays_within_its_bound(data_text, monkeypatch):
     words = list(words)
     bounded = parse_automaton(text)
     answers = _ask(bounded, words)
-    assert max(len(step) for step in bounded._steps.values()) <= bound
+    assert max(len(step) for step in _step_memos(bounded)) <= bound
     assert 0 < answers.count(True) < len(words)
     monkeypatch.setattr(automaton, "STEP_MEMO", 10 ** 9)
     unbounded = parse_automaton(text)
     assert _ask(unbounded, words, backwards=True) == answers
-    assert max(len(step) for step in unbounded._steps.values()) > bound
+    assert max(len(step) for step in _step_memos(unbounded)) > bound
