@@ -70,11 +70,14 @@ in the one canonical form of ipcant (sorted (away-counter index, positive
 count) pairs): the deposit is added with ipcant.add_tokens, and each pick
 slices one token off the result.  Each step reports the instructions it stands
 for (n + 5, one more with co-states, one more through the checkpoint), so
-exploration bounds keep their instruction unit.
+exploration bounds keep their instruction unit.  A step given a letter
+(prefix_reachable's) is memoized per machine by (control, valuation, letter,
+vcap), at most LETTERED_MEMO entries; the every-letter step of the other
+searches is not.
 """
 
-from collections import namedtuple
-from functools import lru_cache, partial
+from collections import defaultdict, namedtuple
+from functools import lru_cache
 
 from ..ara import posbool as pb
 from ..ara.automaton import AlternatingAutomaton, combined_names
@@ -86,6 +89,8 @@ from ..ipcant import (
 
 ANCHOR_AWAY = "^b"
 ANCHOR_FLIGHT = "^bb"
+
+LETTERED_MEMO = 4096  # the most lettered steps one machine's memo keeps
 
 
 def _away_name(q):
@@ -139,8 +144,9 @@ class CompiledMachine:
         # current class's deposit, shift, [next,] pick; the checkpoint adds one
         self._cycle_steps = self.n + 5 + (1 if self.co_states else 0)
         self._mm = {}
-        self._im3 = {}
+        self._reads = defaultdict(dict)  # letter -> {thread-set mask: read_images}
         self._fam4 = {}
+        self._lettered = {}  # (control, sv, letter, vcap) -> lettered step
 
     # counter indexing
     def away_index(self, mask):
@@ -205,11 +211,13 @@ class CompiledMachine:
         (kept mask, refrozen mask) pairs; () when some thread has no model.
         Since the shift sends each in-flight counter to the away counter of
         its kept set, the pairs are also the (target index, mark bits) images
-        of the whole read-and-shift, as split_tokens takes them."""
-        key = (letter, mask)
-        if key not in self._im3:
-            self._im3[key] = tuple(sorted(self._model_unions(letter, mask, "nup")))
-        return self._im3[key]
+        of the whole read-and-shift, as split_tokens takes them.  Kept per
+        letter in an int-keyed table, which config_successors reads too."""
+        reads = self._reads[letter]
+        images = reads.get(mask)
+        if images is None:
+            images = reads[mask] = tuple(sorted(self._model_unions(letter, mask, "nup")))
+        return images
 
     def here_sets(self, letter, mask):
         """Distinct new current-class state sets reachable by the current
@@ -246,35 +254,63 @@ class CompiledMachine:
         read and the shift are one transfer through split_tokens on the
         read_images pairs: each outcome is the refrozen marks and the
         post-shift away valuation, to which the current class's deposit is
-        added."""
+        added.  A letter some token cannot read is skipped before any split.
+
+        A lettered step is a pure function of (control, sv, letter, vcap)
+        and the machine's rows, and is memoized per machine: the memo holds
+        at most LETTERED_MEMO entries and is emptied when full.  A memoized
+        answer is the very pair returned before, its list shared; callers
+        must not mutate it.  The unlettered step is not memoized."""
+        if letter is None:
+            letters = self.alphabet
+        else:
+            key = (control, sv, letter, vcap)
+            found = self._lettered.get(key)
+            if found is not None:
+                return found
+            letters = (letter,)
         mask = control[0]
         out = []
         truncated = False
-        for a in (self.alphabet if letter is None else (letter,)):
+        for a in letters:
             here = self.here_sets(a, mask)
             if not here:
                 continue
-            splits, cut = split_tokens(sv, partial(self.read_images, a))
-            truncated |= cut
-            seen = set()
-            for marks, post in splits:
-                for s in here:
-                    sv2 = add_tokens(post, s | marks, 1)
-                    if sv2 in seen:
-                        continue
-                    seen.add(sv2)
-                    if vcap is not None and max(n for _, n in sv2) > vcap:
-                        truncated = True
-                        continue
-                    checkpoint = bool(self.co_states) and not any(
-                        ci & self.co_mask for ci, _ in sv2)
-                    steps = self._cycle_steps + checkpoint
-                    out.append((a, (0, checkpoint), sv2, steps))  # fresh class
-                    for i, (ci, n) in enumerate(sv2):  # pick: one token of ci off
-                        rest = sv2[i + 1:]
-                        sv3 = sv2[:i] + ((ci, n - 1),) + rest if n > 1 else sv2[:i] + rest
-                        out.append((a, (ci, checkpoint), sv3, steps))
-        return out, truncated
+            reads = self._reads[a]
+            for ci, _ in sv:
+                images = reads.get(ci)
+                if images is None:
+                    images = self.read_images(a, ci)
+                if not images:
+                    break  # a class with a model-less thread blocks the letter
+            else:
+                splits, cut = split_tokens(sv, reads.__getitem__)
+                truncated |= cut
+                seen = set()
+                for marks, post in splits:
+                    for s in here:
+                        sv2 = add_tokens(post, s | marks, 1)
+                        if sv2 in seen:
+                            continue
+                        seen.add(sv2)
+                        if vcap is not None and max(n for _, n in sv2) > vcap:
+                            truncated = True
+                            continue
+                        checkpoint = bool(self.co_states) and not any(
+                            ci & self.co_mask for ci, _ in sv2)
+                        steps = self._cycle_steps + checkpoint
+                        out.append((a, (0, checkpoint), sv2, steps))  # fresh class
+                        for i, (ci, n) in enumerate(sv2):  # pick: one token of ci off
+                            rest = sv2[i + 1:]
+                            sv3 = sv2[:i] + ((ci, n - 1),) + rest if n > 1 else sv2[:i] + rest
+                            out.append((a, (ci, checkpoint), sv3, steps))
+        if letter is None:
+            return out, truncated
+        memo = self._lettered
+        if len(memo) >= LETTERED_MEMO:
+            memo.clear()
+        found = memo[key] = (out, truncated)
+        return found
 
     # explicit machine for small automata
     def materialize(self) -> CounterMachine:

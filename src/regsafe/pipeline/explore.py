@@ -19,11 +19,14 @@ of the cycle it replaces, so a bound means the same on both machine kinds.
 prefix_reachable searches depth-first over (position, configuration) pairs,
 expanding each at most once, and stops at the first resting configuration
 after the last letter, so a True answer costs one path rather than every
-configuration reachable at each position.  It needs no node cap: within a
-position only letter-free steps are taken, and that graph is finite
-(compiled machines have none, explicit machines reject letter-free cycles
-at construction).  A successor cut by the value cap is dropped without
-notice, so a False answer is exact only up to the value cap.
+configuration reachable at each position.  On a compiled machine every
+expansion is a lettered step, which the machine memoizes, so an expansion
+repeated within one query or by another query on the same machine is one
+lookup.  It needs no node cap: within a position only letter-free steps are
+taken, and that graph is finite (compiled machines have none, explicit
+machines reject letter-free cycles at construction).  A successor cut by the
+value cap is dropped without notice, so a False answer is exact only up to
+the value cap.
 
 bounded_nonemptiness searches for an infinite run: any configuration cycle
 is one (control cycles must consume letters, so a lasso reads infinitely many
@@ -178,6 +181,8 @@ def prefix_reachable(machine, letters, vcap=64) -> bool:
     are taken.  The search answers True at the first resting configuration
     it pops at the last position (a state that is not resting has
     letter-free steps only), so a True answer stops at the first path.
+    Expansions are shared through a compiled machine's lettered-step memo,
+    within this query and with earlier ones on the same machine.
     Every position's letter-free graph is finite, as compiled machines have
     no letter-free steps and explicit ones no letter-free cycles, so the
     search needs no node cap and its False is exact up to `vcap`: a

@@ -1,4 +1,5 @@
 from functools import partial
+from itertools import product
 from math import comb
 import random
 
@@ -14,7 +15,8 @@ from regsafe.ipcant import (BRANCH_BUDGET, EPS, Transfer, Valuation, check_distr
                             compositions, fire, format_machine, parse_machine,
                             split_tokens)
 from regsafe.ltl import parse_formula
-from regsafe.pipeline import ara_to_ipcant, product_machine
+from regsafe.pipeline import (ara_to_ipcant, bounded_nonemptiness, compile as compile_module,
+                              explore, inclusion_check, prefix_reachable, product_machine)
 from regsafe.pipeline.compile import family_structure, letter_free_cycle
 
 AB = Alphabet(("a", "b"))
@@ -552,3 +554,82 @@ def test_config_successors_match_materialized_random(with_co):
         if with_co:
             co = tuple(q for q in aut.states if rng.random() < 0.5) or aut.states[-1:]
         _assert_macro_matches(ara_to_ipcant(aut, co_states=co), (1, 2, 3))
+
+
+def _lettered_queries(cm, limit=40):
+    """(control, valuation, letter) for up to `limit` configurations
+    reached from the initial one with counts at most 3, and every letter."""
+    start = cm.initial_config()
+    seen = {start: None}
+    frontier = [start]
+    while frontier and len(seen) < limit:
+        nxt = []
+        for control, sv in frontier:
+            for _, control2, sv2, _ in cm.config_successors(control, sv, None, 3)[0]:
+                if (control2, sv2) not in seen and len(seen) < limit:
+                    seen[control2, sv2] = None
+                    nxt.append((control2, sv2))
+        frontier = nxt
+    return [(control, sv, a) for control, sv in seen for a in cm.alphabet]
+
+
+@pytest.mark.parametrize("with_co", [False, True])
+def test_lettered_step_memo_matches_fresh_machines(with_co):
+    """Every lettered step reached from the initial configuration, asked
+    twice on one machine under vcap None, 2 and 64 in turn, equals a fresh
+    machine's answer, and the second ask is the memoized first one.  A memo
+    key without the letter or the value cap would hand back another
+    query's answer."""
+    rng = random.Random(29)
+    capped = lettered = 0
+    for _ in range(25):
+        aut = randgen.random_automaton(rng, AB, max_states=3)
+        co = aut.states[-1:] if with_co else None
+        cm = ara_to_ipcant(aut, co_states=co)
+        queries = _lettered_queries(ara_to_ipcant(aut, co_states=co))
+        for vcap in (None, 2, 64):
+            for control, sv, a in queries:
+                got = cm.config_successors(control, sv, a, vcap)
+                assert cm.config_successors(control, sv, a, vcap) is got
+                fresh = ara_to_ipcant(aut, co_states=co)
+                assert got == fresh.config_successors(control, sv, a, vcap), (control, sv, a)
+                capped += vcap == 2 and got[1]
+                lettered += bool(got[0])
+    assert capped and lettered
+
+
+def test_lettered_step_memo_stays_within_its_bound(abc, monkeypatch):
+    """Every string over a, b, c of length at most 4 overflows a memo of 8
+    lettered steps on a random three-state automaton's machine: unbounded,
+    it holds more.  Bounded, it never does, and the answers are the same."""
+    aut = randgen.random_automaton(random.Random(5), abc, max_states=3)
+    strings = [s for n in range(5) for s in product(abc.letters, repeat=n)]
+    monkeypatch.setattr(compile_module, "LETTERED_MEMO", 8)
+    bounded = ara_to_ipcant(aut)
+    answers = []
+    for s in strings:
+        answers.append(prefix_reachable(bounded, s))
+        assert len(bounded._lettered) <= 8
+    assert 0 < answers.count(True) < len(strings)
+    monkeypatch.setattr(compile_module, "LETTERED_MEMO", 10 ** 9)
+    unbounded = ara_to_ipcant(aut)
+    assert [prefix_reachable(unbounded, s) for s in strings] == answers
+    assert len(unbounded._lettered) > 8
+
+
+def test_unlettered_searches_leave_the_lettered_memo_alone(fig1, top_automaton, monkeypatch):
+    """bounded_nonemptiness and inclusion_check step every letter at once:
+    they neither read nor fill the lettered-step memo."""
+    made = []
+
+    def recording_product(a1, a2):
+        made.append(product_machine(a1, a2))
+        return made[-1]
+
+    monkeypatch.setattr(explore, "product_machine", recording_product)
+    cm = ara_to_ipcant(fig1)
+    bounded_nonemptiness(cm, cap=200)
+    inclusion_check(top_automaton, fig1, cap=200)
+    inclusion_check(fig1, fig1, cap=200)
+    assert len(made) == 2
+    assert all(not m._lettered for m in [cm] + made)
