@@ -175,20 +175,6 @@ def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
     return bool(up[letters[0]][s_0 | s_0 << k] >> initial & 1)
 
 
-def _disjoint(a1, a2):
-    """Names for a2's states apart from a1's, which keep theirs; returns
-    (rename, every name used)."""
-    used = set(a1.states)
-    ren = {}
-    for q in a2.states:
-        name = q
-        while name in used:
-            name += "_2"
-        ren[q] = name
-        used.add(name)
-    return ren, used
-
-
 def combined_names(a1: AlternatingAutomaton, a2: AlternatingAutomaton):
     """The state names of a1 and a2 side by side: (fresh initial state,
     a2's renaming), the combined states being the initial one, a1's under
@@ -196,40 +182,36 @@ def combined_names(a1: AlternatingAutomaton, a2: AlternatingAutomaton):
     ValidationError unless the two share an alphabet."""
     if a1.alphabet != a2.alphabet:
         raise ValidationError("automata must share an alphabet")
-    r2, used = _disjoint(a1, a2)
+    used = set(a1.states)
+    r2 = {}
+    for q in a2.states:
+        name = q
+        while name in used:
+            name += "_2"
+        r2[q] = name
+        used.add(name)
     init = "init"
     while init in used:
         init += "0"
     return init, r2
 
 
-def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction, dual=False):
+def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction):
     """a1 and a2 named apart (combined_names) under a fresh initial state
-    whose rows are junction(a1's initial row, a2's).  With dual, a2's
-    formulas are dualized as they are renamed, in one rebuild each, and
-    a2's absent entries become true, as in dualize."""
+    whose rows are junction(a1's initial row, a2's)."""
     init, r2 = combined_names(a1, a2)
-    renamed = any(r2[q] != q for q in a2.states)
-    Top, Bot, Ref, DownRef = pb.Top, pb.Bot, pb.Ref, pb.DownRef
+    Ref, DownRef = pb.Ref, pb.DownRef
 
     def leaf(g):
         kind = type(g)
-        if kind is Ref or kind is DownRef:
-            return kind(r2[g.state]) if renamed else g
-        if dual:
-            return Bot() if kind is Top else Top()
-        return g
+        return kind(r2[g.state]) if kind is Ref or kind is DownRef else g
 
-    rows = a2.delta
-    if dual:  # an absent entry is false, so its dual must be listed
-        rows = {(q, a, flag): a2.delta_at(q, a, flag)
-                for q in a2.states for a in a2.alphabet for flag in FLAGS}
-    # formulas are immutable, so those not rebuilt are shared, not copied
+    # formulas are immutable, so those not renamed are shared, not copied
+    renamed = any(r2[q] != q for q in a2.states)
     delta = dict(a1.delta)
-    for (q, a, flag), phi in rows.items():
-        delta[(r2[q], a, flag)] = (pb.rebuild(phi, leaf, swap=dual)
-                                   if renamed or dual else phi)
-    bot = Bot()
+    for (q, a, flag), phi in a2.delta.items():
+        delta[(r2[q], a, flag)] = pb.rebuild(phi, leaf) if renamed else phi
+    bot = pb.Bot()
     for a in a1.alphabet:
         for flag in FLAGS:
             lhs = delta.get((a1.initial, a, flag), bot)
@@ -249,24 +231,17 @@ def union(a1, a2) -> AlternatingAutomaton:
 
 
 def inclusion_product(a1, a2):
-    """Combine a1 with the dual of a2 conjunctively, dualizing and renaming
-    a2's formulas in one pass.  Returns the combined automaton together with
-    the names of the dual component's states; a word witnesses non-inclusion
-    exactly when the combined automaton has a run that at some point drops
-    every thread in those states and still continues forever.
-
-    Reference route: inclusion_check compiles this product straight from a1
-    and a2 (pipeline.compile.product_machine) without building it; the
-    tests compare that machine with ara_to_ipcant of this automaton."""
-    return _combine(a1, a2, pb.And, dual=True)
+    """a1 conjoined with the dual of a2, with the names of the dual
+    component's states; a word witnesses non-inclusion exactly when the
+    product has a run that at some point drops every thread in those states
+    and still continues forever.  Reference route: inclusion_check compiles
+    this product from a1 and a2 (pipeline.compile.product_machine)."""
+    return _combine(a1, dualize(a2), pb.And)
 
 
 def dualize(aut: AlternatingAutomaton) -> AlternatingAutomaton:
     """Swap and/or and true/false in every entry.  Entries absent from the
-    table are false, so the dual table must list their duals explicitly.
-    Reference route, as for inclusion_product: the compiled product folds
-    a2's dual models from a2's own formulas (posbool.minimal_models with
-    dual)."""
+    table are false, so the dual table must list their duals explicitly."""
     delta = {}
     for q in aut.states:
         for a in aut.alphabet:
@@ -297,7 +272,16 @@ def parse_automaton(text) -> AlternatingAutomaton:
             raise ParseError("line %d: unknown letter %r" % (lineno, a))
         if flag not in ("up", "nup", "*"):
             raise ParseError("line %d: flag must be up, nup or *" % lineno)
-        phi = pb.parse_posbool(body.strip(), set(states))
+        try:
+            phi = pb.parse_posbool(body.strip(), set(states))
+        except ParseError as e:
+            if e.position is None:
+                raise ParseError("line %d: %s" % (lineno, e.detail)) from None
+            # the offset is into the stripped formula after the raw line's '->'
+            raw = text.splitlines()[lineno - 1]
+            formula = raw[raw.index("->") + 2:].lstrip()
+            column = len(raw) - len(formula) + e.position + 1
+            raise ParseError("line %d, column %d: %s" % (lineno, column, e.detail)) from None
         for fl in (FLAGS if flag == "*" else (flag,)):
             if (q, a, fl) in delta:
                 raise ParseError("line %d: duplicate entry for %s, %s, %s" % (lineno, q, a, fl))

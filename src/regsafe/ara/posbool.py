@@ -216,10 +216,10 @@ def _format_leaf(g):
 _format_join = infix_printer(_BINARY)
 
 
-def rebuild(phi: PosBool, leaf, swap=False) -> PosBool:
+def rebuild(phi: PosBool, leaf) -> PosBool:
     """A copy of phi with every leaf g (Top, Bot, Ref, DownRef) replaced by
-    leaf(g), and with And and Or exchanged when swap is set."""
-    return fold(phi, leaf, _swapped_join if swap else _same_join)
+    leaf(g)."""
+    return fold(phi, leaf, _same_join)
 
 
 def _same_join(g, lhs, rhs):
@@ -241,4 +241,4 @@ def _dual_leaf(g):
 
 def dual(phi: PosBool) -> PosBool:
     """Swap conjunction with disjunction and true with false."""
-    return rebuild(phi, _dual_leaf, swap=True)
+    return fold(phi, _dual_leaf, _swapped_join)

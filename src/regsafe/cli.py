@@ -199,16 +199,24 @@ def _cmd_bound(inv, ns):
               {"command": "bound", "m_log2": bits, "materialized": False})
         return 0
     params = bound_params(q_count, basis_size, counter_count)
-    # the bound is doubly exponential; lift the int-to-str guard to fit it
+    # the bound is doubly exponential; lift the process-wide int-to-str
+    # guard to fit it while it is printed (Python 3.10 before 3.10.7 has
+    # none, and 0 means none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     digits = params.m.bit_length() // 3 + 20
-    if digits > sys.get_int_max_str_digits():
+    lift = 0 < limit < digits
+    if lift:
         sys.set_int_max_str_digits(digits)
-    lines = ["alpha: " + " ".join(str(a) for a in params.alphas),
-             "U: " + " ".join(str(u) for u in params.us),
-             "m=%d" % params.m]
-    _emit(inv, lines,
-          {"command": "bound", "alpha": list(params.alphas),
-           "U": list(params.us), "m": params.m})
+    try:
+        lines = ["alpha: " + " ".join(str(a) for a in params.alphas),
+                 "U: " + " ".join(str(u) for u in params.us),
+                 "m=%d" % params.m]
+        _emit(inv, lines,
+              {"command": "bound", "alpha": list(params.alphas),
+               "U": list(params.us), "m": params.m})
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -40,15 +40,17 @@ formulas come from (Row): a transition table, the state's name in it and
 the bit map of that table's names, and whether the row is dualized.
 
 The inclusion product of a1 with the dual of a2 is compiled straight from
-the two automata (product_machine), with no product formula built.  Its
-states are those of automaton.inclusion_product: a fresh initial state,
-a1's states, then a2's renamed apart (automaton.combined_names), a2's
-being the co-states.  a1's rows fold from a1's table under the machine's
-bits; a2's rows fold from a2's table as their duals (minimal_models with
-dual), under a bit map from a2's own names to the bits of their renamings,
-an absent a2 entry being Bot, whose dual has the one model (0, 0).  The
-fresh initial state's row conjoins the two initial states' rows
-(posbool.conjoin_models), so it is the product's And of the two.
+the two automata (product_machine), with no dual or product formula built,
+where the reference automaton.inclusion_product dualizes a2's formulas
+(posbool.dual) and then combines.  Its states are those of that
+reference: a fresh initial state, a1's states, then a2's renamed apart
+(automaton.combined_names), a2's being the co-states.  a1's rows fold from
+a1's table under the machine's bits; a2's rows fold from a2's table as
+their duals (minimal_models with dual), under a bit map from a2's own names
+to the bits of their renamings, an absent a2 entry being Bot, whose dual
+has the one model (0, 0).  The fresh initial state's row conjoins the two
+initial states' rows (posbool.conjoin_models), so it is the product's And
+of the two.
 
 materialize() spells the cycle out as an explicit instruction list for small
 automata, a CounterMachine built error-free.  The counter structure and the

@@ -34,11 +34,11 @@ letters), and so is any path reaching the step bound.  Exhausting the graph
 without hitting a value or node cap is a definite emptiness answer.
 
 inclusion_check saturates the product of one automaton with the dual of
-another, compiled straight from the two (compile.product_machine: the
-machine of automaton.inclusion_product, which is never built), keeping
-only valuation-minimal configurations per control state: smaller
-configurations carry fewer obligations and simulate larger ones, so
-pruning preserves both witnesses and their absence.  Non-inclusion
+another, compiled straight from the two (compile.product_machine, the
+machine of automaton.inclusion_product), keeping only valuation-minimal
+configurations per control state: smaller configurations carry fewer
+obligations and simulate larger ones, so pruning preserves both witnesses
+and their absence.  Non-inclusion
 is witnessed by a checkpoint configuration (dual threads all discharged)
 that still has an infinite continuation.  The minimal valuations of a
 control form an Antichain indexed by support, the set of counters a

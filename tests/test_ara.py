@@ -12,7 +12,7 @@ from regsafe.ara import posbool as pb
 from regsafe.ara import (dualize, format_automaton, inclusion_product,
                          intersect, ltl_to_ara, parse_automaton, run_exists,
                          union)
-from regsafe.ara.automaton import AlternatingAutomaton, _combine
+from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe import ltl
 from regsafe.ltl import parse_formula, parse_formula_file
 from regsafe.pipeline import (config_length, encode_tm_run, oracle_run_exists, parse_tm,
@@ -241,49 +241,6 @@ def test_inclusion_product_shape(fig1, top_automaton):
     assert len(aut.states) == len(fig1.states) + len(top_automaton.states) + 1
 
 
-def _assert_one_pass_product(a1, a2):
-    """inclusion_product(a1, a2) is the two-pass product of a1 with dualize(a2):
-    the same states, initial state, co-states and transition table, entry
-    for entry and in the same order."""
-    aut, co_states = inclusion_product(a1, a2)
-    ref, ref_co = _combine(a1, dualize(a2), pb.And)
-    assert (aut.states, aut.initial, co_states) == (ref.states, ref.initial, ref_co)
-    assert list(aut.delta.items()) == list(ref.delta.items())
-    return co_states
-
-
-def test_one_pass_product_matches_two_pass(fig1, top_automaton, example_formula, abc):
-    _, f = example_formula
-    fixtures = (fig1, top_automaton, ltl_to_ara(f, abc), _bot_automaton(abc))
-    for a1 in fixtures:
-        for a2 in fixtures:
-            _assert_one_pass_product(a1, a2)
-    # a deep chain, renamed and dualized in one rebuild
-    deep = AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): _deep_chain(3000)})
-    _assert_one_pass_product(deep, deep)
-    _assert_one_pass_product(fig1, deep)
-
-
-def test_one_pass_product_matches_two_pass_random():
-    """Random pairs whose state names clash (q0, q0_2, init) and whose
-    tables miss entries."""
-    rng = random.Random(23)
-
-    def draw():
-        a = randgen.random_automaton(rng, AB, max_states=2, bot_prob=0.4)
-        kind = rng.randrange(3)
-        if kind:
-            b = randgen.random_automaton(rng, AB, max_states=2, bot_prob=0.4)
-            a = intersect(a, b) if kind == 1 else union(a, b)
-        return a
-
-    renamed = 0
-    for _ in range(200):
-        a1, a2 = draw(), draw()
-        renamed += _assert_one_pass_product(a1, a2) != a2.states
-    assert renamed == 200
-
-
 def test_translation_state_counts(example_formula, abc):
     _, f = example_formula
     aut = ltl_to_ara(f, abc)
@@ -421,7 +378,7 @@ def test_deep_formula_equality_and_hash():
     # the innermost leaf p becomes q
     changed = pb.rebuild(phi, lambda g: pb.Ref("q") if isinstance(g, pb.Ref) else g)
     assert changed != phi and not changed == phi
-    assert pb.rebuild(phi, lambda g: g, swap=True) != phi
+    assert pb.dual(phi) != phi
     p, q = pb.Ref("p"), pb.DownRef("q")
     assert hash(pb.And(p, q)) == hash((pb.And.tag, p, q)) != hash(pb.Or(p, q))
     assert hash(pb.Or(pb.And(p, q), p)) == hash((pb.Or.tag, pb.And(p, q), p))

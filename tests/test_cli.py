@@ -236,6 +236,26 @@ def test_bound_automaton(data_path, capsys):
     assert "m=" in out
 
 
+def test_bound_puts_the_digit_limit_back(tmp_path, capsys):
+    """bound lifts the process-wide int-to-str digit limit to print m, here
+    of some 33k digits, and restores it after both output formats."""
+    one = tmp_path / "one.ara"
+    one.write_text("alphabet: a\nstates: p\ninitial: p\np, a, * -> p\n")
+    before = sys.get_int_max_str_digits()
+    for fmt in ("text", "json"):
+        assert run_cli(["bound", "--format", fmt, "--automaton", str(one)]) == 0
+        assert sys.get_int_max_str_digits() == before
+        out, _ = _out(capsys)
+        assert len(out) > 30000
+
+
+def test_bound_without_the_digit_limit(data_path, capsys, monkeypatch):
+    """Pythons before 3.10.7 have no digit limit and no function to read it."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert run_cli(["bound", "--machine", data_path("tiny.cm")]) == 0
+    assert _out(capsys)[0] == "alpha: 1 2\nU: 1 3\nm=12\n"
+
+
 def test_tmgen_round_trip(data_path, data_text, capsys):
     assert run_cli(["tmgen", "--tm", data_path("bouncer.tm")]) == 0
     out, _ = _out(capsys)

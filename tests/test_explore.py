@@ -329,7 +329,7 @@ def test_inclusion_builds_no_product_automaton(fig1, example_formula, monkeypatc
     monkeypatch.setattr(AlternatingAutomaton, "__init__", counted("automaton", init))
     monkeypatch.setattr(pb, "rebuild", counted("rebuild", rebuild))
     inclusion_product(fig1, fig1)
-    assert calls["automaton"] == 1 and calls["rebuild"] > 0  # the guard counts
+    assert calls["automaton"] == 2 and calls["rebuild"] > 0  # the guard counts
     calls.update(automaton=0, rebuild=0)
     for a1, a2 in queries:
         inclusion_check(a1, a2, cap=2000)

@@ -149,6 +149,25 @@ def test_ltl_file_errors_point_into_the_file():
         ltl.parse_formula_file("alphabet: a\nG (a &\n")
 
 
+def test_ara_formula_errors_name_their_line():
+    """A transition formula's error names the line and, at a token, the
+    column of the token in the file."""
+    head = "alphabet: a b\nstates: p q\ninitial: p\n"
+    cases = [
+        (head + "p, a, * -> p & x\n", 4, 16, "unknown state 'x'", "x"),
+        (head + "# note\n\n  q ,b, up ->   d(q) | $\n", 6, 24,
+         "unexpected character '$' in formula", "$"),
+        (head + "p, b, nup->(p & q) q\n", 4, 20, "trailing input 'q'", "q"),
+    ]
+    for text, line, column, message, token in cases:
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        assert str(err.value) == "line %d, column %d: %s" % (line, column, message)
+        assert text.splitlines()[line - 1][column - 1] == token
+    with pytest.raises(ParseError, match="^line 4: unexpected end of formula$"):
+        parse_automaton(head + "p, a, * -> d(\n")
+
+
 def test_header_value_errors_name_the_header():
     with pytest.raises(ParseError, match="size must be an integer"):
         parse_tm("tape: B\nblank: B\nstates: q\ninitial: q\nsize: two\nq, B -> q, B, +1\n")
