@@ -251,13 +251,20 @@ def dualize(aut: AlternatingAutomaton) -> AlternatingAutomaton:
 
 
 def parse_automaton(text) -> AlternatingAutomaton:
+    """The automaton of an automaton file.  State names are checked against
+    one set, and each distinct formula text is parsed once per file: its
+    entries share the one formula object.  A bad formula text is reported
+    at the line of its first occurrence, with the column of the offending
+    token when the formula parser gives one."""
     headers, entries = read_sections(text, ("alphabet", "states", "initial"))
     alphabet = Alphabet(tuple(headers["alphabet"].split()))
     states = read_names(headers["states"], "state")
+    known = set(states)
     initial = headers["initial"].split()
     if len(initial) != 1:
         raise ParseError("expected one initial state")
     delta = {}
+    formulas = {}  # formula text -> its formula
     for lineno, line in entries:
         if "->" not in line:
             raise ParseError("line %d: expected 'state, letter, flag -> formula'" % lineno)
@@ -266,22 +273,25 @@ def parse_automaton(text) -> AlternatingAutomaton:
         if len(parts) != 3:
             raise ParseError("line %d: expected 'state, letter, flag' before '->'" % lineno)
         q, a, flag = parts
-        if q not in states:
+        if q not in known:
             raise ParseError("line %d: unknown state %r" % (lineno, q))
         if a not in alphabet:
             raise ParseError("line %d: unknown letter %r" % (lineno, a))
         if flag not in ("up", "nup", "*"):
             raise ParseError("line %d: flag must be up, nup or *" % lineno)
-        try:
-            phi = pb.parse_posbool(body.strip(), set(states))
-        except ParseError as e:
-            if e.position is None:
-                raise ParseError("line %d: %s" % (lineno, e.detail)) from None
-            # the offset is into the stripped formula after the raw line's '->'
-            raw = text.splitlines()[lineno - 1]
-            formula = raw[raw.index("->") + 2:].lstrip()
-            column = len(raw) - len(formula) + e.position + 1
-            raise ParseError("line %d, column %d: %s" % (lineno, column, e.detail)) from None
+        body = body.strip()
+        phi = formulas.get(body)
+        if phi is None:
+            try:
+                phi = formulas[body] = pb.parse_posbool(body, known)
+            except ParseError as e:
+                if e.position is None:
+                    raise ParseError("line %d: %s" % (lineno, e.detail)) from None
+                # the offset is into the stripped formula after the raw line's '->'
+                raw = text.splitlines()[lineno - 1]
+                formula = raw[raw.index("->") + 2:].lstrip()
+                column = len(raw) - len(formula) + e.position + 1
+                raise ParseError("line %d, column %d: %s" % (lineno, column, e.detail)) from None
         for fl in (FLAGS if flag == "*" else (flag,)):
             if (q, a, fl) in delta:
                 raise ParseError("line %d: duplicate entry for %s, %s, %s" % (lineno, q, a, fl))

@@ -9,6 +9,7 @@ emitted as one JSON record per line instead of plain text.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -62,7 +63,8 @@ class _InvalidInput(Exception):
 def _load(parse, path):
     """Parse an input file, "-" being standard input.  A file that parses
     but breaks an invariant of its format is as unusable as one that does
-    not parse, and so is one that is not text: each exits 65."""
+    not parse, and so is one that is not text: each exits 65, its error
+    prefixed with the file's path."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -73,6 +75,8 @@ def _load(parse, path):
         raise _InvalidInput("%s: %s" % (path, e)) from e
     try:
         return parse(text)
+    except ParseError as e:
+        raise ParseError("%s: %s" % (path, e)) from e
     except ValidationError as e:
         raise _InvalidInput("%s: %s" % (path, e)) from e
 
@@ -276,6 +280,7 @@ def _cmd_oracle(inv, ns):
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
     top = _ArgumentParser(prog="regsafe",
                           description="decision pipeline for safety register formulas")
@@ -344,6 +349,9 @@ def _build_parser():
 
 
 def run_cli(argv) -> int:
+    """Run one command line and return its exit code.  The argument parser
+    is built once per process and shared by every call: parsing leaves no
+    state in it, each call getting a fresh namespace."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

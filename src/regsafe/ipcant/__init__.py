@@ -8,8 +8,9 @@ never by a machine: parsing an instruction or a whole body line
 (_parse_instr, _parse_line), printing a counter or a whole body line
 (_format_counter, _format_transition), the counter structure of a file's
 basis: and counters: headers (_parse_structure), an instruction's op
-(_instruction_op), a counter family's cover table and a transfer map's
-distributivity verdict.  So the machines of one counter family, which
+(_instruction_op), a counter family's cover table, a transfer map's
+distributivity verdict and a transfer's exhaustive verdict over a counter
+tuple (_exhaustive_verdict).  So the machines of one counter family, which
 share their header and most of their lines, parse and print each distinct
 line, and parse and check each distinct instruction, once per process, and
 share one structure and, while the caches keep them, the Transition objects

@@ -165,11 +165,20 @@ def _sampled_distributive(f, counters, trials=200, seed=0):
 def _check_transfers(transfers, counters, mode):
     """Raise ValidationError unless the map of every transfer over the
     counters is distributive: checked exhaustively on families of at most
-    12 counters or in mode "full", sampled on larger ones."""
+    12 counters or in mode "full", sampled on larger ones.  An exhaustive
+    verdict is memoised per (transfer, counter tuple); a sampled one is
+    drawn afresh."""
     exhaustive = len(counters) <= 12 or mode == "full"
     for instr in transfers:
-        f = instr.as_map(counters)
-        ok = (check_distributive(f, counters) if exhaustive
-              else _sampled_distributive(f, counters))
+        ok = (_exhaustive_verdict(instr, counters) if exhaustive
+              else _sampled_distributive(instr.as_map(counters), counters))
         if not ok:
             raise ValidationError("transfer map is not distributive")
+
+
+@functools.lru_cache(maxsize=4096)
+def _exhaustive_verdict(instr, counters):
+    """check_distributive's verdict on the transfer's map over the counter
+    tuple.  An error the map raises is raised again on every call, as
+    lru_cache keeps no exception."""
+    return check_distributive(instr.as_map(counters), counters)

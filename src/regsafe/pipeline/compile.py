@@ -35,9 +35,15 @@ language inclusion.
 The minimal models of each state's transition formulas are folded straight
 to (kept mask, refrozen mask) pairs, a state's bit being 1 << its index
 (posbool.minimal_models with the machine's bit map), and read_images and
-here_sets join them per thread set.  Each state's row says where its
-formulas come from (Row): a transition table, the state's name in it and
-the bit map of that table's names, and whether the row is dualized.
+here_sets join them per thread set, walking only the set bits of its
+mask.  Each state's row says where its formulas come from (Row): a
+transition table, the state's name in it and the bit map of that table's
+names, and whether the row is dualized.  A machine folds each distinct
+formula once per dual flag, however many (state, letter, flag) entries
+hold it: the fold memo is keyed by (formula, dual), which is sound because
+the rows with one dual flag share one bit map (see Row).  read_images and
+here_sets are kept per letter in int-keyed tables (thread-set mask ->
+result), which config_successors reads inline.
 
 The inclusion product of a1 with the dual of a2 is compiled straight from
 the two automata (product_machine), with no dual or product formula built,
@@ -114,7 +120,10 @@ def _flight_index(n, kept, marked):
 # Where a state's row of minimal models comes from: the formula
 # delta.get((name, letter, flag), Bot) of a transition table, folded under
 # `bit`, the map from the table's state names to the machine's bits (None:
-# the machine's own), and dualized when `dual` is set
+# the machine's own), and dualized when `dual` is set.  The rows of one
+# machine with one dual flag share one bit map: the machine's own for plain
+# rows, product_machine's map of a2's names for dual ones.  The machine's
+# fold memo is keyed by (formula, dual) and relies on it.
 Row = namedtuple("Row", "delta name bit dual")
 
 _BOT = pb.Bot()
@@ -145,9 +154,10 @@ class CompiledMachine:
         # instructions of one letter cycle: read, models, n merges, the
         # current class's deposit, shift, [next,] pick; the checkpoint adds one
         self._cycle_steps = self.n + 5 + (1 if self.co_states else 0)
-        self._mm = {}
+        self._folds = {}  # (formula, dual) -> its minimal models under the rows' bit map
+        self._mm = {}  # (state index, letter, flag) -> the state's minimal models
         self._reads = defaultdict(dict)  # letter -> {thread-set mask: read_images}
-        self._fam4 = {}
+        self._heres = defaultdict(dict)  # letter -> {thread-set mask: here_sets}
         self._lettered = {}  # (control, sv, letter, vcap) -> lettered step
 
     # counter indexing
@@ -175,7 +185,8 @@ class CompiledMachine:
         return (states, 3 * n + 2, (1 << n) + (1 << (2 * n)))
 
     # minimal models as (kept mask, refrozen mask) pairs, folded straight
-    # to masks from the state's row
+    # to masks from the state's row, each distinct formula once per dual
+    # flag (see Row)
     def _models(self, qi, letter, flag):
         key = (qi, letter, flag)
         models = self._mm.get(key)
@@ -183,7 +194,11 @@ class CompiledMachine:
             row = self._rows[qi]
             if type(row) is Row:
                 phi = row.delta.get((row.name, letter, flag), _BOT)
-                models = pb.minimal_models(phi, row.bit or self._bit, row.dual)
+                fold = (phi, row.dual)
+                models = self._folds.get(fold)
+                if models is None:
+                    models = self._folds[fold] = pb.minimal_models(
+                        phi, row.bit or self._bit, row.dual)
             else:
                 i, j = row
                 models = pb.conjoin_models(self._models(i, letter, flag),
@@ -196,12 +211,13 @@ class CompiledMachine:
         thread of `mask` on the letter under the register flag; empty when
         some thread has no model."""
         per_state = []
-        for i in range(self.n):
-            if mask >> i & 1:
-                models = self._models(i, letter, flag)
-                if not models:
-                    return set()
-                per_state.append(models)
+        while mask:  # the set bits, lowest first
+            low = mask & -mask
+            models = self._models(low.bit_length() - 1, letter, flag)
+            if not models:
+                return set()
+            per_state.append(models)
+            mask ^= low
         pairs = {(0, 0)}
         for models in per_state:
             pairs = {(k | pm, m | fm) for k, m in pairs for pm, fm in models}
@@ -223,12 +239,14 @@ class CompiledMachine:
 
     def here_sets(self, letter, mask):
         """Distinct new current-class state sets reachable by the current
-        class's own threads on the letter (register match)."""
-        key = (letter, mask)
-        if key not in self._fam4:
+        class's own threads on the letter (register match).  Kept per letter
+        in an int-keyed table, which config_successors reads too."""
+        heres = self._heres[letter]
+        here = heres.get(mask)
+        if here is None:
             pairs = self._model_unions(letter, mask, "up")
-            self._fam4[key] = tuple(sorted({k | m for k, m in pairs}))
-        return self._fam4[key]
+            here = heres[mask] = tuple(sorted({k | m for k, m in pairs}))
+        return here
 
     def initial_config(self):
         """The initial state's class as the current class, no other class."""
@@ -272,13 +290,16 @@ class CompiledMachine:
                 return found
             letters = (letter,)
         mask = control[0]
+        heres_of, reads_of = self._heres, self._reads
         out = []
         truncated = False
         for a in letters:
-            here = self.here_sets(a, mask)
+            here = heres_of[a].get(mask)
+            if here is None:
+                here = self.here_sets(a, mask)
             if not here:
                 continue
-            reads = self._reads[a]
+            reads = reads_of[a]
             for ci, _ in sv:
                 images = reads.get(ci)
                 if images is None:

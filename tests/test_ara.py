@@ -593,3 +593,52 @@ def test_step_memo_stays_within_its_bound(data_text, monkeypatch):
     unbounded = parse_automaton(text)
     assert _ask(unbounded, words, backwards=True) == answers
     assert max(len(step) for step in _step_memos(unbounded)) > bound
+
+
+def _line_by_line(text):
+    """The transition table of an automaton file with every formula parsed
+    from its own line; the file's first three lines are its headers, as
+    format_automaton prints them."""
+    lines = text.splitlines()
+    known = set(lines[1].split()[1:])
+    delta = {}
+    for line in lines[3:]:
+        if "->" not in line:
+            continue
+        head, _, body = line.partition("->")
+        q, a, flag = (p.strip() for p in head.split(","))
+        for fl in (automaton.FLAGS if flag == "*" else (flag,)):
+            delta[(q, a, fl)] = pb.parse_posbool(body.strip(), known)
+    return delta
+
+
+def test_parse_automaton_parses_each_formula_text_once(data_text):
+    """The bouncer formula's automaton and seeded random ones: one formula
+    object per distinct formula text, and the same table as a parse of every
+    line on its own."""
+    bouncer = parse_tm(data_text("bouncer.tm"))
+    rng = random.Random(31)
+    texts = [format_automaton(ltl_to_ara(tm_to_formula(bouncer), tm_alphabet(bouncer)))]
+    texts += [format_automaton(randgen.random_automaton(rng, AB, max_states=3))
+              for _ in range(100)]
+    shared = 0
+    for text in texts:
+        aut = parse_automaton(text)
+        bodies = {line.partition("->")[2].strip() for line in text.splitlines()[3:]}
+        assert len({id(phi) for phi in aut.delta.values()}) == len(bodies)
+        assert aut.delta == _line_by_line(text)
+        shared += len(bodies) < len(text.splitlines()) - 3
+    assert shared > 10
+
+
+def test_repeated_bad_formula_is_named_at_its_first_line():
+    head = "alphabet: a b\nstates: p q\ninitial: p\n"
+    text = head + "p, a, up -> q\np, b, * ->  q & x\nq, a, * -> p\nq, b, * -> q & x\n"
+    with pytest.raises(ParseError) as err:
+        parse_automaton(text)
+    assert str(err.value) == "line 5, column 17: unknown state 'x'"
+    # a repeated bad text whose error has no position, after a repeated good one
+    text = head + "p, a, * -> p | q\np, b, * -> p | q\nq, a, * -> (q\nq, b, * -> (q\n"
+    with pytest.raises(ParseError) as err:
+        parse_automaton(text)
+    assert str(err.value) == "line 6: unexpected end of formula"

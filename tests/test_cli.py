@@ -424,12 +424,12 @@ def test_formula_file_error_names_line_and_column(tmp_path, capsys):
     bad.write_text("alphabet: a b\n# comment\nG (a |\n  b) & X b)\n")
     assert run_cli(["parse", "--formula", str(bad)]) == 65
     _, err = _out(capsys)
-    assert err == "parse error: line 4, column 11: trailing input ')'\n"
+    assert err == "parse error: %s: line 4, column 11: trailing input ')'\n" % bad
     # a bad character is named, not the whitespace before it
     bad.write_text("alphabet: a\nG a\n\t  %\n")
     assert run_cli(["parse", "--formula", str(bad)]) == 65
     _, err = _out(capsys)
-    assert err == "parse error: line 3, column 4: unexpected character '%'\n"
+    assert err == "parse error: %s: line 3, column 4: unexpected character '%%'\n" % bad
 
 
 def test_invalid_input_files_exit_65(tmp_path, capsys):
@@ -530,3 +530,43 @@ def test_readme_examples(monkeypatch, capsys):
         assert run_cli(shlex.split(command)) in (0, 1), command
         out, err = _out(capsys)
         assert (out, err) == ("".join(line + "\n" for line in lines), ""), command
+
+
+def test_parse_errors_name_the_file(tmp_path, data_path, capsys):
+    """With two inputs, a parse error says which one is broken."""
+    dup = tmp_path / "dup.ara"
+    dup.write_text("alphabet: a b c\nstates: p\ninitial: p\np, a, * -> p\np, a, up -> p\n")
+    assert run_cli(["include", "--lhs", data_path("fig1.ara"), "--rhs", str(dup)]) == 65
+    out, err = _out(capsys)
+    assert out == ""
+    assert err == "parse error: %s: line 5: duplicate entry for p, a, up\n" % dup
+
+
+def test_parser_is_built_once_and_carries_no_state(data_path, capsys):
+    """run_cli shares one argument parser across calls; a run of different
+    commands, a usage error and --help in one process each behave as on
+    their own, and sat answers alike before and after them."""
+    from regsafe.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    fig, top = data_path("fig1.ara"), data_path("top.ara")
+    sat = ["sat", "--automaton", fig]
+    calls = [
+        (sat, 0, "NONEMPTY\n"),
+        (["include", "--lhs", top, "--rhs", fig], 1, "NOT_INCLUDED\n"),
+        (["sat", "--format", "json", "--machine", data_path("tiny.cm"), "--cap", "50"], 0,
+         '{"command": "sat", "verdict": "NONEMPTY"}\n'),
+        (["sat", "--automaton", fig, "--bogus"], 64, ""),
+        (["include", "--help"], 0, None),
+        (["include", "--lhs", fig, "--rhs", fig], 0, "INCLUDED\n"),
+        (["sat", "--machine", data_path("tiny.cm"), "--vcap", "8"], 2, "UNKNOWN\n"),
+        (sat, 0, "NONEMPTY\n"),
+    ]
+    for argv, code, want in calls:
+        assert run_cli(argv) == code, argv
+        out, err = _out(capsys)
+        if want is None:
+            assert out.startswith("usage: regsafe include ") and err == "", argv
+        else:
+            assert out == want, argv
+        assert (err.startswith("error: unrecognized arguments: --bogus")
+                if code == 64 else err == ""), argv

@@ -633,3 +633,75 @@ def test_unlettered_searches_leave_the_lettered_memo_alone(fig1, top_automaton, 
     inclusion_check(fig1, fig1, cap=200)
     assert len(made) == 2
     assert all(not m._lettered for m in [cm] + made)
+
+
+def _fresh_models(cm, qi, letter, flag):
+    """The minimal models of state qi's row, folded afresh."""
+    row = cm._rows[qi]
+    if type(row) is compile_module.Row:
+        phi = row.delta.get((row.name, letter, flag), pb.Bot())
+        return pb.minimal_models(phi, row.bit or cm._bit, row.dual)
+    i, j = row
+    return pb.conjoin_models(_fresh_models(cm, i, letter, flag),
+                             _fresh_models(cm, j, letter, flag))
+
+
+def _every_bit_unions(cm, letter, mask, flag):
+    """The model unions of mask's threads, from fresh folds, walking every
+    bit of the machine."""
+    pairs = {(0, 0)}
+    for i in range(cm.n):
+        if mask >> i & 1:
+            models = _fresh_models(cm, i, letter, flag)
+            pairs = {(k | pk, m | pm) for k, m in pairs for pk, pm in models}
+    return pairs
+
+
+def _with_shared_formulas(rng, aut):
+    """aut with one formula object under both flags of an entry, and a
+    structurally equal copy of a formula under another entry."""
+    delta = dict(aut.delta)
+    keys = sorted(delta)
+    if keys:
+        q, a, flag = rng.choice(keys)
+        delta[(q, a, "nup" if flag == "up" else "up")] = delta[(q, a, flag)]
+        phi = delta[rng.choice(keys)]
+        copy = pb.rebuild(phi, lambda g: type(g)(*g.fields))
+        assert copy == phi and copy is not phi
+        delta[(rng.choice(aut.states), rng.choice(AB.letters), rng.choice(("up", "nup")))] = copy
+    return AlternatingAutomaton(aut.alphabet, aut.states, aut.initial, delta)
+
+
+def test_folds_match_fresh_folds_on_machines_and_products():
+    """Machines of seeded 1-3-state automata, some with a formula shared by
+    two flags or by two entries, and their product machines, which have dual
+    rows: asked in a random order, every per-state models entry equals a
+    fresh fold, and every read_images and here_sets entry the unions of
+    fresh folds over every bit.  The rows with one dual flag share one bit
+    map, which the fold memo's (formula, dual) key relies on."""
+    rng = random.Random(47)
+    sizes, products = set(), 0
+    for _ in range(60):
+        a1, a2 = (_with_shared_formulas(rng, randgen.random_automaton(
+            rng, AB, max_states=3, bot_prob=0.3)) for _ in range(2))
+        for cm in (ara_to_ipcant(a1), product_machine(a1, a2), product_machine(a2, a1)):
+            sizes.add(cm.n)
+            rows = [row for row in cm._rows if type(row) is compile_module.Row]
+            for dual in (False, True):
+                assert len({id(row.bit) for row in rows if row.dual == dual}) <= 1
+            products += any(row.dual for row in rows)
+            asks = [(letter, mask) for letter in AB.letters for mask in range(1 << cm.n)]
+            rng.shuffle(asks)
+            for letter, mask in asks:
+                read = _every_bit_unions(cm, letter, mask, "nup")
+                here = _every_bit_unions(cm, letter, mask, "up")
+                assert cm.read_images(letter, mask) == tuple(sorted(read))
+                assert cm.here_sets(letter, mask) == tuple(sorted({k | m for k, m in here}))
+            assert len(cm._mm) == 2 * 2 * cm.n
+            for (qi, letter, flag), models in cm._mm.items():
+                assert models == _fresh_models(cm, qi, letter, flag)
+            assert set(cm._folds) == {
+                (row.delta.get((row.name, letter, flag), pb.Bot()), row.dual)
+                for row in rows for letter in AB.letters for flag in ("up", "nup")}
+    assert sizes == {1, 2, 3, 4, 5, 6, 7}
+    assert products == 120

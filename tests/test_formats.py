@@ -192,7 +192,10 @@ def test_repeated_header_no_longer_wins(tmp_path, capsys):
     assert _cli(tmp_path, "rep.ara", ara, "run", "--automaton", "--word", "b@1") == 65
     tm = "tape: B\nblank: B\nstates: q\ninitial: q\nsize: 1\nsize: 2\nq, B -> q, B, +1\n"
     assert _cli(tmp_path, "rep.tm", tm, "tmgen", "--tm") == 65
-    assert capsys.readouterr().err.count("repeated") == 2
+    assert capsys.readouterr().err == (
+        "parse error: %s: line 4: repeated alphabet: header\n"
+        "parse error: %s: line 6: repeated size: header\n"
+        % (tmp_path / "rep.ara", tmp_path / "rep.tm"))
 
 
 CM_NAMES = ("alphabet: a\nbasis: {x}\ncounters: {{{x}}}\nstates: p {q}\ninitial: p\n"

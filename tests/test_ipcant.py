@@ -1,5 +1,6 @@
 import copy
 import math
+import os
 import pickle
 import random
 
@@ -394,13 +395,15 @@ def test_caches_stay_within_their_bounds():
               if hasattr(f, "cache_info") and f.__module__ == module.__name__}
     assert set(caches) == {
         ("distributive", "cover_table"), ("distributive", "_covers_distributive"),
-        ("machine", "_instruction_op"), ("fileformat", "_parse_instr"),
-        ("fileformat", "_format_counter"), ("fileformat", "_parse_line"),
-        ("fileformat", "_format_transition"), ("fileformat", "_parse_structure")}
+        ("distributive", "_exhaustive_verdict"), ("machine", "_instruction_op"),
+        ("fileformat", "_parse_instr"), ("fileformat", "_format_counter"),
+        ("fileformat", "_parse_line"), ("fileformat", "_format_transition"),
+        ("fileformat", "_parse_structure")}
     assert all(f.cache_info().maxsize for f in caches.values())
     assert ipcant.fileformat._parse_line.cache_info().maxsize == 4096
     assert ipcant.fileformat._format_transition.cache_info().maxsize == 4096
     assert ipcant.fileformat._parse_structure.cache_info().maxsize == 64
+    assert ipcant.distributive._exhaustive_verdict.cache_info().maxsize == 4096
 
 
 def test_instruction_memo_is_per_family():
@@ -782,3 +785,18 @@ def test_machine_rejects_nondistributive_transfer():
         CounterMachine(Alphabet(("a",)), ("p",), "p", st, trans)
     CounterMachine(Alphabet(("a",)), ("p",), "p", st,
                    [Transition("p", "a", good, "p")])
+
+
+def test_memoised_verdicts_keep_refusing_the_benchmark_file():
+    """The benchmark's non-distributive machine file is refused on every
+    parse, in "full" and in "auto" mode, though its transfer's exhaustive
+    verdict is memoised after the first."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "data", "nondistributive.cm")
+    with open(path) as fh:
+        text = fh.read()
+    for mode in ("full", "auto"):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="not distributive"):
+                parse_machine(text, mode)
+    assert ipcant.distributive._exhaustive_verdict.cache_info().hits >= 3
