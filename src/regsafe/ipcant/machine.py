@@ -228,7 +228,7 @@ class CounterMachine:
         consumed a letter sequence can stop only at such a state."""
         return state in self._resting
 
-    def config_successors(self, control, sv, letter=None, vcap=None):
+    def config_successors(self, control, sv, letter, vcap):
         """One instruction step from a configuration, sv being a valuation in
         the canonical form (sorted (counter index, positive count) pairs).
         Given a letter, only letter-free transitions and those reading that
@@ -245,7 +245,7 @@ class CounterMachine:
             if letter is not None and label is not EPS and label != letter:
                 continue
             if kind is None:
-                if vcap is not None and sv and max(n for _, n in sv) > vcap:
+                if sv and max(n for _, n in sv) > vcap:
                     truncated = True
                 else:
                     out.append((label, dst, sv, 1))
@@ -253,7 +253,7 @@ class CounterMachine:
                 if counts is None:
                     counts = dict(sv)
                 n = counts.get(arg, 0)
-                if kind is Inc and vcap is not None and n >= vcap:
+                if kind is Inc and n >= vcap:
                     truncated = True
                 elif kind is Inc or n:  # fires: within vcap, or on a held counter
                     out.append((label, dst, add_tokens(sv, arg, 1 if kind is Inc else -1), 1))
@@ -263,7 +263,7 @@ class CounterMachine:
                 fired, cut = split_tokens(sv, arg.__getitem__)
                 truncated |= cut
                 for _, sv2 in fired:
-                    if vcap is not None and sv2 and max(n for _, n in sv2) > vcap:
+                    if sv2 and max(n for _, n in sv2) > vcap:
                         truncated = True
                     else:
                         out.append((label, dst, sv2, 1))

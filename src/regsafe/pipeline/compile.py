@@ -261,7 +261,7 @@ class CompiledMachine:
         the macro step produces."""
         return True
 
-    def config_successors(self, control, sv, letter=None, vcap=None):
+    def config_successors(self, control, sv, letter, vcap):
         """One macro step from a resting configuration: every way to process
         the next data-word position on `letter` (every letter when None)
         under the error-free relation.  sv is a valuation of the away
@@ -316,7 +316,7 @@ class CompiledMachine:
                         if sv2 in seen:
                             continue
                         seen.add(sv2)
-                        if vcap is not None and max(n for _, n in sv2) > vcap:
+                        if max(n for _, n in sv2) > vcap:
                             truncated = True
                             continue
                         checkpoint = bool(self.co_states) and not any(

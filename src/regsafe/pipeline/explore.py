@@ -48,7 +48,7 @@ supports inside the new one's, and the pruning of larger ones only at
 supports that hold all of its counters.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from enum import Enum
 from itertools import combinations
 
@@ -71,30 +71,18 @@ class Inclusion(Enum):
     UNKNOWN = "unknown"
 
 
-class SaturationResult:
+class SaturationResult(namedtuple("SaturationResult", (
+        "verdict", "explored", "converged", "checkpoints", "chains"))):
     """Outcome of the inclusion saturation: the verdict, how the exploration
     went, and the kept minimal configurations, one Antichain per control
     state in the order the controls were first reached.  Results are equal
     when all five fields are; the repr leaves out the chains."""
 
-    def __init__(self, verdict, explored, converged, checkpoints, chains):
-        self.verdict = verdict
-        self.explored = explored
-        self.converged = converged
-        self.checkpoints = checkpoints
-        self.chains = chains
-
-    def _values(self):
-        return (self.verdict, self.explored, self.converged, self.checkpoints, self.chains)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+    __slots__ = ()
 
     def __repr__(self):
         return "%s(verdict=%r, explored=%r, converged=%r, checkpoints=%r)" % (
-            (type(self).__name__,) + self._values()[:4])
+            (type(self).__name__,) + self[:4])
 
     @property
     def s_last(self):
@@ -122,7 +110,10 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptines
     configuration: a configuration lasso or a simple path of cap
     instruction steps counts as one.  A fully exhausted graph without
     cutoffs is a definite emptiness verdict.  Path lengths and the node
-    count charge each step its instruction count."""
+    count charge each step its instruction count.  Raises ValueError on a
+    cap or vcap below 1, so testing each path length where it grows suffices."""
+    if cap < 1 or vcap < 1:
+        raise ValueError("cap and vcap must be at least 1, not %r and %r" % (cap, vcap))
     truncated = False
     longest = {}  # config -> longest path length (in steps) from it
     onstack = set()
@@ -161,8 +152,6 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptines
             stack.pop()
             onstack.discard(frame[0])
             longest[frame[0]] = frame[2]
-            if frame[2] >= cap:
-                return Nonemptiness.NONEMPTY
             if stack:
                 parent = stack[-1]
                 parent[2] = max(parent[2], frame[2] + frame[3])
@@ -186,7 +175,10 @@ def prefix_reachable(machine, letters, vcap=64) -> bool:
     Every position's letter-free graph is finite, as compiled machines have
     no letter-free steps and explicit ones no letter-free cycles, so the
     search needs no node cap and its False is exact up to `vcap`: a
-    successor cut by the value cap is dropped without notice."""
+    successor cut by the value cap is dropped without notice.  Raises
+    ValueError on a vcap below 1."""
+    if vcap < 1:
+        raise ValueError("vcap must be at least 1, not %r" % (vcap,))
     letters = tuple(letters)
     last = len(letters)
     stack = [(0,) + machine.initial_config()]
@@ -313,7 +305,10 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
     successor below or equal to a kept valuation is dropped, and one that is
     kept prunes every kept valuation above it.  A configuration whose
     valuation was pruned while it waited in the queue is not expanded.
-    Raises ValidationError unless a1 and a2 share an alphabet."""
+    Raises ValidationError unless a1 and a2 share an alphabet, and
+    ValueError on a cap or vcap below 1."""
+    if cap < 1 or vcap < 1:
+        raise ValueError("cap and vcap must be at least 1, not %r and %r" % (cap, vcap))
     machine = product_machine(a1, a2)
     control0, sv0 = machine.initial_config()
     chain = Antichain()

@@ -58,12 +58,14 @@ def read_names(value, what):
     return names
 
 
-class Alphabet:
-    """Ordered finite set of letter names."""
+class Alphabet(tuple):
+    """Ordered finite set of letter names, built from any sequence: a tuple
+    of distinct names, so it equals the plain tuple of its letters."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
-    def __init__(self, letters):
+    def __new__(cls, letters):
+        letters = tuple(letters)
         if not letters:
             raise ValidationError("alphabet must be non-empty")
         if len(set(letters)) != len(letters):
@@ -71,45 +73,18 @@ class Alphabet:
         for a in letters:
             if not NAME_RE.match(a):
                 raise ValidationError("bad letter name: %r" % (a,))
-        _set_alphabet_letters(self, letters)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash((self.letters,))
+        return super().__new__(cls, letters)
 
     def __repr__(self):
         return "%s(letters=%r)" % (type(self).__name__, self.letters)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % (name,))
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % (name,))
-
-    def __reduce__(self):
-        return type(self), (self.letters,)
-
-    def __contains__(self, letter):
-        return letter in self.letters
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __len__(self):
-        return len(self.letters)
+    letters = property(tuple)  # the letters as a plain tuple
 
     def index(self, letter):
         try:
-            return self.letters.index(letter)
+            return super().index(letter)
         except ValueError:
             raise ValidationError("letter %r not in alphabet" % (letter,)) from None
-
-
-_set_alphabet_letters = Alphabet.letters.__set__
 
 
 class DataWord:
@@ -123,6 +98,7 @@ class DataWord:
     __slots__ = ("letters", "classes")
 
     def __init__(self, letters, classes):
+        letters, classes = tuple(letters), tuple(classes)
         if len(letters) != len(classes):
             raise ValidationError("letters and classes must have equal length")
         seen = 0
@@ -146,8 +122,11 @@ class DataWord:
     def __repr__(self):
         return "%s(letters=%r, classes=%r)" % (type(self).__name__, self.letters, self.classes)
 
-    __setattr__ = Alphabet.__setattr__
-    __delattr__ = Alphabet.__delattr__
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
 
     def __reduce__(self):
         return type(self), (self.letters, self.classes)
@@ -186,7 +165,7 @@ def canonicalize(letters, labels) -> DataWord:
         if lab not in renum:
             renum[lab] = len(renum)
         classes.append(renum[lab])
-    return DataWord(letters, tuple(classes))
+    return DataWord(letters, classes)
 
 
 def prefix(w: DataWord, i) -> DataWord:

@@ -15,6 +15,7 @@ from regsafe.pipeline.oracle import frontier_step, initial_configs
 from regsafe import randgen
 
 AB = Alphabet(("a", "b"))
+UNCUT = 1 << 30  # a value bound above every count these tests reach
 
 
 def test_triple_make_normalizes():
@@ -182,7 +183,7 @@ def test_compiled_step_matches_triple_step():
             tokens = sum(n for _, n in sv)
             for letter in AB.letters:
                 src = _triple(cm, letter, mask, sv)
-                succ, truncated = cm.config_successors((mask, False), sv, letter)
+                succ, truncated = cm.config_successors((mask, False), sv, letter, UNCUT)
                 assert not truncated
                 got = []
                 for a, control, sv2, _ in succ:

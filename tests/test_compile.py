@@ -20,6 +20,7 @@ from regsafe.pipeline import (ara_to_ipcant, bounded_nonemptiness, compile as co
 from regsafe.pipeline.compile import family_structure, letter_free_cycle
 
 AB = Alphabet(("a", "b"))
+UNCUT = 1 << 30  # a value bound above every count these tests reach
 
 
 def _one_state(alphabet):
@@ -217,7 +218,7 @@ def test_resting_and_checkpoint_predicates():
     assert cm.is_resting((0, False)) and cm.is_resting((3, True))
     assert cm.is_checkpoint((0, True))
     assert not cm.is_checkpoint((0, False))
-    succ, truncated = cm.config_successors(cm.initial_control, ())
+    succ, truncated = cm.config_successors(cm.initial_control, (), None, UNCUT)
     assert not truncated
     # on a the current class keeps the co-state r: no checkpoint; on b every
     # thread closes, so the cycle passes the checkpoint and costs one more
@@ -238,14 +239,14 @@ def test_read_step_branch_budget(monkeypatch):
     })
     cm = ara_to_ipcant(aut)
     assert len(cm.read_images("a", 1)) == 2
-    assert cm.config_successors((0, False), ((1, BRANCH_BUDGET),), "a") == ([], True)
-    succ, truncated = cm.config_successors((0, False), ((1, 2),), "a")
+    assert cm.config_successors((0, False), ((1, BRANCH_BUDGET),), "a", UNCUT) == ([], True)
+    succ, truncated = cm.config_successors((0, False), ((1, 2),), "a", UNCUT)
     assert not truncated and succ
     # the compiled step reads the budget when it fires, as explicit ones do
     monkeypatch.setattr(ipcant.machine, "BRANCH_BUDGET", 6)
-    succ, truncated = cm.config_successors((0, False), ((1, 5),), "a")
+    succ, truncated = cm.config_successors((0, False), ((1, 5),), "a", UNCUT)
     assert not truncated and succ
-    assert cm.config_successors((0, False), ((1, 6),), "a") == ([], True)
+    assert cm.config_successors((0, False), ((1, 6),), "a", UNCUT) == ([], True)
 
 
 def _reference_read_splits(cm, letter, sv):
@@ -385,11 +386,11 @@ def test_materialized_machine_file_round_trip_random():
         lazy = _under(parsed, True)
         for control, sv in _reached_configs(m):
             for letter in (None,) + AB.letters:
-                for vcap in (None, 2):
+                for vcap in (UNCUT, 2):
                     want = m.config_successors(control, sv, letter, vcap)
                     assert parsed.config_successors(control, sv, letter, vcap) == want
-                exact_m, _ = m.config_successors(control, sv, letter)
-                lazy_p, _ = lazy.config_successors(control, sv, letter)
+                exact_m, _ = m.config_successors(control, sv, letter, UNCUT)
+                lazy_p, _ = lazy.config_successors(control, sv, letter, UNCUT)
                 assert all(s in lazy_p for s in exact_m)
                 assert all(s in exact_m or (s[2] == sv and s[1].startswith(("hold_", "read_")))
                            for s in lazy_p)
@@ -486,7 +487,7 @@ def _macro_resting(cm, depth):
     for _ in range(depth):
         nxt = set()
         for letters, control, sv in frontier:
-            succ, truncated = cm.config_successors(control, sv)
+            succ, truncated = cm.config_successors(control, sv, None, UNCUT)
             assert not truncated
             for label, c2, sv2, _ in succ:
                 nxt.add((letters + label, c2, sv2))
@@ -576,7 +577,7 @@ def _lettered_queries(cm, limit=40):
 @pytest.mark.parametrize("with_co", [False, True])
 def test_lettered_step_memo_matches_fresh_machines(with_co):
     """Every lettered step reached from the initial configuration, asked
-    twice on one machine under vcap None, 2 and 64 in turn, equals a fresh
+    twice on one machine under vcap UNCUT, 2 and 64 in turn, equals a fresh
     machine's answer, and the second ask is the memoized first one.  A memo
     key without the letter or the value cap would hand back another
     query's answer."""
@@ -587,7 +588,7 @@ def test_lettered_step_memo_matches_fresh_machines(with_co):
         co = aut.states[-1:] if with_co else None
         cm = ara_to_ipcant(aut, co_states=co)
         queries = _lettered_queries(ara_to_ipcant(aut, co_states=co))
-        for vcap in (None, 2, 64):
+        for vcap in (UNCUT, 2, 64):
             for control, sv, a in queries:
                 got = cm.config_successors(control, sv, a, vcap)
                 assert cm.config_successors(control, sv, a, vcap) is got

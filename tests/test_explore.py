@@ -22,6 +22,7 @@ from regsafe.pipeline import explore
 from regsafe.pipeline.explore import Antichain, successors
 
 AB = Alphabet(("a", "b"))
+UNCUT = 1 << 30  # a value bound above every count these tests reach
 
 
 def _bot_automaton():
@@ -75,6 +76,22 @@ def test_nonemptiness_start_override(data_text):
     assert control == "p" and sv == ()
     assert bounded_nonemptiness(machine, cap=50,
                                 start=("p", ((0, 3),))) is Nonemptiness.NONEMPTY
+
+
+def test_bounds_below_one_are_refused(fig1):
+    """Every search raises ValueError on a cap or vcap below 1.  The parsed
+    one-state machine with no transition has no run, so at cap 1 it is
+    empty."""
+    machine = parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n")
+    assert not machine.transitions
+    for bad in ({"cap": 0}, {"cap": -1}, {"vcap": 0}):
+        with pytest.raises(ValueError):
+            bounded_nonemptiness(machine, **bad)
+        with pytest.raises(ValueError):
+            inclusion_check(fig1, fig1, **bad)
+    with pytest.raises(ValueError):
+        prefix_reachable(machine, ("a",), vcap=0)
+    assert bounded_nonemptiness(machine, cap=1) is Nonemptiness.EMPTY
 
 
 def test_prefix_reachable_file_machine(data_text):
@@ -156,6 +173,23 @@ def test_inclusion_self(fig1):
     assert res.converged
     # the dual obligations never fully discharge along minimal configurations
     assert res.checkpoints == 0
+
+
+def test_saturation_result_fields_and_repr(fig1):
+    """fig1 in fig1: the five fields by name and in order, a repr without
+    the chains, no assignment, and s_last spelled out from the chains."""
+    res = inclusion_check(fig1, fig1)
+    assert repr(res) == ("SaturationResult(verdict=<Inclusion.INCLUDED: 'included'>, "
+                         "explored=1275, converged=True, checkpoints=0)")
+    verdict, explored, converged, checkpoints, chains = res
+    assert (verdict, explored, converged, checkpoints) == (
+        res.verdict, res.explored, res.converged, res.checkpoints)
+    assert chains is res.chains and len(chains) > 1
+    with pytest.raises(AttributeError):
+        res.explored = 0
+    assert res.s_last == tuple((control, sv) for control, chain in chains.items()
+                               for sv in chain)
+    assert len(res.s_last) > len(chains)
 
 
 def test_inclusion_strict(fig1, top_automaton):
@@ -540,7 +574,7 @@ def test_explicit_steps_keep_the_canonical_form():
                 for lazy in (False, True):
                     one = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", t.instr, "p")],
                                          check_transfers="off", lazy=lazy)
-                    succ, _ = one.config_successors("p", sv)
+                    succ, _ = one.config_successors("p", sv, None, UNCUT)
                     assert all(_canonical(sv2) for _, _, sv2, _ in succ)
                     steps += len(succ)
                     same = _is_identity(t.instr, st.counters) or (
@@ -596,7 +630,7 @@ def test_compiled_steps_keep_the_canonical_form(with_co):
             for src, ts in by_src.items():
                 if not all(t.instr == Transfer(()) or isinstance(t.instr, Dec) for t in ts):
                     continue
-                succ, _ = lazy.config_successors(src, sv)
+                succ, _ = lazy.config_successors(src, sv, None, UNCUT)
                 assert len(succ) == len(ts)  # one successor each under the lazy relation
                 for t, (_, _, sv2, _) in zip(ts, succ):
                     if t.instr == Transfer(()) or \

@@ -20,6 +20,8 @@ from regsafe import ipcant, randgen
 from regsafe.ara import parse_automaton
 from regsafe.pipeline import ara_to_ipcant
 
+UNCUT = 1 << 30  # a value bound above every count these tests reach
+
 
 def _vals(results):
     return {tuple(v.values) for v in results}
@@ -456,7 +458,7 @@ def test_instruction_memo_across_kept_lines():
     both = parse_machine(text)
     assert both.transitions[0] is one and both.transitions[1] is two
     assert ipcant.fileformat._parse_instr.cache_info().currsize == 1
-    assert both.config_successors("p", ()) == (
+    assert both.config_successors("p", (), None, UNCUT) == (
         [("a", "p", ((0, 1),), 1), ("b", "p", ((0, 1),), 1)], False)
     assert format_machine(both) == text
 
@@ -503,7 +505,7 @@ def test_machine_verdicts_match_check_distributive():
         if other != src:
             v = v._with(st.index[other], rng.randint(0, 1))
         sv = tuple((i, n) for i, n in enumerate(v.values) if n)
-        successors, truncated = m.config_successors("p", sv)
+        successors, truncated = m.config_successors("p", sv, None, UNCUT)
         assert not truncated
         assert sorted(list(post) for _, _, post, _ in successors) == \
             sorted(sorted((i, n) for i, n in enumerate(w.values) if n) for w in fire(v, t))

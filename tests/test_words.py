@@ -28,7 +28,10 @@ def test_alphabets_and_words_are_values():
     """Equal when of one class with equal fields, with equal hashes; frozen;
     back equal from pickle, copy and deepcopy; the reprs the fields give."""
     cases = [(Alphabet(("a", "b")), Alphabet(("a", "b")), Alphabet(("b", "a")), "letters"),
-             (DataWord(("a",), (0,)), DataWord(("a",), (0,)), DataWord(("b",), (0,)), "classes")]
+             (Alphabet(["a", "b"]), Alphabet(("a", "b")), Alphabet(["b", "a"]), "letters"),
+             (DataWord(("a",), (0,)), DataWord(("a",), (0,)), DataWord(("b",), (0,)), "classes"),
+             (DataWord(["a", "b"], [0, 1]), DataWord(("a", "b"), (0, 1)),
+              DataWord(["a", "b"], [0, 0]), "classes")]
     for value, alike, other, field in cases:
         assert alike is not value and alike == value and hash(alike) == hash(value)
         assert value != other and not value == other
@@ -39,6 +42,30 @@ def test_alphabets_and_words_are_values():
     assert Alphabet(("a",)) != DataWord(("a",), (0,))
     assert repr(Alphabet(("a", "b"))) == "Alphabet(letters=('a', 'b'))"
     assert repr(DataWord(("a",), (0,))) == "DataWord(letters=('a',), classes=(0,))"
+
+
+def test_alphabet_is_a_validated_tuple():
+    """Built from a list, a tuple or an Alphabet, an Alphabet is one value
+    with one hash, equal to the plain tuple of its letters, and stays an
+    Alphabet through pickle, copy and deepcopy; its letters are a plain
+    tuple; it refuses assignment and names an absent letter in a
+    ValidationError."""
+    built = [Alphabet(["a", "b"]), Alphabet(("a", "b")), Alphabet(Alphabet(("a", "b")))]
+    for ab in built:
+        assert ab == built[0] and hash(ab) == hash(built[0]) and type(ab) is Alphabet
+        assert ab == ("a", "b") and hash(ab) == hash(("a", "b"))
+        for back in (pickle.loads(pickle.dumps(ab)), copy.copy(ab), copy.deepcopy(ab)):
+            assert back == ab and hash(back) == hash(ab) and type(back) is Alphabet
+        assert ab.letters == ("a", "b") and type(ab.letters) is tuple
+        assert list(ab) == ["a", "b"] and len(ab) == 2 and "b" in ab
+        with pytest.raises(AttributeError):
+            ab.letters = ("c",)
+        with pytest.raises(AttributeError):
+            ab.extra = 1
+        with pytest.raises(ValidationError):
+            ab.index("c")
+    with pytest.raises(ValidationError):
+        Alphabet(["a", "a"])
 
 
 def test_canonicalize_renumbers_by_first_occurrence():
