@@ -26,6 +26,8 @@ FLAGS = ("up", "nup")
 
 STEP_MEMO = 1024  # the most entries one (letter, flag) step of run_exists keeps
 
+_BOT = pb.Bot()  # the formula of an absent entry
+
 
 class AlternatingAutomaton:
     """States, one initial state, and a transition table
@@ -66,7 +68,7 @@ class AlternatingAutomaton:
                                           % (phi.state,))
 
     def delta_at(self, q, a, flag) -> pb.PosBool:
-        return self.delta.get((q, a, flag), pb.Bot())
+        return self.delta.get((q, a, flag), _BOT)
 
     def models_at(self, q, a, flag):
         """Minimal satisfying pairs of delta_at as pairs of state-name sets,
@@ -80,21 +82,20 @@ class AlternatingAutomaton:
 
 class _Steps(dict):
     """steps[a]: the _Step of letter a under one register flag, folding the
-    minimal models of every state the first time a word reads a."""
+    minimal models of every state the first time a word reads a, under the
+    state-bit map built once with the _Steps."""
 
-    __slots__ = ("states", "delta", "flag")
+    __slots__ = ("states", "delta", "flag", "bit")
 
     def __init__(self, states, delta, flag):
         self.states, self.delta, self.flag = states, delta, flag
+        self.bit = {q: 1 << i for i, q in enumerate(states)}
 
     def __missing__(self, a):
-        n = len(self.states)
-        bit = {q: 1 << i for i, q in enumerate(self.states)}
-        bot = pb.Bot()
-        flag = self.flag
+        n, bit, delta, flag = len(self.states), self.bit, self.delta, self.flag
         step = self[a] = _Step(tuple(
             (i, kept | refrozen << n) for i, q in enumerate(self.states)
-            for kept, refrozen in pb.minimal_models(self.delta.get((q, a, flag), bot), bit)))
+            for kept, refrozen in pb.minimal_models(delta.get((q, a, flag), _BOT), bit)))
         return step
 
 
@@ -211,11 +212,10 @@ def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction):
     delta = dict(a1.delta)
     for (q, a, flag), phi in a2.delta.items():
         delta[(r2[q], a, flag)] = pb.rebuild(phi, leaf) if renamed else phi
-    bot = pb.Bot()
     for a in a1.alphabet:
         for flag in FLAGS:
-            lhs = delta.get((a1.initial, a, flag), bot)
-            rhs = delta.get((r2[a2.initial], a, flag), bot)
+            lhs = delta.get((a1.initial, a, flag), _BOT)
+            rhs = delta.get((r2[a2.initial], a, flag), _BOT)
             delta[(init, a, flag)] = junction(lhs, rhs)
     states = (init,) + a1.states + tuple(r2[q] for q in a2.states)
     aut = AlternatingAutomaton(a1.alphabet, states, init, delta)
@@ -305,17 +305,16 @@ def format_automaton(aut: AlternatingAutomaton) -> str:
         "states: " + " ".join(aut.states),
         "initial: " + aut.initial,
     ]
-    bot = pb.Bot()
     for q in aut.states:
         for a in aut.alphabet.letters:
             up = aut.delta_at(q, a, "up")
             nup = aut.delta_at(q, a, "nup")
             if up == nup:
-                if up != bot:
+                if up != _BOT:
                     lines.append("%s, %s, * -> %s" % (q, a, pb.format_posbool(up)))
             else:
-                if up != bot:
+                if up != _BOT:
                     lines.append("%s, %s, up -> %s" % (q, a, pb.format_posbool(up)))
-                if nup != bot:
+                if nup != _BOT:
                     lines.append("%s, %s, nup -> %s" % (q, a, pb.format_posbool(nup)))
     return "\n".join(lines) + "\n"

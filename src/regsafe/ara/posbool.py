@@ -4,14 +4,13 @@ the register to the current position's class).
 
 A model is a pair of state sets (plain, fresh); there is no negation, so the
 set of models is upward closed and is represented by its minimal elements.
-minimal_models folds a formula to them either as pairs of frozensets of
-state names (the reference procedures) or, given each state's bit, as pairs
-of int masks (run_exists and the compiled machine), with one join for both.
-The same fold gives the minimal models of a formula's dual (Top and Bot,
-And and Or exchanged) without building the dual formula.
+minimal_models computes them in one loop on its own stack, safe on formulas
+nested deeper than the call stack, for two kinds of atom: pairs of frozensets
+of state names (the reference procedures) or, given each state's bit, pairs
+of int masks (run_exists and the compiled machine).  The same loop gives the
+minimal models of a formula's dual (Top and Bot, And and Or exchanged)
+without building the dual formula.
 """
-
-from functools import partial
 
 from ..errors import ParseError
 from ..tree import Node, fold, infix_printer, node, parse_infix, tokenize
@@ -99,55 +98,47 @@ def minimal_models(phi: PosBool, bit=None, dual=False):
     With no bit, each side is a frozenset of state names and the pairs are
     canonically ordered by their sorted names.  With bit, a mapping from
     each state to its own bit (1 << i), each side is the int mask of its
-    states, the pairs (kept mask, refrozen mask) in ascending order.  One
-    fold computes both: its join and minimisation use only | and ==, which
-    act alike on sets and on masks (c is below a iff c | a == a).
+    states, the pairs (kept mask, refrozen mask) in ascending order.  Only
+    the atoms differ, a state's singleton set or its bit: the join and the
+    minimisation use only | and ==, which act alike on sets and on masks (c
+    is below a iff c | a == a).
 
-    With dual, the result is minimal_models(dual(phi), bit), folded from phi
-    itself without building its dual: Top gets the models of Bot and Bot
-    those of Top, And joins as Or and Or as And."""
-    true, join = _DUAL_FOLD if dual else _FOLD
+    With dual, the result is minimal_models(dual(phi), bit), computed from
+    phi itself without building its dual: Top gets the models of Bot and
+    Bot those of Top, And joins as Or and Or as And.
+
+    One explicit-stack loop, so any depth folds: an inner node's operands
+    are pushed above a marker, True when their model sets are joined by
+    union and False when by conjunction."""
+    atom, empty = (lambda q: frozenset((q,)), frozenset()) if bit is None else (bit.__getitem__, 0)
+    union, true = (And, Bot) if dual else (Or, Top)
+    done = []  # the model sets of the finished operands, left to right
+    todo = [phi]
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is bool:
+            right = done.pop()
+            left = done[-1]
+            done[-1] = _minimize(left | right) if g else _conjoin(left, right)
+        elif kind is And or kind is Or:
+            todo += (kind is union, g.rhs, g.lhs)
+        elif kind is Ref:
+            done.append({(atom(g.state), empty)})
+        elif kind is DownRef:
+            done.append({(empty, atom(g.state))})
+        else:
+            done.append({(empty, empty)} if kind is true else set())
+    models, = done
     if bit is None:
-        pairs = fold(phi, partial(_name_leaf, true), join)
-        return tuple(sorted(pairs, key=lambda p: (sorted(p[0]), sorted(p[1]))))
-    return tuple(sorted(fold(phi, partial(_mask_leaf, bit, true), join)))
+        return tuple(sorted(models, key=lambda p: (sorted(p[0]), sorted(p[1]))))
+    return tuple(sorted(models))
 
 
 def conjoin_models(left, right):
     """The minimal models of And(l, r) from minimal_models(l, bit) and
     minimal_models(r, bit), as ascending mask pairs."""
     return tuple(sorted(_conjoin(left, right)))
-
-
-_EMPTY = frozenset()
-
-
-# leaves: `true` is the constant whose models are {(empty, empty)}, Top or,
-# for the dual fold, Bot; the other constant has none
-def _name_leaf(true, g):
-    kind = type(g)
-    if kind is Ref:
-        return {(frozenset([g.state]), _EMPTY)}
-    if kind is DownRef:
-        return {(_EMPTY, frozenset([g.state]))}
-    return {(_EMPTY, _EMPTY)} if kind is true else set()
-
-
-def _mask_leaf(bit, true, g):
-    kind = type(g)
-    if kind is Ref:
-        return {(bit[g.state], 0)}
-    if kind is DownRef:
-        return {(0, bit[g.state])}
-    return {(0, 0)} if kind is true else set()
-
-
-# joins: `union` is the node whose models are the union of its sides', Or
-# or, for the dual fold, And; the other node conjoins them
-def _models_join(union, g, left, right):
-    if type(g) is union:
-        return _minimize(left | right)
-    return _conjoin(left, right)
 
 
 def _conjoin(left, right):
@@ -160,10 +151,6 @@ def _minimize(pairs):
     return {p for p in pairs
             if not any(q is not p and q[0] | p[0] == p[0] and q[1] | p[1] == p[1]
                        for q in pairs)}
-
-
-_FOLD = (Top, partial(_models_join, Or))
-_DUAL_FOLD = (Bot, partial(_models_join, And))
 
 
 _BINARY = {"|": (0, Or, False), "&": (1, And, False)}

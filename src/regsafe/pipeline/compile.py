@@ -34,16 +34,20 @@ language inclusion.
 
 The minimal models of each state's transition formulas are folded straight
 to (kept mask, refrozen mask) pairs, a state's bit being 1 << its index
-(posbool.minimal_models with the machine's bit map), and read_images and
-here_sets join them per thread set, walking only the set bits of its
-mask.  Each state's row says where its formulas come from (Row): a
-transition table, the state's name in it and the bit map of that table's
-names, and whether the row is dualized.  A machine folds each distinct
-formula once per dual flag, however many (state, letter, flag) entries
-hold it: the fold memo is keyed by (formula, dual), which is sound because
-the rows with one dual flag share one bit map (see Row).  read_images and
-here_sets are kept per letter in int-keyed tables (thread-set mask ->
-result), which config_successors reads inline.
+(posbool.minimal_models with the machine's bit map), into one list per
+(letter, flag) with an entry per state, filled on first use.  read_images
+and here_sets join them per thread set, fetching that list once and walking
+only the set bits of the mask: the threads with one model add the same pair
+to every union, so they are ORed into one pair, only the threads with
+several models multiply, and a thread with none empties the result.  Each
+state's row says where its formulas come from (Row): a transition table,
+the state's name in it and the bit map of that table's names, and whether
+the row is dualized.  A machine folds each distinct formula once per dual
+flag, however many (state, letter, flag) entries hold it: the fold memo is
+keyed by (formula, dual), which is sound because the rows with one dual
+flag share one bit map (see Row).  read_images and here_sets are kept per
+letter in int-keyed tables (thread-set mask -> result), which
+config_successors reads inline.
 
 The inclusion product of a1 with the dual of a2 is compiled straight from
 the two automata (product_machine), with no dual or product formula built,
@@ -155,7 +159,8 @@ class CompiledMachine:
         # current class's deposit, shift, [next,] pick; the checkpoint adds one
         self._cycle_steps = self.n + 5 + (1 if self.co_states else 0)
         self._folds = {}  # (formula, dual) -> its minimal models under the rows' bit map
-        self._mm = {}  # (state index, letter, flag) -> the state's minimal models
+        n = self.n
+        self._mm = defaultdict(lambda: [None] * n)  # (letter, flag) -> models by state index
         self._reads = defaultdict(dict)  # letter -> {thread-set mask: read_images}
         self._heres = defaultdict(dict)  # letter -> {thread-set mask: here_sets}
         self._lettered = {}  # (control, sv, letter, vcap) -> lettered step
@@ -186,10 +191,10 @@ class CompiledMachine:
 
     # minimal models as (kept mask, refrozen mask) pairs, folded straight
     # to masks from the state's row, each distinct formula once per dual
-    # flag (see Row)
+    # flag (see Row), into the (letter, flag) list of an entry per state
     def _models(self, qi, letter, flag):
-        key = (qi, letter, flag)
-        models = self._mm.get(key)
+        entries = self._mm[letter, flag]
+        models = entries[qi]
         if models is None:
             row = self._rows[qi]
             if type(row) is Row:
@@ -203,24 +208,32 @@ class CompiledMachine:
                 i, j = row
                 models = pb.conjoin_models(self._models(i, letter, flag),
                                            self._models(j, letter, flag))
-            self._mm[key] = models
+            entries[qi] = models
         return models
 
     def _model_unions(self, letter, mask, flag):
         """The (kept mask, refrozen mask) unions of one minimal model per
         thread of `mask` on the letter under the register flag; empty when
-        some thread has no model."""
-        per_state = []
+        some thread has no model (see the module docstring)."""
+        entries = self._mm[letter, flag]
+        kept = refrozen = 0
+        multi = []
         while mask:  # the set bits, lowest first
             low = mask & -mask
-            models = self._models(low.bit_length() - 1, letter, flag)
-            if not models:
-                return set()
-            per_state.append(models)
             mask ^= low
-        pairs = {(0, 0)}
-        for models in per_state:
-            pairs = {(k | pm, m | fm) for k, m in pairs for pm, fm in models}
+            qi = low.bit_length() - 1
+            models = entries[qi] or self._models(qi, letter, flag)
+            if len(models) == 1:
+                (k, m), = models
+                kept |= k
+                refrozen |= m
+            elif models:
+                multi.append(models)
+            else:
+                return set()
+        pairs = {(kept, refrozen)}
+        for models in multi:
+            pairs = {(k | pk, m | pm) for k, m in pairs for pk, pm in models}
         return pairs
 
     def read_images(self, letter, mask):

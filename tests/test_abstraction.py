@@ -163,40 +163,67 @@ def _above(big, small):
                for perm in permutations(theirs, len(mine)))
 
 
+def _compiled_step_against_triple_step(rng, aut, sources, converse=None):
+    """Steps `sources` random configurations of aut's machine on every
+    letter.  Forward: triple_step accepts every successor.  Converse: every
+    candidate triple it accepts, with at most one class more than the
+    source, lies above some successor; the candidates are all of them, or
+    `converse` of them per source and letter, drawn by rng.  Returns the
+    numbers of successors and of accepted candidates."""
+    cm = ara_to_ipcant(aut)
+    full = range(1 << cm.n)
+    heres = [_states(cm, m) for m in full]
+    successors = accepted = 0
+    for _ in range(sources):
+        mask = rng.choice(full)
+        sv = tuple(sorted(Counter(rng.choice(full) for _ in range(rng.randint(0, 2))).items()))
+        tokens = sum(n for _, n in sv)
+        for letter in AB.letters:
+            src = _triple(cm, letter, mask, sv)
+            succ, truncated = cm.config_successors((mask, False), sv, letter, UNCUT)
+            assert not truncated
+            got = []
+            for a, control, sv2, _ in succ:
+                dst = _triple(cm, a, control[0], sv2)
+                assert triple_step(aut, src, dst), (format_automaton(aut), src, dst)
+                got.append(dst)
+            successors += len(got)
+            candidates = [(here, sets) for here in heres for size in range(tokens + 2)
+                          for sets in combinations_with_replacement(heres[1:], size)]
+            if converse is not None:
+                candidates = rng.sample(candidates, min(converse, len(candidates)))
+            for here, sets in candidates:
+                dst = AbstractionTriple.make(letter, here, Counter(sets))
+                if triple_step(aut, src, dst):
+                    accepted += 1
+                    assert any(_above(dst, s) for s in got), (format_automaton(aut), src, dst)
+    return successors, accepted
+
+
 def test_compiled_step_matches_triple_step():
     """The compiled letter step against the counting abstraction it stands
-    for.  Forward: triple_step accepts every successor of
-    CompiledMachine.config_successors.  Converse: every triple it accepts
-    with at most one class more than the source lies above some successor.
-    Equality would be too strong, since triple_step also steps by
-    non-minimal models, which the compiled step leaves out."""
+    for (_compiled_step_against_triple_step), on seeded automata of up to 2
+    states with every candidate triple, and on seeded 3-state ones, whose
+    3-thread masks join threads of one model with threads of several in
+    one union, with a sample of the candidates.  Equality would be too
+    strong, since triple_step also steps by non-minimal models, which the
+    compiled step leaves out."""
     rng = random.Random(5)
     successors = accepted = 0
     for _ in range(100):
-        aut = randgen.random_automaton(rng, AB, max_states=2)
-        cm = ara_to_ipcant(aut)
-        full = range(1 << cm.n)
-        heres = [_states(cm, m) for m in full]
-        for _ in range(5):
-            mask = rng.choice(full)
-            sv = tuple(sorted(Counter(rng.choice(full) for _ in range(rng.randint(0, 2))).items()))
-            tokens = sum(n for _, n in sv)
-            for letter in AB.letters:
-                src = _triple(cm, letter, mask, sv)
-                succ, truncated = cm.config_successors((mask, False), sv, letter, UNCUT)
-                assert not truncated
-                got = []
-                for a, control, sv2, _ in succ:
-                    dst = _triple(cm, a, control[0], sv2)
-                    assert triple_step(aut, src, dst), (format_automaton(aut), src, dst)
-                    got.append(dst)
-                successors += len(got)
-                for here in heres:
-                    for size in range(tokens + 2):
-                        for sets in combinations_with_replacement(heres[1:], size):
-                            dst = AbstractionTriple.make(letter, here, Counter(sets))
-                            if triple_step(aut, src, dst):
-                                accepted += 1
-                                assert any(_above(dst, s) for s in got), (
-                                    format_automaton(aut), src, dst)
+        got = _compiled_step_against_triple_step(
+            rng, randgen.random_automaton(rng, AB, max_states=2), 5)
+        successors += got[0]
+        accepted += got[1]
     assert successors >= 2000 and accepted > 0
+    rng = random.Random(6)
+    successors = accepted = three = 0
+    while three < 20:
+        aut = randgen.random_automaton(rng, AB, max_states=3)
+        if len(aut.states) < 3:
+            continue
+        three += 1
+        got = _compiled_step_against_triple_step(rng, aut, 4, converse=16)
+        successors += got[0]
+        accepted += got[1]
+    assert successors >= 300 and accepted >= 50

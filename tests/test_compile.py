@@ -16,7 +16,8 @@ from regsafe.ipcant import (BRANCH_BUDGET, EPS, Transfer, Valuation, check_distr
                             split_tokens)
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import (ara_to_ipcant, bounded_nonemptiness, compile as compile_module,
-                              explore, inclusion_check, prefix_reachable, product_machine)
+                              encode_tm_run, explore, inclusion_check, parse_tm,
+                              prefix_reachable, product_machine, tm_alphabet, tm_to_formula)
 from regsafe.pipeline.compile import family_structure, letter_free_cycle
 
 AB = Alphabet(("a", "b"))
@@ -673,13 +674,23 @@ def _with_shared_formulas(rng, aut):
     return AlternatingAutomaton(aut.alphabet, aut.states, aut.initial, delta)
 
 
-def test_folds_match_fresh_folds_on_machines_and_products():
+def test_folds_match_fresh_folds_on_machines_and_products(monkeypatch):
     """Machines of seeded 1-3-state automata, some with a formula shared by
     two flags or by two entries, and their product machines, which have dual
-    rows: asked in a random order, every per-state models entry equals a
-    fresh fold, and every read_images and here_sets entry the unions of
-    fresh folds over every bit.  The rows with one dual flag share one bit
-    map, which the fold memo's (formula, dual) key relies on."""
+    rows: asked in a random order, every read_images and here_sets entry
+    equals the unions of fresh folds over every bit, each distinct (formula,
+    dual) is folded exactly once, and every entry of every (letter, flag)
+    list of per-state models is filled and equals a fresh fold.  The rows
+    with one dual flag share one bit map, which the fold memo's (formula,
+    dual) key relies on."""
+    folded = []
+    fold = pb.minimal_models
+
+    def recording_fold(phi, bit=None, dual=False):
+        folded.append((phi, dual))
+        return fold(phi, bit, dual)
+
+    monkeypatch.setattr(pb, "minimal_models", recording_fold)
     rng = random.Random(47)
     sizes, products = set(), 0
     for _ in range(60):
@@ -693,16 +704,54 @@ def test_folds_match_fresh_folds_on_machines_and_products():
             products += any(row.dual for row in rows)
             asks = [(letter, mask) for letter in AB.letters for mask in range(1 << cm.n)]
             rng.shuffle(asks)
-            for letter, mask in asks:
+            del folded[:]
+            got = [(cm.read_images(letter, mask), cm.here_sets(letter, mask))
+                   for letter, mask in asks]
+            made = list(folded)
+            for (letter, mask), (images, here_sets) in zip(asks, got):
                 read = _every_bit_unions(cm, letter, mask, "nup")
                 here = _every_bit_unions(cm, letter, mask, "up")
-                assert cm.read_images(letter, mask) == tuple(sorted(read))
-                assert cm.here_sets(letter, mask) == tuple(sorted({k | m for k, m in here}))
-            assert len(cm._mm) == 2 * 2 * cm.n
-            for (qi, letter, flag), models in cm._mm.items():
-                assert models == _fresh_models(cm, qi, letter, flag)
-            assert set(cm._folds) == {
+                assert images == tuple(sorted(read))
+                assert here_sets == tuple(sorted({k | m for k, m in here}))
+            assert len(made) == len(set(made))
+            assert set(made) == set(cm._folds) == {
                 (row.delta.get((row.name, letter, flag), pb.Bot()), row.dual)
                 for row in rows for letter in AB.letters for flag in ("up", "nup")}
+            assert sorted(cm._mm) == sorted(product(AB.letters, ("up", "nup")))
+            for (letter, flag), entries in cm._mm.items():
+                assert len(entries) == cm.n
+                for qi, models in enumerate(entries):
+                    assert models == _fresh_models(cm, qi, letter, flag)
     assert sizes == {1, 2, 3, 4, 5, 6, 7}
     assert products == 120
+
+
+def test_large_masks_join_single_models_exactly(data_text, monkeypatch):
+    """The bouncer formula's machine while prefix_reachable reads the first
+    12 letters of the machine's run: its masks hold dozens of threads, most
+    with one minimal model, some with two and some with none.  Every
+    read_images and here_sets entry it computes equals the plain product,
+    over the mask's threads, of fresh folds, with no thread's single model
+    joined first."""
+    bouncer = parse_tm(data_text("bouncer.tm"))
+    cm = ara_to_ipcant(ltl_to_ara(tm_to_formula(bouncer), tm_alphabet(bouncer)))
+    asked = set()
+    for name, flag in (("read_images", "nup"), ("here_sets", "up")):
+        def recording(letter, mask, compute=getattr(cm, name), flag=flag):
+            asked.add((letter, mask, flag))
+            return compute(letter, mask)
+        monkeypatch.setattr(cm, name, recording)
+    assert prefix_reachable(cm, encode_tm_run(bouncer, 2).letters[:12])
+    monkeypatch.undo()
+    mixes = set()  # per mask of 30 threads or more: its threads' model counts, 2 meaning more
+    for letter, mask, flag in asked:
+        pairs = _every_bit_unions(cm, letter, mask, flag)
+        if flag == "nup":
+            assert cm.read_images(letter, mask) == tuple(sorted(pairs))
+        else:
+            assert cm.here_sets(letter, mask) == tuple(sorted({k | m for k, m in pairs}))
+        counts = [min(len(_fresh_models(cm, i, letter, flag)), 2)
+                  for i in range(cm.n) if mask >> i & 1]
+        if len(counts) >= 30:
+            mixes.add(frozenset(counts))
+    assert any({1, 2} <= mix for mix in mixes) and any(0 in mix for mix in mixes)
