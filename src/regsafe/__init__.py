@@ -9,14 +9,12 @@ from .words import (
     DataWord,
     canonicalize,
     parse_word,
-    prefix,
     print_word,
 )
 from .ltl import (
     PrefixVerdict,
     evaluate_prefix,
     is_sentence,
-    monitor_prefix,
     parse_formula,
     print_formula,
 )
@@ -26,12 +24,10 @@ __all__ = [
     "DataWord",
     "canonicalize",
     "parse_word",
-    "prefix",
     "print_word",
     "PrefixVerdict",
     "evaluate_prefix",
     "is_sentence",
-    "monitor_prefix",
     "parse_formula",
     "print_formula",
     "__version__",

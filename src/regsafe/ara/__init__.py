@@ -5,9 +5,7 @@ continue)."""
 from . import posbool
 from .automaton import (
     AlternatingAutomaton,
-    dualize,
     format_automaton,
-    inclusion_product,
     intersect,
     parse_automaton,
     run_exists,
@@ -18,9 +16,7 @@ from .translate import ltl_to_ara
 __all__ = [
     "AlternatingAutomaton",
     "posbool",
-    "dualize",
     "format_automaton",
-    "inclusion_product",
     "intersect",
     "parse_automaton",
     "run_exists",

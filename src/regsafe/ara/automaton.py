@@ -15,7 +15,8 @@ backwards from the end of the word, as alternation is evaluated over a
 finite input (Chandra, Kozen and Stockmeyer, 1981): no search over the
 threads' choices, one mask of alive states per data class.  The definition's
 forward step on configuration sets, the product of the models of every live
-thread, is pipeline.oracle.frontier_step, kept there as a reference.
+thread, is pipeline.oracle.frontier_step, kept there as a reference; the
+dual automaton and the inclusion product built from it are reference.ara's.
 """
 
 from ..errors import ParseError, ValidationError
@@ -39,7 +40,6 @@ class AlternatingAutomaton:
         self.states = tuple(states)
         self.initial = initial
         self.delta = dict(delta)
-        self._models = {}
         self._steps = None  # run_exists's (up _Steps, nup _Steps, initial index)
         known = set(self.states)
         if len(known) != len(self.states):
@@ -69,15 +69,6 @@ class AlternatingAutomaton:
 
     def delta_at(self, q, a, flag) -> pb.PosBool:
         return self.delta.get((q, a, flag), _BOT)
-
-    def models_at(self, q, a, flag):
-        """Minimal satisfying pairs of delta_at as pairs of state-name sets,
-        cached in _models.  Reference only: pipeline.abstraction and the
-        tests use it; run_exists folds its own mask models (_Steps)."""
-        key = (q, a, flag)
-        if key not in self._models:
-            self._models[key] = pb.minimal_models(self.delta_at(q, a, flag))
-        return self._models[key]
 
 
 class _Steps(dict):
@@ -218,36 +209,15 @@ def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction):
             rhs = delta.get((r2[a2.initial], a, flag), _BOT)
             delta[(init, a, flag)] = junction(lhs, rhs)
     states = (init,) + a1.states + tuple(r2[q] for q in a2.states)
-    aut = AlternatingAutomaton(a1.alphabet, states, init, delta)
-    return aut, tuple(r2[q] for q in a2.states)
+    return AlternatingAutomaton(a1.alphabet, states, init, delta)
 
 
 def intersect(a1, a2) -> AlternatingAutomaton:
-    return _combine(a1, a2, pb.And)[0]
+    return _combine(a1, a2, pb.And)
 
 
 def union(a1, a2) -> AlternatingAutomaton:
-    return _combine(a1, a2, pb.Or)[0]
-
-
-def inclusion_product(a1, a2):
-    """a1 conjoined with the dual of a2, with the names of the dual
-    component's states; a word witnesses non-inclusion exactly when the
-    product has a run that at some point drops every thread in those states
-    and still continues forever.  Reference route: inclusion_check compiles
-    this product from a1 and a2 (pipeline.compile.product_machine)."""
-    return _combine(a1, dualize(a2), pb.And)
-
-
-def dualize(aut: AlternatingAutomaton) -> AlternatingAutomaton:
-    """Swap and/or and true/false in every entry.  Entries absent from the
-    table are false, so the dual table must list their duals explicitly."""
-    delta = {}
-    for q in aut.states:
-        for a in aut.alphabet:
-            for flag in FLAGS:
-                delta[(q, a, flag)] = pb.dual(aut.delta_at(q, a, flag))
-    return AlternatingAutomaton(aut.alphabet, aut.states, aut.initial, delta)
+    return _combine(a1, a2, pb.Or)
 
 
 def parse_automaton(text) -> AlternatingAutomaton:

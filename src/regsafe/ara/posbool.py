@@ -103,9 +103,9 @@ def minimal_models(phi: PosBool, bit=None, dual=False):
     minimisation use only | and ==, which act alike on sets and on masks (c
     is below a iff c | a == a).
 
-    With dual, the result is minimal_models(dual(phi), bit), computed from
-    phi itself without building its dual: Top gets the models of Bot and
-    Bot those of Top, And joins as Or and Or as And.
+    With dual, the result is minimal_models(reference.ara.dual(phi), bit),
+    computed from phi itself without building its dual: Top gets the
+    models of Bot and Bot those of Top, And joins as Or and Or as And.
 
     One explicit-stack loop, so any depth folds: an inner node's operands
     are pushed above a marker, True when their model sets are joined by
@@ -212,20 +212,3 @@ def rebuild(phi: PosBool, leaf) -> PosBool:
 def _same_join(g, lhs, rhs):
     return type(g)(lhs, rhs)
 
-
-def _swapped_join(g, lhs, rhs):
-    return (Or if type(g) is And else And)(lhs, rhs)
-
-
-def _dual_leaf(g):
-    kind = type(g)
-    if kind is Top:
-        return Bot()
-    if kind is Bot:
-        return Top()
-    return g
-
-
-def dual(phi: PosBool) -> PosBool:
-    """Swap conjunction with disjunction and true with false."""
-    return fold(phi, _dual_leaf, _swapped_join)

@@ -2,10 +2,10 @@
 
 One subcommand per pipeline stage; verdict-producing commands exit 0 on the
 positive verdict, 1 on the negative one and 2 on unknown.  Usage problems
-exit 64; input files that fail to parse or validate exit 65, and so do the
-two inputs of include or refine when their alphabets differ.  Formula files
-of any nesting depth get an answer.  With --format json every result is
-emitted as one JSON record per line instead of plain text.
+exit 64; input files and words that fail to parse or validate exit 65, and
+so do the two inputs of include or refine when their alphabets differ.
+Formula files of any nesting depth get an answer.  With --format json every
+result is emitted as one JSON record per line instead of plain text.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .errors import ParseError, RegsafeError, ValidationError
 from .words import Alphabet, parse_word, print_word
 from . import ltl
 from .ara import format_automaton, ltl_to_ara, parse_automaton, run_exists
-from .ipcant import bound_log2, bound_params, format_machine, parse_machine
+from .ipcant import bound_log2, bound_log2_log2, bound_params, format_machine, parse_machine
 from .pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                        bounded_nonemptiness, config_length, encode_tm_run,
                        inclusion_check, oracle_run_exists, parse_tm, tm_alphabet,
@@ -83,7 +83,7 @@ def _load(parse, path):
 
 def _emit(inv, text_lines, record):
     if inv.fmt == "json":
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(record, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -94,6 +94,9 @@ _NEGATIVE = {"NO", "EMPTY", "NOT_INCLUDED", "MISMATCH"}
 
 # largest bound, in bits, that `bound` will evaluate exactly
 _BOUND_PRINT_BITS = 1_000_000
+# largest log2(log2 m) for which `bound` evaluates log2 m as a float: a
+# float ends near 2^1024, and a larger counter count does not convert
+_BOUND_FLOAT_LOG2 = 1000
 
 
 def _verdict_exit(verdict):
@@ -142,6 +145,8 @@ def _cmd_ara2cm(inv, ns):
 def _cmd_run(inv, ns):
     aut = _load(parse_automaton, ns.automaton)
     w = parse_word(ns.word, aut.alphabet)
+    if len(w) == 0:
+        raise _InvalidInput("the word given with --word is empty")
     verdict = "YES" if run_exists(aut, w) else "NO"
     _emit(inv, [verdict], {"command": "run", "verdict": verdict})
     return _verdict_exit(verdict)
@@ -197,6 +202,11 @@ def _cmd_refine(inv, ns):
 def _cmd_bound(inv, ns):
     machine = _machine_from(ns)
     q_count, basis_size, counter_count = machine.bound_counts()
+    loglog = bound_log2_log2(q_count, basis_size, counter_count)
+    if loglog > _BOUND_FLOAT_LOG2:
+        _emit(inv, ["m is about 2^(2^%.3f), too large to materialize" % loglog],
+              {"command": "bound", "m_log2_log2": loglog, "materialized": False})
+        return 0
     bits = bound_log2(q_count, basis_size, counter_count)
     if bits > _BOUND_PRINT_BITS:
         _emit(inv, ["m is about 2^%.3e, too large to materialize" % bits],

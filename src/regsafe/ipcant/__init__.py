@@ -1,6 +1,6 @@
-"""Counter machines, one concern per module: machine, distributive, bound,
-fileformat and the test-only reference view, whose names are served on
-first use (PEP 562), so that the runtime never loads it.
+"""Counter machines, one concern per module: machine, distributive, bound
+and fileformat.  The dense valuations the tests check the machines against
+are regsafe.reference.ipcant's.
 
 Every result kept past one call is an lru_cache on the pure function that
 computes it, keyed by counter tuples, texts, instructions and transitions,
@@ -22,12 +22,5 @@ from .machine import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure, Dec,
                       Instruction, Transfer, Transition, add_tokens, compositions, ifz_cap,
                       split_tokens)
 from .distributive import CoverTable, check_distributive, cover_table
-from .bound import BoundParams, bound_ceiling, bound_log2, bound_params, compute_bound
+from .bound import BoundParams, bound_log2, bound_log2_log2, bound_params
 from .fileformat import format_machine, parse_machine
-
-
-def __getattr__(name):
-    if name in ("Valuation", "transfer_witnesses", "fire", "fire_lazy", "sqsse"):
-        from . import reference
-        return getattr(reference, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

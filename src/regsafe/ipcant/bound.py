@@ -9,18 +9,16 @@ from ..errors import ValidationError
 BoundParams = namedtuple("BoundParams", ("alphas", "us", "m"))
 
 
-def compute_bound(machine) -> BoundParams:
-    """Bound parameters of a machine, from its state, basis and counter
-    counts."""
-    return bound_params(*machine.bound_counts())
+def _check(q_count, basis_size, counter_count):
+    if q_count < 1 or basis_size < 0 or counter_count < 0:
+        raise ValidationError("bad bound parameters")
 
 
 def bound_params(q_count, basis_size, counter_count) -> BoundParams:
     """Exact big-int evaluation of the anti-chain length recurrence: from any
     configuration, some infinite run exists iff one with at most m steps
     between repeating configurations does."""
-    if q_count < 1 or basis_size < 0 or counter_count < 0:
-        raise ValidationError("bad bound parameters")
+    _check(q_count, basis_size, counter_count)
     alphas = [q_count]
     us = [1]
     for i in range(basis_size):
@@ -31,20 +29,32 @@ def bound_params(q_count, basis_size, counter_count) -> BoundParams:
     return BoundParams(tuple(alphas), tuple(us), m)
 
 
-def bound_ceiling(q_count, basis_size) -> int:
-    """Closed-form ceiling the recurrence stays under: (3|Q|)^(2^(2|X|^2+|X|))."""
-    return (3 * q_count) ** (2 ** (2 * basis_size * basis_size + basis_size))
-
-
 def bound_log2(q_count, basis_size, counter_count) -> float:
     """log2 of the recurrence's m, evaluated in log space.  The exact value
     grows doubly exponentially with the basis size, so callers use this to
     decide whether materializing it is feasible at all."""
-    if q_count < 1 or basis_size < 0 or counter_count < 0:
-        raise ValidationError("bad bound parameters")
+    _check(q_count, basis_size, counter_count)
     la = math.log2(q_count)
     lu = 0.0
     for i in range(basis_size):
         la, lu = (1 + math.log2(basis_size - i) + la + counter_count * lu,
                   math.log2(3) + la + counter_count * lu)
     return 1 + la + counter_count * lu
+
+
+def bound_log2_log2(q_count, basis_size, counter_count) -> float:
+    """log2 of bound_log2, finite where that overflows a float (from about
+    13 automaton states on): the same recurrence on the logarithms of its
+    terms, a zero term being -inf."""
+    _check(q_count, basis_size, counter_count)
+
+    def add(*xs):  # log2 of the sum of the terms 2^x
+        top = max(xs)
+        return top + math.log2(sum(2.0 ** (x - top) for x in xs))
+
+    lc = math.log2(counter_count) if counter_count else -math.inf
+    lla, llu = math.log2(math.log2(q_count)) if q_count > 1 else -math.inf, -math.inf
+    for i in range(basis_size):
+        lla, llu = (add(math.log2(1 + math.log2(basis_size - i)), lla, lc + llu),
+                    add(math.log2(math.log2(3)), lla, lc + llu))
+    return add(0.0, lla, lc + llu)

@@ -62,13 +62,6 @@ class CounterStructure:
     def __hash__(self):
         return hash((self.basis, self.counters))
 
-    def valuation(self, assignment) -> "Valuation":
-        from .reference import Valuation
-        v = [0] * len(self.counters)
-        for c, n in assignment.items():
-            v[self.index[frozenset(c)]] = n
-        return Valuation(self, tuple(v))
-
 
 @node
 class Instruction(Node):
@@ -206,10 +199,6 @@ class CounterMachine:
                 else:
                     color[q] = 2
                     stack.pop()
-
-    @property
-    def basis(self):
-        return self.structure.basis
 
     @property
     def counters(self):

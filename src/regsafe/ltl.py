@@ -190,88 +190,7 @@ def evaluate_prefix(f: Formula, w: DataWord) -> PrefixVerdict:
     from .ara.translate import ltl_to_ara
     from .ara.automaton import run_exists
 
-    aut = ltl_to_ara(f, _word_alphabet(w))
+    # w's letters in first-occurrence order: enough for evaluating on w itself
+    aut = ltl_to_ara(f, Alphabet(dict.fromkeys(w.letters)))
     return PrefixVerdict.UNDETERMINED if run_exists(aut, w) else PrefixVerdict.FALSIFIED
-
-
-def _word_alphabet(w):
-    # letters in first-occurrence order; enough for evaluating on w itself
-    seen = []
-    for a in w.letters:
-        if a not in seen:
-            seen.append(a)
-    return Alphabet(tuple(seen))
-
-
-_F, _U, _T = 0, 1, 2
-
-
-def monitor_prefix(f: Formula, w: DataWord) -> PrefixVerdict:
-    """Purely syntactic three-valued monitor, sound but not necessarily
-    complete: FALSIFIED here implies evaluate_prefix FALSIFIED.
-
-    X at the last position is unknown; R is unrolled one step per position.
-    The values of (subformula, position, register) triples are found on an
-    explicit stack, each once, so neither the word's length nor the
-    formula's depth is bounded by the call stack.
-    """
-    if not is_sentence(f):
-        raise ValidationError("formula has a free register test")
-    if len(w) == 0:
-        raise ValidationError("prefix must be non-empty")
-    n = len(w)
-    memo = {}
-
-    def parts(g, i, reg):
-        """The triples whose values g's value at i is made of."""
-        if isinstance(g, (And, Or)):
-            return ((g.lhs, i, reg), (g.rhs, i, reg))
-        if isinstance(g, Next):
-            return ((g.body, i + 1, reg),) if i + 1 < n else ()
-        if isinstance(g, Freeze):
-            return ((g.body, i, w.classes[i]),)
-        if isinstance(g, Release):
-            later = ((g, i + 1, reg),) if i + 1 < n else ()
-            return ((g.lhs, i, reg), (g.rhs, i, reg)) + later
-        return ()
-
-    def val(g, i, reg, vals):
-        """g's value at i from the values of its parts, in their order."""
-        if isinstance(g, Atom):
-            return _T if w.letters[i] == g.letter else _F
-        if isinstance(g, Top):
-            return _T
-        if isinstance(g, Bot):
-            return _F
-        if isinstance(g, Up):
-            return _T if w.classes[i] == reg else _F
-        if isinstance(g, NotUp):
-            return _F if w.classes[i] == reg else _T
-        if isinstance(g, And):
-            return min(vals)
-        if isinstance(g, Or):
-            return max(vals)
-        if isinstance(g, (Next, Freeze)):
-            return vals[0] if vals else _U
-        if isinstance(g, Release):
-            later = vals[2] if len(vals) == 3 else _U
-            return min(vals[1], max(vals[0], later))
-        raise TypeError("not a formula: %r" % (g,))
-
-    root = (f, 0, None)
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        keys = parts(*key)
-        missing = [k for k in keys if k not in memo]
-        if missing:
-            stack += missing
-            continue
-        stack.pop()
-        memo[key] = val(*key, [memo[k] for k in keys])
-
-    return PrefixVerdict.FALSIFIED if memo[root] == _F else PrefixVerdict.UNDETERMINED
 

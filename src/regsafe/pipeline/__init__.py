@@ -1,9 +1,8 @@
 """Translations and decision procedures tying the layers together:
 compilation of alternating automata to counter machines, bounded
 nonemptiness and inclusion saturation, the Turing-machine formula generator,
-and brute-force cross-check oracles.  The counting abstraction
-(pipeline.abstraction) is the test-only reference for the compiled letter
-step and is not imported here."""
+and brute-force cross-check oracles.  The counting abstraction the compiled
+letter step is tested against is regsafe.reference.abstraction's."""
 
 from .compile import CompiledMachine, ara_to_ipcant, product_machine
 from .explore import (Inclusion, Nonemptiness, SaturationResult,

@@ -51,10 +51,10 @@ config_successors reads inline.
 
 The inclusion product of a1 with the dual of a2 is compiled straight from
 the two automata (product_machine), with no dual or product formula built,
-where the reference automaton.inclusion_product dualizes a2's formulas
-(posbool.dual) and then combines.  Its states are those of that
-reference: a fresh initial state, a1's states, then a2's renamed apart
-(automaton.combined_names), a2's being the co-states.  a1's rows fold from
+where the reference route, reference.ara.inclusion_product, dualizes a2's
+formulas (reference.ara.dual) and then intersects.  Its states are those
+of that reference: a fresh initial state, a1's states, then a2's renamed
+apart (automaton.combined_names), a2's being the co-states.  a1's rows fold from
 a1's table under the machine's bits; a2's rows fold from a2's table as
 their duals (minimal_models with dual), under a bit map from a2's own names
 to the bits of their renamings, an absent a2 entry being Bot, whose dual
@@ -165,10 +165,7 @@ class CompiledMachine:
         self._heres = defaultdict(dict)  # letter -> {thread-set mask: here_sets}
         self._lettered = {}  # (control, sv, letter, vcap) -> lettered step
 
-    # counter indexing
-    def away_index(self, mask):
-        return mask
-
+    # counter indexing: an away counter's index is its mask
     def flight_index(self, kept, marked):
         return _flight_index(self.n, kept, marked)
 
@@ -366,7 +363,7 @@ class CompiledMachine:
         counters = self.structure.counters
         cycle = letter_free_cycle(self.states_order, self.co_states)
         reads = [Transfer(tuple(
-            (counters[self.away_index(mask)],
+            (counters[mask],
              tuple(counters[self.flight_index(kept, marked)]
                    for kept, marked in self.read_images(letter, mask)))
             for mask in full)) for letter in self.alphabet]
@@ -388,9 +385,10 @@ class CompiledMachine:
 @lru_cache(maxsize=64)
 def family_structure(names):
     """The CounterStructure of the machines compiled over the state-name
-    tuple: the basis and counters of the module docstring, indexed as
-    CompiledMachine.away_index and flight_index say.  Built once per
-    process; at most 64 are kept, the least recently used dropped first."""
+    tuple: the basis and counters of the module docstring, an away counter
+    at its mask and an in-flight one at CompiledMachine.flight_index.  Built
+    once per process; at most 64 are kept, the least recently used dropped
+    first."""
     n = len(names)
     basis = [ANCHOR_AWAY] + [_away_name(q) for q in names]
     basis += [ANCHOR_FLIGHT] + [_kept_name(q) for q in names] + [_mark_name(q) for q in names]
@@ -481,8 +479,8 @@ def ara_to_ipcant(aut: AlternatingAutomaton, co_states=None) -> CompiledMachine:
 
 def product_machine(a1: AlternatingAutomaton, a2: AlternatingAutomaton) -> CompiledMachine:
     """The machine of a1 conjoined with the dual of a2, with a2's states as
-    co-states: ara_to_ipcant(*automaton.inclusion_product(a1, a2)), compiled
-    from a1's and a2's own tables (see the module docstring).  Raises
+    co-states: ara_to_ipcant(*reference.ara.inclusion_product(a1, a2)),
+    compiled from a1's and a2's own tables (see the module docstring).  Raises
     ValidationError unless the two share an alphabet."""
     init, r2 = combined_names(a1, a2)
     co_states = tuple(r2[q] for q in a2.states)

@@ -35,7 +35,7 @@ without hitting a value or node cap is a definite emptiness answer.
 
 inclusion_check saturates the product of one automaton with the dual of
 another, compiled straight from the two (compile.product_machine, the
-machine of automaton.inclusion_product), keeping only valuation-minimal
+machine of reference.ara.inclusion_product), keeping only valuation-minimal
 configurations per control state: smaller configurations carry fewer
 obligations and simulate larger ones, so pruning preserves both witnesses
 and their absence.  Non-inclusion
@@ -83,13 +83,6 @@ class SaturationResult(namedtuple("SaturationResult", (
     def __repr__(self):
         return "%s(verdict=%r, explored=%r, converged=%r, checkpoints=%r)" % (
             (type(self).__name__,) + self[:4])
-
-    @property
-    def s_last(self):
-        """The kept configurations as (control, valuation) pairs, control by
-        control and, within one, in insertion order; built on each request."""
-        return tuple((control, sv) for control, chain in self.chains.items()
-                     for sv in chain)
 
 
 def successors(machine, control, sv, vcap, letter=None):

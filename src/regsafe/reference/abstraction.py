@@ -7,8 +7,8 @@ Class identities are forgotten; only multiplicities survive.  A step exists
 between two abstract configurations exactly when some concrete configurations
 abstracting to them make a step, which is what the counter machines explore.
 
-Reference only: nothing in the library imports this module.  triple_step is
-the specification that tests hold CompiledMachine.config_successors to.
+triple_step is the specification that test_abstraction holds
+CompiledMachine.config_successors to.
 """
 
 from collections import Counter
@@ -17,6 +17,7 @@ from itertools import product
 
 from ..ara.automaton import AlternatingAutomaton
 from ..errors import ValidationError
+from .ara import models_at
 
 
 def _sorted_counts(counts):
@@ -80,7 +81,7 @@ def achievable_pairs(aut: AlternatingAutomaton, states, letter, flag):
         return frozenset({(frozenset(), frozenset())})
     per_state = []
     for q in sorted(states):
-        models = aut.models_at(q, letter, flag)
+        models = models_at(aut, q, letter, flag)
         if not models:
             return frozenset()
         per_state.append(models)

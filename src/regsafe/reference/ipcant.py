@@ -1,14 +1,13 @@
-"""Valuation, fire, fire_lazy, transfer_witnesses and sqsse are a dense
-reference view: a Valuation pairs a counter structure with an int tuple
-aligned with the structure's counter order, so firing operations need no
-extra context.  Tests and the acceptance criteria check the machines against
-this view; exploration never uses it, and the runtime never imports it."""
+"""A dense view of the counter machines: a Valuation pairs a counter
+structure with an int tuple aligned with the structure's counter order, so
+firing operations need no extra context; seeded random structures,
+valuations and instructions to fire; and the bound's closed-form ceiling."""
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from ..errors import ValidationError
-from .machine import CounterStructure, Dec, Inc, compositions
+from ..ipcant import CounterStructure, Dec, Inc, Transfer, check_distributive, compositions
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,15 @@ class Valuation:
 
     def _with(self, i, n) -> "Valuation":
         return Valuation(self.structure, self.values[:i] + (n,) + self.values[i + 1:])
+
+
+def valuation(structure: CounterStructure, assignment) -> Valuation:
+    """The Valuation of a mapping from counters, given as any iterables of
+    basis elements, to their counts; counters it leaves out hold 0."""
+    v = [0] * len(structure.counters)
+    for c, n in assignment.items():
+        v[structure.index[frozenset(c)]] = n
+    return Valuation(structure, tuple(v))
 
 
 def transfer_witnesses(v: "Valuation", transfer):
@@ -128,3 +136,78 @@ def _token_embedding(counters, small, big) -> bool:
         return False
 
     return all(place(i, set()) for i, n in enumerate(small) for _ in range(n))
+
+
+def bound_ceiling(q_count, basis_size) -> int:
+    """Closed-form ceiling the recurrence stays under: (3|Q|)^(2^(2|X|^2+|X|))."""
+    return (3 * q_count) ** (2 ** (2 * basis_size * basis_size + basis_size))
+
+
+def random_structure(rng, max_basis=3, max_counters=4) -> CounterStructure:
+    """A counter structure over a small basis with 1..max_counters distinct
+    non-empty counters."""
+    k = rng.randint(1, max_basis)
+    basis = tuple("x%d" % i for i in range(k))
+    pool = [frozenset(c) for r in range(1, k + 1)
+            for c in combinations(basis, r)]
+    rng.shuffle(pool)
+    take = rng.randint(1, min(max_counters, len(pool)))
+    return CounterStructure(basis, sorted(pool[:take], key=sorted))
+
+
+def random_valuation(rng, structure: CounterStructure, max_value=3) -> Valuation:
+    return Valuation(structure, tuple(
+        rng.randint(0, max_value) for _ in structure.counters))
+
+
+def sub_valuation(rng, v: Valuation) -> Valuation:
+    """A componentwise smaller-or-equal valuation."""
+    return Valuation(v.structure, tuple(rng.randint(0, n) for n in v.values))
+
+
+def embedded_valuation(rng, v: Valuation) -> Valuation:
+    """A valuation below v in the token-embedding order: drop some tokens and
+    slide the rest onto subset counters."""
+    structure = v.structure
+    values = [0] * len(structure.counters)
+    for c, n in v.items():
+        homes = [i for i, c2 in enumerate(structure.counters) if c2 <= c]
+        for _ in range(n):
+            if rng.random() < 0.3:
+                continue
+            values[rng.choice(homes)] += 1
+    return Valuation(structure, tuple(values))
+
+
+def random_transfer(rng, structure: CounterStructure, empty_prob=0.2) -> Transfer:
+    """A transfer map with arbitrary images; not necessarily distributive."""
+    entries = []
+    for c in structure.counters:
+        if rng.random() < empty_prob:
+            entries.append((c, ()))
+            continue
+        size = rng.randint(1, min(2, len(structure.counters)))
+        image = rng.sample(list(structure.counters), size)
+        entries.append((c, tuple(image)))
+    return Transfer(tuple(entries))
+
+
+def random_distributive_transfer(rng, structure: CounterStructure,
+                                 attempts=50) -> Transfer:
+    """Rejection-sample random transfers until one passes the distributivity
+    check; falls back to the identity map."""
+    for _ in range(attempts):
+        t = random_transfer(rng, structure)
+        if check_distributive(t.as_map(structure.counters), structure.counters):
+            return t
+    return Transfer(tuple((c, (c,)) for c in structure.counters))
+
+
+def random_instruction(rng, structure: CounterStructure):
+    """An increment, a decrement, or a distributive transfer."""
+    roll = rng.random()
+    if roll < 0.35:
+        return Inc(rng.choice(structure.counters))
+    if roll < 0.7:
+        return Dec(rng.choice(structure.counters))
+    return random_distributive_transfer(rng, structure)

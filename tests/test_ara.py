@@ -1,3 +1,4 @@
+from functools import partial
 import hashlib
 import random
 import re
@@ -6,12 +7,11 @@ import time
 import pytest
 
 from regsafe.errors import ParseError, ValidationError
-from regsafe.words import Alphabet, DataWord, canonicalize, enumerate_words, parse_word, prefix
+from regsafe.words import Alphabet, DataWord, canonicalize, enumerate_words, parse_word
 from regsafe.ara import automaton
 from regsafe.ara import posbool as pb
-from regsafe.ara import (dualize, format_automaton, inclusion_product,
-                         intersect, ltl_to_ara, parse_automaton, run_exists,
-                         union)
+from regsafe.ara import (format_automaton, intersect, ltl_to_ara, parse_automaton,
+                         run_exists, union)
 from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe import ltl
 from regsafe.ltl import parse_formula, parse_formula_file
@@ -19,6 +19,8 @@ from regsafe.pipeline import (config_length, encode_tm_run, oracle_run_exists, p
                               pattern_occurs, tm_alphabet, tm_to_formula)
 from regsafe.pipeline.oracle import _all_pairs, frontier_step, initial_configs
 from regsafe import randgen
+from regsafe.reference.ara import dual, dualize, inclusion_product, models_at
+from regsafe.reference.ltl import random_sentence
 
 AB = Alphabet(("a", "b"))
 
@@ -64,8 +66,8 @@ def test_minimal_models_is_minimal_antichain_of_all_models():
         bit = {q: 1 << i for i, q in enumerate(order)}
         assert pb.minimal_models(phi, bit) == _as_masks(mins, bit)
         # the dual fold gives the dual formula's models in either form
-        assert pb.minimal_models(phi, dual=True) == pb.minimal_models(pb.dual(phi))
-        assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(pb.dual(phi), bit)
+        assert pb.minimal_models(phi, dual=True) == pb.minimal_models(dual(phi))
+        assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(dual(phi), bit)
         alls = set(_all_pairs(phi, states))
         for m in mins:
             assert m in alls
@@ -101,7 +103,7 @@ def test_dual_fold_of_constants_and_absent_rows():
     for a in AB:
         for flag in ("up", "nup"):
             phi = aut.delta_at("p", a, flag)
-            assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(pb.dual(phi), bit)
+            assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(dual(phi), bit)
     assert pb.minimal_models(aut.delta_at("p", "b", "nup"), bit, dual=True) == ((0, 0),)
     phi = pb.Or(pb.And(pb.Ref("q"), pb.DownRef("p")), pb.Ref("p"))
     # dual: (q | d(p)) & p
@@ -127,7 +129,7 @@ def test_dual_is_involution_on_random_formulas():
     states = ("p", "q")
     for _ in range(200):
         phi = randgen._random_posbool(rng, states, 3, 0.3)
-        assert pb.dual(pb.dual(phi)) == phi
+        assert dual(dual(phi)) == phi
 
 
 def test_automaton_validation(abc):
@@ -196,11 +198,11 @@ def test_fig1_examples(fig1, abc):
 
 def test_step_examples(fig1, abc):
     w = parse_word("a@0", abc)
-    succ = frontier_step(w, 0, frozenset({("q", 0)}), fig1.models_at)
+    succ = frontier_step(w, 0, frozenset({("q", 0)}), partial(models_at, fig1))
     assert succ == {frozenset({("q", 0), ("q1", 0)})}
-    assert frontier_step(w, 0, frozenset(), fig1.models_at) == {frozenset()}
+    assert frontier_step(w, 0, frozenset(), partial(models_at, fig1)) == {frozenset()}
     blocked = frontier_step(parse_word("b@0", abc), 0, frozenset({("q2", 0)}),
-                            fig1.models_at)
+                            partial(models_at, fig1))
     assert blocked == set()
 
 
@@ -286,7 +288,7 @@ def test_translations_print_as_pinned(data_text):
         "2928652bd17a21f115d2355d3c9b7f6c348522a8437426922610743e9aa1d9ab")
     rng = random.Random(24)
     abc = Alphabet(("a", "b", "c"))
-    texts = [format_automaton(ltl_to_ara(randgen.random_sentence(rng, abc, depth=1 + k % 6), abc))
+    texts = [format_automaton(ltl_to_ara(random_sentence(rng, abc, depth=1 + k % 6), abc))
              for k in range(300)]
     assert _digest("".join(texts)) == (
         "ec993469ce2ada241b08c60fdd51cdbc536ed4539c428b787290b3146c85823b")
@@ -331,14 +333,14 @@ def test_deep_formula_models_eval_format_run(abc):
     aut = AlternatingAutomaton(abc, ("p",), "p",
                                {("p", "a", flag): phi for flag in ("up", "nup")})
     both = (frozenset(["p"]), frozenset(["p"]))
-    assert aut.models_at("p", "a", "up") == (both,)
+    assert models_at(aut, "p", "a", "up") == (both,)
     assert pb.minimal_models(pb.Or(pb.Ref("p"), phi)) == (
         (frozenset(["p"]), frozenset()),)
     bit = {"p": 2, "q": 1}
     assert pb.minimal_models(phi, bit) == _as_masks((both,), bit) == ((2, 2),)
     # its dual is an Or chain of 3000 d(p) ending in p, folded without
     # building it
-    assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(pb.dual(phi), bit) == (
+    assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(dual(phi), bit) == (
         (0, 2), (2, 0))
     wide = pb.Or(pb.DownRef("q"), pb.And(pb.Ref("q"), phi))
     assert pb.minimal_models(wide, bit) == _as_masks(pb.minimal_models(wide), bit) == (
@@ -378,7 +380,7 @@ def test_deep_formula_equality_and_hash():
     # the innermost leaf p becomes q
     changed = pb.rebuild(phi, lambda g: pb.Ref("q") if isinstance(g, pb.Ref) else g)
     assert changed != phi and not changed == phi
-    assert pb.dual(phi) != phi
+    assert dual(phi) != phi
     p, q = pb.Ref("p"), pb.DownRef("q")
     assert hash(pb.And(p, q)) == hash((pb.And.tag, p, q)) != hash(pb.Or(p, q))
     assert hash(pb.Or(pb.And(p, q), p)) == hash((pb.Or.tag, pb.And(p, q), p))
@@ -426,7 +428,7 @@ def _frontier_reference(aut, w):
     for i in range(len(w)):
         nxt = set()
         for configs in frontier:
-            nxt |= frontier_step(w, i, configs, aut.models_at)
+            nxt |= frontier_step(w, i, configs, partial(models_at, aut))
         if not nxt:
             return False
         kept = []
@@ -511,7 +513,7 @@ def test_run_exists_answers_do_not_depend_on_the_memo(fig1, abc, data_text):
     stride = config_length(bouncer)
     letters[stride] = "r0" if letters[stride] == "r1" else "r1"
     broken = canonicalize(letters, run.classes)
-    runs = [prefix(w, i) for w in (run, broken) for i in range(1, len(w) + 1)]
+    runs = [w.prefix(i) for w in (run, broken) for i in range(1, len(w) + 1)]
     words = list(enumerate_words(abc, 4, 4))
     bouncer_aut = ltl_to_ara(tm_to_formula(bouncer), tm_alphabet(bouncer))
     for aut, ws in ((fig1, words), (bouncer_aut, runs)):
@@ -562,7 +564,7 @@ def test_step_key_matches_the_models():
                     for s_here, refrozen_ok in enumerate(subsets):
                         want = sum(1 << i for i, q in enumerate(aut.states)
                                    if any(kept <= kept_ok and refrozen <= refrozen_ok
-                                          for kept, refrozen in aut.models_at(q, a, flag)))
+                                          for kept, refrozen in models_at(aut, q, a, flag)))
                         assert step[s_c | s_here << n] == want, (aut.states, a, flag, s_c, s_here)
     assert sizes == {1, 2, 3}
 
@@ -578,7 +580,7 @@ def test_step_memo_stays_within_its_bound(data_text, monkeypatch):
     run = encode_tm_run(halting, 0)
     alphabet = tm_alphabet(halting).letters
     rng = random.Random(43)
-    words = {prefix(run, i): None for i in range(1, len(run) + 1)}
+    words = {run.prefix(i): None for i in range(1, len(run) + 1)}
     while len(words) < 300:
         n = rng.randint(1, 2 * len(run))
         labels = list(run.classes) + [rng.randrange(len(run) + n) for _ in range(n)]

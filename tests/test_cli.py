@@ -111,30 +111,44 @@ def test_python_m_runs_the_cli(data_path, module):
 
 
 _RUNTIME_PROBE = """
-import sys
-import regsafe.cli
-assert regsafe.cli.run_cli(["oracle", "--trials", "3"]) == 0
-for name in ("regsafe.ipcant.reference", "regsafe.pipeline.abstraction", "dataclasses", "inspect"):
+import contextlib, io, os, sys
+import regsafe, regsafe.cli, regsafe.ipcant, regsafe.pipeline
+data = sys.argv[1]
+runs = [
+    (0, ["parse", "--formula", os.path.join(data, "example.ltl")]),
+    (0, ["ltl2ara", "--formula", os.path.join(data, "example.ltl")]),
+    (0, ["ara2cm", "--automaton", os.path.join(data, "fig1.ara")]),
+    (0, ["run", "--automaton", os.path.join(data, "fig1.ara"), "--word", "a@D c@D b@E"]),
+    (0, ["sat", "--automaton", os.path.join(data, "fig1.ara")]),
+    (1, ["include", "--lhs", os.path.join(data, "top.ara"), "--rhs", os.path.join(data, "fig1.ara")]),
+    (0, ["refine", "--lhs", os.path.join(data, "example.ltl"),
+         "--rhs", os.path.join(data, "example.ltl")]),
+    (0, ["bound", "--machine", os.path.join(data, "tiny.cm")]),
+    (0, ["tmgen", "--tm", os.path.join(data, "halting.tm"), "--steps", "0"]),
+    (0, ["oracle", "--trials", "3"]),
+]
+for code, argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert regsafe.cli.run_cli(argv) == code, argv
+loaded = [m for m in sys.modules if m == "regsafe.reference" or m.startswith("regsafe.reference.")]
+assert not loaded, "loaded by the command line: %s" % loaded
+for name in ("dataclasses", "inspect"):
     assert name not in sys.modules, name + " loaded by the command line"
-from regsafe.ipcant import Valuation, fire, fire_lazy, sqsse, transfer_witnesses
-from regsafe.ipcant import reference
-assert Valuation is reference.Valuation and fire is reference.fire
-assert fire_lazy is reference.fire_lazy and sqsse is reference.sqsse
-assert transfer_witnesses is reference.transfer_witnesses
+print(" ".join(argv[0] for _, argv in runs))
 """
 
 
-def test_command_line_loads_nothing_test_only():
-    """In a fresh interpreter, importing the command line and running the
-    oracle loads neither the dense reference view nor the counting
-    abstraction, nor dataclasses and inspect, and regsafe.ipcant still
-    serves the reference names."""
+def test_command_line_loads_nothing_test_only(data_path):
+    """In a fresh interpreter, importing what the benchmark's worker imports
+    and running every subcommand once loads nothing of regsafe.reference,
+    nor dataclasses and inspect."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE],
+    data = os.path.dirname(data_path("fig1.ara"))
+    done = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE, data],
                           env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
-    assert done.stdout == "AGREE trials=3 seed=0\n"
+    assert done.stdout == "parse ltl2ara ara2cm run sat include refine bound tmgen oracle\n"
 
 
 def test_include_verdicts(data_path, capsys):
@@ -254,6 +268,33 @@ def test_bound_without_the_digit_limit(data_path, capsys, monkeypatch):
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     assert run_cli(["bound", "--machine", data_path("tiny.cm")]) == 0
     assert _out(capsys)[0] == "alpha: 1 2\nU: 1 3\nm=12\n"
+
+
+def _refuse_constant(name):
+    raise ValueError("not strict JSON: %s" % name)
+
+
+def test_bound_past_the_float_range(data_path, tmp_path, capsys):
+    """On the bouncer formula's 88-state automaton log2 m overflows a float:
+    bound prints log2(log2 m) instead, in text and as strict JSON.  On 520
+    states the machine's counter count is itself past the floats."""
+    formula, automaton = tmp_path / "bouncer.ltl", tmp_path / "bouncer.ara"
+    assert run_cli(["tmgen", "--tm", data_path("bouncer.tm")]) == 0
+    formula.write_text(_out(capsys)[0])
+    assert run_cli(["ltl2ara", "--formula", str(formula)]) == 0
+    automaton.write_text(_out(capsys)[0])
+    assert len(parse_automaton(automaton.read_text()).states) == 88
+    assert run_cli(["bound", "--automaton", str(automaton)]) == 0
+    assert _out(capsys) == ("m is about 2^(2^46824.082), too large to materialize\n", "")
+    assert run_cli(["bound", "--format", "json", "--automaton", str(automaton)]) == 0
+    record = json.loads(_out(capsys)[0], parse_constant=_refuse_constant)
+    assert record == {"command": "bound", "materialized": False,
+                      "m_log2_log2": pytest.approx(46824.082, abs=0.001)}
+    wide = tmp_path / "wide.ara"
+    wide.write_text("alphabet: a\nstates: %s\ninitial: q0\nq0, a, * -> q0\n"
+                    % " ".join("q%d" % i for i in range(520)))
+    assert run_cli(["bound", "--automaton", str(wide)]) == 0
+    assert _out(capsys) == ("m is about 2^(2^1624490.616), too large to materialize\n", "")
 
 
 def test_tmgen_round_trip(data_path, data_text, capsys):
@@ -415,6 +456,17 @@ def test_parse_errors_exit_65(tmp_path, data_path, capsys):
     badword = ["run", "--automaton", data_path("fig1.ara"), "--word", "@@"]
     assert run_cli(badword) == 65
     _out(capsys)
+
+
+def test_malformed_and_empty_words_exit_65(data_path, capsys):
+    """The word of run is input: a malformed one and an empty one each exit
+    65, the empty one with a message that names the word."""
+    fig = data_path("fig1.ara")
+    assert run_cli(["run", "--automaton", fig, "--word", "a@1@2"]) == 65
+    assert _out(capsys) == ("", "parse error: malformed word token 'a@1@2'\n")
+    for word in ("", "  "):
+        assert run_cli(["run", "--automaton", fig, "--word", word]) == 65
+        assert _out(capsys) == ("", "invalid input: the word given with --word is empty\n")
 
 
 def test_formula_file_error_names_line_and_column(tmp_path, capsys):

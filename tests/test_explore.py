@@ -9,17 +9,18 @@ import pytest
 from regsafe.words import Alphabet, canonicalize
 from regsafe.ara import ltl_to_ara, run_exists
 from regsafe.ara import posbool as pb
-from regsafe.ara.automaton import (AlternatingAutomaton, inclusion_product, intersect,
-                                   union)
+from regsafe.ara.automaton import AlternatingAutomaton, intersect, union
 from regsafe import ipcant, randgen
 from regsafe.ipcant import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure, Dec, Inc,
-                            Transfer, Transition, compositions, fire, fire_lazy,
-                            parse_machine, split_tokens)
+                            Transfer, Transition, compositions, parse_machine, split_tokens)
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                               bounded_nonemptiness, inclusion_check, prefix_reachable)
 from regsafe.pipeline import explore
 from regsafe.pipeline.explore import Antichain, successors
+from regsafe.reference.ara import inclusion_product
+from regsafe.reference.ipcant import (fire, fire_lazy, random_instruction, random_structure,
+                                      random_transfer, random_valuation, valuation)
 
 AB = Alphabet(("a", "b"))
 UNCUT = 1 << 30  # a value bound above every count these tests reach
@@ -175,9 +176,15 @@ def test_inclusion_self(fig1):
     assert res.checkpoints == 0
 
 
+def _kept(res):
+    """The kept configurations of a SaturationResult as (control, valuation)
+    pairs, control by control and, within one, in insertion order."""
+    return tuple((control, sv) for control, chain in res.chains.items() for sv in chain)
+
+
 def test_saturation_result_fields_and_repr(fig1):
     """fig1 in fig1: the five fields by name and in order, a repr without
-    the chains, no assignment, and s_last spelled out from the chains."""
+    the chains, and no assignment."""
     res = inclusion_check(fig1, fig1)
     assert repr(res) == ("SaturationResult(verdict=<Inclusion.INCLUDED: 'included'>, "
                          "explored=1275, converged=True, checkpoints=0)")
@@ -187,9 +194,7 @@ def test_saturation_result_fields_and_repr(fig1):
     assert chains is res.chains and len(chains) > 1
     with pytest.raises(AttributeError):
         res.explored = 0
-    assert res.s_last == tuple((control, sv) for control, chain in chains.items()
-                               for sv in chain)
-    assert len(res.s_last) > len(chains)
+    assert len(_kept(res)) > len(chains)
 
 
 def test_inclusion_strict(fig1, top_automaton):
@@ -216,9 +221,9 @@ def test_inclusion_cap_exhaustion(fig1):
 
 def test_saturation_result_is_minimal(fig1, top_automaton):
     res = inclusion_check(top_automaton, fig1)
-    assert res.s_last
+    assert _kept(res)
     by_control = {}
-    for control, sv in res.s_last:
+    for control, sv in _kept(res):
         assert all(n > 0 for _, n in sv)
         by_control.setdefault(control, []).append(sv)
     for chain in by_control.values():
@@ -314,7 +319,7 @@ def test_inclusion_matches_list_reference(fig1, example_formula):
     verdicts = set()
     for a1, a2 in queries:
         res = inclusion_check(a1, a2, cap=2000)
-        got = (res.verdict.name, res.explored, res.converged, res.checkpoints, res.s_last)
+        got = (res.verdict.name, res.explored, res.converged, res.checkpoints, _kept(res))
         assert got == _reference_inclusion(a1, a2, cap=2000)
         verdicts.add(res.verdict)
     assert len(verdicts) == 3
@@ -342,8 +347,8 @@ def test_inclusion_on_built_product_gives_the_same_saturation(
                         lambda a1, a2: ara_to_ipcant(*inclusion_product(a1, a2)))
     for (a1, a2), res in zip(queries, got):
         ref = inclusion_check(a1, a2, cap=2000)
-        assert (res.verdict, res.explored, res.converged, res.checkpoints, res.s_last) == (
-            ref.verdict, ref.explored, ref.converged, ref.checkpoints, ref.s_last)
+        assert (res.verdict, res.explored, res.converged, res.checkpoints, _kept(res)) == (
+            ref.verdict, ref.explored, ref.converged, ref.checkpoints, _kept(ref))
     assert {res.verdict for res in got} == set(Inclusion)
 
 
@@ -377,13 +382,13 @@ def _random_explicit_machine(rng, shared=False):
     `shared`, the instructions are drawn from a small pool, so transitions
     share instruction objects, and the pool holds identity transfers: nop
     and a transfer mapping some counters to themselves."""
-    st = randgen.random_structure(rng)
+    st = random_structure(rng)
     states = ("s0", "s1", "s2", "s3")
     arbitrary = rng.random() < 0.5
 
     def draw():
-        return (randgen.random_transfer(rng, st) if arbitrary and rng.random() < 0.5
-                else randgen.random_instruction(rng, st))
+        return (random_transfer(rng, st) if arbitrary and rng.random() < 0.5
+                else random_instruction(rng, st))
 
     pool = None
     if shared:
@@ -415,7 +420,7 @@ def _assert_successors_match_dense_fire(rng, machine):
     st = machine.structure
     relations = {lazy: _under(machine, lazy) for lazy in (False, True)}
     for _ in range(4):
-        v = randgen.random_valuation(rng, st, max_value=rng.choice((1, 3, 5)))
+        v = random_valuation(rng, st, max_value=rng.choice((1, 3, 5)))
         sv = tuple((i, n) for i, n in enumerate(v.values) if n)
         for state in machine.states:
             outgoing = [t for t in machine.transitions if t.src == state]
@@ -482,11 +487,11 @@ def _product_order(sv, images):
 def test_explicit_transfer_keeps_product_order():
     rng = random.Random(72)
     for _ in range(300):
-        st = randgen.random_structure(rng)
-        t = randgen.random_transfer(rng, st, empty_prob=0.0)
+        st = random_structure(rng)
+        t = random_transfer(rng, st, empty_prob=0.0)
         machine = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", t, "p")],
                                  check_transfers="off")
-        v = randgen.random_valuation(rng, st)
+        v = random_valuation(rng, st)
         sv = tuple((i, n) for i, n in enumerate(v.values) if n)
         succ, _ = successors(machine, "p", sv, vcap=64)
         images = [tuple(st.index[d] for d in t.image(c)) for c in st.counters]
@@ -503,7 +508,7 @@ def test_explicit_transfer_first_entry_wins():
     machine = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", twice, "p")],
                              check_transfers="off")
     assert successors(machine, "p", ((0, 2),), vcap=64)[0] == [("a", "p", ((1, 2),), 1)]
-    assert [v.values for v in fire(st.valuation({"x": 2}), twice)] == [(0, 2)]
+    assert [v.values for v in fire(valuation(st, {"x": 2}), twice)] == [(0, 2)]
 
 
 def test_explicit_step_truncation(monkeypatch):
@@ -562,7 +567,7 @@ def test_explicit_steps_keep_the_canonical_form():
         machine = _random_explicit_machine(rng, shared=k % 2 == 1)
         st = machine.structure
         for _ in range(3):
-            v = randgen.random_valuation(rng, st)
+            v = random_valuation(rng, st)
             sv = tuple((i, n) for i, n in enumerate(v.values) if n)
             for lazy in (False, True):
                 stepped = _under(machine, lazy)

@@ -15,6 +15,8 @@ from regsafe.cli import run_cli
 from regsafe.errors import ParseError
 from regsafe.ipcant import CounterMachine, Transition, format_machine, parse_machine
 from regsafe.pipeline.tm import TuringMachine, format_tm, parse_tm
+from regsafe.reference.ipcant import random_structure, random_transfer
+from regsafe.reference.ltl import random_sentence
 from regsafe.words import Alphabet
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -37,10 +39,10 @@ HEADERS = {
 
 def _random_cm(seed):
     rng = random.Random(seed)
-    structure = randgen.random_structure(rng, max_basis=2, max_counters=3)
+    structure = random_structure(rng, max_basis=2, max_counters=3)
     states = tuple("p%d" % i for i in range(rng.randint(1, 3)))
     transitions = [Transition(rng.choice(states), rng.choice(AB.letters),
-                              randgen.random_transfer(rng, structure), rng.choice(states))
+                              random_transfer(rng, structure), rng.choice(states))
                    for _ in range(rng.randint(1, 4))]
     return format_machine(CounterMachine(AB, states, states[0], structure, transitions,
                                          check_transfers="off", lazy=rng.random() < 0.5))
@@ -63,7 +65,7 @@ def turing_machines(draw):
 SEEDS = hst.integers(0, 2 ** 32 - 1)
 TEXTS = {
     ".ltl": SEEDS.map(lambda seed: ltl.print_formula_file(
-        AB, randgen.random_sentence(random.Random(seed), AB, depth=4))),
+        AB, random_sentence(random.Random(seed), AB, depth=4))),
     ".ara": SEEDS.map(lambda seed: format_automaton(
         randgen.random_automaton(random.Random(seed), AB, max_states=3))),
     ".cm": SEEDS.map(_random_cm),

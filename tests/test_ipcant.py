@@ -12,13 +12,17 @@ from regsafe.words import Alphabet
 from itertools import combinations, product
 
 from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, CoverTable, Dec,
-                            EPS, Inc, Instruction, Transfer, Transition, Valuation, bound_ceiling,
-                            bound_params, check_distributive, compositions,
-                            compute_bound, cover_table, fire, fire_lazy, format_machine, ifz_cap,
-                            parse_machine, split_tokens, sqsse, transfer_witnesses)
+                            EPS, Inc, Instruction, Transfer, Transition, bound_log2,
+                            bound_log2_log2, bound_params, check_distributive, compositions,
+                            cover_table, format_machine, ifz_cap, parse_machine, split_tokens)
 from regsafe import ipcant, randgen
 from regsafe.ara import parse_automaton
 from regsafe.pipeline import ara_to_ipcant
+from regsafe.reference import ipcant as reference_ipcant
+from regsafe.reference.ipcant import (Valuation, bound_ceiling, fire, fire_lazy,
+                                      random_distributive_transfer, random_instruction,
+                                      random_structure, random_transfer, random_valuation,
+                                      sqsse, sub_valuation, transfer_witnesses, valuation)
 
 UNCUT = 1 << 30  # a value bound above every count these tests reach
 
@@ -48,13 +52,13 @@ def test_valuation_validation(xy):
         Valuation(xy, (1,))
     with pytest.raises(ValidationError):
         Valuation(xy, (1, -1))
-    v = xy.valuation({"x": 2})
+    v = valuation(xy, {"x": 2})
     assert v["x"] == 2 and v[frozenset("y")] == 0
     assert v.total() == 2
 
 
 def test_fire_inc_dec(xy):
-    v = xy.valuation({"x": 1})
+    v = valuation(xy, {"x": 1})
     assert _vals(fire(v, Inc(frozenset("y")))) == {(1, 1)}
     assert _vals(fire(v, Dec(frozenset("x")))) == {(0, 0)}
     assert fire(v, Dec(frozenset("y"))) == set()
@@ -64,14 +68,14 @@ def test_fire_transfer_splitting(xy):
     """Two tokens on x split over {x, y}: every distribution is a result."""
     f = Transfer(((frozenset("x"), (frozenset("x"), frozenset("y"))),
                   (frozenset("y"), (frozenset("y"),))))
-    v = xy.valuation({"x": 2, "y": 1})
+    v = valuation(xy, {"x": 2, "y": 1})
     assert _vals(fire(v, f)) == {(2, 1), (1, 2), (0, 3)}
 
 
 def test_fire_transfer_unfirable_on_empty_image(xy):
     f = Transfer(((frozenset("x"), ()),))
-    assert fire(xy.valuation({"x": 1}), f) == set()
-    assert _vals(fire(xy.valuation({"y": 2}), f)) == {(0, 2)}
+    assert fire(valuation(xy, {"x": 1}), f) == set()
+    assert _vals(fire(valuation(xy, {"y": 2}), f)) == {(0, 2)}
 
 
 def _compositions_reference(n, k):
@@ -107,15 +111,15 @@ def test_ifz_cap_semantics():
     st = CounterStructure(("x", "y"), (frozenset("x"), frozenset("y"),
                                        frozenset(("x", "y"))))
     instr = ifz_cap(("x",), st.counters)
-    ok = st.valuation({"y": 3})
+    ok = valuation(st, {"y": 3})
     assert fire(ok, instr) == {ok}
-    assert fire(st.valuation({"x": 1}), instr) == set()
-    assert fire(st.valuation({("x", "y"): 1}), instr) == set()
+    assert fire(valuation(st, {"x": 1}), instr) == set()
+    assert fire(valuation(st, {("x", "y"): 1}), instr) == set()
 
 
 def test_transfer_witness_sums(xy):
     f = Transfer(((frozenset("x"), (frozenset("x"), frozenset("y"))),))
-    v = xy.valuation({"x": 2, "y": 1})
+    v = valuation(xy, {"x": 2, "y": 1})
     for witness, result in transfer_witnesses(v, f):
         for c, n in v.items():
             assert sum(k for (src, _), k in witness.items() if src == c) == n
@@ -126,17 +130,17 @@ def test_transfer_witness_sums(xy):
 def test_fire_transfer_preserves_tokens():
     rng = random.Random(12)
     for _ in range(300):
-        st = randgen.random_structure(rng)
-        f = randgen.random_distributive_transfer(rng, st)
-        v = randgen.random_valuation(rng, st)
+        st = random_structure(rng)
+        f = random_distributive_transfer(rng, st)
+        v = random_valuation(rng, st)
         for v2 in fire(v, f):
             assert v2.total() == v.total()
 
 
 def test_fire_lazy(xy):
-    v = xy.valuation({})
+    v = valuation(xy, {})
     assert fire_lazy(v, Dec(frozenset("x"))) == {v}
-    v2 = xy.valuation({"x": 2})
+    v2 = valuation(xy, {"x": 2})
     assert _vals(fire_lazy(v2, Dec(frozenset("x")))) == {(1, 0)}
     f = Transfer(((frozenset("x"), (frozenset("y"),)),))
     assert fire_lazy(v2, f) == fire(v2, f)
@@ -144,24 +148,24 @@ def test_fire_lazy(xy):
 
 def test_sqsse_examples():
     st = CounterStructure(("x", "y"), (frozenset("x"), frozenset(("x", "y"))))
-    small = st.valuation({"x": 1})
-    big = st.valuation({("x", "y"): 1})
+    small = valuation(st, {"x": 1})
+    big = valuation(st, {("x", "y"): 1})
     assert sqsse(small, big)
     assert not sqsse(big, small)
     assert sqsse(small, small)
-    v = st.valuation({"x": 1, ("x", "y"): 2})
-    assert sqsse(st.valuation({"x": 1, ("x", "y"): 1}), v)
+    v = valuation(st, {"x": 1, ("x", "y"): 2})
+    assert sqsse(valuation(st, {"x": 1, ("x", "y"): 1}), v)
 
 
 def test_sqsse_pointwise_and_structure_mismatch(xy):
     rng = random.Random(13)
     for _ in range(100):
-        st = randgen.random_structure(rng)
-        v = randgen.random_valuation(rng, st)
-        assert sqsse(randgen.sub_valuation(rng, v), v)
+        st = random_structure(rng)
+        v = random_valuation(rng, st)
+        assert sqsse(sub_valuation(rng, v), v)
     other = CounterStructure(("x",), (frozenset("x"),))
     with pytest.raises(ValidationError):
-        sqsse(other.valuation({}), xy.valuation({}))
+        sqsse(valuation(other, {}), valuation(xy, {}))
 
 
 def _hall(counters, small, big):
@@ -186,10 +190,10 @@ def test_sqsse_matches_hall_condition():
     rng = random.Random(17)
     seen = set()
     for trial in range(600):
-        st = randgen.random_structure(rng, max_basis=4, max_counters=8)
-        small = randgen.random_valuation(rng, st, max_value=rng.choice((1, 2, 3)))
+        st = random_structure(rng, max_basis=4, max_counters=8)
+        small = random_valuation(rng, st, max_value=rng.choice((1, 2, 3)))
         if trial % 2:
-            big = randgen.random_valuation(rng, st, max_value=rng.choice((1, 2, 3)))
+            big = random_valuation(rng, st, max_value=rng.choice((1, 2, 3)))
         else:
             values = [0] * len(st.counters)
             for c, n in small.items():
@@ -265,7 +269,7 @@ def _reference_distributive(f, counters):
 def test_cover_table_matches_reference():
     rng = random.Random(40)
     for _ in range(200):
-        st = randgen.random_structure(rng, max_basis=4, max_counters=7)
+        st = random_structure(rng, max_basis=4, max_counters=7)
         counters = st.counters
         table = CoverTable(counters)
         for c, covers in zip(counters, table.covers):
@@ -278,8 +282,8 @@ def test_check_distributive_matches_reference():
     rng = random.Random(41)
     verdicts = []
     for _ in range(400):
-        st = randgen.random_structure(rng, max_basis=4, max_counters=6)
-        f = randgen.random_transfer(rng, st).as_map(st.counters)
+        st = random_structure(rng, max_basis=4, max_counters=6)
+        f = random_transfer(rng, st).as_map(st.counters)
         want = _reference_distributive(f, st.counters)
         assert check_distributive(f, st.counters) == want
         verdicts.append(want)
@@ -299,7 +303,7 @@ def test_check_distributive_images_outside_the_counters():
     rng = random.Random(42)
     verdicts = []
     for _ in range(400):
-        st = randgen.random_structure(rng, max_basis=4, max_counters=5)
+        st = random_structure(rng, max_basis=4, max_counters=5)
         pool = st.basis + ("z",)
         f = {}
         for c in st.counters:
@@ -351,8 +355,8 @@ def test_families_keep_their_own_verdicts():
     rng = random.Random(43)
     verdicts = set()
     for _ in range(300):
-        a = randgen.random_structure(rng, max_basis=3, max_counters=5)
-        b = randgen.random_structure(rng, max_basis=3, max_counters=5)
+        a = random_structure(rng, max_basis=3, max_counters=5)
+        b = random_structure(rng, max_basis=3, max_counters=5)
         n = min(len(a.counters), len(b.counters))
         shape = [rng.sample(range(n), rng.randint(0, min(2, n))) for _ in range(n)]
         mixed = tuple(rng.sample(a.counters[:n], n))
@@ -367,7 +371,7 @@ def test_families_keep_their_own_verdicts():
 def test_cover_table_is_shared_and_matches_a_fresh_one():
     rng = random.Random(44)
     for _ in range(50):
-        counters = randgen.random_structure(rng, max_basis=4, max_counters=7).counters
+        counters = random_structure(rng, max_basis=4, max_counters=7).counters
         table = cover_table(counters)
         assert table is cover_table(counters)
         assert table.covers == CoverTable(counters).covers
@@ -391,7 +395,7 @@ def test_caches_stay_within_their_bounds():
         assert verdicts.cache_info().currsize <= limit
     assert verdicts.cache_info().currsize == limit
     modules = (ipcant.machine, ipcant.distributive, ipcant.bound, ipcant.fileformat,
-               ipcant.reference)
+               reference_ipcant)
     caches = {(module.__name__.rpartition(".")[2], name): f for module in modules
               for name, f in vars(module).items()
               if hasattr(f, "cache_info") and f.__module__ == module.__name__}
@@ -474,9 +478,9 @@ def test_machine_verdicts_match_check_distributive():
     verdicts = []
     repeated = 0
     for k in range(300):
-        st = randgen.random_structure(rng, max_basis=4, max_counters=12)
+        st = random_structure(rng, max_basis=4, max_counters=12)
         counters = st.counters
-        t = randgen.random_transfer(rng, st)
+        t = random_transfer(rng, st)
         src = rng.choice(counters)
         if k % 2:
             entries = list(t.entries)
@@ -500,7 +504,7 @@ def test_machine_verdicts_match_check_distributive():
         # tokens on src and at most one other counter, so the reference
         # firing enumerates few splits
         m = CounterMachine(ab, ("p",), "p", st, transitions, check_transfers="off")
-        v = st.valuation({src: rng.randint(1, 2)})
+        v = valuation(st, {src: rng.randint(1, 2)})
         other = rng.choice(counters)
         if other != src:
             v = v._with(st.index[other], rng.randint(0, 1))
@@ -619,8 +623,8 @@ def _random_machine(rng, structure, lazy):
     for _ in range(rng.randint(1, 6)):
         i, j = rng.randrange(len(states)), rng.randrange(len(states))
         label = rng.choice(("a", "b", EPS)) if i < j else rng.choice("ab")
-        instr = (randgen.random_transfer(rng, structure) if rng.random() < 0.5
-                 else randgen.random_instruction(rng, structure))
+        instr = (random_transfer(rng, structure) if rng.random() < 0.5
+                 else random_instruction(rng, structure))
         transitions.append(Transition(states[i], label, instr, states[j]))
     return CounterMachine(Alphabet(("a", "b")), states, states[0], structure,
                           transitions, check_transfers="off", lazy=lazy)
@@ -632,7 +636,7 @@ def test_machine_file_round_trip_property(seed, lazy):
     """Printing is stable through a parse, and a checked load succeeds
     exactly when every transfer passes check_distributive."""
     rng = random.Random(seed)
-    structure = randgen.random_structure(rng, max_basis=3, max_counters=4)
+    structure = random_structure(rng, max_basis=3, max_counters=4)
     text = format_machine(_random_machine(rng, structure, lazy))
     parsed = parse_machine(text, "off")
     assert format_machine(parsed) == text
@@ -700,9 +704,27 @@ def test_bound_ceiling():
         assert math.log2(m) < exponent
 
 
+def test_bound_log2_log2_is_the_log_of_bound_log2():
+    """Where log2 m is a float, the log-space evaluation gives its log2.  The
+    counts of ara_to_ipcant's machine of 88 states over 10 letters, the
+    bouncer formula's, overflow the first and not the second."""
+    rng = random.Random(15)
+    for _ in range(200):
+        args = (rng.randint(1, 300), rng.randint(0, 10), rng.randint(0, 2000))
+        assert bound_log2_log2(*args) == pytest.approx(math.log2(bound_log2(*args)),
+                                                       rel=1e-12, abs=1e-12)
+    n = 88
+    huge = ((1 << n) * (10 + n + 2) + n * (1 << (3 * n - 1)) + 2, 3 * n + 2,
+            (1 << n) + (1 << (2 * n)))
+    assert bound_log2(*huge) == math.inf
+    assert bound_log2_log2(*huge) == pytest.approx(46824.082, abs=0.001)
+    with pytest.raises(ValidationError):
+        bound_log2_log2(0, 1, 1)
+
+
 def test_compute_bound_from_machine(data_text):
     machine = parse_machine(data_text("tiny.cm"))
-    assert compute_bound(machine).m == 12
+    assert bound_params(*machine.bound_counts()).m == 12
 
 
 def test_machine_file_round_trip():

@@ -1,7 +1,7 @@
 import pytest
 
 from regsafe.errors import ParseError, ValidationError
-from regsafe.words import canonicalize, prefix
+from regsafe.words import canonicalize
 from regsafe.ara import format_automaton, ltl_to_ara, run_exists
 from regsafe.ltl import (is_sentence, parse_formula, parse_formula_file, print_formula,
                          print_formula_file)
@@ -121,7 +121,7 @@ def test_formula_accepts_encoded_run(bouncer):
     w = encode_tm_run(bouncer, 2)
     assert run_exists(aut, w)
     for i in (1, 7, 13, 26):
-        assert run_exists(aut, prefix(w, i))
+        assert run_exists(aut, w.prefix(i))
 
 
 def test_formula_rejects_corrupted_run(bouncer):

@@ -6,7 +6,7 @@ import pytest
 
 from regsafe.errors import ParseError, ValidationError
 from regsafe.words import (Alphabet, DataWord, canonical_class_sequences,
-                           canonicalize, enumerate_words, parse_word, prefix,
+                           canonicalize, enumerate_words, parse_word,
                            print_word, read_names, read_sections)
 
 
@@ -71,7 +71,6 @@ def test_alphabet_is_a_validated_tuple():
 def test_canonicalize_renumbers_by_first_occurrence():
     w = canonicalize("abca", [7, "x", 7, "y"])
     assert w.classes == (0, 1, 0, 2)
-    assert w.num_classes == 3
 
 
 def test_parse_print_round_trip(abc):
@@ -103,20 +102,10 @@ def test_noncanonical_rejected():
 
 def test_prefix_of_canonical_is_canonical(abc):
     w = parse_word("a@0 b@1 c@0 a@2", abc)
-    assert prefix(w, 2) == parse_word("a@0 b@1", abc)
-    assert prefix(w, len(w)) == w
+    assert w.prefix(2) == parse_word("a@0 b@1", abc)
+    assert w.prefix(len(w)) == w
     with pytest.raises(ValidationError):
-        prefix(w, 0)
-    with pytest.raises(ValidationError):
-        prefix(w, 5)
-
-
-def test_extend_keeps_canonical(abc):
-    w = parse_word("a@0 b@1", abc)
-    assert w.extend("c", 1).classes == (0, 1, 1)
-    assert w.extend("c", 2).classes == (0, 1, 2)
-    with pytest.raises(ValidationError):
-        w.extend("c", 3)
+        w.prefix(5)
 
 
 def test_class_sequence_counts():
@@ -152,7 +141,7 @@ def test_random_round_trips(abc):
         w = canonicalize(letters, labels)
         assert parse_word(print_word(w), abc) == w
         for i in range(1, n + 1):
-            assert prefix(w, i).letters == w.letters[:i]
+            assert w.prefix(i).letters == w.letters[:i]
 
 
 def test_read_sections():
