@@ -19,7 +19,7 @@ from .errors import ParseError, RegsafeError, ValidationError
 from .words import Alphabet, parse_word, print_word
 from . import ltl
 from .ara import format_automaton, ltl_to_ara, parse_automaton, run_exists
-from .ipcant import bound_log2, bound_log2_log2, bound_params, format_machine, parse_machine
+from .ipcant import bound_log2_log2, bound_params, format_machine, parse_machine
 from .pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                        bounded_nonemptiness, config_length, encode_tm_run,
                        inclusion_check, oracle_run_exists, parse_tm, tm_alphabet,
@@ -94,8 +94,8 @@ _NEGATIVE = {"NO", "EMPTY", "NOT_INCLUDED", "MISMATCH"}
 
 # largest bound, in bits, that `bound` will evaluate exactly
 _BOUND_PRINT_BITS = 1_000_000
-# largest log2(log2 m) for which `bound` evaluates log2 m as a float: a
-# float ends near 2^1024, and a larger counter count does not convert
+# largest log2(log2 m) for which `bound` raises 2 to it to get log2 m as
+# a float, which ends near 2^1024
 _BOUND_FLOAT_LOG2 = 1000
 
 
@@ -207,7 +207,7 @@ def _cmd_bound(inv, ns):
         _emit(inv, ["m is about 2^(2^%.3f), too large to materialize" % loglog],
               {"command": "bound", "m_log2_log2": loglog, "materialized": False})
         return 0
-    bits = bound_log2(q_count, basis_size, counter_count)
+    bits = 2.0 ** loglog
     if bits > _BOUND_PRINT_BITS:
         _emit(inv, ["m is about 2^%.3e, too large to materialize" % bits],
               {"command": "bound", "m_log2": bits, "materialized": False})

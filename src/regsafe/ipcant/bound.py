@@ -29,23 +29,11 @@ def bound_params(q_count, basis_size, counter_count) -> BoundParams:
     return BoundParams(tuple(alphas), tuple(us), m)
 
 
-def bound_log2(q_count, basis_size, counter_count) -> float:
-    """log2 of the recurrence's m, evaluated in log space.  The exact value
-    grows doubly exponentially with the basis size, so callers use this to
-    decide whether materializing it is feasible at all."""
-    _check(q_count, basis_size, counter_count)
-    la = math.log2(q_count)
-    lu = 0.0
-    for i in range(basis_size):
-        la, lu = (1 + math.log2(basis_size - i) + la + counter_count * lu,
-                  math.log2(3) + la + counter_count * lu)
-    return 1 + la + counter_count * lu
-
-
 def bound_log2_log2(q_count, basis_size, counter_count) -> float:
-    """log2 of bound_log2, finite where that overflows a float (from about
-    13 automaton states on): the same recurrence on the logarithms of its
-    terms, a zero term being -inf."""
+    """log2(log2 m), finite where log2 m overflows a float (from about 13
+    automaton states on), so callers can tell whether materializing m is
+    feasible: the recurrence on the logarithms of its terms, a zero term
+    being -inf."""
     _check(q_count, basis_size, counter_count)
 
     def add(*xs):  # log2 of the sum of the terms 2^x

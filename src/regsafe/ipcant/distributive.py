@@ -2,7 +2,9 @@
 covered by a union of counters, any choice of image counters for the cover
 admits an image counter of the covered one inside the union of the choices.
 Distributivity is what makes the token-embedding preorder compatible with
-firing."""
+firing.  One memo keeps verdicts, _exhaustive_verdict, per transfer and
+counter tuple; check_distributive keeps none, and a sampled verdict is
+drawn afresh."""
 
 import functools
 import random
@@ -81,30 +83,20 @@ def check_distributive(f, counters) -> bool:
     """Exhaustive check of the distributivity condition over all irredundant
     covers (sufficient: a redundant cover's condition follows from any
     irredundant subcover); feasible for families up to a dozen or two
-    counters, the cost being driven by the cover count.  The verdict is the
-    memoised one of _covers_distributive, on the shared cover_table."""
-    counters = tuple(counters)
-    key = []
-    for c in counters:
-        if c not in f:
-            raise ValidationError("transfer map not total: missing %r" % (sorted(c),))
-        key.append(tuple(f[c]))
-    return _covers_distributive(tuple(key), counters)
-
-
-@functools.lru_cache(maxsize=4096)
-def _covers_distributive(key, counters):
-    """check_distributive's verdict on the images of each counter, key, over
-    the counter tuple's shared cover_table.  The condition on a cover
+    counters, the cost being driven by the cover count.  The covers come
+    from the counter tuple's shared cover_table; the condition on a cover
     depends only on the union of the chosen images, so the unions are
     folded cover member by member into a set."""
+    counters = tuple(counters)
     table = cover_table(counters)
     known = table.masks
     extra = {}
     images = []
-    for dsts in key:
+    for c in counters:
+        if c not in f:
+            raise ValidationError("transfer map not total: missing %r" % (sorted(c),))
         imgs = set()
-        for d in dsts:
+        for d in f[c]:
             m = known.get(d)
             imgs.add(table.mask(d, extra) if m is None else m)
         images.append(tuple(imgs))

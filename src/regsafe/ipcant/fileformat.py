@@ -34,18 +34,22 @@ def _parse_counters(text, pattern, what):
 
 
 @functools.lru_cache(maxsize=4096)
-def _parse_instr(text, counters):
+def _parse_instr(text, structure):
     """The instruction of a stripped instruction text over the family's
-    counter tuple, which an ifz^cap expands over.  Kept under _parse_line's
-    memo because the lines of one file repeat an instruction text under
-    other states: they share one instruction object, which CounterMachine
-    resolves to its op once."""
+    CounterStructure, whose counters an ifz^cap expands over and whose basis
+    must hold the ifz^cap's set.  Kept under _parse_line's memo because the
+    lines of one file repeat an instruction text under other states: they
+    share one instruction object, which CounterMachine resolves to its op
+    once."""
     if text.startswith("inc "):
         return Inc(_parse_counter(text[4:]))
     if text.startswith("dec "):
         return Dec(_parse_counter(text[4:]))
     if text.startswith("ifz^cap "):
-        return ifz_cap(_parse_counter(text[len("ifz^cap "):]), counters)
+        y = _parse_counter(text[len("ifz^cap "):])
+        if not y.issubset(structure.basis):
+            raise ValidationError("ifz^cap set %r uses unknown basis elements" % (sorted(y),))
+        return ifz_cap(y, structure.counters)
     if text == "nop":
         return Transfer(())
     if text.startswith("transf "):
@@ -76,9 +80,10 @@ def _parse_structure(basis_text, counters_text):
 
 
 @functools.lru_cache(maxsize=4096)
-def _parse_line(line, counters):
-    """The Transition of a stripped body line over the family's counter
-    tuple.  Its ParseError carries no line number; parse_machine adds it."""
+def _parse_line(line, structure):
+    """The Transition of a stripped body line over the family's
+    CounterStructure.  Its ParseError carries no line number; parse_machine
+    adds it."""
     src, _, rest = line.partition(" ")
     rest = rest.strip()
     if not rest.startswith("-"):
@@ -94,7 +99,7 @@ def _parse_line(line, counters):
     if not dst:
         raise ParseError("missing target state")
     return Transition(src, EPS if label == "eps" else label,
-                      _parse_instr(instr_text.strip(), counters), dst)
+                      _parse_instr(instr_text.strip(), structure), dst)
 
 
 def parse_machine(text, check_transfers="auto") -> CounterMachine:
@@ -112,11 +117,10 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
     initial = read_names(headers["initial"], "state")
     if len(initial) != 1:
         raise ParseError("expected one initial state")
-    counters = structure.counters
     transitions = []
     for lineno, line in body:
         try:
-            transitions.append(_parse_line(line, counters))
+            transitions.append(_parse_line(line, structure))
         except ParseError as err:
             raise ParseError("line %d: %s" % (lineno, err)) from None
     return CounterMachine(alphabet, states, initial[0], structure, transitions,

@@ -53,14 +53,19 @@ class CounterStructure:
             if c in seen:
                 raise ValidationError("duplicate counter %r" % (sorted(c),))
             seen.add(c)
-        self.index = {c: i for i, c in enumerate(self.counters)}
+        self._hash = hash((self.basis, self.counters))
+
+    @functools.cached_property
+    def index(self):
+        """A dict from each counter to its position, built on first use."""
+        return {c: i for i, c in enumerate(self.counters)}
 
     def __eq__(self, other):
         return (isinstance(other, CounterStructure)
                 and self.basis == other.basis and self.counters == other.counters)
 
     def __hash__(self):
-        return hash((self.basis, self.counters))
+        return self._hash
 
 
 @node

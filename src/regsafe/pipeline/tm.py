@@ -26,6 +26,8 @@ The generated formula conjoins, in negation normal form:
     same-class content positions at most one state letter occurs.
 """
 
+from functools import reduce
+
 from ..errors import RegsafeError, ParseError, ValidationError
 from ..words import Alphabet, DataWord, NAME_RE, canonicalize, read_sections
 from .. import ltl
@@ -86,10 +88,7 @@ class TuringMachine:
                 raise ValidationError("rule target (%r, %r) unknown" % (q2, a2))
             if move not in (-1, 1):
                 raise ValidationError("move must be -1 or +1, got %r" % (move,))
-        here = list(self.states)
-        for d in range(1, size + 1):
-            here += [digit_letter(0, d), digit_letter(1, d)]
-        here += list(self.tape) + [hatted(b) for b in self.tape]
+        here = _letters(self)
         if len(set(here)) != len(here):
             raise ValidationError("state, digit, content and hatted letter names collide")
 
@@ -98,15 +97,18 @@ class TuringMachine:
         return 2 ** self.size
 
 
-def tm_alphabet(m: TuringMachine) -> Alphabet:
-    """The encoding alphabet: states, address digits per level, contents,
-    hatted contents."""
+def _letters(m):
+    """The encoding's letters in order: states, address digits per level,
+    contents, hatted contents."""
     letters = list(m.states)
     for d in range(1, m.size + 1):
         letters += [digit_letter(0, d), digit_letter(1, d)]
-    letters += list(m.tape)
-    letters += [hatted(b) for b in m.tape]
-    return Alphabet(tuple(letters))
+    return letters + list(m.tape) + [hatted(b) for b in m.tape]
+
+
+def tm_alphabet(m: TuringMachine) -> Alphabet:
+    """The encoding alphabet, in _letters' order."""
+    return Alphabet(_letters(m))
 
 
 def config_length(m: TuringMachine) -> int:
@@ -159,18 +161,15 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
     ab = tm_alphabet(m)
     n = m.size
     states = list(m.states)
-    contents = list(m.tape) + [hatted(b) for b in m.tape]
     hats = [hatted(b) for b in m.tape]
+    contents = list(m.tape) + hats
     shared = {}  # name tuple -> its disjunction, built once
 
     def disj(names):
         names = tuple(names)
         out = shared.get(names)
         if out is None:
-            for name in names:
-                atom = ltl.Atom(name)
-                out = atom if out is None else ltl.Or(out, atom)
-            out = shared[names] = out if out is not None else ltl.Bot()
+            out = shared[names] = reduce(ltl.Or, map(ltl.Atom, names)) if names else ltl.Bot()
         return out
 
     def bar(excluded):
@@ -185,10 +184,13 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
     def always(f):
         return ltl.Release(ltl.Bot(), f)
 
-    def ors(fs):
-        out = fs[0]
-        for f in fs[1:]:
-            out = ltl.Or(out, f)
+    def chain(d, top, below):
+        """The bit top at level d, then below at each lower level, one
+        position apart: top_d & X(below_{d+1} & X(... below_n))."""
+        out = ltl.Atom(digit_letter(top if d == n else below, n))
+        for lev in range(n - 1, d - 1, -1):
+            out = ltl.And(ltl.Atom(digit_letter(top if lev == d else below, lev)),
+                          ltl.Next(out))
         return out
 
     conjuncts = []
@@ -197,10 +199,7 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
     conjuncts.append(disj(states))
 
     # a state letter is followed by the all-zero address of cell zero
-    acc = ltl.Atom(digit_letter(0, n))
-    for d in range(n - 1, 0, -1):
-        acc = ltl.And(ltl.Atom(digit_letter(0, d)), ltl.Next(acc))
-    conjuncts.append(always(ltl.Or(bar(states), ltl.Next(acc))))
+    conjuncts.append(always(ltl.Or(bar(states), ltl.Next(chain(1, 0, 0)))))
 
     # a bottom-level bit is followed by a content letter
     conjuncts.append(always(ltl.Or(
@@ -211,12 +210,9 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
     # below it reads one (the ripple of adding one)
     for b in (0, 1):
         for d in range(1, n):
-            ones = ltl.Atom(digit_letter(1, n))
-            for lev in range(n - 1, d, -1):
-                ones = ltl.And(ltl.Atom(digit_letter(1, lev)), ltl.Next(ones))
-            conjuncts.append(always(ors([
+            conjuncts.append(always(reduce(ltl.Or, [
                 bar([digit_letter(b, d)]),
-                ltl.Next(ones),
+                ltl.Next(chain(d + 1, 1, 1)),
                 xk(ltl.Atom(digit_letter(b, d)), n + 1)])))
 
     # a zero bit whose lower bits all read one flips to one with zeroes below
@@ -224,21 +220,14 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
         parts = [bar([digit_letter(0, d)])]
         for k in range(1, n - d + 1):
             parts.append(xk(bar([digit_letter(1, d + k)]), k))
-        if d == n:
-            claim = ltl.Atom(digit_letter(1, n))
-        else:
-            zeros = ltl.Atom(digit_letter(0, n))
-            for lev in range(n - 1, d, -1):
-                zeros = ltl.And(ltl.Atom(digit_letter(0, lev)), ltl.Next(zeros))
-            claim = ltl.And(ltl.Atom(digit_letter(1, d)), ltl.Next(zeros))
-        parts.append(xk(claim, n + 1))
-        conjuncts.append(always(ors(parts)))
+        parts.append(xk(chain(d, 1, 0), n + 1))
+        conjuncts.append(always(reduce(ltl.Or, parts)))
 
     # after the all-one address and its content comes the next state letter
     parts = [xk(bar([digit_letter(1, d)]), d - 1) for d in range(1, n + 1)]
     parts.append(xk(bar(contents), n))
     parts.append(xk(disj(states), n + 1))
-    conjuncts.append(always(ors(parts)))
+    conjuncts.append(always(reduce(ltl.Or, parts)))
 
     # state letters and hats alternate
     conjuncts.append(always(ltl.Or(
@@ -253,11 +242,8 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
     parts.append(xk(ltl.Atom(hatted(m.blank)), n + 1))
     parts.append(ltl.Next(ltl.Release(
         disj(states),
-        ors([bar(contents), ltl.Atom(m.blank), ltl.Atom(hatted(m.blank))]))))
-    start = parts[0]
-    for f in parts[1:]:
-        start = ltl.And(start, f)
-    conjuncts.append(start)
+        reduce(ltl.Or, [bar(contents), ltl.Atom(m.blank), ltl.Atom(hatted(m.blank))]))))
+    conjuncts.append(reduce(ltl.And, parts))
 
     # reading a in state q leads to delta's state
     for (q, a), (q2, _, _) in sorted(m.rules.items()):
@@ -271,7 +257,8 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
         conjuncts.append(always(ltl.Or(bar([b]), ltl.Freeze(ltl.Next(
             ltl.Release(
                 ltl.And(disj(contents), ltl.Up()),
-                ors([bar(contents), ltl.NotUp(), ltl.Atom(b), ltl.Atom(hatted(b))])))))))
+                reduce(ltl.Or, [bar(contents), ltl.NotUp(), ltl.Atom(b),
+                                ltl.Atom(hatted(b))])))))))
 
     # the head cell is rewritten and the hat lands on the neighbour
     for (q, a), (_, a2, move) in sorted(m.rules.items()):
@@ -282,7 +269,7 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
         else:
             inner = ltl.Freeze(ltl.Next(ltl.Release(
                 ltl.And(disj(contents), ltl.Up()),
-                ors([bar(contents), ltl.NotUp(),
+                reduce(ltl.Or, [bar(contents), ltl.NotUp(),
                      ltl.And(ltl.Atom(a2), xk(disj(hats), n + 1))]))))
         conjuncts.append(always(ltl.Or(bar([q]), ltl.Release(
             disj(hats), ltl.Or(bar([hatted(a)]), inner)))))
@@ -308,10 +295,7 @@ def tm_to_formula(m: TuringMachine) -> ltl.Formula:
             bar(states),
             ltl.Next(ltl.Release(same, bar(states))))))))))
 
-    out = conjuncts[0]
-    for f in conjuncts[1:]:
-        out = ltl.And(out, f)
-    return out
+    return reduce(ltl.And, conjuncts)
 
 
 def parse_tm(text) -> TuringMachine:

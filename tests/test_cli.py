@@ -498,8 +498,13 @@ def test_invalid_input_files_exit_65(tmp_path, capsys):
     partial.write_text("tape: B M\nblank: B\nstates: h0\ninitial: h0\nsize: 2\n"
                        "h0, B -> h0, B, -1\n")
     assert run_cli(["tmgen", "--tm", str(partial)]) == 65
-    _, err = _out(capsys)
-    assert err.count("invalid input: ") == 4
+    ifz = tmp_path / "ifz.cm"
+    ifz.write_text("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
+                   "p -a, ifz^cap {zz}-> p\n")
+    assert run_cli(["sat", "--machine", str(ifz)]) == 65
+    out, err = _out(capsys)
+    assert out == "" and err.count("invalid input: ") == 5
+    assert "ifz^cap set ['zz'] uses unknown basis elements" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -422,7 +422,7 @@ def test_warm_machines_print_as_cold_ones():
         assert text == again
         for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_instr,
                       ipcant.machine._instruction_op, ipcant.fileformat._format_counter,
-                      ipcant.distributive._covers_distributive, ipcant.fileformat._parse_line,
+                      ipcant.distributive._exhaustive_verdict, ipcant.fileformat._parse_line,
                       ipcant.fileformat._format_transition, ipcant.fileformat._parse_structure):
             cache.cache_clear()
         assert _printed(aut, co) == (text, again), k

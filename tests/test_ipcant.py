@@ -12,9 +12,9 @@ from regsafe.words import Alphabet
 from itertools import combinations, product
 
 from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, CoverTable, Dec,
-                            EPS, Inc, Instruction, Transfer, Transition, bound_log2,
-                            bound_log2_log2, bound_params, check_distributive, compositions,
-                            cover_table, format_machine, ifz_cap, parse_machine, split_tokens)
+                            EPS, Inc, Instruction, Transfer, Transition, bound_log2_log2,
+                            bound_params, check_distributive, compositions, cover_table,
+                            format_machine, ifz_cap, parse_machine, split_tokens)
 from regsafe import ipcant, randgen
 from regsafe.ara import parse_automaton
 from regsafe.pipeline import ara_to_ipcant
@@ -322,12 +322,10 @@ _CM_HEADER = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\niniti
 
 def test_shared_table_keeps_refusing_non_distributive_maps():
     counters = (_X, _Y, _XY)
-    ipcant.distributive._covers_distributive.cache_clear()
     assert check_distributive({c: (c,) for c in counters}, counters)
     assert not check_distributive(_WITNESS, counters)
     assert check_distributive({c: (c,) for c in counters}, counters)
     assert not check_distributive(dict(_WITNESS), list(counters))
-    assert ipcant.distributive._covers_distributive.cache_info().currsize == 2
     good = parse_machine(_CM_HEADER + "p -a, transf {x,y}->[{x,y}]-> p\n", "full")
     assert good.counters == counters
     with pytest.raises(ValidationError, match="not distributive"):
@@ -384,14 +382,14 @@ def test_caches_stay_within_their_bounds():
         counters = (frozenset(["b%d" % k]),)
         assert check_distributive({counters[0]: counters}, counters)
     assert cover_table.cache_info().currsize == limit
-    # more distinct maps over one family than the verdicts kept
-    verdicts = ipcant.distributive._covers_distributive
+    # more distinct transfers over one family than the verdicts kept
+    verdicts = ipcant.distributive._exhaustive_verdict
     limit = verdicts.cache_info().maxsize
     counters = tuple(frozenset([e]) for e in "stuv")
     images = [()] + [(c,) for c in counters] + [(c, d) for c in counters for d in counters]
     maps = product(images, repeat=len(counters))
     for _ in range(limit + 100):
-        assert check_distributive(dict(zip(counters, next(maps))), counters)
+        assert verdicts(Transfer(tuple(zip(counters, next(maps)))), counters)
         assert verdicts.cache_info().currsize <= limit
     assert verdicts.cache_info().currsize == limit
     modules = (ipcant.machine, ipcant.distributive, ipcant.bound, ipcant.fileformat,
@@ -400,8 +398,8 @@ def test_caches_stay_within_their_bounds():
               for name, f in vars(module).items()
               if hasattr(f, "cache_info") and f.__module__ == module.__name__}
     assert set(caches) == {
-        ("distributive", "cover_table"), ("distributive", "_covers_distributive"),
-        ("distributive", "_exhaustive_verdict"), ("machine", "_instruction_op"),
+        ("distributive", "cover_table"), ("distributive", "_exhaustive_verdict"),
+        ("machine", "_instruction_op"),
         ("fileformat", "_parse_instr"), ("fileformat", "_format_counter"),
         ("fileformat", "_parse_line"), ("fileformat", "_format_transition"),
         ("fileformat", "_parse_structure")}
@@ -410,6 +408,27 @@ def test_caches_stay_within_their_bounds():
     assert ipcant.fileformat._format_transition.cache_info().maxsize == 4096
     assert ipcant.fileformat._parse_structure.cache_info().maxsize == 64
     assert ipcant.distributive._exhaustive_verdict.cache_info().maxsize == 4096
+
+
+def test_ifz_cap_outside_the_basis_is_refused():
+    """An ifz^cap set with an element outside basis: is refused on every
+    parse, the empty set and the basis's own elements are not."""
+    header = "alphabet: a\nbasis: x y\ncounters: {x} {x,y}\nstates: p\ninitial: p\n"
+    for text in ("{z}", "{x,z}", "{zz}"):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="unknown basis elements"):
+                parse_machine(header + "p -a, ifz^cap %s-> p\n" % text)
+    for text, y in (("{}", ""), ("{y}", "y"), ("{x,y}", "xy")):
+        m = parse_machine(header + "p -a, ifz^cap %s-> p\n" % text)
+        assert m.transitions[0].instr == ifz_cap(set(y), m.counters)
+
+
+def test_structure_builds_its_index_on_first_use():
+    st = CounterStructure(("x", "y"), [{"x"}, {"x", "y"}])
+    assert "index" not in vars(st)
+    assert st.index == {frozenset("x"): 0, frozenset("xy"): 1}
+    assert st.index is st.index
+    assert hash(st) == hash(CounterStructure(("x", "y"), [{"x"}, {"y", "x"}]))
 
 
 def test_instruction_memo_is_per_family():
@@ -705,18 +724,23 @@ def test_bound_ceiling():
 
 
 def test_bound_log2_log2_is_the_log_of_bound_log2():
-    """Where log2 m is a float, the log-space evaluation gives its log2.  The
-    counts of ara_to_ipcant's machine of 88 states over 10 letters, the
-    bouncer formula's, overflow the first and not the second."""
+    """Where the exact m fits in memory (here at most 2^20 bits), the
+    log-log evaluation gives log2(log2 m).  The counts of ara_to_ipcant's
+    machine of 88 states over 10 letters, the bouncer formula's, stay
+    finite although log2 m overflows a float."""
     rng = random.Random(15)
-    for _ in range(200):
-        args = (rng.randint(1, 300), rng.randint(0, 10), rng.randint(0, 2000))
-        assert bound_log2_log2(*args) == pytest.approx(math.log2(bound_log2(*args)),
+    checked = 0
+    while checked < 200:
+        args = (rng.randint(1, 300), rng.randint(0, 4), rng.randint(0, 12))
+        if bound_log2_log2(*args) > 20:
+            continue
+        m = bound_params(*args).m
+        assert bound_log2_log2(*args) == pytest.approx(math.log2(math.log2(m)),
                                                        rel=1e-12, abs=1e-12)
+        checked += 1
     n = 88
     huge = ((1 << n) * (10 + n + 2) + n * (1 << (3 * n - 1)) + 2, 3 * n + 2,
             (1 << n) + (1 << (2 * n)))
-    assert bound_log2(*huge) == math.inf
     assert bound_log2_log2(*huge) == pytest.approx(46824.082, abs=0.001)
     with pytest.raises(ValidationError):
         bound_log2_log2(0, 1, 1)

@@ -1,3 +1,6 @@
+import os
+import random
+
 import pytest
 
 from regsafe.errors import ParseError, ValidationError
@@ -105,6 +108,31 @@ def test_shared_subformulas_translate_like_unshared(bouncer):
     assert (shared.states, shared.initial) == (unshared.states, unshared.initial)
     assert shared.delta == unshared.delta
     assert format_automaton(shared) == format_automaton(unshared)
+
+
+def _seeded_tm(seed, n_states, size):
+    rng = random.Random(seed)
+    states = ("q0", "q1")[:n_states]
+    rules = {(q, a): (rng.choice(states), rng.choice("BM"), rng.choice((-1, 1)))
+             for q in states for a in "BM"}
+    return TuringMachine(("B", "M"), "B", states, "q0", rules, size)
+
+
+def test_formulas_match_the_recorded_ones(bouncer, halting):
+    """tm_to_formula gives, node for node, the formulas recorded in
+    tm_formulas.txt: those of bouncer.tm, halting.tm and seeded machines of
+    1-2 states at sizes 1-3 (seed 10 * size + states)."""
+    machines = {"bouncer.tm": bouncer, "halting.tm": halting}
+    for size in (1, 2, 3):
+        for n in (1, 2):
+            machines["seed %d" % (10 * size + n)] = _seeded_tm(10 * size + n, n, size)
+    with open(os.path.join(os.path.dirname(__file__), "tm_formulas.txt")) as fh:
+        recorded = dict(line.split(": ", 1) for line in fh.read().splitlines())
+    assert recorded.keys() == machines.keys()
+    for name, m in machines.items():
+        f = tm_to_formula(m)
+        assert print_formula(f) == recorded[name], name
+        assert f == parse_formula(recorded[name], tm_alphabet(m)), name
 
 
 def test_long_run_prefix_reachable(bouncer):
