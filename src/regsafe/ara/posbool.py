@@ -146,11 +146,18 @@ def _conjoin(left, right):
 
 
 def _minimize(pairs):
+    """The pairs no other pair of the set lies below."""
     if len(pairs) < 2:
         return pairs
-    return {p for p in pairs
-            if not any(q is not p and q[0] | p[0] == p[0] and q[1] | p[1] == p[1]
-                       for q in pairs)}
+    kept = set()
+    for p in pairs:
+        a, b = p
+        for q in pairs:
+            if q is not p and q[0] | a == a and q[1] | b == b:
+                break
+        else:
+            kept.add(p)
+    return kept
 
 
 _BINARY = {"|": (0, Or, False), "&": (1, And, False)}

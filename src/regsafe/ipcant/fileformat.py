@@ -7,7 +7,7 @@ import re
 from ..errors import ParseError, ValidationError
 from ..words import Alphabet, read_names, read_sections
 from .machine import (EPS, CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition,
-                      ifz_cap)
+                      ifz_cap, remember)
 
 _COUNTER_RE = re.compile(r"\{[^{}]*\}")
 # the counters: header, {...} groups apart by whitespace, and a transfer
@@ -39,8 +39,7 @@ def _parse_instr(text, structure):
     CounterStructure, whose counters an ifz^cap expands over and whose basis
     must hold the ifz^cap's set.  Kept under _parse_line's memo because the
     lines of one file repeat an instruction text under other states: they
-    share one instruction object, which CounterMachine resolves to its op
-    once."""
+    share one instruction object, whose op the family memo keeps once."""
     if text.startswith("inc "):
         return Inc(_parse_counter(text[4:]))
     if text.startswith("dec "):
@@ -82,7 +81,9 @@ def _parse_structure(basis_text, counters_text):
 @functools.lru_cache(maxsize=4096)
 def _parse_line(line, structure):
     """The Transition of a stripped body line over the family's
-    CounterStructure.  Its ParseError carries no line number; parse_machine
+    CounterStructure, its instruction resolved to its op through the family
+    memo, so that a counter outside the family is refused at its line.  Its
+    ParseError or ValidationError carries no line number; parse_machine
     adds it."""
     src, _, rest = line.partition(" ")
     rest = rest.strip()
@@ -98,15 +99,17 @@ def _parse_line(line, structure):
     dst = dst.strip()
     if not dst:
         raise ParseError("missing target state")
-    return Transition(src, EPS if label == "eps" else label,
-                      _parse_instr(instr_text.strip(), structure), dst)
+    instr = _parse_instr(instr_text.strip(), structure)
+    structure.op(instr)
+    return Transition(src, EPS if label == "eps" else label, instr, dst)
 
 
 def parse_machine(text, check_transfers="auto") -> CounterMachine:
     """Read a machine file.  The header and each distinct body line of a
     counter family are parsed once per process (_parse_structure,
     _parse_line), so machines of one family share their structure and the
-    Transitions of their common lines."""
+    Transitions and instructions of their common lines.  An error in a body
+    line names the line."""
     headers, body = read_sections(text, _HEADERS, ("relation",))
     lazy = _RELATIONS.get(headers.get("relation", "lazy"))
     if lazy is None:
@@ -121,8 +124,8 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
     for lineno, line in body:
         try:
             transitions.append(_parse_line(line, structure))
-        except ParseError as err:
-            raise ParseError("line %d: %s" % (lineno, err)) from None
+        except (ParseError, ValidationError) as err:
+            raise type(err)("line %d: %s" % (lineno, err)) from None
     return CounterMachine(alphabet, states, initial[0], structure, transitions,
                           check_transfers=check_transfers, lazy=lazy)
 
@@ -148,16 +151,24 @@ def _format_instr(instr):
     raise ValidationError("unknown instruction %r" % (instr,))
 
 
-@functools.lru_cache(maxsize=4096)
-def _format_transition(t):
-    label = "eps" if t.label is EPS else t.label
-    return "%s -%s, %s-> %s" % (t.src, label, _format_instr(t.instr), t.dst)
+def _format_line(memo, t):
+    """The (transition, body line) entry of a Transition, made and kept in
+    its family's print memo."""
+    line = "%s -%s, %s-> %s" % (t.src, "eps" if t.label is EPS else t.label,
+                                _format_instr(t.instr), t.dst)
+    return remember(memo, id(t), (t, line))
 
 
 def format_machine(m: CounterMachine) -> str:
     """The machine file text.  An error-free machine says so in a
-    `relation:` line; a lazy one, the default, prints none.
-    _format_transition prints each distinct transition once per process."""
+    `relation:` line; a lazy one, the default, prints none.  Each body line
+    comes from the family's print memo (CounterStructure.lines), kept per
+    Transition object: the machines of a family share their Transitions
+    (parsed ones through _parse_line, materialized ones through
+    compile.letter_free_cycle), so each is printed once, and no lookup
+    compares transitions."""
+    memo = m.structure.lines
+    get = memo.get
     lines = [
         "alphabet: " + " ".join(m.alphabet.letters),
         "basis: " + " ".join(m.structure.basis),
@@ -167,5 +178,5 @@ def format_machine(m: CounterMachine) -> str:
     ]
     if not m.lazy:
         lines.append("relation: error-free")
-    lines += map(_format_transition, m.transitions)
+    lines += [(get(id(t)) or _format_line(memo, t))[1] for t in m.transitions]
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ zero on explicit transfers.  Only an identity transfer (nop) skips it: its
 step returns the valuation it was given."""
 
 from bisect import bisect_left
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 import functools
 from itertools import combinations_with_replacement
 import math
@@ -32,11 +32,27 @@ from .distributive import _check_transfers
 EPS = None  # transition label for letter-free moves
 
 
+# the most entries one counter family's memo keeps: a full memo is emptied
+FAMILY_MEMO = 4096
+
+
+def remember(memo, key, value):
+    """Keep value under key in a family memo, emptying the memo first when
+    it holds FAMILY_MEMO entries, and return value."""
+    if len(memo) >= FAMILY_MEMO:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 class CounterStructure:
     """A basis and an ordered family of counters (non-empty basis subsets).
-    Nothing changes a structure once it is built, so the machines of one
-    family share one: family_structure's for compiled machines and
-    _parse_structure's for parsed ones."""
+    Nothing changes a structure's basis and counters once it is built, so
+    the machines of one family share one: family_structure's for compiled
+    machines and _parse_structure's for parsed ones.  A structure also
+    holds its family's memos, each keyed by object identity and emptied
+    when it holds FAMILY_MEMO entries: the op of each instruction (op) and
+    the printed text of each body line (`lines`, format_machine's)."""
 
     def __init__(self, basis, counters):
         self.basis = tuple(basis)
@@ -54,11 +70,45 @@ class CounterStructure:
                 raise ValidationError("duplicate counter %r" % (sorted(c),))
             seen.add(c)
         self._hash = hash((self.basis, self.counters))
+        self.ops = {}  # id(instruction) -> (instruction, kind, arg)
+        self.lines = {}  # id(transition) -> (transition, its body line)
 
     @functools.cached_property
     def index(self):
         """A dict from each counter to its position, built on first use."""
         return {c: i for i, c in enumerate(self.counters)}
+
+    def op(self, instr):
+        """The family memo's entry for an instruction object: (instr, kind,
+        arg), the op a step of it fires over the counters.  An increment or
+        decrement carries its counter index; a transfer carries the images
+        of every counter as split_tokens takes them, one tuple of (image
+        index, 0) pairs per counter index.  An identity transfer (nop, or
+        one mapping each listed counter to itself) has kind None: its step
+        returns the valuation as it is.  The entry is kept per object and
+        holds it, so its id names no other object while kept; an equal copy
+        gets its own entry, and no lookup compares instructions.  Raises
+        ValidationError, keeping nothing, on anything but an Inc, Dec or
+        Transfer and on a counter outside the family."""
+        found = self.ops.get(id(instr))
+        if found is not None:
+            return found
+        if not isinstance(instr, (Inc, Dec, Transfer)):
+            raise ValidationError("unknown instruction %r" % (instr,))
+        pair = {c: (i, 0) for i, c in enumerate(self.counters)}
+        try:
+            if isinstance(instr, Transfer):
+                identity = tuple([(p,) for p in pair.values()])
+                arg = tuple([tuple(map(pair.__getitem__, dsts))
+                             for dsts in instr.as_map(self.counters).values()])
+                found = (instr, None, None) if arg == identity else (instr, Transfer, arg)
+            else:
+                found = (instr, Inc if isinstance(instr, Inc) else Dec,
+                         pair[instr.counter][0])
+        except KeyError as e:
+            raise ValidationError("instruction uses unknown counter %r"
+                                  % (sorted(e.args[0]),)) from None
+        return remember(self.ops, id(instr), found)
 
     def __eq__(self, other):
         return (isinstance(other, CounterStructure)
@@ -66,6 +116,11 @@ class CounterStructure:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt with empty memos: a copied memo would keep ids of objects
+        # the copy does not hold
+        return CounterStructure, (self.basis, self.counters)
 
 
 @node
@@ -144,38 +199,34 @@ class CounterMachine:
             raise ValidationError("duplicate state name")
         if initial not in known:
             raise ValidationError("initial state %r not declared" % (initial,))
-        # one pass over the transitions builds the op table; the letter-free
-        # moves and the transfers it collects are checked after it
-        self._ops = ops = {}  # source state -> (label, kind, arg, dst) per transition
-        eps = {}  # source state -> the targets of its letter-free transitions
-        op_of = {}  # id(instruction) -> its (kind, arg), for each object met
-        transfers = {}  # the distinct transfers, equal ones once, in order
+        # one pass over the transitions builds the op table, each op read
+        # from the family memo; the letter-free moves and the transfers it
+        # collects are checked after it
+        self._ops = ops = defaultdict(list)  # source state -> (label, kind, arg, dst)s
+        eps = defaultdict(list)  # source state -> the targets of its letter-free moves
+        transfers = {}  # id -> each distinct transfer object, in order
         resting = set()
-        counters = structure.counters
-        for t in self.transitions:
-            src, label, instr, dst = t.src, t.label, t.instr, t.dst
+        op_of = structure.ops.get
+        for src, label, instr, dst in self.transitions:
             if src not in known or dst not in known:
                 raise ValidationError("transition %r -%s-> %r uses unknown state %r" % (
                     src, "eps" if label is EPS else label, dst,
                     src if src not in known else dst))
             if label is EPS:
-                eps.setdefault(src, []).append(dst)
-            else:
-                if label not in alphabet:
-                    raise ValidationError("transition on unknown letter %r" % (label,))
+                eps[src].append(dst)
+            elif label in alphabet:
                 resting.add(src)
-            op = op_of.get(id(instr))
-            if op is None:
-                if not isinstance(instr, (Inc, Dec, Transfer)):
-                    raise ValidationError("unknown instruction %r" % (instr,))
-                op = op_of[id(instr)] = _instruction_op(instr, counters)
-                if isinstance(instr, Transfer):
-                    transfers[instr] = None
-            ops.setdefault(src, []).append((label, op[0], op[1], dst))
+            else:
+                raise ValidationError("transition on unknown letter %r" % (label,))
+            key = id(instr)
+            _, kind, arg = op_of(key) or structure.op(instr)
+            if kind is not Inc and kind is not Dec:
+                transfers[key] = instr
+            ops[src].append((label, kind, arg, dst))
         self._resting = frozenset(resting)
         self._check_eps_acyclic(eps)
         if check_transfers != "off":
-            _check_transfers(transfers, counters, check_transfers)
+            _check_transfers(transfers.values(), structure.counters, check_transfers)
 
     @property
     def lazy(self):
@@ -262,28 +313,6 @@ class CounterMachine:
                     else:
                         out.append((label, dst, sv2, 1))
         return out, truncated
-
-
-@functools.lru_cache(maxsize=4096)
-def _instruction_op(instr, counters):
-    """The op (kind, argument) a step of an Inc, Dec or Transfer over the
-    counter tuple fires.  An increment or decrement carries its counter
-    index; a transfer carries the images of every counter as split_tokens
-    takes them, one tuple of (image index, 0) pairs per counter index.  An
-    identity transfer (nop, or one mapping each listed counter to itself)
-    has kind None: its step returns the valuation as it is.  Raises
-    ValidationError on a counter outside the tuple."""
-    pair = {c: (i, 0) for i, c in enumerate(counters)}
-    try:
-        if isinstance(instr, Transfer):
-            identity = tuple([(p,) for p in pair.values()])
-            arg = tuple([tuple(map(pair.__getitem__, dsts))
-                         for dsts in instr.as_map(counters).values()])
-            return (None, None) if arg == identity else (Transfer, arg)
-        return (Inc if isinstance(instr, Inc) else Dec, pair[instr.counter][0])
-    except KeyError as e:
-        raise ValidationError("instruction uses unknown counter %r"
-                              % (sorted(e.args[0]),)) from None
 
 
 # the most ways one transfer may split its tokens before exploration gives up

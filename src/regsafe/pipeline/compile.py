@@ -96,7 +96,7 @@ from ..ara.automaton import AlternatingAutomaton, combined_names
 from ..errors import ValidationError
 from ..ipcant import (
     CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition, EPS, add_tokens,
-    ifz_cap, split_tokens,
+    ifz_cap, remember, split_tokens,
 )
 
 ANCHOR_AWAY = "^b"
@@ -349,33 +349,45 @@ class CompiledMachine:
     def materialize(self) -> CounterMachine:
         """The letter cycle spelled out as an explicit instruction list.
         Each control is named once and each distinct instruction built once
-        and shared by the transitions that use it: one read transfer per
-        letter, one ifz^cap per merged state, one decrement and increment per
-        in-flight counter.  Only the read transfers and the models_* edges
-        depend on the automaton's transitions; they are built here.  The
-        rest of the cycle, from the merges to the pick, depends on the state
-        names and co-states alone and comes from letter_free_cycle, shared
-        by every machine of the family together with its nop, which the
-        models_* edges use too."""
+        and shared by the transitions that use it: one ifz^cap per merged
+        state, one decrement and increment per in-flight counter, and per
+        letter one read transfer, which every machine of the family whose
+        reads of that letter are alike shares.  Only the read transfers and
+        the read and models_* edges depend on the automaton's transitions.
+        The rest of the cycle, from the merges to the pick, depends on the
+        state names and co-states alone and comes from letter_free_cycle,
+        shared by every machine of the family together with its nop, which
+        the models_* edges use too.  The read transfers and edges come from
+        that cycle's memos: a letter's read transfer is kept under the read
+        images of every mask, which spell its entries, and an edge under
+        itself, so equal ones are one object in every machine of the
+        family."""
         if self.n > 3:
             raise ValidationError("explicit compilation is for small automata")
         full = range(1 << self.n)
         counters = self.structure.counters
         cycle = letter_free_cycle(self.states_order, self.co_states)
-        reads = [Transfer(tuple(
-            (counters[mask],
-             tuple(counters[self.flight_index(kept, marked)]
-                   for kept, marked in self.read_images(letter, mask)))
-            for mask in full)) for letter in self.alphabet]
+        reads = []
+        for letter in self.alphabet:
+            images = tuple([self.read_images(letter, mask) for mask in full])
+            read = cycle.reads.get(images)
+            if read is None:
+                read = remember(cycle.reads, images, Transfer(tuple(
+                    (counters[mask], tuple(counters[self.flight_index(kept, marked)]
+                                           for kept, marked in pairs))
+                    for mask, pairs in zip(full, images))))
+            reads.append(read)
+        shared = cycle.edges
         edges = []
         states = list(cycle.states)
         for mask in full:
             for li, letter in enumerate(self.alphabet):
                 models = "models_%d_%d" % (mask, li)
                 states.append(models)
-                edges.append(Transition(cycle.read[mask], letter, reads[li], models))
-                for s in self.here_sets(letter, mask):
-                    edges.append(Transition(models, EPS, cycle.nop, cycle.merge[s]))
+                made = [Transition(cycle.read[mask], letter, reads[li], models)]
+                made += [Transition(models, EPS, cycle.nop, cycle.merge[s])
+                         for s in self.here_sets(letter, mask)]
+                edges += [shared.get(t) or remember(shared, t, t) for t in made]
         edges += cycle.transitions
         states.sort()
         return CounterMachine(self.alphabet, states, cycle.read[self.initial_control[0]],
@@ -409,8 +421,10 @@ def family_structure(names):
 # automaton changes: `transitions` from the merges to the pick, in the order
 # they are listed, and the states they use; `read` and `merge` name each
 # mask's read control and first merge control; `nop` is the identity
-# transfer they share
-LetterFreeCycle = namedtuple("LetterFreeCycle", "nop transitions states read merge")
+# transfer they share.  `reads` and `edges` are the family memos of
+# materialize() (at most ipcant.FAMILY_MEMO entries each): the read transfers
+# by their read images, and the read and models_* edges by themselves
+LetterFreeCycle = namedtuple("LetterFreeCycle", "nop transitions states read merge reads edges")
 
 
 @lru_cache(maxsize=16)
@@ -468,7 +482,7 @@ def letter_free_cycle(names, co_states):
         add("pick", Dec(away[mask]), read[mask])
     add("pick", nop, read[0])
     return LetterFreeCycle(nop, tuple(transitions), tuple(states), read,
-                           tuple(m[0] for m in merge))
+                           tuple(m[0] for m in merge), {}, {})
 
 
 def ara_to_ipcant(aut: AlternatingAutomaton, co_states=None) -> CompiledMachine:

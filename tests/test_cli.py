@@ -502,9 +502,17 @@ def test_invalid_input_files_exit_65(tmp_path, capsys):
     ifz.write_text("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
                    "p -a, ifz^cap {zz}-> p\n")
     assert run_cli(["sat", "--machine", str(ifz)]) == 65
+    unknown = tmp_path / "unknown.cm"
+    unknown.write_text("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
+                       "p -a, inc {x}-> p\np -a, inc {z}-> p\n")
+    assert run_cli(["sat", "--machine", str(unknown)]) == 65
     out, err = _out(capsys)
-    assert out == "" and err.count("invalid input: ") == 5
-    assert "ifz^cap set ['zz'] uses unknown basis elements" in err
+    assert out == "" and err.count("invalid input: ") == 6
+    # a body line's ValidationError names its line, as a ParseError does
+    assert ("invalid input: %s: line 6: ifz^cap set ['zz'] uses unknown basis elements\n"
+            % ifz) in err
+    assert ("invalid input: %s: line 7: instruction uses unknown counter ['z']\n"
+            % unknown) in err
 
 
 @pytest.mark.parametrize("argv", [

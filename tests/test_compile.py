@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from regsafe import ipcant, randgen
+from regsafe import ipcant, randgen, tree
 from regsafe.errors import ValidationError
 from regsafe.words import Alphabet
 from regsafe.ara import ltl_to_ara
@@ -408,7 +408,8 @@ def test_warm_machines_print_as_cold_ones():
     """Materialized and parsed machines of 1-3-state automata, built one
     after another in one process, whose family caches fill up with the
     machines before them, print as each machine built alone with every
-    family cache of compile and ipcant emptied first."""
+    family cache of compile and ipcant emptied first: the lru_caches, and
+    with the structures and cycles they drop, the family memos."""
     rng = random.Random(61)
     cases = []
     for k in range(40):
@@ -421,9 +422,8 @@ def test_warm_machines_print_as_cold_ones():
     for k, ((aut, co), (text, again)) in enumerate(zip(cases, warm)):
         assert text == again
         for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_instr,
-                      ipcant.machine._instruction_op, ipcant.fileformat._format_counter,
-                      ipcant.distributive._exhaustive_verdict, ipcant.fileformat._parse_line,
-                      ipcant.fileformat._format_transition, ipcant.fileformat._parse_structure):
+                      ipcant.fileformat._format_counter, ipcant.distributive._exhaustive_verdict,
+                      ipcant.fileformat._parse_line, ipcant.fileformat._parse_structure):
             cache.cache_clear()
         assert _printed(aut, co) == (text, again), k
 
@@ -431,8 +431,10 @@ def test_warm_machines_print_as_cold_ones():
 def test_machines_of_one_family_share_the_letter_free_cycle():
     """Two automata over the same state names: everything from the merges
     to the pick is the same transition objects, the models_* edges use the
-    cycle's nop, and the read transfers are each machine's own.  Other
-    co-states or other state names make another cycle."""
+    cycle's nop, and the read transfers, which differ, are each machine's
+    own.  The first automaton materialized again gives the very read
+    transfers and edges of its first machine.  Other co-states or other
+    state names make another cycle."""
     rng = random.Random(62)
     auts = []
     while len(auts) < 2:
@@ -450,6 +452,8 @@ def test_machines_of_one_family_share_the_letter_free_cycle():
         assert models and all(t.instr is cycle.nop for t in models)
     reads = [{id(t.instr) for t in m.transitions if t.label is not EPS} for m in (one, two)]
     assert not reads[0] & reads[1]
+    again = ara_to_ipcant(auts[0]).materialize()
+    assert all(t is u for t, u in zip(again.transitions, one.transitions))
     assert letter_free_cycle(("q0", "q1"), ("q1",)) is not cycle
     assert letter_free_cycle(("q1", "q0"), ()).nop is not cycle.nop
 
@@ -756,3 +760,66 @@ def test_large_masks_join_single_models_exactly(data_text, monkeypatch):
         if len(counts) >= 30:
             mixes.add(frozenset(counts))
     assert any({1, 2} <= mix for mix in mixes) and any(0 in mix for mix in mixes)
+
+
+def test_family_loads_compare_no_nodes(monkeypatch):
+    """Once one machine of a counter family has been materialized, printed
+    and parsed, doing the same for a second machine of the family and
+    printing the parsed one compares no two tree nodes: every memo on the
+    way meets its own objects by identity, never an equal copy made by the
+    other side of the round trip."""
+    ref, down = pb.Ref("q0"), pb.DownRef("q0")
+
+    def one_state(delta):
+        return AlternatingAutomaton(AB, ("q0",), "q0", {
+            ("q0", a, flag): f for (a, flag), f in delta.items()})
+
+    first = one_state({("a", "up"): pb.Top(), ("a", "nup"): ref, ("b", "nup"): down})
+    second = one_state({("a", "up"): pb.And(ref, down), ("b", "up"): ref,
+                        ("b", "nup"): pb.Or(ref, down)})
+
+    def load(aut):
+        text = format_machine(ara_to_ipcant(aut).materialize())
+        assert format_machine(parse_machine(text, "full")) == text
+
+    load(first)
+    calls = []
+    eq = tree.Node.__eq__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return eq(self, other)
+
+    monkeypatch.setattr(tree.Node, "__eq__", counting)
+    load(second)
+    load(second)
+    assert calls == []
+    assert ipcant.Inc(frozenset("x")) == ipcant.Inc(frozenset("x")) and len(calls) == 1
+
+
+def test_family_memos_of_materialize_stay_within_their_bound(monkeypatch):
+    """With every family memo bounded at 3 entries, one-state automata over
+    {a, b} materialize, print and parse back as with the memos unbounded,
+    and no memo of their family holds more than 3 entries."""
+    ref, down = pb.Ref("q0"), pb.DownRef("q0")
+    choices = (None, pb.Top(), ref, down, pb.Or(ref, down))
+    keys = [("q0", a, flag) for a in AB for flag in ("up", "nup")]
+    rng = random.Random(63)
+    auts = []
+    for _ in range(30):
+        delta = {k: f for k, f in zip(keys, (rng.choice(choices) for _ in keys)) if f}
+        auts.append(AlternatingAutomaton(AB, ("q0",), "q0", delta))
+    texts = [format_machine(ara_to_ipcant(aut).materialize()) for aut in auts]
+    monkeypatch.setattr(ipcant.machine, "FAMILY_MEMO", 3)
+    for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_structure):
+        cache.cache_clear()  # so the family's memos start empty under the bound
+    for aut, text in zip(auts * 2, texts * 2):
+        cm = ara_to_ipcant(aut)
+        m = cm.materialize()
+        assert format_machine(m) == text
+        assert format_machine(parse_machine(text, "full")) == text
+        cycle = letter_free_cycle(cm.states_order, cm.co_states)
+        parsed = parse_machine(text).structure
+        for memo in (cycle.reads, cycle.edges, m.structure.ops, m.structure.lines,
+                     parsed.ops, parsed.lines):
+            assert len(memo) <= 3

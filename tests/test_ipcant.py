@@ -397,17 +397,43 @@ def test_caches_stay_within_their_bounds():
     caches = {(module.__name__.rpartition(".")[2], name): f for module in modules
               for name, f in vars(module).items()
               if hasattr(f, "cache_info") and f.__module__ == module.__name__}
+    # an instruction's op and a body line's text are family memos, kept on
+    # the structure (test_family_memos_stay_within_their_bound)
     assert set(caches) == {
         ("distributive", "cover_table"), ("distributive", "_exhaustive_verdict"),
-        ("machine", "_instruction_op"),
         ("fileformat", "_parse_instr"), ("fileformat", "_format_counter"),
-        ("fileformat", "_parse_line"), ("fileformat", "_format_transition"),
-        ("fileformat", "_parse_structure")}
+        ("fileformat", "_parse_line"), ("fileformat", "_parse_structure")}
     assert all(f.cache_info().maxsize for f in caches.values())
     assert ipcant.fileformat._parse_line.cache_info().maxsize == 4096
-    assert ipcant.fileformat._format_transition.cache_info().maxsize == 4096
     assert ipcant.fileformat._parse_structure.cache_info().maxsize == 64
     assert ipcant.distributive._exhaustive_verdict.cache_info().maxsize == 4096
+
+
+def test_family_memos_stay_within_their_bound():
+    """A machine with more distinct instruction and Transition objects than
+    a family memo keeps, all equal, built and printed twice: the op and
+    print memos of its structure are emptied when full, so they never
+    exceed FAMILY_MEMO entries, and every op and printed line stays right.
+    Equal copies are kept apart, one entry per object."""
+    limit = ipcant.FAMILY_MEMO
+    st = CounterStructure(("x",), (frozenset("x"),))
+    trans = [Transition("p", "a", Inc(frozenset("x")), "p") for _ in range(limit + 10)]
+    for _ in range(2):
+        m = CounterMachine(Alphabet(("a",)), ("p",), "p", st, trans)
+        assert 0 < len(st.ops) <= limit
+        assert format_machine(m).count("p -a, inc {x}-> p\n") == limit + 10
+        assert 0 < len(st.lines) <= limit
+        assert m.config_successors("p", ((0, 2),), None, UNCUT) == (
+            [("a", "p", ((0, 3),), 1)] * (limit + 10), False)
+    st = CounterStructure(("x",), (frozenset("x"),))
+    one, two = Inc(frozenset("x")), Inc(frozenset("x"))
+    assert st.op(one) == (one, Inc, 0) and st.op(two)[0] is two
+    assert st.op(one)[0] is one and len(st.ops) == 2
+    # a copy, whose memos would name objects by ids it does not hold, starts
+    # with empty memos
+    for back in (pickle.loads(pickle.dumps(st)), copy.copy(st), copy.deepcopy(st)):
+        assert back == st and hash(back) == hash(st)
+        assert back.ops == {} and back.lines == {}
 
 
 def test_ifz_cap_outside_the_basis_is_refused():
@@ -609,21 +635,27 @@ def test_bad_lines_and_headers_refused_around_good_files():
 def test_invalid_instructions_refused_every_time(xy):
     """Errors are not cached: an instruction naming an unknown counter, one
     of an unknown kind and an unparsable text are refused on every
-    construction, before and after a valid one."""
+    construction, before and after a valid one, and the family memo of the
+    structure keeps only the valid instruction.  A parsed body line names
+    its line in a ValidationError as in a ParseError."""
     header = "alphabet: a\nbasis: x y\ncounters: {x} {y}\nstates: p\ninitial: p\n"
     good = Inc(frozenset("x"))
+    bads = (Inc(frozenset("z")), Transfer(((frozenset("x"), (frozenset("z"),)),)))
     for _ in range(3):
-        for bad in (Inc(frozenset("z")), Transfer(((frozenset("x"), (frozenset("z"),)),))):
+        for bad in bads:
             with pytest.raises(ValidationError, match="unknown counter"):
                 CounterMachine(Alphabet(("a",)), ("p",), "p", xy, [Transition("p", "a", bad, "p")])
+            with pytest.raises(ValidationError, match="unknown counter"):
+                xy.op(bad)
         with pytest.raises(ValidationError, match="unknown instruction"):
             CounterMachine(Alphabet(("a",)), ("p",), "p", xy,
                            [Transition("p", "a", Instruction(), "p")])
-        with pytest.raises(ValidationError, match="unknown counter"):
-            parse_machine(header + "p -a, dec {z}-> p\n")
-        with pytest.raises(ParseError, match="unknown instruction"):
+        with pytest.raises(ValidationError, match="^line 7: instruction uses unknown counter"):
+            parse_machine(header + "p -a, inc {x}-> p\np -a, dec {z}-> p\n")
+        with pytest.raises(ParseError, match="^line 6: unknown instruction"):
             parse_machine(header + "p -a, inc{x}-> p\n")
         CounterMachine(Alphabet(("a",)), ("p",), "p", xy, [Transition("p", "a", good, "p")])
+        assert [entry[0] for entry in xy.ops.values()] == [good]
 
 
 def test_unchecked_parse_builds_no_cover_table():
