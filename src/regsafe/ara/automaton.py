@@ -135,17 +135,23 @@ def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
     - A thread at i is in the class of position 0 or in a class it was
       refrozen to before i, so only classes first seen before i get a mask
       of their own at i, and at 0 only the class of position 0 is stepped.
-    A word of length n costs at most n * (live classes + 1) memo lookups; a
-    miss costs |Q| * models mask tests.
+    The pass keeps one dict of masks for the whole word and updates it in
+    place: at i it pops the mask of the class of position i, steps every
+    other class's mask where it stands, and puts the popped one back, stepped
+    under up, only when its class occurred before i.  A word of length n
+    costs at most n * (live classes + 1) memo lookups and builds no dict
+    after the first; a miss costs |Q| * models mask tests.
     """
-    n = len(w)
+    letters, classes = w.letters, w.classes
+    n = len(classes)
     if n == 0:
         raise ValidationError("word must be non-empty")
-    letters, classes = w.letters, w.classes
-    first = []  # first[c]: the first position of class c
-    for i, c in enumerate(classes):
-        if c == len(first):
-            first.append(i)
+    seen = []  # seen[i]: the number of classes seen before position i
+    count = 0
+    for c in classes:
+        seen.append(count)
+        if c == count:
+            count += 1
     if aut._steps is None:
         aut._steps = (_Steps(aut.states, aut.delta, "up"), _Steps(aut.states, aut.delta, "nup"),
                       aut.states.index(aut.initial))
@@ -155,12 +161,12 @@ def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
     masks = {}  # class -> alive mask at i + 1 of the classes seen before and at or after i + 1
     for i in range(n - 1, 0, -1):
         here = classes[i]
-        s_here = masks.get(here, other)
+        s_here = masks.pop(here, other)
         high = s_here << k
         step = nup[letters[i]]
-        if masks:  # every class ahead but here was first seen before i
-            masks = {c: step[s_c | high] for c, s_c in masks.items() if c != here}
-        if first[here] < i:
+        for c, s_c in masks.items():  # every class ahead but here was seen before i
+            masks[c] = step[s_c | high]
+        if here < seen[i]:  # canonical: here occurred before i
             masks[here] = up[letters[i]][s_here | high]
         other = step[other | high]
     s_0 = masks.get(0, other)

@@ -177,11 +177,14 @@ class PrefixVerdict(enum.Enum):
 
 
 def evaluate_prefix(f: Formula, w: DataWord) -> PrefixVerdict:
-    """Three-valued prefix verdict: FALSIFIED iff no data omega-word extending
-    w satisfies f.
+    """Three-valued prefix verdict: FALSIFIED when f's alternating automaton
+    has no partial run over w, UNDETERMINED whenever it has one.
 
-    Decided by translating f to its alternating automaton and asking whether a
-    partial run over w exists.
+    FALSIFIED implies that no data omega-word extending w satisfies f, since
+    a run over such a word covers w.  The converse fails: a partial run over
+    w need not extend to an infinite one, so UNDETERMINED does not say that
+    an extension exists.  The run formula of tests/data/halting.tm has an
+    empty language, yet its prefix h0@0 is UNDETERMINED.
     """
     if not is_sentence(f):
         raise ValidationError("formula has a free register test")

@@ -477,7 +477,9 @@ def test_run_exists_matches_oracle_on_fresh_and_single_class_words():
     """Seeded 1-4-state automata against the brute-force thread search on
     the two class shapes at the ends of the range: every position opening a
     fresh class (a halting continuation's shape, one mask per class seen),
-    and one class throughout, up to 12 letters (only the here mask)."""
+    and one class throughout, up to 12 letters (only the here mask); and
+    between them, classes drawn freely over 9-24 letters, so that many
+    classes are live at once and their masks are stepped in place."""
     rng = random.Random(31)
     seen = set()
     for trial in range(300):
@@ -487,12 +489,16 @@ def test_run_exists_matches_oracle_on_fresh_and_single_class_words():
         fresh = DataWord(tuple(rng.choice(AB.letters) for _ in range(n)), tuple(range(n)))
         n = rng.randint(1, 12)
         single = DataWord(tuple(rng.choice(AB.letters) for _ in range(n)), (0,) * n)
-        for shape, w in (("fresh", fresh), ("single", single)):
-            want = oracle_run_exists(aut, w, max_len=12)
+        free = randgen.random_word(rng, AB, max_len=24)
+        while len(free) < 9:
+            free = randgen.random_word(rng, AB, max_len=24)
+        for shape, w in (("fresh", fresh), ("single", single), ("free", free)):
+            want = oracle_run_exists(aut, w, max_len=24)
             assert run_exists(aut, w) == want, (trial, shape, w)
             seen.add((shape, want, len(w) >= 6))
     assert seen == {(shape, want, long) for shape in ("fresh", "single")
-                    for want in (False, True) for long in (False, True)}
+                    for want in (False, True) for long in (False, True)} | {
+                        ("free", want, True) for want in (False, True)}
 
 
 def _ask(aut, words, backwards=False):

@@ -7,6 +7,7 @@ from regsafe import ltl
 from regsafe.ltl import (KEYWORDS, And, Atom, Bot, Freeze, Next, NotUp, Or,
                          PrefixVerdict, Release, Top, Up, evaluate_prefix,
                          is_sentence, parse_formula, print_formula)
+from regsafe.pipeline import parse_tm, tm_alphabet, tm_to_formula
 from regsafe.tree import tokenize
 from regsafe.words import Alphabet, parse_word
 from regsafe import randgen
@@ -223,6 +224,15 @@ def test_evaluate_prefix_register():
     assert evaluate_prefix(f, parse_word("a@0 a@1", AB)) is PrefixVerdict.FALSIFIED
     # too short to falsify
     assert evaluate_prefix(f, parse_word("a@0", AB)) is PrefixVerdict.UNDETERMINED
+
+
+def test_evaluate_prefix_undetermined_without_an_extension(data_text):
+    """UNDETERMINED says only that a partial run over the prefix exists: the
+    halting machine's run formula has an empty language, yet its first
+    letter is not falsified."""
+    halting = parse_tm(data_text("halting.tm"))
+    w = parse_word("h0@0", tm_alphabet(halting))
+    assert evaluate_prefix(tm_to_formula(halting), w) is PrefixVerdict.UNDETERMINED
 
 
 def test_example_formula_on_pattern_words(example_formula, abc):
