@@ -20,6 +20,7 @@ dual automaton and the inclusion product built from it are reference.ara's.
 """
 
 from ..errors import ParseError, ValidationError
+from ..memo import Memo
 from ..words import Alphabet, DataWord, read_names, read_sections
 from . import posbool as pb
 
@@ -90,19 +91,19 @@ class _Steps(dict):
         return step
 
 
-class _Step(dict):
+class _Step(Memo):
     """step[s_c | s_here << n]: the mask of the states alive at position i
     in a class c, from the masks s_c and s_here of the n states alive at
     i + 1 in c and in the class of position i, namely the states with a
     minimal model whose kept states lie in s_c and refrozen ones in s_here.
     rows holds each model of each state i as (i, kept mask | refrozen mask
     << n), so a model fits exactly when its row's mask lies in the key.
-    Memoized; a memo of STEP_MEMO entries is emptied before the next goes
-    in."""
+    A Memo of STEP_MEMO entries."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
+        super().__init__(STEP_MEMO)
         self.rows = rows
 
     def __missing__(self, have):
@@ -110,10 +111,7 @@ class _Step(dict):
         for i, need in self.rows:
             if need & have == need:
                 alive |= 1 << i
-        if len(self) >= STEP_MEMO:
-            self.clear()
-        self[have] = alive
-        return alive
+        return self.keep(have, alive)
 
 
 def run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:

@@ -13,7 +13,6 @@ import functools
 import json
 import random
 import sys
-from collections import namedtuple
 
 from .errors import ParseError, RegsafeError, ValidationError
 from .words import Alphabet, parse_word, print_word
@@ -46,16 +45,6 @@ def _at_least(least, most=None, **counts):
             raise _UsageError("--%s must be %s" % (name.replace("_", "-"), bound))
 
 
-class Invocation(namedtuple("Invocation", ("cap", "vcap", "fmt"))):
-    """One parsed CLI job: the exploration bounds and the output format."""
-
-    __slots__ = ()
-
-    def __new__(cls, cap, vcap, fmt):
-        _at_least(1, cap=cap, vcap=vcap)
-        return super().__new__(cls, cap, vcap, fmt)
-
-
 class _InvalidInput(Exception):
     pass
 
@@ -81,8 +70,8 @@ def _load(parse, path):
         raise _InvalidInput("%s: %s" % (path, e)) from e
 
 
-def _emit(inv, text_lines, record):
-    if inv.fmt == "json":
+def _emit(ns, text_lines, record):
+    if ns.format == "json":
         print(json.dumps(record, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
@@ -107,10 +96,10 @@ def _verdict_exit(verdict):
     return 2
 
 
-def _cmd_parse(inv, ns):
+def _cmd_parse(ns):
     ab, f = _load(ltl.parse_formula_file, ns.formula)
     canonical = ltl.print_formula(f)
-    _emit(inv, [canonical],
+    _emit(ns, [canonical],
           {"command": "parse", "alphabet": list(ab.letters), "formula": canonical})
     return 0
 
@@ -122,10 +111,10 @@ def _formula_automaton(text):
     return ltl_to_ara(f, ab)
 
 
-def _cmd_ltl2ara(inv, ns):
+def _cmd_ltl2ara(ns):
     aut = _load(_formula_automaton, ns.formula)
     text = format_automaton(aut)
-    _emit(inv, [text.rstrip("\n")], {"command": "ltl2ara", "artifact": text})
+    _emit(ns, [text.rstrip("\n")], {"command": "ltl2ara", "artifact": text})
     return 0
 
 
@@ -135,20 +124,20 @@ def _explicit_machine(text):
     return ara_to_ipcant(parse_automaton(text)).materialize()
 
 
-def _cmd_ara2cm(inv, ns):
+def _cmd_ara2cm(ns):
     machine = _load(_explicit_machine, ns.automaton)
     text = format_machine(machine)
-    _emit(inv, [text.rstrip("\n")], {"command": "ara2cm", "artifact": text})
+    _emit(ns, [text.rstrip("\n")], {"command": "ara2cm", "artifact": text})
     return 0
 
 
-def _cmd_run(inv, ns):
+def _cmd_run(ns):
     aut = _load(parse_automaton, ns.automaton)
     w = parse_word(ns.word, aut.alphabet)
     if len(w) == 0:
         raise _InvalidInput("the word given with --word is empty")
     verdict = "YES" if run_exists(aut, w) else "NO"
-    _emit(inv, [verdict], {"command": "run", "verdict": verdict})
+    _emit(ns, [verdict], {"command": "run", "verdict": verdict})
     return _verdict_exit(verdict)
 
 
@@ -158,11 +147,11 @@ def _machine_from(ns):
     return ara_to_ipcant(_load(parse_automaton, ns.automaton))
 
 
-def _cmd_sat(inv, ns):
+def _cmd_sat(ns):
     machine = _machine_from(ns)
-    outcome = bounded_nonemptiness(machine, cap=inv.cap, vcap=inv.vcap)
+    outcome = bounded_nonemptiness(machine, cap=ns.cap, vcap=ns.vcap)
     verdict = outcome.name
-    _emit(inv, [verdict], {"command": "sat", "verdict": verdict})
+    _emit(ns, [verdict], {"command": "sat", "verdict": verdict})
     return _verdict_exit(verdict)
 
 
@@ -175,41 +164,41 @@ def _same_alphabet(ns, ab1, ab2):
             ns.lhs, ns.rhs, " ".join(ab1), " ".join(ab2)))
 
 
-def _include_verdict(inv, command, a1, a2):
-    result = inclusion_check(a1, a2, cap=inv.cap, vcap=inv.vcap)
+def _include_verdict(ns, command, a1, a2):
+    result = inclusion_check(a1, a2, cap=ns.cap, vcap=ns.vcap)
     verdict = result.verdict.name
-    _emit(inv, [verdict],
+    _emit(ns, [verdict],
           {"command": command, "verdict": verdict,
            "explored": result.explored, "converged": result.converged,
            "checkpoints": result.checkpoints})
     return _verdict_exit(verdict)
 
 
-def _cmd_include(inv, ns):
+def _cmd_include(ns):
     a1 = _load(parse_automaton, ns.lhs)
     a2 = _load(parse_automaton, ns.rhs)
     _same_alphabet(ns, a1.alphabet, a2.alphabet)
-    return _include_verdict(inv, "include", a1, a2)
+    return _include_verdict(ns, "include", a1, a2)
 
 
-def _cmd_refine(inv, ns):
+def _cmd_refine(ns):
     a1 = _load(_formula_automaton, ns.lhs)
     a2 = _load(_formula_automaton, ns.rhs)
     _same_alphabet(ns, a1.alphabet, a2.alphabet)
-    return _include_verdict(inv, "refine", a1, a2)
+    return _include_verdict(ns, "refine", a1, a2)
 
 
-def _cmd_bound(inv, ns):
+def _cmd_bound(ns):
     machine = _machine_from(ns)
     q_count, basis_size, counter_count = machine.bound_counts()
     loglog = bound_log2_log2(q_count, basis_size, counter_count)
     if loglog > _BOUND_FLOAT_LOG2:
-        _emit(inv, ["m is about 2^(2^%.3f), too large to materialize" % loglog],
+        _emit(ns, ["m is about 2^(2^%.3f), too large to materialize" % loglog],
               {"command": "bound", "m_log2_log2": loglog, "materialized": False})
         return 0
     bits = 2.0 ** loglog
     if bits > _BOUND_PRINT_BITS:
-        _emit(inv, ["m is about 2^%.3e, too large to materialize" % bits],
+        _emit(ns, ["m is about 2^%.3e, too large to materialize" % bits],
               {"command": "bound", "m_log2": bits, "materialized": False})
         return 0
     params = bound_params(q_count, basis_size, counter_count)
@@ -225,7 +214,7 @@ def _cmd_bound(inv, ns):
         lines = ["alpha: " + " ".join(str(a) for a in params.alphas),
                  "U: " + " ".join(str(u) for u in params.us),
                  "m=%d" % params.m]
-        _emit(inv, lines,
+        _emit(ns, lines,
               {"command": "bound", "alpha": list(params.alphas),
                "U": list(params.us), "m": params.m})
     finally:
@@ -239,7 +228,7 @@ def _cmd_bound(inv, ns):
 TMGEN_MAX_LETTERS = 10 ** 6
 
 
-def _cmd_tmgen(inv, ns):
+def _cmd_tmgen(ns):
     if ns.steps is not None:
         _at_least(0, steps=ns.steps)
     machine = _load(parse_tm, ns.tm)
@@ -256,11 +245,11 @@ def _cmd_tmgen(inv, ns):
         word = print_word(encode_tm_run(machine, ns.steps))
         lines.append("word: " + word)
         record["word"] = word
-    _emit(inv, lines, record)
+    _emit(ns, lines, record)
     return 0
 
 
-def _cmd_oracle(inv, ns):
+def _cmd_oracle(ns):
     _at_least(0, trials=ns.trials)
     # ceilings of the brute-force search: a transition formula has 4^states
     # pairs to try, and the thread search recurses once per word position
@@ -279,12 +268,12 @@ def _cmd_oracle(inv, ns):
             print("automaton:\n%s" % format_automaton(aut), file=sys.stderr)
             print("word: %s" % print_word(w), file=sys.stderr)
             verdict = "MISMATCH"
-            _emit(inv, ["%s trial=%d seed=%d" % (verdict, trial, ns.seed)],
+            _emit(ns, ["%s trial=%d seed=%d" % (verdict, trial, ns.seed)],
                   {"command": "oracle", "verdict": verdict,
                    "trial": trial, "seed": ns.seed})
             return 1
     verdict = "AGREE"
-    _emit(inv, ["%s trials=%d seed=%d" % (verdict, ns.trials, ns.seed)],
+    _emit(ns, ["%s trials=%d seed=%d" % (verdict, ns.trials, ns.seed)],
           {"command": "oracle", "verdict": verdict,
            "trials": ns.trials, "seed": ns.seed})
     return 0
@@ -295,12 +284,14 @@ def _build_parser():
     top = _ArgumentParser(prog="regsafe",
                           description="decision pipeline for safety register formulas")
     shared = _ArgumentParser(add_help=False)
-    shared.add_argument("--cap", type=int, default=10000,
-                        help="exploration step bound (default 10000)")
-    shared.add_argument("--vcap", type=int, default=64,
-                        help="counter value bound (default 64)")
     shared.add_argument("--format", choices=("text", "json"), default="text",
                         help="output style (default text)")
+    # the exploration bounds, read by sat, include and refine alone
+    bounds = _ArgumentParser(add_help=False)
+    bounds.add_argument("--cap", type=int, default=10000,
+                        help="exploration step bound (default 10000)")
+    bounds.add_argument("--vcap", type=int, default=64,
+                        help="counter value bound (default 64)")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("parse", parents=[shared], help="echo a formula file canonically")
@@ -320,18 +311,18 @@ def _build_parser():
     p.add_argument("--word", required=True)
     p.set_defaults(handler=_cmd_run)
 
-    p = sub.add_parser("sat", parents=[shared], help="bounded nonemptiness of a counter machine")
+    p = sub.add_parser("sat", parents=[shared, bounds], help="bounded nonemptiness of a counter machine")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--machine")
     source.add_argument("--automaton")
     p.set_defaults(handler=_cmd_sat)
 
-    p = sub.add_parser("include", parents=[shared], help="language inclusion of two automaton files")
+    p = sub.add_parser("include", parents=[shared, bounds], help="language inclusion of two automaton files")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.set_defaults(handler=_cmd_include)
 
-    p = sub.add_parser("refine", parents=[shared], help="implication of two formula files via inclusion")
+    p = sub.add_parser("refine", parents=[shared, bounds], help="implication of two formula files via inclusion")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.set_defaults(handler=_cmd_refine)
@@ -365,7 +356,9 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        return ns.handler(Invocation(ns.cap, ns.vcap, ns.format), ns)
+        if "cap" in ns:
+            _at_least(1, cap=ns.cap, vcap=ns.vcap)
+        return ns.handler(ns)
     except _UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 64

@@ -7,7 +7,7 @@ import re
 from ..errors import ParseError, ValidationError
 from ..words import Alphabet, read_names, read_sections
 from .machine import (EPS, CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition,
-                      ifz_cap, remember)
+                      ifz_cap)
 
 _COUNTER_RE = re.compile(r"\{[^{}]*\}")
 # the counters: header, {...} groups apart by whitespace, and a transfer
@@ -156,7 +156,7 @@ def _format_line(memo, t):
     its family's print memo."""
     line = "%s -%s, %s-> %s" % (t.src, "eps" if t.label is EPS else t.label,
                                 _format_instr(t.instr), t.dst)
-    return remember(memo, id(t), (t, line))
+    return memo.keep(id(t), (t, line))
 
 
 def format_machine(m: CounterMachine) -> str:

@@ -25,6 +25,7 @@ from itertools import combinations_with_replacement
 import math
 
 from ..errors import ValidationError
+from ..memo import Memo
 from ..tree import Node, node
 from ..words import Alphabet
 from .distributive import _check_transfers
@@ -32,17 +33,7 @@ from .distributive import _check_transfers
 EPS = None  # transition label for letter-free moves
 
 
-# the most entries one counter family's memo keeps: a full memo is emptied
-FAMILY_MEMO = 4096
-
-
-def remember(memo, key, value):
-    """Keep value under key in a family memo, emptying the memo first when
-    it holds FAMILY_MEMO entries, and return value."""
-    if len(memo) >= FAMILY_MEMO:
-        memo.clear()
-    memo[key] = value
-    return value
+FAMILY_MEMO = 4096  # the most entries one counter family's memo keeps
 
 
 class CounterStructure:
@@ -50,9 +41,9 @@ class CounterStructure:
     Nothing changes a structure's basis and counters once it is built, so
     the machines of one family share one: family_structure's for compiled
     machines and _parse_structure's for parsed ones.  A structure also
-    holds its family's memos, each keyed by object identity and emptied
-    when it holds FAMILY_MEMO entries: the op of each instruction (op) and
-    the printed text of each body line (`lines`, format_machine's)."""
+    holds its family's memos, each keyed by object identity and a Memo of
+    FAMILY_MEMO entries: the op of each instruction (op) and the printed
+    text of each body line (`lines`, format_machine's)."""
 
     def __init__(self, basis, counters):
         self.basis = tuple(basis)
@@ -70,8 +61,8 @@ class CounterStructure:
                 raise ValidationError("duplicate counter %r" % (sorted(c),))
             seen.add(c)
         self._hash = hash((self.basis, self.counters))
-        self.ops = {}  # id(instruction) -> (instruction, kind, arg)
-        self.lines = {}  # id(transition) -> (transition, its body line)
+        self.ops = Memo(FAMILY_MEMO)  # id(instruction) -> (instruction, kind, arg)
+        self.lines = Memo(FAMILY_MEMO)  # id(transition) -> (transition, its body line)
 
     @functools.cached_property
     def index(self):
@@ -108,7 +99,7 @@ class CounterStructure:
         except KeyError as e:
             raise ValidationError("instruction uses unknown counter %r"
                                   % (sorted(e.args[0]),)) from None
-        return remember(self.ops, id(instr), found)
+        return self.ops.keep(id(instr), found)
 
     def __eq__(self, other):
         return (isinstance(other, CounterStructure)

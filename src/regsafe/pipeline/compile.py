@@ -45,9 +45,12 @@ the state's name in it and the bit map of that table's names, and whether
 the row is dualized.  A machine folds each distinct formula once per dual
 flag, however many (state, letter, flag) entries hold it: the fold memo is
 keyed by (formula, dual), which is sound because the rows with one dual
-flag share one bit map (see Row).  read_images and here_sets are kept per
-letter in int-keyed tables (thread-set mask -> result), which
-config_successors reads inline.
+flag share one bit map (see Row).  read_images and here_sets compute
+afresh; the step keeps their results per letter in int-keyed tables
+(thread-set mask -> result), which config_successors alone fills and reads
+inline.  The fold memo, the model lists and these two tables are not
+bounded: their keys are the machine's own formulas, letters and reached
+thread-set masks, at most 2^n per letter.
 
 The inclusion product of a1 with the dual of a2 is compiled straight from
 the two automata (product_machine), with no dual or product formula built,
@@ -84,7 +87,7 @@ slices one token off the result.  Each step reports the instructions it stands
 for (n + 5, one more with co-states, one more through the checkpoint), so
 exploration bounds keep their instruction unit.  A step given a letter
 (prefix_reachable's) is memoized per machine by (control, valuation, letter,
-vcap), at most LETTERED_MEMO entries; the every-letter step of the other
+vcap) in a Memo of LETTERED_MEMO entries; the every-letter step of the other
 searches is not.
 """
 
@@ -96,8 +99,9 @@ from ..ara.automaton import AlternatingAutomaton, combined_names
 from ..errors import ValidationError
 from ..ipcant import (
     CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition, EPS, add_tokens,
-    ifz_cap, remember, split_tokens,
+    ifz_cap, machine as counter_machine, split_tokens,
 )
+from ..memo import Memo
 
 ANCHOR_AWAY = "^b"
 ANCHOR_FLIGHT = "^bb"
@@ -163,7 +167,7 @@ class CompiledMachine:
         self._mm = defaultdict(lambda: [None] * n)  # (letter, flag) -> models by state index
         self._reads = defaultdict(dict)  # letter -> {thread-set mask: read_images}
         self._heres = defaultdict(dict)  # letter -> {thread-set mask: here_sets}
-        self._lettered = {}  # (control, sv, letter, vcap) -> lettered step
+        self._lettered = Memo(LETTERED_MEMO)  # (control, sv, letter, vcap) -> lettered step
 
     # counter indexing: an away counter's index is its mask
     def flight_index(self, kept, marked):
@@ -239,24 +243,15 @@ class CompiledMachine:
         (kept mask, refrozen mask) pairs; () when some thread has no model.
         Since the shift sends each in-flight counter to the away counter of
         its kept set, the pairs are also the (target index, mark bits) images
-        of the whole read-and-shift, as split_tokens takes them.  Kept per
-        letter in an int-keyed table, which config_successors reads too."""
-        reads = self._reads[letter]
-        images = reads.get(mask)
-        if images is None:
-            images = reads[mask] = tuple(sorted(self._model_unions(letter, mask, "nup")))
-        return images
+        of the whole read-and-shift, as split_tokens takes them.  Computed
+        afresh on each call; config_successors keeps the results."""
+        return tuple(sorted(self._model_unions(letter, mask, "nup")))
 
     def here_sets(self, letter, mask):
         """Distinct new current-class state sets reachable by the current
-        class's own threads on the letter (register match).  Kept per letter
-        in an int-keyed table, which config_successors reads too."""
-        heres = self._heres[letter]
-        here = heres.get(mask)
-        if here is None:
-            pairs = self._model_unions(letter, mask, "up")
-            here = heres[mask] = tuple(sorted({k | m for k, m in pairs}))
-        return here
+        class's own threads on the letter (register match).  Computed afresh
+        on each call; config_successors keeps the results."""
+        return tuple(sorted({k | m for k, m in self._model_unions(letter, mask, "up")}))
 
     def initial_config(self):
         """The initial state's class as the current class, no other class."""
@@ -287,8 +282,9 @@ class CompiledMachine:
         added.  A letter some token cannot read is skipped before any split.
 
         A lettered step is a pure function of (control, sv, letter, vcap)
-        and the machine's rows, and is memoized per machine: the memo holds
-        at most LETTERED_MEMO entries and is emptied when full.  A memoized
+        and the machine's rows, and is memoized per machine in a Memo of
+        LETTERED_MEMO entries.  The step fills the read_images and
+        here_sets tables (see the module docstring).  A memoized
         answer is the very pair returned before, its list shared; callers
         must not mutate it.  The unlettered step is not memoized."""
         if letter is None:
@@ -304,16 +300,17 @@ class CompiledMachine:
         out = []
         truncated = False
         for a in letters:
-            here = heres_of[a].get(mask)
+            heres = heres_of[a]
+            here = heres.get(mask)
             if here is None:
-                here = self.here_sets(a, mask)
+                here = heres[mask] = self.here_sets(a, mask)
             if not here:
                 continue
             reads = reads_of[a]
             for ci, _ in sv:
                 images = reads.get(ci)
                 if images is None:
-                    images = self.read_images(a, ci)
+                    images = reads[ci] = self.read_images(a, ci)
                 if not images:
                     break  # a class with a model-less thread blocks the letter
             else:
@@ -339,11 +336,7 @@ class CompiledMachine:
                             out.append((a, (ci, checkpoint), sv3, steps))
         if letter is None:
             return out, truncated
-        memo = self._lettered
-        if len(memo) >= LETTERED_MEMO:
-            memo.clear()
-        found = memo[key] = (out, truncated)
-        return found
+        return self._lettered.keep(key, (out, truncated))
 
     # explicit machine for small automata
     def materialize(self) -> CounterMachine:
@@ -372,7 +365,7 @@ class CompiledMachine:
             images = tuple([self.read_images(letter, mask) for mask in full])
             read = cycle.reads.get(images)
             if read is None:
-                read = remember(cycle.reads, images, Transfer(tuple(
+                read = cycle.reads.keep(images, Transfer(tuple(
                     (counters[mask], tuple(counters[self.flight_index(kept, marked)]
                                            for kept, marked in pairs))
                     for mask, pairs in zip(full, images))))
@@ -387,7 +380,7 @@ class CompiledMachine:
                 made = [Transition(cycle.read[mask], letter, reads[li], models)]
                 made += [Transition(models, EPS, cycle.nop, cycle.merge[s])
                          for s in self.here_sets(letter, mask)]
-                edges += [shared.get(t) or remember(shared, t, t) for t in made]
+                edges += [shared.get(t) or shared.keep(t, t) for t in made]
         edges += cycle.transitions
         states.sort()
         return CounterMachine(self.alphabet, states, cycle.read[self.initial_control[0]],
@@ -422,8 +415,9 @@ def family_structure(names):
 # they are listed, and the states they use; `read` and `merge` name each
 # mask's read control and first merge control; `nop` is the identity
 # transfer they share.  `reads` and `edges` are the family memos of
-# materialize() (at most ipcant.FAMILY_MEMO entries each): the read transfers
-# by their read images, and the read and models_* edges by themselves
+# materialize(), Memos of ipcant.machine.FAMILY_MEMO entries each: the read
+# transfers by their read images, and the read and models_* edges by
+# themselves
 LetterFreeCycle = namedtuple("LetterFreeCycle", "nop transitions states read merge reads edges")
 
 
@@ -482,7 +476,8 @@ def letter_free_cycle(names, co_states):
         add("pick", Dec(away[mask]), read[mask])
     add("pick", nop, read[0])
     return LetterFreeCycle(nop, tuple(transitions), tuple(states), read,
-                           tuple(m[0] for m in merge), {}, {})
+                           tuple(m[0] for m in merge), Memo(counter_machine.FAMILY_MEMO),
+                           Memo(counter_machine.FAMILY_MEMO))
 
 
 def ara_to_ipcant(aut: AlternatingAutomaton, co_states=None) -> CompiledMachine:

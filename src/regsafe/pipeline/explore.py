@@ -186,13 +186,7 @@ def prefix_reachable(machine, letters, vcap=64) -> bool:
             letter = letters[pos]
         succ, _ = successors(machine, control, sv, vcap, letter)
         for label, control2, sv2, _ in succ:
-            if label is EPS:
-                pos2 = pos
-            elif pos < last:
-                pos2 = pos + 1
-            else:
-                continue
-            key = (pos2, control2, sv2)
+            key = (pos if label is EPS else pos + 1, control2, sv2)
             if key not in seen:
                 seen.add(key)
                 stack.append(key)

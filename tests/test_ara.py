@@ -141,6 +141,10 @@ def test_automaton_validation(abc):
         AlternatingAutomaton(abc, ("p",), "p", {("p", "z", "up"): pb.Top()})
     with pytest.raises(ValidationError):
         AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "up"): pb.Ref("z")})
+    with pytest.raises(ValidationError, match="transition from unknown state 'z'"):
+        AlternatingAutomaton(abc, ("p",), "p", {("z", "a", "up"): pb.Top()})
+    with pytest.raises(ValidationError, match="bad register flag 'down'"):
+        AlternatingAutomaton(abc, ("p",), "p", {("p", "a", "down"): pb.Top()})
 
 
 def test_automaton_validation_deep_formula(abc):

@@ -429,6 +429,18 @@ def test_usage_errors(data_path, tmp_path, capsys):
                     "--cap", "0"]) == 64
     assert run_cli(["parse", "--formula", str(tmp_path / "absent.ltl")]) == 64
     _out(capsys)
+    # only sat, include and refine explore, and only they take the bounds
+    fig, ltl = data_path("fig1.ara"), data_path("example.ltl")
+    for argv in (["parse", "--formula", ltl], ["ltl2ara", "--formula", ltl],
+                 ["ara2cm", "--automaton", fig], ["run", "--automaton", fig, "--word", "a@D"],
+                 ["bound", "--automaton", fig], ["tmgen", "--tm", data_path("bouncer.tm")],
+                 ["oracle", "--trials", "1"]):
+        for flag in ("--cap", "--vcap"):
+            assert run_cli(argv + [flag, "5"]) == 64, (argv, flag)
+            out, err = _out(capsys)
+            assert out == "" and err == "error: unrecognized arguments: %s 5\n" % flag, argv
+        assert run_cli(argv) == 0, argv
+        _out(capsys)
     # counts out of range, the oracle's ceilings among them: one error line
     # each, nothing run
     for argv in (["oracle", "--max-len", "0"], ["oracle", "--max-states", "0"],
@@ -513,6 +525,62 @@ def test_invalid_input_files_exit_65(tmp_path, capsys):
             % ifz) in err
     assert ("invalid input: %s: line 7: instruction uses unknown counter ['z']\n"
             % unknown) in err
+
+
+_ARA = "alphabet: a b\nstates: p q\ninitial: p\n"
+_CM = "alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
+_TM = ("tape: B M\nblank: B\nstates: h0\ninitial: h0\nsize: 2\n"
+       "h0, B -> h0, B, -1\nh0, M -> h0, M, -1\n")
+
+
+# (name, file text, the error line with the file's path as {path})
+_HOSTILE = [
+    ("ara-no-arrow", _ARA + "p, a, up q\n",
+     "parse error: {path}: line 4: expected 'state, letter, flag -> formula'"),
+    ("ara-two-fields", _ARA + "p, a -> q\n",
+     "parse error: {path}: line 4: expected 'state, letter, flag' before '->'"),
+    ("ara-four-fields", _ARA + "p, a, up, b -> q\n",
+     "parse error: {path}: line 4: expected 'state, letter, flag' before '->'"),
+    ("ara-unknown-state", _ARA + "z, a, up -> q\n", "parse error: {path}: line 4: unknown state 'z'"),
+    ("ara-unknown-letter", _ARA + "p, c, up -> q\n", "parse error: {path}: line 4: unknown letter 'c'"),
+    ("ara-bad-flag", _ARA + "p, a, down -> q\n",
+     "parse error: {path}: line 4: flag must be up, nup or *"),
+    ("cm-no-dash", _CM + "p a, inc {x}-> p\n",
+     "parse error: {path}: line 6: expected '-label, instruction-> dst'"),
+    ("cm-no-comma", _CM + "p -a inc {x}-> p\n", "parse error: {path}: line 6: missing ',' after label"),
+    ("cm-bare-image", _CM + "p -a, transf {x}->{x}-> p\n",
+     "parse error: {path}: line 6: transfer image '{x}' must be a [...] list"),
+    ("cm-duplicate-state", _CM.replace("states: p", "states: p p"), "invalid input: {path}: duplicate state name"),
+    ("cm-undeclared-initial", _CM.replace("initial: p", "initial: q"),
+     "invalid input: {path}: initial state 'q' not declared"),
+    ("cm-unknown-letter", _CM + "p -b, inc {x}-> p\n",
+     "invalid input: {path}: transition on unknown letter 'b'"),
+    ("tm-duplicate-letter", _TM.replace("tape: B M", "tape: B M B"),
+     "invalid input: {path}: tape alphabet must be non-empty without duplicates"),
+    ("tm-duplicate-state", _TM.replace("states: h0", "states: h0 h0"),
+     "invalid input: {path}: state set must be non-empty without duplicates"),
+    ("tm-bad-name", _TM.replace("tape: B M", "tape: B M!"), "invalid input: {path}: bad name: 'M!'"),
+    ("tm-unknown-pair", _TM + "h1, B -> h0, B, -1\n",
+     "invalid input: {path}: rule for unknown pair ('h1', 'B')"),
+    ("tm-unknown-target", _TM.replace("h0, B -> h0, B, -1", "h0, B -> h9, B, -1"),
+     "invalid input: {path}: rule target ('h9', 'B') unknown"),
+    ("tm-no-arrow", _TM + "h0, B h0, B, -1\n",
+     "parse error: {path}: line 8: expected 'q, a -> q2, a2, move'"),
+]
+
+
+@pytest.mark.parametrize("name, text, err", _HOSTILE, ids=[c[0] for c in _HOSTILE])
+def test_hostile_input_files_exit_65(tmp_path, capsys, name, text, err):
+    """A broken automaton, machine or Turing machine file exits 65 with one
+    line that names the file and the fault, and no traceback."""
+    kind = name.partition("-")[0]
+    path = tmp_path / ("bad." + kind)
+    path.write_text(text)
+    argv = {"ara": ["run", "--automaton", str(path), "--word", "a@D"],
+            "cm": ["sat", "--machine", str(path)],
+            "tm": ["tmgen", "--tm", str(path)]}[kind]
+    assert run_cli(argv) == 65
+    assert _out(capsys) == ("", err.replace("{path}", str(path)) + "\n")
 
 
 @pytest.mark.parametrize("argv", [

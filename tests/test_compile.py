@@ -1,14 +1,16 @@
 from functools import partial
+import gc
 from itertools import product
 from math import comb
 import random
+import weakref
 
 import pytest
 
 from regsafe import ipcant, randgen, tree
 from regsafe.errors import ValidationError
-from regsafe.words import Alphabet
-from regsafe.ara import ltl_to_ara
+from regsafe.words import Alphabet, parse_word
+from regsafe.ara import ltl_to_ara, parse_automaton, run_exists
 from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe.ipcant import (BRANCH_BUDGET, EPS, Transfer, check_distributive, compositions,
@@ -622,6 +624,30 @@ def test_lettered_step_memo_stays_within_its_bound(abc, monkeypatch):
     unbounded = ara_to_ipcant(aut)
     assert [prefix_reachable(unbounded, s) for s in strings] == answers
     assert len(unbounded._lettered) > 8
+
+
+def test_machines_and_automata_are_freed_without_the_cycle_collector(data_text):
+    """No table a compiled machine or an automaton keeps refers back to it:
+    with the cycle collector off, each is freed as soon as its last
+    reference goes, after the searches and run_exists have filled them."""
+    aut = parse_automaton(data_text("fig1.ara"))
+    cm = ara_to_ipcant(aut)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert prefix_reachable(cm, ("a", "c", "b"))
+        assert bounded_nonemptiness(cm, cap=200) is not None
+        assert cm._lettered and cm._reads and cm._heres
+        assert not run_exists(aut, parse_word("a@1 c@2 b@1", aut.alphabet))
+        assert aut._steps is not None
+        machine, automaton = weakref.ref(cm), weakref.ref(aut)
+        del cm
+        assert machine() is None
+        del aut
+        assert automaton() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_unlettered_searches_leave_the_lettered_memo_alone(fig1, top_automaton, monkeypatch):

@@ -79,6 +79,32 @@ def test_nonemptiness_start_override(data_text):
                                 start=("p", ((0, 3),))) is Nonemptiness.NONEMPTY
 
 
+def test_nonemptiness_unknown_at_the_node_budget(monkeypatch):
+    """An automaton that reads two letters and dies has an empty language;
+    the search proves it with 49 nodes and answers UNKNOWN with one less."""
+    states = ("q0", "q1", "q2")
+    delta = {(states[i], a, flag): pb.Ref(states[i + 1])
+             for i in range(2) for a in AB for flag in ("up", "nup")}
+    aut = AlternatingAutomaton(AB, states, "q0", delta)
+    monkeypatch.setattr(explore, "NODE_BUDGET", 49)
+    assert bounded_nonemptiness(ara_to_ipcant(aut)) is Nonemptiness.EMPTY
+    monkeypatch.setattr(explore, "NODE_BUDGET", 48)
+    assert bounded_nonemptiness(ara_to_ipcant(aut)) is Nonemptiness.UNKNOWN
+
+
+def test_inclusion_unknown_when_a_checkpoint_search_is(abc, monkeypatch):
+    """Each checkpoint search of a converged saturation that finds no run
+    at the node budget makes the verdict UNKNOWN, not NOT_INCLUDED; the
+    saturation itself is the same."""
+    weaker = ltl_to_ara(parse_formula("G (down X G (b | c | nup)) & G a | G b | G c", abc), abc)
+    stronger = ltl_to_ara(parse_formula("G (down X G (b | c | nup)) & G a | G b", abc), abc)
+    res = inclusion_check(weaker, stronger)
+    assert (res.verdict, res.explored, res.converged, res.checkpoints) == (
+        Inclusion.NOT_INCLUDED, 309, True, 2)
+    monkeypatch.setattr(explore, "NODE_BUDGET", 1)
+    assert tuple(inclusion_check(weaker, stronger))[:4] == (Inclusion.UNKNOWN, 309, True, 2)
+
+
 def test_bounds_below_one_are_refused(fig1):
     """Every search raises ValueError on a cap or vcap below 1.  The parsed
     one-state machine with no transition has no run, so at cap 1 it is
