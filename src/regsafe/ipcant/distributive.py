@@ -2,9 +2,9 @@
 covered by a union of counters, any choice of image counters for the cover
 admits an image counter of the covered one inside the union of the choices.
 Distributivity is what makes the token-embedding preorder compatible with
-firing.  One memo keeps verdicts, _exhaustive_verdict, per transfer and
-counter tuple; check_distributive keeps none, and a sampled verdict is
-drawn afresh."""
+firing.  A machine's verdicts are kept per transfer object in its
+counter family's verdicts memo (_check_transfers); check_distributive keeps
+none."""
 
 import functools
 import random
@@ -154,23 +154,19 @@ def _sampled_distributive(f, counters, trials=200, seed=0):
     return True
 
 
-def _check_transfers(transfers, counters, mode):
+def _check_transfers(transfers, structure, mode):
     """Raise ValidationError unless the map of every transfer over the
-    counters is distributive: checked exhaustively on families of at most
-    12 counters or in mode "full", sampled on larger ones.  An exhaustive
-    verdict is memoised per (transfer, counter tuple); a sampled one is
-    drawn afresh."""
+    CounterStructure's counters is distributive: checked exhaustively on
+    families of at most 12 counters or in mode "full", sampled (seeded) on
+    larger ones.  Each verdict is kept in the structure's verdicts memo
+    under (id(transfer), exhaustive) with its transfer, so a refused
+    transfer is refused again from the memo."""
+    counters = structure.counters
     exhaustive = len(counters) <= 12 or mode == "full"
+    check = check_distributive if exhaustive else _sampled_distributive
+    memo = structure.verdicts
     for instr in transfers:
-        ok = (_exhaustive_verdict(instr, counters) if exhaustive
-              else _sampled_distributive(instr.as_map(counters), counters))
+        key = (id(instr), exhaustive)
+        _, ok = memo.get(key) or memo.keep(key, (instr, check(instr.as_map(counters), counters)))
         if not ok:
             raise ValidationError("transfer map is not distributive")
-
-
-@functools.lru_cache(maxsize=4096)
-def _exhaustive_verdict(instr, counters):
-    """check_distributive's verdict on the transfer's map over the counter
-    tuple.  An error the map raises is raised again on every call, as
-    lru_cache keeps no exception."""
-    return check_distributive(instr.as_map(counters), counters)

@@ -1,5 +1,6 @@
 """The machine file format, which parse_machine reads and format_machine
-prints, each distinct piece once per process (see the package docstring)."""
+prints, each distinct piece once per counter family (see the package
+docstring)."""
 
 import functools
 import re
@@ -33,13 +34,10 @@ def _parse_counters(text, pattern, what):
     return tuple(_parse_counter(m.group(0)) for m in _COUNTER_RE.finditer(text))
 
 
-@functools.lru_cache(maxsize=4096)
 def _parse_instr(text, structure):
     """The instruction of a stripped instruction text over the family's
     CounterStructure, whose counters an ifz^cap expands over and whose basis
-    must hold the ifz^cap's set.  Kept under _parse_line's memo because the
-    lines of one file repeat an instruction text under other states: they
-    share one instruction object, whose op the family memo keeps once."""
+    must hold the ifz^cap's set."""
     if text.startswith("inc "):
         return Inc(_parse_counter(text[4:]))
     if text.startswith("dec "):
@@ -78,13 +76,14 @@ def _parse_structure(basis_text, counters_text):
                                                    "counters: header"))
 
 
-@functools.lru_cache(maxsize=4096)
 def _parse_line(line, structure):
     """The Transition of a stripped body line over the family's
     CounterStructure, its instruction resolved to its op through the family
-    memo, so that a counter outside the family is refused at its line.  Its
-    ParseError or ValidationError carries no line number; parse_machine
-    adds it."""
+    memo, so that a counter outside the family is refused at its line.  The
+    instruction comes from the family's instrs memo, as the lines of one
+    file repeat an instruction text under other states: they share one
+    instruction object, whose op is kept once.  Its ParseError or
+    ValidationError carries no line number; parse_machine adds it."""
     src, _, rest = line.partition(" ")
     rest = rest.strip()
     if not rest.startswith("-"):
@@ -99,17 +98,18 @@ def _parse_line(line, structure):
     dst = dst.strip()
     if not dst:
         raise ParseError("missing target state")
-    instr = _parse_instr(instr_text.strip(), structure)
+    text, instrs = instr_text.strip(), structure.instrs
+    instr = instrs.get(text) or instrs.keep(text, _parse_instr(text, structure))
     structure.op(instr)
     return Transition(src, EPS if label == "eps" else label, instr, dst)
 
 
 def parse_machine(text, check_transfers="auto") -> CounterMachine:
-    """Read a machine file.  The header and each distinct body line of a
-    counter family are parsed once per process (_parse_structure,
-    _parse_line), so machines of one family share their structure and the
-    Transitions and instructions of their common lines.  An error in a body
-    line names the line."""
+    """Read a machine file.  The header is parsed once per process
+    (_parse_structure) and each distinct body line once per counter family
+    (its structure's parsed memo), so machines of one family share their
+    structure and the Transitions and instructions of their common lines.
+    An error in a body line names the line."""
     headers, body = read_sections(text, _HEADERS, ("relation",))
     lazy = _RELATIONS.get(headers.get("relation", "lazy"))
     if lazy is None:
@@ -121,42 +121,36 @@ def parse_machine(text, check_transfers="auto") -> CounterMachine:
     if len(initial) != 1:
         raise ParseError("expected one initial state")
     transitions = []
+    get, keep = structure.parsed.get, structure.parsed.keep
     for lineno, line in body:
         try:
-            transitions.append(_parse_line(line, structure))
+            transitions.append(get(line) or keep(line, _parse_line(line, structure)))
         except (ParseError, ValidationError) as err:
             raise type(err)("line %d: %s" % (lineno, err)) from None
     return CounterMachine(alphabet, states, initial[0], structure, transitions,
                           check_transfers=check_transfers, lazy=lazy)
 
 
-@functools.lru_cache(maxsize=4096)
-def _format_counter(c):
-    return "{%s}" % ",".join(sorted(c))
+def _format_instr(instr, printed):
+    """The text of an instruction of a machine, an Inc, Dec or Transfer
+    over its family as the machine's construction checked, its counters
+    printed by the family's `printed` table."""
+    if not isinstance(instr, Transfer):
+        return ("inc " if isinstance(instr, Inc) else "dec ") + printed[instr.counter]
+    if not instr.entries:
+        return "nop"
+    parts = []
+    for src, dsts in sorted(instr.entries, key=lambda e: sorted(e[0])):
+        parts.append("%s->[%s]" % (printed[src], ",".join(map(printed.__getitem__, dsts))))
+    return "transf " + "; ".join(parts)
 
 
-def _format_instr(instr):
-    if isinstance(instr, Inc):
-        return "inc " + _format_counter(instr.counter)
-    if isinstance(instr, Dec):
-        return "dec " + _format_counter(instr.counter)
-    if isinstance(instr, Transfer):
-        if not instr.entries:
-            return "nop"
-        parts = []
-        for src, dsts in sorted(instr.entries, key=lambda e: sorted(e[0])):
-            parts.append("%s->[%s]" % (_format_counter(src),
-                                       ",".join(map(_format_counter, dsts))))
-        return "transf " + "; ".join(parts)
-    raise ValidationError("unknown instruction %r" % (instr,))
-
-
-def _format_line(memo, t):
+def _format_line(structure, t):
     """The (transition, body line) entry of a Transition, made and kept in
     its family's print memo."""
     line = "%s -%s, %s-> %s" % (t.src, "eps" if t.label is EPS else t.label,
-                                _format_instr(t.instr), t.dst)
-    return memo.keep(id(t), (t, line))
+                                _format_instr(t.instr, structure.printed), t.dst)
+    return structure.lines.keep(id(t), (t, line))
 
 
 def format_machine(m: CounterMachine) -> str:
@@ -164,19 +158,19 @@ def format_machine(m: CounterMachine) -> str:
     `relation:` line; a lazy one, the default, prints none.  Each body line
     comes from the family's print memo (CounterStructure.lines), kept per
     Transition object: the machines of a family share their Transitions
-    (parsed ones through _parse_line, materialized ones through
-    compile.letter_free_cycle), so each is printed once, and no lookup
-    compares transitions."""
-    memo = m.structure.lines
-    get = memo.get
+    (parsed ones through the structure's parsed memo, materialized ones
+    through compile.letter_free_cycle), so each is printed once, and no
+    lookup compares transitions."""
+    structure = m.structure
+    get = structure.lines.get
     lines = [
         "alphabet: " + " ".join(m.alphabet.letters),
-        "basis: " + " ".join(m.structure.basis),
-        "counters: " + " ".join(map(_format_counter, m.structure.counters)),
+        "basis: " + " ".join(structure.basis),
+        "counters: " + " ".join(structure.printed.values()),
         "states: " + " ".join(m.states),
         "initial: " + m.initial,
     ]
     if not m.lazy:
         lines.append("relation: error-free")
-    lines += [(get(id(t)) or _format_line(memo, t))[1] for t in m.transitions]
+    lines += [(get(id(t)) or _format_line(structure, t))[1] for t in m.transitions]
     return "\n".join(lines) + "\n"

@@ -40,10 +40,15 @@ class CounterStructure:
     """A basis and an ordered family of counters (non-empty basis subsets).
     Nothing changes a structure's basis and counters once it is built, so
     the machines of one family share one: family_structure's for compiled
-    machines and _parse_structure's for parsed ones.  A structure also
-    holds its family's memos, each keyed by object identity and a Memo of
-    FAMILY_MEMO entries: the op of each instruction (op) and the printed
-    text of each body line (`lines`, format_machine's)."""
+    machines and _parse_structure's for parsed ones.  A structure owns what
+    is derived from its family: each counter's printed text (`printed`),
+    and its family memos, each a Memo of FAMILY_MEMO entries as that
+    constant reads when the structure is made.  Those keyed by text hold
+    the Transition of each body line (`parsed`) and the instruction of each
+    instruction text (`instrs`); those keyed by object identity hold their
+    key object, the op of each instruction (op), the printed text of each
+    body line (`lines`, format_machine's) and the distributivity verdict of
+    each transfer, exhaustive or sampled (`verdicts`)."""
 
     def __init__(self, basis, counters):
         self.basis = tuple(basis)
@@ -61,8 +66,12 @@ class CounterStructure:
                 raise ValidationError("duplicate counter %r" % (sorted(c),))
             seen.add(c)
         self._hash = hash((self.basis, self.counters))
+        self.printed = {c: "{%s}" % ",".join(sorted(c)) for c in self.counters}
+        self.parsed = Memo(FAMILY_MEMO)  # body line text -> its transition
+        self.instrs = Memo(FAMILY_MEMO)  # instruction text -> its instruction
         self.ops = Memo(FAMILY_MEMO)  # id(instruction) -> (instruction, kind, arg)
         self.lines = Memo(FAMILY_MEMO)  # id(transition) -> (transition, its body line)
+        self.verdicts = Memo(FAMILY_MEMO)  # (id(transfer), exhaustive) -> (transfer, verdict)
 
     @functools.cached_property
     def index(self):
@@ -86,16 +95,15 @@ class CounterStructure:
             return found
         if not isinstance(instr, (Inc, Dec, Transfer)):
             raise ValidationError("unknown instruction %r" % (instr,))
-        pair = {c: (i, 0) for i, c in enumerate(self.counters)}
+        index = self.index
         try:
             if isinstance(instr, Transfer):
-                identity = tuple([(p,) for p in pair.values()])
-                arg = tuple([tuple(map(pair.__getitem__, dsts))
+                arg = tuple([tuple([(index[d], 0) for d in dsts])
                              for dsts in instr.as_map(self.counters).values()])
-                found = (instr, None, None) if arg == identity else (instr, Transfer, arg)
+                identity = all(img == ((i, 0),) for i, img in enumerate(arg))
+                found = (instr, None, None) if identity else (instr, Transfer, arg)
             else:
-                found = (instr, Inc if isinstance(instr, Inc) else Dec,
-                         pair[instr.counter][0])
+                found = (instr, Inc if isinstance(instr, Inc) else Dec, index[instr.counter])
         except KeyError as e:
             raise ValidationError("instruction uses unknown counter %r"
                                   % (sorted(e.args[0]),)) from None
@@ -217,7 +225,7 @@ class CounterMachine:
         self._resting = frozenset(resting)
         self._check_eps_acyclic(eps)
         if check_transfers != "off":
-            _check_transfers(transfers.values(), structure.counters, check_transfers)
+            _check_transfers(transfers.values(), structure, check_transfers)
 
     @property
     def lazy(self):

@@ -22,11 +22,11 @@ after the last letter, so a True answer costs one path rather than every
 configuration reachable at each position.  On a compiled machine every
 expansion is a lettered step, which the machine memoizes, so an expansion
 repeated within one query or by another query on the same machine is one
-lookup.  It needs no node cap: within a position only letter-free steps are
-taken, and that graph is finite (compiled machines have none, explicit
-machines reject letter-free cycles at construction).  A successor cut by the
-value cap is dropped without notice, so a False answer is exact only up to
-the value cap.
+lookup.  It needs neither a node cap nor a value cap: within a position
+only letter-free steps are taken, and that graph is finite (compiled
+machines have none, explicit machines reject letter-free cycles at
+construction).  So a False answer is exact, unless a transfer's splits
+passed BRANCH_BUDGET and were dropped.
 
 bounded_nonemptiness searches for an infinite run: any configuration cycle
 is one (control cycles must consume letters, so a lasso reads infinitely many
@@ -51,6 +51,7 @@ supports that hold all of its counters.
 from collections import deque, namedtuple
 from enum import Enum
 from itertools import combinations
+import math
 
 from ..ara.automaton import AlternatingAutomaton
 from ..ipcant import EPS
@@ -153,7 +154,7 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptines
     return Nonemptiness.UNKNOWN if truncated else Nonemptiness.EMPTY
 
 
-def prefix_reachable(machine, letters, vcap=64) -> bool:
+def prefix_reachable(machine, letters) -> bool:
     """Can the machine consume the letter sequence and come to rest?  For
     compiled machines this matches the existence of a partial automaton run
     on some data word with those letters.  A depth-first search over
@@ -167,11 +168,9 @@ def prefix_reachable(machine, letters, vcap=64) -> bool:
     within this query and with earlier ones on the same machine.
     Every position's letter-free graph is finite, as compiled machines have
     no letter-free steps and explicit ones no letter-free cycles, so the
-    search needs no node cap and its False is exact up to `vcap`: a
-    successor cut by the value cap is dropped without notice.  Raises
-    ValueError on a vcap below 1."""
-    if vcap < 1:
-        raise ValueError("vcap must be at least 1, not %r" % (vcap,))
+    search needs no node cap and steps with no value cap (math.inf): its
+    False is exact unless a step dropped a transfer's splits past
+    BRANCH_BUDGET."""
     letters = tuple(letters)
     last = len(letters)
     stack = [(0,) + machine.initial_config()]
@@ -184,7 +183,7 @@ def prefix_reachable(machine, letters, vcap=64) -> bool:
             letter = None
         else:
             letter = letters[pos]
-        succ, _ = successors(machine, control, sv, vcap, letter)
+        succ, _ = successors(machine, control, sv, math.inf, letter)
         for label, control2, sv2, _ in succ:
             key = (pos if label is EPS else pos + 1, control2, sv2)
             if key not in seen:

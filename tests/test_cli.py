@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shlex
@@ -53,12 +54,16 @@ def test_ara2cm_output_parses(data_path, capsys):
     assert machine.initial == "read_1"
 
 
-def test_run_verdicts(data_path, capsys):
+def test_run_verdicts(data_path, data_text, monkeypatch, capsys):
     fig = data_path("fig1.ara")
     assert run_cli(["run", "--automaton", fig, "--word", "a@D c@D b@E"]) == 0
     assert _out(capsys)[0] == "YES\n"
     assert run_cli(["run", "--automaton", fig, "--word", "a@D c@D b@D"]) == 1
     assert _out(capsys)[0] == "NO\n"
+    # an input path of - reads the file from standard input
+    monkeypatch.setattr(sys, "stdin", io.StringIO(data_text("fig1.ara")))
+    assert run_cli(["run", "--automaton", "-", "--word", "a@D c@D b@E"]) == 0
+    assert _out(capsys) == ("YES\n", "")
 
 
 def test_sat_verdicts(data_path, capsys):
@@ -410,6 +415,13 @@ def test_tmgen_steps_past_the_letter_ceiling(data_path, data_text, tmp_path, cap
         assert err.endswith("more than the %d allowed\n" % TMGEN_MAX_LETTERS), err
 
 
+def test_tmgen_on_a_machine_that_halts_at_once(data_path, capsys):
+    """--steps past the run of a machine that halts is a usage error: exit
+    64, one line on stderr and nothing on stdout."""
+    assert run_cli(["tmgen", "--tm", data_path("halting.tm"), "--steps", "1"]) == 64
+    assert _out(capsys) == ("", "error: machine halts after 0 transitions\n")
+
+
 def test_tm_size_past_the_ceiling(data_text, tmp_path, capsys):
     """A .tm file whose size: is above 64 is invalid input (65), with or
     without --steps: no formula is built and no traceback printed."""
@@ -603,17 +615,25 @@ def test_non_utf8_input_exits_65(tmp_path, data_path, capsys, argv):
 
 def test_non_distributive_machine_exits_65(tmp_path, capsys):
     """Loading checks every transfer, also after a good file over the same
-    counters has been loaded."""
+    counters has been loaded, and on 14 counters, where the check samples
+    covers."""
     header = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\ninitial: p\n"
     good = tmp_path / "good.cm"
     good.write_text(header + "p -a, transf {x,y}->[{x,y}]-> p\n")
     assert run_cli(["bound", "--machine", str(good)]) == 0
+    _out(capsys)
     bad = tmp_path / "bad.cm"
     bad.write_text(header + "p -a, transf {x,y}->[]-> p\n")
-    for command in ("sat", "bound"):
-        assert run_cli([command, "--machine", str(bad)]) == 65
-        _, err = _out(capsys)
-        assert err.startswith("invalid input: ") and "not distributive" in err
+    names = ["a%d" % i for i in range(11)]
+    sampled = tmp_path / "sampled.cm"
+    sampled.write_text(header.replace("x y\n", "x y %s\n" % " ".join(names)).replace(
+        "{x,y}\n", "{x,y} %s\n" % " ".join("{%s}" % e for e in names))
+        + "p -a, transf {x,y}->[]-> p\n")
+    assert len(parse_machine(sampled.read_text(), "off").counters) == 14
+    for command, path in (("sat", bad), ("bound", bad), ("sat", sampled), ("sat", sampled)):
+        assert run_cli([command, "--machine", str(path)]) == 65
+        out, err = _out(capsys)
+        assert out == "" and err.startswith("invalid input: ") and "not distributive" in err
 
 
 def test_help_exits_zero(capsys):

@@ -411,7 +411,8 @@ def test_warm_machines_print_as_cold_ones():
     after another in one process, whose family caches fill up with the
     machines before them, print as each machine built alone with every
     family cache of compile and ipcant emptied first: the lru_caches, and
-    with the structures and cycles they drop, the family memos."""
+    with the structures and cycles they drop, the family memos those
+    own."""
     rng = random.Random(61)
     cases = []
     for k in range(40):
@@ -423,9 +424,7 @@ def test_warm_machines_print_as_cold_ones():
     warm = [_printed(aut, co) for aut, co in cases]
     for k, ((aut, co), (text, again)) in enumerate(zip(cases, warm)):
         assert text == again
-        for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_instr,
-                      ipcant.fileformat._format_counter, ipcant.distributive._exhaustive_verdict,
-                      ipcant.fileformat._parse_line, ipcant.fileformat._parse_structure):
+        for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_structure):
             cache.cache_clear()
         assert _printed(aut, co) == (text, again), k
 
@@ -846,6 +845,6 @@ def test_family_memos_of_materialize_stay_within_their_bound(monkeypatch):
         assert format_machine(parse_machine(text, "full")) == text
         cycle = letter_free_cycle(cm.states_order, cm.co_states)
         parsed = parse_machine(text).structure
-        for memo in (cycle.reads, cycle.edges, m.structure.ops, m.structure.lines,
-                     parsed.ops, parsed.lines):
+        for memo in (cycle.reads, cycle.edges, *(getattr(st, name) for st in (m.structure, parsed)
+                     for name in ("parsed", "instrs", "ops", "lines", "verdicts"))):
             assert len(memo) <= 3

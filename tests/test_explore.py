@@ -6,8 +6,8 @@ import random
 from hypothesis import given, settings, strategies as hst
 import pytest
 
-from regsafe.words import Alphabet, canonicalize
-from regsafe.ara import ltl_to_ara, run_exists
+from regsafe.words import Alphabet, canonicalize, parse_word
+from regsafe.ara import ltl_to_ara, parse_automaton, run_exists
 from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import AlternatingAutomaton, intersect, union
 from regsafe import ipcant, randgen
@@ -106,9 +106,9 @@ def test_inclusion_unknown_when_a_checkpoint_search_is(abc, monkeypatch):
 
 
 def test_bounds_below_one_are_refused(fig1):
-    """Every search raises ValueError on a cap or vcap below 1.  The parsed
-    one-state machine with no transition has no run, so at cap 1 it is
-    empty."""
+    """Every search with a cap or vcap raises ValueError on one below 1.
+    The parsed one-state machine with no transition has no run, so at cap 1
+    it is empty."""
     machine = parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n")
     assert not machine.transitions
     for bad in ({"cap": 0}, {"cap": -1}, {"vcap": 0}):
@@ -116,8 +116,6 @@ def test_bounds_below_one_are_refused(fig1):
             bounded_nonemptiness(machine, **bad)
         with pytest.raises(ValueError):
             inclusion_check(fig1, fig1, **bad)
-    with pytest.raises(ValueError):
-        prefix_reachable(machine, ("a",), vcap=0)
     assert bounded_nonemptiness(machine, cap=1) is Nonemptiness.EMPTY
 
 
@@ -137,6 +135,19 @@ def test_prefix_reachable_explicit_machine_must_rest():
     for machine in (ara_to_ipcant(aut), ara_to_ipcant(aut).materialize()):
         assert not prefix_reachable(machine, ("b",))
         assert prefix_reachable(machine, ("a",))
+
+
+def test_prefix_reachable_has_no_value_cap():
+    """Each letter leaves one more p thread on an earlier class, so a word
+    of n distinct data puts n - 1 tokens on one counter: past 64 letters
+    prefix_reachable still answers as run_exists does, on the compiled
+    machine and on its materialized one."""
+    aut = parse_automaton("alphabet: a\nstates: q p\ninitial: q\n"
+                          "q, a, * -> q & d(p)\np, a, nup -> p\n")
+    for n in (66, 70):
+        assert run_exists(aut, parse_word(" ".join("a@%d" % i for i in range(n)), aut.alphabet))
+        for machine in (ara_to_ipcant(aut), ara_to_ipcant(aut).materialize()):
+            assert prefix_reachable(machine, ("a",) * n), (n, machine)
 
 
 def test_prefix_reachable_blocked_automaton():

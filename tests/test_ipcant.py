@@ -382,39 +382,38 @@ def test_caches_stay_within_their_bounds():
         counters = (frozenset(["b%d" % k]),)
         assert check_distributive({counters[0]: counters}, counters)
     assert cover_table.cache_info().currsize == limit
-    # more distinct transfers over one family than the verdicts kept
-    verdicts = ipcant.distributive._exhaustive_verdict
-    limit = verdicts.cache_info().maxsize
+    # more distinct transfers over one family than its verdicts memo keeps
+    limit = ipcant.FAMILY_MEMO
     counters = tuple(frozenset([e]) for e in "stuv")
+    st = CounterStructure("stuv", counters)
     images = [()] + [(c,) for c in counters] + [(c, d) for c in counters for d in counters]
     maps = product(images, repeat=len(counters))
     for _ in range(limit + 100):
-        assert verdicts(Transfer(tuple(zip(counters, next(maps)))), counters)
-        assert verdicts.cache_info().currsize <= limit
-    assert verdicts.cache_info().currsize == limit
+        ipcant.distributive._check_transfers([Transfer(tuple(zip(counters, next(maps))))],
+                                             st, "auto")
+        assert len(st.verdicts) <= limit
+    assert len(st.verdicts) == 100
+    assert all(ok for _, ok in st.verdicts.values())
     modules = (ipcant.machine, ipcant.distributive, ipcant.bound, ipcant.fileformat,
                reference_ipcant)
     caches = {(module.__name__.rpartition(".")[2], name): f for module in modules
               for name, f in vars(module).items()
               if hasattr(f, "cache_info") and f.__module__ == module.__name__}
-    # an instruction's op and a body line's text are family memos, kept on
-    # the structure (test_family_memos_stay_within_their_bound)
-    assert set(caches) == {
-        ("distributive", "cover_table"), ("distributive", "_exhaustive_verdict"),
-        ("fileformat", "_parse_instr"), ("fileformat", "_format_counter"),
-        ("fileformat", "_parse_line"), ("fileformat", "_parse_structure")}
-    assert all(f.cache_info().maxsize for f in caches.values())
-    assert ipcant.fileformat._parse_line.cache_info().maxsize == 4096
+    # what is derived from a family is kept in its structure's memos
+    # (test_family_memos_stay_within_their_bound); these only intern
+    assert set(caches) == {("distributive", "cover_table"), ("fileformat", "_parse_structure")}
     assert ipcant.fileformat._parse_structure.cache_info().maxsize == 64
-    assert ipcant.distributive._exhaustive_verdict.cache_info().maxsize == 4096
 
 
-def test_family_memos_stay_within_their_bound():
+def test_family_memos_stay_within_their_bound(monkeypatch):
     """A machine with more distinct instruction and Transition objects than
     a family memo keeps, all equal, built and printed twice: the op and
     print memos of its structure are emptied when full, so they never
     exceed FAMILY_MEMO entries, and every op and printed line stays right.
-    Equal copies are kept apart, one entry per object."""
+    Equal copies are kept apart, one entry per object.  A bound set before
+    a structure is made holds for every memo of it: a file with more
+    distinct lines, instructions and transfers than that bound parses,
+    checks and prints as its text in either check mode."""
     limit = ipcant.FAMILY_MEMO
     st = CounterStructure(("x",), (frozenset("x"),))
     trans = [Transition("p", "a", Inc(frozenset("x")), "p") for _ in range(limit + 10)]
@@ -431,9 +430,23 @@ def test_family_memos_stay_within_their_bound():
     assert st.op(one)[0] is one and len(st.ops) == 2
     # a copy, whose memos would name objects by ids it does not hold, starts
     # with empty memos
+    memos = ("parsed", "instrs", "ops", "lines", "verdicts")
     for back in (pickle.loads(pickle.dumps(st)), copy.copy(st), copy.deepcopy(st)):
         assert back == st and hash(back) == hash(st)
-        assert back.ops == {} and back.lines == {}
+        assert all(getattr(back, memo) == {} for memo in memos)
+    monkeypatch.setattr(ipcant.machine, "FAMILY_MEMO", 3)
+    header = "alphabet: a b\nbasis: m n\ncounters: {m} {n} {m,n}\nstates: p q\ninitial: p\n"
+    body = ["p -%s, transf %s-> q" % (a, entry) for a in "ab"
+            for entry in ("{m}->[{m,n}]", "{m}->[{m},{m,n}]", "{n}->[{m,n}]", "{n}->[{n},{m,n}]")]
+    body += ["q -%s, %s {%s}-> p" % (a, op, c) for a in "ab" for op in ("inc", "dec")
+             for c in ("m", "n")]
+    text = header + "\n".join(body) + "\n"
+    ipcant.fileformat._parse_structure.cache_clear()
+    for mode in ("auto", "full", "auto", "full"):
+        m = parse_machine(text, mode)
+        assert format_machine(m) == text
+        assert m.structure.printed == {c: "{%s}" % ",".join(sorted(c)) for c in m.counters}
+        assert all(0 < len(getattr(m.structure, memo)) <= 3 for memo in memos), mode
 
 
 def test_ifz_cap_outside_the_basis_is_refused():
@@ -459,54 +472,56 @@ def test_structure_builds_its_index_on_first_use():
 
 def test_instruction_memo_is_per_family():
     """One ifz^cap text parsed over two counter families, in either order,
-    expands over each family's own counters; within a family every machine
-    gets the same instruction object."""
+    expands over each family's own counters and is kept in each family's
+    instrs memo; within a family every machine gets the same instruction
+    object."""
     line = "p -a, ifz^cap {x}-> p\n"
     first = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\ninitial: p\n" + line
     second = "alphabet: a\nbasis: x y\ncounters: {y} {x,y}\nstates: p\ninitial: p\n" + line
     for texts in ((first, second), (second, first)):
-        ipcant.fileformat._parse_instr.cache_clear()
-        ipcant.fileformat._parse_line.cache_clear()
+        ipcant.fileformat._parse_structure.cache_clear()
         for text in texts + texts:
             m = parse_machine(text)
             assert m.transitions[0].instr == ifz_cap({"x"}, m.structure.counters)
-        assert ipcant.fileformat._parse_instr.cache_info().currsize == 2
+            assert m.structure.instrs == {"ifz^cap {x}": m.transitions[0].instr}
     ifz = [parse_machine(text).transitions[0].instr for text in (first, first, second)]
     assert ifz[0] is ifz[1] and ifz[0] != ifz[2]
 
 
-def test_instruction_memo_at_its_bound():
-    """A file with more distinct instruction texts than _parse_instr keeps,
-    its first text repeated at the end: the memo stays at its bound, so the
-    last line parses its text again, every instruction equals the one its
-    text says, and the machine prints as the texts say."""
-    limit = ipcant.fileformat._parse_instr.cache_info().maxsize
-    texts = ["inc" + " " * k + "{x}" for k in range(1, limit + 10)]
+def test_instruction_memo_at_its_bound(monkeypatch):
+    """A file with more distinct instruction texts than the family's instrs
+    memo keeps, its first text repeated at the end: the memo stays at its
+    bound, so the last line parses its text again, every instruction
+    equals the one its text says, and the machine prints as the texts
+    say."""
+    monkeypatch.setattr(ipcant.machine, "FAMILY_MEMO", 16)
+    texts = ["inc" + " " * k + "{x}" for k in range(1, 16 + 10)]
     body = "".join("p -a, %s-> p\n" % t for t in texts + texts[:1])
-    ipcant.fileformat._parse_instr.cache_clear()
-    ipcant.fileformat._parse_line.cache_clear()
+    ipcant.fileformat._parse_structure.cache_clear()
     m = parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n" + body)
-    info = ipcant.fileformat._parse_instr.cache_info()
-    assert info.misses == len(texts) + 1 and info.currsize == limit
+    # 16 texts fill the memo, which empties for the 17th
+    assert list(m.structure.instrs) == texts[16:] + texts[:1]
+    assert m.transitions[-1] is not m.transitions[0]
     assert [t.instr for t in m.transitions] == [Inc(frozenset("x"))] * (len(texts) + 1)
     assert format_machine(m).count("inc {x}-> p") == len(texts) + 1
 
 
 def test_instruction_memo_across_kept_lines():
-    """Two lines kept by _parse_line with their instructions parsed apart,
-    the text dropped from _parse_instr in between: a file holding both
-    reuses the kept Transitions, parses no instruction, steps both alike
-    and prints as its text."""
+    """Two lines kept by the family's parsed memo with their instructions
+    parsed apart, the text dropped from its instrs memo in between: a file
+    holding both reuses the kept Transitions, parses no instruction, steps
+    both alike and prints as its text."""
     header = "alphabet: a b\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
-    ipcant.fileformat._parse_line.cache_clear()
+    st = parse_machine(header).structure
+    st.parsed.clear()
     one = parse_machine(header + "p -a, inc {x}-> p\n").transitions[0]
-    ipcant.fileformat._parse_instr.cache_clear()
+    st.instrs.clear()
     two = parse_machine(header + "p -b, inc {x}-> p\n").transitions[0]
-    assert one.instr == two.instr == Inc(frozenset("x"))
+    assert one.instr == two.instr == Inc(frozenset("x")) and one.instr is not two.instr
     text = header + "p -a, inc {x}-> p\np -b, inc {x}-> p\n"
     both = parse_machine(text)
     assert both.transitions[0] is one and both.transitions[1] is two
-    assert ipcant.fileformat._parse_instr.cache_info().currsize == 1
+    assert st.instrs == {"inc {x}": two.instr}
     assert both.config_successors("p", (), None, UNCUT) == (
         [("a", "p", ((0, 1),), 1), ("b", "p", ((0, 1),), 1)], False)
     assert format_machine(both) == text
@@ -870,7 +885,7 @@ def test_machine_rejects_nondistributive_transfer():
 def test_memoised_verdicts_keep_refusing_the_benchmark_file():
     """The benchmark's non-distributive machine file is refused on every
     parse, in "full" and in "auto" mode, though its transfer's exhaustive
-    verdict is memoised after the first."""
+    verdict is kept in its family's verdicts memo after the first."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "bench", "data", "nondistributive.cm")
     with open(path) as fh:
@@ -879,4 +894,30 @@ def test_memoised_verdicts_keep_refusing_the_benchmark_file():
         for _ in range(2):
             with pytest.raises(ValidationError, match="not distributive"):
                 parse_machine(text, mode)
-    assert ipcant.distributive._exhaustive_verdict.cache_info().hits >= 3
+    unchecked = parse_machine(text, "off")
+    instr = unchecked.transitions[0].instr
+    assert unchecked.structure.verdicts[id(instr), True] == (instr, False)
+
+
+def test_sampled_check_refuses_and_keeps_its_verdict(monkeypatch):
+    """On a family of 14 counters "auto" mode samples covers: {x} and {y}
+    cover {x,y}, which has no image, so the sample refuses the transfer on
+    the first load, and the family's verdicts memo refuses it again on the
+    second without sampling."""
+    names = ["a%d" % i for i in range(11)]
+    text = ("alphabet: a\nbasis: x y %s\ncounters: {x} {y} {x,y} %s\nstates: p\ninitial: p\n"
+            "p -a, transf {x,y}->[]-> p\n" % (" ".join(names), " ".join("{%s}" % e for e in names)))
+    ipcant.fileformat._parse_structure.cache_clear()
+    with pytest.raises(ValidationError, match="transfer map is not distributive"):
+        parse_machine(text)
+
+    def resampled(f, counters):
+        raise AssertionError("sampled again")
+
+    monkeypatch.setattr(ipcant.distributive, "_sampled_distributive", resampled)
+    with pytest.raises(ValidationError, match="transfer map is not distributive"):
+        parse_machine(text)
+    unchecked = parse_machine(text, "off")
+    instr = unchecked.transitions[0].instr
+    assert len(unchecked.counters) == 14
+    assert unchecked.structure.verdicts == {(id(instr), False): (instr, False)}
