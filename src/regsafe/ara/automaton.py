@@ -26,8 +26,6 @@ from . import posbool as pb
 
 FLAGS = ("up", "nup")
 
-STEP_MEMO = 1024  # the most entries one (letter, flag) step of run_exists keeps
-
 _BOT = pb.Bot()  # the formula of an absent entry
 
 
@@ -98,12 +96,12 @@ class _Step(Memo):
     minimal model whose kept states lie in s_c and refrozen ones in s_here.
     rows holds each model of each state i as (i, kept mask | refrozen mask
     << n), so a model fits exactly when its row's mask lies in the key.
-    A Memo of STEP_MEMO entries."""
+    A Memo, bounded as every memo is (regsafe.memo)."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        super().__init__(STEP_MEMO)
+        super().__init__()
         self.rows = rows
 
     def __missing__(self, have):

@@ -23,7 +23,7 @@ from .pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                        bounded_nonemptiness, config_length, encode_tm_run,
                        inclusion_check, oracle_run_exists, parse_tm, tm_alphabet,
                        tm_to_formula)
-from .pipeline.oracle import _frontier_run_exists
+from .pipeline.oracle import _frontier_run_exists, frontier_takes
 from . import randgen
 
 
@@ -45,10 +45,6 @@ def _at_least(least, most=None, **counts):
             raise _UsageError("--%s must be %s" % (name.replace("_", "-"), bound))
 
 
-class _InvalidInput(Exception):
-    pass
-
-
 def _load(parse, path):
     """Parse an input file, "-" being standard input.  A file that parses
     but breaks an invariant of its format is as unusable as one that does
@@ -61,13 +57,11 @@ def _load(parse, path):
             with open(path, "r") as fh:
                 text = fh.read()
     except UnicodeDecodeError as e:
-        raise _InvalidInput("%s: %s" % (path, e)) from e
+        raise ValidationError("%s: %s" % (path, e)) from e
     try:
         return parse(text)
-    except ParseError as e:
-        raise ParseError("%s: %s" % (path, e)) from e
-    except ValidationError as e:
-        raise _InvalidInput("%s: %s" % (path, e)) from e
+    except (ParseError, ValidationError) as e:
+        raise type(e)("%s: %s" % (path, e)) from e
 
 
 def _emit(ns, text_lines, record):
@@ -135,7 +129,7 @@ def _cmd_run(ns):
     aut = _load(parse_automaton, ns.automaton)
     w = parse_word(ns.word, aut.alphabet)
     if len(w) == 0:
-        raise _InvalidInput("the word given with --word is empty")
+        raise ValidationError("the word given with --word is empty")
     verdict = "YES" if run_exists(aut, w) else "NO"
     _emit(ns, [verdict], {"command": "run", "verdict": verdict})
     return _verdict_exit(verdict)
@@ -160,7 +154,7 @@ def _same_alphabet(ns, ab1, ab2):
     each is valid, but the two cannot be compared, so they exit 65 like an
     input that fails to validate."""
     if ab1 != ab2:
-        raise _InvalidInput("%s and %s must share an alphabet, not %s and %s" % (
+        raise ValidationError("%s and %s must share an alphabet, not %s and %s" % (
             ns.lhs, ns.rhs, " ".join(ab1), " ".join(ab2)))
 
 
@@ -262,7 +256,7 @@ def _cmd_oracle(ns):
         w = randgen.random_word(rng, alphabet, max_len=ns.max_len)
         fast = run_exists(aut, w)
         slow = [oracle_run_exists(aut, w, max_len=ns.max_len, max_states=ns.max_states)]
-        if len(w) <= 3 and len(aut.states) <= 2:  # within the frontier route's guards
+        if frontier_takes(aut, w):
             slow.append(_frontier_run_exists(aut, w))
         if any(answer != fast for answer in slow):
             print("automaton:\n%s" % format_automaton(aut), file=sys.stderr)
@@ -367,7 +361,7 @@ def run_cli(argv) -> int:
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 65
-    except _InvalidInput as e:
+    except ValidationError as e:
         print("invalid input: %s" % e, file=sys.stderr)
         return 65
     except RecursionError as e:

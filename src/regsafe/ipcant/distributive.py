@@ -125,9 +125,7 @@ def _sampled_distributive(f, counters, trials=200, seed=0):
     counters = list(counters)
     for _ in range(trials):
         c = rng.choice(counters)
-        members = [d for d in counters if d & c]
-        if not members:
-            continue
+        members = [d for d in counters if d & c]  # c among them: c & c = c
         rng.shuffle(members)
         cover, covered = [], frozenset()
         for d in members:
@@ -135,9 +133,7 @@ def _sampled_distributive(f, counters, trials=200, seed=0):
                 cover.append(d)
                 covered |= d
             if c <= covered:
-                break
-        if not c <= covered:
-            continue
+                break  # met by c itself at the latest
         choice = []
         ok = True
         for d in cover:

@@ -33,22 +33,19 @@ from .distributive import _check_transfers
 EPS = None  # transition label for letter-free moves
 
 
-FAMILY_MEMO = 4096  # the most entries one counter family's memo keeps
-
-
 class CounterStructure:
     """A basis and an ordered family of counters (non-empty basis subsets).
     Nothing changes a structure's basis and counters once it is built, so
     the machines of one family share one: family_structure's for compiled
     machines and _parse_structure's for parsed ones.  A structure owns what
     is derived from its family: each counter's printed text (`printed`),
-    and its family memos, each a Memo of FAMILY_MEMO entries as that
-    constant reads when the structure is made.  Those keyed by text hold
-    the Transition of each body line (`parsed`) and the instruction of each
-    instruction text (`instrs`); those keyed by object identity hold their
-    key object, the op of each instruction (op), the printed text of each
-    body line (`lines`, format_machine's) and the distributivity verdict of
-    each transfer, exhaustive or sampled (`verdicts`)."""
+    and its family memos, each a Memo (regsafe.memo) made with the
+    structure.  Those keyed by text hold the Transition of each body line
+    (`parsed`) and the instruction of each instruction text (`instrs`);
+    those keyed by object identity hold their key object, the op of each
+    instruction (op), the printed text of each body line (`lines`,
+    format_machine's) and the distributivity verdict of each transfer,
+    exhaustive or sampled (`verdicts`)."""
 
     def __init__(self, basis, counters):
         self.basis = tuple(basis)
@@ -67,11 +64,11 @@ class CounterStructure:
             seen.add(c)
         self._hash = hash((self.basis, self.counters))
         self.printed = {c: "{%s}" % ",".join(sorted(c)) for c in self.counters}
-        self.parsed = Memo(FAMILY_MEMO)  # body line text -> its transition
-        self.instrs = Memo(FAMILY_MEMO)  # instruction text -> its instruction
-        self.ops = Memo(FAMILY_MEMO)  # id(instruction) -> (instruction, kind, arg)
-        self.lines = Memo(FAMILY_MEMO)  # id(transition) -> (transition, its body line)
-        self.verdicts = Memo(FAMILY_MEMO)  # (id(transfer), exhaustive) -> (transfer, verdict)
+        self.parsed = Memo()  # body line text -> its transition
+        self.instrs = Memo()  # instruction text -> its instruction
+        self.ops = Memo()  # id(instruction) -> (instruction, kind, arg)
+        self.lines = Memo()  # id(transition) -> (transition, its body line)
+        self.verdicts = Memo()  # (id(transfer), exhaustive) -> (transfer, verdict)
 
     @functools.cached_property
     def index(self):

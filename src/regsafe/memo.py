@@ -1,21 +1,23 @@
 """The one rule for a bounded memo kept by an object past one call.
 
-A Memo is a dict of at most `bound` entries: when it is full it is emptied
-before the next entry goes in.  The bound is fixed when the memo is made,
-from its owner's constant: automaton.STEP_MEMO for run_exists's step
-tables, compile.LETTERED_MEMO for a compiled machine's lettered steps and
-ipcant.machine.FAMILY_MEMO for a counter family's memos.  Emptying, not
-dropping the least recently used entry, keeps a hit a plain dict lookup,
-which the hot loops make inline."""
+A Memo is a dict of at most BOUND entries: when it is full it is emptied
+before the next entry goes in.  Every memo has that one bound, read when
+the memo is made: run_exists's step tables, a compiled machine's lettered
+steps and a counter family's memos alike.  Emptying, not dropping the least
+recently used entry, keeps a hit a plain dict lookup, which the hot loops
+make inline."""
+
+BOUND = 4096  # the most entries a memo keeps
 
 
 class Memo(dict):
-    """A dict that holds at most `bound` entries, filled through keep."""
+    """A dict that holds at most `bound` entries, filled through keep; the
+    bound is BOUND as it reads when the memo is made."""
 
     __slots__ = ("bound",)
 
-    def __init__(self, bound):
-        self.bound = bound
+    def __init__(self):
+        self.bound = BOUND
 
     def keep(self, key, value):
         """Put value under key, emptying the memo first when it is full,

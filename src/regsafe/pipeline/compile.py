@@ -87,8 +87,8 @@ slices one token off the result.  Each step reports the instructions it stands
 for (n + 5, one more with co-states, one more through the checkpoint), so
 exploration bounds keep their instruction unit.  A step given a letter
 (prefix_reachable's) is memoized per machine by (control, valuation, letter,
-vcap) in a Memo of LETTERED_MEMO entries; the every-letter step of the other
-searches is not.
+vcap) in a Memo (regsafe.memo); the every-letter step of the other searches
+is not.
 """
 
 from collections import defaultdict, namedtuple
@@ -99,14 +99,12 @@ from ..ara.automaton import AlternatingAutomaton, combined_names
 from ..errors import ValidationError
 from ..ipcant import (
     CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition, EPS, add_tokens,
-    ifz_cap, machine as counter_machine, split_tokens,
+    ifz_cap, split_tokens,
 )
 from ..memo import Memo
 
 ANCHOR_AWAY = "^b"
 ANCHOR_FLIGHT = "^bb"
-
-LETTERED_MEMO = 4096  # the most lettered steps one machine's memo keeps
 
 
 def _away_name(q):
@@ -167,7 +165,7 @@ class CompiledMachine:
         self._mm = defaultdict(lambda: [None] * n)  # (letter, flag) -> models by state index
         self._reads = defaultdict(dict)  # letter -> {thread-set mask: read_images}
         self._heres = defaultdict(dict)  # letter -> {thread-set mask: here_sets}
-        self._lettered = Memo(LETTERED_MEMO)  # (control, sv, letter, vcap) -> lettered step
+        self._lettered = Memo()  # (control, sv, letter, vcap) -> lettered step
 
     # counter indexing: an away counter's index is its mask
     def flight_index(self, kept, marked):
@@ -282,11 +280,11 @@ class CompiledMachine:
         added.  A letter some token cannot read is skipped before any split.
 
         A lettered step is a pure function of (control, sv, letter, vcap)
-        and the machine's rows, and is memoized per machine in a Memo of
-        LETTERED_MEMO entries.  The step fills the read_images and
-        here_sets tables (see the module docstring).  A memoized
-        answer is the very pair returned before, its list shared; callers
-        must not mutate it.  The unlettered step is not memoized."""
+        and the machine's rows, and is memoized per machine in a Memo.  The
+        step fills the read_images and here_sets tables (see the module
+        docstring).  A memoized answer is the very pair returned before, its
+        list shared; callers must not mutate it.  The unlettered step is not
+        memoized."""
         if letter is None:
             letters = self.alphabet
         else:
@@ -415,9 +413,8 @@ def family_structure(names):
 # they are listed, and the states they use; `read` and `merge` name each
 # mask's read control and first merge control; `nop` is the identity
 # transfer they share.  `reads` and `edges` are the family memos of
-# materialize(), Memos of ipcant.machine.FAMILY_MEMO entries each: the read
-# transfers by their read images, and the read and models_* edges by
-# themselves
+# materialize(), a Memo each: the read transfers by their read images, and
+# the read and models_* edges by themselves
 LetterFreeCycle = namedtuple("LetterFreeCycle", "nop transitions states read merge reads edges")
 
 
@@ -476,8 +473,7 @@ def letter_free_cycle(names, co_states):
         add("pick", Dec(away[mask]), read[mask])
     add("pick", nop, read[0])
     return LetterFreeCycle(nop, tuple(transitions), tuple(states), read,
-                           tuple(m[0] for m in merge), Memo(counter_machine.FAMILY_MEMO),
-                           Memo(counter_machine.FAMILY_MEMO))
+                           tuple(m[0] for m in merge), Memo(), Memo())
 
 
 def ara_to_ipcant(aut: AlternatingAutomaton, co_states=None) -> CompiledMachine:

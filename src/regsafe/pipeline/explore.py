@@ -105,12 +105,19 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptines
     instruction steps counts as one.  A fully exhausted graph without
     cutoffs is a definite emptiness verdict.  Path lengths and the node
     count charge each step its instruction count.  Raises ValueError on a
-    cap or vcap below 1, so testing each path length where it grows suffices."""
+    cap or vcap below 1.
+
+    The cap is tested only where a path grows: on pop, where a
+    configuration's longest path plus the steps into it extends its
+    parent's.  A successor already finished needs no test.  The steps into
+    a configuration depend on it alone (a compiled step charges its cycle
+    plus the checkpoint flag of the control it enters, an explicit one 1),
+    so its sum is the one its first parent compared against the cap when
+    it was popped, and found short."""
     if cap < 1 or vcap < 1:
         raise ValueError("cap and vcap must be at least 1, not %r and %r" % (cap, vcap))
     truncated = False
-    longest = {}  # config -> longest path length (in steps) from it
-    onstack = set()
+    longest = {}  # config -> None while on the stack, then its longest path (in steps)
     visited = 1
 
     def expand(control, sv):
@@ -122,29 +129,25 @@ def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptines
     config0 = machine.initial_config() if start is None else start
     # frame: [config, successor iterator, longest path from it, steps into it]
     stack = [[config0, expand(*config0), 0, 0]]
-    onstack.add(config0)
+    longest[config0] = None
     while stack:
         frame = stack[-1]
-        advanced = False
         for label, control2, sv2, steps in frame[1]:
             k2 = (control2, sv2)
-            if k2 in onstack:
-                return Nonemptiness.NONEMPTY  # lasso: a cycle repeats forever
             if k2 in longest:
-                frame[2] = max(frame[2], longest[k2] + steps)
-                if frame[2] >= cap:
-                    return Nonemptiness.NONEMPTY
+                length = longest[k2]
+                if length is None:
+                    return Nonemptiness.NONEMPTY  # lasso: a cycle repeats forever
+                frame[2] = max(frame[2], length + steps)
                 continue
             visited += steps
             if visited > NODE_BUDGET:
                 return Nonemptiness.UNKNOWN
             stack.append([k2, expand(control2, sv2), 0, steps])
-            onstack.add(k2)
-            advanced = True
+            longest[k2] = None
             break
-        if not advanced:
+        else:
             stack.pop()
-            onstack.discard(frame[0])
             longest[frame[0]] = frame[2]
             if stack:
                 parent = stack[-1]

@@ -116,17 +116,20 @@ def frontier_step(w: DataWord, i, configs, pairs):
     return out
 
 
-def _frontier_run_exists(aut: AlternatingAutomaton, w: DataWord,
-                         max_len=3, max_states=2) -> bool:
+def frontier_takes(aut: AlternatingAutomaton, w: DataWord) -> bool:
+    """Whether the word and the automaton lie within the frontier route's
+    guards: 1 to 3 letters, at most 2 states."""
+    return 0 < len(w) <= 3 and len(aut.states) <= 2
+
+
+def _frontier_run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
     """The definition, executed literally: keep the family of all reachable
     configuration sets, stepping each by every combination of satisfying
-    pairs.  Exponential in several directions; guards are tight."""
-    if len(w) == 0:
-        raise ValidationError("word must be non-empty")
-    if len(w) > max_len:
-        raise ValidationError("frontier guard: word length %d > %d" % (len(w), max_len))
-    if len(aut.states) > max_states:
-        raise ValidationError("frontier guard: %d states > %d" % (len(aut.states), max_states))
+    pairs.  Exponential in several directions, so it refuses what
+    frontier_takes does not take."""
+    if not frontier_takes(aut, w):
+        raise ValidationError("frontier guard: 1 to 3 letters and at most 2 states, not %d and %d"
+                              % (len(w), len(aut.states)))
     pairs = _pairs(aut)
     frontiers = {initial_configs(aut, w)}
     for i in range(len(w)):

@@ -18,7 +18,7 @@ from regsafe.ltl import parse_formula, parse_formula_file
 from regsafe.pipeline import (config_length, encode_tm_run, oracle_run_exists, parse_tm,
                               pattern_occurs, tm_alphabet, tm_to_formula)
 from regsafe.pipeline.oracle import _all_pairs, frontier_step, initial_configs
-from regsafe import randgen
+from regsafe import memo, randgen
 from regsafe.reference.ara import dual, dualize, inclusion_product, models_at
 from regsafe.reference.ltl import random_sentence
 
@@ -582,9 +582,10 @@ def test_step_key_matches_the_models():
 def test_step_memo_stays_within_its_bound(data_text, monkeypatch):
     """A few hundred long words of the halting formula's automaton, the
     prefixes of its run and continuations of it with classes drawn freely,
-    overflow its step memos: unbounded, some memo holds more than STEP_MEMO
-    entries.  Bounded, none does, and the answers are the same."""
-    bound = automaton.STEP_MEMO
+    overflow its step memos: unbounded, some memo holds more than 1024
+    entries.  With regsafe.memo.BOUND at 1024 when the automaton is made,
+    none does, and the answers are the same."""
+    bound = 1024
     halting = parse_tm(data_text("halting.tm"))
     text = format_automaton(ltl_to_ara(tm_to_formula(halting), tm_alphabet(halting)))
     run = encode_tm_run(halting, 0)
@@ -597,11 +598,12 @@ def test_step_memo_stays_within_its_bound(data_text, monkeypatch):
         words[canonicalize(list(run.letters) + [rng.choice(alphabet) for _ in range(n)],
                            labels)] = None
     words = list(words)
+    monkeypatch.setattr(memo, "BOUND", bound)
     bounded = parse_automaton(text)
     answers = _ask(bounded, words)
     assert max(len(step) for step in _step_memos(bounded)) <= bound
     assert 0 < answers.count(True) < len(words)
-    monkeypatch.setattr(automaton, "STEP_MEMO", 10 ** 9)
+    monkeypatch.setattr(memo, "BOUND", 10 ** 9)
     unbounded = parse_automaton(text)
     assert _ask(unbounded, words, backwards=True) == answers
     assert max(len(step) for step in _step_memos(unbounded)) > bound

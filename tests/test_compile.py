@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from regsafe import ipcant, randgen, tree
+from regsafe import ipcant, memo, randgen, tree
 from regsafe.errors import ValidationError
 from regsafe.words import Alphabet, parse_word
 from regsafe.ara import ltl_to_ara, parse_automaton, run_exists
@@ -609,17 +609,18 @@ def test_lettered_step_memo_matches_fresh_machines(with_co):
 def test_lettered_step_memo_stays_within_its_bound(abc, monkeypatch):
     """Every string over a, b, c of length at most 4 overflows a memo of 8
     lettered steps on a random three-state automaton's machine: unbounded,
-    it holds more.  Bounded, it never does, and the answers are the same."""
+    it holds more.  With regsafe.memo.BOUND at 8 when the machine is made,
+    it never does, and the answers are the same."""
     aut = randgen.random_automaton(random.Random(5), abc, max_states=3)
     strings = [s for n in range(5) for s in product(abc.letters, repeat=n)]
-    monkeypatch.setattr(compile_module, "LETTERED_MEMO", 8)
+    monkeypatch.setattr(memo, "BOUND", 8)
     bounded = ara_to_ipcant(aut)
     answers = []
     for s in strings:
         answers.append(prefix_reachable(bounded, s))
         assert len(bounded._lettered) <= 8
     assert 0 < answers.count(True) < len(strings)
-    monkeypatch.setattr(compile_module, "LETTERED_MEMO", 10 ** 9)
+    monkeypatch.setattr(memo, "BOUND", 10 ** 9)
     unbounded = ara_to_ipcant(aut)
     assert [prefix_reachable(unbounded, s) for s in strings] == answers
     assert len(unbounded._lettered) > 8
@@ -823,9 +824,11 @@ def test_family_loads_compare_no_nodes(monkeypatch):
 
 
 def test_family_memos_of_materialize_stay_within_their_bound(monkeypatch):
-    """With every family memo bounded at 3 entries, one-state automata over
-    {a, b} materialize, print and parse back as with the memos unbounded,
-    and no memo of their family holds more than 3 entries."""
+    """With regsafe.memo.BOUND at 3 before the family is built, one-state
+    automata over {a, b} materialize, print and parse back as with the
+    default bound, and no memo of their family holds more than 3 entries:
+    neither letter_free_cycle's read and edge memos nor the five memos of
+    the compiled or the parsed structure."""
     ref, down = pb.Ref("q0"), pb.DownRef("q0")
     choices = (None, pb.Top(), ref, down, pb.Or(ref, down))
     keys = [("q0", a, flag) for a in AB for flag in ("up", "nup")]
@@ -835,7 +838,7 @@ def test_family_memos_of_materialize_stay_within_their_bound(monkeypatch):
         delta = {k: f for k, f in zip(keys, (rng.choice(choices) for _ in keys)) if f}
         auts.append(AlternatingAutomaton(AB, ("q0",), "q0", delta))
     texts = [format_machine(ara_to_ipcant(aut).materialize()) for aut in auts]
-    monkeypatch.setattr(ipcant.machine, "FAMILY_MEMO", 3)
+    monkeypatch.setattr(memo, "BOUND", 3)
     for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_structure):
         cache.cache_clear()  # so the family's memos start empty under the bound
     for aut, text in zip(auts * 2, texts * 2):
@@ -845,6 +848,6 @@ def test_family_memos_of_materialize_stay_within_their_bound(monkeypatch):
         assert format_machine(parse_machine(text, "full")) == text
         cycle = letter_free_cycle(cm.states_order, cm.co_states)
         parsed = parse_machine(text).structure
-        for memo in (cycle.reads, cycle.edges, *(getattr(st, name) for st in (m.structure, parsed)
+        for kept in (cycle.reads, cycle.edges, *(getattr(st, name) for st in (m.structure, parsed)
                      for name in ("parsed", "instrs", "ops", "lines", "verdicts"))):
-            assert len(memo) <= 3
+            assert kept.bound == 3 and len(kept) <= 3

@@ -15,7 +15,7 @@ from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, Cover
                             EPS, Inc, Instruction, Transfer, Transition, bound_log2_log2,
                             bound_params, check_distributive, compositions, cover_table,
                             format_machine, ifz_cap, parse_machine, split_tokens)
-from regsafe import ipcant, randgen
+from regsafe import ipcant, memo, randgen
 from regsafe.ara import parse_automaton
 from regsafe.pipeline import ara_to_ipcant
 from regsafe.reference import ipcant as reference_ipcant
@@ -376,23 +376,25 @@ def test_cover_table_is_shared_and_matches_a_fresh_one():
         assert table.masks == CoverTable(counters).masks
 
 
-def test_caches_stay_within_their_bounds():
+def test_caches_stay_within_their_bounds(monkeypatch):
     limit = cover_table.cache_info().maxsize
     for k in range(limit + 10):
         counters = (frozenset(["b%d" % k]),)
         assert check_distributive({counters[0]: counters}, counters)
     assert cover_table.cache_info().currsize == limit
-    # more distinct transfers over one family than its verdicts memo keeps
-    limit = ipcant.FAMILY_MEMO
+    # more distinct transfers over one family than its verdicts memo keeps,
+    # bounded by regsafe.memo.BOUND as it reads when the structure is made
+    limit = 64
+    monkeypatch.setattr(memo, "BOUND", limit)
     counters = tuple(frozenset([e]) for e in "stuv")
     st = CounterStructure("stuv", counters)
     images = [()] + [(c,) for c in counters] + [(c, d) for c in counters for d in counters]
     maps = product(images, repeat=len(counters))
-    for _ in range(limit + 100):
+    for _ in range(2 * limit + 10):
         ipcant.distributive._check_transfers([Transfer(tuple(zip(counters, next(maps))))],
                                              st, "auto")
         assert len(st.verdicts) <= limit
-    assert len(st.verdicts) == 100
+    assert len(st.verdicts) == 10
     assert all(ok for _, ok in st.verdicts.values())
     modules = (ipcant.machine, ipcant.distributive, ipcant.bound, ipcant.fileformat,
                reference_ipcant)
@@ -408,13 +410,15 @@ def test_caches_stay_within_their_bounds():
 def test_family_memos_stay_within_their_bound(monkeypatch):
     """A machine with more distinct instruction and Transition objects than
     a family memo keeps, all equal, built and printed twice: the op and
-    print memos of its structure are emptied when full, so they never
-    exceed FAMILY_MEMO entries, and every op and printed line stays right.
+    print memos of its structure, bounded by regsafe.memo.BOUND as it reads
+    when the structure is made, are emptied when full, so they never
+    exceed it, and every op and printed line stays right.
     Equal copies are kept apart, one entry per object.  A bound set before
     a structure is made holds for every memo of it: a file with more
     distinct lines, instructions and transfers than that bound parses,
     checks and prints as its text in either check mode."""
-    limit = ipcant.FAMILY_MEMO
+    limit = 16
+    monkeypatch.setattr(memo, "BOUND", limit)
     st = CounterStructure(("x",), (frozenset("x"),))
     trans = [Transition("p", "a", Inc(frozenset("x")), "p") for _ in range(limit + 10)]
     for _ in range(2):
@@ -433,8 +437,8 @@ def test_family_memos_stay_within_their_bound(monkeypatch):
     memos = ("parsed", "instrs", "ops", "lines", "verdicts")
     for back in (pickle.loads(pickle.dumps(st)), copy.copy(st), copy.deepcopy(st)):
         assert back == st and hash(back) == hash(st)
-        assert all(getattr(back, memo) == {} for memo in memos)
-    monkeypatch.setattr(ipcant.machine, "FAMILY_MEMO", 3)
+        assert all(getattr(back, name) == {} for name in memos)
+    monkeypatch.setattr(memo, "BOUND", 3)
     header = "alphabet: a b\nbasis: m n\ncounters: {m} {n} {m,n}\nstates: p q\ninitial: p\n"
     body = ["p -%s, transf %s-> q" % (a, entry) for a in "ab"
             for entry in ("{m}->[{m,n}]", "{m}->[{m},{m,n}]", "{n}->[{m,n}]", "{n}->[{n},{m,n}]")]
@@ -446,7 +450,7 @@ def test_family_memos_stay_within_their_bound(monkeypatch):
         m = parse_machine(text, mode)
         assert format_machine(m) == text
         assert m.structure.printed == {c: "{%s}" % ",".join(sorted(c)) for c in m.counters}
-        assert all(0 < len(getattr(m.structure, memo)) <= 3 for memo in memos), mode
+        assert all(0 < len(getattr(m.structure, name)) <= 3 for name in memos), mode
 
 
 def test_ifz_cap_outside_the_basis_is_refused():
@@ -494,7 +498,7 @@ def test_instruction_memo_at_its_bound(monkeypatch):
     bound, so the last line parses its text again, every instruction
     equals the one its text says, and the machine prints as the texts
     say."""
-    monkeypatch.setattr(ipcant.machine, "FAMILY_MEMO", 16)
+    monkeypatch.setattr(memo, "BOUND", 16)
     texts = ["inc" + " " * k + "{x}" for k in range(1, 16 + 10)]
     body = "".join("p -a, %s-> p\n" % t for t in texts + texts[:1])
     ipcant.fileformat._parse_structure.cache_clear()
@@ -809,6 +813,10 @@ def test_machine_file_round_trip():
             "q -a, dec {x,y}-> q\n")
     m = parse_machine(text)
     assert format_machine(parse_machine(format_machine(m))) == format_machine(m)
+    # a trailing ';' ends the transfer's entries as the line's end does
+    trailing = parse_machine(text.replace("{x,y}->[{x,y}]-> p", "{x,y}->[{x,y}];-> p"))
+    assert trailing.transitions[1].instr == m.transitions[1].instr
+    assert format_machine(trailing) == format_machine(m)
 
 
 def test_machine_file_relation_header(data_text):

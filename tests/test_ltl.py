@@ -207,6 +207,8 @@ def test_evaluate_prefix_requires_sentence():
     w = parse_word("a@0", AB)
     with pytest.raises(ValidationError):
         evaluate_prefix(Up(), w)
+    with pytest.raises(ValidationError, match="non-empty"):
+        evaluate_prefix(Atom("a"), parse_word("", AB))
 
 
 def test_evaluate_prefix_atoms():

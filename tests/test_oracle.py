@@ -8,7 +8,7 @@ from regsafe.words import Alphabet, DataWord, parse_word
 from regsafe.ara import run_exists
 from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe.pipeline import oracle_run_exists, pattern_occurs
-from regsafe.pipeline.oracle import _frontier_run_exists
+from regsafe.pipeline.oracle import _frontier_run_exists, frontier_takes
 from regsafe import randgen
 
 AB = Alphabet(("a", "b"))
@@ -64,7 +64,7 @@ def test_three_routes_agree_property(seed, data):
     w = DataWord(tuple(letters), tuple(classes))
     got = run_exists(aut, w)
     assert oracle_run_exists(aut, w) == got
-    if len(aut.states) <= 2 and n <= 3:
+    if frontier_takes(aut, w):
         assert _frontier_run_exists(aut, w) == got
 
 
@@ -91,3 +91,8 @@ def test_oracle_guards(fig1, abc):
     two = AlternatingAutomaton(AB, ("p", "r"), "p", {})
     with pytest.raises(ValidationError):
         _frontier_run_exists(two, w4)
+    empty = DataWord((), ())
+    with pytest.raises(ValidationError, match="non-empty"):
+        oracle_run_exists(two, empty)
+    with pytest.raises(ValidationError, match="frontier guard"):
+        _frontier_run_exists(two, empty)

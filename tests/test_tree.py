@@ -202,6 +202,8 @@ def test_pickle_and_copy_hash_afresh():
         assert g == f and hash(g) == hash(f)
     with pytest.raises(AttributeError):
         f.lhs = ltl.Top()
+    with pytest.raises(AttributeError):
+        del f.lhs
 
 
 def test_fold_rejects_a_non_node():

@@ -37,6 +37,8 @@ def test_alphabets_and_words_are_values():
         assert value != other and not value == other
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
         for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert back == value and hash(back) == hash(value) and type(back) is type(value)
     assert Alphabet(("a",)) != DataWord(("a",), (0,))
@@ -98,6 +100,10 @@ def test_noncanonical_rejected():
         DataWord(("a",), (1,))
     with pytest.raises(ValidationError):
         DataWord(("a", "b"), (0, 2))
+    with pytest.raises(ValidationError, match="equal length"):
+        DataWord(("a", "b"), (0,))
+    with pytest.raises(ValidationError, match="equal length"):
+        canonicalize("ab", [7])
 
 
 def test_prefix_of_canonical_is_canonical(abc):
