@@ -21,7 +21,7 @@ dual automaton and the inclusion product built from it are reference.ara's.
 
 from ..errors import ParseError, ValidationError
 from ..memo import Memo
-from ..words import Alphabet, DataWord, read_names, read_sections
+from ..words import Alphabet, DataWord, locate, read_names, read_sections
 from . import posbool as pb
 
 FLAGS = ("up", "nup")
@@ -96,12 +96,11 @@ class _Step(Memo):
     minimal model whose kept states lie in s_c and refrozen ones in s_here.
     rows holds each model of each state i as (i, kept mask | refrozen mask
     << n), so a model fits exactly when its row's mask lies in the key.
-    A Memo, bounded as every memo is (regsafe.memo)."""
+    A Memo, so it holds at most regsafe.memo.BOUND entries."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        super().__init__()
         self.rows = rows
 
     def __missing__(self, have):
@@ -259,11 +258,7 @@ def parse_automaton(text) -> AlternatingAutomaton:
             except ParseError as e:
                 if e.position is None:
                     raise ParseError("line %d: %s" % (lineno, e.detail)) from None
-                # the offset is into the stripped formula after the raw line's '->'
-                raw = text.splitlines()[lineno - 1]
-                formula = raw[raw.index("->") + 2:].lstrip()
-                column = len(raw) - len(formula) + e.position + 1
-                raise ParseError("line %d, column %d: %s" % (lineno, column, e.detail)) from None
+                raise locate(e, text, [(lineno, body)]) from None
         for fl in (FLAGS if flag == "*" else (flag,)):
             if (q, a, fl) in delta:
                 raise ParseError("line %d: duplicate entry for %s, %s, %s" % (lineno, q, a, fl))

@@ -39,13 +39,13 @@ class CounterStructure:
     the machines of one family share one: family_structure's for compiled
     machines and _parse_structure's for parsed ones.  A structure owns what
     is derived from its family: each counter's printed text (`printed`),
-    and its family memos, each a Memo (regsafe.memo) made with the
-    structure.  Those keyed by text hold the Transition of each body line
-    (`parsed`) and the instruction of each instruction text (`instrs`);
-    those keyed by object identity hold their key object, the op of each
-    instruction (op), the printed text of each body line (`lines`,
-    format_machine's) and the distributivity verdict of each transfer,
-    exhaustive or sampled (`verdicts`)."""
+    and its family memos, each a Memo (regsafe.memo), bounded by
+    memo.BOUND as it reads each time the memo keeps.  Those keyed by text
+    hold the Transition of each body line (`parsed`) and the instruction of
+    each instruction text (`instrs`); those keyed by object identity hold
+    their key object, the op of each instruction (op), the printed text of
+    each body line (`lines`, format_machine's) and the distributivity
+    verdict of each transfer, exhaustive or sampled (`verdicts`)."""
 
     def __init__(self, basis, counters):
         self.basis = tuple(basis)

@@ -20,7 +20,7 @@ import enum
 
 from .errors import ParseError, ValidationError
 from .tree import Node, fold, infix_printer, node, parenthesize, parse_infix, tokenize
-from .words import Alphabet, DataWord, read_sections
+from .words import Alphabet, DataWord, locate, read_sections
 
 
 class Formula(Node):
@@ -125,15 +125,7 @@ def parse_formula_file(text):
     except ParseError as e:
         if e.position is None:
             raise
-        # the offset is into the stripped body lines joined by newlines
-        start = 0
-        for lineno, line in body:
-            if e.position <= start + len(line):
-                break
-            start += len(line) + 1
-        raw = text.splitlines()[lineno - 1]
-        column = len(raw) - len(raw.lstrip()) + e.position - start + 1
-        raise ParseError("line %d, column %d: %s" % (lineno, column, e.detail)) from None
+        raise locate(e, text, body) from None
 
 
 def print_formula(f: Formula) -> str:

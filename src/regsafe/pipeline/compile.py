@@ -119,6 +119,8 @@ def _mark_name(q):
     return q + "^bbd"
 
 
+# counter indexing: an away counter's index is its mask, an in-flight
+# counter's this
 def _flight_index(n, kept, marked):
     return (1 << n) + (kept << n | marked)
 
@@ -166,10 +168,6 @@ class CompiledMachine:
         self._reads = defaultdict(dict)  # letter -> {thread-set mask: read_images}
         self._heres = defaultdict(dict)  # letter -> {thread-set mask: here_sets}
         self._lettered = Memo()  # (control, sv, letter, vcap) -> lettered step
-
-    # counter indexing: an away counter's index is its mask
-    def flight_index(self, kept, marked):
-        return _flight_index(self.n, kept, marked)
 
     @property
     def structure(self):
@@ -364,7 +362,7 @@ class CompiledMachine:
             read = cycle.reads.get(images)
             if read is None:
                 read = cycle.reads.keep(images, Transfer(tuple(
-                    (counters[mask], tuple(counters[self.flight_index(kept, marked)]
+                    (counters[mask], tuple(counters[_flight_index(self.n, kept, marked)]
                                            for kept, marked in pairs))
                     for mask, pairs in zip(full, images))))
             reads.append(read)
@@ -389,9 +387,8 @@ class CompiledMachine:
 def family_structure(names):
     """The CounterStructure of the machines compiled over the state-name
     tuple: the basis and counters of the module docstring, an away counter
-    at its mask and an in-flight one at CompiledMachine.flight_index.  Built
-    once per process; at most 64 are kept, the least recently used dropped
-    first."""
+    at its mask and an in-flight one at _flight_index.  Built once per
+    process; at most 64 are kept, the least recently used dropped first."""
     n = len(names)
     basis = [ANCHOR_AWAY] + [_away_name(q) for q in names]
     basis += [ANCHOR_FLIGHT] + [_kept_name(q) for q in names] + [_mark_name(q) for q in names]

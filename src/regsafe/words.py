@@ -9,7 +9,8 @@ equal as values.
 Text format: whitespace-separated tokens ``letter@label``; labels are
 arbitrary and get renumbered on parse, e.g. ``a@0 c@1 b@0``.
 
-read_sections reads the lines of all four file formats (.ltl, .ara, .cm, .tm).
+read_sections reads the lines of all four file formats (.ltl, .ara, .cm, .tm),
+and locate names the line and column of a formula error in such a file.
 """
 
 import re
@@ -46,6 +47,20 @@ def read_sections(text, required, optional=()):
     if missing:
         raise ParseError("missing header line(s): %s" % " ".join(missing))
     return headers, body
+
+
+def locate(error, text, pieces):
+    """The ParseError naming the line and column in `text` of error.position,
+    an offset into the texts of `pieces`, (line number, text) pairs from
+    `text`, joined by newlines.  Each piece is stripped and ends its line
+    but for trailing blanks."""
+    offset = error.position
+    for lineno, piece in pieces:
+        if offset <= len(piece):
+            break
+        offset -= len(piece) + 1
+    column = text.splitlines()[lineno - 1].rindex(piece) + offset + 1
+    return ParseError("line %d, column %d: %s" % (lineno, column, error.detail))
 
 
 def read_names(value, what):

@@ -583,7 +583,7 @@ def test_step_memo_stays_within_its_bound(data_text, monkeypatch):
     """A few hundred long words of the halting formula's automaton, the
     prefixes of its run and continuations of it with classes drawn freely,
     overflow its step memos: unbounded, some memo holds more than 1024
-    entries.  With regsafe.memo.BOUND at 1024 when the automaton is made,
+    entries.  With regsafe.memo.BOUND at 1024 while the words are asked,
     none does, and the answers are the same."""
     bound = 1024
     halting = parse_tm(data_text("halting.tm"))

@@ -19,7 +19,7 @@ from regsafe.ltl import parse_formula
 from regsafe.pipeline import (ara_to_ipcant, bounded_nonemptiness, compile as compile_module,
                               encode_tm_run, explore, inclusion_check, parse_tm,
                               prefix_reachable, product_machine, tm_alphabet, tm_to_formula)
-from regsafe.pipeline.compile import family_structure, letter_free_cycle
+from regsafe.pipeline.compile import _flight_index, family_structure, letter_free_cycle
 from regsafe.reference.ara import inclusion_product, models_at
 from regsafe.reference.ipcant import Valuation, fire
 
@@ -63,7 +63,7 @@ def test_counter_indexing():
     cm = ara_to_ipcant(_two_state())
     assert cm.structure.counters[3] == frozenset(
         ["^b", "p^b", "r^b"])
-    ci = cm.flight_index(1, 2)
+    ci = _flight_index(cm.n, 1, 2)
     assert cm.structure.counters[ci] == frozenset(["^bb", "p^bb", "r^bbd"])
 
 
@@ -609,8 +609,8 @@ def test_lettered_step_memo_matches_fresh_machines(with_co):
 def test_lettered_step_memo_stays_within_its_bound(abc, monkeypatch):
     """Every string over a, b, c of length at most 4 overflows a memo of 8
     lettered steps on a random three-state automaton's machine: unbounded,
-    it holds more.  With regsafe.memo.BOUND at 8 when the machine is made,
-    it never does, and the answers are the same."""
+    it holds more.  With regsafe.memo.BOUND at 8 while the strings are
+    asked, it never does, and the answers are the same."""
     aut = randgen.random_automaton(random.Random(5), abc, max_states=3)
     strings = [s for n in range(5) for s in product(abc.letters, repeat=n)]
     monkeypatch.setattr(memo, "BOUND", 8)
@@ -823,20 +823,26 @@ def test_family_loads_compare_no_nodes(monkeypatch):
     assert ipcant.Inc(frozenset("x")) == ipcant.Inc(frozenset("x")) and len(calls) == 1
 
 
+def _one_state_automata(rng, count):
+    """count automata over {a, b} with the one state q0, each entry drawn
+    from a few formulas or left out."""
+    ref, down = pb.Ref("q0"), pb.DownRef("q0")
+    choices = (None, pb.Top(), ref, down, pb.Or(ref, down))
+    keys = [("q0", a, flag) for a in AB for flag in ("up", "nup")]
+    auts = []
+    for _ in range(count):
+        delta = {k: f for k, f in zip(keys, (rng.choice(choices) for _ in keys)) if f}
+        auts.append(AlternatingAutomaton(AB, ("q0",), "q0", delta))
+    return auts
+
+
 def test_family_memos_of_materialize_stay_within_their_bound(monkeypatch):
-    """With regsafe.memo.BOUND at 3 before the family is built, one-state
+    """With regsafe.memo.BOUND at 3 while the family's memos fill, one-state
     automata over {a, b} materialize, print and parse back as with the
     default bound, and no memo of their family holds more than 3 entries:
     neither letter_free_cycle's read and edge memos nor the five memos of
     the compiled or the parsed structure."""
-    ref, down = pb.Ref("q0"), pb.DownRef("q0")
-    choices = (None, pb.Top(), ref, down, pb.Or(ref, down))
-    keys = [("q0", a, flag) for a in AB for flag in ("up", "nup")]
-    rng = random.Random(63)
-    auts = []
-    for _ in range(30):
-        delta = {k: f for k, f in zip(keys, (rng.choice(choices) for _ in keys)) if f}
-        auts.append(AlternatingAutomaton(AB, ("q0",), "q0", delta))
+    auts = _one_state_automata(random.Random(63), 30)
     texts = [format_machine(ara_to_ipcant(aut).materialize()) for aut in auts]
     monkeypatch.setattr(memo, "BOUND", 3)
     for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_structure):
@@ -850,4 +856,23 @@ def test_family_memos_of_materialize_stay_within_their_bound(monkeypatch):
         parsed = parse_machine(text).structure
         for kept in (cycle.reads, cycle.edges, *(getattr(st, name) for st in (m.structure, parsed)
                      for name in ("parsed", "instrs", "ops", "lines", "verdicts"))):
-            assert kept.bound == 3 and len(kept) <= 3
+            assert len(kept) <= 3
+
+
+def test_family_memos_follow_the_bound_after_it_is_raised(monkeypatch):
+    """A family interned while regsafe.memo.BOUND is low keeps no copy of
+    it: once the bound is back at its default, the ('q0',) family's read,
+    print and op memos fill past the low bound as more one-state automata
+    materialize, print and parse."""
+    auts = _one_state_automata(random.Random(64), 45)
+    with monkeypatch.context() as low:
+        low.setattr(memo, "BOUND", 3)
+        for cache in (family_structure, letter_free_cycle, ipcant.fileformat._parse_structure):
+            cache.cache_clear()  # so the family is interned under the low bound
+        for aut in auts[:5]:
+            parse_machine(format_machine(ara_to_ipcant(aut).materialize()))
+    for aut in auts[5:]:
+        parse_machine(format_machine(ara_to_ipcant(aut).materialize()))
+    structure = family_structure(("q0",))
+    assert min(len(letter_free_cycle(("q0",), ()).reads), len(structure.lines),
+               len(structure.ops)) > 3

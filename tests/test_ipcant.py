@@ -62,6 +62,8 @@ def test_fire_inc_dec(xy):
     assert _vals(fire(v, Inc(frozenset("y")))) == {(1, 1)}
     assert _vals(fire(v, Dec(frozenset("x")))) == {(0, 0)}
     assert fire(v, Dec(frozenset("y"))) == set()
+    with pytest.raises(ValidationError, match="unknown instruction"):
+        fire(v, Instruction())
 
 
 def test_fire_transfer_splitting(xy):
@@ -383,7 +385,7 @@ def test_caches_stay_within_their_bounds(monkeypatch):
         assert check_distributive({counters[0]: counters}, counters)
     assert cover_table.cache_info().currsize == limit
     # more distinct transfers over one family than its verdicts memo keeps,
-    # bounded by regsafe.memo.BOUND as it reads when the structure is made
+    # bounded by regsafe.memo.BOUND as it reads each time the memo keeps
     limit = 64
     monkeypatch.setattr(memo, "BOUND", limit)
     counters = tuple(frozenset([e]) for e in "stuv")
@@ -411,12 +413,12 @@ def test_family_memos_stay_within_their_bound(monkeypatch):
     """A machine with more distinct instruction and Transition objects than
     a family memo keeps, all equal, built and printed twice: the op and
     print memos of its structure, bounded by regsafe.memo.BOUND as it reads
-    when the structure is made, are emptied when full, so they never
-    exceed it, and every op and printed line stays right.
-    Equal copies are kept apart, one entry per object.  A bound set before
-    a structure is made holds for every memo of it: a file with more
-    distinct lines, instructions and transfers than that bound parses,
-    checks and prints as its text in either check mode."""
+    each time a memo keeps, are emptied when full, so they never exceed
+    it, and every op and printed line stays right.
+    Equal copies are kept apart, one entry per object.  The bound holds for
+    every memo of a structure: a file with more distinct lines,
+    instructions and transfers than that bound parses, checks and prints
+    as its text in either check mode."""
     limit = 16
     monkeypatch.setattr(memo, "BOUND", limit)
     st = CounterStructure(("x",), (frozenset("x"),))

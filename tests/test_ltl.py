@@ -4,6 +4,7 @@ import pytest
 
 from regsafe.errors import ParseError, ValidationError
 from regsafe import ltl
+from regsafe.ara import posbool as pb
 from regsafe.ltl import (KEYWORDS, And, Atom, Bot, Freeze, Next, NotUp, Or,
                          PrefixVerdict, Release, Top, Up, evaluate_prefix,
                          is_sentence, parse_formula, print_formula)
@@ -204,11 +205,16 @@ def test_is_sentence():
 
 
 def test_evaluate_prefix_requires_sentence():
+    """Both prefix routes refuse a free register test and an empty prefix,
+    and fail on a tree node that is no formula, such as a posbool one."""
     w = parse_word("a@0", AB)
-    with pytest.raises(ValidationError):
-        evaluate_prefix(Up(), w)
-    with pytest.raises(ValidationError, match="non-empty"):
-        evaluate_prefix(Atom("a"), parse_word("", AB))
+    for verdict in (evaluate_prefix, monitor_prefix):
+        with pytest.raises(ValidationError):
+            verdict(Up(), w)
+        with pytest.raises(ValidationError, match="non-empty"):
+            verdict(Atom("a"), parse_word("", AB))
+        with pytest.raises(TypeError, match="not a formula"):
+            verdict(pb.Ref("p"), w)
 
 
 def test_evaluate_prefix_atoms():
