@@ -17,7 +17,7 @@ once and serves every letter.  No step recurses, so formulas of any nesting
 depth translate.
 """
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import repeat
 
 from .. import ltl
@@ -77,18 +77,9 @@ def _down_mark(g):
 _TOP, _BOT = pb.Top(), pb.Bot()
 
 
-@lru_cache(maxsize=256)
 def ltl_to_ara(f: ltl.Formula, alphabet: Alphabet) -> AlternatingAutomaton:
-    """The automaton of the sentence f over alphabet.  Raises
-    ValidationError when f has a free register test.
-
-    Cached: every caller with an equal (f, alphabet) gets one shared
-    automaton, together with the memo tables run_exists fills on it, so
-    callers must not mutate it.  The cache is for
-    ltl.evaluate_prefix, which translates its formula anew for each prefix:
-    over the 117 prefixes of bouncer.tm's 8-step run it hits 107 times and
-    takes 0.19 s against 1.30 s uncached (2-core Xeon, Python 3.11).  The
-    benchmark workloads translate each formula once and never hit it."""
+    """The automaton of the sentence f over alphabet, a new one on every
+    call.  Raises ValidationError when f has a free register test."""
     if not ltl.is_sentence(f):
         raise ValidationError("formula has a free register test")
     formulas, kids = _index(f)

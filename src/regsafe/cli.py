@@ -23,7 +23,8 @@ from .pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                        bounded_nonemptiness, config_length, encode_tm_run,
                        inclusion_check, oracle_run_exists, parse_tm, tm_alphabet,
                        tm_to_formula)
-from .pipeline.oracle import _frontier_run_exists, frontier_takes
+from .pipeline.explore import CAP, VCAP
+from .pipeline.oracle import frontier_run_exists, frontier_takes
 from . import randgen
 
 
@@ -257,7 +258,7 @@ def _cmd_oracle(ns):
         fast = run_exists(aut, w)
         slow = [oracle_run_exists(aut, w, max_len=ns.max_len, max_states=ns.max_states)]
         if frontier_takes(aut, w):
-            slow.append(_frontier_run_exists(aut, w))
+            slow.append(frontier_run_exists(aut, w))
         if any(answer != fast for answer in slow):
             print("automaton:\n%s" % format_automaton(aut), file=sys.stderr)
             print("word: %s" % print_word(w), file=sys.stderr)
@@ -282,10 +283,10 @@ def _build_parser():
                         help="output style (default text)")
     # the exploration bounds, read by sat, include and refine alone
     bounds = _ArgumentParser(add_help=False)
-    bounds.add_argument("--cap", type=int, default=10000,
-                        help="exploration step bound (default 10000)")
-    bounds.add_argument("--vcap", type=int, default=64,
-                        help="counter value bound (default 64)")
+    bounds.add_argument("--cap", type=int, default=CAP,
+                        help="exploration step bound (default %(default)s)")
+    bounds.add_argument("--vcap", type=int, default=VCAP,
+                        help="counter value bound (default %(default)s)")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("parse", parents=[shared], help="echo a formula file canonically")

@@ -41,11 +41,10 @@ class CoverTable:
         return m
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache
 def cover_table(counters):
     """The shared CoverTable of a counter tuple, built once per process: every
-    machine and every check over the same family uses it.  At most 64 tables
-    are kept, the least recently used dropped first."""
+    machine and every check over the same family uses it."""
     return CoverTable(counters)
 
 

@@ -67,7 +67,7 @@ def _parse_instr(text, structure):
     raise ParseError("unknown instruction %r" % text)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache
 def _parse_structure(basis_text, counters_text):
     """The CounterStructure of a file's basis: and counters: header values;
     files whose headers read alike share it, and its counter tuple."""

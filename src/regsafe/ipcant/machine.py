@@ -142,15 +142,10 @@ class Transfer(Instruction):
 
     entries: tuple
 
-    def image(self, c):
-        for src, dsts in self.entries:
-            if src == c:
-                return dsts
-        return (c,)
-
     def as_map(self, counters):
-        """Each counter's image tuple, as image reads it.  Raises
-        ValidationError on an entry whose source is not among the counters."""
+        """Each counter's image tuple: its first entry's, or itself alone when
+        it has none.  Raises ValidationError on an entry whose source is not
+        among the counters."""
         f = {c: (c,) for c in counters}
         for src, dsts in reversed(self.entries):  # so the first entry wins
             if src not in f:

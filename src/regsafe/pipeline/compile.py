@@ -383,12 +383,12 @@ class CompiledMachine:
                               self.structure, edges, check_transfers="off", lazy=False)
 
 
-@lru_cache(maxsize=64)
+@lru_cache
 def family_structure(names):
     """The CounterStructure of the machines compiled over the state-name
     tuple: the basis and counters of the module docstring, an away counter
     at its mask and an in-flight one at _flight_index.  Built once per
-    process; at most 64 are kept, the least recently used dropped first."""
+    process."""
     n = len(names)
     basis = [ANCHOR_AWAY] + [_away_name(q) for q in names]
     basis += [ANCHOR_FLIGHT] + [_kept_name(q) for q in names] + [_mark_name(q) for q in names]
@@ -415,13 +415,13 @@ def family_structure(names):
 LetterFreeCycle = namedtuple("LetterFreeCycle", "nop transitions states read merge reads edges")
 
 
-@lru_cache(maxsize=16)
+@lru_cache
 def letter_free_cycle(names, co_states):
     """The LetterFreeCycle of the machines compiled over the state-name tuple
     with the given co-states, each distinct instruction built once: one
     ifz^cap per merged state, one decrement and increment per in-flight
-    counter, each witness through its hold_* state.  Built once per process;
-    at most 16 are kept, the least recently used dropped first."""
+    counter, each witness through its hold_* state.  Built once per
+    process."""
     n = len(names)
     full = range(1 << n)
     counters = family_structure(names).counters

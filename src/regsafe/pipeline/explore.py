@@ -58,6 +58,8 @@ from ..ipcant import EPS
 from .compile import product_machine
 
 NODE_BUDGET = 200000
+CAP = 10000  # the default step cap of bounded_nonemptiness and inclusion_check
+VCAP = 64  # and their default counter value bound
 
 
 class Nonemptiness(Enum):
@@ -98,7 +100,7 @@ def successors(machine, control, sv, vcap, letter=None):
     return succ, truncated
 
 
-def bounded_nonemptiness(machine, cap=10000, vcap=64, start=None) -> Nonemptiness:
+def bounded_nonemptiness(machine, cap=CAP, vcap=VCAP, start=None) -> Nonemptiness:
     """Search for an infinite run from `start`, a (control, valuation) pair
     with the valuation in the canonical form, or else from the initial
     configuration: a configuration lasso or a simple path of cap
@@ -286,7 +288,7 @@ def _any_below(group, counts):
 
 
 def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
-                    cap=10000, vcap=64) -> SaturationResult:
+                    cap=CAP, vcap=VCAP) -> SaturationResult:
     """Decide whether every data word accepted by a1 is accepted by a2, by
     saturating the product of a1 with the dual of a2, compiled from the two
     automata (product_machine) with a2's states as co-states.  Each control

@@ -11,7 +11,7 @@ sets (_pairs, shared with the frontier route), so it depends neither on
 minimal_models nor on the monotonicity that lets run_exists try minimal
 models only.  frontier_step is
 the definition's one-position step on a configuration set, the only copy of
-it; _frontier_run_exists runs the definition itself with it (sets of
+it; frontier_run_exists runs the definition itself with it (sets of
 configuration sets, full choice products over all satisfying pairs).  That
 route shares no thread argument with the other two, is exponentially heavier
 and only meant for very small inputs, as a third route to the same answer.  pattern_occurs decides the three-letter
@@ -122,7 +122,7 @@ def frontier_takes(aut: AlternatingAutomaton, w: DataWord) -> bool:
     return 0 < len(w) <= 3 and len(aut.states) <= 2
 
 
-def _frontier_run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
+def frontier_run_exists(aut: AlternatingAutomaton, w: DataWord) -> bool:
     """The definition, executed literally: keep the family of all reachable
     configuration sets, stepping each by every combination of satisfying
     pairs.  Exponential in several directions, so it refuses what

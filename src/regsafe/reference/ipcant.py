@@ -1,6 +1,7 @@
 """A dense view of the counter machines: a Valuation pairs a counter
 structure with an int tuple aligned with the structure's counter order, so
-firing operations need no extra context; seeded random structures,
+firing operations need no extra context, and a transfer fires through the
+image it gives each counter (image); seeded random structures,
 valuations and instructions to fire; and the bound's closed-form ceiling."""
 
 from dataclasses import dataclass
@@ -47,6 +48,15 @@ def valuation(structure: CounterStructure, assignment) -> Valuation:
     return Valuation(structure, tuple(v))
 
 
+def image(transfer, c):
+    """The image tuple of counter c under transfer: its first entry's, or
+    (c,) when the transfer lists no entry for it."""
+    for src, dsts in transfer.entries:
+        if src == c:
+            return dsts
+    return (c,)
+
+
 def transfer_witnesses(v: "Valuation", transfer):
     """Yield (witness, result) pairs for every way of splitting each source
     counter's tokens over its image counters.  The witness maps pairs
@@ -59,7 +69,7 @@ def transfer_witnesses(v: "Valuation", transfer):
     for c, n in v.items():
         if n == 0:
             continue
-        dsts = transfer.image(c)
+        dsts = image(transfer, c)
         if not dsts:
             return
         moving.append((c, n, dsts))
@@ -80,7 +90,7 @@ def fire(v: "Valuation", instr):
         i = v.structure.index[instr.counter]
         n = v.values[i] + (1 if isinstance(instr, Inc) else -1)
         return {v._with(i, n)} if n >= 0 else set()
-    if hasattr(instr, "image"):  # Transfer or any transfer-like map
+    if isinstance(instr, Transfer):
         return {v2 for _, v2 in transfer_witnesses(v, instr)}
     raise ValidationError("unknown instruction %r" % (instr,))
 
@@ -187,8 +197,8 @@ def random_transfer(rng, structure: CounterStructure, empty_prob=0.2) -> Transfe
             entries.append((c, ()))
             continue
         size = rng.randint(1, min(2, len(structure.counters)))
-        image = rng.sample(list(structure.counters), size)
-        entries.append((c, tuple(image)))
+        dsts = rng.sample(list(structure.counters), size)
+        entries.append((c, tuple(dsts)))
     return Transfer(tuple(entries))
 
 

@@ -311,8 +311,8 @@ def test_deep_formulas_translate():
         chain = ltl.Freeze(ltl.Or(ltl.Up(), ltl.And(ltl.Atom("b"), chain)))
     chain = ltl.And(ltl.Atom("a"), chain)
     start = time.perf_counter()
-    nexts = format_automaton(ltl_to_ara.__wrapped__(f, AB))
-    chained = format_automaton(ltl_to_ara.__wrapped__(chain, AB))
+    nexts = format_automaton(ltl_to_ara(f, AB))
+    chained = format_automaton(ltl_to_ara(chain, AB))
     assert time.perf_counter() - start < 5
     lines = nexts.splitlines()
     assert lines[:3] == ["alphabet: a b",

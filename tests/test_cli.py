@@ -336,13 +336,13 @@ def test_oracle_checks_the_frontier_route(monkeypatch, capsys):
     import regsafe.cli as cli
     asked = []
 
-    real = cli._frontier_run_exists
+    real = cli.frontier_run_exists
 
     def frontier(aut, w):
         asked.append((len(aut.states), len(w)))
         return real(aut, w)
 
-    monkeypatch.setattr(cli, "_frontier_run_exists", frontier)
+    monkeypatch.setattr(cli, "frontier_run_exists", frontier)
     assert run_cli(["oracle", "--trials", "60", "--seed", "2"]) == 0
     assert _out(capsys)[0] == "AGREE trials=60 seed=2\n"
     # asked up to its guards, never past them, and not on every sample
@@ -350,7 +350,7 @@ def test_oracle_checks_the_frontier_route(monkeypatch, capsys):
     assert max(letters for _, letters in asked) == 3
     assert len(asked) < 60
 
-    monkeypatch.setattr(cli, "_frontier_run_exists",
+    monkeypatch.setattr(cli, "frontier_run_exists",
                         lambda aut, w: not cli.run_exists(aut, w))
     assert run_cli(["oracle", "--trials", "60", "--seed", "2"]) == 1
     out, err = _out(capsys)

@@ -19,8 +19,9 @@ from regsafe.pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
 from regsafe.pipeline import explore
 from regsafe.pipeline.explore import Antichain, successors
 from regsafe.reference.ara import inclusion_product
-from regsafe.reference.ipcant import (fire, fire_lazy, random_instruction, random_structure,
-                                      random_transfer, random_valuation, valuation)
+from regsafe.reference.ipcant import (fire, fire_lazy, image, random_instruction,
+                                      random_structure, random_transfer, random_valuation,
+                                      valuation)
 
 AB = Alphabet(("a", "b"))
 UNCUT = 1 << 30  # a value bound above every count these tests reach
@@ -531,14 +532,14 @@ def test_explicit_transfer_keeps_product_order():
         v = random_valuation(rng, st)
         sv = tuple((i, n) for i, n in enumerate(v.values) if n)
         succ, _ = successors(machine, "p", sv, vcap=64)
-        images = [tuple(st.index[d] for d in t.image(c)) for c in st.counters]
+        images = [tuple(st.index[d] for d in image(t, c)) for c in st.counters]
         assert [sv2 for _, _, sv2, _ in succ] == \
             _product_order(sv, images)
 
 
 def test_explicit_transfer_first_entry_wins():
     """A counter listed twice in a transfer moves by its first entry, as
-    Transfer.image and the dense reference read it."""
+    the dense reference reads it."""
     x, y = frozenset("x"), frozenset("y")
     st = CounterStructure(("x", "y"), (x, y))
     twice = Transfer(((x, (y,)), (x, (x,)), (y, (y,))))
@@ -589,7 +590,7 @@ def _canonical(sv):
 
 
 def _is_identity(instr, counters):
-    return isinstance(instr, Transfer) and all(tuple(instr.image(c)) == (c,) for c in counters)
+    return isinstance(instr, Transfer) and all(tuple(image(instr, c)) == (c,) for c in counters)
 
 
 def test_explicit_steps_keep_the_canonical_form():
@@ -626,7 +627,7 @@ def test_explicit_steps_keep_the_canonical_form():
                         assert len(succ) == 1 and succ[0][2] is sv
                         unchanged += 1
                 if isinstance(t.instr, Transfer):
-                    images = [tuple((st.index[d], 0) for d in t.instr.image(c))
+                    images = [tuple((st.index[d], 0) for d in image(t.instr, c))
                               for c in st.counters]
                     outcomes, _ = split_tokens(sv, images.__getitem__)
                     assert all(_canonical(post) for _, post in outcomes)

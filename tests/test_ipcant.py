@@ -1,7 +1,9 @@
 import copy
+import importlib
 import math
 import os
 import pickle
+import pkgutil
 import random
 
 from hypothesis import given, settings, strategies as hst
@@ -15,11 +17,12 @@ from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, Cover
                             EPS, Inc, Instruction, Transfer, Transition, bound_log2_log2,
                             bound_params, check_distributive, compositions, cover_table,
                             format_machine, ifz_cap, parse_machine, split_tokens)
+import regsafe
 from regsafe import ipcant, memo, randgen
-from regsafe.ara import parse_automaton
+from regsafe.ara import ltl_to_ara, parse_automaton
+from regsafe.ltl import parse_formula
 from regsafe.pipeline import ara_to_ipcant
-from regsafe.reference import ipcant as reference_ipcant
-from regsafe.reference.ipcant import (Valuation, bound_ceiling, fire, fire_lazy,
+from regsafe.reference.ipcant import (Valuation, bound_ceiling, fire, fire_lazy, image,
                                       random_distributive_transfer, random_instruction,
                                       random_structure, random_transfer, random_valuation,
                                       sqsse, sub_valuation, transfer_witnesses, valuation)
@@ -398,15 +401,28 @@ def test_caches_stay_within_their_bounds(monkeypatch):
         assert len(st.verdicts) <= limit
     assert len(st.verdicts) == 10
     assert all(ok for _, ok in st.verdicts.values())
-    modules = (ipcant.machine, ipcant.distributive, ipcant.bound, ipcant.fileformat,
-               reference_ipcant)
-    caches = {(module.__name__.rpartition(".")[2], name): f for module in modules
-              for name, f in vars(module).items()
-              if hasattr(f, "cache_info") and f.__module__ == module.__name__}
-    # what is derived from a family is kept in its structure's memos
-    # (test_family_memos_stay_within_their_bound); these only intern
-    assert set(caches) == {("distributive", "cover_table"), ("fileformat", "_parse_structure")}
-    assert ipcant.fileformat._parse_structure.cache_info().maxsize == 64
+
+
+def test_process_wide_caches_only_intern():
+    """The lru_caches of every regsafe module outside regsafe.reference: the
+    shared argument parser and four interners of a shared family object, at
+    the stdlib's default bound.  What is derived from a family is kept in
+    its structure's memos (test_family_memos_stay_within_their_bound), and
+    ltl_to_ara keeps nothing: equal calls return distinct automata."""
+    caches = {}
+    for info in pkgutil.walk_packages(regsafe.__path__, "regsafe."):
+        if info.name == "regsafe.__main__" or info.name.startswith("regsafe.reference"):
+            continue
+        module = importlib.import_module(info.name)
+        caches.update(((info.name.rpartition(".")[2], name), f.cache_info().maxsize)
+                      for name, f in vars(module).items()
+                      if hasattr(f, "cache_info") and f.__module__ == info.name)
+    assert caches == {("cli", "_build_parser"): 1, ("compile", "family_structure"): 128,
+                      ("compile", "letter_free_cycle"): 128,
+                      ("distributive", "cover_table"): 128, ("fileformat", "_parse_structure"): 128}
+    ab = Alphabet(("a", "b"))
+    f = parse_formula("G (down X nup | a)", ab)
+    assert ltl_to_ara(f, ab) is not ltl_to_ara(f, ab)
 
 
 def test_family_memos_stay_within_their_bound(monkeypatch):
@@ -555,9 +571,9 @@ def test_machine_verdicts_match_check_distributive():
             images = tuple(rng.sample(counters, rng.randint(0, min(2, len(counters)))))
             entries.insert(rng.randint(first + 1, len(entries)), (src, images))
             t = Transfer(tuple(entries))
-            repeated += t.image(src) != images
+            repeated += image(t, src) != images
         f = t.as_map(counters)
-        assert f == {c: tuple(t.image(c)) for c in counters}
+        assert f == {c: tuple(image(t, c)) for c in counters}
         want = check_distributive(f, counters)
         transitions = [Transition("p", "a", t, "p")]
         for mode in ("auto", "full"):

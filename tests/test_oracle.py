@@ -8,7 +8,7 @@ from regsafe.words import Alphabet, DataWord, parse_word
 from regsafe.ara import run_exists
 from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe.pipeline import oracle_run_exists, pattern_occurs
-from regsafe.pipeline.oracle import _frontier_run_exists, frontier_takes
+from regsafe.pipeline.oracle import frontier_run_exists, frontier_takes
 from regsafe import randgen
 
 AB = Alphabet(("a", "b"))
@@ -50,7 +50,7 @@ def test_oracle_matches_run_exists_seeded():
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(seed=hst.integers(0, 2 ** 32 - 1), data=hst.data())
 def test_three_routes_agree_property(seed, data):
-    """run_exists, oracle_run_exists and _frontier_run_exists agree on a
+    """run_exists, oracle_run_exists and frontier_run_exists agree on a
     random 1-3-state automaton and a canonical word of length <= 6.  The
     frontier route is asked only inside its default guards (2 states,
     length 3): it keeps every reachable family of configuration sets, and
@@ -65,7 +65,7 @@ def test_three_routes_agree_property(seed, data):
     got = run_exists(aut, w)
     assert oracle_run_exists(aut, w) == got
     if frontier_takes(aut, w):
-        assert _frontier_run_exists(aut, w) == got
+        assert frontier_run_exists(aut, w) == got
 
 
 def test_frontier_route_agrees():
@@ -73,7 +73,7 @@ def test_frontier_route_agrees():
     for trial in range(200):
         aut = randgen.random_automaton(rng, AB, max_states=2)
         w = randgen.random_word(rng, AB, 3)
-        got = _frontier_run_exists(aut, w)
+        got = frontier_run_exists(aut, w)
         assert got == run_exists(aut, w), trial
         assert got == oracle_run_exists(aut, w), trial
 
@@ -86,13 +86,13 @@ def test_oracle_guards(fig1, abc):
     with pytest.raises(ValidationError):
         oracle_run_exists(big, parse_word("a@D", AB))
     with pytest.raises(ValidationError):
-        _frontier_run_exists(fig1, parse_word("a@D", abc))  # three states
+        frontier_run_exists(fig1, parse_word("a@D", abc))  # three states
     w4 = parse_word("a@D a@D a@D a@D", AB)
     two = AlternatingAutomaton(AB, ("p", "r"), "p", {})
     with pytest.raises(ValidationError):
-        _frontier_run_exists(two, w4)
+        frontier_run_exists(two, w4)
     empty = DataWord((), ())
     with pytest.raises(ValidationError, match="non-empty"):
         oracle_run_exists(two, empty)
     with pytest.raises(ValidationError, match="frontier guard"):
-        _frontier_run_exists(two, empty)
+        frontier_run_exists(two, empty)

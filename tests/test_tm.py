@@ -103,8 +103,8 @@ def test_shared_subformulas_translate_like_unshared(bouncer):
     f = tm_to_formula(bouncer)
     copy = parse_formula(print_formula(f), ab)
     assert copy == f
-    shared = ltl_to_ara.__wrapped__(f, ab)
-    unshared = ltl_to_ara.__wrapped__(copy, ab)
+    shared = ltl_to_ara(f, ab)
+    unshared = ltl_to_ara(copy, ab)
     assert (shared.states, shared.initial) == (unshared.states, unshared.initial)
     assert shared.delta == unshared.delta
     assert format_automaton(shared) == format_automaton(unshared)
