@@ -46,6 +46,10 @@ class AlternatingAutomaton:
         if initial not in known:
             raise ValidationError("initial state %r not declared" % (initial,))
         And, Or, Ref, DownRef = pb.And, pb.Or, pb.Ref, pb.DownRef
+        # ids of the And and Or objects walked, each once: the stack finishes
+        # an object's subformulas before it meets the object again, so a
+        # repeat is known to be fine and its references are not reported twice
+        walked = set()
         for (q, a, flag), phi in self.delta.items():
             if q not in known:
                 raise ValidationError("transition from unknown state %r" % (q,))
@@ -60,8 +64,10 @@ class AlternatingAutomaton:
                 phi = todo.pop()
                 kind = type(phi)
                 if kind is And or kind is Or:
-                    todo.append(phi.rhs)
-                    todo.append(phi.lhs)
+                    if id(phi) not in walked:
+                        walked.add(id(phi))
+                        todo.append(phi.rhs)
+                        todo.append(phi.lhs)
                 elif (kind is Ref or kind is DownRef) and phi.state not in known:
                     raise ValidationError("transition references unknown state %r"
                                           % (phi.state,))

@@ -15,9 +15,11 @@ printed line of each Transition (lines) and each transfer's
 distributivity verdict (verdicts).  No lookup compares two instructions
 or transitions; the machines of one family share those objects (the
 parsed memo, compile.letter_free_cycle), while an equal copy made
-elsewhere gets entries of its own.  Every machine still runs every check
-on construction, and errors are raised afresh on every call: no memo
-keeps one."""
+elsewhere gets entries of its own.  Every machine runs every check on
+construction but one: materialize() skips the distributivity check, as the
+compile makes its transfers distributive, while every loaded file has each
+transfer checked over all irredundant covers.  Errors are raised afresh on
+every call: no memo keeps one."""
 
 from .machine import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure, Dec, Inc,
                       Instruction, Transfer, Transition, add_tokens, compositions, ifz_cap,

@@ -7,7 +7,6 @@ counter family's verdicts memo (_check_transfers); check_distributive keeps
 none."""
 
 import functools
-import random
 
 from ..errors import ValidationError
 
@@ -81,11 +80,11 @@ def _irredundant_covers_of(target, masks):
 def check_distributive(f, counters) -> bool:
     """Exhaustive check of the distributivity condition over all irredundant
     covers (sufficient: a redundant cover's condition follows from any
-    irredundant subcover); feasible for families up to a dozen or two
-    counters, the cost being driven by the cover count.  The covers come
-    from the counter tuple's shared cover_table; the condition on a cover
-    depends only on the union of the chosen images, so the unions are
-    folded cover member by member into a set."""
+    irredundant subcover), the cost being driven by the cover count (83150
+    for the 72 counters of a three-state automaton's compiled family).  The
+    covers come from the counter tuple's shared cover_table; the condition
+    on a cover depends only on the union of the chosen images, so the unions
+    are folded cover member by member into a set."""
     counters = tuple(counters)
     table = cover_table(counters)
     known = table.masks
@@ -119,49 +118,17 @@ def check_distributive(f, counters) -> bool:
     return True
 
 
-def _sampled_distributive(f, counters, trials=200, seed=0):
-    rng = random.Random(seed)
-    counters = list(counters)
-    for _ in range(trials):
-        c = rng.choice(counters)
-        members = [d for d in counters if d & c]  # c among them: c & c = c
-        rng.shuffle(members)
-        cover, covered = [], frozenset()
-        for d in members:
-            if (d & c) - covered:
-                cover.append(d)
-                covered |= d
-            if c <= covered:
-                break  # met by c itself at the latest
-        choice = []
-        ok = True
-        for d in cover:
-            opts = list(f.get(d, ()))
-            if not opts:
-                ok = False
-                break
-            choice.append(rng.choice(opts))
-        if not ok:
-            continue
-        u = frozenset().union(*choice) if choice else frozenset()
-        if not any(img <= u for img in f.get(c, ())):
-            return False
-    return True
-
-
-def _check_transfers(transfers, structure, mode):
+def _check_transfers(transfers, structure):
     """Raise ValidationError unless the map of every transfer over the
-    CounterStructure's counters is distributive: checked exhaustively on
-    families of at most 12 counters or in mode "full", sampled (seeded) on
-    larger ones.  Each verdict is kept in the structure's verdicts memo
-    under (id(transfer), exhaustive) with its transfer, so a refused
-    transfer is refused again from the memo."""
+    CounterStructure's counters is distributive, as check_distributive
+    decides it.  Each verdict is kept in the structure's verdicts memo under
+    id(transfer) with its transfer, so a refused transfer is refused again
+    from the memo."""
     counters = structure.counters
-    exhaustive = len(counters) <= 12 or mode == "full"
-    check = check_distributive if exhaustive else _sampled_distributive
     memo = structure.verdicts
     for instr in transfers:
-        key = (id(instr), exhaustive)
-        _, ok = memo.get(key) or memo.keep(key, (instr, check(instr.as_map(counters), counters)))
+        key = id(instr)
+        _, ok = memo.get(key) or memo.keep(
+            key, (instr, check_distributive(instr.as_map(counters), counters)))
         if not ok:
             raise ValidationError("transfer map is not distributive")

@@ -104,7 +104,7 @@ def _parse_line(line, structure):
     return Transition(src, EPS if label == "eps" else label, instr, dst)
 
 
-def parse_machine(text, check_transfers="auto") -> CounterMachine:
+def parse_machine(text, check_transfers="full") -> CounterMachine:
     """Read a machine file.  The header is parsed once per process
     (_parse_structure) and each distinct body line once per counter family
     (its structure's parsed memo), so machines of one family share their

@@ -45,7 +45,7 @@ class CounterStructure:
     each instruction text (`instrs`); those keyed by object identity hold
     their key object, the op of each instruction (op), the printed text of
     each body line (`lines`, format_machine's) and the distributivity
-    verdict of each transfer, exhaustive or sampled (`verdicts`)."""
+    verdict of each transfer (`verdicts`)."""
 
     def __init__(self, basis, counters):
         self.basis = tuple(basis)
@@ -170,12 +170,15 @@ class CounterMachine:
     """An explicit machine over its transition list.  `lazy` fixes its
     successor relation: whether a decrement of a zero counter may leave the
     valuation unchanged (the lazy error) or does not fire (error-free).  A
-    parsed machine is lazy unless its file says `relation: error-free`."""
+    parsed machine is lazy unless its file says `relation: error-free`.
+    check_transfers is "full", checking every transfer for distributivity
+    exhaustively, or "off", skipping only that check, as materialize() does
+    for the transfers its compile makes distributive."""
 
     def __init__(self, alphabet: Alphabet, states, initial, structure: CounterStructure,
-                 transitions, check_transfers="auto", lazy=True):
-        if check_transfers not in ("auto", "full", "off"):
-            raise ValueError("check_transfers must be 'auto', 'full' or 'off', not %r"
+                 transitions, check_transfers="full", lazy=True):
+        if check_transfers not in ("full", "off"):
+            raise ValueError("check_transfers must be 'full' or 'off', not %r"
                              % (check_transfers,))
         if "eps" in alphabet:  # the machine file's label of letter-free moves
             raise ValidationError("letter name 'eps' is reserved")
@@ -216,8 +219,8 @@ class CounterMachine:
             ops[src].append((label, kind, arg, dst))
         self._resting = frozenset(resting)
         self._check_eps_acyclic(eps)
-        if check_transfers != "off":
-            _check_transfers(transfers.values(), structure, check_transfers)
+        if check_transfers == "full":
+            _check_transfers(transfers.values(), structure)
 
     @property
     def lazy(self):

@@ -185,6 +185,28 @@ def test_automaton_validation_deep_formula(abc):
                              {("p", "a", "up"): pb.And(pb.Ref("x"), pb.Ref("y"))})
 
 
+def test_shared_subformulas_report_the_first_unknown_state():
+    """A subformula object shared by several entries, or twice within one,
+    is walked once per construction; the unknown state reported is still
+    the first one, entry by entry and left to right."""
+    ab = Alphabet(("a", "b"))
+    fine = pb.And(pb.Ref("p"), pb.DownRef("p"))
+    bad = pb.Or(fine, pb.DownRef("z"))
+    keys = [("p", a, flag) for a in "ab" for flag in ("up", "nup")]
+    AlternatingAutomaton(ab, ("p",), "p", {k: pb.And(fine, fine) for k in keys})
+    with pytest.raises(ValidationError, match="^transition references unknown state 'z'$"):
+        AlternatingAutomaton(ab, ("p",), "p", {k: pb.And(fine, bad) for k in keys})
+    # the shared bad part of the first entry is met again, behind 'y', in
+    # the second, and 'x' follows the shared fine part in the third
+    for delta, state in (
+            ({keys[0]: pb.Or(fine, bad), keys[1]: pb.And(pb.Ref("y"), bad)}, "z"),
+            ({keys[0]: fine, keys[1]: pb.And(fine, pb.Or(pb.Ref("y"), bad))}, "y"),
+            ({keys[0]: fine, keys[1]: pb.And(fine, fine), keys[2]: pb.Or(fine, pb.Ref("x")),
+              keys[3]: bad}, "x")):
+        with pytest.raises(ValidationError, match="unknown state '%s'" % state):
+            AlternatingAutomaton(ab, ("p",), "p", delta)
+
+
 def test_automaton_file_round_trip(fig1):
     text = format_automaton(fig1)
     again = parse_automaton(text)

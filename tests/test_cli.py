@@ -615,8 +615,8 @@ def test_non_utf8_input_exits_65(tmp_path, data_path, capsys, argv):
 
 def test_non_distributive_machine_exits_65(tmp_path, capsys):
     """Loading checks every transfer, also after a good file over the same
-    counters has been loaded, and on 14 counters, where the check samples
-    covers."""
+    counters has been loaded, and on 14 counters, where the check walks
+    every cover as on 3."""
     header = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\ninitial: p\n"
     good = tmp_path / "good.cm"
     good.write_text(header + "p -a, transf {x,y}->[{x,y}]-> p\n")
@@ -625,12 +625,12 @@ def test_non_distributive_machine_exits_65(tmp_path, capsys):
     bad = tmp_path / "bad.cm"
     bad.write_text(header + "p -a, transf {x,y}->[]-> p\n")
     names = ["a%d" % i for i in range(11)]
-    sampled = tmp_path / "sampled.cm"
-    sampled.write_text(header.replace("x y\n", "x y %s\n" % " ".join(names)).replace(
+    wide = tmp_path / "wide.cm"
+    wide.write_text(header.replace("x y\n", "x y %s\n" % " ".join(names)).replace(
         "{x,y}\n", "{x,y} %s\n" % " ".join("{%s}" % e for e in names))
         + "p -a, transf {x,y}->[]-> p\n")
-    assert len(parse_machine(sampled.read_text(), "off").counters) == 14
-    for command, path in (("sat", bad), ("bound", bad), ("sat", sampled), ("sat", sampled)):
+    assert len(parse_machine(wide.read_text(), "off").counters) == 14
+    for command, path in (("sat", bad), ("bound", bad), ("sat", wide), ("sat", wide)):
         assert run_cli([command, "--machine", str(path)]) == 65
         out, err = _out(capsys)
         assert out == "" and err.startswith("invalid input: ") and "not distributive" in err

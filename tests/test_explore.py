@@ -442,7 +442,7 @@ def _random_explicit_machine(rng, shared=False):
         instr = rng.choice(pool) if pool else draw()
         transitions.append(Transition(states[i], label, instr, states[j]))
     return CounterMachine(AB, states, "s0", st, transitions,
-                          check_transfers="off" if arbitrary else "auto")
+                          check_transfers="off" if arbitrary else "full")
 
 
 def _under(machine, lazy):

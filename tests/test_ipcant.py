@@ -20,6 +20,7 @@ from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, Cover
 import regsafe
 from regsafe import ipcant, memo, randgen
 from regsafe.ara import ltl_to_ara, parse_automaton
+from regsafe.cli import run_cli
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import ara_to_ipcant
 from regsafe.reference.ipcant import (Valuation, bound_ceiling, fire, fire_lazy, image,
@@ -396,8 +397,7 @@ def test_caches_stay_within_their_bounds(monkeypatch):
     images = [()] + [(c,) for c in counters] + [(c, d) for c in counters for d in counters]
     maps = product(images, repeat=len(counters))
     for _ in range(2 * limit + 10):
-        ipcant.distributive._check_transfers([Transfer(tuple(zip(counters, next(maps))))],
-                                             st, "auto")
+        ipcant.distributive._check_transfers([Transfer(tuple(zip(counters, next(maps))))], st)
         assert len(st.verdicts) <= limit
     assert len(st.verdicts) == 10
     assert all(ok for _, ok in st.verdicts.values())
@@ -464,11 +464,11 @@ def test_family_memos_stay_within_their_bound(monkeypatch):
              for c in ("m", "n")]
     text = header + "\n".join(body) + "\n"
     ipcant.fileformat._parse_structure.cache_clear()
-    for mode in ("auto", "full", "auto", "full"):
-        m = parse_machine(text, mode)
+    for load in range(4):
+        m = parse_machine(text)
         assert format_machine(m) == text
         assert m.structure.printed == {c: "{%s}" % ",".join(sorted(c)) for c in m.counters}
-        assert all(0 < len(getattr(m.structure, name)) <= 3 for name in memos), mode
+        assert all(0 < len(getattr(m.structure, name)) <= 3 for name in memos), load
 
 
 def test_ifz_cap_outside_the_basis_is_refused():
@@ -576,12 +576,11 @@ def test_machine_verdicts_match_check_distributive():
         assert f == {c: tuple(image(t, c)) for c in counters}
         want = check_distributive(f, counters)
         transitions = [Transition("p", "a", t, "p")]
-        for mode in ("auto", "full"):
-            if want:
-                CounterMachine(ab, ("p",), "p", st, transitions, check_transfers=mode)
-            else:
-                with pytest.raises(ValidationError, match="not distributive"):
-                    CounterMachine(ab, ("p",), "p", st, transitions, check_transfers=mode)
+        if want:
+            CounterMachine(ab, ("p",), "p", st, transitions)
+        else:
+            with pytest.raises(ValidationError, match="not distributive"):
+                CounterMachine(ab, ("p",), "p", st, transitions)
         verdicts.append(want)
         # tokens on src and at most one other counter, so the reference
         # firing enumerates few splits
@@ -600,13 +599,13 @@ def test_machine_verdicts_match_check_distributive():
 
 
 def test_machine_refuses_unknown_check_modes(xy):
-    """A check_transfers value other than auto, full and off is refused
-    before any transition is looked at, by parse_machine too."""
+    """A check_transfers value other than full and off is refused before
+    any transition is looked at, by parse_machine too."""
     text = "alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\np -a, nop-> p\n"
-    for mode in ("ful", "Full", "", False, True, None):
-        with pytest.raises(ValueError, match="'auto', 'full' or 'off', not %r" % (mode,)):
+    for mode in ("auto", "ful", "Full", "", False, True, None):
+        with pytest.raises(ValueError, match="'full' or 'off', not %r" % (mode,)):
             CounterMachine(Alphabet(("a",)), ("p",), "p", xy, (), check_transfers=mode)
-        with pytest.raises(ValueError, match="'auto', 'full' or 'off'"):
+        with pytest.raises(ValueError, match="'full' or 'off'"):
             parse_machine(text, mode)
 
 
@@ -869,11 +868,11 @@ def test_machine_rejects_eps_cycle():
 
 
 def test_machine_rejects_unknown_counters(xy):
-    """Whatever the distributivity check mode: validation is not part of
-    the check."""
+    """With the distributivity check or without: validation is not part
+    of the check."""
     x, z = frozenset("x"), frozenset("z")
     ab = Alphabet(("a",))
-    for mode in ("auto", "full", "off"):
+    for mode in ("full", "off"):
         for instr in (Inc(z), Dec(z), Transfer(((x, (z,)),)), Transfer(((z, (x,)),))):
             with pytest.raises(ValidationError, match="unknown counter"):
                 CounterMachine(ab, ("p",), "p", xy, [Transition("p", "a", instr, "p")],
@@ -910,26 +909,25 @@ def test_machine_rejects_nondistributive_transfer():
 
 def test_memoised_verdicts_keep_refusing_the_benchmark_file():
     """The benchmark's non-distributive machine file is refused on every
-    parse, in "full" and in "auto" mode, though its transfer's exhaustive
-    verdict is kept in its family's verdicts memo after the first."""
+    parse, though its transfer's verdict is kept in its family's verdicts
+    memo after the first."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "bench", "data", "nondistributive.cm")
     with open(path) as fh:
         text = fh.read()
-    for mode in ("full", "auto"):
-        for _ in range(2):
-            with pytest.raises(ValidationError, match="not distributive"):
-                parse_machine(text, mode)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not distributive"):
+            parse_machine(text)
     unchecked = parse_machine(text, "off")
     instr = unchecked.transitions[0].instr
-    assert unchecked.structure.verdicts[id(instr), True] == (instr, False)
+    assert unchecked.structure.verdicts[id(instr)] == (instr, False)
 
 
-def test_sampled_check_refuses_and_keeps_its_verdict(monkeypatch):
-    """On a family of 14 counters "auto" mode samples covers: {x} and {y}
-    cover {x,y}, which has no image, so the sample refuses the transfer on
+def test_fourteen_counter_check_refuses_and_keeps_its_verdict(monkeypatch):
+    """On a family of 14 counters every cover is checked: {x} and {y}
+    cover {x,y}, which has no image, so the check refuses the transfer on
     the first load, and the family's verdicts memo refuses it again on the
-    second without sampling."""
+    second without checking."""
     names = ["a%d" % i for i in range(11)]
     text = ("alphabet: a\nbasis: x y %s\ncounters: {x} {y} {x,y} %s\nstates: p\ninitial: p\n"
             "p -a, transf {x,y}->[]-> p\n" % (" ".join(names), " ".join("{%s}" % e for e in names)))
@@ -937,13 +935,41 @@ def test_sampled_check_refuses_and_keeps_its_verdict(monkeypatch):
     with pytest.raises(ValidationError, match="transfer map is not distributive"):
         parse_machine(text)
 
-    def resampled(f, counters):
-        raise AssertionError("sampled again")
+    def rechecked(f, counters):
+        raise AssertionError("checked again")
 
-    monkeypatch.setattr(ipcant.distributive, "_sampled_distributive", resampled)
+    monkeypatch.setattr(ipcant.distributive, "check_distributive", rechecked)
     with pytest.raises(ValidationError, match="transfer map is not distributive"):
         parse_machine(text)
     unchecked = parse_machine(text, "off")
     instr = unchecked.transitions[0].instr
     assert len(unchecked.counters) == 14
-    assert unchecked.structure.verdicts == {(id(instr), False): (instr, False)}
+    assert unchecked.structure.verdicts == {id(instr): (instr, False)}
+
+
+# 13 counters, and a transfer whose one bad cover is rare: choosing {z} as
+# the image of both {x} and {y}, which cover {x,y}, leaves {x,y}'s only
+# image {x,y} outside the union.  A check of sampled covers can miss it:
+# 200 seeded samples did.
+_RARE_HOLE_CM = (
+    "alphabet: a\n"
+    "basis: x y z a0 a1 a2 a3 a4 a5 a6 a7 a8\n"
+    "counters: {x} {y} {x,y} {z} {a0} {a1} {a2} {a3} {a4} {a5} {a6} {a7} {a8}\n"
+    "states: p\n"
+    "initial: p\n"
+    "p -a, transf {x}->[{x,y},{z}]; {y}->[{z},{x,y}]-> p\n")
+
+
+def test_rare_bad_cover_is_refused(tmp_path, capsys):
+    """Every cover is checked however many counters the family has, so a
+    map with one bad choice of images on one cover is refused, by
+    parse_machine and by sat --machine."""
+    unchecked = parse_machine(_RARE_HOLE_CM, "off")
+    assert len(unchecked.counters) == 13
+    with pytest.raises(ValidationError, match="transfer map is not distributive"):
+        parse_machine(_RARE_HOLE_CM)
+    path = tmp_path / "hole.cm"
+    path.write_text(_RARE_HOLE_CM)
+    assert run_cli(["sat", "--machine", str(path)]) == 65
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invalid input: ") and "not distributive" in err
