@@ -6,106 +6,86 @@ firing.  A machine's verdicts are kept per transfer object in its
 counter family's verdicts memo (_check_transfers); check_distributive keeps
 none."""
 
-import functools
-
 from ..errors import ValidationError
 
 
-class CoverTable:
-    """A counter family on basis bitmasks: each basis element of a counter
-    gets a bit, and each counter its irredundant covers, index-increasing
-    tuples of counter indices whose union contains it and none of which can
-    be dropped.  The distributivity condition sees the family only through
-    these covers, so one table serves every transfer map over it."""
-
-    def __init__(self, counters):
-        self.bits = {}
-        for c in counters:
-            for e in c:
-                self.bits.setdefault(e, 1 << len(self.bits))
-        masks = tuple(self.mask(c) for c in counters)
-        self.masks = dict(zip(counters, masks))
-        self.covers = tuple(_irredundant_covers_of(m, masks) for m in masks)
-
-    def mask(self, elements, extra=None):
-        """Bitmask of a set of basis elements.  An element that no counter
-        holds takes a bit past the counters' ones, recorded in `extra`, so
-        distinct such elements stay apart."""
-        m = 0
-        for e in elements:
-            bit = self.bits.get(e)
-            if bit is None:
-                bit = extra.setdefault(e, 1 << (len(self.bits) + len(extra)))
-            m |= bit
-        return m
-
-
-@functools.lru_cache
-def cover_table(counters):
-    """The shared CoverTable of a counter tuple, built once per process: every
-    machine and every check over the same family uses it."""
-    return CoverTable(counters)
-
-
 def _irredundant_covers_of(target, masks):
-    """Index-increasing selections of masks whose union contains target and
-    where every member keeps a private element of target, so none can be
-    dropped.  A member's private part only shrinks as members are added, so
-    a selection that loses one is not extended."""
+    """Yield, in lexicographic order, the index-increasing selections of
+    masks whose union contains target and where every member keeps a
+    private element of target, so none can be dropped.  A member's private
+    part only shrinks as members are added, so a selection that loses one
+    is not extended, and neither is one that the members after it can no
+    longer complete.  The search runs on an explicit stack of frames, each
+    a partial selection and the member it resumes at: a frame that extends
+    its selection pushes its own resumption under the extension's frame."""
     members = [(j, m & target) for j, m in enumerate(masks) if m & target]
-    if len(members) == 1:  # the target alone
-        return ((members[0][0],),)
-    out = []
-
-    def extend(start, sel, private, covered):
-        for k in range(start, len(members)):
+    n = len(members)
+    reach = [0] * (n + 1)  # reach[k]: the union of members k on
+    for k in range(n - 1, -1, -1):
+        reach[k] = reach[k + 1] | members[k][1]
+    stack = [(0, (), [], 0)]  # (next member, selection, private parts, covered)
+    while stack:
+        start, sel, private, covered = stack.pop()
+        for k in range(start, n):
             j, m = members[k]
             gain = m & ~covered
             if not gain:
                 continue
+            if covered | reach[k] != target:
+                break
             for p in private:
                 if not p & ~m:
                     break  # m would leave that member nothing of its own
             else:
                 if covered | m == target:
-                    out.append(sel + (j,))
+                    yield sel + (j,)
                 else:
-                    extend(k + 1, sel + (j,), [p & ~m for p in private] + [gain],
-                           covered | m)
-
-    extend(0, (), [], 0)
-    return tuple(out)
+                    stack.append((k + 1, sel, private, covered))
+                    stack.append((k + 1, sel + (j,), [p & ~m for p in private] + [gain],
+                                  covered | m))
+                    break
 
 
 def check_distributive(f, counters) -> bool:
     """Exhaustive check of the distributivity condition over all irredundant
     covers (sufficient: a redundant cover's condition follows from any
-    irredundant subcover), the cost being driven by the cover count (83150
-    for the 72 counters of a three-state automaton's compiled family).  The
-    covers come from the counter tuple's shared cover_table; the condition
-    on a cover depends only on the union of the chosen images, so the unions
-    are folded cover member by member into a set."""
+    irredundant subcover).  Each basis element gets a bit as it is met, in
+    the counters and in their images alike.
+
+    A counter c among its own images, where every image of every other
+    counter d meeting c holds d & c, is settled without its covers: the
+    only irredundant cover that contains c is (c,), whose choices are c's
+    own images, and any other cover's chosen images hold the d & c of its
+    members, which together make up c, an image of c.  The other counters
+    walk their covers as _irredundant_covers_of yields them (83150 for all
+    72 counters of a three-state automaton's compiled family), drawn from
+    the counters with an image only: a cover with a member without one
+    admits no choice of images.  The condition on a cover depends only on
+    the union of the chosen images, so the unions are folded cover member
+    by member into a set."""
     counters = tuple(counters)
-    table = cover_table(counters)
-    known = table.masks
-    extra = {}
+    bits = {}
+
+    def mask(elements):
+        m = 0
+        for e in elements:
+            m |= bits.setdefault(e, 1 << len(bits))
+        return m
+
+    masks = tuple(mask(c) for c in counters)
     images = []
     for c in counters:
         if c not in f:
             raise ValidationError("transfer map not total: missing %r" % (sorted(c),))
-        imgs = set()
-        for d in f[c]:
-            m = known.get(d)
-            imgs.add(table.mask(d, extra) if m is None else m)
-        images.append(tuple(imgs))
-    for i, (imgs, covers) in enumerate(zip(images, table.covers)):
-        # unions known to hold an image: each image holds itself, which
-        # settles the counter's cover by itself
+        images.append(tuple({mask(d) for d in f[c]}))
+    imaged = tuple(m if imgs else 0 for m, imgs in zip(masks, images))
+    for i, (c, imgs) in enumerate(zip(masks, images)):
+        if c in imgs and all(img & d & c == d & c for j, d in enumerate(masks)
+                             if j != i and d & c for img in images[j]):
+            continue
+        # unions known to hold an image: each image holds itself
         fine = set(imgs)
-        own = (i,)
-        for cover in covers:
-            if cover == own:
-                continue
+        for cover in _irredundant_covers_of(c, imaged):
             unions = {0}
             for j in cover:
                 unions = {u | m for u in unions for m in images[j]}

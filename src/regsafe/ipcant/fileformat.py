@@ -8,7 +8,7 @@ import re
 from ..errors import ParseError, ValidationError
 from ..words import Alphabet, read_names, read_sections
 from .machine import (EPS, CounterMachine, CounterStructure, Dec, Inc, Transfer, Transition,
-                      ifz_cap)
+                      _transition_fault, ifz_cap)
 
 _COUNTER_RE = re.compile(r"\{[^{}]*\}")
 # the counters: header, {...} groups apart by whitespace, and a transfer
@@ -109,7 +109,10 @@ def parse_machine(text, check_transfers="full") -> CounterMachine:
     (_parse_structure) and each distinct body line once per counter family
     (its structure's parsed memo), so machines of one family share their
     structure and the Transitions and instructions of their common lines.
-    An error in a body line names the line."""
+    An error in a body line names the line.  So does a state or letter
+    that the file's own headers do not declare: two files of one family
+    may declare different ones, so the lines are searched for one per
+    file, once the machine has refused the file."""
     headers, body = read_sections(text, _HEADERS, ("relation",))
     lazy = _RELATIONS.get(headers.get("relation", "lazy"))
     if lazy is None:
@@ -127,8 +130,16 @@ def parse_machine(text, check_transfers="full") -> CounterMachine:
             transitions.append(get(line) or keep(line, _parse_line(line, structure)))
         except (ParseError, ValidationError) as err:
             raise type(err)("line %d: %s" % (lineno, err)) from None
-    return CounterMachine(alphabet, states, initial[0], structure, transitions,
-                          check_transfers=check_transfers, lazy=lazy)
+    try:
+        return CounterMachine(alphabet, states, initial[0], structure, transitions,
+                              check_transfers=check_transfers, lazy=lazy)
+    except ValidationError:
+        known = set(states)
+        for (lineno, _), t in zip(body, transitions):
+            fault = _transition_fault(t, known, alphabet)
+            if fault:
+                raise ValidationError("line %d: %s" % (lineno, fault)) from None
+        raise
 
 
 def _format_instr(instr, printed):

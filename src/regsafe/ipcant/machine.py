@@ -68,7 +68,7 @@ class CounterStructure:
         self.instrs = Memo()  # instruction text -> its instruction
         self.ops = Memo()  # id(instruction) -> (instruction, kind, arg)
         self.lines = Memo()  # id(transition) -> (transition, its body line)
-        self.verdicts = Memo()  # (id(transfer), exhaustive) -> (transfer, verdict)
+        self.verdicts = Memo()  # id(transfer) -> (transfer, verdict)
 
     @functools.cached_property
     def index(self):
@@ -166,6 +166,18 @@ def ifz_cap(basis_subset, counters) -> Transfer:
 Transition = namedtuple("Transition", ("src", "label", "instr", "dst"))
 
 
+def _transition_fault(t, known, alphabet):
+    """Why a Transition does not fit its machine, or None when it does: a
+    state not among `known`, or a label neither EPS nor in the alphabet."""
+    src, label, _, dst = t
+    if src not in known or dst not in known:
+        return "transition %r -%s-> %r uses unknown state %r" % (
+            src, "eps" if label is EPS else label, dst, src if src not in known else dst)
+    if label is not EPS and label not in alphabet:
+        return "transition on unknown letter %r" % (label,)
+    return None
+
+
 class CounterMachine:
     """An explicit machine over its transition list.  `lazy` fixes its
     successor relation: whether a decrement of a zero counter may leave the
@@ -201,17 +213,14 @@ class CounterMachine:
         transfers = {}  # id -> each distinct transfer object, in order
         resting = set()
         op_of = structure.ops.get
-        for src, label, instr, dst in self.transitions:
-            if src not in known or dst not in known:
-                raise ValidationError("transition %r -%s-> %r uses unknown state %r" % (
-                    src, "eps" if label is EPS else label, dst,
-                    src if src not in known else dst))
+        for t in self.transitions:
+            src, label, instr, dst = t
+            if src not in known or dst not in known or label is not EPS and label not in alphabet:
+                raise ValidationError(_transition_fault(t, known, alphabet))
             if label is EPS:
                 eps[src].append(dst)
-            elif label in alphabet:
-                resting.add(src)
             else:
-                raise ValidationError("transition on unknown letter %r" % (label,))
+                resting.add(src)
             key = id(instr)
             _, kind, arg = op_of(key) or structure.op(instr)
             if kind is not Inc and kind is not Dec:

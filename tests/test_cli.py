@@ -566,7 +566,9 @@ _HOSTILE = [
     ("cm-undeclared-initial", _CM.replace("initial: p", "initial: q"),
      "invalid input: {path}: initial state 'q' not declared"),
     ("cm-unknown-letter", _CM + "p -b, inc {x}-> p\n",
-     "invalid input: {path}: transition on unknown letter 'b'"),
+     "invalid input: {path}: line 6: transition on unknown letter 'b'"),
+    ("cm-unknown-state", _CM + "p -a, inc {x}-> p\np -a, nop-> q\n",
+     "invalid input: {path}: line 7: transition 'p' -a-> 'q' uses unknown state 'q'"),
     ("tm-duplicate-letter", _TM.replace("tape: B M", "tape: B M B"),
      "invalid input: {path}: tape alphabet must be non-empty without duplicates"),
     ("tm-duplicate-state", _TM.replace("states: h0", "states: h0 h0"),
@@ -634,6 +636,37 @@ def test_non_distributive_machine_exits_65(tmp_path, capsys):
         assert run_cli([command, "--machine", str(path)]) == 65
         out, err = _out(capsys)
         assert out == "" and err.startswith("invalid input: ") and "not distributive" in err
+
+
+def _whole_and_singletons(n, line):
+    """A machine file whose counters are the whole basis x0 ... x{n-1} and
+    its n singletons, and whose one body line is `line`, with {all} standing
+    for the whole basis."""
+    names = ["x%d" % i for i in range(n)]
+    whole = "{%s}" % ",".join(names)
+    return ("alphabet: a\nbasis: %s\ncounters: %s %s\nstates: p\ninitial: p\n%s\n"
+            % (" ".join(names), whole, " ".join("{%s}" % e for e in names),
+               line.replace("{all}", whole)))
+
+
+@pytest.mark.parametrize("n, line, code, out, err", [
+    (24, "p -a, transf {all}->[]-> p", 65, "", "transfer map is not distributive"),
+    (1200, "p -a, nop-> p", 0, "NONEMPTY\n", ""),
+], ids=["empty-image-24", "nop-1200"])
+def test_wide_families_load_in_a_fresh_process(tmp_path, n, line, code, out, err):
+    """The whole basis has two irredundant covers, itself and its n
+    singletons together.  An empty image for it is refused well within the
+    timeout, as no partial selection of singletons that skips one is
+    extended, and a nop over 1201 counters loads, as no cover walk nests
+    a call per member."""
+    path = tmp_path / "wide.cm"
+    path.write_text(_whole_and_singletons(n, line))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-m", "regsafe", "sat", "--machine", str(path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=5)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert err in done.stderr and "Traceback" not in done.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -13,10 +13,11 @@ from regsafe.errors import ParseError, ValidationError
 from regsafe.words import Alphabet
 from itertools import combinations, product
 
-from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, CoverTable, Dec,
-                            EPS, Inc, Instruction, Transfer, Transition, bound_log2_log2,
-                            bound_params, check_distributive, compositions, cover_table,
-                            format_machine, ifz_cap, parse_machine, split_tokens)
+from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, Dec, EPS, Inc,
+                            Instruction, Transfer, Transition, bound_log2_log2, bound_params,
+                            check_distributive, compositions, format_machine, ifz_cap,
+                            parse_machine, split_tokens)
+from regsafe.ipcant.distributive import _irredundant_covers_of
 import regsafe
 from regsafe import ipcant, memo, randgen
 from regsafe.ara import ltl_to_ara, parse_automaton
@@ -272,16 +273,18 @@ def _reference_distributive(f, counters):
     return True
 
 
-def test_cover_table_matches_reference():
+def test_irredundant_covers_match_reference():
+    """The enumerator yields the reference's covers of every counter of a
+    family, in the reference's order, from the counters' basis bitmasks."""
     rng = random.Random(40)
     for _ in range(200):
         st = random_structure(rng, max_basis=4, max_counters=7)
         counters = st.counters
-        table = CoverTable(counters)
-        for c, covers in zip(counters, table.covers):
+        masks = [sum(1 << st.basis.index(e) for e in c) for c in counters]
+        for c, m in zip(counters, masks):
             members = [d for d in counters if d & c]
-            assert [[counters[j] for j in cover] for cover in covers] == \
-                list(_reference_covers(c, members))
+            assert [[counters[j] for j in cover] for cover in _irredundant_covers_of(m, masks)] \
+                == list(_reference_covers(c, members))
 
 
 def test_check_distributive_matches_reference():
@@ -372,22 +375,7 @@ def test_families_keep_their_own_verdicts():
     assert verdicts == {True, False}
 
 
-def test_cover_table_is_shared_and_matches_a_fresh_one():
-    rng = random.Random(44)
-    for _ in range(50):
-        counters = random_structure(rng, max_basis=4, max_counters=7).counters
-        table = cover_table(counters)
-        assert table is cover_table(counters)
-        assert table.covers == CoverTable(counters).covers
-        assert table.masks == CoverTable(counters).masks
-
-
 def test_caches_stay_within_their_bounds(monkeypatch):
-    limit = cover_table.cache_info().maxsize
-    for k in range(limit + 10):
-        counters = (frozenset(["b%d" % k]),)
-        assert check_distributive({counters[0]: counters}, counters)
-    assert cover_table.cache_info().currsize == limit
     # more distinct transfers over one family than its verdicts memo keeps,
     # bounded by regsafe.memo.BOUND as it reads each time the memo keeps
     limit = 64
@@ -405,7 +393,7 @@ def test_caches_stay_within_their_bounds(monkeypatch):
 
 def test_process_wide_caches_only_intern():
     """The lru_caches of every regsafe module outside regsafe.reference: the
-    shared argument parser and four interners of a shared family object, at
+    shared argument parser and three interners of a shared family object, at
     the stdlib's default bound.  What is derived from a family is kept in
     its structure's memos (test_family_memos_stay_within_their_bound), and
     ltl_to_ara keeps nothing: equal calls return distinct automata."""
@@ -418,8 +406,7 @@ def test_process_wide_caches_only_intern():
                       for name, f in vars(module).items()
                       if hasattr(f, "cache_info") and f.__module__ == info.name)
     assert caches == {("cli", "_build_parser"): 1, ("compile", "family_structure"): 128,
-                      ("compile", "letter_free_cycle"): 128,
-                      ("distributive", "cover_table"): 128, ("fileformat", "_parse_structure"): 128}
+                      ("compile", "letter_free_cycle"): 128, ("fileformat", "_parse_structure"): 128}
     ab = Alphabet(("a", "b"))
     f = parse_formula("G (down X nup | a)", ab)
     assert ltl_to_ara(f, ab) is not ltl_to_ara(f, ab)
@@ -660,7 +647,7 @@ def test_bad_lines_and_headers_refused_around_good_files():
         with pytest.raises(ParseError, match="bad counters: header"):
             parse_machine(bad_header, "full")
         with pytest.raises(ValidationError,
-                           match="^transition 'p' -a-> 'p q' uses unknown state 'p q'$"):
+                           match="^line 7: transition 'p' -a-> 'p q' uses unknown state 'p q'$"):
             parse_machine(two_targets, "full")
         parse_machine(good, "full")
     with pytest.raises(ValidationError, match="^transition 'r' -eps-> 'p' uses unknown state 'r'$"):
@@ -694,11 +681,17 @@ def test_invalid_instructions_refused_every_time(xy):
         assert [entry[0] for entry in xy.ops.values()] == [good]
 
 
-def test_unchecked_parse_builds_no_cover_table():
-    cover_table.cache_clear()
-    parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
-                  "p -a, transf {x}->[{x}]-> p\n", "off")
-    assert cover_table.cache_info().currsize == 0
+def test_unchecked_parse_checks_no_transfer(monkeypatch):
+    """An unchecked parse calls check_distributive on nothing, where a
+    checked parse of a transfer its family has not met calls it."""
+    def fail(f, counters):
+        raise AssertionError("check_distributive called")
+
+    monkeypatch.setattr(ipcant.distributive, "check_distributive", fail)
+    header = "alphabet: a\nbasis: unchecked\ncounters: {unchecked}\nstates: p\ninitial: p\n"
+    parse_machine(header + "p -a, transf {unchecked}->[]-> p\n", "off")
+    with pytest.raises(AssertionError, match="check_distributive called"):
+        parse_machine(header + "p -a, transf {unchecked}->[{unchecked}]-> p\n")
 
 
 def _random_machine(rng, structure, lazy):
