@@ -46,9 +46,10 @@ class AlternatingAutomaton:
         if initial not in known:
             raise ValidationError("initial state %r not declared" % (initial,))
         And, Or, Ref, DownRef = pb.And, pb.Or, pb.Ref, pb.DownRef
-        # ids of the And and Or objects walked, each once: the stack finishes
-        # an object's subformulas before it meets the object again, so a
-        # repeat is known to be fine and its references are not reported twice
+        # ids of the formula objects walked, leaves included, each once: the
+        # stack finishes an object's subformulas before it meets the object
+        # again, so a repeat, within an entry or in another entry sharing
+        # the object, is known to be fine and is skipped
         walked = set()
         for (q, a, flag), phi in self.delta.items():
             if q not in known:
@@ -62,12 +63,13 @@ class AlternatingAutomaton:
             todo = [phi]
             while todo:
                 phi = todo.pop()
+                if id(phi) in walked:
+                    continue
+                walked.add(id(phi))
                 kind = type(phi)
                 if kind is And or kind is Or:
-                    if id(phi) not in walked:
-                        walked.add(id(phi))
-                        todo.append(phi.rhs)
-                        todo.append(phi.lhs)
+                    todo.append(phi.rhs)
+                    todo.append(phi.lhs)
                 elif (kind is Ref or kind is DownRef) and phi.state not in known:
                     raise ValidationError("transition references unknown state %r"
                                           % (phi.state,))
@@ -205,11 +207,19 @@ def _combine(a1: AlternatingAutomaton, a2: AlternatingAutomaton, junction):
         kind = type(g)
         return kind(r2[g.state]) if kind is Ref or kind is DownRef else g
 
-    # formulas are immutable, so those not renamed are shared, not copied
+    # formulas are immutable, so those not renamed are shared, not copied,
+    # and each distinct a2 formula object is renamed once: entries that
+    # share a formula share its renamed copy
     renamed = any(r2[q] != q for q in a2.states)
+    copies = {}  # id of an a2 formula -> its renamed copy
     delta = dict(a1.delta)
     for (q, a, flag), phi in a2.delta.items():
-        delta[(r2[q], a, flag)] = pb.rebuild(phi, leaf) if renamed else phi
+        if renamed:
+            copy = copies.get(id(phi))
+            if copy is None:
+                copy = copies[id(phi)] = pb.rebuild(phi, leaf)
+            phi = copy
+        delta[(r2[q], a, flag)] = phi
     for a in a1.alphabet:
         for flag in FLAGS:
             lhs = delta.get((a1.initial, a, flag), _BOT)

@@ -53,24 +53,24 @@ class Or(PosBool):
 
 
 def pand(lhs, rhs):
-    """And with constant folding."""
-    if isinstance(lhs, Bot) or isinstance(rhs, Bot):
-        return Bot()
-    if isinstance(lhs, Top):
-        return rhs
-    if isinstance(rhs, Top):
+    """And with constant folding, telling constants by their class.  A fold
+    returns an operand, never a new node: false when either side is false,
+    else the other side of a true one."""
+    if type(lhs) is Bot or type(rhs) is Top:
         return lhs
+    if type(rhs) is Bot or type(lhs) is Top:
+        return rhs
     return And(lhs, rhs)
 
 
 def por(lhs, rhs):
-    """Or with constant folding."""
-    if isinstance(lhs, Top) or isinstance(rhs, Top):
-        return Top()
-    if isinstance(lhs, Bot):
-        return rhs
-    if isinstance(rhs, Bot):
+    """Or with constant folding, telling constants by their class.  A fold
+    returns an operand, never a new node: true when either side is true,
+    else the other side of a false one."""
+    if type(lhs) is Top or type(rhs) is Bot:
         return lhs
+    if type(rhs) is Top or type(lhs) is Bot:
+        return rhs
     return Or(lhs, rhs)
 
 

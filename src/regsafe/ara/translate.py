@@ -7,14 +7,22 @@ are compiled away into the transition formulas, so the state count is often
 much smaller than the subformula count.
 
 A translation is one bottom-up pass over the distinct subformulas.  A walk
-on an explicit stack lists them children first and gives each an index;
-equal subtrees share one, found from their class and their children's
-indices, so no two formulas are ever compared.  Each subformula's rows, its
-transition formulas under each register flag and letter, are then built
-from its children's rows by index.  A subformula with no letter test
-outside an X reads alike under every letter: its row under a flag is built
-once and serves every letter.  No step recurses, so formulas of any nesting
-depth translate.
+on an explicit stack lists them children first and gives each an index.  It
+walks the formula as the DAG of its node objects: each object is visited
+once, its index kept under its id for the call, so a subtree shared by
+reference costs one visit however often it occurs.  Equal subtrees that are
+distinct objects share one index too, found from their class and their
+children's indices, so no two formulas are ever compared.  The walk also
+marks each index whose subformula has a register test that no binder in it
+binds; the sentence is refused when its own index is marked, so no second
+pass checks it.
+
+Each subformula's rows, its transition formulas under each register flag
+and letter, are then built from its children's rows by index.  A
+subformula with no unbound register test reads alike under both flags: its
+one row serves both.  One with no letter test outside an X reads alike
+under every letter: its row under a flag is built once and serves every
+letter.  No step recurses, so formulas of any nesting depth translate.
 """
 
 from functools import partial
@@ -22,30 +30,52 @@ from itertools import repeat
 
 from .. import ltl
 from ..errors import ValidationError
-from ..tree import fold
 from ..words import Alphabet
 from . import posbool as pb
-from .automaton import FLAGS, AlternatingAutomaton
+from .automaton import AlternatingAutomaton
+
+_DONE = object()  # marks, on _index's stack, a node whose children are indexed
 
 
 def _index(f):
-    """f's distinct subformulas, children first, as (formulas, kids):
-    formulas[i] is one of the equal subtrees of index i, kids[i] its
-    children's indices.  Every child's index is below its parent's, and f's
-    is the last."""
-    formulas, kids = [], []
+    """f's distinct subformulas, children first, as (formulas, kids,
+    unbound): formulas[i] is one of the equal subtrees of index i, kids[i]
+    its children's indices, and unbound[i] whether it has a register test
+    that no binder in it binds.  Every child's index is below its parent's,
+    and f's is the last."""
+    formulas, kids, unbound = [], [], []
     index = {}  # (class, children's indices or a leaf's fields) -> index
-
-    def add(g, key, ks):
+    at = {}  # id of a node object walked -> its index
+    Up, NotUp, Freeze = ltl.Up, ltl.NotUp, ltl.Freeze
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if g is _DONE:
+            g = todo.pop()
+            ks = tuple([at[id(c)] for c in g.fields])
+            key = (type(g),) + ks
+        elif id(g) in at:
+            continue
+        else:
+            try:
+                n = g.arity
+            except AttributeError:
+                raise TypeError("not a formula: %r" % (g,)) from None
+            if n:
+                todo += (g, _DONE)
+                todo += g.fields[::-1]
+                continue
+            ks = ()
+            key = (type(g),) + g.fields
         i = index.setdefault(key, len(formulas))
         if i == len(formulas):
             formulas.append(g)
             kids.append(ks)
-        return i
-
-    fold(f, lambda g: add(g, (type(g),) + g.fields, ()),
-         lambda g, *ks: add(g, (type(g),) + ks, ks))
-    return formulas, kids
+            kind = type(g)
+            unbound.append(kind is not Freeze and any([unbound[k] for k in ks]) if ks else
+                          kind is Up or kind is NotUp)
+        at[id(g)] = i
+    return formulas, kids, unbound
 
 
 def _tracked(formulas, kids):
@@ -80,20 +110,23 @@ _TOP, _BOT = pb.Top(), pb.Bot()
 def ltl_to_ara(f: ltl.Formula, alphabet: Alphabet) -> AlternatingAutomaton:
     """The automaton of the sentence f over alphabet, a new one on every
     call.  Raises ValidationError when f has a free register test."""
-    if not ltl.is_sentence(f):
+    formulas, kids, unbound = _index(f)
+    if unbound[-1]:
         raise ValidationError("formula has a free register test")
-    formulas, kids = _index(f)
     tracked = _tracked(formulas, kids)
     name = {i: "s%d" % k for k, i in enumerate(tracked)}
     letters = alphabet.letters
-    # free[i]: whether formula i reads alike under every letter; rows[flag][i]
-    # is then its one row under flag, else the tuple of its rows per letter
+    # free[i]: whether formula i reads alike under every letter; up[i] and
+    # nup[i] are then its one row under each flag, else the tuples of its
+    # rows per letter.  up[i] is nup[i] unless unbound[i]
     free = []
-    rows = {flag: [] for flag in FLAGS}
+    up, nup = [], []
 
-    def per_letter(i, flag):
-        r = rows[flag][i]
-        return repeat(r) if free[i] else r
+    def joined(join, rows, lhs, rhs, fr):
+        if fr:
+            return join(rows[lhs], rows[rhs])
+        return tuple(map(join, repeat(rows[lhs]) if free[lhs] else rows[lhs],
+                         repeat(rows[rhs]) if free[rhs] else rows[rhs]))
 
     for i, g in enumerate(formulas):
         kind = type(g)
@@ -101,33 +134,30 @@ def ltl_to_ara(f: ltl.Formula, alphabet: Alphabet) -> AlternatingAutomaton:
         fr = kind is not ltl.Atom and (kind is ltl.Next or all([free[k] for k in ks]))
         free.append(fr)
         if kind is ltl.Next:
-            ref = pb.Ref(name[ks[0]])
-            for flag in FLAGS:
-                rows[flag].append(ref)
+            row = other = pb.Ref(name[ks[0]])
         elif kind is ltl.Freeze:
             # down-mark every reference the body's row under up produces
-            body = rows["up"][ks[0]]
-            row = (pb.rebuild(body, _down_mark) if fr else
-                   tuple([pb.rebuild(r, _down_mark) for r in body]))
-            for flag in FLAGS:
-                rows[flag].append(row)
+            body = up[ks[0]]
+            row = other = (pb.rebuild(body, _down_mark) if fr else
+                           tuple([pb.rebuild(r, _down_mark) for r in body]))
         elif kind is ltl.And or kind is ltl.Or or kind is ltl.Release:
             join = (pb.por if kind is ltl.Or else pb.pand if kind is ltl.And
                     else partial(_release, pb.Ref(name[i])))
             lhs, rhs = ks
-            for flag in FLAGS:
-                rows[flag].append(join(rows[flag][lhs], rows[flag][rhs]) if fr else
-                                  tuple(map(join, per_letter(lhs, flag), per_letter(rhs, flag))))
+            row = joined(join, up, lhs, rhs, fr)
+            other = joined(join, nup, lhs, rhs, fr) if unbound[i] else row
         else:
-            for flag in FLAGS:
-                rows[flag].append(_leaf_row(g, flag, letters))
+            row = _leaf_row(g, "up", letters)
+            other = _leaf_row(g, "nup", letters) if unbound[i] else row
+        up.append(row)
+        nup.append(other)
 
     delta = {}
     for i in tracked:
         q = name[i]
         for j, a in enumerate(letters):
-            for flag in FLAGS:
-                phi = rows[flag][i] if free[i] else rows[flag][i][j]
+            for flag, rows in (("up", up), ("nup", nup)):
+                phi = rows[i] if free[i] else rows[i][j]
                 if type(phi) is not pb.Bot:
                     delta[(q, a, flag)] = phi
     states = tuple(name[i] for i in tracked)

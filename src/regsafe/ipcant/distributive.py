@@ -52,37 +52,49 @@ def check_distributive(f, counters) -> bool:
     irredundant subcover).  Each basis element gets a bit as it is met, in
     the counters and in their images alike.
 
-    A counter c among its own images, where every image of every other
-    counter d meeting c holds d & c, is settled without its covers: the
-    only irredundant cover that contains c is (c,), whose choices are c's
-    own images, and any other cover's chosen images hold the d & c of its
-    members, which together make up c, an image of c.  The other counters
-    walk their covers as _irredundant_covers_of yields them (83150 for all
-    72 counters of a three-state automaton's compiled family), drawn from
-    the counters with an image only: a cover with a member without one
-    admits no choice of images.  The condition on a cover depends only on
-    the union of the chosen images, so the unions are folded cover member
-    by member into a set."""
+    A counter c is settled without its covers when every image of every
+    other counter d meeting c holds d & c, and c is among its own images or
+    no other counter meets it.  If none meets c, its only irredundant cover
+    is (c,), whose choices are c's own images.  If c is among its images,
+    that cover is fine for the same reason, and any other cover's chosen
+    images hold the d & c of its members, which together make up c, an
+    image of c.  The other counters walk their covers as
+    _irredundant_covers_of yields them (83150 for all 72 counters of a
+    three-state automaton's compiled family), drawn from the counters with
+    an image only: a cover with a member without one admits no choice of
+    images.  The condition on a cover depends only on the union of the
+    chosen images, so the unions are folded cover member by member into a
+    set.
+
+    The set-up is plain loops, with no closure or generator, and a map
+    whose every counter is settled, as one over counters that do not meet
+    one another is, walks no cover: most calls are on such small maps."""
     counters = tuple(counters)
     bits = {}
-
-    def mask(elements):
+    masks = []
+    for c in counters:
         m = 0
-        for e in elements:
+        for e in c:
             m |= bits.setdefault(e, 1 << len(bits))
-        return m
-
-    masks = tuple(mask(c) for c in counters)
+        masks.append(m)
     images = []
     for c in counters:
         if c not in f:
             raise ValidationError("transfer map not total: missing %r" % (sorted(c),))
-        images.append(tuple({mask(d) for d in f[c]}))
-    imaged = tuple(m if imgs else 0 for m, imgs in zip(masks, images))
-    for i, (c, imgs) in enumerate(zip(masks, images)):
-        if c in imgs and all(img & d & c == d & c for j, d in enumerate(masks)
-                             if j != i and d & c for img in images[j]):
+        imgs = set()
+        for d in f[c]:
+            m = 0
+            for e in d:
+                m |= bits.setdefault(e, 1 << len(bits))
+            imgs.add(m)
+        images.append(imgs)
+    imaged = None  # each counter's mask if it has an image, else 0; made on first need
+    for i, c in enumerate(masks):
+        if _settled(i, masks, images):
             continue
+        if imaged is None:
+            imaged = [m if images[j] else 0 for j, m in enumerate(masks)]
+        imgs = images[i]
         # unions known to hold an image: each image holds itself
         fine = set(imgs)
         for cover in _irredundant_covers_of(c, imaged):
@@ -96,6 +108,22 @@ def check_distributive(f, counters) -> bool:
                     return False
                 fine.add(u)
     return True
+
+
+def _settled(i, masks, images):
+    """Whether check_distributive's test settles counter i without its
+    covers: every image of every other counter meeting it holds their common
+    part, and it is among its own images or no other counter meets it."""
+    c = masks[i]
+    alone = True
+    for j, d in enumerate(masks):
+        d &= c
+        if d and j != i:
+            alone = False
+            for img in images[j]:
+                if img & d != d:
+                    return False
+    return alone or c in images[i]
 
 
 def _check_transfers(transfers, structure):

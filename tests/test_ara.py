@@ -255,6 +255,30 @@ def test_intersect_and_union_against_components(fig1, top_automaton, abc):
         assert run_exists(either, w) == run_exists(fig1, w)
 
 
+def test_combine_renames_each_distinct_formula_once(fig1, example_formula, abc):
+    """intersect and union rename each distinct formula object of their
+    second automaton once, so the renamed entries share formula objects as
+    the second automaton's own entries do."""
+    _, f = example_formula
+    example = ltl_to_ara(f, abc)
+
+    def distinct(phis):
+        return len({id(phi) for phi in phis})
+
+    pairs = ((fig1, example), (example, example), (fig1, fig1))
+    for a1, a2 in pairs:
+        for combine in (intersect, union):
+            both = combine(a1, a2)
+            a2_entries = [phi for (q, _, _), phi in both.delta.items()
+                          if q not in a1.states and q != both.initial]
+            assert len(a2_entries) == len(a2.delta)
+            assert distinct(a2_entries) == distinct(a2.delta.values()), (a1.states, a2.states)
+    # example's entries share formulas, and the latter pairs rename every
+    # state of their second automaton
+    assert distinct(example.delta.values()) < len(example.delta)
+    assert union(example, example).states[-1] == example.states[-1] + "_2"
+
+
 def test_dualize_automaton_involution(fig1):
     again = dualize(dualize(fig1))
     assert again.states == fig1.states
@@ -281,6 +305,79 @@ def test_translation_rejects_open_formulas(abc):
     from regsafe.ltl import Up
     with pytest.raises(ValidationError):
         ltl_to_ara(Up(), abc)
+
+
+def test_shared_subformulas_translate_once():
+    """And(f, f) nested 24 deep over X a is a tree of about 2^25 nodes over
+    25 objects; the translation walks the objects, so it takes well under a
+    second, where a walk of the tree takes tens of seconds."""
+    f = ltl.Next(ltl.Atom("a"))
+    for _ in range(24):
+        f = ltl.And(f, f)
+    start = time.perf_counter()
+    aut = ltl_to_ara(f, AB)
+    assert time.perf_counter() - start < 1
+    assert aut.states == ("s0", "s1") and aut.initial == "s0"
+    assert aut.delta[("s1", "a", "up")] == pb.Top()
+    assert ("s1", "b", "up") not in aut.delta
+    phi = aut.delta[("s0", "a", "up")]
+    for flag, a in (("nup", "a"), ("up", "b"), ("nup", "b")):
+        assert aut.delta[("s0", a, flag)] is phi
+    for _ in range(24):
+        assert type(phi) is pb.And and phi.lhs is phi.rhs
+        phi = phi.lhs
+    assert phi == pb.Ref("s1")
+
+
+def test_rows_without_register_tests_serve_both_flags(data_text):
+    """A tracked subformula with no register test outside a binder gets one
+    transition formula object for up and nup under each letter; the walk's
+    unbound flags agree with ltl.is_sentence on every distinct subformula."""
+    from regsafe.ara.translate import _index, _tracked
+    formulas = []
+    for name in ("bouncer.tm", "halting.tm"):
+        tm = parse_tm(data_text(name))
+        formulas.append((tm_to_formula(tm), tm_alphabet(tm)))
+    rng = random.Random(25)
+    abc = Alphabet(("a", "b", "c"))
+    formulas += [(random_sentence(rng, abc, depth=1 + k % 6), abc) for k in range(200)]
+    shared = split = 0
+    for f, ab in formulas:
+        subformulas, kids, unbound = _index(f)
+        assert unbound == [not ltl.is_sentence(g) for g in subformulas]
+        aut = ltl_to_ara(f, ab)
+        for q, i in zip(aut.states, _tracked(subformulas, kids)):
+            for a in ab:
+                up, nup = aut.delta.get((q, a, "up")), aut.delta.get((q, a, "nup"))
+                if not unbound[i]:
+                    assert up is nup, (q, a)
+                    shared += 1
+                elif up is not nup:
+                    split += 1
+    assert shared > 1000 and split > 100, (shared, split)
+
+
+def test_shared_free_register_test_is_refused():
+    """A register test shared by reference between a place under a binder
+    and one outside every binder is free, whichever the walk meets first."""
+    s = ltl.Or(ltl.Up(), ltl.Atom("a"))
+    for f in (ltl.And(ltl.Freeze(s), ltl.Next(s)), ltl.And(ltl.Next(s), ltl.Freeze(s)),
+              ltl.Release(ltl.Freeze(ltl.Next(s)), s)):
+        with pytest.raises(ValidationError, match="formula has a free register test"):
+            ltl_to_ara(f, AB)
+    bound = ltl_to_ara(ltl.Freeze(ltl.And(s, ltl.Next(s))), AB)
+    assert bound.states == ("s0", "s1")
+
+
+def test_pand_por_return_the_deciding_constant():
+    """pand and por fold constants and make no node for them: the operand
+    that decides the result, or the other one, is returned itself."""
+    top, bot, p = pb.Top(), pb.Bot(), pb.Ref("p")
+    assert pb.pand(bot, p) is bot and pb.pand(p, bot) is bot and pb.pand(top, bot) is bot
+    assert pb.pand(top, p) is p and pb.pand(p, top) is p and pb.pand(top, top) == top
+    assert pb.por(top, p) is top and pb.por(p, top) is top and pb.por(bot, top) is top
+    assert pb.por(bot, p) is p and pb.por(p, bot) is p and pb.por(bot, bot) == bot
+    assert pb.pand(p, p) == pb.And(p, p) and pb.por(p, p) == pb.Or(p, p)
 
 
 def test_translated_example_matches_fig1(example_formula, fig1, abc):

@@ -329,7 +329,7 @@ _WITNESS = {_X: (_X,), _Y: (_Y,), _XY: ()}  # the cover {x}, {y} of {x,y} has no
 _CM_HEADER = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p\ninitial: p\n"
 
 
-def test_shared_table_keeps_refusing_non_distributive_maps():
+def test_repeated_checks_keep_refusing_non_distributive_maps():
     counters = (_X, _Y, _XY)
     assert check_distributive({c: (c,) for c in counters}, counters)
     assert not check_distributive(_WITNESS, counters)
@@ -343,7 +343,7 @@ def test_shared_table_keeps_refusing_non_distributive_maps():
         parse_machine(_CM_HEADER + "p -a, transf {x,y}->[]-> p\n")
 
 
-def test_non_total_map_raises_with_cached_table():
+def test_non_total_map_raises_on_every_check():
     counters = (_X, _Y, _XY)
     check_distributive({c: (c,) for c in counters}, counters)
     for _ in range(2):
