@@ -126,7 +126,12 @@ _JOIN = object()  # marks, on the fold's stack, a node whose subtrees are done
 def fold(root: Node, leaf, join):
     """The value of a tree computed bottom-up: leaf(g) at every leaf g,
     join(g, *values) at every inner node g from the values of its subtrees,
-    which are folded left to right."""
+    which are folded left to right.  Each distinct inner node object is
+    joined once, at its first place in that order, and its value serves
+    wherever else it sits: the work is linear in the nodes of the DAG, not
+    in the paths of the tree, and a fold that copies shares the inner nodes
+    its source shares.  leaf is called at every place of a leaf."""
+    values = {}  # id of an inner node joined in this call -> its value
     done = []
     todo = [root]
     while todo:
@@ -136,22 +141,28 @@ def fold(root: Node, leaf, join):
             n = g.arity
             if n == 2:
                 rhs = done.pop()
-                done[-1] = join(g, done[-1], rhs)
+                value = done[-1] = join(g, done[-1], rhs)
             else:
-                done[-n:] = (join(g, *done[-n:]),)
+                value = join(g, *done[-n:])
+                done[-n:] = (value,)
+            values[id(g)] = value
             continue
         try:
             n = g.arity
         except AttributeError:
             raise TypeError("not a tree node: %r" % (g,)) from None
-        if n == 2:  # the common shape, pushed without slicing
+        if not n:
+            done.append(leaf(g))
+            continue
+        key = id(g)
+        if key in values:  # folded before: its whole subtree is done
+            done.append(values[key])
+        elif n == 2:  # the common shape, pushed without slicing
             lhs, rhs = g.fields
             todo += (g, _JOIN, rhs, lhs)
-        elif n:
+        else:
             todo += (g, _JOIN)
             todo += g.fields[::-1]
-        else:
-            done.append(leaf(g))
     return done[0]
 
 

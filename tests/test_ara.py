@@ -307,12 +307,27 @@ def test_translation_rejects_open_formulas(abc):
         ltl_to_ara(Up(), abc)
 
 
+def _distinct_nodes(aut):
+    """The number of distinct node objects in the automaton's rows."""
+    seen = set()
+    todo = list(aut.delta.values())
+    while todo:
+        g = todo.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            todo += g.fields if g.arity else ()
+    return len(seen)
+
+
 def test_shared_subformulas_translate_once():
     """And(f, f) nested 24 deep over X a is a tree of about 2^25 nodes over
     25 objects; the translation walks the objects, so it takes well under a
-    second, where a walk of the tree takes tens of seconds."""
+    second, where a walk of the tree takes tens of seconds.  So do the
+    down-marked rows of down f and their renamed copies in intersect and
+    union, which share their inner nodes as their sources do."""
+    depth = 24
     f = ltl.Next(ltl.Atom("a"))
-    for _ in range(24):
+    for _ in range(depth):
         f = ltl.And(f, f)
     start = time.perf_counter()
     aut = ltl_to_ara(f, AB)
@@ -323,10 +338,27 @@ def test_shared_subformulas_translate_once():
     phi = aut.delta[("s0", "a", "up")]
     for flag, a in (("nup", "a"), ("up", "b"), ("nup", "b")):
         assert aut.delta[("s0", a, flag)] is phi
-    for _ in range(24):
+    for _ in range(depth):
         assert type(phi) is pb.And and phi.lhs is phi.rhs
         phi = phi.lhs
     assert phi == pb.Ref("s1")
+    start = time.perf_counter()
+    aut = ltl_to_ara(ltl.Freeze(f), AB)
+    both, either = intersect(aut, aut), union(aut, aut)
+    assert time.perf_counter() - start < 1
+    phi = aut.delta[(aut.initial, "a", "up")]
+    for _ in range(depth - 1):
+        assert type(phi) is pb.And and phi.lhs is phi.rhs
+        phi = phi.lhs
+    # leaves are copied at each place
+    assert type(phi) is pb.And and phi.lhs == phi.rhs == pb.DownRef(phi.lhs.state)
+    assert pb.eval_posbool(aut.delta[(aut.initial, "a", "up")], (set(), {phi.lhs.state}))
+    distinct = _distinct_nodes(aut)
+    assert distinct <= 3 * depth
+    # each combined automaton holds the two copies and its initial rows,
+    # one junction node over two shared rows per letter and flag
+    for combined in (both, either):
+        assert _distinct_nodes(combined) <= 2 * distinct + len(AB) * 3
 
 
 def test_rows_without_register_tests_serve_both_flags(data_text):

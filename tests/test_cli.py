@@ -7,18 +7,40 @@ import sys
 
 import pytest
 
+from regsafe import memo
 from regsafe.cli import TMGEN_MAX_LETTERS, run_cli
 from regsafe.words import parse_word
 from regsafe.ara import parse_automaton
-from regsafe.ipcant import parse_machine
+from regsafe.ipcant import format_machine, parse_machine
+from regsafe.ipcant.fileformat import _parse_structure
 from regsafe.ltl import parse_formula, parse_formula_file
 from regsafe.pipeline import encode_tm_run, parse_tm, tm_alphabet
+from regsafe.pipeline.compile import family_structure, letter_free_cycle
 from regsafe.words import print_word
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def _out(capsys):
     captured = capsys.readouterr()
     return captured.out, captured.err
+
+
+def _alone(args, timeout=60):
+    """(exit code, stdout, stderr) of a fresh interpreter given args, with
+    the source tree on its path."""
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                          timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _empty_family_caches():
+    """Empty the process-wide caches of counter families, as a fresh
+    process has them."""
+    for cache in (family_structure, letter_free_cycle, _parse_structure):
+        cache.cache_clear()
 
 
 def test_parse_echoes_canonical_formula(data_path, capsys):
@@ -105,14 +127,76 @@ def test_ara2cm_then_sat_machine_matches_automaton(data_path, tmp_path, capsys):
     assert _out(capsys)[0] == "NONEMPTY\n"
 
 
+def test_fig1_prints_alike_fresh_and_after_another_of_its_family(data_path, tmp_path, capsys):
+    """The letter-free part of the cycle, the counter structure and the
+    parsed, checked and printed lines and instructions are shared by the
+    machines of a counter family within a process.  From empty family
+    caches, another automaton over fig1's states is printed first, then
+    fig1: it prints as in a fresh process, and both machines print back as
+    parsed, other first, so that fig1 is parsed against a warm line cache."""
+    fig1 = ["ara2cm", "--automaton", data_path("fig1.ara")]
+    code, fresh, _ = _alone(["-m", "regsafe"] + fig1)
+    assert code == 0
+    _empty_family_caches()
+    other = tmp_path / "other.ara"
+    other.write_text("alphabet: a b c\nstates: q q1 q2\ninitial: q1\nq, a, up -> q2\n"
+                     "q1, b, * -> d(q) | q1\nq2, a, nup -> q2 & d(q1)\n")
+    printed = []
+    for argv in (["ara2cm", "--automaton", str(other)], fig1):
+        assert run_cli(argv) == 0, argv
+        printed.append(_out(capsys)[0])
+    other, after = printed
+    assert other.splitlines()[3].startswith("states: "), other
+    assert after == fresh, "fig1's machine differs after another of its family"
+    assert other != fresh
+    for text in (other, fresh):
+        assert format_machine(parse_machine(text, "full")) == text
+
+
+@pytest.fixture(scope="module")
+def default_bound_answers(data_path):
+    """(exit code, stdout, stderr) of fig1's ara2cm and three sat queries,
+    each in a fresh interpreter at the default memo bound."""
+    queries = [("ara2cm", "--automaton", data_path("fig1.ara")),
+               ("sat", "--automaton", data_path("fig1.ara")),
+               ("sat", "--automaton", data_path("top.ara")),
+               ("sat", "--machine", data_path("tiny.cm"))]
+    return {argv: _alone(["-m", "regsafe", *argv], timeout=300) for argv in queries}
+
+
+@pytest.mark.parametrize("order", ["bound-first", "fig1-first"])
+def test_answers_alike_with_every_memo_bounded_at_8(data_path, default_bound_answers,
+                                                    monkeypatch, capsys, order):
+    """regsafe.memo.BOUND is read each time a memo keeps, so setting it
+    bounds run_exists's step tables, the lettered steps and every counter
+    family's memos at once, those made before it too from their next keep
+    on.  Here the step tables, the read-transfer and edge memos and the op
+    and print memos fill and empty many times over, and no answer or
+    printed byte may change.  From empty family caches, bound-first sets
+    the bound before anything is built; fig1-first compiles fig1 at the
+    default bound first, so that its family is interned before the bound
+    drops."""
+    fig1 = data_path("fig1.ara")
+    _empty_family_caches()
+    if order == "fig1-first":
+        assert run_cli(["ara2cm", "--automaton", fig1]) == 0
+        _out(capsys)
+    monkeypatch.setattr(memo, "BOUND", 8)
+    for extra in ([], ["--max-states", "3", "--max-len", "40"]):
+        assert run_cli(["oracle", "--trials", "200", "--seed", "4"] + extra) == 0, extra
+        assert _out(capsys) == ("AGREE trials=200 seed=4\n", ""), extra
+    assert run_cli(["include", "--format", "json", "--lhs", fig1, "--rhs", fig1]) == 0
+    record = json.loads(_out(capsys)[0])
+    assert (record["verdict"], record["explored"]) == ("INCLUDED", 1275), record
+    for argv, alone in default_bound_answers.items():
+        code = run_cli(list(argv))
+        assert (code, *_out(capsys)) == alone, argv
+
+
 @pytest.mark.parametrize("module", ["regsafe", "regsafe.cli"])
 def test_python_m_runs_the_cli(data_path, module):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", module, "sat", "--machine",
-                           data_path("tiny.cm"), "--cap", "50"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "NONEMPTY\n")
+    code, out, _ = _alone(["-m", module, "sat", "--machine", data_path("tiny.cm"), "--cap", "50"])
+    assert (code, out) == (0, "NONEMPTY\n")
 
 
 _RUNTIME_PROBE = """
@@ -147,13 +231,9 @@ def test_command_line_loads_nothing_test_only(data_path):
     """In a fresh interpreter, importing what the benchmark's worker imports
     and running every subcommand once loads nothing of regsafe.reference,
     nor dataclasses and inspect."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    data = os.path.dirname(data_path("fig1.ara"))
-    done = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE, data],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr) == (0, ""), done.stderr
-    assert done.stdout == "parse ltl2ara ara2cm run sat include refine bound tmgen oracle\n"
+    code, out, err = _alone(["-c", _RUNTIME_PROBE, os.path.dirname(data_path("fig1.ara"))])
+    assert (code, err) == (0, ""), err
+    assert out == "parse ltl2ara ara2cm run sat include refine bound tmgen oracle\n"
 
 
 def test_include_verdicts(data_path, capsys):
@@ -175,7 +255,10 @@ def test_include_json_record(data_path, capsys):
     assert "checkpoints" in record
 
 
-def test_refine(tmp_path, capsys):
+def test_refine(data_path, tmp_path, capsys):
+    example = data_path("example.ltl")
+    assert run_cli(["refine", "--lhs", example, "--rhs", example]) == 0
+    assert _out(capsys) == ("INCLUDED\n", "")
     lhs = tmp_path / "strong.ltl"
     rhs = tmp_path / "weak.ltl"
     lhs.write_text("alphabet: a b\n(G a) & (down X (a R b))\n")
@@ -190,13 +273,15 @@ def test_mismatched_alphabets_exit_65(tmp_path, data_path, capsys):
     """Two inputs that each validate but share no alphabet cannot be
     compared: invalid input (65), naming both files and both alphabets."""
     fig = data_path("fig1.ara")
-    ac = tmp_path / "ac.ara"
+    ab, ac = tmp_path / "ab.ara", tmp_path / "ac.ara"
+    ab.write_text("alphabet: a b\nstates: p\ninitial: p\np, a, * -> p\n")
     ac.write_text("alphabet: a c\nstates: p\ninitial: p\np, a, * -> p\n")
-    assert run_cli(["include", "--lhs", fig, "--rhs", str(ac)]) == 65
-    out, err = _out(capsys)
-    assert out == ""
-    assert err == "invalid input: %s and %s must share an alphabet, not a b c and a c\n" % (
-        fig, ac)
+    for lhs, letters in ((fig, "a b c"), (ab, "a b")):
+        assert run_cli(["include", "--lhs", str(lhs), "--rhs", str(ac)]) == 65
+        out, err = _out(capsys)
+        assert out == ""
+        assert err == "invalid input: %s and %s must share an alphabet, not %s and a c\n" % (
+            lhs, ac, letters)
     lhs, rhs = tmp_path / "a.ltl", tmp_path / "ab.ltl"
     lhs.write_text("alphabet: a\nG a\n")
     rhs.write_text("alphabet: a b\nG a\n")
@@ -302,7 +387,10 @@ def test_bound_past_the_float_range(data_path, tmp_path, capsys):
     assert _out(capsys) == ("m is about 2^(2^1624490.616), too large to materialize\n", "")
 
 
-def test_tmgen_round_trip(data_path, data_text, capsys):
+def test_tmgen_round_trip(data_path, data_text, tmp_path, capsys):
+    """tmgen's formula of bouncer.tm and the word of its run of two steps:
+    parse echoes the formula, the echo echoes alike, and the formula's
+    automaton accepts the word."""
     assert run_cli(["tmgen", "--tm", data_path("bouncer.tm")]) == 0
     out, _ = _out(capsys)
     ab, f = parse_formula_file(out)
@@ -316,11 +404,39 @@ def test_tmgen_round_trip(data_path, data_text, capsys):
     expected = print_word(encode_tm_run(machine, 2))
     assert word_lines[0] == "word: " + expected
     parse_word(word_lines[0][len("word: "):], tm_alphabet(machine))
+    lines = out.splitlines()
+    formula, echoed = tmp_path / "bouncer.ltl", tmp_path / "echoed.ltl"
+    formula.write_text("".join(line + "\n" for line in lines[:2]))
+    assert run_cli(["parse", "--formula", str(formula)]) == 0
+    once, err = _out(capsys)
+    assert err == ""
+    echoed.write_text(lines[0] + "\n" + once)
+    assert run_cli(["parse", "--formula", str(echoed)]) == 0
+    assert _out(capsys) == (once, "")
+    automaton = tmp_path / "bouncer.ara"
+    assert run_cli(["ltl2ara", "--formula", str(formula)]) == 0
+    automaton.write_text(_out(capsys)[0])
+    assert run_cli(["run", "--automaton", str(automaton), "--word", expected]) == 0
+    assert _out(capsys) == ("YES\n", "")
 
 
-def test_oracle_agrees(capsys):
-    assert run_cli(["oracle", "--trials", "25", "--seed", "1"]) == 0
-    assert _out(capsys)[0] == "AGREE trials=25 seed=1\n"
+@pytest.mark.parametrize("argv", [
+    ["--trials", "500", "--seed", "1"],
+    # up to 6 states, so the step memos' s_c | s_here << n keys reach 12
+    # bits, and words of up to 8 letters
+    ["--trials", "300", "--seed", "2", "--max-states", "6", "--max-len", "8"],
+    # run_exists steps every live class's mask in place; 216 of these words
+    # are longer than 10 letters, with many classes live at once, and 37 of
+    # those are accepted
+    ["--trials", "300", "--seed", "3", "--max-states", "3", "--max-len", "40"],
+], ids=["500-samples", "300-wide-automata", "300-long-words"])
+def test_oracle_agrees(capsys, argv):
+    """run_exists agrees with the brute-force run searches on seeded
+    samples; oracle exits 1 and prints MISMATCH with the automaton and the
+    word when the backward pass, the thread search or the definition
+    differ."""
+    assert run_cli(["oracle"] + argv) == 0
+    assert _out(capsys) == ("AGREE trials=%s seed=%s\n" % (argv[1], argv[3]), "")
 
 
 def test_oracle_json(capsys):
@@ -506,6 +622,11 @@ def test_formula_file_error_names_line_and_column(tmp_path, capsys):
     assert run_cli(["parse", "--formula", str(bad)]) == 65
     _, err = _out(capsys)
     assert err == "parse error: %s: line 3, column 4: unexpected character '%%'\n" % bad
+    # and so is an unknown state in a transition formula, after a blank line
+    bad = tmp_path / "bad.ara"
+    bad.write_text("alphabet: a\nstates: p\ninitial: p\n\np, a, * -> p & x\n")
+    assert run_cli(["ara2cm", "--automaton", str(bad)]) == 65
+    assert _out(capsys) == ("", "parse error: %s: line 5, column 16: unknown state 'x'\n" % bad)
 
 
 def test_invalid_input_files_exit_65(tmp_path, capsys):
@@ -649,24 +770,32 @@ def _whole_and_singletons(n, line):
                line.replace("{all}", whole)))
 
 
-@pytest.mark.parametrize("n, line, code, out, err", [
-    (24, "p -a, transf {all}->[]-> p", 65, "", "transfer map is not distributive"),
-    (1200, "p -a, nop-> p", 0, "NONEMPTY\n", ""),
-], ids=["empty-image-24", "nop-1200"])
-def test_wide_families_load_in_a_fresh_process(tmp_path, n, line, code, out, err):
-    """The whole basis has two irredundant covers, itself and its n
-    singletons together.  An empty image for it is refused well within the
-    timeout, as no partial selection of singletons that skips one is
-    extended, and a nop over 1201 counters loads, as no cover walk nests
-    a call per member."""
+# {x} and {y} cover {x,y}; choosing {z} as the image of both leaves {x,y}'s
+# image outside the union.  Only one choice of images on one cover of 13
+# counters shows it, so only a check of every cover does
+_RARE_COVER = ("alphabet: a\nbasis: x y z a0 a1 a2 a3 a4 a5 a6 a7 a8\n"
+               "counters: {x} {y} {x,y} {z} {a0} {a1} {a2} {a3} {a4} {a5} {a6} {a7} {a8}\n"
+               "states: p\ninitial: p\np -a, transf {x}->[{x,y},{z}]; {y}->[{z},{x,y}]-> p\n")
+
+
+@pytest.mark.parametrize("text, code, out, err", [
+    (_whole_and_singletons(24, "p -a, transf {all}->[]-> p"), 65, "",
+     "transfer map is not distributive"),
+    (_whole_and_singletons(1200, "p -a, nop-> p"), 0, "NONEMPTY\n", ""),
+    (_RARE_COVER, 65, "", "transfer map is not distributive"),
+], ids=["empty-image-24", "nop-1200", "rare-cover-13"])
+def test_wide_families_load_in_a_fresh_process(tmp_path, text, code, out, err):
+    """The whole basis of n counters has two irredundant covers, itself and
+    its n singletons together.  An empty image for it is refused well
+    within the timeout, as no partial selection of singletons that skips
+    one is extended, and a nop over 1201 counters loads, as no cover walk
+    nests a call per member.  The one bad cover of the rare-cover file is
+    found as soon."""
     path = tmp_path / "wide.cm"
-    path.write_text(_whole_and_singletons(n, line))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    done = subprocess.run([sys.executable, "-m", "regsafe", "sat", "--machine", str(path)],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=5)
-    assert (done.returncode, done.stdout) == (code, out)
-    assert err in done.stderr and "Traceback" not in done.stderr
+    path.write_text(text)
+    got = _alone(["-m", "regsafe", "sat", "--machine", str(path)], timeout=5)
+    assert got[:2] == (code, out)
+    assert err in got[2] and "Traceback" not in got[2]
 
 
 def test_help_exits_zero(capsys):
@@ -681,9 +810,6 @@ def test_deterministic_output(data_path, capsys):
     assert run_cli(["ltl2ara", "--formula", data_path("example.ltl")]) == 0
     second, _ = _out(capsys)
     assert first == second
-
-
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def _readme_examples():
@@ -708,10 +834,13 @@ def _readme_examples():
 
 def test_readme_examples(monkeypatch, capsys):
     """The README's command examples, run from the repository root, print
-    what the README shows."""
-    monkeypatch.chdir(os.path.dirname(README))
+    what the README shows.  Every `$ regsafe ...` line of the README is
+    one of them, so none stands outside a text block unchecked."""
+    monkeypatch.chdir(ROOT)
     examples = _readme_examples()
-    assert len(examples) >= 6
+    with open(README) as fh:
+        commands = [line for line in fh if line.startswith("$ regsafe ")]
+    assert len(examples) == len(commands) >= 6
     for command, lines in examples:
         assert run_cli(shlex.split(command)) in (0, 1), command
         out, err = _out(capsys)

@@ -606,6 +606,18 @@ def test_lettered_step_memo_matches_fresh_machines(with_co):
     assert capped and lettered
 
 
+def test_fig1_prefixes_answer_alike_in_either_order(data_text):
+    """prefix_reachable shares lettered steps through the machine's memo:
+    every string of at most three letters, asked on one machine of fig1 in
+    order and then in reverse, gets the answer of a fresh machine."""
+    fig1 = parse_automaton(data_text("fig1.ara"))
+    strings = [s for n in range(4) for s in product("abc", repeat=n)]
+    fresh = {s: prefix_reachable(ara_to_ipcant(fig1), s) for s in strings}
+    shared = ara_to_ipcant(fig1)
+    for s in strings + strings[::-1]:
+        assert prefix_reachable(shared, s) == fresh[s], s
+
+
 def test_lettered_step_memo_stays_within_its_bound(abc, monkeypatch):
     """Every string over a, b, c of length at most 4 overflows a memo of 8
     lettered steps on a random three-state automaton's machine: unbounded,

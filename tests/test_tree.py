@@ -67,10 +67,15 @@ def _mirror(g):
     return _MIRRORS[kind](kind.tag, *values)
 
 
-def _fold_reference(g, leaf, join):
-    if g.arity:
-        return join(g, *(_fold_reference(c, leaf, join) for c in _children(g)))
-    return leaf(g)
+def _fold_reference(g, leaf, join, values=None):
+    """The recursive fold, calling leaf at every leaf and join once per
+    inner node object, at its first place left to right."""
+    if not g.arity:
+        return leaf(g)
+    values = {} if values is None else values
+    if id(g) not in values:
+        values[id(g)] = join(g, *(_fold_reference(c, leaf, join, values) for c in _children(g)))
+    return values[id(g)]
 
 
 def _leaves(g):
@@ -168,10 +173,13 @@ def test_fold_matches_recursive_fold(t):
             return "%s[%s]" % (type(g).__name__, ",".join(parts))
         return leaf, join
 
-    got = fold(t, *folder(calls["fold"]))
-    want = _fold_reference(t, *folder(calls["reference"]))
-    assert got == want
-    assert calls["fold"] == calls["reference"]
+    # and on a DAG, whose second t is joined no more
+    shared = (ltl.And if isinstance(t, ltl.Formula) else pb.And)(t, t)
+    for g in (t, shared):
+        got = fold(g, *folder(calls["fold"]))
+        want = _fold_reference(g, *folder(calls["reference"]))
+        assert got == want
+        assert calls["fold"] == calls["reference"]
 
 
 def test_node_classes_hash_apart():
