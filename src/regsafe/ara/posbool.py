@@ -74,23 +74,6 @@ def por(lhs, rhs):
     return Or(lhs, rhs)
 
 
-def eval_posbool(phi: PosBool, chosen) -> bool:
-    """Does the pair of state sets (plain, fresh) satisfy phi?"""
-    plain, fresh = chosen
-
-    def leaf(g):
-        kind = type(g)
-        if kind is Top or kind is Bot:
-            return kind is Top
-        return g.state in (plain if kind is Ref else fresh)
-
-    return fold(phi, leaf, _eval_join)
-
-
-def _eval_join(g, lhs, rhs):
-    return (lhs and rhs) if type(g) is And else (lhs or rhs)
-
-
 def minimal_models(phi: PosBool, bit=None, dual=False):
     """The antichain of minimal satisfying pairs (plain, fresh); the empty
     tuple means unsatisfiable (phi is equivalent to false).

@@ -246,8 +246,9 @@ def _cmd_tmgen(ns):
 
 def _cmd_oracle(ns):
     _at_least(0, trials=ns.trials)
-    # ceilings of the brute-force search: a transition formula has 4^states
-    # pairs to try, and the thread search recurses once per word position
+    # ceilings of the brute-force search: a transition formula's truth table
+    # has 4^states bits and its list of satisfying pairs up to 4^states
+    # entries, and the thread search recurses once per word position
     _at_least(1, 50, max_len=ns.max_len)
     _at_least(1, 6, max_states=ns.max_states)
     rng = random.Random(ns.seed)

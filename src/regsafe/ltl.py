@@ -178,10 +178,9 @@ def evaluate_prefix(f: Formula, w: DataWord) -> PrefixVerdict:
     an extension exists.  The run formula of tests/data/halting.tm has an
     empty language, yet its prefix h0@0 is UNDETERMINED.
     """
-    if not is_sentence(f):
-        raise ValidationError("formula has a free register test")
     if len(w) == 0:
         raise ValidationError("prefix must be non-empty")
+    # ltl_to_ara refuses a free register test
     from .ara.translate import ltl_to_ara
     from .ara.automaton import run_exists
 

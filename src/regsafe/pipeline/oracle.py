@@ -6,16 +6,17 @@ cover the rest of the word exactly when each of its configurations can on
 its own.  run_exists settles every state of a class at once, backwards from
 the end of the word; the oracle searches single configurations per
 position, memoized.  It enumerates every satisfying pair of each transition
-formula a search reaches by evaluating the formula on all pairs of state
-sets (_pairs, shared with the frontier route), so it depends neither on
-minimal_models nor on the monotonicity that lets run_exists try minimal
-models only.  frontier_step is
-the definition's one-position step on a configuration set, the only copy of
-it; frontier_run_exists runs the definition itself with it (sets of
+formula a search reaches (satisfying_pairs, one fold of the formula over a
+truth table of all pairs of state sets, shared with the frontier route and
+reference.abstraction), so it depends neither on minimal_models nor on the
+monotonicity that lets run_exists try minimal models only.  frontier_step
+is the definition's one-position step on a configuration set, the only copy
+of it; frontier_run_exists runs the definition itself with it (sets of
 configuration sets, full choice products over all satisfying pairs).  That
-route shares no thread argument with the other two, is exponentially heavier
-and only meant for very small inputs, as a third route to the same answer.  pattern_occurs decides the three-letter
-freeze pattern directly on a word, independent of any automaton.
+route shares no thread argument with the other two, is exponentially
+heavier and only meant for very small inputs, as a third route to the same
+answer.  pattern_occurs decides the three-letter freeze pattern directly on
+a word, independent of any automaton.
 """
 
 import functools
@@ -25,25 +26,57 @@ from ..errors import ValidationError
 from ..words import DataWord
 from ..ara import posbool as pb
 from ..ara.automaton import AlternatingAutomaton
+from ..tree import fold
 
 
-def _all_pairs(phi, states):
-    """Every (plain, fresh) pair of state sets satisfying phi."""
+def satisfying_pairs(phi, states):
+    """Every (plain, fresh) pair of sets of the given states that satisfies
+    phi, plain sets outer and fresh sets inner, each in size-then-state
+    order.
+
+    One fold of phi over truth tables, not one evaluation per pair: with the
+    k subsets in that order, bit i*k + j of a table is the pair (i-th subset,
+    j-th subset).  Ref q is the pairs whose plain set holds q, DownRef q
+    those whose fresh set holds q, Top every pair and Bot none; And is & and
+    Or is |.  The table is read back a row of k bits at a time."""
     subsets = [frozenset(c) for r in range(len(states) + 1)
                for c in combinations(states, r)]
+    k = len(subsets)
+    row = (1 << k) - 1
+    # bit 0 of every row: times a k-bit mask, that mask in every row
+    every_row = sum(1 << i * k for i in range(k))
+    ref = {q: sum(row << i * k for i, s in enumerate(subsets) if q in s) for q in states}
+    down = {q: every_row * sum(1 << j for j, s in enumerate(subsets) if q in s) for q in states}
+
+    def leaf(g):
+        kind = type(g)
+        if kind is pb.Top:
+            return row * every_row
+        if kind is pb.Bot:
+            return 0
+        return (ref if kind is pb.Ref else down).get(g.state, 0)
+
+    table = fold(phi, leaf, _table_join)
     out = []
     for plain in subsets:
-        for fresh in subsets:
-            if pb.eval_posbool(phi, (plain, fresh)):
-                out.append((plain, fresh))
+        bits = table & row
+        table >>= k
+        while bits:
+            low = bits & -bits
+            out.append((plain, subsets[low.bit_length() - 1]))
+            bits ^= low
     return out
+
+
+def _table_join(g, lhs, rhs):
+    return lhs & rhs if type(g) is pb.And else lhs | rhs
 
 
 def _pairs(aut):
     """pairs(q, letter, flag): every satisfying pair of that transition
     formula, computed when a search first asks for it."""
     return functools.lru_cache(maxsize=None)(
-        lambda q, letter, flag: _all_pairs(aut.delta_at(q, letter, flag), aut.states))
+        lambda q, letter, flag: satisfying_pairs(aut.delta_at(q, letter, flag), aut.states))
 
 
 def oracle_run_exists(aut: AlternatingAutomaton, w: DataWord,

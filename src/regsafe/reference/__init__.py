@@ -3,10 +3,11 @@ acceptance criteria (test_acceptance) check the runtime against.  No program
 module outside this package imports it.  Each member and its users:
 
 - abstraction: the counting abstraction, triple_step specifying the
-  compiled letter step; test_abstraction.
-- ara: models_at (test_abstraction, test_ara, test_compile); dual and
-  dualize (test_ara, test_tree); inclusion_product (test_ara, test_compile,
-  test_explore).
+  compiled letter step, its achievable_pairs read off
+  pipeline.oracle.satisfying_pairs; test_abstraction.
+- ara: models_at, used by tests only (test_abstraction, test_ara,
+  test_compile); dual and dualize (test_ara, test_tree); inclusion_product
+  (test_ara, test_compile, test_explore).
 - ipcant: the dense Valuation, valuation, fire, fire_lazy,
   transfer_witnesses and the token-embedding order sqsse (criterion 5,
   test_ipcant, test_compile, test_explore); bound_ceiling (test_ipcant);

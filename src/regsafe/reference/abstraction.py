@@ -13,11 +13,10 @@ CompiledMachine.config_successors to.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 from ..ara.automaton import AlternatingAutomaton
 from ..errors import ValidationError
-from .ara import models_at
+from ..pipeline.oracle import satisfying_pairs
 
 
 def _sorted_counts(counts):
@@ -73,42 +72,25 @@ def h_abstraction(w, i, F) -> AbstractionTriple:
 
 def achievable_pairs(aut: AlternatingAutomaton, states, letter, flag):
     """All (kept, refrozen) state-set pairs a class with the given thread
-    states can reach in one step: the upward closure of the unions of minimal
-    models, one per thread.  Empty thread set reaches exactly (empty, empty);
-    a thread without models blocks the class entirely (empty result)."""
-    states = frozenset(states)
+    states can reach in one step: the pairs satisfying every thread's
+    formula.  A pair satisfies a positive formula exactly when it lies above
+    one of its minimal models, so these are the upward closure of the unions
+    of one minimal model per thread, which config_successors steps by; found
+    without minimal models, they check that code independently.  No threads
+    reach exactly (empty, empty); a thread without models blocks the class
+    (empty result)."""
     if not states:
         return frozenset({(frozenset(), frozenset())})
-    per_state = []
-    for q in sorted(states):
-        models = models_at(aut, q, letter, flag)
-        if not models:
-            return frozenset()
-        per_state.append(models)
-    bases = set()
-    for family in product(*per_state):
-        plain = frozenset().union(*(m[0] for m in family))
-        fresh = frozenset().union(*(m[1] for m in family))
-        bases.add((plain, fresh))
-    universe = sorted({q for q in aut.states})
-    out = set()
-    for pmask in _subsets(universe):
-        for fmask in _subsets(universe):
-            if any(bp <= pmask and bf <= fmask for bp, bf in bases):
-                out.add((pmask, fmask))
-    return frozenset(out)
-
-
-def _subsets(items):
-    for bits in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if bits >> i & 1)
+    return frozenset.intersection(*(
+        frozenset(satisfying_pairs(aut.delta_at(q, letter, flag), aut.states))
+        for q in states))
 
 
 def triple_step(aut: AlternatingAutomaton, src: AbstractionTriple,
                 dst: AbstractionTriple) -> bool:
     """Is there a one-letter step between concrete configurations abstracting
     to src and dst?  The letter consumed is src.letter; dst.letter is free.
-    Intended for small automata (it enumerates model families)."""
+    Intended for small automata (it enumerates pairs of state sets)."""
     here_pairs = achievable_pairs(aut, src.here, src.letter, "up")
     if not here_pairs:
         return False

@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import partial
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 import random
 
 import pytest
@@ -90,6 +90,35 @@ def test_achievable_pairs_upward_closed(fig1):
         for extra in states:
             assert (plain | {extra}, fresh) in pairs
             assert (plain, fresh | {extra}) in pairs
+
+
+def _closure_of_model_unions(aut, states, letter, flag):
+    """The upward closure, within aut's states, of the unions of one minimal
+    model per thread state; (empty, empty) alone for no threads."""
+    if not states:
+        return frozenset({(frozenset(), frozenset())})
+    bases = {(frozenset().union(*(m[0] for m in family)),
+              frozenset().union(*(m[1] for m in family)))
+             for family in product(*(models_at(aut, q, letter, flag) for q in states))}
+    subsets = [frozenset(c) for r in range(len(aut.states) + 1)
+               for c in combinations(aut.states, r)]
+    return frozenset((plain, fresh) for plain in subsets for fresh in subsets
+                     if any(bp <= plain and bf <= fresh for bp, bf in bases))
+
+
+def test_achievable_pairs_is_the_closure_of_model_unions():
+    """The pairs satisfying every thread's formula are the upward closure of
+    the unions of minimal models, on every thread set of seeded automata of
+    1 to 3 states."""
+    rng = random.Random(48)
+    for _ in range(120):
+        aut = randgen.random_automaton(rng, AB, max_states=3)
+        for r in range(len(aut.states) + 1):
+            for states in combinations(aut.states, r):
+                for a in AB:
+                    for flag in ("up", "nup"):
+                        assert achievable_pairs(aut, states, a, flag) == \
+                            _closure_of_model_unions(aut, states, a, flag), (aut.delta, states)
 
 
 def test_triple_step_vacuous(fig1):

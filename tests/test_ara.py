@@ -1,5 +1,6 @@
 from functools import partial
 import hashlib
+from itertools import combinations
 import random
 import re
 import time
@@ -17,8 +18,9 @@ from regsafe import ltl
 from regsafe.ltl import parse_formula, parse_formula_file
 from regsafe.pipeline import (config_length, encode_tm_run, oracle_run_exists, parse_tm,
                               pattern_occurs, tm_alphabet, tm_to_formula)
-from regsafe.pipeline.oracle import _all_pairs, frontier_step, initial_configs
+from regsafe.pipeline.oracle import frontier_step, initial_configs, satisfying_pairs
 from regsafe import memo, randgen
+from regsafe.tree import fold
 from regsafe.reference.ara import dual, dualize, inclusion_product, models_at
 from regsafe.reference.ltl import random_sentence
 
@@ -29,12 +31,69 @@ def _bot_automaton(alphabet):
     return AlternatingAutomaton(alphabet, ("z",), "z", {})
 
 
-def test_eval_posbool():
+def test_satisfying_pairs_examples():
     phi = pb.And(pb.Ref("p"), pb.Or(pb.DownRef("q"), pb.Top()))
-    assert pb.eval_posbool(phi, (frozenset(["p"]), frozenset()))
-    assert not pb.eval_posbool(phi, (frozenset(), frozenset(["q"])))
-    assert pb.eval_posbool(pb.Bot(), (frozenset(["p"]), frozenset())) is False
-    assert pb.eval_posbool(pb.Top(), (frozenset(), frozenset()))
+    pairs = satisfying_pairs(phi, ("p", "q"))
+    assert (frozenset(["p"]), frozenset()) in pairs
+    assert (frozenset(), frozenset(["q"])) not in pairs
+    assert satisfying_pairs(pb.Bot(), ("p",)) == []
+    assert satisfying_pairs(pb.Top(), ()) == [(frozenset(), frozenset())]
+
+
+def _satisfies(phi, plain, fresh):
+    """Whether the pair (plain, fresh) satisfies phi, evaluated on its own."""
+    def leaf(g):
+        kind = type(g)
+        if kind is pb.Top or kind is pb.Bot:
+            return kind is pb.Top
+        return g.state in (plain if kind is pb.Ref else fresh)
+
+    def join(g, lhs, rhs):
+        return (lhs and rhs) if type(g) is pb.And else (lhs or rhs)
+
+    return fold(phi, leaf, join)
+
+
+def _pairs_by_definition(phi, states):
+    """Every pair of sets of states, plain outer and fresh inner, each in
+    size-then-state order, that satisfies phi when evaluated pair by pair."""
+    subsets = [frozenset(c) for r in range(len(states) + 1) for c in combinations(states, r)]
+    return [(plain, fresh) for plain in subsets for fresh in subsets
+            if _satisfies(phi, plain, fresh)]
+
+
+def _random_formula(rng, states, depth):
+    """A random formula over states whose leaves include Top and Bot."""
+    if depth <= 0 or rng.random() < 0.35:
+        pick = rng.random()
+        if pick < 0.1:
+            return pb.Top()
+        if pick < 0.2:
+            return pb.Bot()
+        return (pb.DownRef if rng.random() < 0.4 else pb.Ref)(rng.choice(states))
+    return (pb.And if rng.random() < 0.5 else pb.Or)(_random_formula(rng, states, depth - 1),
+                                                     _random_formula(rng, states, depth - 1))
+
+
+def test_satisfying_pairs_match_the_definition():
+    """The truth-table fold lists exactly the pairs that satisfy the formula
+    one by one, in the same order: seeded formulas of 1 to 6 states, the
+    constants, a chain deeper than the call stack and a row that shares its
+    subformulas by reference."""
+    rng = random.Random(48)
+    for n, count in ((1, 60), (2, 60), (3, 60), (4, 20), (5, 8), (6, 4)):
+        states = tuple(rng.sample(["q%d" % i for i in range(n)], n))  # any order
+        for _ in range(count):
+            phi = _random_formula(rng, states, 4)
+            assert satisfying_pairs(phi, states) == _pairs_by_definition(phi, states), phi
+        for phi in (pb.Top(), pb.Bot()):
+            assert satisfying_pairs(phi, states) == _pairs_by_definition(phi, states)
+    deep = pb.Or(pb.Ref("q"), _deep_chain(3000))
+    assert satisfying_pairs(deep, ("p", "q")) == _pairs_by_definition(deep, ("p", "q"))
+    shared = pb.Or(pb.DownRef("p"), pb.Ref("q"))
+    for _ in range(24):
+        shared = pb.And(shared, shared)  # 2^25 leaf places over 27 objects
+    assert satisfying_pairs(shared, ("p", "q")) == _pairs_by_definition(shared, ("p", "q"))
 
 
 def test_minimal_models_examples():
@@ -68,7 +127,7 @@ def test_minimal_models_is_minimal_antichain_of_all_models():
         # the dual fold gives the dual formula's models in either form
         assert pb.minimal_models(phi, dual=True) == pb.minimal_models(dual(phi))
         assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(dual(phi), bit)
-        alls = set(_all_pairs(phi, states))
+        alls = set(satisfying_pairs(phi, states))
         for m in mins:
             assert m in alls
         for m in mins:
@@ -352,7 +411,8 @@ def test_shared_subformulas_translate_once():
         phi = phi.lhs
     # leaves are copied at each place
     assert type(phi) is pb.And and phi.lhs == phi.rhs == pb.DownRef(phi.lhs.state)
-    assert pb.eval_posbool(aut.delta[(aut.initial, "a", "up")], (set(), {phi.lhs.state}))
+    assert (frozenset(), frozenset([phi.lhs.state])) in satisfying_pairs(
+        aut.delta[(aut.initial, "a", "up")], aut.states)
     distinct = _distinct_nodes(aut)
     assert distinct <= 3 * depth
     # each combined automaton holds the two copies and its initial rows,
@@ -500,8 +560,7 @@ def test_deep_formula_models_eval_format_run(abc):
     wide = pb.Or(pb.DownRef("q"), pb.And(pb.Ref("q"), phi))
     assert pb.minimal_models(wide, bit) == _as_masks(pb.minimal_models(wide), bit) == (
         (0, 1), (3, 2))
-    assert pb.eval_posbool(phi, both) is True
-    assert pb.eval_posbool(phi, (frozenset(["p"]), frozenset())) is False
+    assert satisfying_pairs(phi, ("p",)) == [both]
     assert format_automaton(aut).splitlines()[3:] == [
         "p, a, * -> " + "d(p) & (" * 2999 + "d(p) & p" + ")" * 2999]
     assert run_exists(aut, parse_word("a@0 a@1 a@0 a@2", abc))
