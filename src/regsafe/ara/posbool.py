@@ -92,7 +92,9 @@ def minimal_models(phi: PosBool, bit=None, dual=False):
 
     One explicit-stack loop, so any depth folds: an inner node's operands
     are pushed above a marker, True when their model sets are joined by
-    union and False when by conjunction."""
+    union and False when by conjunction.  The loop walks phi as a tree, so
+    a formula that shares subformulas by reference costs one walk per path
+    through them."""
     atom, empty = (lambda q: frozenset((q,)), frozenset()) if bit is None else (bit.__getitem__, 0)
     union, true = (And, Bot) if dual else (Or, Top)
     done = []  # the model sets of the finished operands, left to right

@@ -2,8 +2,8 @@
 acceptance criteria (test_acceptance) check the runtime against.  No program
 module outside this package imports it.  Each member and its users:
 
-- abstraction: the counting abstraction, triple_step specifying the
-  compiled letter step, its achievable_pairs read off
+- abstraction: the counting abstraction, abstract_successors specifying
+  the compiled letter step, its achievable_pairs read off
   pipeline.oracle.satisfying_pairs; test_abstraction.
 - ara: models_at, used by tests only (test_abstraction, test_ara,
   test_compile); dual and dualize (test_ara, test_tree); inclusion_product

@@ -7,7 +7,8 @@ Class identities are forgotten; only multiplicities survive.  A step exists
 between two abstract configurations exactly when some concrete configurations
 abstracting to them make a step, which is what the counter machines explore.
 
-triple_step is the specification that test_abstraction holds
+abstract_successors, the set of abstract configurations one step from a
+given one, is the specification that test_abstraction holds
 CompiledMachine.config_successors to.
 """
 
@@ -42,12 +43,6 @@ class AbstractionTriple:
     @staticmethod
     def make(letter, here, counts=None):
         return AbstractionTriple(letter, frozenset(here), _sorted_counts(counts or {}))
-
-    def count_of(self, stateset):
-        for r, n in self.counts:
-            if r == frozenset(stateset):
-                return n
-        return 0
 
 
 def abstract_configs(letter, configs, current_class) -> AbstractionTriple:
@@ -86,74 +81,29 @@ def achievable_pairs(aut: AlternatingAutomaton, states, letter, flag):
         for q in states))
 
 
-def triple_step(aut: AlternatingAutomaton, src: AbstractionTriple,
-                dst: AbstractionTriple) -> bool:
-    """Is there a one-letter step between concrete configurations abstracting
-    to src and dst?  The letter consumed is src.letter; dst.letter is free.
-    Intended for small automata (it enumerates pairs of state sets)."""
-    here_pairs = achievable_pairs(aut, src.here, src.letter, "up")
-    if not here_pairs:
-        return False
-    here_sets = {p | f for p, f in here_pairs}
-    class_options = []
+def abstract_successors(aut: AlternatingAutomaton, src: AbstractionTriple):
+    """The (here, counts) of every triple one step from src: the letter
+    consumed is src.letter, the next letter is free.
+
+    The counted classes are folded one token at a time into a set of
+    (union of refrozen sets, sorted kept sets of the classes left with
+    states), each token picking one of its class's achievable pairs under
+    nup; a class with none empties the result.  Then each up pair (P, F)
+    of the current class carries P | F | that union, and the next current
+    class is a fresh one, which leaves every class counted, or any class
+    with states, the old current class included.  Intended for small
+    automata (it enumerates pairs of state sets)."""
+    partial = {(frozenset(), ())}
     for r, n in src.counts:
         opts = achievable_pairs(aut, r, src.letter, "nup")
-        if not opts:
-            return False
-        class_options.extend([tuple(sorted(opts, key=_pair_key))] * n)
-
-    target = Counter(dict(dst.counts))
-
-    def match(i, remaining, fresh_union, become_idx):
-        """Assign kept/refrozen pairs to the other classes; the class at
-        become_idx (if any) supplies the next current class and its kept set
-        must equal dst.here instead of being consumed from the target."""
-        if i == len(class_options):
-            return _finish(remaining, fresh_union, become_idx)
-        for kept, refrozen in class_options[i]:
-            fu = fresh_union | refrozen
-            if i == become_idx:
-                if kept == dst.here and match(i + 1, remaining, fu, become_idx):
-                    return True
-            elif not kept:
-                if match(i + 1, remaining, fu, become_idx):
-                    return True
-            elif remaining[kept] > 0:
-                remaining[kept] -= 1
-                ok = match(i + 1, remaining, fu, become_idx)
-                remaining[kept] += 1
-                if ok:
-                    return True
-        return False
-
-    def _finish(remaining, fresh_union, become_idx):
-        for here_set in here_sets:
-            carried = here_set | fresh_union
-            if become_idx is None and dst.here == carried:
-                # next position keeps the current class
-                if not +remaining:
-                    return True
-            if become_idx is not None or not dst.here:
-                # next position moves to another class (tracked, dead or
-                # fresh); the old current class deposits its carried set
-                left = +remaining
-                if not carried:
-                    if not left:
-                        return True
-                elif left == Counter({carried: 1}):
-                    return True
-        return False
-
-    # the _finish cases need fresh_union before deciding; enumerate the choice
-    # of which tracked class (if any) becomes current
-    if match(0, target.copy(), frozenset(), None):
-        return True
-    for idx in range(len(class_options)):
-        if match(0, target.copy(), frozenset(), idx):
-            return True
-    return False
-
-
-def _pair_key(pair):
-    p, f = pair
-    return (len(p), sorted(p), len(f), sorted(f))
+        for _ in range(n):
+            partial = {(fresh | f, tuple(sorted(kept + (p,), key=sorted)) if p else kept)
+                       for fresh, kept in partial for p, f in opts}
+    here_sets = {p | f for p, f in achievable_pairs(aut, src.here, src.letter, "up")}
+    out = set()
+    for carried, kept in {(h | fresh, kept) for h in here_sets for fresh, kept in partial}:
+        classes = kept + (carried,) if carried else kept
+        out.add((frozenset(), _sorted_counts(Counter(classes))))
+        for i, here in enumerate(classes):
+            out.add((here, _sorted_counts(Counter(classes[:i] + classes[i + 1:]))))
+    return out
