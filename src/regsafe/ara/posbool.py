@@ -5,11 +5,10 @@ the register to the current position's class).
 A model is a pair of state sets (plain, fresh); there is no negation, so the
 set of models is upward closed and is represented by its minimal elements.
 minimal_models computes them in one loop on its own stack, safe on formulas
-nested deeper than the call stack, for two kinds of atom: pairs of frozensets
-of state names (the reference procedures) or, given each state's bit, pairs
-of int masks (run_exists and the compiled machine).  The same loop gives the
-minimal models of a formula's dual (Top and Bot, And and Or exchanged)
-without building the dual formula.
+nested deeper than the call stack, each set an int mask under a map from
+each state to its own bit.  The same loop gives the minimal models of a
+formula's dual (Top and Bot, And and Or exchanged) without building the
+dual formula.
 """
 
 from ..errors import ParseError
@@ -74,17 +73,12 @@ def por(lhs, rhs):
     return Or(lhs, rhs)
 
 
-def minimal_models(phi: PosBool, bit=None, dual=False):
-    """The antichain of minimal satisfying pairs (plain, fresh); the empty
-    tuple means unsatisfiable (phi is equivalent to false).
-
-    With no bit, each side is a frozenset of state names and the pairs are
-    canonically ordered by their sorted names.  With bit, a mapping from
-    each state to its own bit (1 << i), each side is the int mask of its
-    states, the pairs (kept mask, refrozen mask) in ascending order.  Only
-    the atoms differ, a state's singleton set or its bit: the join and the
-    minimisation use only | and ==, which act alike on sets and on masks (c
-    is below a iff c | a == a).
+def minimal_models(phi: PosBool, bit, dual=False):
+    """The antichain of minimal satisfying pairs (plain, fresh) under bit,
+    a mapping from each state to its own bit (1 << i): each side is the int
+    mask of its states, the pairs (kept mask, refrozen mask) in ascending
+    order.  The empty tuple means unsatisfiable (phi is equivalent to
+    false).
 
     With dual, the result is minimal_models(reference.ara.dual(phi), bit),
     computed from phi itself without building its dual: Top gets the
@@ -95,7 +89,6 @@ def minimal_models(phi: PosBool, bit=None, dual=False):
     union and False when by conjunction.  The loop walks phi as a tree, so
     a formula that shares subformulas by reference costs one walk per path
     through them."""
-    atom, empty = (lambda q: frozenset((q,)), frozenset()) if bit is None else (bit.__getitem__, 0)
     union, true = (And, Bot) if dual else (Or, Top)
     done = []  # the model sets of the finished operands, left to right
     todo = [phi]
@@ -109,14 +102,12 @@ def minimal_models(phi: PosBool, bit=None, dual=False):
         elif kind is And or kind is Or:
             todo += (kind is union, g.rhs, g.lhs)
         elif kind is Ref:
-            done.append({(atom(g.state), empty)})
+            done.append({(bit[g.state], 0)})
         elif kind is DownRef:
-            done.append({(empty, atom(g.state))})
+            done.append({(0, bit[g.state])})
         else:
-            done.append({(empty, empty)} if kind is true else set())
+            done.append({(0, 0)} if kind is true else set())
     models, = done
-    if bit is None:
-        return tuple(sorted(models, key=lambda p: (sorted(p[0]), sorted(p[1]))))
     return tuple(sorted(models))
 
 

@@ -6,16 +6,16 @@ every R subformula.  Boolean structure, register tests and the freeze binder
 are compiled away into the transition formulas, so the state count is often
 much smaller than the subformula count.
 
-A translation is one bottom-up pass over the distinct subformulas.  A walk
-on an explicit stack lists them children first and gives each an index.  It
-walks the formula as the DAG of its node objects: each object is visited
-once, its index kept under its id for the call, so a subtree shared by
-reference costs one visit however often it occurs.  Equal subtrees that are
-distinct objects share one index too, found from their class and their
-children's indices, so no two formulas are ever compared.  The walk also
-marks each index whose subformula has a register test that no binder in it
-binds; the sentence is refused when its own index is marked, so no second
-pass checks it.
+A translation is one bottom-up pass over the distinct subformulas.  One
+tree.fold lists them children first and gives each an index: its leaf and
+join return indices.  The fold walks the formula as the DAG of its node
+objects, joining each inner object once, so a subtree shared by reference
+costs one visit however often it occurs.  Equal subtrees that are distinct
+objects share one index too, found from their class and their children's
+indices, so no two formulas are ever compared.  The pass also marks each
+index whose subformula has a register test that no binder in it binds; the
+sentence is refused when its own index is marked, so no second pass checks
+it.
 
 Each subformula's rows, its transition formulas under each register flag
 and letter, are then built from its children's rows by index.  A
@@ -30,11 +30,10 @@ from itertools import repeat
 
 from .. import ltl
 from ..errors import ValidationError
+from ..tree import fold
 from ..words import Alphabet
 from . import posbool as pb
 from .automaton import AlternatingAutomaton
-
-_DONE = object()  # marks, on _index's stack, a node whose children are indexed
 
 
 def _index(f):
@@ -45,36 +44,25 @@ def _index(f):
     and f's is the last."""
     formulas, kids, unbound = [], [], []
     index = {}  # (class, children's indices or a leaf's fields) -> index
-    at = {}  # id of a node object walked -> its index
     Up, NotUp, Freeze = ltl.Up, ltl.NotUp, ltl.Freeze
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        if g is _DONE:
-            g = todo.pop()
-            ks = tuple([at[id(c)] for c in g.fields])
-            key = (type(g),) + ks
-        elif id(g) in at:
-            continue
-        else:
-            try:
-                n = g.arity
-            except AttributeError:
-                raise TypeError("not a formula: %r" % (g,)) from None
-            if n:
-                todo += (g, _DONE)
-                todo += g.fields[::-1]
-                continue
-            ks = ()
-            key = (type(g),) + g.fields
+
+    def add(g, key, ks, free_test):
         i = index.setdefault(key, len(formulas))
         if i == len(formulas):
             formulas.append(g)
             kids.append(ks)
-            kind = type(g)
-            unbound.append(kind is not Freeze and any([unbound[k] for k in ks]) if ks else
-                          kind is Up or kind is NotUp)
-        at[id(g)] = i
+            unbound.append(free_test)
+        return i
+
+    def leaf(g):
+        kind = type(g)
+        return add(g, (kind,) + g.fields, (), kind is Up or kind is NotUp)
+
+    def join(g, *ks):
+        kind = type(g)
+        return add(g, (kind,) + ks, ks, kind is not Freeze and any([unbound[k] for k in ks]))
+
+    fold(f, leaf, join)
     return formulas, kids, unbound
 
 

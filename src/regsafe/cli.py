@@ -159,28 +159,19 @@ def _same_alphabet(ns, ab1, ab2):
             ns.lhs, ns.rhs, " ".join(ab1), " ".join(ab2)))
 
 
-def _include_verdict(ns, command, a1, a2):
+def _cmd_include(ns):
+    """include on two automaton files, refine on two formula files."""
+    load = parse_automaton if ns.subcommand == "include" else _formula_automaton
+    a1 = _load(load, ns.lhs)
+    a2 = _load(load, ns.rhs)
+    _same_alphabet(ns, a1.alphabet, a2.alphabet)
     result = inclusion_check(a1, a2, cap=ns.cap, vcap=ns.vcap)
     verdict = result.verdict.name
     _emit(ns, [verdict],
-          {"command": command, "verdict": verdict,
+          {"command": ns.subcommand, "verdict": verdict,
            "explored": result.explored, "converged": result.converged,
            "checkpoints": result.checkpoints})
     return _verdict_exit(verdict)
-
-
-def _cmd_include(ns):
-    a1 = _load(parse_automaton, ns.lhs)
-    a2 = _load(parse_automaton, ns.rhs)
-    _same_alphabet(ns, a1.alphabet, a2.alphabet)
-    return _include_verdict(ns, "include", a1, a2)
-
-
-def _cmd_refine(ns):
-    a1 = _load(_formula_automaton, ns.lhs)
-    a2 = _load(_formula_automaton, ns.rhs)
-    _same_alphabet(ns, a1.alphabet, a2.alphabet)
-    return _include_verdict(ns, "refine", a1, a2)
 
 
 def _cmd_bound(ns):
@@ -321,7 +312,7 @@ def _build_parser():
     p = sub.add_parser("refine", parents=[shared, bounds], help="implication of two formula files via inclusion")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.set_defaults(handler=_cmd_refine)
+    p.set_defaults(handler=_cmd_include)
 
     p = sub.add_parser("bound", parents=[shared], help="print the theoretical exploration bound parameters")
     source = p.add_mutually_exclusive_group(required=True)

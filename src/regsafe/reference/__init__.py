@@ -9,8 +9,9 @@ module outside this package imports it.  Each member and its users:
   test_compile); dual and dualize (test_ara, test_tree); inclusion_product
   (test_ara, test_compile, test_explore).
 - ipcant: the dense Valuation, valuation, fire, fire_lazy,
-  transfer_witnesses and the token-embedding order sqsse (criterion 5,
-  test_ipcant, test_compile, test_explore); bound_ceiling (test_ipcant);
+  transfer_witnesses and sqsse, the token-embedding order as Hall's
+  condition, for small valuations only (criterion 5, test_ipcant,
+  test_compile, test_explore); bound_ceiling (test_ipcant);
   the random structures, valuations and instructions (criterion 5,
   test_ipcant, test_explore, test_formats).
 - ltl: monitor_prefix (test_ltl); random_sentence (criterion 7, test_ara,

@@ -1,4 +1,4 @@
-"""Minimal models on state names, dual formulas and automata, and the
+"""Minimal models read as state names, dual formulas and automata, and the
 inclusion product built as an automaton, which the runtime folds away."""
 
 from ..ara import posbool as pb
@@ -8,8 +8,16 @@ from ..tree import fold
 
 def models_at(aut: AlternatingAutomaton, q, a, flag):
     """Minimal satisfying pairs of aut.delta_at(q, a, flag) as pairs of
-    state-name sets."""
-    return pb.minimal_models(aut.delta_at(q, a, flag))
+    state-name sets, read off its mask models under the bit map of
+    aut.states."""
+    states = aut.states
+    bit = {p: 1 << i for i, p in enumerate(states)}
+
+    def names(mask):
+        return frozenset([p for i, p in enumerate(states) if mask >> i & 1])
+
+    return tuple([(names(kept), names(refrozen))
+                  for kept, refrozen in pb.minimal_models(aut.delta_at(q, a, flag), bit)])
 
 
 def _swapped_join(g, lhs, rhs):

@@ -1,7 +1,9 @@
 """A dense view of the counter machines: a Valuation pairs a counter
 structure with an int tuple aligned with the structure's counter order, so
 firing operations need no extra context, and a transfer fires through the
-image it gives each counter (image); seeded random structures,
+image it gives each counter (image); the token-embedding order sqsse,
+decided by Hall's condition, exponential in the number of held counters and
+so a reference for small valuations only; seeded random structures,
 valuations and instructions to fire; and the bound's closed-form ceiling."""
 
 from dataclasses import dataclass
@@ -107,45 +109,22 @@ def fire_lazy(v: "Valuation", instr):
 def sqsse(v_surd: "Valuation", v: "Valuation") -> bool:
     """The token-embedding preorder: true iff every token of v_surd can be
     matched injectively to a token of v on a counter containing the token's
-    own counter (equivalently, v dominates some up-set transfer of v_surd)."""
+    own counter (equivalently, v dominates some up-set transfer of v_surd).
+    By Hall's marriage theorem such a matching exists iff every set S of
+    v_surd's held counters holds no more tokens than v has on the counters
+    containing some member of S.  Exponential in the number of held
+    counters: a reference for small valuations."""
     if v_surd.structure != v.structure:
         raise ValidationError("valuations over different counter structures")
-    return _token_embedding(v_surd.structure.counters, v_surd.values, v.values)
-
-
-def _token_embedding(counters, small, big) -> bool:
-    """Place small's tokens one at a time on big's tokens of superset
-    counters; when every fitting big token is taken, an augmenting path moves
-    earlier placements on to free one.  The embedding exists iff every token
-    finds a place."""
-    if sum(small) > sum(big):
-        return False
-    fits = {i: [j for j, m in enumerate(big) if m and counters[i] <= counters[j]]
-            for i, n in enumerate(small) if n}
-    free = list(big)
-    holders = [{} for _ in big]  # big counter -> {small counter: tokens placed}
-
-    def place(i, seen):
-        for j in fits[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if free[j]:
-                free[j] -= 1
-            else:
-                for k in holders[j]:
-                    if place(k, seen):
-                        break
-                else:
-                    continue
-                holders[j][k] -= 1
-                if not holders[j][k]:
-                    del holders[j][k]
-            holders[j][i] = holders[j].get(i, 0) + 1
-            return True
-        return False
-
-    return all(place(i, set()) for i, n in enumerate(small) for _ in range(n))
+    counters, small, big = v.structure.counters, v_surd.values, v.values
+    held = [i for i, n in enumerate(small) if n]
+    for r in range(1, len(held) + 1):
+        for subset in combinations(held, r):
+            room = sum(m for j, m in enumerate(big)
+                       if any(counters[i] <= counters[j] for i in subset))
+            if sum(small[i] for i in subset) > room:
+                return False
+    return True
 
 
 def bound_ceiling(q_count, basis_size) -> int:

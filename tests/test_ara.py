@@ -97,17 +97,18 @@ def test_satisfying_pairs_match_the_definition():
 
 
 def test_minimal_models_examples():
+    bit = {"p": 1, "q": 2}
     phi = pb.And(pb.Ref("p"), pb.DownRef("q"))
-    assert pb.minimal_models(phi) == ((frozenset(["p"]), frozenset(["q"])),)
+    assert pb.minimal_models(phi, bit) == _as_masks([({"p"}, {"q"})], bit) == ((1, 2),)
     phi = pb.Or(pb.Ref("p"), pb.Ref("q"))
-    assert set(pb.minimal_models(phi)) == {
-        (frozenset(["p"]), frozenset()), (frozenset(["q"]), frozenset())}
-    assert pb.minimal_models(pb.Bot()) == ()
-    assert pb.minimal_models(pb.Top()) == ((frozenset(), frozenset()),)
+    assert pb.minimal_models(phi, bit) == _as_masks([({"p"}, ()), ({"q"}, ())], bit)
+    assert pb.minimal_models(pb.Bot(), bit) == ()
+    assert pb.minimal_models(pb.Top(), bit) == _as_masks([((), ())], bit) == ((0, 0),)
 
 
 def _as_masks(models, bit):
-    """Name-form models as ascending (kept mask, refrozen mask) pairs."""
+    """Models given by state names as ascending (kept mask, refrozen mask)
+    pairs."""
     return tuple(sorted((sum(bit[q] for q in plain), sum(bit[q] for q in fresh))
                         for plain, fresh in models))
 
@@ -119,23 +120,21 @@ def test_minimal_models_is_minimal_antichain_of_all_models():
     states = ("p", "q", "r")
     for _ in range(300):
         phi = randgen._random_posbool(rng, states, 3, 0.4)
-        mins = pb.minimal_models(phi)
-        # the mask form is the name form under the bit map, any bit order
+        # any bit order
         order = rng.sample(states, len(states))
         bit = {q: 1 << i for i, q in enumerate(order)}
-        assert pb.minimal_models(phi, bit) == _as_masks(mins, bit)
-        # the dual fold gives the dual formula's models in either form
-        assert pb.minimal_models(phi, dual=True) == pb.minimal_models(dual(phi))
+        mins = pb.minimal_models(phi, bit)
+        # the dual fold gives the dual formula's models
         assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(dual(phi), bit)
-        alls = set(satisfying_pairs(phi, states))
+        alls = set(_as_masks(satisfying_pairs(phi, states), bit))
         for m in mins:
             assert m in alls
         for m in mins:
             for m2 in mins:
                 if m != m2:
-                    assert not (m[0] <= m2[0] and m[1] <= m2[1])
+                    assert not (m[0] | m2[0] == m2[0] and m[1] | m2[1] == m2[1])
         for pair in alls:
-            assert any(m[0] <= pair[0] and m[1] <= pair[1] for m in mins)
+            assert any(m[0] | pair[0] == pair[0] and m[1] | pair[1] == pair[1] for m in mins)
         if not alls:
             assert mins == ()
 
@@ -154,10 +153,8 @@ def test_dual_fold_of_constants_and_absent_rows():
     """Top and Bot trade models under the dual fold; an absent row is Bot,
     so its dual has the one empty model."""
     bit = {"p": 1, "q": 2}
-    for form in (None, bit):
-        empty = pb.minimal_models(pb.Top(), form)
-        assert pb.minimal_models(pb.Top(), form, dual=True) == ()
-        assert pb.minimal_models(pb.Bot(), form, dual=True) == empty
+    assert pb.minimal_models(pb.Top(), bit, dual=True) == ()
+    assert pb.minimal_models(pb.Bot(), bit, dual=True) == pb.minimal_models(pb.Top(), bit)
     aut = AlternatingAutomaton(AB, ("p",), "p", {("p", "a", "up"): pb.Top()})
     for a in AB:
         for flag in ("up", "nup"):
@@ -421,6 +418,29 @@ def test_shared_subformulas_translate_once():
         assert _distinct_nodes(combined) <= 2 * distinct + len(AB) * 3
 
 
+def test_entries_share_rows_translate_once():
+    """G nested 2000 deep over a, a Release(Bot(), .) chain: each G's row
+    is its inner G's row and its own state, so every entry is a tail of the
+    outermost one, millions of node places over a few thousand objects.
+    Translating and validating walk each object once across all entries,
+    well under a second; a walk per entry takes about 2 s."""
+    depth = 2000
+    f = ltl.Atom("a")
+    for _ in range(depth):
+        f = ltl.Release(ltl.Bot(), f)
+    start = time.perf_counter()
+    aut = ltl_to_ara(f, AB)
+    assert time.perf_counter() - start < 1
+    assert len(aut.states) == depth and len(aut.delta) == 2 * depth
+    inner = aut.delta[("s%d" % (depth - 1), "a", "up")]
+    assert inner == pb.Ref("s%d" % (depth - 1))
+    for k in range(depth - 2, -1, -1):
+        row = aut.delta[("s%d" % k, "a", "up")]
+        assert aut.delta[("s%d" % k, "a", "nup")] is row
+        assert row.lhs is inner and row.rhs == pb.Ref("s%d" % k)
+        inner = row
+
+
 def test_rows_without_register_tests_serve_both_flags(data_text):
     """A tracked subformula with no register test outside a binder gets one
     transition formula object for up and nup under each letter; the walk's
@@ -549,16 +569,15 @@ def test_deep_formula_models_eval_format_run(abc):
                                {("p", "a", flag): phi for flag in ("up", "nup")})
     both = (frozenset(["p"]), frozenset(["p"]))
     assert models_at(aut, "p", "a", "up") == (both,)
-    assert pb.minimal_models(pb.Or(pb.Ref("p"), phi)) == (
-        (frozenset(["p"]), frozenset()),)
     bit = {"p": 2, "q": 1}
+    assert pb.minimal_models(pb.Or(pb.Ref("p"), phi), bit) == _as_masks([({"p"}, ())], bit)
     assert pb.minimal_models(phi, bit) == _as_masks((both,), bit) == ((2, 2),)
     # its dual is an Or chain of 3000 d(p) ending in p, folded without
     # building it
     assert pb.minimal_models(phi, bit, dual=True) == pb.minimal_models(dual(phi), bit) == (
         (0, 2), (2, 0))
     wide = pb.Or(pb.DownRef("q"), pb.And(pb.Ref("q"), phi))
-    assert pb.minimal_models(wide, bit) == _as_masks(pb.minimal_models(wide), bit) == (
+    assert pb.minimal_models(wide, bit) == _as_masks([((), {"q"}), ({"p", "q"}, {"p"})], bit) == (
         (0, 1), (3, 2))
     assert satisfying_pairs(phi, ("p",)) == [both]
     assert format_automaton(aut).splitlines()[3:] == [

@@ -292,6 +292,19 @@ def test_mismatched_alphabets_exit_65(tmp_path, data_path, capsys):
         lhs, rhs)
 
 
+def test_too_deep_input_exits_65(data_path, monkeypatch, capsys):
+    """An input nested past the call stack, where some step still recurses,
+    is invalid input (65) on one stderr line, not a traceback."""
+    def too_deep(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("regsafe.cli.parse_automaton", too_deep)
+    assert run_cli(["run", "--automaton", data_path("fig1.ara"), "--word", "a@0"]) == 65
+    out, err = _out(capsys)
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("invalid input: nested too deeply")
+
+
 def test_free_register_test_exits_65(tmp_path, capsys):
     """A formula with a free register test parses, and parse echoes it, but
     it is no sentence: ltl2ara and refine, on either side, refuse it as

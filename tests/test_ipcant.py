@@ -11,7 +11,7 @@ import pytest
 
 from regsafe.errors import ParseError, ValidationError
 from regsafe.words import Alphabet
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, Dec, EPS, Inc,
                             Instruction, Transfer, Transition, bound_log2_log2, bound_params,
@@ -175,54 +175,64 @@ def test_sqsse_pointwise_and_structure_mismatch(xy):
         sqsse(valuation(other, {}), valuation(xy, {}))
 
 
-def _hall(counters, small, big):
-    """Hall's condition for the token embedding: every set S of small's
-    non-empty counters holds no more tokens than big has on the counters
-    containing some member of S."""
-    held = [i for i, n in enumerate(small) if n]
-    for r in range(1, len(held) + 1):
-        for subset in combinations(held, r):
-            room = sum(m for j, m in enumerate(big)
-                       if any(counters[i] <= counters[j] for i in subset))
-            if sum(small[i] for i in subset) > room:
-                return False
+def _tokens(values):
+    """One counter index per token, in counter order."""
+    return [i for i, n in enumerate(values) for _ in range(n)]
+
+
+def _embeds(counters, small, big):
+    """By brute force: some injective assignment of small's tokens to big's
+    puts each on a counter containing its own."""
+    want, have = _tokens(small), _tokens(big)
+    return any(all(counters[i] <= counters[have[k]] for i, k in zip(want, ks))
+               for ks in permutations(range(len(have)), len(want)))
+
+
+def _greedy_embeds(counters, small, big):
+    """Each of small's tokens in turn on the first free fitting token of big."""
+    free = list(big)
+    for i in _tokens(small):
+        j = next((j for j, m in enumerate(free) if m and counters[i] <= counters[j]), None)
+        if j is None:
+            return False
+        free[j] -= 1
     return True
 
 
 def test_sqsse_matches_hall_condition():
-    """Against Hall's condition on seeded pairs: half drawn independently,
-    half made by lifting small's tokens onto random superset counters and
-    then moving one token anywhere, where placing tokens greedily is not
-    enough."""
+    """Against a brute-force token assignment on seeded pairs of at most 5
+    tokens each: half drawn independently, half made by lifting small's
+    tokens onto random superset counters and then moving one token anywhere.
+    Some pairs embed although placing tokens greedily fails."""
     rng = random.Random(17)
     seen = set()
     for trial in range(600):
         st = random_structure(rng, max_basis=4, max_counters=8)
-        small = random_valuation(rng, st, max_value=rng.choice((1, 2, 3)))
+        counters = st.counters
+        small = [0] * len(counters)
+        for _ in range(rng.randint(1, 5)):
+            small[rng.randrange(len(counters))] += 1
+        big = [0] * len(counters)
         if trial % 2:
-            big = random_valuation(rng, st, max_value=rng.choice((1, 2, 3)))
+            for _ in range(rng.randint(0, 5)):
+                big[rng.randrange(len(counters))] += 1
         else:
-            values = [0] * len(st.counters)
-            for c, n in small.items():
-                ups = [j for j, d in enumerate(st.counters) if c <= d]
-                for _ in range(n):
-                    values[rng.choice(ups)] += 1
-            held = [j for j, n in enumerate(values) if n]
-            if held and rng.random() < 0.5:
-                values[rng.choice(held)] -= 1
-                values[rng.randrange(len(values))] += 1
-            big = Valuation(st, tuple(values))
-        want = _hall(st.counters, small.values, big.values)
-        assert sqsse(small, big) == want, (st.counters, small.values, big.values)
-        seen.add(want)
-    assert seen == {True, False}
+            for i in _tokens(small):
+                big[rng.choice([j for j, d in enumerate(counters) if counters[i] <= d])] += 1
+            if rng.random() < 0.5:
+                big[rng.choice(_tokens(big))] -= 1
+                big[rng.randrange(len(counters))] += 1
+        want = _embeds(counters, small, big)
+        got = sqsse(Valuation(st, tuple(small)), Valuation(st, tuple(big)))
+        assert got == want, (counters, small, big)
+        seen.add((want, _greedy_embeds(counters, small, big)))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_check_distributive_fy_and_singletons():
     for k in range(1, 5):
         basis = tuple("x%d" % i for i in range(k))
         pool = []
-        from itertools import combinations
         for r in range(1, k + 1):
             pool += [frozenset(c) for c in combinations(basis, r)]
         for r in range(k + 1):
