@@ -45,6 +45,9 @@ class AlternatingAutomaton:
             raise ValidationError("duplicate state name")
         if initial not in known:
             raise ValidationError("initial state %r not declared" % (initial,))
+        for q in self.states:
+            if q in pb.KEYWORDS:
+                raise ValidationError("state name %r is a formula keyword" % (q,))
         And, Or, Ref, DownRef = pb.And, pb.Or, pb.Ref, pb.DownRef
         # ids of the formula objects walked, leaves included, each once: the
         # stack finishes an object's subformulas before it meets the object
@@ -247,6 +250,9 @@ def parse_automaton(text) -> AlternatingAutomaton:
     alphabet = Alphabet(tuple(headers["alphabet"].split()))
     states = read_names(headers["states"], "state")
     known = set(states)
+    for q in states:
+        if q in pb.KEYWORDS:
+            raise ParseError("state name %r is a formula keyword" % q)
     initial = headers["initial"].split()
     if len(initial) != 1:
         raise ParseError("expected one initial state")

@@ -138,6 +138,10 @@ def _minimize(pairs):
 
 _BINARY = {"|": (0, Or, False), "&": (1, And, False)}
 
+# the words parse_posbool reads as constants and as the down mark, so no
+# state may take one as its name
+KEYWORDS = frozenset(("true", "false", "d"))
+
 
 def parse_posbool(text, states) -> PosBool:
     """Parse a formula: `|` binds weaker than `&`, both associate left,

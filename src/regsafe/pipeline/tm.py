@@ -77,6 +77,8 @@ class TuringMachine:
         for name in self.tape + self.states:
             if not NAME_RE.match(name):
                 raise ValidationError("bad name: %r" % (name,))
+            if name in ltl.KEYWORDS:
+                raise ValidationError("name %r is a formula keyword" % (name,))
         for q in self.states:
             for a in self.tape:
                 if (q, a) not in self.rules:

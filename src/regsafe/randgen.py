@@ -25,22 +25,23 @@ def random_word(rng, alphabet: Alphabet, max_len, max_classes=None) -> DataWord:
     return canonicalize(letters, labels)
 
 
-def _random_posbool(rng, states, depth, down_prob):
+def _random_posbool(rng, states, depth):
     if depth <= 0 or rng.random() < 0.4:
         q = rng.choice(states)
-        if rng.random() < down_prob:
+        if rng.random() < 0.3:
             return pb.DownRef(q)
         return pb.Ref(q)
     node = pb.And if rng.random() < 0.5 else pb.Or
-    return node(_random_posbool(rng, states, depth - 1, down_prob),
-                _random_posbool(rng, states, depth - 1, down_prob))
+    return node(_random_posbool(rng, states, depth - 1),
+                _random_posbool(rng, states, depth - 1))
 
 
 def random_automaton(rng, alphabet: Alphabet, max_states=3,
-                     bot_prob=0.25, down_prob=0.3) -> AlternatingAutomaton:
+                     bot_prob=0.25) -> AlternatingAutomaton:
     """An alternating automaton with 1..max_states states; each transition
     entry is absent with probability bot_prob, otherwise a random positive
-    formula of depth <= 2."""
+    formula of depth <= 2 whose state references are down-marked with
+    probability 0.3."""
     n = rng.randint(1, max_states)
     states = tuple("q%d" % i for i in range(n))
     delta = {}
@@ -49,5 +50,5 @@ def random_automaton(rng, alphabet: Alphabet, max_states=3,
             for flag in ("up", "nup"):
                 if rng.random() < bot_prob:
                     continue
-                delta[(q, a, flag)] = _random_posbool(rng, states, 2, down_prob)
+                delta[(q, a, flag)] = _random_posbool(rng, states, 2)
     return AlternatingAutomaton(alphabet, states, states[0], delta)

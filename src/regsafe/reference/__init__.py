@@ -5,9 +5,9 @@ module outside this package imports it.  Each member and its users:
 - abstraction: the counting abstraction, abstract_successors specifying
   the compiled letter step, its achievable_pairs read off
   pipeline.oracle.satisfying_pairs; test_abstraction.
-- ara: models_at, used by tests only (test_abstraction, test_ara,
-  test_compile); dual and dualize (test_ara, test_tree); inclusion_product
-  (test_ara, test_compile, test_explore).
+- ara: models_at, used by tests only (test_abstraction, test_ara); dual
+  and dualize (test_ara, test_tree); inclusion_product (test_ara,
+  test_compile, test_explore).
 - ipcant: the dense Valuation, valuation, fire, fire_lazy,
   transfer_witnesses and sqsse, the token-embedding order as Hall's
   condition, for small valuations only (criterion 5, test_ipcant,

@@ -168,11 +168,12 @@ def embedded_valuation(rng, v: Valuation) -> Valuation:
     return Valuation(structure, tuple(values))
 
 
-def random_transfer(rng, structure: CounterStructure, empty_prob=0.2) -> Transfer:
-    """A transfer map with arbitrary images; not necessarily distributive."""
+def random_transfer(rng, structure: CounterStructure) -> Transfer:
+    """A transfer map with arbitrary images, each empty with probability
+    0.2; not necessarily distributive."""
     entries = []
     for c in structure.counters:
-        if rng.random() < empty_prob:
+        if rng.random() < 0.2:
             entries.append((c, ()))
             continue
         size = rng.randint(1, min(2, len(structure.counters)))
@@ -181,11 +182,10 @@ def random_transfer(rng, structure: CounterStructure, empty_prob=0.2) -> Transfe
     return Transfer(tuple(entries))
 
 
-def random_distributive_transfer(rng, structure: CounterStructure,
-                                 attempts=50) -> Transfer:
-    """Rejection-sample random transfers until one passes the distributivity
-    check; falls back to the identity map."""
-    for _ in range(attempts):
+def random_distributive_transfer(rng, structure: CounterStructure) -> Transfer:
+    """Rejection-sample up to 50 random transfers until one passes the
+    distributivity check; falls back to the identity map."""
+    for _ in range(50):
         t = random_transfer(rng, structure)
         if check_distributive(t.as_map(structure.counters), structure.counters):
             return t

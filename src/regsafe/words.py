@@ -197,22 +197,25 @@ def print_word(w: DataWord) -> str:
 
 def canonical_class_sequences(length, max_classes):
     """Yield every canonical class tuple of the given length using at most
-    max_classes distinct classes."""
-    if length == 0:
-        yield ()
+    max_classes distinct classes, in lexicographic order.  The tuples are
+    counted up like an odometer, so no length is bounded by the call stack."""
+    if length and max_classes < 1:
         return
-
-    def rec(seq, seen):
-        if len(seq) == length:
-            yield tuple(seq)
+    seq = [0] * length
+    # used[i]: the number of classes in seq[:i]; seq[i] may rise to it
+    used = [0] + [1] * (length - 1)
+    while True:
+        yield tuple(seq)
+        i = length - 1
+        while i >= 0 and (seq[i] == used[i] or seq[i] + 1 == max_classes):
+            i -= 1
+        if i < 0:
             return
-        bound = min(seen + 1, max_classes)
-        for c in range(bound):
-            seq.append(c)
-            yield from rec(seq, seen + 1 if c == seen else seen)
-            seq.pop()
-
-    yield from rec([], 0)
+        seq[i] += 1
+        grown = max(used[i], seq[i] + 1)
+        for j in range(i + 1, length):
+            seq[j] = 0
+            used[j] = grown
 
 
 def enumerate_words(alphabet: Alphabet, max_len, max_classes):

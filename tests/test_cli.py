@@ -691,6 +691,12 @@ _HOSTILE = [
     ("ara-unknown-letter", _ARA + "p, c, up -> q\n", "parse error: {path}: line 4: unknown letter 'c'"),
     ("ara-bad-flag", _ARA + "p, a, down -> q\n",
      "parse error: {path}: line 4: flag must be up, nup or *"),
+    ("ara-state-true", _ARA.replace("p q\ninitial: p", "true q\ninitial: q") + "q, a, * -> true\n",
+     "parse error: {path}: state name 'true' is a formula keyword"),
+    ("ara-state-false", _ARA.replace("p q", "p false") + "p, a, * -> false\n",
+     "parse error: {path}: state name 'false' is a formula keyword"),
+    ("ara-state-d", _ARA.replace("p q", "p d") + "p, a, up -> d\n",
+     "parse error: {path}: state name 'd' is a formula keyword"),
     ("cm-no-dash", _CM + "p a, inc {x}-> p\n",
      "parse error: {path}: line 6: expected '-label, instruction-> dst'"),
     ("cm-no-comma", _CM + "p -a inc {x}-> p\n", "parse error: {path}: line 6: missing ',' after label"),
@@ -714,6 +720,8 @@ _HOSTILE = [
      "invalid input: {path}: rule target ('h9', 'B') unknown"),
     ("tm-no-arrow", _TM + "h0, B h0, B, -1\n",
      "parse error: {path}: line 8: expected 'q, a -> q2, a2, move'"),
+    ("tm-state-G", _TM.replace("h0", "G"), "invalid input: {path}: name 'G' is a formula keyword"),
+    ("tm-letter-up", _TM.replace("B", "up"), "invalid input: {path}: name 'up' is a formula keyword"),
 ]
 
 

@@ -20,7 +20,7 @@ from regsafe.pipeline import (ara_to_ipcant, bounded_nonemptiness, compile as co
                               encode_tm_run, explore, inclusion_check, parse_tm,
                               prefix_reachable, product_machine, tm_alphabet, tm_to_formula)
 from regsafe.pipeline.compile import _flight_index, family_structure, letter_free_cycle
-from regsafe.reference.ara import inclusion_product, models_at
+from regsafe.reference.ara import inclusion_product
 from regsafe.reference.ipcant import Valuation, fire
 
 AB = Alphabet(("a", "b"))
@@ -29,17 +29,6 @@ UNCUT = 1 << 30  # a value bound above every count these tests reach
 
 def _one_state(alphabet):
     return ltl_to_ara(parse_formula("G a", alphabet), alphabet)
-
-
-def _two_state():
-    # p forks a frozen observer r; r survives a's, b closes both threads
-    return AlternatingAutomaton(AB, ("p", "r"), "p", {
-        ("p", "a", "up"): pb.And(pb.Ref("p"), pb.DownRef("r")),
-        ("p", "a", "nup"): pb.Ref("p"),
-        ("p", "b", "up"): pb.Top(),
-        ("r", "a", "nup"): pb.Ref("r"),
-        ("r", "b", "nup"): pb.Top(),
-    })
 
 
 def test_structure_sizes_one_state(abc):
@@ -59,21 +48,21 @@ def test_structure_sizes_general(fig1):
     assert len(cm.structure.counters) == 2 ** 3 + 4 ** 3
 
 
-def test_counter_indexing():
-    cm = ara_to_ipcant(_two_state())
+def test_counter_indexing(forker):
+    cm = ara_to_ipcant(forker())
     assert cm.structure.counters[3] == frozenset(
         ["^b", "p^b", "r^b"])
     ci = _flight_index(cm.n, 1, 2)
     assert cm.structure.counters[ci] == frozenset(["^bb", "p^bb", "r^bbd"])
 
 
-def test_co_state_must_exist():
+def test_co_state_must_exist(forker):
     with pytest.raises(ValidationError):
-        ara_to_ipcant(_two_state(), co_states=("nope",))
+        ara_to_ipcant(forker(), co_states=("nope",))
 
 
-def test_read_images_and_here_sets():
-    cm = ara_to_ipcant(_two_state())
+def test_read_images_and_here_sets(forker):
+    cm = ara_to_ipcant(forker())
     p_mask, r_mask = 1, 2
     # (kept, refrozen) pairs; () when a thread has no model
     assert cm.read_images("a", p_mask) == ((p_mask, 0),)
@@ -84,42 +73,6 @@ def test_read_images_and_here_sets():
     assert cm.here_sets("b", p_mask) == (0,)
     assert cm.here_sets("a", p_mask | r_mask) == ()
     assert cm.here_sets("b", 0) == (0,)
-
-
-def _reference_unions(aut, letter, mask, flag):
-    """The (kept, refrozen) unions of one minimal model per thread of mask,
-    from the automaton's name-form models; empty when a thread has none."""
-    bit = {q: 1 << i for i, q in enumerate(aut.states)}
-    pairs = {(0, 0)}
-    for q in aut.states:
-        if mask & bit[q]:
-            models = [(sum(bit[p] for p in plain), sum(bit[p] for p in fresh))
-                      for plain, fresh in models_at(aut, q, letter, flag)]
-            pairs = {(k | pk, m | pm) for k, m in pairs for pk, pm in models}
-    return pairs
-
-
-@pytest.mark.parametrize("with_co", [False, True])
-def test_mask_models_match_name_models(with_co):
-    """read_images and here_sets, whose models are folded straight to masks,
-    equal a reference built from the name-form models, for every thread set
-    and letter of 1-3-state automata."""
-    rng = random.Random(19)
-    sizes = set()
-    for _ in range(120):
-        aut = randgen.random_automaton(rng, AB, max_states=3)
-        co = None
-        if with_co:
-            co = tuple(q for q in aut.states if rng.random() < 0.5) or aut.states[-1:]
-        cm = ara_to_ipcant(aut, co_states=co)
-        sizes.add(cm.n)
-        for mask in range(1 << cm.n):
-            for letter in AB.letters:
-                read = _reference_unions(aut, letter, mask, "nup")
-                here = _reference_unions(aut, letter, mask, "up")
-                assert cm.read_images(letter, mask) == tuple(sorted(read))
-                assert cm.here_sets(letter, mask) == tuple(sorted({k | m for k, m in here}))
-    assert sizes == {1, 2, 3}
 
 
 def _assert_product_matches_reference(a1, a2):
@@ -152,9 +105,9 @@ def _with_names(aut, names):
 
 
 def test_product_machine_matches_built_product_fixtures(fig1, top_automaton, abc,
-                                                        example_formula):
+                                                        example_formula, bot_automaton):
     _, f = example_formula
-    bot = AlternatingAutomaton(abc, ("z",), "z", {})
+    bot = bot_automaton(abc)
     chain = pb.Ref("p")
     for _ in range(3000):
         chain = pb.And(pb.DownRef("p"), chain)
@@ -185,10 +138,9 @@ def test_product_machine_matches_built_product_random():
     assert clashes > 20
 
 
-def test_product_machine_needs_a_shared_alphabet(fig1):
-    other = AlternatingAutomaton(AB, ("p",), "p", {})
+def test_product_machine_needs_a_shared_alphabet(fig1, bot_automaton):
     with pytest.raises(ValidationError, match="automata must share an alphabet"):
-        product_machine(fig1, other)
+        product_machine(fig1, bot_automaton())
 
 
 def test_read_images_and_here_sets_monotone_in_the_mask():
@@ -216,8 +168,8 @@ def test_read_images_and_here_sets_monotone_in_the_mask():
     assert cases > 6000
 
 
-def test_resting_and_checkpoint_predicates():
-    cm = ara_to_ipcant(_two_state(), co_states=("r",))
+def test_resting_and_checkpoint_predicates(forker):
+    cm = ara_to_ipcant(forker(), co_states=("r",))
     assert cm.initial_control == (1, False)
     assert cm.is_resting((0, False)) and cm.is_resting((3, True))
     assert cm.is_checkpoint((0, True))
@@ -305,9 +257,9 @@ def test_read_split_keeps_reference_order(abc):
     assert blocked and split
 
 
-def test_materialize_state_counts(abc):
+def test_materialize_state_counts(abc, forker):
     assert len(ara_to_ipcant(_one_state(abc)).materialize().states) == 18
-    assert len(ara_to_ipcant(_two_state()).materialize().states) == 90
+    assert len(ara_to_ipcant(forker()).materialize().states) == 90
 
 
 def test_materialize_initial_and_labels(abc):
@@ -471,9 +423,9 @@ def test_materialize_transfers_distributive():
 
 
 @pytest.mark.parametrize("co", [None, ("r",)])
-def test_bound_counts_match_materialized(abc, co):
+def test_bound_counts_match_materialized(abc, co, forker):
     for cm in (ara_to_ipcant(_one_state(abc)),
-               ara_to_ipcant(_two_state(), co_states=co)):
+               ara_to_ipcant(forker(), co_states=co)):
         q_count, basis_size, counter_count = cm.bound_counts()
         assert q_count == len(cm.materialize().states)
         assert basis_size == len(cm.structure.basis)
@@ -545,8 +497,8 @@ def _assert_macro_matches(cm, depths):
 
 
 @pytest.mark.parametrize("co", [None, ("r",)])
-def test_config_successors_match_materialized(co):
-    _assert_macro_matches(ara_to_ipcant(_two_state(), co_states=co), (1, 2))
+def test_config_successors_match_materialized(co, forker):
+    _assert_macro_matches(ara_to_ipcant(forker(), co_states=co), (1, 2))
 
 
 def test_config_successors_match_materialized_one_state(abc):

@@ -27,20 +27,6 @@ AB = Alphabet(("a", "b"))
 UNCUT = 1 << 30  # a value bound above every count these tests reach
 
 
-def _bot_automaton():
-    return AlternatingAutomaton(AB, ("z",), "z", {})
-
-
-def _forker():
-    return AlternatingAutomaton(AB, ("p", "r"), "p", {
-        ("p", "a", "up"): pb.And(pb.Ref("p"), pb.DownRef("r")),
-        ("p", "a", "nup"): pb.Ref("p"),
-        ("p", "b", "up"): pb.Top(),
-        ("r", "a", "nup"): pb.Ref("r"),
-        ("r", "b", "nup"): pb.Top(),
-    })
-
-
 def _words_with_letters(letters):
     """Every data word (up to class renaming) whose letter sequence is
     exactly `letters`."""
@@ -52,10 +38,10 @@ def _words_with_letters(letters):
             yield w
 
 
-def test_nonemptiness_compiled_verdicts(fig1, top_automaton):
+def test_nonemptiness_compiled_verdicts(fig1, top_automaton, bot_automaton):
     assert bounded_nonemptiness(ara_to_ipcant(top_automaton)) is Nonemptiness.NONEMPTY
     assert bounded_nonemptiness(ara_to_ipcant(fig1)) is Nonemptiness.NONEMPTY
-    assert bounded_nonemptiness(ara_to_ipcant(_bot_automaton())) is Nonemptiness.EMPTY
+    assert bounded_nonemptiness(ara_to_ipcant(bot_automaton())) is Nonemptiness.EMPTY
 
 
 def test_nonemptiness_materialized_fig1(fig1):
@@ -151,8 +137,8 @@ def test_prefix_reachable_has_no_value_cap():
             assert prefix_reachable(machine, ("a",) * n), (n, machine)
 
 
-def test_prefix_reachable_blocked_automaton():
-    machine = ara_to_ipcant(_bot_automaton())
+def test_prefix_reachable_blocked_automaton(bot_automaton):
+    machine = ara_to_ipcant(bot_automaton())
     assert not prefix_reachable(machine, ("a",))
 
 
@@ -166,8 +152,8 @@ def test_prefix_reachable_matches_runs(fig1, abc, max_len):
             assert got == want, letters
 
 
-def test_prefix_reachable_matches_runs_forker():
-    aut = _forker()
+def test_prefix_reachable_matches_runs_forker(forker):
+    aut = forker()
     machine = ara_to_ipcant(aut)
     for n in range(1, 5):
         for letters in product(AB.letters, repeat=n):
@@ -526,7 +512,8 @@ def test_explicit_transfer_keeps_product_order():
     rng = random.Random(72)
     for _ in range(300):
         st = random_structure(rng)
-        t = random_transfer(rng, st, empty_prob=0.0)
+        # no empty image, which would leave no successor to order
+        t = Transfer(tuple((c, d or (c,)) for c, d in random_transfer(rng, st).entries))
         machine = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", t, "p")],
                                  check_transfers="off")
         v = random_valuation(rng, st)

@@ -2,6 +2,7 @@
 words.read_sections: print-parse round trips, comment and blank lines
 anywhere, and the header placements every format refuses."""
 
+from functools import partial
 import os
 import re
 import random
@@ -11,10 +12,13 @@ import pytest
 
 from regsafe import ltl, randgen
 from regsafe.ara import format_automaton, parse_automaton
+from regsafe.ara import posbool as pb
+from regsafe.ara.automaton import AlternatingAutomaton
 from regsafe.cli import run_cli
-from regsafe.errors import ParseError
+from regsafe.errors import ParseError, ValidationError
 from regsafe.ipcant import CounterMachine, Transition, format_machine, parse_machine
-from regsafe.pipeline.tm import TuringMachine, format_tm, parse_tm
+from regsafe.pipeline.tm import (TuringMachine, format_tm, parse_tm, tm_alphabet,
+                                 tm_to_formula)
 from regsafe.reference.ipcant import random_structure, random_transfer
 from regsafe.reference.ltl import random_sentence
 from regsafe.words import Alphabet
@@ -48,40 +52,108 @@ def _random_cm(seed):
                                          check_transfers="off", lazy=rng.random() < 0.5))
 
 
+# name pools that hold every word a format reserves: a state of an
+# automaton file may not be a formula constant or the down mark, and a tape
+# letter or state of a Turing machine, each a letter of its formula, may not
+# be a formula keyword
+ARA_RESERVED = {"true", "false", "d"}
+TM_RESERVED = {"true", "false", "up", "nup", "down", "X", "G", "R", "U"}
+ARA_NAMES = ("q0", "q1", "up", "G") + tuple(sorted(ARA_RESERVED))
+TM_TAPE = ("B", "M", "d") + tuple(sorted(TM_RESERVED))
+TM_STATES = ("q0", "h") + tuple(sorted(TM_RESERVED))
+SEEDS = hst.integers(0, 2 ** 32 - 1)
+
+
 @hst.composite
-def turing_machines(draw):
-    tape = draw(hst.lists(hst.sampled_from(("B", "M", "a")), min_size=1, max_size=3, unique=True))
-    states = draw(hst.lists(hst.sampled_from(("q0", "q1", "h")), min_size=1, max_size=3,
+def automata(draw):
+    """A randgen automaton, its states renamed from ARA_NAMES, as a
+    constructor call that may refuse the names."""
+    aut = randgen.random_automaton(random.Random(draw(SEEDS)), AB, max_states=3)
+    n = len(aut.states)
+    ren = dict(zip(aut.states, draw(hst.lists(hst.sampled_from(ARA_NAMES), min_size=n,
+                                              max_size=n, unique=True))))
+
+    def leaf(g):
+        return type(g)(ren[g.state]) if isinstance(g, (pb.Ref, pb.DownRef)) else g
+
+    delta = {(ren[q], a, flag): pb.rebuild(phi, leaf) for (q, a, flag), phi in aut.delta.items()}
+    return partial(AlternatingAutomaton, AB, tuple(ren.values()), ren[aut.initial], delta)
+
+
+@hst.composite
+def turing_machines(draw, tape_names=("B", "M", "a"), state_names=("q0", "q1", "h")):
+    """A Turing machine over names from the two pools, as a constructor call
+    that may refuse them."""
+    tape = draw(hst.lists(hst.sampled_from(tape_names), min_size=1, max_size=3, unique=True))
+    states = draw(hst.lists(hst.sampled_from(state_names), min_size=1, max_size=3,
                             unique=True))
     rules = {}
     for q in states:
         for a in tape:
             rules[(q, a)] = (draw(hst.sampled_from(states)), draw(hst.sampled_from(tape)),
                              draw(hst.sampled_from((1, -1))))
-    return TuringMachine(tape, draw(hst.sampled_from(tape)), states,
-                         draw(hst.sampled_from(states)), rules, draw(hst.integers(1, 3)))
+    return partial(TuringMachine, tape, draw(hst.sampled_from(tape)), states,
+                   draw(hst.sampled_from(states)), rules, draw(hst.integers(1, 3)))
 
 
-SEEDS = hst.integers(0, 2 ** 32 - 1)
 TEXTS = {
     ".ltl": SEEDS.map(lambda seed: ltl.print_formula_file(
         AB, random_sentence(random.Random(seed), AB, depth=4))),
     ".ara": SEEDS.map(lambda seed: format_automaton(
         randgen.random_automaton(random.Random(seed), AB, max_states=3))),
     ".cm": SEEDS.map(_random_cm),
-    ".tm": turing_machines().map(format_tm),
+    ".tm": turing_machines().map(lambda make: format_tm(make())),
 }
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
-@pytest.mark.parametrize("ext", [".ltl", ".ara", ".tm"])
+def _ltl_round_trip(data):
+    text = data.draw(TEXTS[".ltl"])
+    assert REPRINT[".ltl"](text) == text
+
+
+def _ara_round_trip(data):
+    make = data.draw(automata())
+    try:
+        aut = make()
+    except ValidationError:
+        assert ARA_RESERVED & set(make.args[1])
+        return
+    assert not ARA_RESERVED & set(aut.states)
+    back = parse_automaton(format_automaton(aut))
+    assert (back.states, back.initial, back.delta) == (aut.states, aut.initial, aut.delta)
+
+
+def _tm_round_trip(data):
+    # half the machines from the plain pools: from the wide ones, nearly
+    # every machine takes a reserved word
+    make = data.draw(hst.booleans().flatmap(
+        lambda wide: turing_machines(TM_TAPE, TM_STATES) if wide else turing_machines()))
+    tape, _, states = make.args[:3]
+    try:
+        m = make()
+    except ValidationError:
+        assert TM_RESERVED & set(tape + states) or set(tape) & set(states)
+        return
+    assert not TM_RESERVED & set(m.tape + m.states)
+    back = parse_tm(format_tm(m))
+    assert vars(back) == vars(m)
+    ltl.parse_formula_file(ltl.print_formula_file(tm_alphabet(m), tm_to_formula(m)))
+
+
+@pytest.mark.parametrize("ext, check", [(".ltl", _ltl_round_trip), (".ara", _ara_round_trip),
+                                        (".tm", _tm_round_trip)], ids=[".ltl", ".ara", ".tm"])
 @PROPERTY
 @given(data=hst.data())
-def test_round_trip_property(ext, data):
-    """A printed file parses back to an object with the same printout
-    (.cm has its own, test_ipcant::test_machine_file_round_trip_property)."""
-    text = data.draw(TEXTS[ext])
-    assert REPRINT[ext](text) == text
+def test_round_trip_property(ext, check, data):
+    """A printed .ltl file parses back to the same printout.  An automaton or
+    Turing machine over names from pools that hold every reserved word is
+    either refused at construction, exactly when it takes a reserved word,
+    or prints a file that parses back to an equal object, and a machine's
+    tmgen formula parses.  Objects are compared, not printouts: a state
+    named true prints as the constant does.  (.cm has its own,
+    test_ipcant::test_machine_file_round_trip_property.)"""
+    check(data)
 
 
 NOISE = ("", "   ", "#", "# a comment", "  # indented: comment", "#alphabet: z",

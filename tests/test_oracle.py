@@ -22,8 +22,8 @@ def test_pattern_occurs_frozen(abc):
     assert not pattern_occurs(parse_word("a@D c@E", abc), "a", "c", "b")
 
 
-def test_oracle_on_trivial_automata(top_automaton, abc):
-    bot = AlternatingAutomaton(AB, ("z",), "z", {})
+def test_oracle_on_trivial_automata(top_automaton, abc, bot_automaton):
+    bot = bot_automaton()
     rng = random.Random(3)
     for _ in range(30):
         w = randgen.random_word(rng, AB, 5)

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+from itertools import product
 import pickle
 import random
 
@@ -123,11 +125,25 @@ def test_class_sequence_counts():
     assert list(canonical_class_sequences(0, 3)) == [()]
 
 
+def test_class_sequences_in_order_at_any_length():
+    """The sequences are the canonical tuples of the full product, in its
+    lexicographic order, and no length is bounded by the call stack."""
+    for n in range(6):
+        for k in range(5):
+            want = [t for t in product(range(k), repeat=n)
+                    if all(c <= max(t[:i], default=-1) + 1 for i, c in enumerate(t))]
+            assert list(canonical_class_sequences(n, k)) == want, (n, k)
+    assert next(canonical_class_sequences(3000, 3)) == (0,) * 3000
+
+
 def test_enumerate_words_count(abc):
-    """The desk-scale corpus size is frozen: all canonical words over three
-    letters, length up to 5, at most 3 classes."""
-    count = sum(1 for _ in enumerate_words(abc, 5, 3))
-    assert count == 11253
+    """The desk-scale corpus is frozen: all canonical words over three
+    letters, length up to 5, at most 3 classes, in one order, which numbers
+    the membership benchmark's queries."""
+    words = list(enumerate_words(abc, 5, 3))
+    assert len(words) == 11253
+    assert hashlib.sha256("\n".join(map(print_word, words)).encode()).hexdigest() == (
+        "285e37d892aea63546dfc954036eafe7f706e23b356abc249de9adebfb591628")
 
 
 def test_enumerate_words_all_canonical_and_distinct(abc):
