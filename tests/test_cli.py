@@ -187,7 +187,7 @@ def test_answers_alike_with_every_memo_bounded_at_8(data_path, default_bound_ans
         assert _out(capsys) == ("AGREE trials=200 seed=4\n", ""), extra
     assert run_cli(["include", "--format", "json", "--lhs", fig1, "--rhs", fig1]) == 0
     record = json.loads(_out(capsys)[0])
-    assert (record["verdict"], record["explored"]) == ("INCLUDED", 1275), record
+    assert (record["verdict"], record["explored"]) == ("INCLUDED", 261), record
     for argv, alone in default_bound_answers.items():
         code = run_cli(list(argv))
         assert (code, *_out(capsys)) == alone, argv
@@ -250,7 +250,7 @@ def test_include_json_record(data_path, capsys):
                     "--lhs", fig, "--rhs", fig]) == 0
     record = json.loads(_out(capsys)[0])
     assert record["verdict"] == "INCLUDED"
-    assert record["explored"] == 1275
+    assert record["explored"] == 261
     assert record["converged"] is True
     assert "checkpoints" in record
 

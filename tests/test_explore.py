@@ -1,6 +1,6 @@
 from collections import deque
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 import random
 
 from hypothesis import given, settings, strategies as hst
@@ -15,13 +15,15 @@ from regsafe.ipcant import (BRANCH_BUDGET, EPS, CounterMachine, CounterStructure
                             Transfer, Transition, compositions, parse_machine, split_tokens)
 from regsafe.ltl import parse_formula
 from regsafe.pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
-                              bounded_nonemptiness, inclusion_check, prefix_reachable)
+                              bounded_nonemptiness, inclusion_check, parse_tm, prefix_reachable,
+                              tm_alphabet, tm_to_formula)
 from regsafe.pipeline import explore
-from regsafe.pipeline.explore import Antichain, successors
+from regsafe.pipeline.compile import family_structure
+from regsafe.pipeline.explore import Antichain, Expanded, embeds, successors
 from regsafe.reference.ara import inclusion_product
-from regsafe.reference.ipcant import (fire, fire_lazy, image, random_instruction,
+from regsafe.reference.ipcant import (Valuation, fire, fire_lazy, image, random_instruction,
                                       random_structure, random_transfer, random_valuation,
-                                      valuation)
+                                      sqsse, valuation)
 
 AB = Alphabet(("a", "b"))
 UNCUT = 1 << 30  # a value bound above every count these tests reach
@@ -87,9 +89,9 @@ def test_inclusion_unknown_when_a_checkpoint_search_is(abc, monkeypatch):
     stronger = ltl_to_ara(parse_formula("G (down X G (b | c | nup)) & G a | G b", abc), abc)
     res = inclusion_check(weaker, stronger)
     assert (res.verdict, res.explored, res.converged, res.checkpoints) == (
-        Inclusion.NOT_INCLUDED, 309, True, 2)
+        Inclusion.NOT_INCLUDED, 237, True, 2)
     monkeypatch.setattr(explore, "NODE_BUDGET", 1)
-    assert tuple(inclusion_check(weaker, stronger))[:4] == (Inclusion.UNKNOWN, 309, True, 2)
+    assert tuple(inclusion_check(weaker, stronger))[:4] == (Inclusion.UNKNOWN, 237, True, 2)
 
 
 def test_bounds_below_one_are_refused(fig1):
@@ -191,10 +193,74 @@ def test_prefix_reachable_explicit_matches_compiled_property(seed, with_co):
         assert prefix_reachable(explicit, letters) == prefix_reachable(compiled, letters), letters
 
 
+def _sparse(rng, masks, tokens):
+    """A valuation of `tokens` tokens on random masks, in the canonical form."""
+    counts = {}
+    for _ in range(tokens):
+        ci = rng.choice(masks)
+        counts[ci] = counts.get(ci, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def _lifted(rng, masks, sv):
+    """sv's tokens, each moved onto a random mask holding its own (itself
+    about half the time), then one token added or dropped at random."""
+    counts = {}
+    for ci, n in sv:
+        for _ in range(n):
+            cj = ci if rng.random() < 0.5 else rng.choice([m for m in masks if ci & m == ci])
+            counts[cj] = counts.get(cj, 0) + 1
+    move = rng.random()
+    if move < 0.25:
+        ci = rng.choice(masks)
+        counts[ci] = counts.get(ci, 0) + 1
+    elif move < 0.5 and counts:
+        ci = rng.choice(sorted(counts))
+        counts[ci] -= 1
+    return tuple(sorted((ci, n) for ci, n in counts.items() if n))
+
+
+def test_embeds_matches_hall_condition():
+    """embeds against sqsse (Hall's condition) on the away counters of
+    1-3-state family structures, whose index is their thread-set mask, in
+    both directions on seeded sparse valuations of 0-5 tokens: a third of
+    the pairs drawn independently, two thirds lifted, token by token, onto
+    equal or superset masks with a token added or dropped.  The pairs take
+    in the empty valuation, a valuation with more tokens than the other,
+    pairs whose held masks are pairwise incomparable, so that only equal
+    masks fit and the order is the pointwise one, and pairs that embed only
+    onto strict supersets."""
+    rng = random.Random(84)
+    seen = set()
+    for trial in range(900):
+        n = rng.randint(1, 3)
+        st = family_structure(tuple("q%d" % i for i in range(n)))
+        masks = range(1 << n)
+        a = _sparse(rng, masks, rng.randint(0, 5))
+        b = _sparse(rng, masks, rng.randint(0, 5)) if trial % 3 == 0 else _lifted(rng, masks, a)
+        for small, big in ((a, b), (b, a)):
+            dense = [[0] * len(st.counters) for _ in range(2)]
+            for values, sv in zip(dense, (small, big)):
+                for ci, k in sv:
+                    values[ci] = k
+            got = embeds(small, big)
+            assert got == sqsse(*(Valuation(st, tuple(v)) for v in dense)), (n, small, big)
+            pointwise = all(k <= dict(big).get(ci, 0) for ci, k in small)
+            held = {ci for ci, _ in small + big}
+            flat = all(ci & cj != ci for ci in held for cj in held if ci != cj)
+            if flat:  # no held mask holds another: only equal masks fit
+                assert got == pointwise, (small, big)
+            more = sum(k for _, k in small) > sum(k for _, k in big)
+            seen.add((got, "empty" if not small else "more" if more else "flat" if flat
+                      else "pointwise" if pointwise else "superset"))
+    assert seen == {(True, "empty"), (False, "more"), (True, "flat"), (False, "flat"),
+                    (True, "pointwise"), (True, "superset"), (False, "superset")}, seen
+
+
 def test_inclusion_self(fig1):
     res = inclusion_check(fig1, fig1)
     assert res.verdict is Inclusion.INCLUDED
-    assert res.explored == 1275
+    assert res.explored == 261
     assert res.converged
     # the dual obligations never fully discharge along minimal configurations
     assert res.checkpoints == 0
@@ -211,7 +277,7 @@ def test_saturation_result_fields_and_repr(fig1):
     the chains, and no assignment."""
     res = inclusion_check(fig1, fig1)
     assert repr(res) == ("SaturationResult(verdict=<Inclusion.INCLUDED: 'included'>, "
-                         "explored=1275, converged=True, checkpoints=0)")
+                         "explored=261, converged=True, checkpoints=0)")
     verdict, explored, converged, checkpoints, chains = res
     assert (verdict, explored, converged, checkpoints) == (
         res.verdict, res.explored, res.converged, res.checkpoints)
@@ -295,13 +361,55 @@ def test_antichain_matches_linear_reference():
     assert min(paths.values()) > 500, paths
 
 
-def _reference_inclusion(a1, a2, cap, vcap=64):
-    """The saturation on per-control lists with the linear scans."""
+def _reference_embeds(small, big):
+    """By brute force: some injective assignment of small's tokens to big's
+    puts each on a mask holding its own."""
+    want = [ci for ci, n in small for _ in range(n)]
+    have = [cj for cj, n in big for _ in range(n)]
+    return any(all(ci & cj == ci for ci, cj in zip(want, picked))
+               for picked in permutations(have, len(want)))
+
+
+def _reference_below(expanded, control, sv):
+    """Does some (control, valuation) pair of the list lie below the given
+    one in the token-embedding order: an equal checkpoint flag, a control
+    mask inside this one's and a valuation that embeds in sv?"""
+    mask, flag = control
+    return any(flag2 == flag and mask2 & mask == mask2 and _reference_embeds(sv2, sv)
+               for (mask2, flag2), sv2 in expanded)
+
+
+def test_expanded_matches_linear_reference():
+    """Expanded.below against a scan of every configuration added before,
+    on seeded configurations over 1-3 states: random control masks and
+    checkpoint flags, and valuations of 0-4 tokens."""
+    rng = random.Random(85)
+    answers = set()
+    for _ in range(60):
+        masks = range(1 << rng.randint(1, 3))
+        index, added = Expanded(), []
+        for _ in range(rng.randint(1, 25)):
+            control = (rng.choice(masks), rng.random() < 0.5)
+            sv = _sparse(rng, masks, rng.randint(0, 4))
+            want = _reference_below(added, control, sv)
+            assert index.below(control, sv) == want, (added, control, sv)
+            answers.add(want)
+            index.add(control, sv)
+            added.append((control, sv))
+    assert answers == {True, False}
+
+
+def _reference_inclusion(a1, a2, cap, vcap=64, embedding=True):
+    """The saturation on per-control lists with the linear scans; with
+    `embedding`, a configuration that lies above an expanded one in the
+    token-embedding order is not expanded, and without it the saturation
+    prunes by the pointwise order alone."""
     aut, co_states = inclusion_product(a1, a2)
     machine = ara_to_ipcant(aut, co_states=co_states)
     control0, sv0 = machine.initial_config()
     chains = {control0: [sv0]}
     queue = deque([(control0, sv0, 1)])
+    expanded = []
     explored, truncated, converged = 0, False, True
     while queue:
         if explored >= cap:
@@ -310,6 +418,9 @@ def _reference_inclusion(a1, a2, cap, vcap=64):
         control, sv, steps = queue.popleft()
         if sv not in chains.get(control, ()):
             continue
+        if embedding and _reference_below(expanded, control, sv):
+            continue
+        expanded.append((control, sv))
         explored += steps
         succ, cut = machine.config_successors(control, sv, None, vcap)
         truncated |= cut
@@ -350,6 +461,8 @@ def test_inclusion_matches_list_reference(fig1, example_formula):
 
 
 def _inclusion_queries(fig1, example_formula):
+    """Two queries that hold, then seeded random ones in five kinds in turn,
+    of which the first three hold by construction."""
     ab, formula = example_formula
     queries = [(fig1, fig1), (fig1, union(fig1, ltl_to_ara(formula, ab)))]
     rng = random.Random(83)
@@ -359,6 +472,54 @@ def _inclusion_queries(fig1, example_formula):
         queries.append([(a, a), (intersect(a, b), a), (a, union(a, b)),
                         (union(a, b), a), (a, b)][i % 5])
     return queries
+
+
+def _f3_queries(fig1, example_formula, data_text):
+    """Two of the three queries on which a saturation pruned by the
+    pointwise order alone runs into the default cap; both hold."""
+    f3_a, f3_b = (parse_automaton(data_text(name)) for name in ("f3_a.ara", "f3_b.ara"))
+    ab, formula = example_formula
+    return [(intersect(f3_a, f3_b), f3_a), (fig1, union(fig1, ltl_to_ara(formula, ab)))]
+
+
+def test_embedding_decides_only_what_pointwise_pruning_left_open(
+        fig1, example_formula, data_text):
+    """The list reference without its expansion test, which prunes by the
+    pointwise order alone, against inclusion_check: on _inclusion_queries at
+    cap 2000 and on the F3 reproducers at the default cap, every definite
+    verdict of the reference is inclusion_check's, and a query that the
+    reference leaves UNKNOWN and inclusion_check decides holds by
+    construction and is answered INCLUDED."""
+    queries = [(a1, a2, 2000, i < 2 or (i - 2) % 5 < 3)
+               for i, (a1, a2) in enumerate(_inclusion_queries(fig1, example_formula))]
+    queries += [(a1, a2, explore.CAP, True)
+                for a1, a2 in _f3_queries(fig1, example_formula, data_text)]
+    decided = 0
+    for a1, a2, cap, holds in queries:
+        got = inclusion_check(a1, a2, cap=cap).verdict.name
+        pointwise = _reference_inclusion(a1, a2, cap, embedding=False)[0]
+        if pointwise == "UNKNOWN" and got != "UNKNOWN":
+            assert holds and got == "INCLUDED", (a1, a2)
+            decided += 1
+        else:
+            assert got == pointwise, (a1, a2)
+    assert decided >= 2
+
+
+def test_inclusion_decides_two_f3_queries(fig1, example_formula, data_text):
+    """Both F3 reproducers converge to INCLUDED at the default cap."""
+    for (a1, a2), explored in zip(_f3_queries(fig1, example_formula, data_text), (2401, 2823)):
+        res = inclusion_check(a1, a2)
+        assert tuple(res)[:4] == (Inclusion.INCLUDED, explored, True, 0)
+
+
+def test_halting_self_inclusion_stays_unknown(data_text):
+    """The third F3 query, the halting formula's automaton in itself, still
+    runs into the default cap."""
+    halting = parse_tm(data_text("halting.tm"))
+    aut = ltl_to_ara(tm_to_formula(halting), tm_alphabet(halting))
+    res = inclusion_check(aut, aut)
+    assert tuple(res)[:4] == (Inclusion.UNKNOWN, 10049, False, 0)
 
 
 def test_inclusion_on_built_product_gives_the_same_saturation(
