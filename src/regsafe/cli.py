@@ -23,7 +23,7 @@ from .pipeline import (Inclusion, Nonemptiness, ara_to_ipcant,
                        bounded_nonemptiness, config_length, encode_tm_run,
                        inclusion_check, oracle_run_exists, parse_tm, tm_alphabet,
                        tm_to_formula)
-from .pipeline.explore import CAP, VCAP
+from .pipeline.explore import CAP
 from .pipeline.oracle import frontier_run_exists, frontier_takes
 from . import randgen
 
@@ -144,7 +144,7 @@ def _machine_from(ns):
 
 def _cmd_sat(ns):
     machine = _machine_from(ns)
-    outcome = bounded_nonemptiness(machine, cap=ns.cap, vcap=ns.vcap)
+    outcome = bounded_nonemptiness(machine, cap=ns.cap)
     verdict = outcome.name
     _emit(ns, [verdict], {"command": "sat", "verdict": verdict})
     return _verdict_exit(verdict)
@@ -165,7 +165,7 @@ def _cmd_include(ns):
     a1 = _load(load, ns.lhs)
     a2 = _load(load, ns.rhs)
     _same_alphabet(ns, a1.alphabet, a2.alphabet)
-    result = inclusion_check(a1, a2, cap=ns.cap, vcap=ns.vcap)
+    result = inclusion_check(a1, a2, cap=ns.cap)
     verdict = result.verdict.name
     _emit(ns, [verdict],
           {"command": ns.subcommand, "verdict": verdict,
@@ -273,12 +273,10 @@ def _build_parser():
     shared = _ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("text", "json"), default="text",
                         help="output style (default text)")
-    # the exploration bounds, read by sat, include and refine alone
+    # the exploration bound, read by sat, include and refine alone
     bounds = _ArgumentParser(add_help=False)
     bounds.add_argument("--cap", type=int, default=CAP,
                         help="exploration step bound (default %(default)s)")
-    bounds.add_argument("--vcap", type=int, default=VCAP,
-                        help="counter value bound (default %(default)s)")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("parse", parents=[shared], help="echo a formula file canonically")
@@ -344,7 +342,7 @@ def run_cli(argv) -> int:
     try:
         ns = parser.parse_args(argv)
         if "cap" in ns:
-            _at_least(1, cap=ns.cap, vcap=ns.vcap)
+            _at_least(1, cap=ns.cap)
         return ns.handler(ns)
     except _UsageError as e:
         print("error: %s" % e, file=sys.stderr)

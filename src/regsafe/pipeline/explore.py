@@ -16,22 +16,16 @@ Every bound counts instruction steps: the step cap, NODE_BUDGET and the
 saturation's explored count charge a compiled letter step the instructions
 of the cycle it replaces, so a bound means the same on both machine kinds.
 
-prefix_reachable searches depth-first over (position, configuration) pairs,
-expanding each at most once, and stops at the first resting configuration
-after the last letter, so a True answer costs one path rather than every
-configuration reachable at each position.  On a compiled machine every
-expansion is a lettered step, which the machine memoizes, so an expansion
-repeated within one query or by another query on the same machine is one
-lookup.  It needs neither a node cap nor a value cap: within a position
-only letter-free steps are taken, and that graph is finite (compiled
-machines have none, explicit machines reject letter-free cycles at
-construction).  So a False answer is exact, unless a transfer's splits
-passed BRANCH_BUDGET and were dropped.
+prefix_reachable needs neither a node cap nor a value cap, as the graph of
+letter-free steps at each position is finite (see its docstring).
 
 bounded_nonemptiness searches for an infinite run: any configuration cycle
 is one (control cycles must consume letters, so a lasso reads infinitely many
 letters), and so is any path reaching the step bound.  Exhausting the graph
-without hitting a value or node cap is a definite emptiness answer.
+without hitting a value or node cap is a definite emptiness answer.  The
+value cap VCAP, like NODE_BUDGET, is a constant of the module, read by
+bounded_nonemptiness and inclusion_check alike; the step cap is their one
+bound parameter.
 
 inclusion_check saturates the product of one automaton with the dual of
 another, compiled straight from the two (compile.product_machine, the
@@ -64,17 +58,13 @@ equal flag loses no checkpoint with an infinite run, and no cut that
 matters.
 
 Two tests prune.  At generation, each control keeps an Antichain of its
-pointwise-minimal valuations, a cheap duplicate filter.  It is indexed by
-support, the set of counters a valuation holds: a valuation can lie below
-another only if its support is a subset of the other's, so the test for a
-smaller kept valuation looks only at supports inside the new one's, and the
-pruning of larger ones only at supports that hold all of its counters.  At
-expansion, a configuration leaving the queue is skipped when an expanded
-one (Expanded) lies below it in the token-embedding order.  The embedding
-test runs at expansion because only expanded configurations are compared,
-a few hundred on the queries here, so a search that runs into its cap pays
-almost nothing for it; tested at generation against every kept
-configuration, it took halting's self-inclusion from 0.013 s to 0.3-0.9 s.
+pointwise-minimal valuations, a cheap duplicate filter.  At expansion, a
+configuration leaving the queue is skipped when an expanded one (Expanded)
+lies below it in the token-embedding order.  The embedding test runs at
+expansion because only expanded configurations are compared, a few hundred
+on the queries here, so a search that runs into its cap pays almost nothing
+for it; tested at generation against every kept configuration, it took
+halting's self-inclusion from 0.013 s to 0.3-0.9 s.
 """
 
 from collections import deque, namedtuple
@@ -88,7 +78,7 @@ from .compile import product_machine
 
 NODE_BUDGET = 200000
 CAP = 10000  # the default step cap of bounded_nonemptiness and inclusion_check
-VCAP = 64  # and their default counter value bound
+VCAP = 64  # and the counter value bound of both
 
 
 class Nonemptiness(Enum):
@@ -129,14 +119,14 @@ def successors(machine, control, sv, vcap, letter=None):
     return succ, truncated
 
 
-def bounded_nonemptiness(machine, cap=CAP, vcap=VCAP, start=None) -> Nonemptiness:
+def bounded_nonemptiness(machine, cap=CAP, start=None) -> Nonemptiness:
     """Search for an infinite run from `start`, a (control, valuation) pair
     with the valuation in the canonical form, or else from the initial
     configuration: a configuration lasso or a simple path of cap
     instruction steps counts as one.  A fully exhausted graph without
     cutoffs is a definite emptiness verdict.  Path lengths and the node
     count charge each step its instruction count.  Raises ValueError on a
-    cap or vcap below 1.
+    cap below 1.
 
     The cap is tested only where a path grows: on pop, where a
     configuration's longest path plus the steps into it extends its
@@ -145,15 +135,15 @@ def bounded_nonemptiness(machine, cap=CAP, vcap=VCAP, start=None) -> Nonemptines
     plus the checkpoint flag of the control it enters, an explicit one 1),
     so its sum is the one its first parent compared against the cap when
     it was popped, and found short."""
-    if cap < 1 or vcap < 1:
-        raise ValueError("cap and vcap must be at least 1, not %r and %r" % (cap, vcap))
+    if cap < 1:
+        raise ValueError("cap must be at least 1, not %r" % (cap,))
     truncated = False
     longest = {}  # config -> None while on the stack, then its longest path (in steps)
     visited = 1
 
     def expand(control, sv):
         nonlocal truncated
-        succ, cut = successors(machine, control, sv, vcap)
+        succ, cut = successors(machine, control, sv, VCAP)
         truncated |= cut
         return iter(succ)
 
@@ -319,28 +309,37 @@ def _any_below(group, counts):
 def embeds(small, big):
     """Does every token of the valuation `small` map injectively onto a token
     of `big` whose counter holds its own?  Counters are away counters, whose
-    index is their thread-set mask, so ci fits cj when ci & cj == ci.  Kuhn's
-    augmenting paths over the tokens, one per unit of count, after refusing
-    a counter of `small` that holds more tokens than fit it in `big`."""
-    have = [cj for cj, n in big for _ in range(n)]
-    want = []  # per token of small, the tokens of big it fits
+    index is their thread-set mask, so ci fits cj when ci & cj == ci.  Tokens
+    of one counter are interchangeable, so counts flow between counters, along
+    shortest augmenting paths found on an explicit work list; a count that no
+    path can place refutes the embedding, as in Kuhn's matching."""
+    free = dict(big)  # counter of big -> its tokens not yet matched
+    flow = {}  # (ci, cj) -> tokens of small's ci matched onto big's cj
     for ci, n in small:
-        fits = [k for k, cj in enumerate(have) if ci & cj == ci]
-        if len(fits) < n:
-            return False
-        want += [fits] * n
-    owner = [None] * len(have)  # the want token matched to each have token
-
-    def augment(i, seen):
-        for k in want[i]:
-            if k not in seen:
-                seen.add(k)
-                if owner[k] is None or augment(owner[k], seen):
-                    owner[k] = i
-                    return True
-        return False
-
-    return all(augment(i, set()) for i in range(len(want)))
+        while n:
+            # counter of big reached -> its path of moves (counter of small, from, to)
+            paths = {cj: ((ci, None, cj),) for cj in free if ci & cj == ci}
+            order = list(paths)
+            for cj in order:
+                if free[cj]:
+                    break
+                for (cm, ck), m in flow.items():
+                    if ck == cj and m:
+                        for cl in free:
+                            if cl not in paths and cm & cl == cm:
+                                paths[cl] = paths[cj] + ((cm, cj, cl),)
+                                order.append(cl)
+            else:
+                return False  # Hall's condition fails on the counters reached
+            path = paths[cj]
+            d = min([n, free[cj]] + [flow[cm, src] for cm, src, _ in path[1:]])
+            free[cj] -= d
+            n -= d
+            for cm, src, dst in path:
+                flow[cm, dst] = flow.get((cm, dst), 0) + d
+                if src is not None:
+                    flow[cm, src] -= d
+    return True
 
 
 class Expanded:
@@ -383,7 +382,7 @@ def _size(sv):
 
 
 def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
-                    cap=CAP, vcap=VCAP) -> SaturationResult:
+                    cap=CAP) -> SaturationResult:
     """Decide whether every data word accepted by a1 is accepted by a2, by
     saturating the product of a1 with the dual of a2, compiled from the two
     automata (product_machine) with a2's states as co-states.  Each control
@@ -395,9 +394,9 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
     order, which simulates it (see the module docstring); a skipped one
     stays in `chains` and costs no steps.  The checkpoint searches start
     from the checkpoint members of `chains`.  Raises ValidationError unless
-    a1 and a2 share an alphabet, and ValueError on a cap or vcap below 1."""
-    if cap < 1 or vcap < 1:
-        raise ValueError("cap and vcap must be at least 1, not %r and %r" % (cap, vcap))
+    a1 and a2 share an alphabet, and ValueError on a cap below 1."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1, not %r" % (cap,))
     machine = product_machine(a1, a2)
     control0, sv0 = machine.initial_config()
     chain = Antichain()
@@ -420,7 +419,7 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
             continue  # an expanded configuration simulates it
         expanded.add(control, sv)
         explored += steps
-        succ, cut = successors(machine, control, sv, vcap)
+        succ, cut = successors(machine, control, sv, VCAP)
         truncated |= cut
         for label, control2, sv2, steps2 in succ:
             chain = chains.get(control2)
@@ -434,7 +433,7 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
                    if machine.is_checkpoint(control) for sv in chain]
     verdict = Inclusion.UNKNOWN if truncated or not converged else Inclusion.INCLUDED
     for start in checkpoints:
-        r = bounded_nonemptiness(machine, cap=cap, vcap=vcap, start=start)
+        r = bounded_nonemptiness(machine, cap=cap, start=start)
         if r is Nonemptiness.NONEMPTY:
             verdict = Inclusion.NOT_INCLUDED
             break

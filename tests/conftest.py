@@ -1,3 +1,4 @@
+from itertools import permutations
 import os
 
 import pytest
@@ -6,6 +7,7 @@ from regsafe.words import Alphabet
 from regsafe.ara import parse_automaton
 from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import AlternatingAutomaton
+from regsafe.ipcant import CounterMachine
 from regsafe import ltl
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -14,6 +16,20 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 def data_text(name):
     with open(os.path.join(DATA, name), "r") as fh:
         return fh.read()
+
+
+def under(machine, lazy):
+    """The machine's transitions, stepped under the given relation."""
+    return CounterMachine(machine.alphabet, machine.states, machine.initial,
+                          machine.structure, machine.transitions,
+                          check_transfers="off", lazy=lazy)
+
+
+def embeds_by_permutation(want, have, fits):
+    """By brute force: some injective assignment of the tokens `want` to the
+    tokens `have` puts each on one that it `fits`."""
+    return any(all(fits(mine, theirs) for mine, theirs in zip(want, picked))
+               for picked in permutations(have, len(want)))
 
 
 @pytest.fixture(scope="session", name="data_text")

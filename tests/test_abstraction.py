@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import partial
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 import random
 
 import pytest
@@ -15,6 +15,8 @@ from regsafe.reference.abstraction import (AbstractionTriple, abstract_configs,
                                            abstract_successors, achievable_pairs,
                                            h_abstraction)
 from regsafe.reference.ara import models_at
+
+from conftest import embeds_by_permutation
 
 AB = Alphabet(("a", "b"))
 UNCUT = 1 << 30  # a value bound above every count these tests reach
@@ -183,10 +185,9 @@ def _above(big, small):
     map one to one onto classes of big holding at least their states."""
     if not small.here <= big.here:
         return False
-    mine = [r for r, n in small.counts for _ in range(n)]
-    theirs = [r for r, n in big.counts for _ in range(n)]
-    return any(all(r <= r2 for r, r2 in zip(mine, perm))
-               for perm in permutations(theirs, len(mine)))
+    return embeds_by_permutation([r for r, n in small.counts for _ in range(n)],
+                                 [r for r, n in big.counts for _ in range(n)],
+                                 lambda r, r2: r <= r2)
 
 
 def _compiled_step_against_abstract_successors(rng, aut, sources):

@@ -92,7 +92,11 @@ def test_sat_verdicts(data_path, capsys):
     tiny = data_path("tiny.cm")
     assert run_cli(["sat", "--machine", tiny, "--cap", "50"]) == 0
     assert _out(capsys)[0] == "NONEMPTY\n"
-    assert run_cli(["sat", "--machine", tiny, "--vcap", "8"]) == 2
+    # the value cap is no option; at its fixed 64 it cuts the climbing
+    # counter before the default cap concludes
+    assert run_cli(["sat", "--machine", tiny, "--vcap", "8"]) == 64
+    assert _out(capsys) == ("", "error: unrecognized arguments: --vcap 8\n")
+    assert run_cli(["sat", "--machine", tiny]) == 2
     assert _out(capsys)[0] == "UNKNOWN\n"
     assert run_cli(["sat", "--automaton", data_path("fig1.ara")]) == 0
     assert _out(capsys)[0] == "NONEMPTY\n"
@@ -570,13 +574,17 @@ def test_usage_errors(data_path, tmp_path, capsys):
                     "--cap", "0"]) == 64
     assert run_cli(["parse", "--formula", str(tmp_path / "absent.ltl")]) == 64
     _out(capsys)
-    # only sat, include and refine explore, and only they take the bounds
+    # only sat, include and refine explore, and only they take the cap;
+    # no command takes a value cap
     fig, ltl = data_path("fig1.ara"), data_path("example.ltl")
-    for argv in (["parse", "--formula", ltl], ["ltl2ara", "--formula", ltl],
-                 ["ara2cm", "--automaton", fig], ["run", "--automaton", fig, "--word", "a@D"],
-                 ["bound", "--automaton", fig], ["tmgen", "--tm", data_path("bouncer.tm")],
-                 ["oracle", "--trials", "1"]):
-        for flag in ("--cap", "--vcap"):
+    exploring = (["sat", "--automaton", fig], ["include", "--lhs", fig, "--rhs", fig],
+                 ["refine", "--lhs", ltl, "--rhs", ltl])
+    for argv in exploring + (
+            ["parse", "--formula", ltl], ["ltl2ara", "--formula", ltl],
+            ["ara2cm", "--automaton", fig], ["run", "--automaton", fig, "--word", "a@D"],
+            ["bound", "--automaton", fig], ["tmgen", "--tm", data_path("bouncer.tm")],
+            ["oracle", "--trials", "1"]):
+        for flag in ("--vcap",) if argv in exploring else ("--cap", "--vcap"):
             assert run_cli(argv + [flag, "5"]) == 64, (argv, flag)
             out, err = _out(capsys)
             assert out == "" and err == "error: unrecognized arguments: %s 5\n" % flag, argv
@@ -894,7 +902,7 @@ def test_parser_is_built_once_and_carries_no_state(data_path, capsys):
         (["sat", "--automaton", fig, "--bogus"], 64, ""),
         (["include", "--help"], 0, None),
         (["include", "--lhs", fig, "--rhs", fig], 0, "INCLUDED\n"),
-        (["sat", "--machine", data_path("tiny.cm"), "--vcap", "8"], 2, "UNKNOWN\n"),
+        (["sat", "--machine", data_path("tiny.cm")], 2, "UNKNOWN\n"),
         (sat, 0, "NONEMPTY\n"),
     ]
     for argv, code, want in calls:

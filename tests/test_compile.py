@@ -23,6 +23,8 @@ from regsafe.pipeline.compile import _flight_index, family_structure, letter_fre
 from regsafe.reference.ara import inclusion_product
 from regsafe.reference.ipcant import Valuation, fire
 
+from conftest import under
+
 AB = Alphabet(("a", "b"))
 UNCUT = 1 << 30  # a value bound above every count these tests reach
 
@@ -288,13 +290,6 @@ def _meaning(machine):
             for t in machine.transitions]
 
 
-def _under(machine, lazy):
-    """The machine's transitions, stepped under the given relation."""
-    return ipcant.CounterMachine(machine.alphabet, machine.states, machine.initial,
-                                 machine.structure, machine.transitions,
-                                 check_transfers="off", lazy=lazy)
-
-
 def _reached_configs(machine, limit=150):
     """Configurations of the explicit machine in breadth-first order, under
     its own relation, values capped at 3."""
@@ -339,7 +334,7 @@ def test_materialized_machine_file_round_trip_random():
         assert len({id(i) for i in incdec}) == len(set(incdec))
         assert len({id(i) for i in instrs}) <= len(set(instrs)) + len(AB) - 1
         assert not parsed.lazy
-        lazy = _under(parsed, True)
+        lazy = under(parsed, True)
         for control, sv in _reached_configs(m):
             for letter in (None,) + AB.letters:
                 for vcap in (UNCUT, 2):

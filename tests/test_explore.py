@@ -1,12 +1,13 @@
 from collections import deque
 from functools import partial
-from itertools import permutations, product
+from itertools import product
 import random
+import time
 
 from hypothesis import given, settings, strategies as hst
 import pytest
 
-from regsafe.words import Alphabet, canonicalize, parse_word
+from regsafe.words import Alphabet, DataWord, canonical_class_sequences, parse_word
 from regsafe.ara import ltl_to_ara, parse_automaton, run_exists
 from regsafe.ara import posbool as pb
 from regsafe.ara.automaton import AlternatingAutomaton, intersect, union
@@ -25,19 +26,10 @@ from regsafe.reference.ipcant import (Valuation, fire, fire_lazy, image, random_
                                       random_structure, random_transfer, random_valuation,
                                       sqsse, valuation)
 
+from conftest import embeds_by_permutation, under
+
 AB = Alphabet(("a", "b"))
 UNCUT = 1 << 30  # a value bound above every count these tests reach
-
-
-def _words_with_letters(letters):
-    """Every data word (up to class renaming) whose letter sequence is
-    exactly `letters`."""
-    seen = set()
-    for labels in product(range(len(letters)), repeat=len(letters)):
-        w = canonicalize(letters, labels)
-        if w.classes not in seen:
-            seen.add(w.classes)
-            yield w
 
 
 def test_nonemptiness_compiled_verdicts(fig1, top_automaton, bot_automaton):
@@ -52,12 +44,13 @@ def test_nonemptiness_materialized_fig1(fig1):
     assert bounded_nonemptiness(ara_to_ipcant(fig1).materialize()) is Nonemptiness.NONEMPTY
 
 
-def test_nonemptiness_file_machine(data_text):
+def test_nonemptiness_file_machine(data_text, monkeypatch):
     machine = parse_machine(data_text("tiny.cm"))
     # the counter climbs forever: a short cap concludes, a tight value cap
     # cuts the only branch and leaves the question open
     assert bounded_nonemptiness(machine, cap=50) is Nonemptiness.NONEMPTY
-    assert bounded_nonemptiness(machine, vcap=8) is Nonemptiness.UNKNOWN
+    monkeypatch.setattr(explore, "VCAP", 8)
+    assert bounded_nonemptiness(machine) is Nonemptiness.UNKNOWN
 
 
 def test_nonemptiness_start_override(data_text):
@@ -95,12 +88,12 @@ def test_inclusion_unknown_when_a_checkpoint_search_is(abc, monkeypatch):
 
 
 def test_bounds_below_one_are_refused(fig1):
-    """Every search with a cap or vcap raises ValueError on one below 1.
+    """Every search with a cap raises ValueError on one below 1.
     The parsed one-state machine with no transition has no run, so at cap 1
     it is empty."""
     machine = parse_machine("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n")
     assert not machine.transitions
-    for bad in ({"cap": 0}, {"cap": -1}, {"vcap": 0}):
+    for bad in ({"cap": 0}, {"cap": -1}):
         with pytest.raises(ValueError):
             bounded_nonemptiness(machine, **bad)
         with pytest.raises(ValueError):
@@ -150,7 +143,8 @@ def test_prefix_reachable_matches_runs(fig1, abc, max_len):
     for n in range(1, max_len + 1):
         for letters in product(abc.letters, repeat=n):
             got = prefix_reachable(machine, letters)
-            want = any(run_exists(fig1, w) for w in _words_with_letters(letters))
+            want = any(run_exists(fig1, DataWord(letters, classes))
+                       for classes in canonical_class_sequences(n, n))
             assert got == want, letters
 
 
@@ -160,7 +154,8 @@ def test_prefix_reachable_matches_runs_forker(forker):
     for n in range(1, 5):
         for letters in product(AB.letters, repeat=n):
             got = prefix_reachable(machine, letters)
-            want = any(run_exists(aut, w) for w in _words_with_letters(letters))
+            want = any(run_exists(aut, DataWord(letters, classes))
+                       for classes in canonical_class_sequences(n, n))
             assert got == want, letters
 
 
@@ -255,6 +250,46 @@ def test_embeds_matches_hall_condition():
                       else "pointwise" if pointwise else "superset"))
     assert seen == {(True, "empty"), (False, "more"), (True, "flat"), (False, "flat"),
                     (True, "pointwise"), (True, "superset"), (False, "superset")}, seen
+
+
+def test_embeds_moves_counts_along_augmenting_paths():
+    """embeds against sqsse (Hall's condition, whose cost does not grow with
+    the counts) on 3-5-state family structures, with up to 30 tokens on 2-5
+    masks lifted onto equal or superset masks with a token added or
+    dropped: counts of several tokens then move along paths through several
+    counters.  First a pair where the path that frees room carries fewer
+    tokens than the room it reaches: the token of mask 1 on mask 3 moves on
+    to mask 5, which frees one place on mask 3, not the two its tokens of
+    mask 3 need."""
+    assert not embeds(((1, 1), (3, 2)), ((3, 1), (5, 2)))
+    assert embeds(((1, 1), (3, 1)), ((3, 1), (5, 2)))
+    rng = random.Random(86)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(3, 5)
+        st = family_structure(tuple("q%d" % i for i in range(n)))
+        masks = range(1 << n)
+        small = _sparse(rng, rng.sample(masks, rng.randint(2, 5)), rng.randint(4, 30))
+        big = _lifted(rng, masks, small)
+        dense = [[0] * len(st.counters) for _ in range(2)]
+        for values, sv in zip(dense, (small, big)):
+            for ci, k in sv:
+                values[ci] = k
+        want = sqsse(*(Valuation(st, tuple(v)) for v in dense))
+        assert embeds(small, big) == want, (small, big)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_embeds_thousands_of_tokens_on_one_counter():
+    """Two thousand tokens on one counter, more than the interpreter's
+    recursion limit, embed in themselves and not in one token fewer, at
+    once: the tokens of one counter are matched as a count."""
+    many = ((1, 2000),)
+    started = time.perf_counter()
+    assert embeds(many, many)
+    assert not embeds(many, ((1, 1999),))
+    assert time.perf_counter() - started < 0.5
 
 
 def test_inclusion_self(fig1):
@@ -364,10 +399,9 @@ def test_antichain_matches_linear_reference():
 def _reference_embeds(small, big):
     """By brute force: some injective assignment of small's tokens to big's
     puts each on a mask holding its own."""
-    want = [ci for ci, n in small for _ in range(n)]
-    have = [cj for cj, n in big for _ in range(n)]
-    return any(all(ci & cj == ci for ci, cj in zip(want, picked))
-               for picked in permutations(have, len(want)))
+    return embeds_by_permutation([ci for ci, n in small for _ in range(n)],
+                                 [cj for cj, n in big for _ in range(n)],
+                                 lambda ci, cj: ci & cj == ci)
 
 
 def _reference_below(expanded, control, sv):
@@ -399,7 +433,7 @@ def test_expanded_matches_linear_reference():
     assert answers == {True, False}
 
 
-def _reference_inclusion(a1, a2, cap, vcap=64, embedding=True):
+def _reference_inclusion(a1, a2, cap, embedding=True):
     """The saturation on per-control lists with the linear scans; with
     `embedding`, a configuration that lies above an expanded one in the
     token-embedding order is not expanded, and without it the saturation
@@ -422,7 +456,7 @@ def _reference_inclusion(a1, a2, cap, vcap=64, embedding=True):
             continue
         expanded.append((control, sv))
         explored += steps
-        succ, cut = machine.config_successors(control, sv, None, vcap)
+        succ, cut = machine.config_successors(control, sv, None, explore.VCAP)
         truncated |= cut
         for _, control2, sv2, steps2 in succ:
             chain = chains.setdefault(control2, [])
@@ -433,7 +467,7 @@ def _reference_inclusion(a1, a2, cap, vcap=64, embedding=True):
     checkpoints = [(control, sv) for control, sv in s_last if machine.is_checkpoint(control)]
     verdict = "UNKNOWN" if truncated or not converged else "INCLUDED"
     for start in checkpoints:
-        r = bounded_nonemptiness(machine, cap=cap, vcap=vcap, start=start)
+        r = bounded_nonemptiness(machine, cap=cap, start=start)
         if r is Nonemptiness.NONEMPTY:
             verdict = "NOT_INCLUDED"
             break
@@ -592,18 +626,11 @@ def _random_explicit_machine(rng, shared=False):
                           check_transfers="off" if arbitrary else "full")
 
 
-def _under(machine, lazy):
-    """The machine's transitions, stepped under the given relation."""
-    return CounterMachine(machine.alphabet, machine.states, machine.initial,
-                          machine.structure, machine.transitions,
-                          check_transfers="off", lazy=lazy)
-
-
 def _assert_successors_match_dense_fire(rng, machine):
     """Per transition the same distinct results as the dense reference,
     sparse and positive, for both relations, with and without a letter."""
     st = machine.structure
-    relations = {lazy: _under(machine, lazy) for lazy in (False, True)}
+    relations = {lazy: under(machine, lazy) for lazy in (False, True)}
     for _ in range(4):
         v = random_valuation(rng, st, max_value=rng.choice((1, 3, 5)))
         sv = tuple((i, n) for i, n in enumerate(v.values) if n)
@@ -648,7 +675,7 @@ def test_explicit_successors_match_dense_fire_shared_identity():
             if isinstance(t.instr, Transfer) and all(d == (c,) for c, d in t.instr.entries):
                 identities += 1
                 sv = ((0, 2),)
-                succ, _ = successors(_under(machine, False), t.src, sv, vcap=64)
+                succ, _ = successors(under(machine, False), t.src, sv, vcap=64)
                 assert (t.label, t.dst, sv, 1) in succ
                 assert any(s[:2] == (t.label, t.dst) and s[2] is sv for s in succ)
     assert identities > 100
@@ -756,7 +783,7 @@ def test_explicit_steps_keep_the_canonical_form():
             v = random_valuation(rng, st)
             sv = tuple((i, n) for i, n in enumerate(v.values) if n)
             for lazy in (False, True):
-                stepped = _under(machine, lazy)
+                stepped = under(machine, lazy)
                 for state in machine.states:
                     for letter in (None, "a"):
                         succ, _ = stepped.config_successors(state, sv, letter, 64)
@@ -813,7 +840,7 @@ def test_compiled_steps_keep_the_canonical_form(with_co):
             frontier = set(sorted(nxt)[:40])
             reached |= frontier
         m = cm.materialize()
-        lazy = _under(m, True)
+        lazy = under(m, True)
         by_src = {}
         for t in m.transitions:
             by_src.setdefault(t.src, []).append(t)

@@ -11,7 +11,7 @@ import pytest
 
 from regsafe.errors import ParseError, ValidationError
 from regsafe.words import Alphabet
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from regsafe.ipcant import (BoundParams, CounterMachine, CounterStructure, Dec, EPS, Inc,
                             Instruction, Transfer, Transition, bound_log2_log2, bound_params,
@@ -28,6 +28,8 @@ from regsafe.reference.ipcant import (Valuation, bound_ceiling, fire, fire_lazy,
                                       random_distributive_transfer, random_instruction,
                                       random_structure, random_transfer, random_valuation,
                                       sqsse, sub_valuation, transfer_witnesses, valuation)
+
+from conftest import embeds_by_permutation
 
 UNCUT = 1 << 30  # a value bound above every count these tests reach
 
@@ -183,9 +185,8 @@ def _tokens(values):
 def _embeds(counters, small, big):
     """By brute force: some injective assignment of small's tokens to big's
     puts each on a counter containing its own."""
-    want, have = _tokens(small), _tokens(big)
-    return any(all(counters[i] <= counters[have[k]] for i, k in zip(want, ks))
-               for ks in permutations(range(len(have)), len(want)))
+    return embeds_by_permutation(_tokens(small), _tokens(big),
+                                 lambda i, j: counters[i] <= counters[j])
 
 
 def _greedy_embeds(counters, small, big):
