@@ -277,6 +277,16 @@ def _build_parser():
     bounds = _ArgumentParser(add_help=False)
     bounds.add_argument("--cap", type=int, default=CAP,
                         help="exploration step bound (default %(default)s)")
+    # the machine of sat and bound: a machine file or an automaton file
+    source = _ArgumentParser(add_help=False)
+    one = source.add_mutually_exclusive_group(required=True)
+    one.add_argument("--machine")
+    one.add_argument("--automaton")
+    # the two inputs of include and refine, answered by one handler
+    pair = _ArgumentParser(add_help=False)
+    pair.add_argument("--lhs", required=True)
+    pair.add_argument("--rhs", required=True)
+    pair.set_defaults(handler=_cmd_include)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("parse", parents=[shared], help="echo a formula file canonically")
@@ -296,26 +306,13 @@ def _build_parser():
     p.add_argument("--word", required=True)
     p.set_defaults(handler=_cmd_run)
 
-    p = sub.add_parser("sat", parents=[shared, bounds], help="bounded nonemptiness of a counter machine")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--machine")
-    source.add_argument("--automaton")
+    p = sub.add_parser("sat", parents=[shared, bounds, source], help="bounded nonemptiness of a counter machine")
     p.set_defaults(handler=_cmd_sat)
 
-    p = sub.add_parser("include", parents=[shared, bounds], help="language inclusion of two automaton files")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    p.set_defaults(handler=_cmd_include)
+    sub.add_parser("include", parents=[shared, bounds, pair], help="language inclusion of two automaton files")
+    sub.add_parser("refine", parents=[shared, bounds, pair], help="implication of two formula files via inclusion")
 
-    p = sub.add_parser("refine", parents=[shared, bounds], help="implication of two formula files via inclusion")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    p.set_defaults(handler=_cmd_include)
-
-    p = sub.add_parser("bound", parents=[shared], help="print the theoretical exploration bound parameters")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--machine")
-    source.add_argument("--automaton")
+    p = sub.add_parser("bound", parents=[shared, source], help="print the theoretical exploration bound parameters")
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("tmgen", parents=[shared], help="emit the run-encoding formula of a machine file")

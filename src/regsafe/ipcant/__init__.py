@@ -3,9 +3,12 @@ and fileformat.  The dense valuations the tests check the machines against
 are regsafe.reference.ipcant's.
 
 What is derived from a counter family is owned by the family's
-CounterStructure, and a process-wide lru_cache only interns a shared
-object: here the structure of a file's basis: and counters: headers
-(_parse_structure).  The structure keeps each counter's printed text and
+CounterStructure, and a process-wide lru_cache interns a shared object:
+here the structure of a file's basis: and counters: headers
+(_parse_structure).  One interned object holds derived state as well:
+compile.letter_free_cycle's cached cycle carries two family memos of
+materialize(), reads and edges, that grow as machines of its family are
+materialized.  The structure keeps each counter's printed text and
 its family memos, each a regsafe.memo Memo, bounded by memo.BOUND as it
 reads at each keep: the Transition of each body line text (parsed) and
 the instruction of each instruction text (instrs), and, keyed by object

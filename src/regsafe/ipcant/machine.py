@@ -195,7 +195,7 @@ class CounterMachine:
         if "eps" in alphabet:  # the machine file's label of letter-free moves
             raise ValidationError("letter name 'eps' is reserved")
         self.alphabet = alphabet
-        self._lazy = lazy
+        self.lazy = lazy
         self.states = tuple(states)
         self.initial = initial
         self.structure = structure
@@ -231,12 +231,6 @@ class CounterMachine:
         if check_transfers == "full":
             _check_transfers(transfers.values(), structure)
 
-    @property
-    def lazy(self):
-        """Whether a decrement of a zero counter may leave the valuation
-        unchanged (True) or does not fire (False)."""
-        return self._lazy
-
     def _check_eps_acyclic(self, eps):
         """Raise ValidationError when the letter-free moves, eps mapping a
         state to its targets, form a cycle."""
@@ -258,10 +252,6 @@ class CounterMachine:
                 else:
                     color[q] = 2
                     stack.pop()
-
-    @property
-    def counters(self):
-        return self.structure.counters
 
     def initial_config(self):
         """The initial state with every counter empty."""
@@ -285,7 +275,7 @@ class CounterMachine:
         Returns (successors, truncated): successors are (label, state', sv',
         1) in transition order, sv' in the same form, and truncated says
         whether a result was cut by `vcap` or a transfer by BRANCH_BUDGET."""
-        lazy = self._lazy
+        lazy = self.lazy
         counts = None  # the counts of sv, looked up by increments and decrements
         out = []
         truncated = False

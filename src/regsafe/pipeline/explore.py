@@ -107,13 +107,13 @@ class SaturationResult(namedtuple("SaturationResult", (
             (type(self).__name__,) + self[:4])
 
 
-def successors(machine, control, sv, vcap, letter=None):
+def successors(machine, control, sv, letter, vcap):
     """Successors as (label, control', sv', steps), plus a flag saying
     whether anything was cut off by the value cap or branch budget.  Given a
-    letter, only letter-free steps and steps reading that letter are made.
-    An explicit machine steps one instruction at a time (steps 1); a
-    compiled machine steps one letter cycle at a time, charged its
-    instruction count."""
+    letter, only letter-free steps and steps reading that letter are made,
+    and given None, every step is.  An explicit machine steps one
+    instruction at a time (steps 1); a compiled machine steps one letter
+    cycle at a time, charged its instruction count."""
     succ, truncated = machine.config_successors(control, sv, letter, vcap)
     # unpacked, as bench/spans.py hands the compiled pair back as an iterator
     return succ, truncated
@@ -143,7 +143,7 @@ def bounded_nonemptiness(machine, cap=CAP, start=None) -> Nonemptiness:
 
     def expand(control, sv):
         nonlocal truncated
-        succ, cut = successors(machine, control, sv, VCAP)
+        succ, cut = successors(machine, control, sv, None, VCAP)
         truncated |= cut
         return iter(succ)
 
@@ -207,7 +207,7 @@ def prefix_reachable(machine, letters) -> bool:
             letter = None
         else:
             letter = letters[pos]
-        succ, _ = successors(machine, control, sv, math.inf, letter)
+        succ, _ = successors(machine, control, sv, letter, math.inf)
         for label, control2, sv2, _ in succ:
             key = (pos if label is EPS else pos + 1, control2, sv2)
             if key not in seen:
@@ -419,7 +419,7 @@ def inclusion_check(a1: AlternatingAutomaton, a2: AlternatingAutomaton,
             continue  # an expanded configuration simulates it
         expanded.add(control, sv)
         explored += steps
-        succ, cut = successors(machine, control, sv, VCAP)
+        succ, cut = successors(machine, control, sv, None, VCAP)
         truncated |= cut
         for label, control2, sv2, steps2 in succ:
             chain = chains.get(control2)

@@ -1,6 +1,7 @@
 from collections import Counter
 from functools import partial
 from itertools import combinations, product
+import math
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from regsafe.reference.ara import models_at
 from conftest import embeds_by_permutation
 
 AB = Alphabet(("a", "b"))
-UNCUT = 1 << 30  # a value bound above every count these tests reach
 
 
 def test_triple_make_normalizes():
@@ -204,7 +204,7 @@ def _compiled_step_against_abstract_successors(rng, aut, sources):
         for letter in AB.letters:
             src = _triple(cm, letter, mask, sv)
             steps = abstract_successors(aut, src)
-            succ, truncated = cm.config_successors((mask, False), sv, letter, UNCUT)
+            succ, truncated = cm.config_successors((mask, False), sv, letter, math.inf)
             assert not truncated
             got = []
             for a, control, sv2, _ in succ:

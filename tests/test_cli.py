@@ -650,39 +650,9 @@ def test_formula_file_error_names_line_and_column(tmp_path, capsys):
     assert _out(capsys) == ("", "parse error: %s: line 5, column 16: unknown state 'x'\n" % bad)
 
 
-def test_invalid_input_files_exit_65(tmp_path, capsys):
-    """Files that parse but break an invariant of their format."""
-    header = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p q\ninitial: p\n"
-    nondistributive = tmp_path / "nondistributive.cm"
-    nondistributive.write_text(header + "p -a, transf {x}->[{x}]; {y}->[{y}]; {x,y}->[]-> p\n")
-    assert run_cli(["sat", "--machine", str(nondistributive)]) == 65
-    eps_cycle = tmp_path / "cycle.cm"
-    eps_cycle.write_text(header + "p -eps, inc {x}-> q\nq -eps, nop-> p\n")
-    assert run_cli(["sat", "--machine", str(eps_cycle)]) == 65
-    assert run_cli(["bound", "--machine", str(eps_cycle)]) == 65
-    partial = tmp_path / "partial.tm"
-    partial.write_text("tape: B M\nblank: B\nstates: h0\ninitial: h0\nsize: 2\n"
-                       "h0, B -> h0, B, -1\n")
-    assert run_cli(["tmgen", "--tm", str(partial)]) == 65
-    ifz = tmp_path / "ifz.cm"
-    ifz.write_text("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
-                   "p -a, ifz^cap {zz}-> p\n")
-    assert run_cli(["sat", "--machine", str(ifz)]) == 65
-    unknown = tmp_path / "unknown.cm"
-    unknown.write_text("alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
-                       "p -a, inc {x}-> p\np -a, inc {z}-> p\n")
-    assert run_cli(["sat", "--machine", str(unknown)]) == 65
-    out, err = _out(capsys)
-    assert out == "" and err.count("invalid input: ") == 6
-    # a body line's ValidationError names its line, as a ParseError does
-    assert ("invalid input: %s: line 6: ifz^cap set ['zz'] uses unknown basis elements\n"
-            % ifz) in err
-    assert ("invalid input: %s: line 7: instruction uses unknown counter ['z']\n"
-            % unknown) in err
-
-
 _ARA = "alphabet: a b\nstates: p q\ninitial: p\n"
 _CM = "alphabet: a\nbasis: x\ncounters: {x}\nstates: p\ninitial: p\n"
+_CM_XY = "alphabet: a\nbasis: x y\ncounters: {x} {y} {x,y}\nstates: p q\ninitial: p\n"
 _TM = ("tape: B M\nblank: B\nstates: h0\ninitial: h0\nsize: 2\n"
        "h0, B -> h0, B, -1\nh0, M -> h0, M, -1\n")
 
@@ -717,6 +687,18 @@ _HOSTILE = [
      "invalid input: {path}: line 6: transition on unknown letter 'b'"),
     ("cm-unknown-state", _CM + "p -a, inc {x}-> p\np -a, nop-> q\n",
      "invalid input: {path}: line 7: transition 'p' -a-> 'q' uses unknown state 'q'"),
+    # files that parse but break an invariant of their format; a body
+    # line's ValidationError names its line, as a ParseError does
+    ("cm-nondistributive", _CM_XY + "p -a, transf {x}->[{x}]; {y}->[{y}]; {x,y}->[]-> p\n",
+     "invalid input: {path}: transfer map is not distributive"),
+    ("cm-eps-cycle", _CM_XY + "p -eps, inc {x}-> q\nq -eps, nop-> p\n",
+     "invalid input: {path}: letter-free transition cycle through 'q'"),
+    ("cm-ifz-unknown-basis", _CM + "p -a, ifz^cap {zz}-> p\n",
+     "invalid input: {path}: line 6: ifz^cap set ['zz'] uses unknown basis elements"),
+    ("cm-unknown-counter", _CM + "p -a, inc {x}-> p\np -a, inc {z}-> p\n",
+     "invalid input: {path}: line 7: instruction uses unknown counter ['z']"),
+    ("tm-partial", _TM.replace("h0, M -> h0, M, -1\n", ""),
+     "invalid input: {path}: rules not total: missing (h0, M)"),
     ("tm-duplicate-letter", _TM.replace("tape: B M", "tape: B M B"),
      "invalid input: {path}: tape alphabet must be non-empty without duplicates"),
     ("tm-duplicate-state", _TM.replace("states: h0", "states: h0 h0"),
@@ -736,15 +718,17 @@ _HOSTILE = [
 @pytest.mark.parametrize("name, text, err", _HOSTILE, ids=[c[0] for c in _HOSTILE])
 def test_hostile_input_files_exit_65(tmp_path, capsys, name, text, err):
     """A broken automaton, machine or Turing machine file exits 65 with one
-    line that names the file and the fault, and no traceback."""
+    line that names the file and the fault, and no traceback; sat and bound
+    refuse a machine file alike."""
     kind = name.partition("-")[0]
     path = tmp_path / ("bad." + kind)
     path.write_text(text)
-    argv = {"ara": ["run", "--automaton", str(path), "--word", "a@D"],
-            "cm": ["sat", "--machine", str(path)],
-            "tm": ["tmgen", "--tm", str(path)]}[kind]
-    assert run_cli(argv) == 65
-    assert _out(capsys) == ("", err.replace("{path}", str(path)) + "\n")
+    argvs = {"ara": [["run", "--automaton", str(path), "--word", "a@D"]],
+             "cm": [[command, "--machine", str(path)] for command in ("sat", "bound")],
+             "tm": [["tmgen", "--tm", str(path)]]}[kind]
+    for argv in argvs:
+        assert run_cli(argv) == 65
+        assert _out(capsys) == ("", err.replace("{path}", str(path)) + "\n"), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -781,7 +765,7 @@ def test_non_distributive_machine_exits_65(tmp_path, capsys):
     wide.write_text(header.replace("x y\n", "x y %s\n" % " ".join(names)).replace(
         "{x,y}\n", "{x,y} %s\n" % " ".join("{%s}" % e for e in names))
         + "p -a, transf {x,y}->[]-> p\n")
-    assert len(parse_machine(wide.read_text(), "off").counters) == 14
+    assert len(parse_machine(wide.read_text(), "off").structure.counters) == 14
     for command, path in (("sat", bad), ("bound", bad), ("sat", wide), ("sat", wide)):
         assert run_cli([command, "--machine", str(path)]) == 65
         out, err = _out(capsys)

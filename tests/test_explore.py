@@ -1,6 +1,7 @@
 from collections import deque
 from functools import partial
 from itertools import product
+import math
 import random
 import time
 
@@ -29,7 +30,6 @@ from regsafe.reference.ipcant import (Valuation, fire, fire_lazy, image, random_
 from conftest import embeds_by_permutation, under
 
 AB = Alphabet(("a", "b"))
-UNCUT = 1 << 30  # a value bound above every count these tests reach
 
 
 def test_nonemptiness_compiled_verdicts(fig1, top_automaton, bot_automaton):
@@ -638,8 +638,7 @@ def _assert_successors_match_dense_fire(rng, machine):
             outgoing = [t for t in machine.transitions if t.src == state]
             for lazy, stepped in relations.items():
                 for letter in (None, "a"):
-                    succ, truncated = successors(stepped, state, sv, vcap=64,
-                                                 letter=letter)
+                    succ, truncated = successors(stepped, state, sv, letter, 64)
                     assert not truncated
                     got = []
                     for label, dst, sv2, steps in succ:
@@ -675,7 +674,7 @@ def test_explicit_successors_match_dense_fire_shared_identity():
             if isinstance(t.instr, Transfer) and all(d == (c,) for c, d in t.instr.entries):
                 identities += 1
                 sv = ((0, 2),)
-                succ, _ = successors(under(machine, False), t.src, sv, vcap=64)
+                succ, _ = successors(under(machine, False), t.src, sv, None, 64)
                 assert (t.label, t.dst, sv, 1) in succ
                 assert any(s[:2] == (t.label, t.dst) and s[2] is sv for s in succ)
     assert identities > 100
@@ -706,7 +705,7 @@ def test_explicit_transfer_keeps_product_order():
                                  check_transfers="off")
         v = random_valuation(rng, st)
         sv = tuple((i, n) for i, n in enumerate(v.values) if n)
-        succ, _ = successors(machine, "p", sv, vcap=64)
+        succ, _ = successors(machine, "p", sv, None, 64)
         images = [tuple(st.index[d] for d in image(t, c)) for c in st.counters]
         assert [sv2 for _, _, sv2, _ in succ] == \
             _product_order(sv, images)
@@ -720,7 +719,7 @@ def test_explicit_transfer_first_entry_wins():
     twice = Transfer(((x, (y,)), (x, (x,)), (y, (y,))))
     machine = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", twice, "p")],
                              check_transfers="off")
-    assert successors(machine, "p", ((0, 2),), vcap=64)[0] == [("a", "p", ((1, 2),), 1)]
+    assert successors(machine, "p", ((0, 2),), None, 64)[0] == [("a", "p", ((1, 2),), 1)]
     assert [v.values for v in fire(valuation(st, {"x": 2}), twice)] == [(0, 2)]
 
 
@@ -737,23 +736,23 @@ def test_explicit_step_truncation(monkeypatch):
         Transition("s", "b", Transfer(((x, (x,)),)), "s"),
     ], check_transfers="off")
     # an identity transfer returns a valuation within vcap and cuts one past it
-    assert successors(machine, "s", ((0, 4),), vcap=4) == (
+    assert successors(machine, "s", ((0, 4),), None, 4) == (
         [("a", "s", ((0, 4),), 1), ("b", "s", ((0, 4),), 1)], False)
-    assert successors(machine, "s", ((0, 5), (1, 1)), vcap=4) == ([], True)
+    assert successors(machine, "s", ((0, 5), (1, 1)), None, 4) == ([], True)
     # an increment past vcap is cut
-    assert successors(machine, "p", ((0, 4),), vcap=4) == ([], True)
-    assert successors(machine, "p", ((0, 3),), vcap=4)[0][0][2] == ((0, 4),)
+    assert successors(machine, "p", ((0, 4),), None, 4) == ([], True)
+    assert successors(machine, "p", ((0, 3),), None, 4)[0][0][2] == ((0, 4),)
     # tokens merged past vcap are cut, and only the results past it
-    assert successors(machine, "r", ((0, 3), (1, 3)), vcap=5) == ([], True)
-    succ, cut = successors(machine, "q", ((0, 6),), vcap=4)
+    assert successors(machine, "r", ((0, 3), (1, 3)), None, 5) == ([], True)
+    succ, cut = successors(machine, "q", ((0, 6),), None, 4)
     assert cut and [sv2 for _, _, sv2, _ in succ] == [
         ((0, 2), (1, 4)), ((0, 3), (1, 3)), ((0, 4), (1, 2))]
     # more splits than BRANCH_BUDGET are not enumerated
-    assert successors(machine, "q", ((0, BRANCH_BUDGET),), vcap=10 ** 9) == ([], True)
+    assert successors(machine, "q", ((0, BRANCH_BUDGET),), None, math.inf) == ([], True)
     monkeypatch.setattr(ipcant.machine, "BRANCH_BUDGET", 6)
-    succ, cut = successors(machine, "q", ((0, 5),), vcap=64)
+    succ, cut = successors(machine, "q", ((0, 5),), None, 64)
     assert not cut and len(succ) == 6
-    assert successors(machine, "q", ((0, 6),), vcap=64) == ([], True)
+    assert successors(machine, "q", ((0, 6),), None, 64) == ([], True)
 
 
 def _canonical(sv):
@@ -792,7 +791,7 @@ def test_explicit_steps_keep_the_canonical_form():
                 for lazy in (False, True):
                     one = CounterMachine(AB, ("p",), "p", st, [Transition("p", "a", t.instr, "p")],
                                          check_transfers="off", lazy=lazy)
-                    succ, _ = one.config_successors("p", sv, None, UNCUT)
+                    succ, _ = one.config_successors("p", sv, None, math.inf)
                     assert all(_canonical(sv2) for _, _, sv2, _ in succ)
                     steps += len(succ)
                     same = _is_identity(t.instr, st.counters) or (
@@ -848,7 +847,7 @@ def test_compiled_steps_keep_the_canonical_form(with_co):
             for src, ts in by_src.items():
                 if not all(t.instr == Transfer(()) or isinstance(t.instr, Dec) for t in ts):
                     continue
-                succ, _ = lazy.config_successors(src, sv, None, UNCUT)
+                succ, _ = lazy.config_successors(src, sv, None, math.inf)
                 assert len(succ) == len(ts)  # one successor each under the lazy relation
                 for t, (_, _, sv2, _) in zip(ts, succ):
                     if t.instr == Transfer(()) or \

@@ -31,8 +31,6 @@ from regsafe.reference.ipcant import (Valuation, bound_ceiling, fire, fire_lazy,
 
 from conftest import embeds_by_permutation
 
-UNCUT = 1 << 30  # a value bound above every count these tests reach
-
 
 def _vals(results):
     return {tuple(v.values) for v in results}
@@ -347,7 +345,7 @@ def test_repeated_checks_keep_refusing_non_distributive_maps():
     assert check_distributive({c: (c,) for c in counters}, counters)
     assert not check_distributive(dict(_WITNESS), list(counters))
     good = parse_machine(_CM_HEADER + "p -a, transf {x,y}->[{x,y}]-> p\n", "full")
-    assert good.counters == counters
+    assert good.structure.counters == counters
     with pytest.raises(ValidationError, match="not distributive"):
         parse_machine(_CM_HEADER + "p -a, transf {x,y}->[]-> p\n", "full")
     with pytest.raises(ValidationError, match="not distributive"):
@@ -406,8 +404,11 @@ def test_process_wide_caches_only_intern():
     """The lru_caches of every regsafe module outside regsafe.reference: the
     shared argument parser and three interners of a shared family object, at
     the stdlib's default bound.  What is derived from a family is kept in
-    its structure's memos (test_family_memos_stay_within_their_bound), and
-    ltl_to_ara keeps nothing: equal calls return distinct automata."""
+    its structure's memos (test_family_memos_stay_within_their_bound), but
+    for materialize()'s read transfers and edges: letter_free_cycle's cached
+    cycle keeps those in two Memos, reads and edges, that grow as machines
+    of its family are materialized.  ltl_to_ara keeps nothing: equal calls
+    return distinct automata."""
     caches = {}
     for info in pkgutil.walk_packages(regsafe.__path__, "regsafe."):
         if info.name == "regsafe.__main__" or info.name.startswith("regsafe.reference"):
@@ -442,7 +443,7 @@ def test_family_memos_stay_within_their_bound(monkeypatch):
         assert 0 < len(st.ops) <= limit
         assert format_machine(m).count("p -a, inc {x}-> p\n") == limit + 10
         assert 0 < len(st.lines) <= limit
-        assert m.config_successors("p", ((0, 2),), None, UNCUT) == (
+        assert m.config_successors("p", ((0, 2),), None, math.inf) == (
             [("a", "p", ((0, 3),), 1)] * (limit + 10), False)
     st = CounterStructure(("x",), (frozenset("x"),))
     one, two = Inc(frozenset("x")), Inc(frozenset("x"))
@@ -465,7 +466,7 @@ def test_family_memos_stay_within_their_bound(monkeypatch):
     for load in range(4):
         m = parse_machine(text)
         assert format_machine(m) == text
-        assert m.structure.printed == {c: "{%s}" % ",".join(sorted(c)) for c in m.counters}
+        assert m.structure.printed == {c: "{%s}" % ",".join(sorted(c)) for c in m.structure.counters}
         assert all(0 < len(getattr(m.structure, name)) <= 3 for name in memos), load
 
 
@@ -479,7 +480,7 @@ def test_ifz_cap_outside_the_basis_is_refused():
                 parse_machine(header + "p -a, ifz^cap %s-> p\n" % text)
     for text, y in (("{}", ""), ("{y}", "y"), ("{x,y}", "xy")):
         m = parse_machine(header + "p -a, ifz^cap %s-> p\n" % text)
-        assert m.transitions[0].instr == ifz_cap(set(y), m.counters)
+        assert m.transitions[0].instr == ifz_cap(set(y), m.structure.counters)
 
 
 def test_structure_builds_its_index_on_first_use():
@@ -542,7 +543,7 @@ def test_instruction_memo_across_kept_lines():
     both = parse_machine(text)
     assert both.transitions[0] is one and both.transitions[1] is two
     assert st.instrs == {"inc {x}": two.instr}
-    assert both.config_successors("p", (), None, UNCUT) == (
+    assert both.config_successors("p", (), None, math.inf) == (
         [("a", "p", ((0, 1),), 1), ("b", "p", ((0, 1),), 1)], False)
     assert format_machine(both) == text
 
@@ -588,7 +589,7 @@ def test_machine_verdicts_match_check_distributive():
         if other != src:
             v = v._with(st.index[other], rng.randint(0, 1))
         sv = tuple((i, n) for i, n in enumerate(v.values) if n)
-        successors, truncated = m.config_successors("p", sv, None, UNCUT)
+        successors, truncated = m.config_successors("p", sv, None, math.inf)
         assert not truncated
         assert sorted(list(post) for _, _, post, _ in successors) == \
             sorted(sorted((i, n) for i, n in enumerate(w.values) if n) for w in fire(v, t))
@@ -634,7 +635,6 @@ def test_machines_of_one_family_share_lines_and_structure():
             texts.append(text)
     machines = [parse_machine(text, "full") for text in texts]
     assert machines[0].structure is machines[1].structure
-    assert machines[0].counters is machines[1].counters
     # each body line with its transition
     one, two = (dict(zip(text.splitlines()[-len(m.transitions):], m.transitions))
                 for text, m in zip(texts, machines))
@@ -947,7 +947,7 @@ def test_fourteen_counter_check_refuses_and_keeps_its_verdict(monkeypatch):
         parse_machine(text)
     unchecked = parse_machine(text, "off")
     instr = unchecked.transitions[0].instr
-    assert len(unchecked.counters) == 14
+    assert len(unchecked.structure.counters) == 14
     assert unchecked.structure.verdicts == {id(instr): (instr, False)}
 
 
@@ -969,7 +969,7 @@ def test_rare_bad_cover_is_refused(tmp_path, capsys):
     map with one bad choice of images on one cover is refused, by
     parse_machine and by sat --machine."""
     unchecked = parse_machine(_RARE_HOLE_CM, "off")
-    assert len(unchecked.counters) == 13
+    assert len(unchecked.structure.counters) == 13
     with pytest.raises(ValidationError, match="transfer map is not distributive"):
         parse_machine(_RARE_HOLE_CM)
     path = tmp_path / "hole.cm"
